@@ -340,32 +340,13 @@ fn number_field(obj: &str, key: &str) -> Option<f64> {
     after[..end].parse().ok()
 }
 
-/// JSON string escaping for recorded notes (quotes, backslashes,
-/// control characters — a multi-line `--notes` must still produce a
-/// parseable baseline file).
-fn escape_json(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders measurements in the `BENCH_baseline.json` schema.
 fn render_baseline(results: &[Measurement], notes: &str) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"slim_noc-bench-baseline-v1\",\n");
     let _ = writeln!(out, "  \"recorded\": \"{}\",", today_utc());
-    let _ = writeln!(out, "  \"notes\": \"{}\",", escape_json(notes));
+    let _ = writeln!(out, "  \"notes\": \"{}\",", snoc_core::json::escape(notes));
     out.push_str("  \"command\": \"cargo bench -p snoc_bench\",\n  \"benchmarks\": [\n");
     for (i, m) in results.iter().enumerate() {
         let _ = write!(

@@ -1,0 +1,126 @@
+//! Never-panic property of the campaign server's request reader: any
+//! byte string a client can put on the socket — noise, or a valid
+//! `POST /campaign` with a few bytes flipped — gets a reply or a closed
+//! connection within the client timeout. No handler thread panics, the
+//! exchange never hangs, and the server keeps answering `/health`.
+//!
+//! Own test binary: the panic hook it installs is process-global.
+
+use proptest::prelude::*;
+use snoc_bench::serve::Server;
+use snoc_core::{CampaignSpec, SetupSpec};
+use snoc_traffic::TrafficPattern;
+use std::io::{Read as _, Write as _};
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::thread;
+use std::time::Duration;
+
+/// Set by the panic hook when any thread — handler threads included —
+/// panics.
+static PANICKED: AtomicBool = AtomicBool::new(false);
+
+/// One cacheless server for the whole binary, with a short client
+/// timeout so a request the server is still waiting on ends quickly.
+fn server_addr() -> &'static str {
+    static ADDR: OnceLock<String> = OnceLock::new();
+    ADDR.get_or_init(|| {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            PANICKED.store(true, Ordering::SeqCst);
+            default_hook(info);
+        }));
+        let server = Server::bind("127.0.0.1:0", None, 1)
+            .expect("bind")
+            .with_client_timeout(Duration::from_millis(300));
+        let addr = server.local_addr().expect("bound").to_string();
+        thread::spawn(move || server.run());
+        addr
+    })
+}
+
+/// Writes `bytes`, half-closes, and reads the reply to EOF. `None`
+/// when the server neither answered nor hung up within 5 s.
+fn exchange(bytes: &[u8]) -> Option<Vec<u8>> {
+    let mut stream = TcpStream::connect(server_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    // The server may answer (431, 413) and hang up mid-write.
+    let _ = stream.write_all(bytes);
+    let _ = stream.shutdown(Shutdown::Write);
+    let mut reply = Vec::new();
+    match stream.read_to_end(&mut reply) {
+        Ok(_) => Some(reply),
+        // A reset after a complete early reply is still an answer.
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => Some(reply),
+        Err(_) => None,
+    }
+}
+
+/// A valid submission small enough that any byte-flipped variant that
+/// still parses simulates in milliseconds (flips cannot add digits).
+fn valid_request() -> Vec<u8> {
+    let mut spec = CampaignSpec::new("fuzz");
+    spec.setups = vec![SetupSpec::new("sn54")];
+    spec.patterns = vec![TrafficPattern::Random];
+    spec.loads = vec![0.01];
+    spec.warmup = 10;
+    spec.measure = 20;
+    let body = spec.to_json();
+    format!(
+        "POST /campaign HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+fn assert_alive_and_calm() -> Result<(), TestCaseError> {
+    let health = exchange(b"GET /health HTTP/1.1\r\n\r\n");
+    prop_assert!(
+        health.is_some_and(|r| r.starts_with(b"HTTP/1.1 200")),
+        "server stopped answering /health"
+    );
+    prop_assert!(!PANICKED.load(Ordering::SeqCst), "a thread panicked");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn arbitrary_bytes_get_an_answer_or_a_hangup(seed in 0u64..u64::MAX, len in 0usize..600) {
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let bytes: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect();
+        prop_assert!(exchange(&bytes).is_some(), "exchange hung");
+        assert_alive_and_calm()?;
+    }
+
+    #[test]
+    fn byte_flipped_submissions_get_an_answer_or_a_hangup(
+        seed in 0u64..u64::MAX,
+        flips in 1usize..5,
+    ) {
+        const SPICE: &[u8] = b"{}[]\",:\\-.e09 \r\n\xff\x00";
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let mut request = valid_request();
+        for _ in 0..flips {
+            let at = (rng.next_u64() % request.len() as u64) as usize;
+            request[at] = SPICE[(rng.next_u64() % SPICE.len() as u64) as usize];
+        }
+        if rng.next_u64() & 3 == 0 {
+            request.truncate((rng.next_u64() % request.len() as u64) as usize);
+        }
+        prop_assert!(exchange(&request).is_some(), "exchange hung");
+        assert_alive_and_calm()?;
+    }
+}
+
+#[test]
+fn the_unmutated_submission_is_served() {
+    let reply = exchange(&valid_request()).expect("answered");
+    let text = String::from_utf8_lossy(&reply);
+    assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+    assert!(text.contains("\"event\": \"done\""), "{text}");
+}

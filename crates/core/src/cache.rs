@@ -43,7 +43,7 @@ use std::sync::Mutex;
 /// heuristic, …). Entries written under an older salt remain in the
 /// JSONL file but become unreachable — a version bump invalidates a
 /// cache without touching the filesystem.
-pub const ENGINE_VERSION: &str = "slim_noc-engine-v1";
+pub const ENGINE_VERSION: &str = "slim_noc-engine-v2";
 
 /// The name of the JSON-lines store inside a cache directory.
 const STORE_FILE: &str = "points.jsonl";
@@ -446,6 +446,55 @@ mod tests {
                 edp_js: 1.0e-12,
             }),
         }
+    }
+
+    /// The salt and the engine behaviour it was recorded against: the
+    /// [`mix64`] hash of `SimReport::to_json` over a pinned mini-matrix
+    /// (minimal, UGAL-L, CBR, a seeded 10-link storm, a 2-shard run).
+    const FINGERPRINT: (&str, u64) = ("slim_noc-engine-v2", 0x0897_eeda_960c_5117);
+
+    #[test]
+    fn engine_behaviour_moves_only_with_the_salt() {
+        use crate::{BufferPreset, FaultsSpec, Setup, StormSpec};
+        use snoc_sim::RoutingKind;
+        use snoc_traffic::TrafficPattern::{Adversarial1, Random};
+
+        let sn_s = || Setup::paper("sn_s").unwrap().with_seed(11);
+        let storm = FaultsSpec {
+            events: Vec::new(),
+            storm: Some(StormSpec {
+                links: 10,
+                start: 150,
+                window: 200,
+                seed: 7,
+            }),
+        };
+        let reports = [
+            sn_s().run_load(Random, 0.7, 100, 400),
+            sn_s()
+                .with_routing(RoutingKind::UgalL)
+                .run_load(Random, 0.3, 100, 400),
+            sn_s()
+                .with_buffers(BufferPreset::Cbr(20))
+                .run_load(Random, 0.3, 100, 400),
+            sn_s().with_faults(storm).run_load(Random, 0.2, 100, 400),
+            sn_s().run_load_sharded(Adversarial1, 0.2, 100, 400, 2),
+        ];
+        let mut bytes = String::new();
+        for r in &reports {
+            bytes.push_str(&r.to_json());
+            bytes.push('\n');
+        }
+        let hash = mix64(0xcbf2_9ce4_8422_2325, bytes.as_bytes());
+        assert_eq!(
+            ENGINE_VERSION, FINGERPRINT.0,
+            "salt changed: re-record FINGERPRINT as (ENGINE_VERSION, {hash:#018x})"
+        );
+        assert_eq!(
+            hash, FINGERPRINT.1,
+            "simulated bytes moved under salt {ENGINE_VERSION}: cached points are stale — \
+             bump ENGINE_VERSION and re-record FINGERPRINT with {hash:#018x}"
+        );
     }
 
     #[test]

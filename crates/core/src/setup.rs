@@ -5,7 +5,8 @@ use crate::faults::FaultsSpec;
 use snoc_layout::{per_router_central_buffers, BufferModel, BufferSpec, Layout, SnLayout};
 use snoc_power::{PowerModel, TechNode};
 use snoc_sim::{
-    LatencyLoadPoint, RoutingKind, ShardedSimulator, SimConfig, SimError, SimReport, Simulator,
+    LatencyLoadPoint, LinkMode, RoutingKind, ShardedSimulator, SimConfig, SimError, SimReport,
+    Simulator,
 };
 use snoc_topology::{paper_config, Topology, TopologyError, TopologyKind};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
@@ -134,8 +135,8 @@ pub struct Setup {
     pub sn_layout: Option<SnLayout>,
     /// Fault recipe applied to every simulator this setup builds
     /// (`None` = fault-free). Resolved against the topology in
-    /// [`Setup::simulator`]; forces the monolithic engine in
-    /// [`Setup::run_load_sharded`].
+    /// [`Setup::simulator`]; pins the monolithic engine
+    /// (`Setup::effective_shards`).
     pub faults: Option<FaultsSpec>,
 }
 
@@ -302,13 +303,29 @@ impl Setup {
         report
     }
 
-    /// Runs one synthetic-traffic point on the sharded parallel engine.
-    /// `shards <= 1` uses the monolithic simulator, as do configurations
-    /// the sharded engine rejects (globally-adaptive routing, elastic
-    /// links) and setups with a fault recipe (replicated shards never
-    /// see fault plans) — those fall back rather than fail so mixed
-    /// campaigns keep running. Exact-mode configurations produce reports
-    /// bit-identical to [`Setup::run_load`] at any shard count.
+    /// The shard count a request for `shards` actually runs on (see
+    /// [`Setup::run_load_sharded`]). The one place this is decided: the
+    /// runner runs it and the campaign cache keys it, so identical work
+    /// is never stored under several keys.
+    pub(crate) fn effective_shards(&self, shards: usize) -> usize {
+        if self.faults.is_some()
+            || self.sim.routing == RoutingKind::UgalG
+            || self.sim.link_mode == LinkMode::Elastic
+        {
+            1
+        } else {
+            shards.clamp(1, self.topology.router_count().max(1))
+        }
+    }
+
+    /// Runs one synthetic-traffic point on the sharded parallel engine,
+    /// with `shards` clamped to the router count as the sharded builder
+    /// clamps it. One shard is the monolithic simulator, and so is any
+    /// request on exactly the setups the sharded engine cannot take — a
+    /// fault recipe (replicated shards never see fault plans), UGAL-G
+    /// (reads remote occupancy), elastic links (zero lookahead) — so
+    /// mixed campaigns keep running. Exact-mode configurations produce
+    /// reports bit-identical to [`Setup::run_load`] at any shard count.
     ///
     /// # Panics
     ///
@@ -322,14 +339,13 @@ impl Setup {
         measure: u64,
         shards: usize,
     ) -> SimReport {
-        if shards > 1 && self.faults.is_none() {
-            if let Ok(mut sim) =
-                ShardedSimulator::build_with_layout(&self.topology, &self.layout, &self.sim, shards)
-            {
-                return sim.run_synthetic(pattern, rate, warmup, measure);
-            }
+        let shards = self.effective_shards(shards);
+        if shards == 1 {
+            return self.run_load(pattern, rate, warmup, measure);
         }
-        self.run_load(pattern, rate, warmup, measure)
+        ShardedSimulator::build_with_layout(&self.topology, &self.layout, &self.sim, shards)
+            .expect("valid setup")
+            .run_synthetic(pattern, rate, warmup, measure)
     }
 
     /// Sweeps a latency–load curve, stopping after the first saturated
@@ -507,6 +523,36 @@ mod tests {
             .unwrap()
             .with_routing(RoutingKind::UgalL);
         assert_eq!(s.sim.vcs, 4);
+    }
+
+    #[test]
+    fn effective_shards_is_one_exactly_where_the_sharded_engine_refuses() {
+        let base = Setup::paper("sn54").unwrap();
+        let storm = FaultsSpec {
+            events: Vec::new(),
+            storm: Some(crate::StormSpec {
+                links: 2,
+                start: 10,
+                window: 10,
+                seed: 1,
+            }),
+        };
+        let cases = [
+            base.clone(),
+            base.clone().with_routing(RoutingKind::UgalL),
+            base.clone().with_routing(RoutingKind::UgalG),
+            base.clone().with_buffers(BufferPreset::ElLinks),
+            base.clone().with_buffers(BufferPreset::Cbr(20)),
+        ];
+        for s in &cases {
+            let accepted =
+                ShardedSimulator::build_with_layout(&s.topology, &s.layout, &s.sim, 2).is_ok();
+            assert_eq!(s.effective_shards(2) == 2, accepted, "{:?}", s.sim);
+            assert_eq!(s.effective_shards(1), 1);
+            assert_eq!(s.effective_shards(0), 1);
+        }
+        assert_eq!(base.effective_shards(1_000), 18, "clamped like the builder");
+        assert_eq!(base.with_faults(storm).effective_shards(4), 1);
     }
 
     #[test]

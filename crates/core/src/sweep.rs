@@ -36,6 +36,7 @@
 //! ```
 
 use crate::cache::{CachedPoint, PointCache, PointCoord};
+use crate::json;
 use crate::parallel::parallel_map_with_threads;
 use crate::report::{format_float, Series};
 use crate::setup::Setup;
@@ -381,7 +382,7 @@ impl Campaign {
             warmup: self.warmup,
             measure: self.measure,
             base_seed: self.base_seed,
-            shards: self.shards,
+            shards: setup.effective_shards(self.shards),
             tech: tech.as_deref(),
         }))
     }
@@ -570,8 +571,8 @@ impl SweepPoint {
              \"latency\": {}, \"p99_latency\": {}, \"throughput\": {}, \"avg_hops\": {}, \
              \"acceptance\": {}, \"delivered_packets\": {}, \"saturated\": {}, \
              \"drained\": {}, \"refined\": {}",
-            escape_json(&self.setup),
-            escape_json(&self.pattern),
+            json::escape(&self.setup),
+            json::escape(&self.pattern),
             json_f64(self.load),
             self.seed,
             json_f64(self.latency),
@@ -709,11 +710,11 @@ impl CampaignResult {
             "slim_noc-sweep-v1"
         };
         let _ = writeln!(out, "  \"schema\": \"{schema}\",");
-        let _ = writeln!(out, "  \"campaign\": \"{}\",", escape_json(&self.name));
+        let _ = writeln!(out, "  \"campaign\": \"{}\",", json::escape(&self.name));
         let list = |names: &[String]| {
             names
                 .iter()
-                .map(|n| format!("\"{}\"", escape_json(n)))
+                .map(|n| format!("\"{}\"", json::escape(n)))
                 .collect::<Vec<_>>()
                 .join(", ")
         };
@@ -737,22 +738,6 @@ impl CampaignResult {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A float formatted as a valid JSON number (no NaN/inf; those become
@@ -852,9 +837,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("tab\there"), "tab\\u0009here");
+    fn non_finite_floats_serialize_as_null() {
         assert_eq!(json_f64(f64::NAN), "null");
     }
 

@@ -5,6 +5,11 @@
 //! setup recipes feed the content-addressed cache keys, so any
 //! serialize → parse → serialize drift would re-key (cold-start)
 //! existing caches.
+//!
+//! Also here: the parser's never-panic property. Specs arrive from the
+//! network (`POST /campaign`), so `CampaignSpec::from_json` must turn
+//! every byte string into `Ok` or `Err` — never a panic, a stack
+//! overflow or a hang.
 
 use proptest::prelude::*;
 use snoc_core::{BufferPreset, CampaignSpec, SetupSpec};
@@ -120,5 +125,64 @@ proptest! {
         // Byte-stable: serialize → parse → serialize is the identity.
         let json2 = parsed.to_json();
         prop_assert_eq!(json1, json2);
+    }
+}
+
+/// `edits` random byte replacements (structural or arbitrary),
+/// deletions and insertions, then possibly a truncation.
+fn mutate(doc: &[u8], seed: u64, edits: usize) -> Vec<u8> {
+    const SPICE: &[u8] = b"{}[]\",:\\-+.eE0919 \n\xff\x00u";
+    let mut rng = TestRng::from_name(&seed.to_string());
+    let mut out = doc.to_vec();
+    for _ in 0..edits {
+        if out.is_empty() {
+            break;
+        }
+        let at = (rng.next_u64() % out.len() as u64) as usize;
+        let byte = SPICE[(rng.next_u64() % SPICE.len() as u64) as usize];
+        match rng.next_u64() % 4 {
+            0 => out[at] = byte,
+            1 => {
+                out.remove(at);
+            }
+            2 => out.insert(at, byte),
+            _ => out[at] = (rng.next_u64() & 0xff) as u8,
+        }
+    }
+    if rng.next_u64() & 3 == 0 {
+        out.truncate((rng.next_u64() % (out.len() as u64 + 1)) as usize);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn from_json_never_panics_on_arbitrary_bytes(seed in 0u64..u64::MAX, len in 0usize..400) {
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let bytes: Vec<u8> = (0..len).map(|_| (rng.next_u64() & 0xff) as u8).collect();
+        let _ = CampaignSpec::from_json(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn from_json_never_panics_on_mutated_valid_documents(
+        seed in 0u64..u64::MAX,
+        edits in 1usize..6,
+    ) {
+        let golden = include_bytes!("golden/spec_v1.json");
+        let doc = mutate(golden, seed, edits);
+        if let Ok(spec) = CampaignSpec::from_json(&String::from_utf8_lossy(&doc)) {
+            // Whatever still parses must also survive its own round trip.
+            prop_assert!(CampaignSpec::from_json(&spec.to_json()).is_ok());
+        }
+    }
+}
+
+#[test]
+fn from_json_rejects_pathological_nesting_without_overflowing_the_stack() {
+    for open in ["[", "{\"a\":"] {
+        let doc = open.repeat(200_000);
+        assert!(CampaignSpec::from_json(&doc).is_err());
     }
 }

@@ -1,7 +1,12 @@
-//! The simulator: network assembly, the event-accelerated cycle loop,
-//! injection/ejection, traffic drivers and adaptive route selection.
+//! The simulator: network assembly, the cycle body ([`Simulator::step`],
+//! shared by the monolithic and the sharded engine through a
+//! [`Boundary`] hook), the one event-accelerated driver loop
+//! ([`Simulator::drive`]) every `run_*` entry point feeds with a
+//! workload [`source`], injection/ejection, fault repair and adaptive
+//! route selection.
 
 pub(crate) mod shard;
+mod source;
 
 use crate::config::{BufferSizing, LinkMode, RouterArch, RoutingKind, SimConfig, SimError};
 use crate::deadlock::{DeadlockDiagnostic, StuckPacket, WaitForEdge};
@@ -15,9 +20,9 @@ use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use snoc_layout::Layout;
 use snoc_topology::{NodeId, RouterId, Topology, TopologyKind};
-use snoc_traffic::{BurstModel, InjectionProcess, PatternSampler, TraceMessage, TrafficPattern};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use snoc_traffic::{BurstModel, PatternSampler, TraceMessage, TrafficPattern};
+use source::{Calendar, Source, TraceCursor};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A ready-to-run network simulator bound to one topology (and optionally
@@ -537,28 +542,18 @@ impl Simulator {
         // compact stale entries now (routers and channels tolerate
         // stale entries until the end-of-step compaction).
         let inj_queues = &self.inj_queues;
-        let inj_queued = &mut self.inj_queued;
-        self.active_inj.retain(|&node| {
-            if inj_queues[node].is_empty() {
-                inj_queued[node] = false;
-                false
-            } else {
-                true
-            }
+        compact(&mut self.active_inj, &mut self.inj_queued, |node| {
+            inj_queues[node].is_empty()
         });
-        // 6. Swap the degraded table in and reset the per-router route
-        // and nomination caches (both are computed against the table).
-        // Debug builds first re-verify the deadlock-freedom the
-        // up*/down* construction promises — including for packets
-        // already mid-flight with accumulated hop counts.
+        // 6. Swap the degraded table in. Debug builds first re-verify
+        // the deadlock-freedom the up*/down* construction promises —
+        // including for packets already mid-flight with accumulated
+        // hop counts.
         #[cfg(debug_assertions)]
         if let Err(e) = crate::verify_deadlock_free(&table, &self.topo, self.cfg.vcs) {
             panic!("degraded routing table is not deadlock-free: {e}");
         }
         self.table = Arc::new(table);
-        for router in &mut self.routers {
-            router.invalidate_route_caches();
-        }
         // 7. Recount credits from ground truth on every live channel:
         // initial credits minus flits on the wire, flits buffered at the
         // receiver, credits in flight back, and an ST hold at the
@@ -657,71 +652,8 @@ impl Simulator {
         warmup: u64,
         measure: u64,
     ) -> SimReport {
-        let mut report = SimReport::new(self.node_count);
-        report.measured_cycles = measure;
-        let pkt_len = self.cfg.packet_flits;
-        let end_measure = warmup + measure;
-        let drain_cap = end_measure + measure.max(2_000);
-        // The injection calendar: (cycle, node) min-heap of pending
-        // packet injections. Entries at or past `end_measure` can never
-        // fire and are dropped eagerly (arrivals are strictly
-        // increasing per node).
-        let t0 = self.now;
-        let mut process = InjectionProcess::new(self.node_count, rate, pkt_len, burst);
-        let mut calendar: BinaryHeap<Reverse<(u64, usize)>> =
-            BinaryHeap::with_capacity(self.node_count);
-        for node in 0..self.node_count {
-            if let Some(c) = process.next_arrival(node, &mut self.rng) {
-                let cycle = t0.saturating_add(c);
-                if cycle < end_measure {
-                    calendar.push(Reverse((cycle, node)));
-                }
-            }
-        }
-        self.last_progress = self.now;
-        while self.now < end_measure || (self.outstanding > 0 && self.now < drain_cap) {
-            self.apply_due_faults(&mut report);
-            let measuring = self.now >= warmup && self.now < end_measure;
-            self.step(measuring, &mut report);
-            if self.now < end_measure {
-                while let Some(&Reverse((cycle, src))) = calendar.peek() {
-                    if cycle > self.now {
-                        break;
-                    }
-                    calendar.pop();
-                    if let Some(dst) = sampler.sample(NodeId(src), &mut self.rng) {
-                        self.generate(
-                            NodeId(src),
-                            dst,
-                            pkt_len as u32,
-                            false,
-                            measuring,
-                            &mut report,
-                        );
-                    }
-                    if let Some(c) = process.next_arrival(src, &mut self.rng) {
-                        let next = t0.saturating_add(c);
-                        if next < end_measure {
-                            calendar.push(Reverse((next, src)));
-                        }
-                    }
-                }
-            }
-            if self.watchdog_expired() {
-                report.deadlock = Some(self.deadlock_diagnostic());
-                break;
-            }
-            let horizon = calendar.peek().map(|&Reverse((cycle, _))| cycle);
-            let (cap, idle_target) = if self.now < end_measure {
-                (end_measure, end_measure)
-            } else {
-                (drain_cap, self.now + 1)
-            };
-            self.advance(horizon, cap, idle_target);
-        }
-        report.drained = self.outstanding == 0;
-        report.total_cycles = self.now;
-        report
+        let mut calendar = Calendar::new(self, sampler, rate, burst, warmup, measure, None, true);
+        self.drive(&mut calendar)
     }
 
     /// Replays a trace (§5.1's PARSEC/SPLASH protocol): read requests are
@@ -729,61 +661,52 @@ impl Simulator {
     /// created at or after `warmup` are measured. Gaps between trace
     /// messages with no network activity are fast-forwarded.
     pub fn run_trace(&mut self, trace: &[TraceMessage], warmup: u64) -> SimReport {
+        self.drive(&mut TraceCursor::new(trace, warmup))
+    }
+
+    /// The one run loop: apply due faults, step the network, let the
+    /// source inject, poll the watchdog, advance the clock — until the
+    /// source is exhausted and the measured packets have drained (or
+    /// the drain cap is hit).
+    fn drive<S: Source>(&mut self, source: &mut S) -> SimReport {
+        let windows = source.windows();
         let mut report = SimReport::new(self.node_count);
-        let end = trace.last().map_or(0, |m| m.cycle + 1);
-        report.measured_cycles = end.saturating_sub(warmup).max(1);
-        let drain_cap = end + 50_000;
-        let mut next = 0usize;
+        report.measured_cycles = windows.measured;
         self.last_progress = self.now;
-        while next < trace.len() || (self.outstanding > 0 && self.now < drain_cap) {
+        while source.pending(self.now) || (self.outstanding > 0 && self.now < windows.drain_cap) {
             self.apply_due_faults(&mut report);
-            let measuring = self.now >= warmup;
-            self.step(measuring, &mut report);
-            while next < trace.len() && trace[next].cycle <= self.now {
-                let m = trace[next];
-                next += 1;
-                self.generate(
-                    m.src,
-                    m.dst,
-                    m.kind.flits() as u32,
-                    m.kind.expects_reply(),
-                    measuring,
-                    &mut report,
-                );
-            }
+            let measuring = windows.measuring(self.now);
+            self.step(measuring, &mut report, &mut NoBoundary);
+            source.due(self, measuring, &mut report);
             if self.watchdog_expired() {
                 report.deadlock = Some(self.deadlock_diagnostic());
                 break;
             }
-            let (horizon, cap) = if next < trace.len() {
-                // More messages pend: the loop runs to the next one
-                // regardless of the drain cap, exactly like the
-                // cycle-accurate loop.
-                (Some(trace[next].cycle), u64::MAX)
+            self.now = if self.must_step() {
+                self.now + 1
             } else {
-                (None, drain_cap)
+                let next = self.next_local_event(source.horizon());
+                windows.jump(self.now, source.pending(self.now), next)
             };
-            self.advance(horizon, cap, self.now + 1);
         }
         report.drained = self.outstanding == 0;
         report.total_cycles = self.now;
         report
     }
 
-    /// Advances the clock. While any router or injection queue holds a
-    /// flit the network must be stepped next cycle; otherwise the only
-    /// future events are channel arrivals/credits and the caller's
-    /// `horizon` (next pending injection or trace message), so the clock
-    /// jumps straight to the earliest of those — or to `idle_target`
-    /// when nothing pends at all. The jump is clamped into
-    /// `(now, cap]`, so loop-boundary cycles (measurement end, drain
-    /// cap) are always landed on exactly; skipped cycles are provably
-    /// event-free, keeping results bit-identical to single-stepping.
-    fn advance(&mut self, horizon: Option<u64>, cap: u64, idle_target: u64) {
-        if !self.cycle_skip || !self.active_routers.is_empty() || !self.active_inj.is_empty() {
-            self.now += 1;
-            return;
-        }
+    /// Whether the next cycle must be stepped: while any router or
+    /// injection queue holds a flit (or cycle-skipping is off) the
+    /// clock ticks; otherwise it may jump to the next event.
+    fn must_step(&self) -> bool {
+        !self.cycle_skip || !self.active_routers.is_empty() || !self.active_inj.is_empty()
+    }
+
+    /// The earliest future event of a network with nothing to step:
+    /// the caller's `horizon` (next pending injection or trace
+    /// message), channel arrivals/credits, the next fault event and
+    /// the watchdog deadline. Cycles before it are provably event-free,
+    /// which keeps skipped runs bit-identical to single-stepped ones.
+    fn next_local_event(&self, horizon: Option<u64>) -> Option<u64> {
         let mut next = horizon;
         // Pending fault events are wake-ups too: the jump lands exactly
         // on the next fault cycle, so skipped runs apply faults on the
@@ -805,8 +728,7 @@ impl Simulator {
                 next = Some(next.map_or(e, |n| n.min(e)));
             }
         }
-        let target = next.unwrap_or(idle_target);
-        self.now = target.clamp(self.now + 1, cap.max(self.now + 1));
+        next
     }
 
     /// Creates a packet and appends its flits to the source node's
@@ -1011,7 +933,11 @@ impl Simulator {
     /// worklist order does not affect results — and the worklists
     /// themselves evolve deterministically, keeping same-seed runs
     /// bit-identical.
-    fn step(&mut self, measuring: bool, report: &mut SimReport) {
+    ///
+    /// `boundary` is where the cycle meets the edge of what this
+    /// simulator simulates: [`NoBoundary`] for the monolith, the
+    /// shard's cut-channel view in sharded runs.
+    fn step<B: Boundary>(&mut self, measuring: bool, report: &mut SimReport, boundary: &mut B) {
         let now = self.now;
         // Phases 1–3 fused per active channel: pipeline tick, delivery
         // into the router input, credit returns. Deliveries do not
@@ -1020,16 +946,26 @@ impl Simulator {
         for i in 0..self.active_channels.len() {
             let id = self.active_channels[i];
             self.channels[id].tick();
-            let (dst, port) = self.chan_dst[id];
-            let router = &self.routers[dst];
-            let delivered =
-                self.channels[id].pop_deliverable(now, |vc| router.can_deliver(port, vc));
-            if let Some((vc, flit)) = delivered {
-                self.routers[dst].deliver(port, vc, flit, &mut self.arena);
-                self.activate_router(dst);
-                self.last_progress = now;
-                if measuring {
-                    report.activity.buffer_writes += 1;
+            if boundary.receiver_is_remote(id) {
+                // The receiving shard materialized its own copy from
+                // the boundary message, so the mirror just releases the
+                // local arena slot at the exact cycle the monolith
+                // would deliver it.
+                if let Some((_vc, fr)) = self.channels[id].pop_deliverable(now, |_| true) {
+                    self.arena.remove(fr);
+                }
+            } else {
+                let (dst, port) = self.chan_dst[id];
+                let router = &self.routers[dst];
+                let delivered =
+                    self.channels[id].pop_deliverable(now, |vc| router.can_deliver(port, vc));
+                if let Some((vc, flit)) = delivered {
+                    self.routers[dst].deliver(port, vc, flit, &mut self.arena);
+                    self.activate_router(dst);
+                    self.last_progress = now;
+                    if measuring {
+                        report.activity.buffer_writes += 1;
+                    }
                 }
             }
             let (src, src_port) = self.chan_src[id];
@@ -1054,6 +990,8 @@ impl Simulator {
                         report.activity.link_flit_hops += 1;
                         report.activity.wire_flit_tiles += self.chan_tiles[ch];
                     }
+                    let arrives = now + self.channels[ch].latency();
+                    boundary.flit_sent(ch, arrives, stf.out_vc, stf.flit, &self.arena);
                     self.channels[ch].push(now, stf.out_vc, stf.flit);
                     self.activate_channel(ch);
                 } else {
@@ -1090,8 +1028,11 @@ impl Simulator {
             for idx in 0..res.freed_inputs.len() {
                 let (port, vc) = res.freed_inputs[idx];
                 let ch = self.chan_in[r][port];
-                self.channels[ch].push_credit(now, vc);
-                self.activate_channel(ch);
+                let arrives = now + self.channels[ch].latency();
+                if !boundary.credit_freed(ch, arrives, vc) {
+                    self.channels[ch].push_credit(now, vc);
+                    self.activate_channel(ch);
+                }
             }
             self.scratch_alloc = res;
         }
@@ -1113,37 +1054,17 @@ impl Simulator {
                 }
             }
         }
-        // Compact the worklists: drop components that went idle. The
-        // queued flags are cleared so they can re-enter later.
         let routers = &self.routers;
-        let router_queued = &mut self.router_queued;
-        self.active_routers.retain(|&r| {
-            if routers[r].is_idle() {
-                router_queued[r] = false;
-                false
-            } else {
-                true
-            }
+        compact(&mut self.active_routers, &mut self.router_queued, |r| {
+            routers[r].is_idle()
         });
         let channels = &self.channels;
-        let chan_queued = &mut self.chan_queued;
-        self.active_channels.retain(|&id| {
-            if channels[id].is_idle() {
-                chan_queued[id] = false;
-                false
-            } else {
-                true
-            }
+        compact(&mut self.active_channels, &mut self.chan_queued, |id| {
+            channels[id].is_idle()
         });
         let inj_queues = &self.inj_queues;
-        let inj_queued = &mut self.inj_queued;
-        self.active_inj.retain(|&node| {
-            if inj_queues[node].is_empty() {
-                inj_queued[node] = false;
-                false
-            } else {
-                true
-            }
+        compact(&mut self.active_inj, &mut self.inj_queued, |node| {
+            inj_queues[node].is_empty()
         });
     }
 
@@ -1260,6 +1181,50 @@ impl Simulator {
         let queues: usize = self.inj_queues.iter().map(VecDeque::len).sum();
         routers + links + queues
     }
+}
+
+/// Where a cycle meets the edge of what one [`Simulator`] simulates.
+/// The monolith has no edge — [`NoBoundary`] is a zero-sized no-op, so
+/// its `step` instantiation carries none of this — while a shard of a
+/// sharded run turns traffic on cut channels into boundary messages.
+pub(crate) trait Boundary {
+    /// Whether channel `ch`'s receiving router lives on another shard,
+    /// making the local copy a pure occupancy mirror.
+    fn receiver_is_remote(&self, ch: usize) -> bool;
+    /// A flit is entering channel `ch` on `vc`, due at cycle `arrives`.
+    fn flit_sent(&mut self, ch: usize, arrives: u64, vc: usize, flit: FlitRef, arena: &FlitArena);
+    /// An input slot fed by channel `ch` freed up. Returns `true` when
+    /// the credit travels through the boundary instead of the channel.
+    fn credit_freed(&mut self, ch: usize, arrives: u64, vc: usize) -> bool;
+}
+
+/// The monolith's [`Boundary`]: every channel is local.
+pub(crate) struct NoBoundary;
+
+impl Boundary for NoBoundary {
+    #[inline(always)]
+    fn receiver_is_remote(&self, _ch: usize) -> bool {
+        false
+    }
+    #[inline(always)]
+    fn flit_sent(&mut self, _: usize, _: u64, _: usize, _: FlitRef, _: &FlitArena) {}
+    #[inline(always)]
+    fn credit_freed(&mut self, _ch: usize, _arrives: u64, _vc: usize) -> bool {
+        false
+    }
+}
+
+/// Drops the worklist entries whose component went idle, clearing
+/// their queued flags so they can re-enter later.
+fn compact(worklist: &mut Vec<usize>, queued: &mut [bool], idle: impl Fn(usize) -> bool) {
+    worklist.retain(|&i| {
+        if idle(i) {
+            queued[i] = false;
+            false
+        } else {
+            true
+        }
+    });
 }
 
 /// Physical output-port index of `r` toward adjacent `peer`. Channel

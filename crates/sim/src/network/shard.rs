@@ -35,6 +35,15 @@
 //! every shard computes the identical jump target from the shared
 //! atomics.
 //!
+//! There is no sharded copy of the cycle: a shard runs the monolith's
+//! [`Simulator::step`] with a [`ShardBoundary`] hooked in at the three
+//! points where a cut channel differs (mirror release at delivery
+//! time, the flit message beside a cut-out push, the credit message
+//! instead of a cut-in credit push), feeds it from the same
+//! [`Calendar`] source, and asks the same
+//! [`Simulator::next_local_event`] what its earliest event is. Only
+//! the publish / barrier / apply rounds live here.
+//!
 //! # Determinism contract
 //!
 //! With minimal or XY-adaptive routing on credited links, every shard
@@ -49,16 +58,15 @@
 //! backpressure (zero lookahead); both are rejected with more than one
 //! shard.
 
-use super::Simulator;
+use super::source::{Calendar, Source};
+use super::{Boundary, Simulator};
 use crate::config::{LinkMode, RoutingKind, SimConfig, SimError};
-use crate::flit::Flit;
+use crate::flit::{Flit, FlitArena, FlitRef};
 use crate::routing::RoutingTable;
 use crate::stats::SimReport;
 use snoc_layout::Layout;
-use snoc_topology::{NodeId, Topology};
-use snoc_traffic::{BurstModel, InjectionProcess, PatternSampler, TrafficPattern};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use snoc_topology::Topology;
+use snoc_traffic::{BurstModel, PatternSampler, TrafficPattern};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Barrier, Mutex};
 
@@ -96,59 +104,74 @@ impl BoundaryMsg {
     }
 }
 
-/// How one shard relates to a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChanRole {
-    /// Both endpoints local: simulated exactly as in the monolith.
-    Local,
-    /// Sender local, receiver remote: occupancy mirror + flit messages.
-    CutOut,
-    /// Sender remote, receiver local: materializes incoming flits.
-    CutIn,
-    /// Neither endpoint local: never active on this shard.
-    Remote,
-}
-
-/// Per-shard view of the partition.
+/// Per-shard view of the partition. A channel with both endpoints
+/// local is simulated exactly as in the monolith; one with neither is
+/// never active on this shard; the two cut kinds are named below.
 #[derive(Debug)]
 pub(crate) struct ShardMeta {
-    /// This shard's role for every channel.
-    role: Vec<ChanRole>,
-    /// For cut channels, the shard on the other end of the message.
-    remote_shard: Vec<u32>,
+    /// Per channel: for a *cut-out* channel (sender local, receiver
+    /// remote — an occupancy mirror here) the shard its flits go to.
+    flits_to: Vec<Option<u32>>,
+    /// Per channel: for a *cut-in* channel (sender remote, receiver
+    /// local — materializes incoming flits) the shard its credits
+    /// return to.
+    credits_to: Vec<Option<u32>>,
     /// Whether each endpoint node is owned by this shard.
     local_node: Vec<bool>,
 }
 
 impl ShardMeta {
     fn new(sim: &Simulator, assign: &[usize], k: usize) -> Self {
-        let role: Vec<ChanRole> = (0..sim.channels.len())
-            .map(|c| {
-                let src_local = assign[sim.chan_src[c].0] == k;
-                let dst_local = assign[sim.chan_dst[c].0] == k;
-                match (src_local, dst_local) {
-                    (true, true) => ChanRole::Local,
-                    (true, false) => ChanRole::CutOut,
-                    (false, true) => ChanRole::CutIn,
-                    (false, false) => ChanRole::Remote,
-                }
-            })
-            .collect();
-        let remote_shard = (0..sim.channels.len())
-            .map(|c| match role[c] {
-                ChanRole::CutOut => assign[sim.chan_dst[c].0] as u32,
-                ChanRole::CutIn => assign[sim.chan_src[c].0] as u32,
-                _ => u32::MAX,
-            })
-            .collect();
-        let local_node = (0..sim.node_count)
-            .map(|n| assign[n / sim.concentration] == k)
-            .collect();
+        // The shard at `far` when only the `near` end is ours.
+        let across = |near: usize, far: usize| {
+            (assign[near] == k && assign[far] != k).then_some(assign[far] as u32)
+        };
+        let ends = sim.chan_src.iter().zip(&sim.chan_dst);
         ShardMeta {
-            role,
-            remote_shard,
-            local_node,
+            flits_to: ends.clone().map(|(s, d)| across(s.0, d.0)).collect(),
+            credits_to: ends.map(|(s, d)| across(d.0, s.0)).collect(),
+            local_node: (0..sim.node_count)
+                .map(|n| assign[n / sim.concentration] == k)
+                .collect(),
         }
+    }
+}
+
+/// One shard's [`Boundary`]: cut-out pushes also emit a flit message,
+/// and credits freed on cut-in ports leave as credit messages (the
+/// local copy of a cut-in channel never holds any).
+struct ShardBoundary<'a> {
+    meta: &'a ShardMeta,
+    /// Messages emitted this round, indexed by destination shard.
+    outbox: Vec<Vec<BoundaryMsg>>,
+}
+
+impl Boundary for ShardBoundary<'_> {
+    fn receiver_is_remote(&self, ch: usize) -> bool {
+        self.meta.flits_to[ch].is_some()
+    }
+
+    fn flit_sent(&mut self, ch: usize, arrives: u64, vc: usize, flit: FlitRef, arena: &FlitArena) {
+        if let Some(to) = self.meta.flits_to[ch] {
+            self.outbox[to as usize].push(BoundaryMsg::Flit {
+                chan: ch as u32,
+                when: arrives,
+                vc: vc as u8,
+                flit: *arena.get(flit),
+            });
+        }
+    }
+
+    fn credit_freed(&mut self, ch: usize, arrives: u64, vc: usize) -> bool {
+        let to = self.meta.credits_to[ch];
+        if let Some(to) = to {
+            self.outbox[to as usize].push(BoundaryMsg::Credit {
+                chan: ch as u32,
+                when: arrives,
+                vc: vc as u8,
+            });
+        }
+        to.is_some()
     }
 }
 
@@ -205,7 +228,6 @@ pub struct ShardedSimulator {
     shards: Vec<Simulator>,
     meta: Vec<ShardMeta>,
     topo: Topology,
-    node_count: usize,
     /// Whether this configuration is on the bit-exact tier (shards
     /// replicate the global RNG) vs. the statistical tier (UGAL-L).
     exact: bool,
@@ -290,7 +312,6 @@ impl ShardedSimulator {
             shards: sims,
             meta,
             topo: topo.clone(),
-            node_count: topo.node_count(),
             exact,
         })
     }
@@ -304,7 +325,7 @@ impl ShardedSimulator {
     /// The number of endpoint nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.node_count
+        self.topo.node_count()
     }
 
     /// Runs open-loop synthetic traffic across all shards; the sharded
@@ -332,32 +353,27 @@ impl ShardedSimulator {
         if self.shards.len() == 1 {
             return self.shards[0].run_synthetic_bursty(pattern, rate, burst, warmup, measure);
         }
-        let n = self.shards.len();
-        let params = RunParams {
-            pattern,
-            rate,
-            burst,
-            warmup,
-            measure,
-            end_measure: warmup + measure,
-            drain_cap: warmup + measure + measure.max(2_000),
-            initial_outstanding: self.shards.iter().map(|s| s.outstanding as i64).sum(),
-            exact: self.exact,
-            node_count: self.node_count,
-            nshards: n,
-        };
-        let shared = Shared::new(n);
-        let topo = &self.topo;
-        let meta = &self.meta;
+        let initial_outstanding = self.shards.iter().map(|s| s.outstanding as i64).sum();
+        let sampler = PatternSampler::new(pattern, &self.topo);
+        let shared = Shared::new(self.shards.len());
+        let (meta, exact) = (&self.meta, self.exact);
         let results: Vec<(SimReport, i64, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter_mut()
                 .enumerate()
                 .map(|(k, shard)| {
-                    let shared = &shared;
-                    let meta = &meta[k];
-                    scope.spawn(move || run_shard(shard, meta, shared, k, topo, params))
+                    let (shared, sampler, meta) = (&shared, &sampler, &meta[k]);
+                    scope.spawn(move || {
+                        // Exact tier: every shard carries the full global
+                        // calendar so the RNG streams stay in lockstep.
+                        // Statistical tier: local nodes only.
+                        let local = Some(&meta.local_node[..]);
+                        let source = Calendar::new(
+                            shard, sampler, rate, burst, warmup, measure, local, exact,
+                        );
+                        run_shard(shard, meta, shared, k, source, initial_outstanding)
+                    })
                 })
                 .collect();
             handles
@@ -374,7 +390,7 @@ impl ShardedSimulator {
             s.outstanding = 0;
         }
         self.shards[0].outstanding = final_outstanding.max(0) as u64;
-        let mut merged = SimReport::new(self.node_count);
+        let mut merged = SimReport::new(self.topo.node_count());
         merged.measured_cycles = measure;
         merged.total_cycles = final_now;
         merged.drained = final_outstanding == 0;
@@ -400,111 +416,53 @@ impl ShardedSimulator {
     }
 }
 
-/// Immutable per-run parameters handed to every shard thread.
-#[derive(Clone, Copy)]
-struct RunParams {
-    pattern: TrafficPattern,
-    rate: f64,
-    burst: BurstModel,
-    warmup: u64,
-    measure: u64,
-    end_measure: u64,
-    drain_cap: u64,
-    initial_outstanding: i64,
-    exact: bool,
-    node_count: usize,
-    nshards: usize,
-}
-
-/// One shard's run loop: step, drain the injection calendar, publish,
-/// sync, apply inbound boundary messages, and commit the globally
-/// agreed clock jump. Every shard evaluates the loop condition and the
-/// advance decision on identical shared inputs, so all of them execute
-/// the same number of rounds — the barriers never mismatch.
+/// One shard's run loop: step, let the source inject, publish, sync,
+/// apply inbound boundary messages, and commit the globally agreed
+/// clock jump. Every shard evaluates the loop condition and the jump
+/// on identical shared inputs, so all of them execute the same number
+/// of rounds — the barriers never mismatch.
 fn run_shard(
     sim: &mut Simulator,
     meta: &ShardMeta,
     shared: &Shared,
     k: usize,
-    topo: &Topology,
-    p: RunParams,
+    mut source: Calendar<'_>,
+    initial_outstanding: i64,
 ) -> (SimReport, i64, u64) {
-    let sampler = PatternSampler::new(p.pattern, topo);
-    let mut report = SimReport::new(p.node_count);
-    report.measured_cycles = p.measure;
-    let pkt_len = sim.cfg.packet_flits;
-    let t0 = sim.now;
-    let mut now = t0;
-    let mut process = InjectionProcess::new(p.node_count, p.rate, pkt_len, p.burst);
-    let mut calendar: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(p.node_count);
-    for node in 0..p.node_count {
-        // Exact tier: every shard carries the full global calendar so
-        // the RNG streams stay in lockstep (draws for remote sources
-        // are burned below). Statistical tier: local nodes only.
-        if !p.exact && !meta.local_node[node] {
-            continue;
-        }
-        if let Some(c) = process.next_arrival(node, &mut sim.rng) {
-            let cycle = t0.saturating_add(c);
-            if cycle < p.end_measure {
-                calendar.push(Reverse((cycle, node)));
-            }
-        }
-    }
-    let mut outbox: Vec<Vec<BoundaryMsg>> = vec![Vec::new(); p.nshards];
-    let mut outstanding = p.initial_outstanding;
-    while now < p.end_measure || (outstanding > 0 && now < p.drain_cap) {
-        let measuring = now >= p.warmup && now < p.end_measure;
-        sim.step_shard(measuring, &mut report, meta, &mut outbox);
-        if now < p.end_measure {
-            while let Some(&Reverse((cycle, src))) = calendar.peek() {
-                if cycle > now {
-                    break;
-                }
-                calendar.pop();
-                if let Some(dst) = sampler.sample(NodeId(src), &mut sim.rng) {
-                    if meta.local_node[src] {
-                        sim.generate(
-                            NodeId(src),
-                            dst,
-                            pkt_len as u32,
-                            false,
-                            measuring,
-                            &mut report,
-                        );
-                    }
-                }
-                if let Some(c) = process.next_arrival(src, &mut sim.rng) {
-                    let next = t0.saturating_add(c);
-                    if next < p.end_measure {
-                        calendar.push(Reverse((next, src)));
-                    }
-                }
-            }
-        }
-        // Publish phase: this shard's earliest next event is the min of
-        // its calendar horizon, its active channels' arrivals, and the
-        // arrival cycles of the messages it is sending this round — a
-        // just-sent credit is held by no channel on either side yet, so
-        // skipping it here could jump the global clock past it.
-        let mut next = calendar.peek().map(|&Reverse((cycle, _))| cycle);
-        for &id in &sim.active_channels {
-            if let Some(e) = sim.channels[id].next_event(now) {
-                next = Some(next.map_or(e, |v| v.min(e)));
-            }
-        }
-        for msgs in &outbox {
-            for m in msgs {
-                let w = m.when();
-                next = Some(next.map_or(w, |v| v.min(w)));
-            }
-        }
-        let busy = !sim.cycle_skip || !sim.active_routers.is_empty() || !sim.active_inj.is_empty();
-        shared.busy[k].store(busy, Relaxed);
+    let nshards = shared.busy.len();
+    let windows = source.windows();
+    let mut report = SimReport::new(sim.node_count);
+    report.measured_cycles = windows.measured;
+    let mut boundary = ShardBoundary {
+        meta,
+        outbox: vec![Vec::new(); nshards],
+    };
+    let mut outstanding = initial_outstanding;
+    while source.pending(sim.now) || (outstanding > 0 && sim.now < windows.drain_cap) {
+        let now = sim.now;
+        let measuring = windows.measuring(now);
+        sim.step(measuring, &mut report, &mut boundary);
+        source.due(sim, measuring, &mut report);
+        // Publish phase: this shard's earliest next event also covers
+        // the arrival cycles of the messages it is sending this round —
+        // a just-sent credit is held by no channel on either side yet,
+        // so skipping it here could jump the global clock past it.
+        let sent = boundary
+            .outbox
+            .iter()
+            .flatten()
+            .map(BoundaryMsg::when)
+            .min();
+        let next = sim
+            .next_local_event(source.horizon())
+            .into_iter()
+            .chain(sent)
+            .min();
+        shared.busy[k].store(sim.must_step(), Relaxed);
         shared.next[k].store(next.unwrap_or(u64::MAX), Relaxed);
         shared.injected[k].store(report.injected_packets, Relaxed);
         shared.delivered[k].store(report.delivered_packets, Relaxed);
-        for (to, msgs) in outbox.iter_mut().enumerate() {
+        for (to, msgs) in boundary.outbox.iter_mut().enumerate() {
             if !msgs.is_empty() {
                 shared.mailboxes[k][to]
                     .lock()
@@ -514,8 +472,8 @@ fn run_shard(
         }
         shared.round_a.wait();
         // Read phase: apply inbound messages, then compute the global
-        // advance decision — identically on every shard.
-        for from in 0..p.nshards {
+        // clock decision — identically on every shard.
+        for from in 0..nshards {
             if from == k {
                 continue;
             }
@@ -526,7 +484,7 @@ fn run_shard(
         let mut next_global = u64::MAX;
         let mut inj = 0u64;
         let mut del = 0u64;
-        for j in 0..p.nshards {
+        for j in 0..nshards {
             any_busy |= shared.busy[j].load(Relaxed);
             next_global = next_global.min(shared.next[j].load(Relaxed));
             inj += shared.injected[j].load(Relaxed);
@@ -535,217 +493,17 @@ fn run_shard(
         let new_now = if any_busy {
             now + 1
         } else {
-            let (cap, idle_target) = if now < p.end_measure {
-                (p.end_measure, p.end_measure)
-            } else {
-                (p.drain_cap, now + 1)
-            };
-            let target = if next_global == u64::MAX {
-                idle_target
-            } else {
-                next_global
-            };
-            target.clamp(now + 1, cap.max(now + 1))
+            let next = (next_global != u64::MAX).then_some(next_global);
+            windows.jump(now, source.pending(now), next)
         };
         shared.round_b.wait();
-        now = new_now;
-        sim.now = now;
-        outstanding = p.initial_outstanding + inj as i64 - del as i64;
+        sim.now = new_now;
+        outstanding = initial_outstanding + inj as i64 - del as i64;
     }
-    (report, outstanding, now)
+    (report, outstanding, sim.now)
 }
 
 impl Simulator {
-    /// One network cycle on this shard: [`Simulator::step`] with the
-    /// cut-channel hooks. Local channels and routers behave exactly as
-    /// in the monolith; cut-out channels mirror occupancy and emit flit
-    /// messages, cut-in channels deliver materialized flits and divert
-    /// freed credits into credit messages.
-    fn step_shard(
-        &mut self,
-        measuring: bool,
-        report: &mut SimReport,
-        meta: &ShardMeta,
-        outbox: &mut [Vec<BoundaryMsg>],
-    ) {
-        let now = self.now;
-        // Phases 1–3 per active channel, by role.
-        for i in 0..self.active_channels.len() {
-            let id = self.active_channels[i];
-            self.channels[id].tick();
-            match meta.role[id] {
-                ChanRole::Local => {
-                    let (dst, port) = self.chan_dst[id];
-                    let router = &self.routers[dst];
-                    let delivered =
-                        self.channels[id].pop_deliverable(now, |vc| router.can_deliver(port, vc));
-                    if let Some((vc, flit)) = delivered {
-                        self.routers[dst].deliver(port, vc, flit, &mut self.arena);
-                        self.activate_router(dst);
-                        if measuring {
-                            report.activity.buffer_writes += 1;
-                        }
-                    }
-                    let (src, src_port) = self.chan_src[id];
-                    while let Some(vc) = self.channels[id].pop_credit(now) {
-                        self.routers[src].add_credit(src_port, vc);
-                    }
-                }
-                ChanRole::CutOut => {
-                    // The flit left the shard: the receiver materialized
-                    // its own copy from the boundary message, so the
-                    // mirror just releases the local arena slot at the
-                    // exact cycle the monolith would deliver it.
-                    if let Some((_vc, fr)) = self.channels[id].pop_deliverable(now, |_| true) {
-                        self.arena.remove(fr);
-                    }
-                    let (src, src_port) = self.chan_src[id];
-                    while let Some(vc) = self.channels[id].pop_credit(now) {
-                        self.routers[src].add_credit(src_port, vc);
-                    }
-                }
-                ChanRole::CutIn => {
-                    let (dst, port) = self.chan_dst[id];
-                    let router = &self.routers[dst];
-                    let delivered =
-                        self.channels[id].pop_deliverable(now, |vc| router.can_deliver(port, vc));
-                    if let Some((vc, flit)) = delivered {
-                        self.routers[dst].deliver(port, vc, flit, &mut self.arena);
-                        self.activate_router(dst);
-                        if measuring {
-                            report.activity.buffer_writes += 1;
-                        }
-                    }
-                    // Credits for this channel travel as messages to the
-                    // sender's mirror; this copy never holds any.
-                }
-                ChanRole::Remote => {
-                    debug_assert!(false, "remote channel {id} on the active worklist");
-                }
-            }
-        }
-        // 4. Switch traversal; cut-out pushes also emit flit messages.
-        for i in 0..self.active_routers.len() {
-            let r = self.active_routers[i];
-            let mut st = std::mem::take(&mut self.scratch_st);
-            self.routers[r].drain_st(&mut st);
-            let net_ports = self.chan_out[r].len();
-            for &(port, stf) in &st {
-                if measuring {
-                    report.activity.crossbar_traversals += 1;
-                }
-                if port < net_ports {
-                    let ch = self.chan_out[r][port];
-                    if measuring {
-                        report.activity.link_flit_hops += 1;
-                        report.activity.wire_flit_tiles += self.chan_tiles[ch];
-                    }
-                    if meta.role[ch] == ChanRole::CutOut {
-                        outbox[meta.remote_shard[ch] as usize].push(BoundaryMsg::Flit {
-                            chan: ch as u32,
-                            when: now + self.channels[ch].latency(),
-                            vc: stf.out_vc as u8,
-                            flit: *self.arena.get(stf.flit),
-                        });
-                    }
-                    self.channels[ch].push(now, stf.out_vc, stf.flit);
-                    self.activate_channel(ch);
-                } else {
-                    self.eject(stf.flit, measuring, report);
-                }
-            }
-            self.scratch_st = st;
-        }
-        // 5. Allocation; freed credits on cut-in ports become messages.
-        for i in 0..self.active_routers.len() {
-            let r = self.active_routers[i];
-            if self.routers[r].is_idle() {
-                continue;
-            }
-            let mut res = std::mem::take(&mut self.scratch_alloc);
-            {
-                let routers = &mut self.routers;
-                let arena = &mut self.arena;
-                let channels = &self.channels;
-                let ports = &self.chan_out[r];
-                let ready = |out: usize, vc: usize| channels[ports[out]].can_accept(vc);
-                routers[r].alloc_into(
-                    now,
-                    &self.table,
-                    self.concentration,
-                    arena,
-                    &ready,
-                    &mut res,
-                );
-            }
-            if measuring {
-                report.activity.record_alloc(&res);
-            }
-            for idx in 0..res.freed_inputs.len() {
-                let (port, vc) = res.freed_inputs[idx];
-                let ch = self.chan_in[r][port];
-                if meta.role[ch] == ChanRole::CutIn {
-                    outbox[meta.remote_shard[ch] as usize].push(BoundaryMsg::Credit {
-                        chan: ch as u32,
-                        when: now + self.channels[ch].latency(),
-                        vc: vc as u8,
-                    });
-                } else {
-                    self.channels[ch].push_credit(now, vc);
-                    self.activate_channel(ch);
-                }
-            }
-            self.scratch_alloc = res;
-        }
-        // 6. Injection (only local nodes ever enter the worklist).
-        for i in 0..self.active_inj.len() {
-            let node = self.active_inj[i];
-            let r = node / self.concentration;
-            let offset = node % self.concentration;
-            let port = self.chan_out[r].len() + offset;
-            if self.routers[r].can_deliver(port, 0) {
-                let fr = self.inj_queues[node].pop_front().expect("non-empty");
-                self.arena.get_mut(fr).injected = now;
-                self.routers[r].deliver(port, 0, fr, &mut self.arena);
-                self.activate_router(r);
-                if measuring {
-                    report.activity.buffer_writes += 1;
-                }
-            }
-        }
-        // Worklist compaction, exactly as in the monolith.
-        let routers = &self.routers;
-        let router_queued = &mut self.router_queued;
-        self.active_routers.retain(|&r| {
-            if routers[r].is_idle() {
-                router_queued[r] = false;
-                false
-            } else {
-                true
-            }
-        });
-        let channels = &self.channels;
-        let chan_queued = &mut self.chan_queued;
-        self.active_channels.retain(|&id| {
-            if channels[id].is_idle() {
-                chan_queued[id] = false;
-                false
-            } else {
-                true
-            }
-        });
-        let inj_queues = &self.inj_queues;
-        let inj_queued = &mut self.inj_queued;
-        self.active_inj.retain(|&node| {
-            if inj_queues[node].is_empty() {
-                inj_queued[node] = false;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
     /// Deposits one round of inbound boundary messages. Per channel,
     /// message order follows emission order and arrival cycles are
     /// nondecreasing (at most one flit per channel per cycle, fixed
@@ -760,14 +518,20 @@ impl Simulator {
                     flit,
                 } => {
                     let chan = chan as usize;
-                    debug_assert_eq!(meta.role[chan], ChanRole::CutIn);
+                    debug_assert!(
+                        meta.credits_to[chan].is_some(),
+                        "flit on a non-cut-in channel"
+                    );
                     let fr = self.arena.insert(flit);
                     self.channels[chan].push_at(when, vc as usize, fr);
                     self.activate_channel(chan);
                 }
                 BoundaryMsg::Credit { chan, when, vc } => {
                     let chan = chan as usize;
-                    debug_assert_eq!(meta.role[chan], ChanRole::CutOut);
+                    debug_assert!(
+                        meta.flits_to[chan].is_some(),
+                        "credit on a non-cut-out channel"
+                    );
                     self.channels[chan].push_credit_at(when, vc as usize);
                     self.activate_channel(chan);
                 }

@@ -1,0 +1,226 @@
+//! Workload sources: what injects next, and when. The driver loops
+//! ([`Simulator::drive`], the sharded round loop) know nothing about
+//! traffic: they ask a [`Source`] for its [`Windows`], let it inject
+//! what is due after each stepped cycle, and read its horizon to bound
+//! an idle clock's jump. [`Calendar`] feeds every synthetic run,
+//! [`TraceCursor`] trace replay.
+
+use super::Simulator;
+use crate::stats::SimReport;
+use rand_chacha::ChaCha8Rng;
+use snoc_topology::NodeId;
+use snoc_traffic::{BurstModel, InjectionProcess, PatternSampler, TraceMessage};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// The cycle windows of one run (absolute cycles).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Windows {
+    /// Measurement starts here.
+    pub warmup: u64,
+    /// While injections pend an idle clock never jumps past this cycle
+    /// (`u64::MAX` for traces: the loop runs to the next message
+    /// regardless of the drain cap).
+    pub inject_end: u64,
+    /// Measurement stops here.
+    pub measure_end: u64,
+    /// The drain phase gives up here.
+    pub drain_cap: u64,
+    /// The cycle count the report's rates are normalised by.
+    pub measured: u64,
+}
+
+impl Windows {
+    /// Whether activity at cycle `now` counts toward the report.
+    pub(crate) fn measuring(&self, now: u64) -> bool {
+        now >= self.warmup && now < self.measure_end
+    }
+
+    /// Where the clock of a network with nothing to step lands, given
+    /// the earliest future event `next`: clamped into `(now, cap]`, so
+    /// window boundaries are landed on exactly; with nothing scheduled
+    /// the injection phase jumps to its end and the drain phase ticks.
+    pub(crate) fn jump(&self, now: u64, pending: bool, next: Option<u64>) -> u64 {
+        let (cap, idle_target) = if pending {
+            (self.inject_end, self.inject_end)
+        } else {
+            (self.drain_cap, now + 1)
+        };
+        next.unwrap_or(idle_target).clamp(now + 1, cap.max(now + 1))
+    }
+}
+
+/// A stream of packet injections feeding one run.
+pub(crate) trait Source {
+    /// The run's cycle windows.
+    fn windows(&self) -> Windows;
+    /// Whether injections may still come at or after `now` — the run
+    /// loop keeps going while this holds, drained or not.
+    fn pending(&self, now: u64) -> bool;
+    /// The cycle of the next scheduled injection, if any.
+    fn horizon(&self) -> Option<u64>;
+    /// Injects everything due at or before `sim.now`. It gets the
+    /// simulator rather than returning a batch: its RNG draws interleave
+    /// with the adaptive-routing draws inside [`Simulator::generate`].
+    fn due(&mut self, sim: &mut Simulator, measuring: bool, report: &mut SimReport);
+}
+
+/// The injection calendar of a synthetic run: each node carries a
+/// next-injection cycle drawn from geometric inter-arrival sampling
+/// (with on/off burst phases), kept in a `(cycle, node)` min-heap.
+/// Entries at or past the injection end can never fire and are dropped
+/// eagerly (arrivals are strictly increasing per node).
+pub(crate) struct Calendar<'a> {
+    sampler: &'a PatternSampler,
+    process: InjectionProcess,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The cycle arrival offsets count from.
+    t0: u64,
+    pkt_len: u32,
+    windows: Windows,
+    /// The nodes this simulator injects for (`None` = all of them; a
+    /// shard replica passes its ownership mask).
+    local: Option<&'a [bool]>,
+}
+
+impl<'a> Calendar<'a> {
+    /// Seeds the calendar from `sim`'s RNG. With a `local` mask,
+    /// `replicate` keeps the full global calendar anyway — draws for
+    /// remote nodes are made and discarded, so every replica stays on
+    /// the one RNG stream; `false` schedules local nodes only.
+    #[allow(clippy::too_many_arguments)] // the run_* parameters, verbatim
+    pub(crate) fn new(
+        sim: &mut Simulator,
+        sampler: &'a PatternSampler,
+        rate: f64,
+        burst: BurstModel,
+        warmup: u64,
+        measure: u64,
+        local: Option<&'a [bool]>,
+        replicate: bool,
+    ) -> Self {
+        let pkt_len = sim.cfg.packet_flits;
+        let end = warmup + measure;
+        let mut calendar = Calendar {
+            sampler,
+            process: InjectionProcess::new(sim.node_count, rate, pkt_len, burst),
+            heap: BinaryHeap::with_capacity(sim.node_count),
+            t0: sim.now,
+            pkt_len: pkt_len as u32,
+            windows: Windows {
+                warmup,
+                inject_end: end,
+                measure_end: end,
+                drain_cap: end + measure.max(2_000),
+                measured: measure,
+            },
+            local,
+        };
+        for node in 0..sim.node_count {
+            if replicate || calendar.is_local(node) {
+                calendar.arm(node, &mut sim.rng);
+            }
+        }
+        calendar
+    }
+
+    fn is_local(&self, node: usize) -> bool {
+        self.local.is_none_or(|mask| mask[node])
+    }
+
+    /// Draws `node`'s next arrival and schedules it.
+    fn arm(&mut self, node: usize, rng: &mut ChaCha8Rng) {
+        if let Some(c) = self.process.next_arrival(node, rng) {
+            let cycle = self.t0.saturating_add(c);
+            if cycle < self.windows.inject_end {
+                self.heap.push(Reverse((cycle, node)));
+            }
+        }
+    }
+}
+
+impl Source for Calendar<'_> {
+    fn windows(&self) -> Windows {
+        self.windows
+    }
+
+    fn pending(&self, now: u64) -> bool {
+        now < self.windows.inject_end
+    }
+
+    fn horizon(&self) -> Option<u64> {
+        self.heap.peek().map(|&Reverse((cycle, _))| cycle)
+    }
+
+    fn due(&mut self, sim: &mut Simulator, measuring: bool, report: &mut SimReport) {
+        while let Some(&Reverse((cycle, src))) = self.heap.peek() {
+            if cycle > sim.now {
+                break;
+            }
+            self.heap.pop();
+            if let Some(dst) = self.sampler.sample(NodeId(src), &mut sim.rng) {
+                if self.is_local(src) {
+                    sim.generate(NodeId(src), dst, self.pkt_len, false, measuring, report);
+                }
+            }
+            self.arm(src, &mut sim.rng);
+        }
+    }
+}
+
+/// A cursor over a cycle-sorted trace (§5.1's PARSEC/SPLASH protocol).
+pub(crate) struct TraceCursor<'a> {
+    trace: &'a [TraceMessage],
+    next: usize,
+    windows: Windows,
+}
+
+impl<'a> TraceCursor<'a> {
+    /// Packets created at or after `warmup` are measured, through the
+    /// drain phase.
+    pub(crate) fn new(trace: &'a [TraceMessage], warmup: u64) -> Self {
+        let end = trace.last().map_or(0, |m| m.cycle + 1);
+        TraceCursor {
+            trace,
+            next: 0,
+            windows: Windows {
+                warmup,
+                inject_end: u64::MAX,
+                measure_end: u64::MAX,
+                drain_cap: end + 50_000,
+                measured: end.saturating_sub(warmup).max(1),
+            },
+        }
+    }
+}
+
+impl Source for TraceCursor<'_> {
+    fn windows(&self) -> Windows {
+        self.windows
+    }
+
+    fn pending(&self, _now: u64) -> bool {
+        self.next < self.trace.len()
+    }
+
+    fn horizon(&self) -> Option<u64> {
+        self.trace.get(self.next).map(|m| m.cycle)
+    }
+
+    fn due(&mut self, sim: &mut Simulator, measuring: bool, report: &mut SimReport) {
+        while let Some(&m) = self.trace.get(self.next) {
+            if m.cycle > sim.now {
+                break;
+            }
+            self.next += 1;
+            sim.generate(
+                m.src,
+                m.dst,
+                m.kind.flits() as u32,
+                m.kind.expects_reply(),
+                measuring,
+                report,
+            );
+        }
+    }
+}

@@ -32,7 +32,11 @@
 //! touching the buffer slab. The allocation *algorithm* (round-robin
 //! rotations, nomination order, output-arbitration sort) is unchanged
 //! from the array-of-structs layout — results are bit-for-bit
-//! identical; only the state representation moved.
+//! identical; only the state representation moved. Nothing derived
+//! from a flit or the routing table outlives an allocation call: a
+//! lane mid-packet answers from its held route, and a waiting head is
+//! read from the arena and routed afresh on every attempt, so a table
+//! swap (fault repair) has no router state to flush.
 //!
 //! All queues and registers hold 4-byte [`FlitRef`] arena indices; the
 //! flit payloads live in the simulator's [`FlitArena`], so the hot
@@ -101,19 +105,6 @@ struct EdgeLanes {
     /// Occupancy word per input port — allocation skips ports at 0, and
     /// the VC scan skips clear bits without touching the slab.
     occ: Vec<u64>,
-    /// Front-of-lane cache: the packet id of the current front flit
-    /// ([`NO_PKT`] = cache empty), filled lazily by the allocator and
-    /// invalidated whenever the front changes (pop, or push into an
-    /// empty lane). A head flit blocked at saturation is re-examined
-    /// every cycle; the cache turns those retries into pure lane-array
-    /// reads — no arena load, no route recompute. Routes are a pure
-    /// function of the flit and the (fixed) table, so caching cannot
-    /// change results.
-    front_pkt: Vec<u64>,
-    /// Cached computed route of the front flit (valid only while
-    /// `front_pkt` is set and no packet route is held).
-    front_route_port: Vec<u16>,
-    front_route_vc: Vec<u8>,
     /// Precomputed `lane / vcs` and `1 << (lane % vcs)` — `vcs` is a
     /// runtime value, so the per-push/pop occupancy-bit address would
     /// otherwise cost a hardware divide on the hottest datapath.
@@ -133,6 +124,15 @@ pub(crate) fn fast_wrap(x: usize, m: usize) -> usize {
     } else {
         x
     }
+}
+
+/// Decodes a lane's held-route pair ([`NO_ROUTE`] = none).
+#[inline(always)]
+fn held_route(port: u16, vc: u8) -> Option<RouteDecision> {
+    (port != NO_ROUTE).then_some(RouteDecision {
+        port: port as usize,
+        vc: vc as usize,
+    })
 }
 
 impl EdgeLanes {
@@ -163,9 +163,6 @@ impl EdgeLanes {
             occ: vec![0; in_ports],
             occ_port: (0..lanes).map(|l| (l / vcs) as u32).collect(),
             occ_bit: (0..lanes).map(|l| 1u64 << (l % vcs)).collect(),
-            front_pkt: vec![NO_PKT; lanes],
-            front_route_port: vec![NO_ROUTE; lanes],
-            front_route_vc: vec![0; lanes],
         }
     }
 
@@ -181,15 +178,10 @@ impl EdgeLanes {
         self.slots[(self.base[lane] + u32::from(self.head[lane])) as usize]
     }
 
-    /// Appends to a non-full lane and sets its occupancy bit. A push
-    /// into an empty lane changes the front, so the front cache drops.
+    /// Appends to a non-full lane and sets its occupancy bit.
     #[inline(always)]
     fn push(&mut self, lane: usize, flit: FlitRef) {
         debug_assert!(!self.is_full(lane), "push into full lane");
-        if self.len[lane] == 0 {
-            self.front_pkt[lane] = NO_PKT;
-            self.front_route_port[lane] = NO_ROUTE;
-        }
         let mut pos = u32::from(self.head[lane]) + u32::from(self.len[lane]);
         if pos >= self.cap[lane] {
             pos -= self.cap[lane];
@@ -212,8 +204,6 @@ impl EdgeLanes {
             next as u16
         };
         self.len[lane] -= 1;
-        self.front_pkt[lane] = NO_PKT;
-        self.front_route_port[lane] = NO_ROUTE;
         if self.len[lane] == 0 {
             self.occ[self.occ_port[lane] as usize] &= !self.occ_bit[lane];
         }
@@ -223,15 +213,7 @@ impl EdgeLanes {
     /// The route held by a lane's in-flight packet, if any.
     #[inline(always)]
     fn route(&self, lane: usize) -> Option<RouteDecision> {
-        let p = self.route_port[lane];
-        if p == NO_ROUTE {
-            None
-        } else {
-            Some(RouteDecision {
-                port: p as usize,
-                vc: self.route_vc[lane] as usize,
-            })
-        }
+        held_route(self.route_port[lane], self.route_vc[lane])
     }
 }
 
@@ -250,21 +232,6 @@ struct CbState {
     /// Occupied-staging word per input port — the bypass and CB-write
     /// scans skip ports at 0 and clear bits within a port.
     stage_occ: Vec<u64>,
-    /// Staged-flit cache ([`NO_PKT`] = empty), filled lazily by the
-    /// allocator and invalidated whenever the slot changes hands. A
-    /// staged flit blocked under contention is re-examined by both the
-    /// bypass and the CB-write scans every cycle; the cache makes those
-    /// retries arena-free. Routes are a pure function of the flit and
-    /// the table, so caching cannot change results.
-    stage_pkt: Vec<u64>,
-    /// Cached computed route (valid only while `stage_pkt` is set and no
-    /// packet route is held).
-    stage_cport: Vec<u16>,
-    stage_cvc: Vec<u8>,
-    /// Bit 0: head flit, bit 1: tail flit.
-    stage_flags: Vec<u8>,
-    /// Packet length in flits (CB admission check).
-    stage_plen: Vec<u32>,
     /// Precomputed `lane / vcs` and `1 << (lane % vcs)` (see
     /// [`EdgeLanes::occ_port`]): avoids a hardware divide per staging
     /// take.
@@ -300,11 +267,6 @@ impl CbState {
             stage_route_vc: vec![0; in_lanes],
             stage_mode: vec![MODE_NONE; in_lanes],
             stage_occ: vec![0; in_ports],
-            stage_pkt: vec![NO_PKT; in_lanes],
-            stage_cport: vec![NO_ROUTE; in_lanes],
-            stage_cvc: vec![0; in_lanes],
-            stage_flags: vec![0; in_lanes],
-            stage_plen: vec![0; in_lanes],
             stage_occ_port: (0..in_lanes).map(|l| (l / vcs) as u32).collect(),
             stage_occ_bit: (0..in_lanes).map(|l| 1u64 << (l % vcs)).collect(),
             queues: (0..out_lanes).map(|_| VecDeque::new()).collect(),
@@ -319,27 +281,16 @@ impl CbState {
     /// The route held by a staged packet, if any.
     #[inline(always)]
     fn stage_route(&self, lane: usize) -> Option<RouteDecision> {
-        let p = self.stage_route_port[lane];
-        if p == NO_ROUTE {
-            None
-        } else {
-            Some(RouteDecision {
-                port: p as usize,
-                vc: self.stage_route_vc[lane] as usize,
-            })
-        }
+        held_route(self.stage_route_port[lane], self.stage_route_vc[lane])
     }
 
-    /// Empties a staging lane, clearing its occupancy bit and dropping
-    /// the staged-flit cache.
+    /// Empties a staging lane, clearing its occupancy bit.
     #[inline(always)]
     fn take_stage(&mut self, lane: usize) -> FlitRef {
         let fr = self.stage_slot[lane];
         debug_assert!(fr.is_valid(), "take from empty staging lane");
         self.stage_slot[lane] = FlitRef::INVALID;
         self.stage_occ[self.stage_occ_port[lane] as usize] &= !self.stage_occ_bit[lane];
-        self.stage_pkt[lane] = NO_PKT;
-        self.stage_cport[lane] = NO_ROUTE;
         fr
     }
 }
@@ -403,8 +354,7 @@ impl OutputSide {
     }
 
     /// Whether output resources are available for `(out_port, out_vc)`
-    /// for a flit of packet `pkt` (raw id — callers pass the cached
-    /// lane value so this check never touches the arena).
+    /// for a flit of packet `pkt` (raw id).
     #[inline(always)]
     fn ready<F: Fn(usize, usize) -> bool>(
         &self,
@@ -504,38 +454,6 @@ fn compute_route<const VALIANT: bool>(
     }
 }
 
-/// Lazily fills the staged-flit cache for `lane` (packet id, head/tail
-/// flags, packet length, and — when no packet route is held — the
-/// computed route). No-op when already filled; invalidated by
-/// [`CbState::take_stage`] and by delivery into the slot.
-#[inline]
-#[allow(clippy::too_many_arguments)] // mirrors compute_route's context
-fn fill_stage_cache<const VALIANT: bool>(
-    cb: &mut CbState,
-    lane: usize,
-    in_vc: usize,
-    id: RouterId,
-    net_ports: usize,
-    vcs: usize,
-    table: &RoutingTable,
-    concentration: usize,
-    arena: &FlitArena,
-) {
-    if cb.stage_pkt[lane] != NO_PKT {
-        return;
-    }
-    let f = arena.get(cb.stage_slot[lane]);
-    debug_assert_ne!(f.packet.0, NO_PKT, "packet id collides with sentinel");
-    cb.stage_pkt[lane] = f.packet.0;
-    cb.stage_flags[lane] = u8::from(f.kind.is_head()) | (u8::from(f.kind.is_tail()) << 1);
-    cb.stage_plen[lane] = f.packet_len;
-    if cb.stage_route_port[lane] == NO_ROUTE {
-        let r = compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f, in_vc);
-        cb.stage_cport[lane] = r.port as u16;
-        cb.stage_cvc[lane] = r.vc as u8;
-    }
-}
-
 /// One router instance.
 #[derive(Debug, Clone)]
 pub(crate) struct RouterCore {
@@ -564,34 +482,6 @@ pub(crate) struct RouterCore {
     scratch_winner: Vec<u32>,
     /// Reusable allocation scratch: winning priority per output port.
     scratch_prio: Vec<u32>,
-    /// Whether the cross-cycle nomination cache is enabled: credited
-    /// edge-buffer datapath with all net output lanes fitting one
-    /// observation word. Pass 1 is a pure function of the port's lanes
-    /// and the output resources it examines, so a port's nomination is
-    /// reused until one of those inputs changes — at saturation most
-    /// ports are blocked on downstream credits and would otherwise
-    /// rescan to the identical conclusion every cycle.
-    nom_cached: bool,
-    /// Nomination cache validity per input port.
-    nom_valid: Vec<bool>,
-    /// Cached nominated VC per input port (`u16::MAX` = the scan found
-    /// nothing to nominate).
-    nom_vc: Vec<u16>,
-    /// Cached nominated route per input port.
-    nom_route_port: Vec<u16>,
-    nom_route_vc: Vec<u8>,
-    /// Net output lanes (`out_port * vcs + vc` bits) whose credits /
-    /// wormhole ownership the cached scan observed — a change to any of
-    /// them invalidates the port's cached nomination.
-    nom_observed: Vec<u64>,
-    /// Reverse index of `nom_observed`: per net output lane, the input
-    /// ports (bits) whose cached scan examined it. Keeps invalidation
-    /// proportional to the ports a credit/commit actually affects —
-    /// quiet lanes cost one load — instead of a loop over every input
-    /// port. Bits can be stale toward already-invalid ports (harmless);
-    /// a port's bits are rewritten from its forward word when its scan
-    /// outcome is re-stored.
-    nom_observers: Vec<u64>,
 }
 
 /// Resource release information produced by the allocation phase.
@@ -618,6 +508,15 @@ pub(crate) struct AllocResult {
 }
 
 impl AllocResult {
+    /// Records the slot input `port` just freed on `vc`.
+    fn freed(&mut self, port: usize, vc: usize, net_ports: usize) {
+        if port < net_ports {
+            self.freed_inputs.push((port, vc));
+        } else {
+            self.freed_injection.push((port - net_ports, vc));
+        }
+    }
+
     /// Resets the result for reuse (keeps the Vec capacities).
     pub(crate) fn clear(&mut self) {
         self.freed_inputs.clear();
@@ -662,10 +561,6 @@ impl RouterCore {
                 ArchState::Cb(CbState::new(in_ports, out_ports, vcs, cb_flits))
             }
         };
-        let nom_cached = matches!(arch, ArchState::Edge(_))
-            && link_mode == LinkMode::Credited
-            && net_ports * vcs <= 64
-            && in_ports <= 64;
         RouterCore {
             id,
             net_ports,
@@ -680,13 +575,6 @@ impl RouterCore {
             scratch_noms: Vec::with_capacity(in_ports),
             scratch_winner: Vec::with_capacity(out_ports),
             scratch_prio: Vec::with_capacity(out_ports),
-            nom_cached,
-            nom_valid: vec![false; in_ports],
-            nom_vc: vec![u16::MAX; in_ports],
-            nom_route_port: vec![NO_ROUTE; in_ports],
-            nom_route_vc: vec![0; in_ports],
-            nom_observed: vec![0; in_ports],
-            nom_observers: vec![0; net_ports * vcs],
         }
     }
 
@@ -704,13 +592,6 @@ impl RouterCore {
     pub(crate) fn add_credit(&mut self, out_port: usize, vc: usize) {
         self.out.credits[out_port * self.vcs + vc] += 1;
         self.out.port_credits[out_port] += 1;
-        if self.nom_cached {
-            let mut m = self.nom_observers[out_port * self.vcs + vc];
-            while m != 0 {
-                self.nom_valid[m.trailing_zeros() as usize] = false;
-                m &= m - 1;
-            }
-        }
     }
 
     /// Whether input `port` can accept a flit on `vc` right now.
@@ -737,10 +618,6 @@ impl RouterCore {
             }
         }
         self.live_flits += 1;
-        if self.nom_cached {
-            // A new arrival can change what this port nominates.
-            self.nom_valid[port] = false;
-        }
         let lane = port * self.vcs + vc;
         match &mut self.arch {
             ArchState::Edge(lanes) => {
@@ -759,8 +636,6 @@ impl RouterCore {
                 );
                 cb.stage_slot[lane] = flit;
                 cb.stage_occ[port] |= 1 << vc;
-                cb.stage_pkt[lane] = NO_PKT; // new front: drop the cache
-                cb.stage_cport[lane] = NO_ROUTE;
             }
         }
     }
@@ -924,89 +799,34 @@ impl RouterCore {
         };
         let out = &mut self.out;
         let rr_in = &mut self.rr_in;
-        let nom_valid = &mut self.nom_valid;
-        let nom_vc = &mut self.nom_vc;
-        let nom_route_port = &mut self.nom_route_port;
-        let nom_route_vc = &mut self.nom_route_vc;
-        let nom_observed = &mut self.nom_observed;
-        let nom_observers = &mut self.nom_observers;
-        // The nomination cache is sound only when the scan it shortcuts
-        // would run against empty ST registers, which is every cycle of
-        // the full simulator (drain precedes alloc) but not necessarily
-        // a bare unit-test call sequence — so both storing and consuming
-        // are gated on the ST being drained right now.
-        let cache_on = self.nom_cached && out.st_live == 0;
-        // Records a port's freshly scanned observation word and rewrites
-        // its bits in the reverse (per-output-lane) observer index.
-        #[inline(always)]
-        fn store_observed(
-            port: usize,
-            observed: u64,
-            nom_observed: &mut [u64],
-            nom_observers: &mut [u64],
-        ) {
-            let mut stale = nom_observed[port] & !observed;
-            while stale != 0 {
-                nom_observers[stale.trailing_zeros() as usize] &= !(1 << port);
-                stale &= stale - 1;
-            }
-            let mut fresh = observed & !nom_observed[port];
-            while fresh != 0 {
-                nom_observers[fresh.trailing_zeros() as usize] |= 1 << port;
-                fresh &= fresh - 1;
-            }
-            nom_observed[port] = observed;
-        }
         // Pass 1 (input arbitration): each input port nominates one VC.
         // The occupancy word drives the scan: idle ports cost one load,
-        // and clear bits skip without touching the ring slab. The front
-        // cache makes the steady-state retry of a blocked head a pure
-        // lane-array read — the arena load and route computation happen
-        // once per front flit, not once per cycle. A valid nomination
-        // cache entry replays last cycle's conclusion without any scan:
-        // the port's lanes and every output resource the scan examined
-        // are unchanged, so the outcome is too.
-        for port in 0..in_ports {
-            if cache_on && nom_valid[port] {
-                let vc = nom_vc[port];
-                if vc != u16::MAX {
-                    nominations.push((
-                        port,
-                        vc as usize,
-                        RouteDecision {
-                            port: nom_route_port[port] as usize,
-                            vc: nom_route_vc[port] as usize,
-                        },
-                    ));
-                }
-                continue;
-            }
+        // and clear bits skip without touching the ring slab. A lane
+        // mid-packet answers from its held route; otherwise the front
+        // flit is a head, read from the arena and routed here.
+        for (port, &start) in rr_in.iter().enumerate() {
             let occ = lanes.occ[port];
             if occ == 0 {
-                if cache_on {
-                    nom_valid[port] = true;
-                    nom_vc[port] = u16::MAX;
-                    store_observed(port, 0, nom_observed, nom_observers);
-                }
                 continue; // empty input: nothing to nominate
             }
-            // Net output lanes whose credits / wormhole ownership this
-            // scan reads; a later change to any of them voids the cached
-            // outcome.
-            let mut observed = 0u64;
-            let mut nominated = false;
-            let start = rr_in[port];
             for i in 0..vcs {
                 let vc = fast_wrap(start + i, vcs);
                 if occ >> vc & 1 == 0 {
                     continue;
                 }
                 let lane = port * vcs + vc;
-                if lanes.front_pkt[lane] == NO_PKT {
-                    let head = arena.get(lanes.front(lane));
-                    lanes.front_pkt[lane] = head.packet.0;
-                    if lanes.route_port[lane] == NO_ROUTE {
-                        let r = compute_route::<VALIANT>(
+                let (route, pkt) = match lanes.route(lane) {
+                    Some(held) => {
+                        debug_assert_eq!(
+                            arena.get(lanes.front(lane)).packet.0,
+                            lanes.route_pkt[lane],
+                            "held route outlived its packet at {id} port {port} vc {vc}",
+                        );
+                        (held, lanes.route_pkt[lane])
+                    }
+                    None => {
+                        let head = arena.get(lanes.front(lane));
+                        let route = compute_route::<VALIANT>(
                             id,
                             net_ports,
                             vcs,
@@ -1015,56 +835,13 @@ impl RouterCore {
                             head,
                             vc,
                         );
-                        lanes.front_route_port[lane] = r.port as u16;
-                        lanes.front_route_vc[lane] = r.vc as u8;
-                    }
-                }
-                let route = if lanes.route_port[lane] == NO_ROUTE {
-                    RouteDecision {
-                        port: lanes.front_route_port[lane] as usize,
-                        vc: lanes.front_route_vc[lane] as usize,
-                    }
-                } else {
-                    RouteDecision {
-                        port: lanes.route_port[lane] as usize,
-                        vc: lanes.route_vc[lane] as usize,
+                        (route, head.packet.0)
                     }
                 };
-                debug_assert_eq!(
-                    lanes
-                        .route(lane)
-                        .unwrap_or_else(|| compute_route::<VALIANT>(
-                            id,
-                            net_ports,
-                            vcs,
-                            table,
-                            concentration,
-                            arena.get(lanes.front(lane)),
-                            vc,
-                        )),
-                    route,
-                    "front route cache drifted at {id} port {port} vc {vc}",
-                );
-                if route.port < net_ports {
-                    observed |= 1 << (route.port * vcs + route.vc);
-                }
-                if out.ready(&claimed, route, lanes.front_pkt[lane], link_ready) {
+                if out.ready(&claimed, route, pkt, link_ready) {
                     nominations.push((port, vc, route));
-                    if cache_on {
-                        nom_valid[port] = true;
-                        nom_vc[port] = vc as u16;
-                        nom_route_port[port] = route.port as u16;
-                        nom_route_vc[port] = route.vc as u8;
-                        store_observed(port, observed, nom_observed, nom_observers);
-                    }
-                    nominated = true;
                     break;
                 }
-            }
-            if cache_on && !nominated {
-                nom_valid[port] = true;
-                nom_vc[port] = u16::MAX;
-                store_observed(port, observed, nom_observed, nom_observers);
             }
         }
         // Pass 2 (output arbitration): pick, per output port, the
@@ -1092,17 +869,6 @@ impl RouterCore {
             let (port, vc, route) = nominations[w as usize];
             debug_assert!(!out.st_occupied(route.port), "nominated an occupied ST");
             let lane = port * vcs + vc;
-            nom_valid[port] = false; // granting pops this port's lane
-            if route.port < net_ports {
-                // The commit below consumes a credit (and may transfer
-                // wormhole ownership) on this output lane: every port
-                // whose cached scan examined it must rescan.
-                let mut m = nom_observers[route.port * vcs + route.vc];
-                while m != 0 {
-                    nom_valid[m.trailing_zeros() as usize] = false;
-                    m &= m - 1;
-                }
-            }
             let fr = lanes.pop(lane);
             let f = arena.get(fr);
             let kind = f.kind;
@@ -1119,11 +885,7 @@ impl RouterCore {
             out.rr_out[route.port] = fast_wrap(port + 1, in_ports);
             result.buffer_accesses += 1;
             result.alloc_grants += 1;
-            if port < net_ports {
-                result.freed_inputs.push((port, vc));
-            } else {
-                result.freed_injection.push((port - net_ports, vc));
-            }
+            result.freed(port, vc, net_ports);
             out.commit(route, fr, arena);
         }
         self.scratch_noms = nominations;
@@ -1209,38 +971,20 @@ impl RouterCore {
                 if cb.stage_mode[lane] == MODE_CENTRAL {
                     continue;
                 }
-                fill_stage_cache::<VALIANT>(
-                    cb,
-                    lane,
-                    vc,
-                    id,
-                    net_ports,
-                    vcs,
-                    table,
-                    concentration,
-                    arena,
-                );
-                let route = if cb.stage_route_port[lane] == NO_ROUTE {
-                    RouteDecision {
-                        port: cb.stage_cport[lane] as usize,
-                        vc: cb.stage_cvc[lane] as usize,
-                    }
-                } else {
-                    RouteDecision {
-                        port: cb.stage_route_port[lane] as usize,
-                        vc: cb.stage_route_vc[lane] as usize,
-                    }
-                };
+                let f = arena.get(cb.stage_slot[lane]);
+                let route = cb.stage_route(lane).unwrap_or_else(|| {
+                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f, vc)
+                });
                 // Ordering: a *head* never bypasses a non-empty CB queue
                 // for the same (output, VC) — packets on a VC stay in
                 // order. Body flits of an in-flight bypass packet are
                 // exempt: they already hold the output VC, and a queued
                 // CB packet cannot use it until their tail passes, so
                 // blocking them would deadlock the router.
-                let queue_blocked = cb.stage_flags[lane] & 1 != 0
+                let queue_blocked = f.kind.is_head()
                     && route.port < out_ports
                     && cb.queue_mask[route.port] >> route.vc & 1 == 1;
-                if !queue_blocked && out.ready(&claimed, route, cb.stage_pkt[lane], link_ready) {
+                if !queue_blocked && out.ready(&claimed, route, f.packet.0, link_ready) {
                     nominations.push((port, vc, route));
                     break;
                 }
@@ -1252,25 +996,21 @@ impl RouterCore {
             }
             claimed[route.port] = true;
             let lane = port * vcs + vc;
-            let flags = cb.stage_flags[lane]; // cache filled by phase A2
             let fr = cb.take_stage(lane);
-            if flags & 1 != 0 {
+            let kind = arena.get(fr).kind;
+            if kind.is_head() {
                 cb.stage_route_port[lane] = route.port as u16;
                 cb.stage_route_vc[lane] = route.vc as u8;
                 cb.stage_mode[lane] = MODE_BYPASS;
             }
-            if flags & 2 != 0 {
+            if kind.is_tail() {
                 cb.stage_route_port[lane] = NO_ROUTE;
                 cb.stage_mode[lane] = MODE_NONE;
             }
             rr_in[port] = fast_wrap(vc + 1, vcs);
             result.bypasses += 1;
             result.alloc_grants += 1;
-            if port < net_ports {
-                result.freed_inputs.push((port, vc));
-            } else {
-                result.freed_injection.push((port - net_ports, vc));
-            }
+            result.freed(port, vc, net_ports);
             out.commit(route, fr, arena);
         }
 
@@ -1287,31 +1027,13 @@ impl RouterCore {
                     continue;
                 }
                 let lane = port * vcs + vc;
-                fill_stage_cache::<VALIANT>(
-                    cb,
-                    lane,
-                    vc,
-                    id,
-                    net_ports,
-                    vcs,
-                    table,
-                    concentration,
-                    arena,
-                );
-                let route = if cb.stage_route_port[lane] == NO_ROUTE {
-                    RouteDecision {
-                        port: cb.stage_cport[lane] as usize,
-                        vc: cb.stage_cvc[lane] as usize,
-                    }
-                } else {
-                    RouteDecision {
-                        port: cb.stage_route_port[lane] as usize,
-                        vc: cb.stage_route_vc[lane] as usize,
-                    }
-                };
-                let flags = cb.stage_flags[lane];
-                let pkt = cb.stage_pkt[lane];
-                let plen = cb.stage_plen[lane] as usize;
+                let f = arena.get(cb.stage_slot[lane]);
+                let route = cb.stage_route(lane).unwrap_or_else(|| {
+                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f, vc)
+                });
+                let kind = f.kind;
+                let pkt = f.packet.0;
+                let plen = f.packet_len as usize;
                 // Heads divert to the CB only if the whole packet fits
                 // (atomic allocation) and no other packet is still
                 // streaming through the target queue; bodies follow
@@ -1320,7 +1042,7 @@ impl RouterCore {
                     MODE_CENTRAL => true,
                     MODE_BYPASS => false,
                     _ => {
-                        flags & 1 != 0
+                        kind.is_head()
                             && cb.free >= plen
                             && route.port < out_ports
                             && cb.open_pkt[route.port * vcs + route.vc] == NO_PKT
@@ -1331,14 +1053,14 @@ impl RouterCore {
                 }
                 let out_lane = route.port * vcs + route.vc;
                 let fr = cb.take_stage(lane);
-                if flags & 1 != 0 {
+                if kind.is_head() {
                     cb.stage_route_port[lane] = route.port as u16;
                     cb.stage_route_vc[lane] = route.vc as u8;
                     cb.stage_mode[lane] = MODE_CENTRAL;
                     cb.free -= plen;
                     cb.open_pkt[out_lane] = pkt;
                 }
-                if flags & 2 != 0 {
+                if kind.is_tail() {
                     cb.stage_route_port[lane] = NO_ROUTE;
                     cb.stage_mode[lane] = MODE_NONE;
                     cb.open_pkt[out_lane] = NO_PKT;
@@ -1353,11 +1075,7 @@ impl RouterCore {
                 cb.rr_write = fast_wrap(port + 1, in_ports);
                 result.cb_writes += 1;
                 result.alloc_grants += 1;
-                if port < net_ports {
-                    result.freed_inputs.push((port, vc));
-                } else {
-                    result.freed_injection.push((port - net_ports, vc));
-                }
+                result.freed(port, vc, net_ports);
                 break 'write;
             }
         }
@@ -1389,11 +1107,6 @@ impl RouterCore {
                     );
                 }
                 for lane in 0..in_ports * self.vcs {
-                    assert!(
-                        lanes.front_pkt[lane] == NO_PKT || lanes.len[lane] > 0,
-                        "front cache set on empty lane {lane} at {}",
-                        self.id
-                    );
                     assert_eq!(
                         lanes.route_port[lane] == NO_ROUTE,
                         lanes.route_pkt[lane] == NO_PKT,
@@ -1413,13 +1126,6 @@ impl RouterCore {
                     assert_eq!(
                         word, cb.stage_occ[port],
                         "staging occupancy word drifted at {} port {port}",
-                        self.id
-                    );
-                }
-                for lane in 0..in_ports * self.vcs {
-                    assert!(
-                        cb.stage_pkt[lane] == NO_PKT || cb.stage_slot[lane].is_valid(),
-                        "stage cache set on empty slot {lane} at {}",
                         self.id
                     );
                 }
@@ -1465,24 +1171,6 @@ impl RouterCore {
             "live-flit counter drifted at {}",
             self.id
         );
-    }
-
-    /// Drops every route-derived cache: the lazily computed front-flit
-    /// routes and the cross-cycle nomination cache. Must run on every
-    /// router when the routing table is swapped (fault repair) — both
-    /// caches embed decisions of the outgoing table.
-    pub(crate) fn invalidate_route_caches(&mut self) {
-        match &mut self.arch {
-            ArchState::Edge(lanes) => {
-                lanes.front_pkt.fill(NO_PKT);
-                lanes.front_route_port.fill(NO_ROUTE);
-            }
-            ArchState::Cb(cb) => {
-                cb.stage_pkt.fill(NO_PKT);
-                cb.stage_cport.fill(NO_ROUTE);
-            }
-        }
-        self.nom_valid.fill(false);
     }
 
     /// Fault scan: reports the packet id of every wormhole commitment
@@ -1607,9 +1295,7 @@ impl RouterCore {
     }
 
     /// Fault support: overwrites one output lane's credit counter with a
-    /// ground-truth recount, keeping the per-port sum in sync. Callers
-    /// must invalidate the nomination cache afterwards
-    /// ([`RouterCore::invalidate_route_caches`]).
+    /// ground-truth recount, keeping the per-port sum in sync.
     pub(crate) fn set_lane_credits(&mut self, out_port: usize, vc: usize, value: usize) {
         let lane = out_port * self.vcs + vc;
         let old = self.out.credits[lane];

@@ -3,7 +3,8 @@
 //! cycles is invisible**. For any (topology, rate, seed) triple, running
 //! the simulator with cycle-skipping on and off must produce
 //! byte-identical [`SimReport`] JSON — every counter, every activity
-//! figure, the full latency histogram, and the final clock value.
+//! figure, the full latency histogram, and the final clock value. The
+//! bursty property holds the sharded engine to the same bytes.
 //!
 //! The skipped cycles are provably event-free (empty worklists, no
 //! pending injection, no due channel arrival), so any divergence means
@@ -11,7 +12,7 @@
 //! class this suite exists to catch.
 
 use proptest::prelude::*;
-use snoc_sim::{SimConfig, SimReport, Simulator};
+use snoc_sim::{ShardedSimulator, SimConfig, SimReport, Simulator};
 use snoc_topology::{NodeId, Topology};
 use snoc_traffic::{BurstModel, MessageKind, TraceMessage, TrafficPattern};
 
@@ -103,6 +104,24 @@ proptest! {
             on_to_off,
             seed
         );
+        // The sharded engine draws from the same calendar source: burst
+        // phases cost extra RNG draws per arrival, which every replica
+        // must also burn for the nodes it does not own. (Elastic links
+        // cannot shard; index 3 skips.)
+        if let Ok(mut sharded) = ShardedSimulator::build(&topo, &cfg, 2) {
+            prop_assert_eq!(
+                run(true).to_json(),
+                sharded
+                    .run_synthetic_bursty(TrafficPattern::Random, rate, burst, 300, 1_500)
+                    .to_json(),
+                "bursty 2-shard run diverged at topo {} rate {} burst {}/{} seed {}",
+                topo_idx,
+                rate,
+                off_to_on,
+                on_to_off,
+                seed
+            );
+        }
     }
 
     /// Trace replays with fuzzed inter-message gaps (including gaps far
