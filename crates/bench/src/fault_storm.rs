@@ -1,9 +1,9 @@
-//! Shared logic of the `repro_fault_storm` figure: delivered-throughput
+//! The campaign behind the `fault_storm` figure: delivered-throughput
 //! retention under live link-failure storms.
 //!
 //! §2.1 credits MMS graphs with "high resilience to link failures". The
 //! static half of that claim (connectivity, diameter inflation) is
-//! `repro_resilience`; this module tests it *dynamically*: each network
+//! the `resilience` figure; this module tests it *dynamically*: each network
 //! runs with a seeded storm that severs a fraction of its links mid-run
 //! (routing self-heals, severed pairs quiesce, in-flight casualties are
 //! dropped), and the figure reports how much delivered throughput each

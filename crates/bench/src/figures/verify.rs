@@ -1,8 +1,8 @@
-//! Differential verification driver: runs the optimized
-//! event-accelerated simulator and the golden reference model
+//! The `verify` figure, the differential verification driver: runs the
+//! optimized event-accelerated simulator and the golden reference model
 //! (`snoc_refsim`) over a deterministic matrix of topology × routing ×
 //! pattern × rate, checks conservation laws and cross-engine agreement
-//! on every case, and exits non-zero on the first class of divergence.
+//! on every case, and fails on any divergence.
 //!
 //! Three check tiers per case (see `crates/refsim/tests/differential.rs`
 //! for the fuzzed version of the same contract):
@@ -36,7 +36,8 @@
 //! `--smoke` shrinks windows to prove the pipeline end-to-end; `--json`
 //! emits one JSON object per case instead of the table.
 
-use snoc_bench::Args;
+use super::emit;
+use crate::{io_err, Args};
 use snoc_core::{format_float, TextTable};
 use snoc_refsim::check::{compare_statistics, workload};
 use snoc_refsim::{RefConfig, RefSimulator};
@@ -46,6 +47,8 @@ use snoc_sim::{
 };
 use snoc_topology::{RouterId, Topology};
 use snoc_traffic::TrafficPattern;
+use std::fmt::Write as _;
+use std::io::Write;
 
 /// One differential case of the matrix.
 struct Case {
@@ -406,23 +409,26 @@ fn evaluate(
     compare_statistics(optimized, reference, 50)
 }
 
-fn main() {
-    let args = Args::parse();
-    let cases = matrix(&args);
-    let mut outcomes: Vec<Outcome> = cases.iter().map(|c| run_case(c, &args)).collect();
-    outcomes.extend(shard_outcomes(&args));
-    outcomes.extend(fault_outcomes(&args));
+/// Runs the whole matrix and reports it; `Err` lists every failed case
+/// and deadlock-freedom violation as a `REPRO …` line (the exact inputs
+/// needed to replay it).
+pub(super) fn verify(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let cases = matrix(args);
+    let mut outcomes: Vec<Outcome> = cases.iter().map(|c| run_case(c, args)).collect();
+    outcomes.extend(shard_outcomes(args));
+    outcomes.extend(fault_outcomes(args));
     let failures: Vec<&Outcome> = outcomes.iter().filter(|o| o.verdict.is_err()).collect();
-    let (cdg_checked, cdg_failures) = cdg_failures(&args);
+    let (cdg_checked, cdg_failures) = cdg_failures(args);
 
     if args.json {
-        println!("[");
+        writeln!(out, "[").map_err(io_err)?;
         for (i, o) in outcomes.iter().enumerate() {
             let (ok, detail) = match &o.verdict {
                 Ok(d) => (true, (*d).to_string()),
                 Err(e) => (false, e.clone()),
             };
-            println!(
+            writeln!(
+                out,
                 "  {{\"case\": \"{}\", \"pass\": {ok}, \"detail\": \"{}\", \
                  \"injected\": [{}, {}], \"delivered\": [{}, {}], \
                  \"latency\": [{}, {}]}}{}",
@@ -435,9 +441,10 @@ fn main() {
                 format_float(o.optimized.mean_latency(), 2),
                 format_float(o.reference.mean_latency(), 2),
                 if i + 1 < outcomes.len() { "," } else { "" }
-            );
+            )
+            .map_err(io_err)?;
         }
-        println!("]");
+        writeln!(out, "]").map_err(io_err)?;
     } else {
         let mut table = TextTable::new(
             "Differential verification: optimized engine vs. golden reference".to_string(),
@@ -471,25 +478,33 @@ fn main() {
                 },
             ]);
         }
-        table.print(args.csv);
-        println!(
+        emit(&table, args, out)?;
+        writeln!(
+            out,
             "deadlock freedom: {cdg_checked} degraded tables CDG-checked, {} cycle(s) found",
             cdg_failures.len()
+        )
+        .map_err(io_err)?;
+    }
+    if failures.is_empty() && cdg_failures.is_empty() {
+        return Ok(());
+    }
+    let mut msg = format!(
+        "{} of {} cases failed, {} deadlock-freedom violations:",
+        failures.len(),
+        outcomes.len(),
+        cdg_failures.len()
+    );
+    for o in &failures {
+        let _ = write!(
+            msg,
+            "\n  REPRO {}: {}",
+            o.label,
+            o.verdict.as_ref().unwrap_err()
         );
     }
-    if !failures.is_empty() || !cdg_failures.is_empty() {
-        eprintln!(
-            "repro_verify: {} of {} cases failed, {} deadlock-freedom violations:",
-            failures.len(),
-            outcomes.len(),
-            cdg_failures.len()
-        );
-        for o in &failures {
-            eprintln!("  REPRO {}: {}", o.label, o.verdict.as_ref().unwrap_err());
-        }
-        for f in &cdg_failures {
-            eprintln!("  REPRO cdg {f}");
-        }
-        std::process::exit(1);
+    for f in &cdg_failures {
+        let _ = write!(msg, "\n  REPRO cdg {f}");
     }
+    Err(msg)
 }

@@ -1,6 +1,11 @@
-//! Shared helpers for the reproduction binaries (`repro_*`).
+//! The reproduction layer behind the `snoc` executable: the figure
+//! registry of `snoc repro <name>` ([`figures::REGISTRY`]), the spec
+//! runner of `snoc run --spec FILE` ([`run_spec`]), the campaign server
+//! of `snoc serve` / `snoc submit` ([`serve`]), and the flags they
+//! share ([`Args`]).
 //!
-//! Every binary regenerates one table or figure of the paper. All accept:
+//! Every registry entry regenerates one table, figure or study of the
+//! paper. All accept:
 //!
 //! - `--csv` — emit CSV instead of aligned text;
 //! - `--json` — emit the structured sweep-campaign JSON (figures built
@@ -9,42 +14,38 @@
 //!   runs and CI; the default windows match the shapes reported in
 //!   `EXPERIMENTS.md`);
 //! - `--smoke` — minimal windows (statistically meaningless numbers);
-//!   used by the `repro_smoke` test suite to exercise every binary;
+//!   used by the `repro_smoke` test suite to exercise every entry;
 //! - `--threads N` — worker threads for campaign fan-out (0 = one per
 //!   core; results are identical for every thread count);
 //! - `--shards N` — simulation-engine shards per point (sharded runs of
 //!   deterministic-routing configs are bit-identical to `--shards 1`;
 //!   see the README's "Sharded engine" section);
 //! - `--cache-dir DIR` — attach the content-addressed point cache at
-//!   `DIR` to the binary's campaigns: already-simulated points replay
-//!   from disk, new ones are stored for next time;
-//! - `--spec FILE` — ignore the binary's built-in figure and instead
-//!   run the `slim_noc-spec-v1` campaign spec in `FILE`, printing its
-//!   sweep JSON to stdout and a `snoc-cache-stats:` line to stderr.
-//!   Identical across every `repro_*` binary.
+//!   `DIR` to the figure's campaigns: already-simulated points replay
+//!   from disk, new ones are stored for next time.
+//!
+//! `snoc run --spec FILE` takes the same execution flags (`--quick`,
+//! `--smoke`, `--threads`, `--shards`, `--cache-dir`) and folds them
+//! into the spec it runs.
 //!
 //! The latency–load figures all run through the sweep-campaign engine:
-//! a binary declares its campaign (setups × patterns × the standard
+//! a figure declares its campaign (setups × patterns × the standard
 //! load grid) via [`figure_campaign`] and only formats the result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault_storm;
+pub mod figures;
 pub mod serve;
 
-use snoc_core::{
-    format_float, Campaign, CampaignResult, CampaignSpec, PointCache, Series, Setup, TextTable,
-};
+use snoc_core::{Campaign, CampaignResult, CampaignSpec, PointCache, Series, Setup};
 use snoc_power::TechNode;
 use snoc_traffic::TrafficPattern;
+use std::io::Write;
 use std::sync::Arc;
 
-/// The usage line shared by every reproduction binary.
-pub const USAGE: &str = "usage: repro_* [--csv] [--json] [--quick] [--smoke] \
-                         [--threads N] [--shards N] [--spec FILE] [--cache-dir DIR]";
-
-/// Command-line options shared by all reproduction binaries.
+/// Command-line options shared by every figure and by `snoc run`.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// Emit CSV instead of aligned text tables.
@@ -56,40 +57,19 @@ pub struct Args {
     pub quick: bool,
     /// Use minimal simulation windows: every experiment still builds and
     /// runs end-to-end, but the numbers are statistically meaningless.
-    /// Exists so the test suite can smoke-run all the binaries cheaply.
+    /// Exists so the test suite can smoke-run every figure cheaply.
     pub smoke: bool,
     /// Campaign worker threads (0 = one per core).
     pub threads: usize,
     /// Simulation-engine shards per point (0 = leave the campaign or
     /// spec default in place).
     pub shards: usize,
-    /// Run this `slim_noc-spec-v1` file instead of the binary's figure.
-    pub spec: Option<String>,
     /// Attach the content-addressed point cache at this directory.
     pub cache_dir: Option<String>,
 }
 
 impl Args {
-    /// Parses `std::env::args`. Unknown flags abort with a usage hint;
-    /// `--spec` runs the spec campaign and exits (see [`USAGE`]).
-    #[must_use]
-    pub fn parse() -> Self {
-        let args = match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("{msg} (try --help)");
-                std::process::exit(2);
-            }
-        };
-        if args.spec.is_some() {
-            args.run_spec_and_exit();
-        }
-        args
-    }
-
-    /// Parses an explicit argument list. `--help` prints [`USAGE`] and
-    /// exits; everything else reports errors instead of aborting, so
-    /// tests can exercise the parser.
+    /// Parses an argument list (both `--flag value` and `--flag=value`).
     ///
     /// # Errors
     ///
@@ -110,27 +90,17 @@ impl Args {
                     .or_else(|| raw.next())
                     .ok_or_else(|| format!("{flag} needs a value"))
             };
+            let count = |value: String| -> Result<usize, String> {
+                value.parse().map_err(|e| format!("{flag}: {e}"))
+            };
             match flag.as_str() {
                 "--csv" => args.csv = true,
                 "--json" => args.json = true,
                 "--quick" => args.quick = true,
                 "--smoke" => args.smoke = true,
-                "--threads" => {
-                    args.threads = next_value()?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?;
-                }
-                "--shards" => {
-                    args.shards = next_value()?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?;
-                }
-                "--spec" => args.spec = Some(next_value()?),
+                "--threads" => args.threads = count(next_value()?)?,
+                "--shards" => args.shards = count(next_value()?)?,
                 "--cache-dir" => args.cache_dir = Some(next_value()?),
-                "--help" | "-h" => {
-                    eprintln!("{USAGE}");
-                    std::process::exit(0);
-                }
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -177,75 +147,62 @@ impl Args {
         }
     }
 
-    /// Runs the `--spec` campaign — sweep JSON to stdout, a
-    /// [`cache_stats_line`] to stderr — then exits. Never returns.
-    fn run_spec_and_exit(&self) -> ! {
-        let path = self.spec.as_deref().expect("--spec is set");
-        let campaign = match campaign_from_spec_file(path, self) {
-            Ok(campaign) => campaign,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        };
-        let result = campaign.run();
-        print!("{}", result.to_json());
-        eprintln!(
-            "{}",
-            cache_stats_line(&result, campaign.cache().map(AsRef::as_ref))
-        );
-        std::process::exit(0);
+    /// The value the window flags select: `--smoke` wins over `--quick`.
+    fn window(&self, smoke: u64, quick: u64, full: u64) -> u64 {
+        if self.smoke {
+            smoke
+        } else if self.quick {
+            quick
+        } else {
+            full
+        }
     }
 
     /// Simulation warmup window in cycles.
     #[must_use]
     pub fn warmup(&self) -> u64 {
-        if self.smoke {
-            20
-        } else if self.quick {
-            300
-        } else {
-            2_000
-        }
+        self.window(20, 300, 2_000)
     }
 
     /// Simulation measurement window in cycles.
     #[must_use]
     pub fn measure(&self) -> u64 {
-        if self.smoke {
-            60
-        } else if self.quick {
-            1_200
-        } else {
-            10_000
-        }
+        self.window(60, 1_200, 10_000)
     }
 
     /// Trace length in cycles.
     #[must_use]
     pub fn trace_cycles(&self) -> u64 {
-        if self.smoke {
-            150
-        } else if self.quick {
-            3_000
-        } else {
-            20_000
-        }
+        self.window(150, 3_000, 20_000)
     }
 }
 
-/// Loads a `slim_noc-spec-v1` file, folds in the CLI overrides
-/// ([`Args::apply_to_spec`]), and builds the runnable campaign.
+/// Runs the `slim_noc-spec-v1` campaign spec in the file `path` with
+/// the CLI overrides folded in ([`Args::apply_to_spec`]), writes its
+/// sweep JSON to `out`, and returns the [`cache_stats_line`] for the
+/// caller to report (`snoc run --spec` prints it to stderr).
 ///
 /// # Errors
 ///
 /// Returns a printable message for unreadable files, malformed specs,
-/// unknown setup recipes, or an unopenable cache directory.
-pub fn campaign_from_spec_file(path: &str, args: &Args) -> Result<Campaign, String> {
+/// unknown setup recipes, an unopenable cache directory, or a failed
+/// write to `out`.
+pub fn run_spec(path: &str, args: &Args, out: &mut dyn Write) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("--spec: read `{path}`: {e}"))?;
     let mut spec = CampaignSpec::from_json(&text).map_err(|e| format!("--spec: `{path}`: {e}"))?;
     args.apply_to_spec(&mut spec);
-    Campaign::from_spec(&spec).map_err(|e| format!("--spec: `{path}`: {e}"))
+    let campaign = Campaign::from_spec(&spec).map_err(|e| format!("--spec: `{path}`: {e}"))?;
+    let result = campaign.run();
+    out.write_all(result.to_json().as_bytes()).map_err(io_err)?;
+    Ok(cache_stats_line(
+        &result,
+        campaign.cache().map(AsRef::as_ref),
+    ))
+}
+
+/// The diagnostic for a report that could not be written out.
+fn io_err(e: std::io::Error) -> String {
+    format!("write: {e}")
 }
 
 /// The machine-greppable cache summary every spec run prints to
@@ -287,69 +244,14 @@ pub fn figure_campaign(
     )
 }
 
-/// Runs one latency–load curve for a setup and returns it as a series
-/// (stops at saturation, like the figures). Runs through the sweep
-/// engine, so points carry deterministic spec-derived seeds.
-#[must_use]
-pub fn latency_curve(setup: &Setup, pattern: TrafficPattern, args: &Args) -> Series {
-    latency_curves(std::slice::from_ref(setup), pattern, args)
-        .pop()
-        .expect("one series per setup")
-}
-
-/// Runs latency curves for several setups in parallel via the sweep
-/// engine.
+/// Runs one latency–load curve per setup in parallel and returns them
+/// as series (each stops at saturation, like the figures). Runs through
+/// the sweep engine, so points carry deterministic spec-derived seeds.
 #[must_use]
 pub fn latency_curves(setups: &[Setup], pattern: TrafficPattern, args: &Args) -> Vec<Series> {
     figure_campaign("latency_curves", setups.to_vec(), vec![pattern], args)
         .run()
         .series(pattern.short_name())
-}
-
-/// Formats a class-comparison latency figure from a campaign result:
-/// one latency-vs-load table per pattern plus the paper's SN/baseline
-/// latency-ratio annotations at the lowest load. With `--json` the raw
-/// campaign result is emitted instead.
-pub fn print_class_figure(
-    result: &CampaignResult,
-    figure: &str,
-    subtitle: &str,
-    sn: &str,
-    baselines: &[&str],
-    args: &Args,
-) {
-    if args.json {
-        print!("{}", result.to_json());
-        return;
-    }
-    for pattern in &result.patterns {
-        let curves = result.series(pattern);
-        Series::tabulate(format!("{figure} ({pattern}): {subtitle}"), "load", &curves)
-            .print(args.csv);
-        let at_low = |name: &str| -> Option<f64> {
-            curves
-                .iter()
-                .find(|s| s.name == name)?
-                .points
-                .first()
-                .map(|&(_, y)| y)
-        };
-        if let Some(sn_lat) = at_low(sn) {
-            let mut table = TextTable::new(
-                format!("{figure} ({pattern}): SN latency ratio at load 0.008"),
-                &["baseline", "SN/baseline"],
-            );
-            for base in baselines {
-                if let Some(b) = at_low(base) {
-                    table.push_row(vec![
-                        (*base).to_string(),
-                        format!("{:.0}%", 100.0 * sn_lat / b),
-                    ]);
-                }
-            }
-            table.print(args.csv);
-        }
-    }
 }
 
 /// The load grid of the energy figures: from low load through well past
@@ -359,23 +261,6 @@ pub fn print_class_figure(
 #[must_use]
 pub fn energy_load_grid() -> Vec<f64> {
     vec![0.05, 0.15, 0.30]
-}
-
-/// The energy-efficiency comparison class: the paper's matched-cost
-/// N ∈ {192, 200} mesh/torus/Slim NoC plus the nearest balanced
-/// Dragonfly (df3, N = 342; balanced DFs only exist at N = 2h²(2h²+1)).
-/// All four sit in comparable bisection-per-node classes; metrics are
-/// normalized per delivered flit, so the size mismatch washes out.
-///
-/// # Panics
-///
-/// Panics if a paper configuration fails to build (they never do).
-#[must_use]
-pub fn energy_class_setups() -> Vec<Setup> {
-    ["cm4", "t2d4", "df3", "sn_s"]
-        .iter()
-        .map(|n| Setup::paper(n).expect("paper config"))
-        .collect()
 }
 
 /// The declarative power-aware campaign behind one energy figure: the
@@ -396,115 +281,6 @@ pub fn energy_campaign(name: &str, setups: Vec<Setup>, args: &Args) -> Campaign 
     )
 }
 
-/// Formats an energy figure from a power-aware campaign result: one
-/// power/efficiency table per load, plus SN-vs-baseline ratios of
-/// throughput/Watt and EDP at the highest load. With `--json` the raw
-/// `slim_noc-sweep-v2` campaign result is emitted instead.
-///
-/// # Panics
-///
-/// Panics if the result was produced without [`Campaign::with_power`].
-pub fn print_energy_figure(result: &CampaignResult, figure: &str, baseline: &str, args: &Args) {
-    if args.json {
-        print!("{}", result.to_json());
-        return;
-    }
-    let pattern = &result.patterns[0];
-    let loads: Vec<f64> = {
-        let mut l: Vec<f64> = result.points.iter().map(|p| p.load).collect();
-        l.sort_by(f64::total_cmp);
-        l.dedup();
-        l
-    };
-    for &load in &loads {
-        let mut table = TextTable::new(
-            format!("{figure} ({pattern}): offered load {load} flits/node/cycle"),
-            &[
-                "setup",
-                "thpt",
-                "latency",
-                "power[W]",
-                "area[mm2]",
-                "thpt/W[flits/J]",
-                "E/flit[pJ]",
-                "EDP[J*s]",
-            ],
-        );
-        for name in &result.setups {
-            let Some(p) = result
-                .curve(name, pattern)
-                .find(|p| (p.load - load).abs() < 1e-12)
-            else {
-                continue;
-            };
-            let pw = p.power.expect("power-aware campaign");
-            table.push_row(vec![
-                name.clone(),
-                format_float(p.throughput, 3),
-                format_float(p.latency, 1),
-                format_float(pw.power_w, 2),
-                format_float(pw.area_mm2, 1),
-                format_float(pw.throughput_per_watt, 3),
-                format_float(pw.energy_per_flit_j * 1e12, 2),
-                format_float(pw.edp_js, 3),
-            ]);
-        }
-        table.print(args.csv);
-    }
-    // Matched-load efficiency ratios at the top of the grid, the
-    // figure's headline comparison.
-    if let Some(&top) = loads.last() {
-        let at_top = |name: &str| {
-            result
-                .curve(name, pattern)
-                .find(|p| (p.load - top).abs() < 1e-12)
-                .and_then(|p| p.power)
-        };
-        if let Some(base) = at_top(baseline) {
-            let mut table = TextTable::new(
-                format!("{figure}: efficiency vs {baseline} at load {top}"),
-                &["setup", "thpt/W ratio", "EDP ratio"],
-            );
-            for name in &result.setups {
-                if let Some(pw) = at_top(name) {
-                    table.push_row(vec![
-                        name.clone(),
-                        format!("{:.2}x", pw.throughput_per_watt / base.throughput_per_watt),
-                        format!("{:.2}x", pw.edp_js / base.edp_js),
-                    ]);
-                }
-            }
-            table.print(args.csv);
-        }
-    }
-}
-
-/// The paper's small-class comparison set (N ∈ {192, 200}).
-///
-/// # Panics
-///
-/// Panics if a paper configuration fails to build (they never do).
-#[must_use]
-pub fn small_class_setups() -> Vec<Setup> {
-    ["cm3", "t2d3", "pfbf3", "pfbf4", "sn_s", "fbf3"]
-        .iter()
-        .map(|n| Setup::paper(n).expect("paper config"))
-        .collect()
-}
-
-/// The paper's large-class comparison set (N = 1296).
-///
-/// # Panics
-///
-/// Panics if a paper configuration fails to build (they never do).
-#[must_use]
-pub fn large_class_setups() -> Vec<Setup> {
-    ["cm9", "t2d9", "pfbf9", "sn_l", "fbf9"]
-        .iter()
-        .map(|n| Setup::paper(n).expect("paper config"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,9 +295,16 @@ mod tests {
     }
 
     #[test]
-    fn setup_lists_build() {
-        assert_eq!(small_class_setups().len(), 6);
-        assert_eq!(large_class_setups().len(), 5);
+    fn parse_from_takes_both_value_forms_and_rejects_strangers() {
+        let parse = |raw: &[&str]| Args::parse_from(raw.iter().map(ToString::to_string));
+        let args = parse(&["--csv", "--threads", "3", "--cache-dir=/tmp/c", "--smoke"]).unwrap();
+        assert!(args.csv && args.smoke && !args.json && !args.quick);
+        assert_eq!((args.threads, args.shards), (3, 0));
+        assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));
+        // `--spec` belongs to `snoc run`, not to a figure.
+        for bad in [&["--spec", "x"][..], &["--threads"], &["--shards", "two"]] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
@@ -557,25 +340,5 @@ mod tests {
         assert_eq!(c.warmup, args.warmup());
         assert_eq!(c.measure, args.measure());
         assert_eq!(c.loads, load_grid());
-    }
-
-    #[test]
-    fn latency_curve_matches_campaign_series() {
-        let args = Args {
-            smoke: true,
-            ..Args::default()
-        };
-        let setup = Setup::paper("sn54").unwrap();
-        let direct = latency_curve(&setup, TrafficPattern::Random, &args);
-        let via_campaign = figure_campaign(
-            "latency_curves",
-            vec![setup],
-            vec![TrafficPattern::Random],
-            &args,
-        )
-        .run()
-        .series("RND")
-        .remove(0);
-        assert_eq!(direct, via_campaign);
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end test of the energy-efficiency pipeline behind
-//! `repro_fig_energy`: simulator-measured activity → power model →
+//! `snoc repro fig_energy`: simulator-measured activity → power model →
 //! power-aware sweep campaign → `slim_noc-sweep-v2` JSON.
 //!
 //! Pins the reproduction's headline claim: at matched offered load the

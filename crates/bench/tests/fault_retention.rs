@@ -1,7 +1,7 @@
 //! End-to-end pin of §2.1's resilience claim, tested *dynamically*:
 //! under a live link-failure storm severing ≥ 10% of links, Slim NoC
 //! retains a strictly higher fraction of its delivered throughput than
-//! the mesh. Runs the exact `repro_fault_storm` campaign (quick
+//! the mesh. Runs the exact `snoc repro fault_storm` campaign (quick
 //! windows) and also pins that degraded-mode campaigns are
 //! deterministic across worker-thread counts.
 

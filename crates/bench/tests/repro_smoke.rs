@@ -1,187 +1,31 @@
-//! Smoke-runs every figure/table reproduction binary with `--smoke`
-//! (minimal simulation windows), asserting each constructs its
-//! experiment configuration and runs end-to-end without panicking.
-//! This keeps the 30 `repro_*` binaries from silently rotting: a binary
-//! that stops building fails `cargo build`, and one that starts
-//! panicking on its own configs fails here.
+//! Smoke-runs every entry of the figure registry in-process with
+//! `--smoke --csv` (minimal simulation windows), asserting each builds
+//! its experiment configuration, runs end-to-end, and writes a report.
+//! The registry is the list: a figure added to `REGISTRY` is smoked
+//! here with no edit, and one that starts failing (or panicking) on
+//! its own configs fails the suite by name.
 
-use std::process::Command;
+use snoc_bench::figures::REGISTRY;
+use snoc_bench::Args;
+use snoc_core::parallel_map;
 
-/// Runs one repro binary with `--smoke --csv` and asserts a clean exit.
-fn smoke(exe: &str, name: &str) {
-    let out = Command::new(exe)
-        .args(["--smoke", "--csv"])
-        .output()
-        .unwrap_or_else(|e| panic!("{name}: failed to spawn: {e}"));
-    assert!(
-        out.status.success(),
-        "{name} exited with {:?}\n--- stdout ---\n{}\n--- stderr ---\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr),
-    );
-    assert!(
-        !out.stdout.is_empty(),
-        "{name} produced no output in --csv mode"
-    );
-}
-
-macro_rules! smoke_bins {
-    ($($bin:ident),+ $(,)?) => {
-        $(smoke(env!(concat!("CARGO_BIN_EXE_", stringify!($bin))), stringify!($bin));)+
+#[test]
+fn every_registry_entry_smokes() {
+    let args = Args {
+        smoke: true,
+        csv: true,
+        ..Args::default()
     };
-}
-
-/// Asserts one binary advertises the full shared flag set: `--help`
-/// must exit 0 and print the common usage line, which only happens
-/// when the binary goes through `snoc_bench::Args::parse`. A binary
-/// that grows its own parser (flag drift) fails here.
-fn accepts_common_flags(exe: &str, name: &str) {
-    let out = Command::new(exe)
-        .arg("--help")
-        .output()
-        .unwrap_or_else(|e| panic!("{name}: failed to spawn: {e}"));
-    assert!(
-        out.status.success(),
-        "{name} --help exited with {:?}",
-        out.status.code()
-    );
-    let usage = String::from_utf8_lossy(&out.stderr);
-    for flag in [
-        "--csv",
-        "--json",
-        "--quick",
-        "--smoke",
-        "--threads",
-        "--shards",
-        "--spec",
-        "--cache-dir",
-    ] {
+    let runs = parallel_map(REGISTRY.iter().collect(), |figure| {
+        let mut out = Vec::new();
+        ((figure.run)(&args, &mut out), out)
+    });
+    for (figure, (run, out)) in REGISTRY.iter().zip(runs) {
+        assert!(run.is_ok(), "{} failed: {run:?}", figure.name);
         assert!(
-            usage.contains(flag),
-            "{name} --help does not advertise {flag}; all repro_* \
-             binaries must share snoc_bench::Args (got: {usage})"
+            !out.is_empty(),
+            "{} produced no output in --csv mode",
+            figure.name
         );
     }
-}
-
-macro_rules! audit_bins {
-    ($($bin:ident),+ $(,)?) => {
-        $(accepts_common_flags(
-            env!(concat!("CARGO_BIN_EXE_", stringify!($bin))),
-            stringify!($bin),
-        );)+
-    };
-}
-
-#[test]
-fn every_repro_binary_accepts_the_common_flags() {
-    audit_bins!(
-        repro_fig1,
-        repro_fig3,
-        repro_fig5,
-        repro_fig6,
-        repro_fig10,
-        repro_fig11,
-        repro_fig12,
-        repro_fig13,
-        repro_fig14,
-        repro_fig15,
-        repro_fig16,
-        repro_fig17,
-        repro_fig18,
-        repro_fig19,
-        repro_fig20,
-        repro_table2,
-        repro_table3,
-        repro_table4,
-        repro_table5,
-        repro_table6,
-        repro_ablation,
-        repro_resilience,
-        repro_fault_storm,
-        repro_sensitivity,
-        repro_verify,
-        repro_energy_mesh,
-        repro_energy_torus,
-        repro_energy_df,
-        repro_energy_sn,
-        repro_fig_energy,
-    );
-}
-
-#[test]
-fn construction_figures_smoke() {
-    // Fig. 1/3/5/6: structural comparisons, layouts, and cost models —
-    // no cycle-level simulation, so these run fast even unoptimized.
-    smoke_bins!(repro_fig1, repro_fig3, repro_fig5, repro_fig6);
-}
-
-#[test]
-fn latency_load_figures_smoke() {
-    // Fig. 10–14: latency–load curves over the small/large classes.
-    smoke_bins!(
-        repro_fig10,
-        repro_fig11,
-        repro_fig12,
-        repro_fig13,
-        repro_fig14
-    );
-}
-
-#[test]
-fn power_and_trace_figures_smoke() {
-    // Fig. 15–18: energy/power models and trace-driven workloads.
-    smoke_bins!(repro_fig15, repro_fig16, repro_fig17, repro_fig18);
-}
-
-#[test]
-fn microarchitecture_figures_smoke() {
-    // Fig. 19–20: router-microarchitecture comparisons.
-    smoke_bins!(repro_fig19, repro_fig20);
-}
-
-#[test]
-fn tables_smoke() {
-    // Tables 2–6: parameter/structure tables; table 5/6 include sims.
-    smoke_bins!(
-        repro_table2,
-        repro_table3,
-        repro_table4,
-        repro_table5,
-        repro_table6
-    );
-}
-
-#[test]
-fn supplementary_studies_smoke() {
-    // Ablation, resilience (static + live fault storms), and
-    // sensitivity sweeps.
-    smoke_bins!(
-        repro_ablation,
-        repro_resilience,
-        repro_fault_storm,
-        repro_sensitivity
-    );
-}
-
-#[test]
-fn differential_verification_smoke() {
-    // The reference-model differential matrix: conservation laws plus
-    // exact-equality workload cases run even in smoke windows (the
-    // statistical tiers need larger samples and skip themselves).
-    smoke_bins!(repro_verify);
-}
-
-#[test]
-fn energy_figures_smoke() {
-    // The energy-efficiency pipeline: per-topology sweeps plus the
-    // cross-topology comparison figure.
-    smoke_bins!(
-        repro_energy_mesh,
-        repro_energy_torus,
-        repro_energy_df,
-        repro_energy_sn,
-        repro_fig_energy
-    );
 }

@@ -13,7 +13,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("snoc_serve_test_{}_{name}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("snoc_srv_test_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -1,13 +1,14 @@
-//! Integration test for the spec-driven CLI path: any repro binary
-//! given `--spec FILE` runs that spec instead of its built-in figure,
-//! prints the sweep JSON on stdout, and reports cache statistics on
-//! stderr. Because the spec fully determines the campaign, two
-//! different binaries fed the same spec must emit identical bytes.
+//! Integration test for the spec-driven path behind `snoc run --spec`:
+//! `run_spec` runs the campaign a spec file describes, writes the sweep
+//! JSON, and returns the cache-statistics line. The spec fully
+//! determines the campaign, so a warm rerun must replay it byte for
+//! byte. (Exit codes of the executable are covered by the root-level
+//! `snoc_cli` test.)
 
+use snoc_bench::{run_spec, Args};
 use snoc_core::{CampaignSpec, SetupSpec};
 use snoc_traffic::TrafficPattern;
 use std::path::PathBuf;
-use std::process::{Command, Output};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("snoc_spec_cli_{}_{name}", std::process::id()));
@@ -27,74 +28,36 @@ fn tiny_spec() -> CampaignSpec {
     s
 }
 
-fn run(exe: &str, args: &[&str]) -> Output {
-    Command::new(exe)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"))
-}
-
-fn stats_line(out: &Output) -> String {
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    stderr
-        .lines()
-        .find(|l| l.starts_with("snoc-cache-stats:"))
-        .unwrap_or_else(|| panic!("no snoc-cache-stats line in stderr: {stderr}"))
-        .to_string()
+/// Runs a spec, returning `(sweep JSON, cache-stats line)`.
+fn run(path: &str, args: &Args) -> Result<(String, String), String> {
+    let mut out = Vec::new();
+    let stats = run_spec(path, args, &mut out)?;
+    Ok((String::from_utf8(out).expect("JSON is UTF-8"), stats))
 }
 
 #[test]
-fn spec_flag_runs_the_spec_and_warms_the_cache() {
+fn run_spec_runs_the_spec_and_warms_the_cache() {
     let dir = tmp("warm");
     let spec_path = dir.join("campaign.json");
     std::fs::write(&spec_path, tiny_spec().to_json()).expect("write spec");
-    let cache_dir = dir.join("cache");
-    let args = [
-        "--spec",
-        spec_path.to_str().expect("utf-8"),
-        "--cache-dir",
-        cache_dir.to_str().expect("utf-8"),
-    ];
+    let args = Args {
+        cache_dir: Some(dir.join("cache").to_str().expect("utf-8").to_string()),
+        ..Args::default()
+    };
+    let spec_path = spec_path.to_str().expect("utf-8");
 
-    // Cold run: every point simulates, stdout is the sweep JSON.
-    let cold = run(env!("CARGO_BIN_EXE_repro_fig1"), &args);
+    // Cold run: every point simulates, the output is the sweep JSON.
+    let (cold, stats) = run(spec_path, &args).expect("cold run");
     assert!(
-        cold.status.success(),
-        "cold run failed: {}",
-        String::from_utf8_lossy(&cold.stderr)
+        cold.starts_with('{') && cold.contains("\"points\""),
+        "output is the campaign JSON, got: {cold}"
     );
-    let json = String::from_utf8_lossy(&cold.stdout);
-    assert!(
-        json.starts_with('{') && json.contains("\"points\""),
-        "stdout is the campaign JSON, got: {json}"
-    );
-    assert_eq!(
-        stats_line(&cold),
-        "snoc-cache-stats: hits=0 misses=2 entries=2"
-    );
+    assert_eq!(stats, "snoc-cache-stats: hits=0 misses=2 entries=2");
 
     // Warm run: zero simulations, byte-identical output.
-    let warm = run(env!("CARGO_BIN_EXE_repro_fig1"), &args);
-    assert!(warm.status.success());
-    assert_eq!(
-        stats_line(&warm),
-        "snoc-cache-stats: hits=2 misses=0 entries=2"
-    );
-    assert_eq!(warm.stdout, cold.stdout, "warm replay is byte-identical");
-
-    // The spec — not the binary — determines the campaign: a different
-    // repro binary fed the same spec emits the same bytes (and shares
-    // the same cache entries).
-    let other = run(env!("CARGO_BIN_EXE_repro_table5"), &args);
-    assert!(other.status.success());
-    assert_eq!(
-        other.stdout, cold.stdout,
-        "spec output is binary-independent"
-    );
-    assert_eq!(
-        stats_line(&other),
-        "snoc-cache-stats: hits=2 misses=0 entries=2"
-    );
+    let (warm, stats) = run(spec_path, &args).expect("warm run");
+    assert_eq!(stats, "snoc-cache-stats: hits=2 misses=0 entries=2");
+    assert_eq!(warm, cold, "warm replay is byte-identical");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -113,16 +76,12 @@ fn shipped_example_spec_parses_and_runs() {
     assert!(!spec.loads.is_empty());
 
     // `--smoke` shrinks the windows, so actually running it is cheap.
-    let out = run(
-        env!("CARGO_BIN_EXE_repro_fig1"),
-        &["--spec", path, "--smoke"],
-    );
-    assert!(
-        out.status.success(),
-        "example spec failed to run: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("\"points\""));
+    let smoke = Args {
+        smoke: true,
+        ..Args::default()
+    };
+    let (json, _) = run(path, &smoke).expect("example spec runs");
+    assert!(json.contains("\"points\""));
 }
 
 #[test]
@@ -147,49 +106,36 @@ fn shipped_fault_example_spec_parses_and_runs() {
     // Run it twice at the spec's own windows (the faults land inside
     // them) with different worker counts: faulted setups pin the
     // monolithic engine, so the sweep JSON must be byte-identical.
-    let one = run(env!("CARGO_BIN_EXE_repro_fig1"), &["--spec", path]);
-    assert!(
-        one.status.success(),
-        "fault example spec failed to run: {}",
-        String::from_utf8_lossy(&one.stderr)
-    );
-    assert!(String::from_utf8_lossy(&one.stdout).contains("\"points\""));
-    let two = run(
-        env!("CARGO_BIN_EXE_repro_fig1"),
-        &["--spec", path, "--threads", "2"],
-    );
-    assert!(two.status.success());
+    let (one, _) = run(path, &Args::default()).expect("fault example spec runs");
+    assert!(one.contains("\"points\""));
+    let two_threads = Args {
+        threads: 2,
+        ..Args::default()
+    };
+    let (two, _) = run(path, &two_threads).expect("fault example spec runs threaded");
     assert_eq!(
-        one.stdout, two.stdout,
+        one, two,
         "faulted campaign is byte-deterministic across thread counts"
     );
 }
 
 #[test]
-fn invalid_specs_exit_nonzero_with_a_diagnostic() {
+fn invalid_specs_fail_with_a_diagnostic() {
     let dir = tmp("invalid");
     let bad = dir.join("bad.json");
     std::fs::write(&bad, "{\"schema\": \"nope\"}").expect("write spec");
 
-    let out = run(
-        env!("CARGO_BIN_EXE_repro_fig1"),
-        &["--spec", bad.to_str().expect("utf-8")],
-    );
-    assert_eq!(out.status.code(), Some(2), "bad spec is a usage error");
+    let err = run(bad.to_str().expect("utf-8"), &Args::default()).expect_err("bad spec");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("schema"),
-        "diagnostic names the problem: {}",
-        String::from_utf8_lossy(&out.stderr)
+        err.contains("schema"),
+        "diagnostic names the problem: {err}"
     );
 
-    let missing = run(
-        env!("CARGO_BIN_EXE_repro_fig1"),
-        &["--spec", dir.join("nope.json").to_str().expect("utf-8")],
-    );
-    assert_eq!(
-        missing.status.code(),
-        Some(2),
-        "missing file is a usage error"
+    let missing = dir.join("nope.json");
+    let err = run(missing.to_str().expect("utf-8"), &Args::default()).expect_err("missing file");
+    assert!(
+        err.contains("nope.json"),
+        "diagnostic names the file: {err}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -347,9 +347,13 @@ impl PointCache {
     ///
     /// Propagates filesystem write errors.
     pub fn put(&self, key: &str, point: &CachedPoint) -> io::Result<()> {
-        let line = point.to_line(key);
+        // One `write` of the whole line: the store is an unbuffered
+        // `O_APPEND` file other processes may share, and a separate
+        // write for the newline could land after their payload.
+        let mut line = point.to_line(key);
+        line.push('\n');
         let mut inner = self.inner.lock().expect("cache lock");
-        writeln!(inner.store, "{line}")?;
+        inner.store.write_all(line.as_bytes())?;
         inner.map.insert(key.to_string(), point.clone());
         Ok(())
     }
@@ -589,6 +593,35 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.corrupt_lines(), 1);
         assert_eq!(cache.get(&key).unwrap().delivered_packets, 9_999);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_handles_appending_concurrently_never_tear_a_line() {
+        // Two processes sharing a `--cache-dir` are two `PointCache`
+        // handles with two `O_APPEND` descriptors and no common lock.
+        let dir = tmp("two_writers");
+        const PER_WRITER: usize = 400;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for writer in 0..2 {
+                let (dir, start) = (&dir, &start);
+                scope.spawn(move || {
+                    let cache = PointCache::open(dir).unwrap();
+                    start.wait();
+                    for i in 0..PER_WRITER {
+                        let load = (writer * PER_WRITER + i) as f64;
+                        cache.put(&cache.key(&coord(load)), &sample()).unwrap();
+                    }
+                });
+            }
+        });
+        let cache = PointCache::open(&dir).unwrap();
+        assert_eq!(cache.corrupt_lines(), 0);
+        assert_eq!(cache.len(), 2 * PER_WRITER);
+        for load in 0..2 * PER_WRITER {
+            assert!(cache.get(&cache.key(&coord(load as f64))).is_some());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

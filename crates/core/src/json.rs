@@ -213,13 +213,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through unchanged).
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next delimiter at once:
+                // `"` and `\` are ASCII, so they never fall inside a
+                // multi-byte sequence and the run stays on character
+                // boundaries of the `&str` the document came from.
+                let rest = &b[*pos..];
+                let len = rest
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(rest.len());
+                out.push_str(
+                    std::str::from_utf8(&rest[..len])
+                        .map_err(|_| "invalid UTF-8 in string".to_string())?,
+                );
+                *pos += len;
             }
         }
     }
@@ -351,9 +358,27 @@ mod tests {
 
     #[test]
     fn escape_then_parse_round_trips() {
-        let s = "quote\" slash\\ tab\t nl\n unicode é";
+        // Multi-byte scalars sit directly against every delimiter the
+        // run copy stops at.
+        let s = "quote\" slash\\ tab\t nl\n unicode é\"日本\\🦀\n€";
         let parsed = parse(&format!("\"{}\"", escape(s))).unwrap();
         assert_eq!(parsed.as_str(), Some(s));
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_document_size() {
+        // `MAX_BODY` of the campaign server: one 4 MiB string. The
+        // per-character revalidation this replaced took 1 s at 256 KiB
+        // and grew quadratically.
+        let chunk = format!("{}\\n", "é".repeat(31)); // 62 + 2 bytes
+        let doc = format!("\"{}\"", chunk.repeat(1 << 16));
+        assert_eq!(doc.len(), (4 << 20) + 2);
+        let start = std::time::Instant::now();
+        let parsed = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let text = format!("{}\n", "é".repeat(31)).repeat(1 << 16);
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
+        assert!(elapsed.as_secs_f64() < 1.0, "4 MiB string took {elapsed:?}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Result rendering: aligned text tables and CSV for the reproduction
-//! binaries.
+//! figures (`snoc repro`).
 
 use std::fmt::Write as _;
+use std::io;
 
 /// Formats a float with `prec` decimals, trimming to a compact form.
 #[must_use]
@@ -20,7 +21,7 @@ pub fn format_float(x: f64, prec: usize) -> String {
 /// An aligned text table with a title, printable to stdout or CSV.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TextTable {
-    /// Table title (figure/table identifier in the repro binaries).
+    /// Table title (figure/table identifier in the reproductions).
     pub title: String,
     /// Column headers.
     pub headers: Vec<String>,
@@ -123,13 +124,28 @@ impl TextTable {
         out
     }
 
-    /// Prints the table (text or CSV depending on the flag).
-    pub fn print(&self, csv: bool) {
+    /// Writes the table to `out`: CSV, or the aligned text followed by
+    /// a blank line.
+    ///
+    /// # Errors
+    ///
+    /// Propagates write errors from `out`.
+    pub fn write_to(&self, out: &mut dyn io::Write, csv: bool) -> io::Result<()> {
         if csv {
-            print!("{}", self.to_csv());
+            out.write_all(self.to_csv().as_bytes())
         } else {
-            println!("{}", self.render());
+            writeln!(out, "{}", self.render())
         }
+    }
+
+    /// Prints the table to stdout (text or CSV depending on the flag).
+    ///
+    /// # Panics
+    ///
+    /// Panics if stdout cannot be written, like `print!`.
+    pub fn print(&self, csv: bool) {
+        self.write_to(&mut io::stdout().lock(), csv)
+            .expect("failed printing to stdout");
     }
 }
 
@@ -231,6 +247,17 @@ mod tests {
         t.push_row(vec!["x,y".into(), "plain".into()]);
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\",plain"));
+    }
+
+    #[test]
+    fn write_to_emits_what_print_prints() {
+        let mut t = TextTable::new("T", &["a", "b"]);
+        t.push_row(vec!["x,y".into(), "plain".into()]);
+        let (mut text, mut csv) = (Vec::new(), Vec::new());
+        t.write_to(&mut text, false).unwrap();
+        t.write_to(&mut csv, true).unwrap();
+        assert_eq!(text, format!("{}\n", t.render()).into_bytes());
+        assert_eq!(csv, t.to_csv().into_bytes());
     }
 
     #[test]

@@ -369,13 +369,18 @@ impl Campaign {
         (points, hits, misses)
     }
 
-    /// The cache key of one point, when the campaign has a cache and
-    /// the setup has a serializable recipe.
-    fn cache_key(&self, setup: &Setup, pattern: TrafficPattern, load: f64) -> Option<String> {
-        let cache = self.cache.as_ref()?;
+    /// The cache and the key of one point in it, when the campaign has
+    /// a cache and the setup has a serializable recipe.
+    fn cache_key(
+        &self,
+        setup: &Setup,
+        pattern: TrafficPattern,
+        load: f64,
+    ) -> Option<(&PointCache, String)> {
+        let cache = self.cache.as_deref()?;
         let setup_spec = setup.to_spec()?.canonical_json();
         let tech = self.power_tech.map(|t| t.to_string());
-        Some(cache.key(&PointCoord {
+        let key = cache.key(&PointCoord {
             setup_spec: &setup_spec,
             pattern: pattern.short_name(),
             load,
@@ -384,7 +389,8 @@ impl Campaign {
             base_seed: self.base_seed,
             shards: setup.effective_shards(self.shards),
             tech: tech.as_deref(),
-        }))
+        });
+        Some((cache, key))
     }
 
     /// Runs (or replays from cache) one point. `zero_load` is the
@@ -403,84 +409,62 @@ impl Campaign {
         misses: &mut u64,
     ) -> SweepPoint {
         let seed = self.point_seed(&setup.name, pattern, load);
-        let key = self.cache_key(setup, pattern, load);
-        if let Some(key) = &key {
-            let cache = self.cache.as_ref().expect("key implies cache");
-            if let Some(hit) = cache.get(key) {
-                *hits += 1;
-                if *zero_load == 0.0 {
-                    *zero_load = hit.latency;
-                }
-                return SweepPoint {
-                    setup: setup.name.clone(),
-                    pattern: pattern.short_name().to_string(),
-                    load,
-                    seed,
-                    latency: hit.latency,
-                    p99_latency: hit.p99_latency,
-                    throughput: hit.throughput,
-                    avg_hops: hit.avg_hops,
-                    acceptance: hit.acceptance,
-                    delivered_packets: hit.delivered_packets,
-                    dropped_packets: hit.dropped_packets,
-                    saturated: saturation_heuristic(
-                        hit.latency,
-                        hit.acceptance,
-                        hit.drained,
-                        hit.delivered_packets,
-                        hit.injected_packets,
-                        *zero_load,
-                    ),
-                    drained: hit.drained,
-                    refined,
-                    power: hit.power,
-                };
+        let keyed = self.cache_key(setup, pattern, load);
+        let cached = keyed.as_ref().and_then(|(cache, key)| cache.get(key));
+        let point = if let Some(hit) = cached {
+            *hits += 1;
+            hit
+        } else {
+            let seeded = setup.clone().with_seed(seed);
+            let report =
+                seeded.run_load_sharded(pattern, load, self.warmup, self.measure, self.shards);
+            let point = CachedPoint {
+                latency: report.avg_packet_latency(),
+                p99_latency: report.latency_percentile(0.99),
+                throughput: report.throughput(),
+                avg_hops: report.avg_hops(),
+                acceptance: report.acceptance(),
+                delivered_packets: report.delivered_packets,
+                dropped_packets: report.dropped_packets,
+                injected_packets: report.injected_packets,
+                drained: report.drained,
+                power: self
+                    .power_tech
+                    .map(|tech| PowerPoint::from_report(&seeded.power_report(tech, &report))),
+            };
+            if let Some((cache, key)) = &keyed {
+                *misses += 1;
+                // A failed append only loses future reuse, never this run.
+                let _ = cache.put(key, &point);
             }
-        }
-        let seeded = setup.clone().with_seed(seed);
-        let report = seeded.run_load_sharded(pattern, load, self.warmup, self.measure, self.shards);
+            point
+        };
         if *zero_load == 0.0 {
-            *zero_load = report.avg_packet_latency();
-        }
-        let power = self
-            .power_tech
-            .map(|tech| PowerPoint::from_report(&seeded.power_report(tech, &report)));
-        if let Some(key) = &key {
-            *misses += 1;
-            let cache = self.cache.as_ref().expect("key implies cache");
-            // A failed append only loses future reuse, never this run.
-            let _ = cache.put(
-                key,
-                &CachedPoint {
-                    latency: report.avg_packet_latency(),
-                    p99_latency: report.latency_percentile(0.99),
-                    throughput: report.throughput(),
-                    avg_hops: report.avg_hops(),
-                    acceptance: report.acceptance(),
-                    delivered_packets: report.delivered_packets,
-                    dropped_packets: report.dropped_packets,
-                    injected_packets: report.injected_packets,
-                    drained: report.drained,
-                    power,
-                },
-            );
+            *zero_load = point.latency;
         }
         SweepPoint {
             setup: setup.name.clone(),
             pattern: pattern.short_name().to_string(),
             load,
             seed,
-            latency: report.avg_packet_latency(),
-            p99_latency: report.latency_percentile(0.99),
-            throughput: report.throughput(),
-            avg_hops: report.avg_hops(),
-            acceptance: report.acceptance(),
-            delivered_packets: report.delivered_packets,
-            dropped_packets: report.dropped_packets,
-            saturated: report.is_saturated(*zero_load),
-            drained: report.drained,
+            latency: point.latency,
+            p99_latency: point.p99_latency,
+            throughput: point.throughput,
+            avg_hops: point.avg_hops,
+            acceptance: point.acceptance,
+            delivered_packets: point.delivered_packets,
+            dropped_packets: point.dropped_packets,
+            saturated: saturation_heuristic(
+                point.latency,
+                point.acceptance,
+                point.drained,
+                point.delivered_packets,
+                point.injected_packets,
+                *zero_load,
+            ),
+            drained: point.drained,
             refined,
-            power,
+            power: point.power,
         }
     }
 }

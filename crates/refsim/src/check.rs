@@ -2,7 +2,7 @@
 //!
 //! Both verification tiers — the fuzzed proptest suite
 //! (`crates/refsim/tests/differential.rs`) and the deterministic
-//! `repro_verify` matrix in `snoc_bench` — apply *these* functions, so
+//! `snoc repro verify` matrix in `snoc_bench` — apply *these* functions, so
 //! a tolerance tuned or a check added here is enforced by both. Keeping
 //! one copy is itself a verification property: two drifting copies of
 //! the contract would let an engine regression pass whichever tier kept

@@ -17,7 +17,7 @@
 //!
 //! - **statistical mode** (synthetic traffic): each engine draws its own
 //!   randomness, and the differential harness
-//!   (`crates/refsim/tests/differential.rs`, `repro_verify`) checks
+//!   (`crates/refsim/tests/differential.rs`, `snoc repro verify`) checks
 //!   conservation laws per engine plus cross-engine agreement of
 //!   injected/delivered counts, hop totals and mean latency within
 //!   sampling tolerances;

@@ -106,7 +106,7 @@ fn check_synthetic_case(
         .check_conservation()
         .map_err(|e| format!("{ctx}: reference conservation: {e}"))?;
     // The agreement tier lives in `snoc_refsim::check` so this suite
-    // and the `repro_verify` matrix enforce the identical contract.
+    // and the `snoc repro verify` matrix enforce the identical contract.
     compare_statistics(&optimized, &reference, 50)
         .map(|_| ())
         .map_err(|e| format!("{ctx}: {e}"))

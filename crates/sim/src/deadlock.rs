@@ -15,7 +15,7 @@
 //! not just for freshly injected packets.
 //!
 //! Debug builds run [`verify_deadlock_free`] at every degraded-table
-//! swap inside the simulator; tests and `repro_verify` run it over
+//! swap inside the simulator; tests and `snoc repro verify` run it over
 //! fuzzed storm corpora.
 
 use crate::routing::{RouteDecision, RoutingTable};

@@ -1,13 +1,17 @@
 //! `snoc` — command-line front end to the Slim NoC reproduction.
 //!
-//! Runs a single simulation (or an analysis) from the shell without
-//! writing Rust:
+//! The one executable of the workspace: single simulations and
+//! analyses, every figure of the paper (`snoc_bench::figures`), spec
+//! campaigns, and the campaign server — without writing Rust:
 //!
 //! ```text
 //! snoc sim --config sn_s --pattern rnd --load 0.1 --smart
 //! snoc sim --topology sn --q 9 --p 8 --buffers cbr20 --pattern adv1
 //! snoc analyze --config sn_l
 //! snoc list
+//! snoc repro --list
+//! snoc repro fig12 --quick --csv
+//! snoc run --spec campaign.json --cache-dir .snoc-cache
 //! snoc serve --cache-dir .snoc-cache
 //! snoc submit --spec campaign.json
 //! ```
@@ -17,6 +21,7 @@ use slim_noc::layout::SnLayout;
 use slim_noc::power::TechNode;
 use slim_noc::prelude::*;
 use slim_noc::sim::RoutingKind;
+use snoc_bench::{figures, Args};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -24,6 +29,8 @@ fn main() -> ExitCode {
     let result = match args.first().map(String::as_str) {
         Some("sim") => cmd_sim(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
+        Some("repro") => cmd_repro(&args[1..]),
+        Some("run") => cmd_run(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
         Some("list") => {
@@ -53,9 +60,24 @@ USAGE:
   snoc sim [OPTIONS]       run one simulation
   snoc analyze [OPTIONS]   print topology/layout/cost analysis
   snoc list                list named paper configurations
+  snoc repro --list        list the paper's figures, tables and studies
+  snoc repro <name> [OPTIONS]
+                           regenerate one of them
+  snoc run --spec <file> [OPTIONS]
+                           run a slim_noc-spec-v1 campaign file: sweep
+                           JSON on stdout, cache statistics on stderr
   snoc serve [OPTIONS]     run the campaign server (see README:
                            \"Campaign server & cache\")
   snoc submit [OPTIONS]    submit a spec file to a running server
+
+REPRO / RUN OPTIONS:
+  --csv               repro: CSV instead of aligned text
+  --json              repro: raw sweep JSON (campaign figures)
+  --quick             short simulation windows
+  --smoke             minimal windows (meaningless numbers; for tests)
+  --threads <n>       campaign worker threads (0 = per core)
+  --shards <n>        simulation-engine shards per point
+  --cache-dir <dir>   content-addressed point cache to replay from
 
 SERVE / SUBMIT OPTIONS:
   --addr <host:port>  server address (default 127.0.0.1:7077)
@@ -90,6 +112,24 @@ struct Options {
     tech: TechNode,
 }
 
+/// The value of flag `name`: the next argument.
+fn value(it: &mut std::slice::Iter<'_, String>, name: &str) -> Result<String, String> {
+    it.next()
+        .cloned()
+        .ok_or_else(|| format!("flag {name} needs a value"))
+}
+
+/// The numeric value of flag `name`.
+fn number<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    name: &str,
+) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value(it, name)?.parse().map_err(|e| format!("{name}: {e}"))
+}
+
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut config: Option<String> = None;
     let mut topology = String::from("sn");
@@ -108,46 +148,24 @@ fn parse(args: &[String]) -> Result<Options, String> {
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
+        let it = &mut it;
         match flag.as_str() {
-            "--config" => config = Some(value("--config")?),
-            "--topology" => topology = value("--topology")?,
-            "--q" => q = value("--q")?.parse().map_err(|e| format!("--q: {e}"))?,
-            "--p" => p = value("--p")?.parse().map_err(|e| format!("--p: {e}"))?,
-            "--x" => x = value("--x")?.parse().map_err(|e| format!("--x: {e}"))?,
-            "--y" => y = value("--y")?.parse().map_err(|e| format!("--y: {e}"))?,
-            "--layout" => layout = Some(value("--layout")?),
-            "--buffers" => buffers = Some(value("--buffers")?),
-            "--pattern" => pattern = value("--pattern")?,
-            "--routing" => routing = value("--routing")?,
-            "--load" => {
-                load = value("--load")?
-                    .parse()
-                    .map_err(|e| format!("--load: {e}"))?
-            }
-            "--warmup" => {
-                warmup = value("--warmup")?
-                    .parse()
-                    .map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--measure" => {
-                measure = value("--measure")?
-                    .parse()
-                    .map_err(|e| format!("--measure: {e}"))?;
-            }
+            "--config" => config = Some(value(it, flag)?),
+            "--topology" => topology = value(it, flag)?,
+            "--q" => q = number(it, flag)?,
+            "--p" => p = number(it, flag)?,
+            "--x" => x = number(it, flag)?,
+            "--y" => y = number(it, flag)?,
+            "--layout" => layout = Some(value(it, flag)?),
+            "--buffers" => buffers = Some(value(it, flag)?),
+            "--pattern" => pattern = value(it, flag)?,
+            "--routing" => routing = value(it, flag)?,
+            "--load" => load = number(it, flag)?,
+            "--warmup" => warmup = number(it, flag)?,
+            "--measure" => measure = number(it, flag)?,
             "--smart" => smart = true,
-            "--tech" => tech = value("--tech")?,
-            "--seed" => {
-                seed = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
+            "--tech" => tech = value(it, flag)?,
+            "--seed" => seed = Some(number(it, flag)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -165,58 +183,31 @@ fn parse(args: &[String]) -> Result<Options, String> {
         Setup::from_topology(&format!("{topology} (custom)"), topo, 0.5)
             .map_err(|e| e.to_string())?
     };
+    // The names are the campaign-spec wire names of each type.
     if let Some(l) = layout {
-        let kind = match l.as_str() {
-            "basic" => SnLayout::Basic,
-            "subgr" => SnLayout::Subgroup,
-            "gr" => SnLayout::Group,
-            "rand" => SnLayout::Random(seed.unwrap_or(1)),
-            other => return Err(format!("unknown layout `{other}`")),
+        let kind = match (l.as_str(), seed) {
+            // A bare `rand` shuffles with `--seed`.
+            ("rand", Some(seed)) => SnLayout::Random(seed),
+            _ => SnLayout::from_spec_name(&l).ok_or_else(|| format!("unknown layout `{l}`"))?,
         };
         setup = setup.with_sn_layout(kind).map_err(|e| e.to_string())?;
     }
     if let Some(b) = buffers {
-        let preset = match b.as_str() {
-            "eb-small" => BufferPreset::EbSmall,
-            "eb-large" => BufferPreset::EbLarge,
-            "eb-var" => BufferPreset::EbVar,
-            "el-links" => BufferPreset::ElLinks,
-            other => match other.strip_prefix("cbr") {
-                Some(n) => {
-                    BufferPreset::Cbr(n.parse().map_err(|e| format!("--buffers cbr<N>: {e}"))?)
-                }
-                None => return Err(format!("unknown buffers `{other}`")),
-            },
-        };
+        let preset =
+            BufferPreset::from_spec_name(&b).ok_or_else(|| format!("unknown buffers `{b}`"))?;
         setup = setup.with_buffers(preset);
     }
-    setup = setup.with_routing(match routing.as_str() {
-        "min" => RoutingKind::Minimal,
-        "ugal-l" => RoutingKind::UgalL,
-        "ugal-g" => RoutingKind::UgalG,
-        "xy" => RoutingKind::XyAdaptive,
-        other => return Err(format!("unknown routing `{other}`")),
-    });
+    setup = setup.with_routing(
+        RoutingKind::from_spec_name(&routing)
+            .ok_or_else(|| format!("unknown routing `{routing}`"))?,
+    );
     setup = setup.with_smart(smart);
     if let Some(s) = seed {
         setup = setup.with_seed(s);
     }
-    let pattern = match pattern.as_str() {
-        "rnd" => TrafficPattern::Random,
-        "shf" => TrafficPattern::BitShuffle,
-        "rev" => TrafficPattern::BitReversal,
-        "adv1" => TrafficPattern::Adversarial1,
-        "adv2" => TrafficPattern::Adversarial2,
-        "asym" => TrafficPattern::Asymmetric,
-        "trn" => TrafficPattern::Transpose,
-        other => return Err(format!("unknown pattern `{other}`")),
-    };
-    let tech = match tech.as_str() {
-        "45" => TechNode::N45,
-        "22" => TechNode::N22,
-        "11" => TechNode::N11,
-        other => return Err(format!("unknown tech node `{other}`")),
-    };
+    let pattern = TrafficPattern::from_short_name(&pattern.to_uppercase())
+        .ok_or_else(|| format!("unknown pattern `{pattern}`"))?;
+    let tech = TechNode::from_name(&tech).ok_or_else(|| format!("unknown tech node `{tech}`"))?;
     Ok(Options {
         setup,
         pattern,
@@ -331,25 +322,59 @@ fn cmd_list() {
     t.print(false);
 }
 
+fn cmd_repro(args: &[String]) -> Result<(), String> {
+    let (name, flags) = args
+        .split_first()
+        .ok_or("repro needs a figure name (see `snoc repro --list`)")?;
+    if name == "--list" {
+        let names = figures::REGISTRY.iter().map(|f| f.name.len());
+        let width = names.max().unwrap_or(0);
+        for figure in figures::REGISTRY {
+            println!("{:<width$}  {}", figure.name, figure.about);
+        }
+        return Ok(());
+    }
+    let figure = figures::find(name)
+        .ok_or_else(|| format!("unknown figure `{name}` (see `snoc repro --list`)"))?;
+    let args = Args::parse_from(flags.iter().cloned())?;
+    let run = (figure.run)(&args, &mut std::io::stdout().lock());
+    if let Err(msg) = run {
+        // Not a usage error: the figure ran and failed (a diverged
+        // `verify` case, a closed stdout).
+        eprintln!("snoc repro {name}: {msg}");
+        std::process::exit(1);
+    }
+    Ok(())
+}
+
+fn cmd_run(args: &[String]) -> Result<(), String> {
+    let mut spec_path: Option<String> = None;
+    let mut flags = Vec::new();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--spec" => spec_path = Some(value(&mut it, flag)?),
+            _ => flags.push(flag.clone()),
+        }
+    }
+    let path = spec_path.ok_or("run needs --spec <file>")?;
+    let args = Args::parse_from(flags.into_iter())?;
+    let stats = snoc_bench::run_spec(&path, &args, &mut std::io::stdout().lock())?;
+    eprintln!("{stats}");
+    Ok(())
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut addr = String::from("127.0.0.1:7077");
     let mut cache_dir: Option<String> = None;
     let mut threads = 0usize;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
+        let it = &mut it;
         match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--cache-dir" => cache_dir = Some(value("--cache-dir")?),
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
+            "--addr" => addr = value(it, flag)?,
+            "--cache-dir" => cache_dir = Some(value(it, flag)?),
+            "--threads" => threads = number(it, flag)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -370,14 +395,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     let mut spec_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("flag {name} needs a value"))
-        };
         match flag.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--spec" => spec_path = Some(value("--spec")?),
+            "--addr" => addr = value(&mut it, flag)?,
+            "--spec" => spec_path = Some(value(&mut it, flag)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
     }

@@ -1,6 +1,6 @@
 //! Smoke tests of the reproduction pipeline itself: miniature versions
 //! of each figure's computation, asserting the shape the corresponding
-//! `repro_*` binary reports at full scale. These guard the experiment
+//! `snoc repro` figure reports at full scale. These guard the experiment
 //! harness (not just the library) against regressions.
 
 use slim_noc::core::{BufferPreset, Series, Setup, TextTable};

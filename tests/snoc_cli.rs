@@ -1,0 +1,101 @@
+//! Drives the real `snoc` executable through the commands that replaced
+//! the per-figure binaries: `repro --list`, `repro <name>`, and
+//! `run --spec`, plus their usage-error exit code.
+
+use snoc_bench::figures::REGISTRY;
+use std::process::{Command, Output};
+
+fn snoc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_snoc"))
+        .args(args)
+        .output()
+        .expect("spawn snoc")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8(out.stdout.clone()).expect("UTF-8 stdout")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn repro_list_lists_exactly_the_registry() {
+    let out = snoc(&["repro", "--list"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let listed: Vec<String> = stdout(&out)
+        .lines()
+        .map(|l| {
+            l.split_whitespace()
+                .next()
+                .expect("name column")
+                .to_string()
+        })
+        .collect();
+    let registry: Vec<&str> = REGISTRY.iter().map(|f| f.name).collect();
+    assert_eq!(listed, registry);
+}
+
+#[test]
+fn repro_runs_a_figure_and_prints_csv() {
+    let out = snoc(&["repro", "fig1", "--smoke", "--csv"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let csv = stdout(&out);
+    assert!(csv.starts_with("# Fig 1a"), "got: {csv}");
+    assert!(csv.lines().any(|l| l.starts_with("load,")), "got: {csv}");
+}
+
+#[test]
+fn run_spec_replays_byte_identically_from_a_shared_cache() {
+    let dir = std::env::temp_dir().join(format!("snoc_cli_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_quick.json");
+    let args = [
+        "run",
+        "--spec",
+        spec,
+        "--smoke",
+        "--cache-dir",
+        dir.to_str().expect("utf-8"),
+    ];
+    let cold = snoc(&args);
+    assert!(cold.status.success(), "{}", stderr(&cold));
+    assert!(stdout(&cold).contains("\"points\""));
+    assert!(
+        stderr(&cold).contains("snoc-cache-stats: hits=0 "),
+        "cold run simulates every point: {}",
+        stderr(&cold)
+    );
+    let warm = snoc(&args);
+    assert!(warm.status.success(), "{}", stderr(&warm));
+    assert_eq!(warm.stdout, cold.stdout, "warm replay is byte-identical");
+    let stats = stderr(&warm);
+    assert!(
+        stats.contains("snoc-cache-stats: hits=") && stats.contains(" misses=0 "),
+        "warm run replays every point: {stats}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn usage_errors_exit_2() {
+    for args in [
+        &["repro", "fig2"][..],
+        &["repro"],
+        &["repro", "fig1", "--spec", "x"],
+        &["run"],
+        &["run", "--spec", "/nonexistent/spec.json"],
+        &["sim", "--pattern", "nope"],
+        &["sim", "--buffers", "cbrX"],
+    ] {
+        let out = snoc(args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "snoc {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(stderr(&out).starts_with("error: "), "snoc {args:?}");
+    }
+}
