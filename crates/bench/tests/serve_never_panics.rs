@@ -59,6 +59,15 @@ fn exchange(bytes: &[u8]) -> Option<Vec<u8>> {
     }
 }
 
+/// `body` as a `POST /campaign` request.
+fn submission(body: &str) -> Vec<u8> {
+    format!(
+        "POST /campaign HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
 /// A valid submission small enough that any byte-flipped variant that
 /// still parses simulates in milliseconds (flips cannot add digits).
 fn valid_request() -> Vec<u8> {
@@ -68,12 +77,7 @@ fn valid_request() -> Vec<u8> {
     spec.loads = vec![0.01];
     spec.warmup = 10;
     spec.measure = 20;
-    let body = spec.to_json();
-    format!(
-        "POST /campaign HTTP/1.1\r\nHost: fuzz\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .into_bytes()
+    submission(&spec.to_json())
 }
 
 fn assert_alive_and_calm() -> Result<(), TestCaseError> {
@@ -123,4 +127,24 @@ fn the_unmutated_submission_is_served() {
     let text = String::from_utf8_lossy(&reply);
     assert!(text.starts_with("HTTP/1.1 200"), "{text}");
     assert!(text.contains("\"event\": \"done\""), "{text}");
+}
+
+/// Specs the parser accepts but no simulator can run (`tests/specs/`)
+/// are refused before the `200 OK` header goes out; a handler that
+/// found out at the first point would panic with the stream open.
+#[test]
+fn well_formed_specs_that_cannot_run_are_refused_with_400() {
+    for name in ["duplicate_name", "cbr0", "faults_ugal", "phantom_router"] {
+        let path = format!(
+            "{}/../../tests/specs/unrunnable_{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let body = std::fs::read_to_string(&path).expect("fixture exists");
+        CampaignSpec::from_json(&body).expect("fixture is well-formed");
+        let reply = exchange(&submission(&body)).expect("answered");
+        let text = String::from_utf8_lossy(&reply);
+        assert!(text.starts_with("HTTP/1.1 400"), "{name}: {text}");
+        assert!(text.contains("{\"error\": "), "{name}: {text}");
+        assert_alive_and_calm().unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
 }

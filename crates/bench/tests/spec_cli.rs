@@ -131,6 +131,22 @@ fn invalid_specs_fail_with_a_diagnostic() {
         "diagnostic names the problem: {err}"
     );
 
+    // Well-formed specs no simulator can run fail here too, before the
+    // first point, instead of panicking inside it.
+    for (name, what) in [
+        ("duplicate_name", "duplicate name `sn54`"),
+        ("cbr0", "central buffer must hold at least one packet"),
+        ("faults_ugal", "fault injection requires minimal routing"),
+        ("phantom_router", "router 9999 out of range"),
+    ] {
+        let path = format!(
+            "{}/../../tests/specs/unrunnable_{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let err = run(&path, &Args::default()).expect_err(name);
+        assert!(err.contains(what), "diagnostic names the problem: {err}");
+    }
+
     let missing = dir.join("nope.json");
     let err = run(missing.to_str().expect("utf-8"), &Args::default()).expect_err("missing file");
     assert!(

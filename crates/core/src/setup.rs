@@ -264,6 +264,24 @@ impl Setup {
         self
     }
 
+    /// Runs every check [`Setup::simulator`] can fail on — the simulator
+    /// configuration's consistency, and the fault recipe against this
+    /// topology and the supported envelope — without building a routing
+    /// table, so a campaign can refuse a setup before running a point.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SetupError::Sim`], as [`Setup::simulator`] would.
+    pub fn validate(&self) -> Result<(), SetupError> {
+        self.sim.validate()?;
+        if let Some(faults) = &self.faults {
+            faults
+                .resolve(&self.topology)
+                .check_against(&self.topology, &self.sim)?;
+        }
+        Ok(())
+    }
+
     /// Builds the simulator for this setup, with the fault recipe (if
     /// any) resolved against the topology and scheduled.
     ///
@@ -553,6 +571,29 @@ mod tests {
         }
         assert_eq!(base.effective_shards(1_000), 18, "clamped like the builder");
         assert_eq!(base.with_faults(storm).effective_shards(4), 1);
+    }
+
+    #[test]
+    fn validate_fails_exactly_where_the_simulator_refuses_to_build() {
+        let base = Setup::paper("sn54").unwrap();
+        let recipe = |text| FaultsSpec::from_json_value(&crate::json::parse(text).unwrap()).ok();
+        let faults = [
+            None,
+            recipe(r#"{"storm": {"links": 2, "start": 10, "window": 10, "seed": 1}}"#),
+            recipe(r#"{"events": [{"at": 5, "kind": "router_down", "router": 9999}]}"#),
+        ];
+        for buffers in ["eb-small", "eb-var", "el-links", "cbr20", "cbr0"] {
+            let buffers = BufferPreset::from_spec_name(buffers).unwrap();
+            for routing in [RoutingKind::Minimal, RoutingKind::UgalL] {
+                for faults in &faults {
+                    let mut s = base.clone().with_buffers(buffers).with_routing(routing);
+                    s.faults.clone_from(faults);
+                    let built = s.simulator().map(drop).map_err(|e| e.to_string());
+                    let checked = s.validate().map_err(|e| e.to_string());
+                    assert_eq!(checked, built, "{buffers} {routing:?} {faults:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -47,8 +47,11 @@ use std::fmt::Write as _;
 pub enum SpecError {
     /// Malformed JSON or a missing/ill-typed field.
     Parse(String),
-    /// A setup recipe failed to build (unknown config name, …).
+    /// A setup recipe failed to build or validate (unknown config
+    /// name, undersized buffer, fault recipe outside the envelope, …).
     Setup(SetupError),
+    /// Two setups share this name; curves are keyed by setup name.
+    DuplicateSetup(String),
     /// A campaign contains a setup with no serializable recipe.
     Unrepresentable(String),
     /// The spec's cache directory could not be opened.
@@ -60,6 +63,11 @@ impl fmt::Display for SpecError {
         match self {
             SpecError::Parse(msg) => write!(f, "spec parse: {msg}"),
             SpecError::Setup(e) => write!(f, "spec setup: {e}"),
+            SpecError::DuplicateSetup(name) => write!(
+                f,
+                "spec setup: duplicate name `{name}` — curves are keyed by \
+                 name, give each variant its own `name`"
+            ),
             SpecError::Unrepresentable(name) => write!(
                 f,
                 "setup `{name}` was built from a custom topology and has no \
@@ -553,14 +561,20 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] when a setup recipe fails to build or the
-    /// cache directory cannot be opened.
+    /// Returns [`SpecError`] when a setup recipe fails to build or to
+    /// [validate](Setup::validate), two setups share a name (curves
+    /// are keyed by name), or the cache directory cannot be opened —
+    /// everything that would otherwise panic once the campaign runs.
     pub fn from_spec(spec: &CampaignSpec) -> Result<Campaign, SpecError> {
-        let setups = spec
-            .setups
-            .iter()
-            .map(SetupSpec::build)
-            .collect::<Result<Vec<_>, _>>()?;
+        let mut setups = Vec::with_capacity(spec.setups.len());
+        for recipe in &spec.setups {
+            let setup = recipe.build()?;
+            setup.validate()?;
+            if setups.iter().any(|s: &Setup| s.name == setup.name) {
+                return Err(SpecError::DuplicateSetup(setup.name));
+            }
+            setups.push(setup);
+        }
         let mut campaign = Campaign::new(spec.name.clone())
             .with_setups(setups)
             .with_patterns(spec.patterns.clone())

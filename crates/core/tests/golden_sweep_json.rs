@@ -1,6 +1,6 @@
 //! Golden-file test pinning the `slim_noc-sweep-v1` JSON schema.
 //!
-//! Downstream consumers (`bench_compare`, plotting scripts) index this
+//! Downstream consumers (plotting scripts, CI artifacts) index this
 //! output by field name and rely on its ordering and units. The v2
 //! power-aware schema is defined as a strict superset of v1, so this
 //! test is the contract that v2 — or any later change — never breaks
@@ -170,8 +170,8 @@ fn dropped_packets_column_appears_only_on_degraded_points() {
 
 #[test]
 fn sweep_v2_json_matches_golden_file() {
-    // v2 is pinned byte-for-byte just like v1: `bench_compare`, the CI
-    // energy-figure artifact, and plotting scripts consume it. Bump to
+    // v2 is pinned byte-for-byte just like v1: the CI energy-figure
+    // artifact and plotting scripts consume it. Bump to
     // v3 instead of mutating this schema. To record an intentional
     // schema bump, run with `UPDATE_GOLDEN=1` and commit the diff.
     let got = fixed_result_v2().to_json();

@@ -13,6 +13,7 @@
 //! reference simulator consume the same schedule, which is what lets
 //! the differential harness validate degraded-mode behavior.
 
+use crate::config::{LinkMode, RouterArch, RoutingKind, SimConfig, SimError};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -158,6 +159,38 @@ impl FaultPlan {
                     }
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Everything [`Simulator::set_fault_plan`](crate::Simulator::set_fault_plan)
+    /// requires of a plan, checkable before a simulator exists: the
+    /// plan names only hardware `topo` has ([`FaultPlan::validate`]),
+    /// and a non-empty plan runs on the edge-buffer + credited-link +
+    /// minimal-routing envelope.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] naming the first violation.
+    pub fn check_against(&self, topo: &Topology, cfg: &SimConfig) -> Result<(), SimError> {
+        self.validate(topo)
+            .map_err(|reason| SimError::InvalidConfig { reason })?;
+        if self.is_empty() {
+            return Ok(());
+        }
+        let unsupported = |what: &str| {
+            Err(SimError::InvalidConfig {
+                reason: format!("fault injection requires {what}"),
+            })
+        };
+        if !matches!(cfg.router_arch, RouterArch::EdgeBuffer) {
+            return unsupported("edge-buffer routers");
+        }
+        if cfg.link_mode != LinkMode::Credited {
+            return unsupported("credited links");
+        }
+        if cfg.routing != RoutingKind::Minimal {
+            return unsupported("minimal routing");
         }
         Ok(())
     }

@@ -344,22 +344,7 @@ impl Simulator {
     /// hardware the topology does not have or the configuration is
     /// outside the supported envelope.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
-        plan.validate(&self.topo)
-            .map_err(|reason| SimError::InvalidConfig { reason })?;
-        if !plan.is_empty() {
-            let unsupported = |what: &str| SimError::InvalidConfig {
-                reason: format!("fault injection requires {what}"),
-            };
-            if !matches!(self.cfg.router_arch, RouterArch::EdgeBuffer) {
-                return Err(unsupported("edge-buffer routers"));
-            }
-            if self.cfg.link_mode != LinkMode::Credited {
-                return Err(unsupported("credited links"));
-            }
-            if self.cfg.routing != RoutingKind::Minimal {
-                return Err(unsupported("minimal routing"));
-            }
-        }
+        plan.check_against(&self.topo, &self.cfg)?;
         self.faults = plan.events().to_vec();
         self.next_fault = 0;
         Ok(())

@@ -99,3 +99,18 @@ fn usage_errors_exit_2() {
         assert!(stderr(&out).starts_with("error: "), "snoc {args:?}");
     }
 }
+
+#[test]
+fn specs_no_simulator_can_run_exit_2_without_panicking() {
+    for name in ["duplicate_name", "cbr0", "faults_ugal", "phantom_router"] {
+        let spec = format!(
+            "{}/tests/specs/unrunnable_{name}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let out = snoc(&["run", "--spec", &spec]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(err.starts_with("error: "), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+    }
+}
