@@ -14,7 +14,7 @@
 //! Everything here is deterministic: storms are seeded, per-point seeds
 //! are spec-derived, and results are identical across thread counts.
 
-use crate::Args;
+use crate::{figure_campaign, Args};
 use snoc_core::{Campaign, CampaignResult, FaultsSpec, Setup, StormSpec};
 use snoc_traffic::TrafficPattern;
 
@@ -111,14 +111,9 @@ fn storm_campaign_at(name: &str, load: f64, args: &Args) -> Campaign {
             setups.push(setup);
         }
     }
-    args.configure(
-        Campaign::new(name)
-            .with_setups(setups)
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_loads(vec![load])
-            .with_windows(warmup, args.measure())
-            .with_stop_at_saturation(false),
-    )
+    figure_campaign(name, setups, vec![TrafficPattern::Random], args)
+        .with_loads(vec![load])
+        .with_stop_at_saturation(false)
 }
 
 /// One cell of the retention figure.

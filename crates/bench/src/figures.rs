@@ -11,7 +11,7 @@ mod studies;
 mod verify;
 
 use crate::fault_storm::{retention_rows, storm_campaign, LOAD};
-use crate::{energy_campaign, figure_campaign, io_err, latency_curves, load_grid, Args};
+use crate::{energy_campaign, figure_campaign, io_err, latency_curves, Args};
 use snoc_core::{
     format_float, parallel_map, BufferPreset, CampaignResult, Series, Setup, TextTable,
 };
@@ -33,8 +33,7 @@ pub struct Figure {
     pub about: &'static str,
     /// Runs the figure under the shared flags, writing its report to
     /// the writer. `Err` carries a diagnostic for a failed write or —
-    /// for the self-checking entries (`verify`, `shard_scale`) — a
-    /// detected divergence.
+    /// for the self-checking `verify` entry — a detected divergence.
     pub run: fn(&Args, &mut dyn Write) -> Result<(), String>,
 }
 
@@ -213,11 +212,6 @@ pub const REGISTRY: &[Figure] = &[
         name: "verify",
         about: "differential verification against the reference simulator",
         run: verify::verify,
-    },
-    Figure {
-        name: "shard_scale",
-        about: "sharded engine vs monolithic, one row per shard count",
-        run: studies::shard_scale,
     },
 ];
 
@@ -857,9 +851,7 @@ fn fig18(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             .iter()
             .map(|s| {
                 let report = s.run_trace_workload(&w, args.trace_cycles());
-                s.power_model(TechNode::N45)
-                    .evaluate(&s.topology, &s.layout, s.buffer_flits_per_router(), &report)
-                    .energy_delay()
+                s.power_report(TechNode::N45, &report).energy_delay()
             })
             .collect();
         (w.name, values)
@@ -926,33 +918,25 @@ fn fig19(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// with MIN / UGAL-L / UGAL-G vs. FBF with MIN / UGAL-L / XY-adaptive,
 /// under uniform random and the asymmetric pattern of §6.
 fn fig20(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let setups = || -> Vec<(&str, Setup)> {
-        let on = |config: &str, routing| {
-            Setup::paper(config)
-                .expect("paper config")
-                .with_routing(routing)
-        };
-        vec![
-            ("SN_MIN", on("sn_s", RoutingKind::Minimal)),
-            ("SN_UGAL-L", on("sn_s", RoutingKind::UgalL)),
-            ("SN_UGAL-G", on("sn_s", RoutingKind::UgalG)),
-            ("FBF_MIN", on("fbf4", RoutingKind::Minimal)),
-            ("FBF_UGAL-L", on("fbf4", RoutingKind::UgalL)),
-            ("FBF_XY-ADAPT", on("fbf4", RoutingKind::XyAdaptive)),
-        ]
-    };
+    let setups: Vec<Setup> = [
+        ("SN_MIN", "sn_s", RoutingKind::Minimal),
+        ("SN_UGAL-L", "sn_s", RoutingKind::UgalL),
+        ("SN_UGAL-G", "sn_s", RoutingKind::UgalG),
+        ("FBF_MIN", "fbf4", RoutingKind::Minimal),
+        ("FBF_UGAL-L", "fbf4", RoutingKind::UgalL),
+        ("FBF_XY-ADAPT", "fbf4", RoutingKind::XyAdaptive),
+    ]
+    .into_iter()
+    .map(|(name, config, routing)| {
+        let mut s = Setup::paper(config)
+            .expect("paper config")
+            .with_routing(routing);
+        s.name = name.to_string();
+        s
+    })
+    .collect();
     for pattern in [TrafficPattern::Random, TrafficPattern::Asymmetric] {
-        let curves = parallel_map(setups(), |(name, setup)| {
-            let mut series = Series::new(name);
-            for p in setup.latency_load_curve(pattern, &load_grid(), args.warmup(), args.measure())
-            {
-                if p.saturated {
-                    break;
-                }
-                series.push(p.load, p.latency);
-            }
-            series
-        });
+        let curves = latency_curves(&setups, pattern, args);
         let title = format!("Fig 20 ({pattern}): adaptive routing, N=200, input-queued routers");
         emit(&Series::tabulate(title, "load", &curves), args, out)?;
     }

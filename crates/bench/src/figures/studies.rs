@@ -1,17 +1,15 @@
-//! The extension studies of the registry: ablation, static resilience,
-//! the §5.5 sensitivity summary, and the shard-scaling study.
+//! The extension studies of the registry: ablation, static resilience
+//! and the §5.5 sensitivity summary.
 
 use super::{emit, sn_s_with_layout};
 use crate::{io_err, Args};
 use snoc_core::{format_float, BufferPreset, Setup, TextTable};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
-use snoc_sim::{ShardedSimulator, SimConfig};
 use snoc_topology::Topology;
 use snoc_traffic::TrafficPattern;
 use std::fmt::Write as _;
 use std::io::Write;
-use std::time::Instant;
 
 /// Average packet latency of `setup` under uniform random traffic.
 fn rnd_latency(setup: &Setup, load: f64, args: &Args) -> f64 {
@@ -371,146 +369,4 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         ]);
     }
     emit(&table, args, out)
-}
-
-/// One measured shard-count row.
-struct Row {
-    shards: usize,
-    build_ms: f64,
-    run_ms: f64,
-    delivered: u64,
-    latency: f64,
-    identical: bool,
-}
-
-/// Shard-scaling study: the sharded parallel engine
-/// (`snoc_sim::ShardedSimulator`) against the monolithic simulator on a
-/// single Slim NoC instance, one row per shard count.
-///
-/// Each row reports construction time, simulation wall-clock, the
-/// speedup over the single-shard row, and whether the report is
-/// byte-identical to the single-shard run (minimal routing is the
-/// exact-determinism tier, so it must be). The full run uses the
-/// paper-scale `slim_noc(47, 24)` instance — 4418 routers, 106 032
-/// endpoints — which is the workload the sharded engine exists for;
-/// `--quick` drops to the 1296-endpoint class and `--smoke` to the
-/// 54-endpoint pipeline check.
-///
-/// Wall-clock speedups only mean something on an otherwise idle
-/// multi-core machine; on a loaded or single-core host the table still
-/// verifies determinism, and the ratios just document the overhead.
-///
-/// Minimal routing is the exact tier, so a shard count whose report
-/// diverges from the single-shard run is returned as `Err`.
-pub(super) fn shard_scale(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    // Instance sizes: --smoke proves the pipeline end-to-end, --quick
-    // is a seconds-scale study, and the full run is the >=100k-endpoint
-    // instance the engine was built for. Full windows on 106k endpoints
-    // would take hours single-threaded; the scaling signal saturates
-    // long before that, so the full tier uses trimmed windows.
-    let (q, p, rate, warmup, measure) = if args.smoke {
-        (3, 3, 0.05, args.warmup(), args.measure())
-    } else if args.quick {
-        (9, 8, 0.05, args.warmup(), args.measure())
-    } else {
-        (47, 24, 0.02, 500, 2_500)
-    };
-    let topo = Topology::slim_noc(q, p).expect("valid Slim NoC parameters");
-    // An explicit --shards N studies just {1, N}; otherwise sweep the
-    // standard ladder.
-    let shard_counts: Vec<usize> = match args.shards {
-        0 if args.smoke => vec![1, 2, 4],
-        0 => vec![1, 2, 4, 8],
-        1 => vec![1],
-        n => vec![1, n],
-    };
-    let cfg = SimConfig::default().with_seed(0xBEEF);
-
-    let mut rows: Vec<Row> = Vec::new();
-    let mut baseline_json: Option<String> = None;
-    for &shards in &shard_counts {
-        let t = Instant::now();
-        let mut sim = ShardedSimulator::build(&topo, &cfg, shards).expect("engine builds");
-        let build_ms = t.elapsed().as_secs_f64() * 1e3;
-        let t = Instant::now();
-        let report = sim.run_synthetic(TrafficPattern::Random, rate, warmup, measure);
-        let run_ms = t.elapsed().as_secs_f64() * 1e3;
-        let json = report.to_json();
-        let identical = match &baseline_json {
-            None => {
-                baseline_json = Some(json);
-                true
-            }
-            Some(base) => *base == json,
-        };
-        rows.push(Row {
-            shards: sim.shard_count(),
-            build_ms,
-            run_ms,
-            delivered: report.delivered_packets,
-            latency: report.avg_packet_latency(),
-            identical,
-        });
-    }
-
-    let base_run_ms = rows[0].run_ms;
-    if args.json {
-        writeln!(out, "[").map_err(io_err)?;
-        for (i, r) in rows.iter().enumerate() {
-            writeln!(
-                out,
-                "  {{\"shards\": {}, \"build_ms\": {}, \"run_ms\": {}, \
-                 \"speedup\": {}, \"delivered\": {}, \"identical\": {}}}{}",
-                r.shards,
-                format_float(r.build_ms, 1),
-                format_float(r.run_ms, 1),
-                format_float(base_run_ms / r.run_ms.max(1e-9), 2),
-                r.delivered,
-                r.identical,
-                if i + 1 < rows.len() { "," } else { "" }
-            )
-            .map_err(io_err)?;
-        }
-        writeln!(out, "]").map_err(io_err)?;
-    } else {
-        let mut table = TextTable::new(
-            format!(
-                "Shard scaling: {} ({} endpoints), RND load {rate}, \
-                 warmup {warmup} + measure {measure} cycles",
-                topo.name(),
-                topo.node_count(),
-            ),
-            &[
-                "shards",
-                "build[ms]",
-                "run[ms]",
-                "speedup",
-                "delivered",
-                "latency",
-                "identical",
-            ],
-        );
-        for r in &rows {
-            table.push_row(vec![
-                r.shards.to_string(),
-                format_float(r.build_ms, 1),
-                format_float(r.run_ms, 1),
-                format!("{:.2}x", base_run_ms / r.run_ms.max(1e-9)),
-                r.delivered.to_string(),
-                format_float(r.latency, 1),
-                if r.identical { "yes" } else { "NO" }.to_string(),
-            ]);
-        }
-        emit(&table, args, out)?;
-    }
-
-    // Minimal routing is the exact tier: any shard count must reproduce
-    // the single-shard report byte for byte.
-    match rows.iter().find(|r| !r.identical) {
-        Some(bad) => Err(format!(
-            "{}-shard report diverged from the single-shard run",
-            bad.shards
-        )),
-        None => Ok(()),
-    }
 }

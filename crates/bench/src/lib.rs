@@ -270,15 +270,10 @@ pub fn energy_load_grid() -> Vec<f64> {
 /// setup evaluated at every load).
 #[must_use]
 pub fn energy_campaign(name: &str, setups: Vec<Setup>, args: &Args) -> Campaign {
-    args.configure(
-        Campaign::new(name)
-            .with_setups(setups)
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_loads(energy_load_grid())
-            .with_windows(args.warmup(), args.measure())
-            .with_power(TechNode::N45)
-            .with_stop_at_saturation(false),
-    )
+    figure_campaign(name, setups, vec![TrafficPattern::Random], args)
+        .with_loads(energy_load_grid())
+        .with_power(TechNode::N45)
+        .with_stop_at_saturation(false)
 }
 
 #[cfg(test)]

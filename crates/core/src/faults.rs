@@ -120,37 +120,32 @@ impl FaultsSpec {
     /// Returns a description of the first missing or ill-typed field,
     /// or of a recipe that schedules nothing at all.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, String> {
-        let storm = match v.get("storm") {
-            None | Some(JsonValue::Null) => None,
+        let storm = match v.field("storm", "an object", Some)? {
+            None => None,
             Some(s) => {
-                let field = |name: &str| -> Result<u64, String> {
-                    s.get(name)
-                        .and_then(JsonValue::as_u64)
-                        .ok_or_else(|| format!("faults storm missing u64 `{name}`"))
+                let cycles = |key| {
+                    s.field(key, "a u64", JsonValue::as_u64)?
+                        .ok_or_else(|| format!("storm missing `{key}`"))
                 };
                 Some(StormSpec {
                     links: s
-                        .get("links")
-                        .and_then(JsonValue::as_usize)
-                        .ok_or("faults storm missing usize `links`")?,
-                    start: field("start")?,
-                    window: field("window")?,
-                    seed: field("seed")?,
+                        .field("links", "a usize", JsonValue::as_usize)?
+                        .ok_or("storm missing `links`")?,
+                    start: cycles("start")?,
+                    window: cycles("window")?,
+                    seed: cycles("seed")?,
                 })
             }
         };
-        let events = match v.get("events") {
-            None => Vec::new(),
-            Some(e) => e
-                .as_arr()
-                .ok_or("faults `events` must be an array")?
-                .iter()
-                .map(parse_event)
-                .collect::<Result<Vec<_>, _>>()?,
-        };
+        let events = v
+            .field("events", "an array", JsonValue::as_arr)?
+            .unwrap_or_default()
+            .iter()
+            .map(parse_event)
+            .collect::<Result<Vec<_>, _>>()?;
         let spec = FaultsSpec { events, storm };
         if spec.is_empty() {
-            return Err("faults recipe schedules nothing (need `storm` and/or `events`)".into());
+            return Err("recipe schedules nothing (need `storm` and/or `events`)".into());
         }
         Ok(spec)
     }
@@ -158,34 +153,31 @@ impl FaultsSpec {
 
 fn parse_event(v: &JsonValue) -> Result<FaultEvent, String> {
     let cycle = v
-        .get("at")
-        .and_then(JsonValue::as_u64)
-        .ok_or("fault event missing u64 `at`")?;
+        .field("at", "a u64", JsonValue::as_u64)?
+        .ok_or("event missing `at`")?;
     let kind = v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or("fault event missing string `kind`")?;
-    let router_field = |name: &str| -> Result<RouterId, String> {
-        v.get(name)
-            .and_then(JsonValue::as_usize)
+        .field("kind", "a string", JsonValue::as_str)?
+        .ok_or("event missing `kind`")?;
+    let router = |key| {
+        v.field(key, "a router index", JsonValue::as_usize)?
             .map(RouterId)
-            .ok_or_else(|| format!("fault event `{kind}` missing router index `{name}`"))
+            .ok_or_else(|| format!("event `{kind}` missing `{key}`"))
     };
     let kind = match kind {
         "link_down" => FaultKind::LinkDown {
-            a: router_field("a")?,
-            b: router_field("b")?,
+            a: router("a")?,
+            b: router("b")?,
         },
         "link_up" => FaultKind::LinkUp {
-            a: router_field("a")?,
-            b: router_field("b")?,
+            a: router("a")?,
+            b: router("b")?,
         },
         "router_down" => FaultKind::RouterDown {
-            router: router_field("router")?,
+            router: router("router")?,
         },
         other => {
             return Err(format!(
-                "unknown fault kind `{other}` (link_down|link_up|router_down)"
+                "unknown event kind `{other}` (link_down|link_up|router_down)"
             ))
         }
     };

@@ -44,6 +44,28 @@ impl JsonValue {
         }
     }
 
+    /// Reads the optional object field `key` through `read` (an `as_*`
+    /// accessor, or a closure over one): absent or `null` is
+    /// `Ok(None)`, so callers pick between a default (`unwrap_or`) and
+    /// a missing-field error (`ok_or`).
+    ///
+    /// # Errors
+    ///
+    /// A value `read` refuses is `` "`key` must be <expected>" ``.
+    pub fn field<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &str,
+        read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(v) => read(v)
+                .map(Some)
+                .ok_or_else(|| format!("`{key}` must be {expected}")),
+        }
+    }
+
     /// The value as a string slice, if it is one.
     #[must_use]
     pub fn as_str(&self) -> Option<&str> {
@@ -326,6 +348,23 @@ mod tests {
         assert_eq!(parse("\"a b\"").unwrap().as_str(), Some("a b"));
         assert_eq!(parse("3.5").unwrap().as_f64(), Some(3.5));
         assert_eq!(parse("-2e3").unwrap().as_f64(), Some(-2000.0));
+    }
+
+    #[test]
+    fn field_reads_absent_and_null_as_none_and_names_the_ill_typed_key() {
+        let v = parse(r#"{"n": 7, "s": "x", "z": null}"#).unwrap();
+        assert_eq!(v.field("n", "a u64", JsonValue::as_u64), Ok(Some(7)));
+        assert_eq!(v.field("z", "a u64", JsonValue::as_u64), Ok(None));
+        assert_eq!(v.field("missing", "a u64", JsonValue::as_u64), Ok(None));
+        assert_eq!(
+            v.field("s", "a u64", JsonValue::as_u64),
+            Err("`s` must be a u64".to_string())
+        );
+        // Not an object: every field is absent.
+        assert_eq!(
+            parse("3").unwrap().field("n", "a u64", JsonValue::as_u64),
+            Ok(None)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::faults::FaultsSpec;
 use snoc_layout::{per_router_central_buffers, BufferModel, BufferSpec, Layout, SnLayout};
 use snoc_power::{PowerModel, TechNode};
 use snoc_sim::{
-    LatencyLoadPoint, LinkMode, RoutingKind, ShardedSimulator, SimConfig, SimError, SimReport,
+    BufferSizing, LinkMode, RoutingKind, ShardedSimulator, SimConfig, SimError, SimReport,
     Simulator,
 };
 use snoc_topology::{paper_config, Topology, TopologyError, TopologyKind};
@@ -209,24 +209,21 @@ impl Setup {
         self
     }
 
-    /// Applies a buffering preset.
+    /// Applies a buffering preset: the router architecture, edge-buffer
+    /// sizing and link mode it governs. Every other simulator parameter
+    /// keeps its value.
     #[must_use]
     pub fn with_buffers(mut self, preset: BufferPreset) -> Self {
-        let vcs = self.sim.vcs;
-        let smart = self.sim.smart_hops;
-        let routing = self.sim.routing;
-        let seed = self.sim.seed;
-        self.sim = match preset {
+        let governed = match preset {
             BufferPreset::EbSmall => SimConfig::eb_small(),
             BufferPreset::EbLarge => SimConfig::eb_large(),
             BufferPreset::EbVar => SimConfig::eb_var(),
             BufferPreset::ElLinks => SimConfig::elastic_links(),
             BufferPreset::Cbr(x) => SimConfig::cbr(x),
         };
-        self.sim.vcs = vcs;
-        self.sim.smart_hops = smart;
-        self.sim.routing = routing;
-        self.sim.seed = seed;
+        self.sim.router_arch = governed.router_arch;
+        self.sim.buffer_sizing = governed.buffer_sizing;
+        self.sim.link_mode = governed.link_mode;
         self.buffers = preset;
         self
     }
@@ -366,37 +363,6 @@ impl Setup {
             .run_synthetic(pattern, rate, warmup, measure)
     }
 
-    /// Sweeps a latency–load curve, stopping after the first saturated
-    /// point (as the paper's figures do: "we omit performance data for
-    /// points after network saturation").
-    pub fn latency_load_curve(
-        &self,
-        pattern: TrafficPattern,
-        loads: &[f64],
-        warmup: u64,
-        measure: u64,
-    ) -> Vec<LatencyLoadPoint> {
-        let mut points = Vec::new();
-        let mut zero_load = 0.0;
-        for &load in loads {
-            let report = self.run_load(pattern, load, warmup, measure);
-            if zero_load == 0.0 {
-                zero_load = report.avg_packet_latency();
-            }
-            let saturated = report.is_saturated(zero_load);
-            points.push(LatencyLoadPoint {
-                load,
-                latency: report.avg_packet_latency(),
-                throughput: report.throughput(),
-                saturated,
-            });
-            if saturated {
-                break;
-            }
-        }
-        points
-    }
-
     /// Estimates saturation throughput: the highest accepted throughput
     /// over a geometric load sweep.
     pub fn saturation_throughput(&self, pattern: TrafficPattern, warmup: u64, measure: u64) -> f64 {
@@ -424,24 +390,21 @@ impl Setup {
     /// buffer term for the power model (Eqs. 5–6).
     #[must_use]
     pub fn buffer_flits_per_router(&self) -> usize {
-        let spec = BufferSpec {
-            vcs: self.sim.vcs,
-            smart_hops: self.sim.smart_hops,
-        };
-        match self.buffers {
-            BufferPreset::EbVar => BufferModel::edge_buffers(&self.topology, &self.layout, spec)
-                .average_per_router()
-                .round() as usize,
-            BufferPreset::EbSmall | BufferPreset::EbLarge => {
-                let per_vc = if self.buffers == BufferPreset::EbSmall {
-                    5
-                } else {
-                    15
-                };
-                self.topology.network_radix() * self.sim.vcs * per_vc
+        let lanes = self.topology.network_radix() * self.sim.vcs;
+        match (self.buffers, self.sim.buffer_sizing) {
+            (BufferPreset::Cbr(x), _) => {
+                per_router_central_buffers(&self.topology, x, self.sim.vcs)
             }
-            BufferPreset::ElLinks => self.topology.network_radix() * self.sim.vcs,
-            BufferPreset::Cbr(x) => per_router_central_buffers(&self.topology, x, self.sim.vcs),
+            (_, BufferSizing::Fixed(per_vc)) => lanes * per_vc,
+            (_, BufferSizing::VariableRtt) => {
+                let spec = BufferSpec {
+                    vcs: self.sim.vcs,
+                    smart_hops: self.sim.smart_hops,
+                };
+                BufferModel::edge_buffers(&self.topology, &self.layout, spec)
+                    .average_per_router()
+                    .round() as usize
+            }
         }
     }
 
@@ -516,10 +479,54 @@ mod tests {
     }
 
     #[test]
+    fn buffer_presets_set_their_three_fields_and_keep_the_rest() {
+        let presets = [
+            (BufferPreset::EbSmall, SimConfig::eb_small()),
+            (BufferPreset::EbLarge, SimConfig::eb_large()),
+            (BufferPreset::EbVar, SimConfig::eb_var()),
+            (BufferPreset::ElLinks, SimConfig::elastic_links()),
+            (BufferPreset::Cbr(20), SimConfig::cbr(20)),
+        ];
+        let base = Setup::paper("sn54")
+            .unwrap()
+            .with_smart(true)
+            .with_routing(RoutingKind::UgalL)
+            .with_seed(7);
+        for (preset, config) in presets {
+            // On an untouched setup: the preset's SimConfig with the
+            // setup's own vcs / SMART / routing / seed.
+            let expected = SimConfig {
+                vcs: 4,
+                smart_hops: 9,
+                routing: RoutingKind::UgalL,
+                seed: 7,
+                ..config
+            };
+            // Applying one preset over another leaves no trace of the first.
+            let via_cbr = base.clone().with_buffers(BufferPreset::Cbr(40));
+            assert_eq!(via_cbr.with_buffers(preset).sim, expected, "{preset}");
+            // Parameters no preset governs survive it.
+            let mut tuned = base.clone();
+            tuned.sim.packet_flits = 4;
+            tuned.sim.injection_queue_flits = 32;
+            tuned.sim.output_buffer_flits = 2;
+            let expected = SimConfig {
+                packet_flits: 4,
+                injection_queue_flits: 32,
+                output_buffer_flits: 2,
+                ..expected
+            };
+            assert_eq!(tuned.with_buffers(preset).sim, expected, "{preset}");
+        }
+    }
+
+    #[test]
     fn buffer_flits_per_router_values() {
         let s = Setup::paper("sn54").unwrap();
         // EB-Small: k' * vcs * 5 = 5 * 2 * 5.
         assert_eq!(s.buffer_flits_per_router(), 50);
+        let large = s.clone().with_buffers(BufferPreset::EbLarge);
+        assert_eq!(large.buffer_flits_per_router(), 150);
         let cbr = s.clone().with_buffers(BufferPreset::Cbr(20));
         // Eq. 6 per router: 20 + 2 * 5 * 2 = 40.
         assert_eq!(cbr.buffer_flits_per_router(), 40);
@@ -597,10 +604,14 @@ mod tests {
     }
 
     #[test]
-    fn latency_load_curve_stops_at_saturation() {
-        let setup = Setup::paper("sn54").unwrap();
-        let loads = [0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0];
-        let curve = setup.latency_load_curve(TrafficPattern::Random, &loads, 300, 1_200);
+    fn campaign_curve_stops_at_saturation() {
+        let result = crate::Campaign::new("curve")
+            .with_setups(vec![Setup::paper("sn54").unwrap()])
+            .with_patterns(vec![TrafficPattern::Random])
+            .with_loads(vec![0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0])
+            .with_windows(300, 1_200)
+            .run();
+        let curve: Vec<_> = result.curve("sn54", "RND").collect();
         assert!(!curve.is_empty());
         // Monotone non-decreasing latency along the curve (tolerantly).
         for pair in curve.windows(2) {

@@ -190,73 +190,42 @@ impl SetupSpec {
     ///
     /// Returns [`SpecError::Parse`] on missing or ill-typed fields.
     pub fn from_json_value(v: &JsonValue) -> Result<Self, SpecError> {
+        Self::parse(v).map_err(|e| SpecError::Parse(format!("setup: {e}")))
+    }
+
+    fn parse(v: &JsonValue) -> Result<Self, String> {
         let config = v
-            .get("config")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| SpecError::Parse("setup missing string `config`".into()))?
-            .to_string();
-        let name = match v.get("name") {
-            None => config.clone(),
-            Some(n) => n
-                .as_str()
-                .ok_or_else(|| SpecError::Parse("setup `name` must be a string".into()))?
-                .to_string(),
-        };
-        let sn_layout = match v.get("layout") {
-            None | Some(JsonValue::Null) => None,
-            Some(l) => {
-                let raw = l
-                    .as_str()
-                    .ok_or_else(|| SpecError::Parse("setup `layout` must be a string".into()))?;
-                Some(SnLayout::from_spec_name(raw).ok_or_else(|| {
-                    SpecError::Parse(format!(
-                        "unknown layout `{raw}` (basic|subgr|gr|rand:<seed>)"
-                    ))
-                })?)
-            }
-        };
-        let smart = match v.get("smart") {
-            None => false,
-            Some(s) => s
-                .as_bool()
-                .ok_or_else(|| SpecError::Parse("setup `smart` must be a bool".into()))?,
-        };
-        let buffers = match v.get("buffers") {
-            None => BufferPreset::EbSmall,
-            Some(b) => {
-                let raw = b
-                    .as_str()
-                    .ok_or_else(|| SpecError::Parse("setup `buffers` must be a string".into()))?;
-                BufferPreset::from_spec_name(raw).ok_or_else(|| {
-                    SpecError::Parse(format!(
-                        "unknown buffers `{raw}` (eb-small|eb-large|eb-var|el-links|cbr<N>)"
-                    ))
-                })?
-            }
-        };
-        let routing = match v.get("routing") {
-            None => RoutingKind::Minimal,
-            Some(r) => {
-                let raw = r
-                    .as_str()
-                    .ok_or_else(|| SpecError::Parse("setup `routing` must be a string".into()))?;
-                RoutingKind::from_spec_name(raw).ok_or_else(|| {
-                    SpecError::Parse(format!("unknown routing `{raw}` (min|ugal-l|ugal-g|xy)"))
-                })?
-            }
-        };
-        let faults = match v.get("faults") {
-            None | Some(JsonValue::Null) => None,
-            Some(f) => Some(FaultsSpec::from_json_value(f).map_err(SpecError::Parse)?),
-        };
+            .field("config", "a string", JsonValue::as_str)?
+            .ok_or("missing `config`")?;
         Ok(SetupSpec {
-            config,
-            name,
-            sn_layout,
-            smart,
-            buffers,
-            routing,
-            faults,
+            config: config.to_string(),
+            name: v
+                .field("name", "a string", JsonValue::as_str)?
+                .unwrap_or(config)
+                .to_string(),
+            sn_layout: v.field("layout", "basic|subgr|gr|rand:<seed>", |raw| {
+                SnLayout::from_spec_name(raw.as_str()?)
+            })?,
+            smart: v
+                .field("smart", "a bool", JsonValue::as_bool)?
+                .unwrap_or(false),
+            buffers: v
+                .field(
+                    "buffers",
+                    "eb-small|eb-large|eb-var|el-links|cbr<N>",
+                    |raw| BufferPreset::from_spec_name(raw.as_str()?),
+                )?
+                .unwrap_or(BufferPreset::EbSmall),
+            routing: v
+                .field("routing", "min|ugal-l|ugal-g|xy", |raw| {
+                    RoutingKind::from_spec_name(raw.as_str()?)
+                })?
+                .unwrap_or(RoutingKind::Minimal),
+            faults: v
+                .field("faults", "an object", Some)?
+                .map(FaultsSpec::from_json_value)
+                .transpose()
+                .map_err(|e| format!("faults: {e}"))?,
         })
     }
 }
@@ -326,21 +295,7 @@ impl CampaignSpec {
     /// [`Campaign::new`](crate::Campaign::new).
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        CampaignSpec {
-            name: name.into(),
-            setups: Vec::new(),
-            patterns: Vec::new(),
-            loads: Vec::new(),
-            warmup: 2_000,
-            measure: 10_000,
-            base_seed: 0xC0FFEE,
-            refine_rounds: 0,
-            stop_at_saturation: true,
-            threads: 0,
-            shards: 1,
-            power_tech: None,
-            cache_dir: None,
-        }
+        Campaign::new(name).spec_over(Vec::new())
     }
 
     /// Serializes as `slim_noc-spec-v1` JSON (golden-pinned; field
@@ -412,137 +367,72 @@ impl CampaignSpec {
     /// or non-positive loads, unknown pattern/layout/buffer/routing
     /// names).
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        let root = json::parse(text).map_err(SpecError::Parse)?;
+        json::parse(text)
+            .and_then(|root| Self::parse(&root))
+            .map_err(SpecError::Parse)
+    }
+
+    fn parse(root: &JsonValue) -> Result<Self, String> {
         let schema = root
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| SpecError::Parse("missing string `schema`".into()))?;
+            .field("schema", "a string", JsonValue::as_str)?
+            .ok_or("missing `schema`")?;
         if schema != "slim_noc-spec-v1" {
-            return Err(SpecError::Parse(format!(
+            return Err(format!(
                 "unsupported schema `{schema}` (expected slim_noc-spec-v1)"
-            )));
+            ));
         }
-        let name = root
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| SpecError::Parse("missing string `name`".into()))?
-            .to_string();
-        let setups = root
-            .get("setups")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| SpecError::Parse("missing array `setups`".into()))?
-            .iter()
-            .map(SetupSpec::from_json_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        let patterns = root
-            .get("patterns")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| SpecError::Parse("missing array `patterns`".into()))?
-            .iter()
-            .map(|p| {
-                let raw = p
-                    .as_str()
-                    .ok_or_else(|| SpecError::Parse("patterns must be strings".into()))?;
-                TrafficPattern::from_short_name(raw).ok_or_else(|| {
-                    SpecError::Parse(format!(
-                        "unknown pattern `{raw}` (RND|SHF|REV|ADV1|ADV2|ASYM|TRN)"
-                    ))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let loads = root
-            .get("loads")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| SpecError::Parse("missing array `loads`".into()))?
-            .iter()
-            .map(|l| {
-                let x = l
-                    .as_f64()
-                    .ok_or_else(|| SpecError::Parse("loads must be numbers".into()))?;
-                if x.is_finite() && x > 0.0 {
-                    Ok(x)
-                } else {
-                    Err(SpecError::Parse(format!(
-                        "load {x} must be finite and positive"
-                    )))
-                }
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let array = |key| {
+            root.field(key, "an array", JsonValue::as_arr)?
+                .ok_or_else(|| format!("missing `{key}`"))
+        };
+        let usize_field = |key| root.field(key, "a usize", JsonValue::as_usize);
+        let u64_field = |key| root.field(key, "a u64", JsonValue::as_u64);
         let defaults = CampaignSpec::new("");
-        let u64_field = |field: &str, default: u64| -> Result<u64, SpecError> {
-            match root.get(field) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_u64()
-                    .ok_or_else(|| SpecError::Parse(format!("`{field}` must be a u64"))),
-            }
-        };
-        let warmup = u64_field("warmup", defaults.warmup)?;
-        let measure = u64_field("measure", defaults.measure)?;
-        let base_seed = u64_field("base_seed", defaults.base_seed)?;
-        let refine_rounds = match root.get("refine_rounds") {
-            None => defaults.refine_rounds,
-            Some(v) => v
-                .as_usize()
-                .ok_or_else(|| SpecError::Parse("`refine_rounds` must be a usize".into()))?,
-        };
-        let stop_at_saturation = match root.get("stop_at_saturation") {
-            None => defaults.stop_at_saturation,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| SpecError::Parse("`stop_at_saturation` must be a bool".into()))?,
-        };
-        let threads = match root.get("threads") {
-            None => defaults.threads,
-            Some(v) => v
-                .as_usize()
-                .ok_or_else(|| SpecError::Parse("`threads` must be a usize".into()))?,
-        };
-        let shards = match root.get("shards") {
-            None => defaults.shards,
-            Some(v) => {
-                let n = v
-                    .as_usize()
-                    .ok_or_else(|| SpecError::Parse("`shards` must be a usize".into()))?;
-                if n == 0 {
-                    return Err(SpecError::Parse("`shards` must be at least 1".into()));
-                }
-                n
-            }
-        };
-        let power_tech = match root.get("tech") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => {
-                let raw = v
-                    .as_str()
-                    .ok_or_else(|| SpecError::Parse("`tech` must be a string".into()))?;
-                Some(TechNode::from_name(raw).ok_or_else(|| {
-                    SpecError::Parse(format!("unknown tech `{raw}` (45nm|22nm|11nm)"))
-                })?)
-            }
-        };
-        let cache_dir = match root.get("cache_dir") {
-            None | Some(JsonValue::Null) => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or_else(|| SpecError::Parse("`cache_dir` must be a string".into()))?
-                    .to_string(),
-            ),
-        };
         Ok(CampaignSpec {
-            name,
-            setups,
-            patterns,
-            loads,
-            warmup,
-            measure,
-            base_seed,
-            refine_rounds,
-            stop_at_saturation,
-            threads,
-            shards,
-            power_tech,
-            cache_dir,
+            name: root
+                .field("name", "a string", JsonValue::as_str)?
+                .ok_or("missing `name`")?
+                .to_string(),
+            setups: array("setups")?
+                .iter()
+                .map(SetupSpec::parse)
+                .collect::<Result<_, _>>()
+                .map_err(|e| format!("setup: {e}"))?,
+            patterns: array("patterns")?
+                .iter()
+                .map(|p| {
+                    p.as_str()
+                        .and_then(TrafficPattern::from_short_name)
+                        .ok_or("patterns must be RND|SHF|REV|ADV1|ADV2|ASYM|TRN")
+                })
+                .collect::<Result<_, _>>()?,
+            loads: array("loads")?
+                .iter()
+                .map(|l| {
+                    l.as_f64()
+                        .filter(|x| x.is_finite() && *x > 0.0)
+                        .ok_or("loads must be finite positive numbers")
+                })
+                .collect::<Result<_, _>>()?,
+            warmup: u64_field("warmup")?.unwrap_or(defaults.warmup),
+            measure: u64_field("measure")?.unwrap_or(defaults.measure),
+            base_seed: u64_field("base_seed")?.unwrap_or(defaults.base_seed),
+            refine_rounds: usize_field("refine_rounds")?.unwrap_or(defaults.refine_rounds),
+            stop_at_saturation: root
+                .field("stop_at_saturation", "a bool", JsonValue::as_bool)?
+                .unwrap_or(defaults.stop_at_saturation),
+            threads: usize_field("threads")?.unwrap_or(defaults.threads),
+            shards: root
+                .field("shards", "a usize of at least 1", |n| {
+                    n.as_usize().filter(|&n| n > 0)
+                })?
+                .unwrap_or(defaults.shards),
+            power_tech: root.field("tech", "45nm|22nm|11nm", |raw| {
+                TechNode::from_name(raw.as_str()?)
+            })?,
+            cache_dir: root
+                .field("cache_dir", "a string", JsonValue::as_str)?
+                .map(str::to_string),
         })
     }
 }
@@ -609,7 +499,12 @@ impl Campaign {
                     .ok_or_else(|| SpecError::Unrepresentable(s.name.clone()))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(CampaignSpec {
+        Ok(self.spec_over(setups))
+    }
+
+    /// This campaign's settings as a spec over the given setup recipes.
+    fn spec_over(&self, setups: Vec<SetupSpec>) -> CampaignSpec {
+        CampaignSpec {
             name: self.name.clone(),
             setups,
             patterns: self.patterns.clone(),
@@ -623,7 +518,7 @@ impl Campaign {
             shards: self.shards,
             power_tech: self.power_tech,
             cache_dir: self.cache().map(|c| c.dir().display().to_string()),
-        })
+        }
     }
 }
 
@@ -698,6 +593,24 @@ mod tests {
         assert_eq!(spec.power_tech, None);
         assert_eq!(spec.setups[0].name, "sn54", "name defaults to config");
         assert_eq!(spec.setups[0].buffers, BufferPreset::EbSmall);
+        // An explicit `null` reads as an omitted field, on every field.
+        let nulled = CampaignSpec::from_json(
+            r#"{"schema": "slim_noc-spec-v1", "name": "mini",
+                "setups": [{"config": "sn54", "name": null, "smart": null}],
+                "patterns": ["RND"], "loads": [0.05],
+                "warmup": null, "shards": null, "tech": null}"#,
+        )
+        .expect("nulls are omissions");
+        assert_eq!(nulled, spec);
+    }
+
+    #[test]
+    fn spec_and_campaign_share_one_set_of_defaults() {
+        let from_spec = Campaign::from_spec(&CampaignSpec::new("x")).expect("empty spec");
+        assert_eq!(
+            format!("{from_spec:?}"),
+            format!("{:?}", Campaign::new("x"))
+        );
     }
 
     #[test]

@@ -444,20 +444,6 @@ impl PowerModel {
         }
     }
 
-    /// One-stop evaluation of a simulated configuration from caller-
-    /// supplied activity (the analytic entry point; identical to
-    /// [`PowerModel::evaluate_from_sim`] for the same report).
-    #[must_use]
-    pub fn evaluate(
-        &self,
-        topo: &Topology,
-        layout: &Layout,
-        buffer_flits_per_router: usize,
-        report: &SimReport,
-    ) -> PowerReport {
-        self.evaluate_from_sim(report, topo, layout, buffer_flits_per_router)
-    }
-
     /// The measured-activity path of the energy pipeline: converts the
     /// activity factors a simulation *measured* (buffer reads/writes,
     /// crossbar traversals, allocator grants, link flit·tiles) into
@@ -704,22 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_from_sim_matches_analytic_evaluate() {
-        // The measured path and the analytic entry point must agree
-        // exactly when fed the same activity.
-        let (sn, sn_l) = sn200();
-        let mut sim = Simulator::build_with_layout(&sn, &sn_l, &SimConfig::default()).unwrap();
-        let rep = sim.run_synthetic(TrafficPattern::Random, 0.08, 300, 2_000);
-        let model = PowerModel::new(TechNode::N45).with_cycle_time(0.5);
-        let flits = buffer_flits(&sn, &sn_l);
-        let from_sim = model.evaluate_from_sim(&rep, &sn, &sn_l, flits);
-        let analytic = model.evaluate(&sn, &sn_l, flits, &rep);
-        assert_eq!(from_sim, analytic);
-        assert!(from_sim.dynamic_power.total_w() > 0.0, "activity measured");
-        assert_eq!(from_sim.delivered_flits, rep.delivered_flits);
-    }
-
-    #[test]
     fn end_to_end_throughput_per_power_favors_sn_over_fbf() {
         // Table 5's shape: SN beats FBF in throughput/power (modestly)
         // and low-radix nets substantially.
@@ -730,7 +700,7 @@ mod tests {
             let flits = buffer_flits(topo, layout);
             PowerModel::new(TechNode::N45)
                 .with_cycle_time(cycle_ns)
-                .evaluate(topo, layout, flits, &rep)
+                .evaluate_from_sim(&rep, topo, layout, flits)
         };
         let (sn, sn_l) = sn200();
         let (fbf, fbf_l) = fbf200();
@@ -749,7 +719,12 @@ mod tests {
         let (sn, sn_l) = sn200();
         let mut sim = Simulator::build_with_layout(&sn, &sn_l, &SimConfig::default()).unwrap();
         let rep = sim.run_synthetic(TrafficPattern::Random, 0.05, 500, 2_000);
-        let r = PowerModel::new(TechNode::N45).evaluate(&sn, &sn_l, buffer_flits(&sn, &sn_l), &rep);
+        let r = PowerModel::new(TechNode::N45).evaluate_from_sim(
+            &rep,
+            &sn,
+            &sn_l,
+            buffer_flits(&sn, &sn_l),
+        );
         assert!(r.energy_delay() > 0.0);
         assert!(r.energy_delay().is_finite());
         assert!(r.total_power_w() > 0.0);

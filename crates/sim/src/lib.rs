@@ -68,6 +68,4 @@ pub use flit::{Flit, FlitArena, FlitKind, FlitRef, PacketId};
 pub use network::shard::ShardedSimulator;
 pub use network::Simulator;
 pub use routing::{RouteDecision, RoutingTable};
-pub use stats::{
-    saturation_heuristic, ActivityCounters, Conformance, LatencyLoadPoint, SimReport, Snapshot,
-};
+pub use stats::{saturation_heuristic, ActivityCounters, Conformance, SimReport, Snapshot};

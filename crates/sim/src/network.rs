@@ -1235,39 +1235,6 @@ fn probe_flit(dst_router: RouterId) -> Flit {
     )
 }
 
-impl Simulator {
-    /// Debug helper: where are the in-flight flits stuck?
-    #[doc(hidden)]
-    pub fn debug_stuck(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        for (r, router) in self.routers.iter().enumerate() {
-            let n = router.buffered_flits();
-            if n > 0 {
-                let _ = writeln!(
-                    out,
-                    "router {r}: {} flits buffered; detail: {}",
-                    n,
-                    router.debug_detail(&self.arena)
-                );
-            }
-        }
-        for (id, ch) in self.channels.iter().enumerate() {
-            if ch.occupancy() > 0 {
-                let (src, port) = self.chan_src[id];
-                let _ = writeln!(
-                    out,
-                    "channel {id} (r{src} port {port}): {} flits",
-                    ch.occupancy()
-                );
-            }
-        }
-        let q: usize = self.inj_queues.iter().map(|q| q.len()).sum();
-        let _ = writeln!(out, "injection queues: {q} flits");
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1341,82 +1341,6 @@ impl RouterCore {
     pub(crate) fn st_count(&self) -> usize {
         self.out.st_live
     }
-
-    /// Debug helper: per-structure flit locations.
-    #[doc(hidden)]
-    pub(crate) fn debug_detail(&self, arena: &FlitArena) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let in_ports = self.net_ports + self.local_ports;
-        match &self.arch {
-            ArchState::Edge(lanes) => {
-                for p in 0..in_ports {
-                    for v in 0..self.vcs {
-                        let lane = p * self.vcs + v;
-                        if lanes.len[lane] > 0 {
-                            let f = arena.get(lanes.front(lane));
-                            let _ = write!(
-                                out,
-                                "in[{p}][{v}]={} (head {:?} route {:?}) ",
-                                lanes.len[lane],
-                                (f.packet, f.kind),
-                                lanes.route(lane)
-                            );
-                        }
-                    }
-                }
-            }
-            ArchState::Cb(cb) => {
-                let _ = write!(out, "cb_free={} ", cb.free);
-                for p in 0..in_ports {
-                    for v in 0..self.vcs {
-                        let lane = p * self.vcs + v;
-                        if cb.stage_slot[lane].is_valid() {
-                            let f = arena.get(cb.stage_slot[lane]);
-                            let _ = write!(
-                                out,
-                                "stage[{p}][{v}]={:?}/{:?} mode {} route {:?} ",
-                                f.packet,
-                                f.kind,
-                                cb.stage_mode[lane],
-                                cb.stage_route(lane)
-                            );
-                        }
-                    }
-                }
-                for o in 0..in_ports {
-                    for v in 0..self.vcs {
-                        let lane = o * self.vcs + v;
-                        if !cb.queues[lane].is_empty() {
-                            let _ = write!(
-                                out,
-                                "cbq[{o}][{v}]={} head={:?} ",
-                                cb.queues[lane].len(),
-                                cb.queues[lane].front().map(|c| {
-                                    let f = arena.get(c.flit);
-                                    (f.packet, f.kind)
-                                })
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        for o in 0..in_ports {
-            if self.out.st_occupied(o) {
-                let _ = write!(out, "st[{o}]={:?} ", arena.get(self.out.st_flit[o]).packet);
-            }
-        }
-        for o in 0..self.net_ports {
-            for v in 0..self.vcs {
-                let p = self.out.out_pkt[o * self.vcs + v];
-                if p != NO_PKT {
-                    let _ = write!(out, "outpkt[{o}][{v}]=p{p} ");
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]

@@ -583,19 +583,6 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// One point of a latency–load curve (Figs. 10–14).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyLoadPoint {
-    /// Offered load in flits/node/cycle.
-    pub load: f64,
-    /// Average packet latency in cycles.
-    pub latency: f64,
-    /// Accepted throughput in flits/node/cycle.
-    pub throughput: f64,
-    /// Whether the network had saturated at this load.
-    pub saturated: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,11 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Area and power at 45 nm.
     let model = PowerModel::new(TechNode::N45);
-    let result = model.evaluate(
+    let result = model.evaluate_from_sim(
+        &report,
         &topo,
         &layout,
         buffers.average_per_router() as usize,
-        &report,
     );
     println!(
         "area           : {:.1} mm^2 ({:.2e} cm^2/node)",

@@ -26,12 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for w in benchmark_workloads() {
         let eval = |s: &Setup| {
             let report = s.run_trace_workload(&w, cycles);
-            let power = s.power_model(TechNode::N45).evaluate(
-                &s.topology,
-                &s.layout,
-                s.buffer_flits_per_router(),
-                &report,
-            );
+            let power = s.power_report(TechNode::N45, &report);
             (report.avg_packet_latency(), power.energy_delay())
         };
         let (sn_lat, sn_edp) = eval(&sn);

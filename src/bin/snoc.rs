@@ -223,12 +223,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     let report = opt
         .setup
         .run_load(opt.pattern, opt.load, opt.warmup, opt.measure);
-    let power = opt.setup.power_model(opt.tech).evaluate(
-        &opt.setup.topology,
-        &opt.setup.layout,
-        opt.setup.buffer_flits_per_router(),
-        &report,
-    );
+    let power = opt.setup.power_report(opt.tech, &report);
     let mut t = TextTable::new(
         format!(
             "{} | {} @ {} flits/node/cycle | buffers {} | H={}",

@@ -188,9 +188,7 @@ fn sn_edp_beats_fbf_on_a_trace() {
             .with_smart(true)
             .with_buffers(BufferPreset::EbVar);
         let report = s.run_trace_workload(&w, 6_000);
-        s.power_model(TechNode::N45)
-            .evaluate(&s.topology, &s.layout, s.buffer_flits_per_router(), &report)
-            .energy_delay()
+        s.power_report(TechNode::N45, &report).energy_delay()
     };
     let sn = edp("sn_s");
     let fbf = edp("fbf3");

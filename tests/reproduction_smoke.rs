@@ -3,7 +3,7 @@
 //! `snoc repro` figure reports at full scale. These guard the experiment
 //! harness (not just the library) against regressions.
 
-use slim_noc::core::{BufferPreset, Series, Setup, TextTable};
+use slim_noc::core::{BufferPreset, Campaign, Series, Setup, TextTable};
 use slim_noc::field::Gf;
 use slim_noc::layout::{max_wires_per_tile, BufferModel, BufferSpec, Layout, SnLayout, TechNode};
 use slim_noc::prelude::*;
@@ -137,14 +137,16 @@ fn buffer_model_consistency() {
 /// Reporting smoke: series tabulation renders every curve of a sweep.
 #[test]
 fn series_tabulation_roundtrip() {
-    let setup = Setup::paper("sn54").unwrap();
-    let points = setup.latency_load_curve(TrafficPattern::Random, &[0.01, 0.03], 200, 800);
-    let mut series = Series::new("sn54");
-    for p in &points {
-        series.push(p.load, p.latency);
-    }
-    let table = Series::tabulate("smoke", "load", &[series]);
-    assert_eq!(table.rows.len(), points.len());
+    let result = Campaign::new("smoke")
+        .with_setups(vec![Setup::paper("sn54").unwrap()])
+        .with_patterns(vec![TrafficPattern::Random])
+        .with_loads(vec![0.01, 0.03])
+        .with_windows(200, 800)
+        .run();
+    let series = result.series("RND");
+    assert_eq!(series[0].points.len(), result.points.len());
+    let table = Series::tabulate("smoke", "load", &series);
+    assert_eq!(table.rows.len(), result.points.len());
     let rendered = table.render();
     assert!(rendered.contains("sn54"));
     let _csv: TextTable = table; // type check: tables are plain data
