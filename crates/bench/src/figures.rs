@@ -13,13 +13,13 @@ mod verify;
 use crate::fault_storm::{retention_rows, storm_campaign, LOAD};
 use crate::{energy_campaign, figure_campaign, io_err, latency_curves, Args};
 use snoc_core::{
-    format_float, parallel_map, BufferPreset, CampaignResult, Series, Setup, TextTable,
+    format_float, parallel_map, BufferPreset, CampaignResult, PowerPoint, Series, Setup, TextTable,
 };
 use snoc_field::{GeneratorSets, Gf};
 use snoc_layout::{
     max_wires_per_tile, per_router_central_buffers, BufferModel, BufferSpec, Layout, SnLayout,
 };
-use snoc_power::{PowerModel, PowerReport, TechNode};
+use snoc_power::{PowerModel, TechNode};
 use snoc_sim::RoutingKind;
 use snoc_topology::{paper_config, table2_rows, Topology};
 use snoc_traffic::{benchmark_workloads, TrafficPattern};
@@ -260,24 +260,41 @@ fn emit_json(result: &CampaignResult, out: &mut dyn Write) -> Result<(), String>
     out.write_all(result.to_json().as_bytes()).map_err(io_err)
 }
 
-/// Every setup's power report under uniform random traffic at one
-/// offered load, by setup name.
-fn power_reports(
+/// One row of a power table: a setup's power columns at one offered
+/// load, driven by the activity its simulation measured.
+struct PowerRow {
+    name: String,
+    /// Endpoints of the setup's topology; the per-node columns of
+    /// Figs. 16, 17 and 19 divide the network totals by it.
+    nodes: f64,
+    power: PowerPoint,
+}
+
+/// Every setup's [`PowerRow`] under uniform random traffic at one
+/// offered load: one power-aware campaign, one point per setup, in setup
+/// order.
+fn power_rows(
+    campaign: &str,
     setups: Vec<Setup>,
     tech: TechNode,
     load: f64,
     args: &Args,
-) -> Vec<(String, PowerReport)> {
-    parallel_map(setups, |s| {
-        let report = s.evaluate_power(
-            tech,
-            TrafficPattern::Random,
-            load,
-            args.warmup(),
-            args.measure(),
-        );
-        (s.name.clone(), report)
-    })
+) -> Vec<PowerRow> {
+    let nodes: Vec<usize> = setups.iter().map(|s| s.topology.node_count()).collect();
+    let result = energy_campaign(campaign, setups, args)
+        .with_power(tech)
+        .with_loads(vec![load])
+        .run();
+    result
+        .points
+        .into_iter()
+        .zip(nodes)
+        .map(|(point, nodes)| PowerRow {
+            power: point.power.expect("power-aware campaign"),
+            name: point.setup,
+            nodes: nodes as f64,
+        })
+        .collect()
 }
 
 /// Figure 1: the headline comparison at N = 1296.
@@ -311,8 +328,11 @@ fn fig1(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             format!("Fig 1b/c: throughput per power ({tech}), RND @ 0.4 offered"),
             &["network", "throughput/power [flits/J]"],
         );
-        for (name, r) in power_reports(setups(), tech, 0.40, args) {
-            table.push_row(vec![name, format_float(r.throughput_per_power(), 3)]);
+        for row in power_rows("fig1", setups(), tech, 0.40, args) {
+            table.push_row(vec![
+                row.name,
+                format_float(row.power.throughput_per_watt, 3),
+            ]);
         }
         emit(&table, args, out)?;
     }
@@ -826,12 +846,12 @@ fn per_node_cost(
                 "dynamic/node [W]",
             ],
         );
-        for (name, r) in power_reports(smart_eb_var(names), tech, 0.10, args) {
+        for row in power_rows(figure, smart_eb_var(names), tech, 0.10, args) {
             table.push_row(vec![
-                name,
-                format_float(r.area.per_node_cm2(), 5),
-                format_float(r.static_power.per_node_w(), 5),
-                format_float(r.dynamic_power.per_node_w(), 5),
+                row.name,
+                format_float(row.power.area_mm2 / 100.0 / row.nodes, 5),
+                format_float(row.power.static_w / row.nodes, 5),
+                format_float(row.power.dynamic_w / row.nodes, 5),
             ]);
         }
         emit(&table, args, out)?;
@@ -903,11 +923,11 @@ fn fig19(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         "Fig 19b/c: per-node area and dynamic power, N=54 (45nm, SMART)",
         &["network", "area/node [cm^2]", "dynamic/node [W]"],
     );
-    for (name, r) in power_reports(setups(), TechNode::N45, 0.10, args) {
+    for row in power_rows("fig19", setups(), TechNode::N45, 0.10, args) {
         table.push_row(vec![
-            name,
-            format_float(r.area.per_node_cm2(), 5),
-            format_float(r.dynamic_power.per_node_w(), 5),
+            row.name,
+            format_float(row.power.area_mm2 / 100.0 / row.nodes, 5),
+            format_float(row.power.dynamic_w / row.nodes, 5),
         ]);
     }
     emit(&table, args, out)
@@ -1106,15 +1126,15 @@ fn table5(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     ];
     for (class, names) in classes {
         for tech in [TechNode::N45, TechNode::N22] {
-            let reports = power_reports(smart_eb_var(&names), tech, 0.40, args);
-            let sn_tpp = reports[0].1.throughput_per_power();
+            let rows = power_rows("table5", smart_eb_var(&names), tech, 0.40, args);
+            let sn_tpp = rows[0].power.throughput_per_watt;
             let mut table = TextTable::new(
                 format!("Table 5 ({class}, {tech}): SN throughput/power advantage, RND"),
                 &["baseline", "SN gain"],
             );
-            for (name, r) in reports.into_iter().skip(1) {
-                let gain = 100.0 * (sn_tpp / r.throughput_per_power() - 1.0);
-                table.push_row(vec![name, format!("{gain:+.0}%")]);
+            for row in rows.into_iter().skip(1) {
+                let gain = 100.0 * (sn_tpp / row.power.throughput_per_watt - 1.0);
+                table.push_row(vec![row.name, format!("{gain:+.0}%")]);
             }
             emit(&table, args, out)?;
         }

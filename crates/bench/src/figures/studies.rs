@@ -2,8 +2,10 @@
 //! and the §5.5 sensitivity summary.
 
 use super::{emit, sn_s_with_layout};
-use crate::{io_err, Args};
-use snoc_core::{format_float, BufferPreset, Setup, TextTable};
+use crate::{energy_campaign, figure_campaign, io_err, saturation_load_grid, Args};
+use snoc_core::{
+    format_float, BufferPreset, Campaign, CampaignResult, Setup, SweepPoint, TextTable,
+};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_topology::Topology;
@@ -11,21 +13,44 @@ use snoc_traffic::TrafficPattern;
 use std::fmt::Write as _;
 use std::io::Write;
 
-/// Average packet latency of `setup` under uniform random traffic.
-fn rnd_latency(setup: &Setup, load: f64, args: &Args) -> f64 {
-    setup
-        .run_load(TrafficPattern::Random, load, args.warmup(), args.measure())
-        .avg_packet_latency()
+/// A campaign over exactly `loads`, saturated points kept: these
+/// studies tabulate a value at every load, not a curve that ends at its
+/// knee.
+fn full_grid(
+    name: &str,
+    setups: Vec<Setup>,
+    patterns: Vec<TrafficPattern>,
+    loads: Vec<f64>,
+    args: &Args,
+) -> Campaign {
+    figure_campaign(name, setups, patterns, args)
+        .with_loads(loads)
+        .with_stop_at_saturation(false)
 }
 
-/// Saturation throughput of `setup` under uniform random traffic (the
-/// search runs many simulations, so each gets half the windows).
-fn rnd_saturation(setup: &Setup, args: &Args) -> f64 {
-    setup.saturation_throughput(
-        TrafficPattern::Random,
-        args.warmup() / 2,
-        args.measure() / 2,
-    )
+/// The saturation-throughput sweep of `setups` under uniform random
+/// traffic over [`saturation_load_grid`]; read a column with
+/// [`CampaignResult::peak_throughput`]. The sweep runs many
+/// simulations, so each gets half the windows.
+fn saturation_sweep(name: &str, setups: Vec<Setup>, args: &Args) -> CampaignResult {
+    let patterns = vec![TrafficPattern::Random];
+    full_grid(name, setups, patterns, saturation_load_grid(), args)
+        .with_windows(args.warmup() / 2, args.measure() / 2)
+        .run()
+}
+
+/// The point of one curve at exactly `load` (every curve of these
+/// studies is swept over its whole grid).
+fn at_load<'a>(
+    result: &'a CampaignResult,
+    setup: &'a str,
+    pattern: TrafficPattern,
+    load: f64,
+) -> &'a SweepPoint {
+    result
+        .curve(setup, pattern.short_name())
+        .find(|p| p.load == load)
+        .expect("every grid point of the curve was run")
 }
 
 struct Step {
@@ -84,25 +109,31 @@ pub(super) fn ablation(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             "thpt/power [flits/J]",
         ],
     );
-    for step in &steps {
-        let setup = sn_s_with_layout(step.layout)
-            .with_buffers(step.buffers)
-            .with_smart(step.smart);
-        let tpp = setup
-            .evaluate_power(
-                TechNode::N45,
-                TrafficPattern::Random,
-                0.2,
-                args.warmup(),
-                args.measure(),
-            )
-            .throughput_per_power();
+    let setups: Vec<Setup> = steps
+        .iter()
+        .map(|step| {
+            let mut s = sn_s_with_layout(step.layout)
+                .with_buffers(step.buffers)
+                .with_smart(step.smart);
+            s.name = step.name.to_string();
+            s
+        })
+        .collect();
+    // Latency at 0.05 and throughput/power at 0.2 are two points of one
+    // power-aware curve per step.
+    let powered = energy_campaign("ablation", setups.clone(), args)
+        .with_loads(vec![0.05, 0.2])
+        .run();
+    let saturation = saturation_sweep("ablation_saturation", setups.clone(), args);
+    for setup in &setups {
+        let at = |load| at_load(&powered, &setup.name, TrafficPattern::Random, load);
+        let tpp = at(0.2).power.expect("power-aware campaign");
         table.push_row(vec![
-            step.name.to_string(),
-            format_float(rnd_latency(&setup, 0.05, args), 2),
-            format_float(rnd_saturation(&setup, args), 3),
+            setup.name.clone(),
+            format_float(at(0.05).latency, 2),
+            format_float(saturation.peak_throughput(&setup.name, "RND"), 3),
             setup.buffer_flits_per_router().to_string(),
-            format_float(tpp, 3),
+            format_float(tpp.throughput_per_watt, 3),
         ]);
     }
     emit(&table, args, out)
@@ -270,14 +301,23 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: concentration p (q = 5, RND)",
         &["p", "N", "latency @0.05", "saturation thpt"],
     );
-    for p in [3usize, 4, 5] {
-        let topo = Topology::slim_noc(5, p).expect("sn");
-        let setup = Setup::from_topology(&format!("sn p={p}"), topo, 0.5).expect("setup");
+    let setups: Vec<Setup> = [3usize, 4, 5]
+        .into_iter()
+        .map(|p| {
+            let topo = Topology::slim_noc(5, p).expect("sn");
+            Setup::from_topology(&format!("sn p={p}"), topo, 0.5).expect("setup")
+        })
+        .collect();
+    let rnd = vec![TrafficPattern::Random];
+    let low_load = full_grid("sensitivity_p", setups.clone(), rnd, vec![0.05], args).run();
+    let saturation = saturation_sweep("sensitivity_p_saturation", setups.clone(), args);
+    for setup in &setups {
+        let point = at_load(&low_load, &setup.name, TrafficPattern::Random, 0.05);
         table.push_row(vec![
-            p.to_string(),
+            setup.topology.concentration().to_string(),
             setup.topology.node_count().to_string(),
-            format_float(rnd_latency(&setup, 0.05, args), 2),
-            format_float(rnd_saturation(&setup, args), 3),
+            format_float(point.latency, 2),
+            format_float(saturation.peak_throughput(&setup.name, "RND"), 3),
         ]);
     }
     emit(&table, args, out)?;
@@ -289,11 +329,22 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
     );
     let sn = Setup::paper("sn_s").expect("sn").with_smart(true);
     let fbf = Setup::paper("fbf3").expect("fbf").with_smart(true);
-    for load in [0.01, 0.05, 0.1, 0.2] {
+    let loads = vec![0.01, 0.05, 0.1, 0.2];
+    let rnd = vec![TrafficPattern::Random];
+    let rates = full_grid(
+        "sensitivity_rate",
+        vec![sn.clone(), fbf],
+        rnd,
+        loads.clone(),
+        args,
+    )
+    .run();
+    for load in loads {
+        let latency = |setup| at_load(&rates, setup, TrafficPattern::Random, load).latency;
         table.push_row(vec![
             format_float(load, 2),
-            format_float(rnd_latency(&sn, load, args), 2),
-            format_float(rnd_latency(&fbf, load, args), 2),
+            format_float(latency("sn_s"), 2),
+            format_float(latency("fbf3"), 2),
         ]);
     }
     emit(&table, args, out)?;
@@ -331,15 +382,20 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: network size (SN vs torus of equal N, RND saturation)",
         &["N", "sn thpt", "t2d thpt", "gain"],
     );
+    let mut setups = Vec::new();
     for (q, p, tx, ty, tp) in [(7usize, 6usize, 14usize, 7usize, 6usize), (8, 8, 16, 8, 8)] {
         let sn_t = Topology::slim_noc(q, p).expect("sn");
         let n = sn_t.node_count();
-        let sn_s = Setup::from_topology("sn", sn_t, 0.5).expect("setup");
-        let t2d_s = Setup::from_topology("t2d", Topology::torus(tx, ty, tp), 0.4).expect("setup");
-        let s1 = rnd_saturation(&sn_s, args);
-        let s2 = rnd_saturation(&t2d_s, args);
+        let t2d_t = Topology::torus(tx, ty, tp);
+        setups.push(Setup::from_topology(&format!("sn N={n}"), sn_t, 0.5).expect("setup"));
+        setups.push(Setup::from_topology(&format!("t2d N={n}"), t2d_t, 0.4).expect("setup"));
+    }
+    let saturation = saturation_sweep("sensitivity_size", setups.clone(), args);
+    for pair in setups.chunks(2) {
+        let s1 = saturation.peak_throughput(&pair[0].name, "RND");
+        let s2 = saturation.peak_throughput(&pair[1].name, "RND");
         table.push_row(vec![
-            n.to_string(),
+            pair[0].topology.node_count().to_string(),
             format_float(s1, 3),
             format_float(s2, 3),
             format!("{:.1}x", s1 / s2),
@@ -352,7 +408,7 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: traffic pattern (SN-S, SMART, load 0.05)",
         &["pattern", "latency", "avg hops"],
     );
-    for pattern in [
+    let patterns = vec![
         TrafficPattern::Random,
         TrafficPattern::BitShuffle,
         TrafficPattern::BitReversal,
@@ -360,12 +416,21 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         TrafficPattern::Adversarial1,
         TrafficPattern::Adversarial2,
         TrafficPattern::Asymmetric,
-    ] {
-        let r = sn.run_load(pattern, 0.05, args.warmup(), args.measure());
+    ];
+    let by_pattern = full_grid(
+        "sensitivity_pattern",
+        vec![sn],
+        patterns.clone(),
+        vec![0.05],
+        args,
+    )
+    .run();
+    for pattern in patterns {
+        let point = at_load(&by_pattern, "sn_s", pattern, 0.05);
         table.push_row(vec![
             pattern.to_string(),
-            format_float(r.avg_packet_latency(), 2),
-            format_float(r.avg_hops(), 3),
+            format_float(point.latency, 2),
+            format_float(point.avg_hops, 3),
         ]);
     }
     emit(&table, args, out)

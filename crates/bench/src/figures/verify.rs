@@ -373,8 +373,8 @@ fn cdg_failures(args: &Args) -> (usize, Vec<String>) {
                     }
                     let flit = probe_flit(dst);
                     let (a, b) = (
-                        table.route(src, &flit, 0, *vcs),
-                        rebuilt.route(src, &flit, 0, *vcs),
+                        table.route(src, &flit, *vcs),
+                        rebuilt.route(src, &flit, *vcs),
                     );
                     if a != b {
                         failures.push(format!("{label}: rebuild changed route {s}->{d}"));

@@ -28,9 +28,11 @@
 //! `--smoke`, `--threads`, `--shards`, `--cache-dir`) and folds them
 //! into the spec it runs.
 //!
-//! The latency–load figures all run through the sweep-campaign engine:
-//! a figure declares its campaign (setups × patterns × the standard
-//! load grid) via [`figure_campaign`] and only formats the result.
+//! Every synthetic-traffic number a figure prints is a point of the
+//! sweep-campaign engine: a figure declares its campaign (setups ×
+//! patterns × a load grid) via [`figure_campaign`] or
+//! [`energy_campaign`] and only formats the result. The trace-driven
+//! tables replay traces through `Setup::run_trace_workload` instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,7 +71,9 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses an argument list (both `--flag value` and `--flag=value`).
+    /// Parses an argument list of `--flag` and `--flag value` words (the
+    /// `snoc` executable splits `--flag=value` before any command sees
+    /// it).
     ///
     /// # Errors
     ///
@@ -78,17 +82,9 @@ impl Args {
     pub fn parse_from(raw: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut args = Args::default();
         let mut raw = raw;
-        while let Some(a) = raw.next() {
-            // Accept both `--flag value` and `--flag=value`.
-            let (flag, mut inline) = match a.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (a, None),
-            };
+        while let Some(flag) = raw.next() {
             let mut next_value = || -> Result<String, String> {
-                inline
-                    .take()
-                    .or_else(|| raw.next())
-                    .ok_or_else(|| format!("{flag} needs a value"))
+                raw.next().ok_or_else(|| format!("{flag} needs a value"))
             };
             let count = |value: String| -> Result<usize, String> {
                 value.parse().map_err(|e| format!("{flag}: {e}"))
@@ -225,6 +221,17 @@ pub fn load_grid() -> Vec<f64> {
     vec![0.008, 0.016, 0.03, 0.06, 0.1, 0.16, 0.24, 0.4]
 }
 
+/// The load grid of the saturation-throughput columns: geometric from
+/// 0.05 in steps of 1.6× up to 1.0 flits/node/cycle. Swept with
+/// [`Campaign::with_stop_at_saturation`]`(false)` and read back through
+/// [`CampaignResult::peak_throughput`].
+#[must_use]
+pub fn saturation_load_grid() -> Vec<f64> {
+    std::iter::successors(Some(0.05), |load| Some(load * 1.6))
+        .take_while(|&load| load <= 1.0)
+        .collect()
+}
+
 /// The declarative sweep campaign behind one latency–load figure: the
 /// given setups × patterns over the standard load grid with the
 /// window sizes selected by `args`.
@@ -290,9 +297,24 @@ mod tests {
     }
 
     #[test]
-    fn parse_from_takes_both_value_forms_and_rejects_strangers() {
+    fn saturation_load_grid_is_the_geometric_walk_up_to_one() {
+        let g = saturation_load_grid();
+        assert_eq!((g.len(), g[0], g[1]), (7, 0.05, 0.05 * 1.6));
+        assert!(g[6] <= 1.0 && g[6] * 1.6 > 1.0);
+    }
+
+    #[test]
+    fn parse_from_reads_flags_with_values_and_rejects_strangers() {
         let parse = |raw: &[&str]| Args::parse_from(raw.iter().map(ToString::to_string));
-        let args = parse(&["--csv", "--threads", "3", "--cache-dir=/tmp/c", "--smoke"]).unwrap();
+        let args = parse(&[
+            "--csv",
+            "--threads",
+            "3",
+            "--cache-dir",
+            "/tmp/c",
+            "--smoke",
+        ])
+        .unwrap();
         assert!(args.csv && args.smoke && !args.json && !args.quick);
         assert_eq!((args.threads, args.shards), (3, 0));
         assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));

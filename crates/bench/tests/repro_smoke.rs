@@ -5,9 +5,9 @@
 //! here with no edit, and one that starts failing (or panicking) on
 //! its own configs fails the suite by name.
 
-use snoc_bench::figures::REGISTRY;
+use snoc_bench::figures::{find, REGISTRY};
 use snoc_bench::Args;
-use snoc_core::parallel_map;
+use snoc_core::{parallel_map, PointCache};
 
 #[test]
 fn every_registry_entry_smokes() {
@@ -28,4 +28,35 @@ fn every_registry_entry_smokes() {
             figure.name
         );
     }
+}
+
+/// The figures whose simulated columns used to bypass `Campaign`: each
+/// now fills the point cache on a cold run and replays from it, byte
+/// for byte and without adding a line, on a warm one.
+#[test]
+fn power_and_study_figures_replay_from_the_point_cache() {
+    let dir = std::env::temp_dir().join(format!("snoc_repro_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = Args {
+        smoke: true,
+        cache_dir: Some(dir.to_str().expect("utf-8 temp dir").to_string()),
+        ..Args::default()
+    };
+    let entries = || PointCache::open(&dir).expect("cache dir").len();
+    for name in ["ablation", "sensitivity", "table5", "fig16", "fig19"] {
+        let figure = find(name).expect("registry entry");
+        let run = || {
+            let mut out = Vec::new();
+            (figure.run)(&args, &mut out).expect(name);
+            out
+        };
+        let before = entries();
+        let cold = run();
+        let filled = entries();
+        assert!(filled > before, "{name} stored no point");
+        let warm = run();
+        assert!(warm == cold, "{name}: warm bytes differ from cold");
+        assert_eq!(entries(), filled, "{name}: the warm run simulated again");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -363,22 +363,6 @@ impl Setup {
             .run_synthetic(pattern, rate, warmup, measure)
     }
 
-    /// Estimates saturation throughput: the highest accepted throughput
-    /// over a geometric load sweep.
-    pub fn saturation_throughput(&self, pattern: TrafficPattern, warmup: u64, measure: u64) -> f64 {
-        let mut best: f64 = 0.0;
-        let mut load = 0.05;
-        while load <= 1.0 {
-            let report = self.run_load(pattern, load, warmup, measure);
-            best = best.max(report.throughput());
-            if report.acceptance() < 0.8 {
-                break;
-            }
-            load *= 1.6;
-        }
-        best
-    }
-
     /// Runs a PARSEC/SPLASH-like trace workload.
     pub fn run_trace_workload(&self, workload: &TraceWorkload, cycles: u64) -> SimReport {
         let trace = workload.generate(&self.topology, cycles, self.sim.seed);
@@ -426,20 +410,6 @@ impl Setup {
             &self.layout,
             self.buffer_flits_per_router(),
         )
-    }
-
-    /// Full §5.4-style evaluation: run traffic, then feed activity into
-    /// the power model.
-    pub fn evaluate_power(
-        &self,
-        tech: TechNode,
-        pattern: TrafficPattern,
-        rate: f64,
-        warmup: u64,
-        measure: u64,
-    ) -> snoc_power::PowerReport {
-        let report = self.run_load(pattern, rate, warmup, measure);
-        self.power_report(tech, &report)
     }
 }
 
@@ -509,11 +479,9 @@ mod tests {
             let mut tuned = base.clone();
             tuned.sim.packet_flits = 4;
             tuned.sim.injection_queue_flits = 32;
-            tuned.sim.output_buffer_flits = 2;
             let expected = SimConfig {
                 packet_flits: 4,
                 injection_queue_flits: 32,
-                output_buffer_flits: 2,
                 ..expected
             };
             assert_eq!(tuned.with_buffers(preset).sim, expected, "{preset}");
@@ -629,9 +597,15 @@ mod tests {
     }
 
     #[test]
-    fn saturation_throughput_is_positive_and_bounded() {
-        let setup = Setup::paper("sn54").unwrap();
-        let thpt = setup.saturation_throughput(TrafficPattern::Random, 300, 1_000);
+    fn peak_throughput_past_the_knee_is_positive_and_bounded() {
+        let thpt = crate::Campaign::new("peak")
+            .with_setups(vec![Setup::paper("sn54").unwrap()])
+            .with_patterns(vec![TrafficPattern::Random])
+            .with_loads(vec![0.05, 0.2, 0.8])
+            .with_windows(300, 1_000)
+            .with_stop_at_saturation(false)
+            .run()
+            .peak_throughput("sn54", "RND");
         assert!(thpt > 0.05, "throughput {thpt}");
         assert!(thpt <= 1.0);
     }

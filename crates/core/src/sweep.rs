@@ -673,6 +673,17 @@ impl CampaignResult {
             .reduce(f64::max)
     }
 
+    /// The highest accepted throughput on one curve: the saturation-
+    /// throughput estimate of a curve swept past its knee
+    /// ([`Campaign::with_stop_at_saturation`]`(false)`). `0.0` for a
+    /// curve without points.
+    #[must_use]
+    pub fn peak_throughput(&self, setup: &str, pattern: &str) -> f64 {
+        self.curve(setup, pattern)
+            .map(|p| p.throughput)
+            .fold(0.0, f64::max)
+    }
+
     /// Serializes the full result as JSON; hand-rolled, the build is
     /// offline and has no serde.
     ///
@@ -803,6 +814,50 @@ mod tests {
     fn knee_is_none_without_saturation() {
         let r = tiny_campaign().run();
         assert_eq!(r.knee("sn54", "RND"), None);
+    }
+
+    #[test]
+    fn peak_throughput_is_the_maximum_over_its_own_curve() {
+        let point = |setup: &str, pattern: &str, load: f64, throughput: f64| SweepPoint {
+            setup: setup.to_string(),
+            pattern: pattern.to_string(),
+            load,
+            seed: 0,
+            latency: 20.0,
+            p99_latency: 40,
+            throughput,
+            avg_hops: 2.0,
+            acceptance: 1.0,
+            delivered_packets: 100,
+            dropped_packets: 0,
+            saturated: false,
+            drained: true,
+            refined: false,
+            power: None,
+        };
+        let r = CampaignResult {
+            name: "hand-built".to_string(),
+            setups: vec!["sn54".to_string(), "t2d54".to_string()],
+            patterns: vec!["RND".to_string(), "ADV1".to_string()],
+            warmup: 0,
+            measure: 0,
+            base_seed: 0,
+            tech: None,
+            cache_hits: 0,
+            cache_misses: 0,
+            // Throughput falls again past the knee: the peak is not the
+            // last point.
+            points: vec![
+                point("sn54", "RND", 0.1, 0.10),
+                point("sn54", "RND", 0.4, 0.31),
+                point("sn54", "RND", 0.8, 0.27),
+                point("sn54", "ADV1", 0.4, 0.90),
+                point("t2d54", "RND", 0.4, 0.95),
+            ],
+        };
+        assert_eq!(r.peak_throughput("sn54", "RND"), 0.31);
+        assert_eq!(r.peak_throughput("sn54", "ADV1"), 0.90);
+        assert_eq!(r.peak_throughput("cm54", "RND"), 0.0, "unknown curve");
     }
 
     #[test]

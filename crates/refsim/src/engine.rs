@@ -96,7 +96,6 @@ impl RefConfig {
         if cfg.router_arch != RouterArch::EdgeBuffer
             || cfg.link_mode != LinkMode::Credited
             || cfg.smart_hops != 1
-            || cfg.output_buffer_flits != 1
             || cfg.routing == RoutingKind::XyAdaptive
         {
             return None;
@@ -761,42 +760,24 @@ impl RefSimulator {
         warmup: u64,
         measure: u64,
     ) -> Snapshot {
-        let topo_nodes = self.nodes;
-        let mut report = RefReport::new(topo_nodes);
-        report.measured_cycles = measure;
-        let end_measure = warmup + measure;
-        let drain_cap = end_measure + measure.max(2_000);
-        let mut process = InjectionProcess::new(topo_nodes, rate, self.cfg.packet_flits, burst);
+        let end = warmup + measure;
+        let len = self.cfg.packet_flits as u32;
+        let mut process = InjectionProcess::new(self.nodes, rate, self.cfg.packet_flits, burst);
         let sampler = PatternSampler::new(pattern, &self.topo);
-        self.last_progress = self.now;
-        while self.now < end_measure || (self.outstanding > 0 && self.now < drain_cap) {
-            self.apply_due_faults(&mut report);
-            let measuring = self.now >= warmup && self.now < end_measure;
-            self.step(measuring, &mut report);
-            if self.now < end_measure {
-                for node in 0..topo_nodes {
-                    if process.tick(node, &mut self.rng) {
-                        if let Some(dst) = sampler.sample(NodeId(node), &mut self.rng) {
-                            self.generate(
-                                NodeId(node),
-                                dst,
-                                self.cfg.packet_flits as u32,
-                                false,
-                                measuring,
-                                &mut report,
-                            );
+        let inject = |sim: &mut Self, measuring: bool, report: &mut RefReport| {
+            if sim.now < end {
+                for node in 0..sim.nodes {
+                    if process.tick(node, &mut sim.rng) {
+                        if let Some(dst) = sampler.sample(NodeId(node), &mut sim.rng) {
+                            sim.generate(NodeId(node), dst, len, false, measuring, report);
                         }
                     }
                 }
             }
-            if self.watchdog_expired() {
-                break;
-            }
-            self.now += 1;
-        }
-        report.drained = self.outstanding == 0;
-        report.total_cycles = self.now;
-        report.into_snapshot()
+            sim.now + 1 < end
+        };
+        let drain_cap = end + measure.max(2_000);
+        self.drive(self.now < end, warmup..end, drain_cap, measure, inject)
     }
 
     /// Replays an explicit message list (the exact-equality mode of the
@@ -805,28 +786,45 @@ impl RefSimulator {
     /// the loop semantics mirror the optimized engine's `run_trace`
     /// cycle for cycle.
     pub fn run_workload(&mut self, trace: &[TraceMessage], warmup: u64) -> Snapshot {
-        let mut report = RefReport::new(self.nodes);
         let end = trace.last().map_or(0, |m| m.cycle + 1);
-        report.measured_cycles = end.saturating_sub(warmup).max(1);
-        let drain_cap = end + 50_000;
         let mut next = 0usize;
-        self.last_progress = self.now;
-        while next < trace.len() || (self.outstanding > 0 && self.now < drain_cap) {
-            self.apply_due_faults(&mut report);
-            let measuring = self.now >= warmup;
-            self.step(measuring, &mut report);
-            while next < trace.len() && trace[next].cycle <= self.now {
+        let inject = |sim: &mut Self, measuring: bool, report: &mut RefReport| {
+            while next < trace.len() && trace[next].cycle <= sim.now {
                 let m = trace[next];
                 next += 1;
-                self.generate(
-                    m.src,
-                    m.dst,
-                    m.kind.flits() as u32,
-                    m.kind.expects_reply(),
-                    measuring,
-                    &mut report,
-                );
+                let (len, reply) = (m.kind.flits() as u32, m.kind.expects_reply());
+                sim.generate(m.src, m.dst, len, reply, measuring, report);
             }
+            next < trace.len()
+        };
+        let measured_cycles = end.saturating_sub(warmup).max(1);
+        let (pending, measured, drain_cap) = (!trace.is_empty(), warmup..u64::MAX, end + 50_000);
+        self.drive(pending, measured, drain_cap, measured_cycles, inject)
+    }
+
+    /// The one run loop, cycle by cycle: apply due faults, step the
+    /// network, let `inject` create this cycle's packets, poll the
+    /// watchdog, advance the clock — until nothing is left to inject
+    /// and the measured packets have drained (or `drain_cap` is
+    /// reached). `inject` returns whether it has packets for a later
+    /// cycle (`pending` says so for the first); packets created in a
+    /// cycle of `measured` are measured.
+    fn drive(
+        &mut self,
+        mut pending: bool,
+        measured: std::ops::Range<u64>,
+        drain_cap: u64,
+        measured_cycles: u64,
+        mut inject: impl FnMut(&mut Self, bool, &mut RefReport) -> bool,
+    ) -> Snapshot {
+        let mut report = RefReport::new(self.nodes);
+        report.measured_cycles = measured_cycles;
+        self.last_progress = self.now;
+        while pending || (self.outstanding > 0 && self.now < drain_cap) {
+            self.apply_due_faults(&mut report);
+            let measuring = measured.contains(&self.now);
+            self.step(measuring, &mut report);
+            pending = inject(self, measuring, &mut report);
             if self.watchdog_expired() {
                 break;
             }

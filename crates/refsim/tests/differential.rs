@@ -472,7 +472,7 @@ fn reference_routing_agrees_with_optimized_tables() {
                         false,
                     );
                     flit.hops = hops as u16;
-                    let opt = table.route(cur, &flit, 0, vcs);
+                    let opt = table.route(cur, &flit, vcs);
                     let (port, vc) = reference.route(cur, dst, hops, vcs);
                     assert_eq!(
                         (opt.port, opt.vc),
@@ -541,7 +541,7 @@ fn degraded_reference_routing_agrees_with_optimized_tables() {
                         false,
                     );
                     flit.hops = hops as u16;
-                    let opt = table.route(cur, &flit, 0, vcs);
+                    let opt = table.route(cur, &flit, vcs);
                     let (port, vc) = reference.route(cur, dst, hops, vcs);
                     assert_eq!(
                         (opt.port, opt.vc),

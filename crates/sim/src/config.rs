@@ -93,8 +93,9 @@ impl RoutingKind {
 /// Full simulator configuration.
 ///
 /// Defaults follow §5.1: 2 VCs, edge routers with 5-flit input buffers,
-/// 1-flit output buffers, 20-flit injection/ejection queues, 6-flit
-/// packets, credited links, no SMART (`smart_hops = 1`).
+/// 20-flit injection/ejection queues, 6-flit packets, credited links,
+/// no SMART (`smart_hops = 1`). §5.1's 1-flit output buffer is the
+/// router's ST register and is not configurable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Virtual channels per link (`|VC|`).
@@ -103,8 +104,6 @@ pub struct SimConfig {
     pub router_arch: RouterArch,
     /// Edge-buffer sizing policy.
     pub buffer_sizing: BufferSizing,
-    /// Output buffer capacity per VC in flits.
-    pub output_buffer_flits: usize,
     /// Link mode (credited vs. elastic).
     pub link_mode: LinkMode,
     /// Grid hops traversed per link cycle (`H`; 1 = no SMART, 9 = SMART).
@@ -125,7 +124,6 @@ impl Default for SimConfig {
             vcs: 2,
             router_arch: RouterArch::EdgeBuffer,
             buffer_sizing: BufferSizing::Fixed(5),
-            output_buffer_flits: 1,
             link_mode: LinkMode::Credited,
             smart_hops: 1,
             injection_queue_flits: 20,
@@ -237,9 +235,6 @@ impl SimConfig {
         if let BufferSizing::Fixed(0) = self.buffer_sizing {
             return fail("input buffers need at least 1 flit");
         }
-        if self.output_buffer_flits == 0 {
-            return fail("output buffers need at least 1 flit");
-        }
         if self.injection_queue_flits < self.packet_flits {
             return fail("injection queue must hold at least one packet");
         }
@@ -308,7 +303,6 @@ mod tests {
         let c = SimConfig::default();
         assert_eq!(c.vcs, 2);
         assert_eq!(c.buffer_sizing, BufferSizing::Fixed(5));
-        assert_eq!(c.output_buffer_flits, 1);
         assert_eq!(c.injection_queue_flits, 20);
         assert_eq!(c.packet_flits, 6);
         assert_eq!(c.smart_hops, 1);

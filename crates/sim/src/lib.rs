@@ -54,8 +54,6 @@ mod link;
 mod network;
 mod router;
 mod routing;
-#[doc(hidden)]
-pub mod soa_harness;
 mod stats;
 
 pub use config::{BufferSizing, LinkMode, RouterArch, RoutingKind, SimConfig, SimError};

@@ -578,6 +578,13 @@ impl Simulator {
     /// Runs open-loop synthetic traffic: `rate` flits/node/cycle of
     /// `cfg.packet_flits`-flit packets under `pattern`, measured after
     /// `warmup` cycles for `measure` cycles, plus a bounded drain phase.
+    ///
+    /// Injection is event-driven: each node carries a next-injection
+    /// cycle drawn from geometric inter-arrival sampling — distribution-
+    /// identical to a per-cycle Bernoulli trial at `rate / packet_flits`
+    /// — and the calendar of those cycles both replaces the per-node
+    /// per-cycle RNG loop and gives the cycle-skipper a horizon to jump
+    /// to.
     pub fn run_synthetic(
         &mut self,
         pattern: TrafficPattern,
@@ -585,15 +592,17 @@ impl Simulator {
         warmup: u64,
         measure: u64,
     ) -> SimReport {
-        let sampler = PatternSampler::new(pattern, &self.topo);
-        self.run_pattern(&sampler, rate, warmup, measure)
+        self.run_synthetic_bursty(pattern, rate, BurstModel::uniform(), warmup, measure)
     }
 
     /// Runs open-loop synthetic traffic with a two-state (on/off) Markov
     /// burst model: while *on* a node injects at a rate scaled to keep
     /// the long-run offered load equal to `rate`, while *off* it injects
     /// nothing (see [`BurstModel`]). `BurstModel::uniform()` reduces to
-    /// [`Simulator::run_synthetic`] exactly, draw for draw.
+    /// [`Simulator::run_synthetic`] exactly, draw for draw. The
+    /// injection calendar draws per-node phase sojourns and in-phase
+    /// geometric gaps, distribution-identical to per-cycle Markov state
+    /// transitions plus Bernoulli trials.
     pub fn run_synthetic_bursty(
         &mut self,
         pattern: TrafficPattern,
@@ -603,41 +612,7 @@ impl Simulator {
         measure: u64,
     ) -> SimReport {
         let sampler = PatternSampler::new(pattern, &self.topo);
-        self.run_pattern_bursty(&sampler, rate, burst, warmup, measure)
-    }
-
-    /// Runs synthetic traffic with a pre-compiled pattern sampler.
-    ///
-    /// Injection is event-driven: each node carries a next-injection
-    /// cycle drawn from geometric inter-arrival sampling — distribution-
-    /// identical to a per-cycle Bernoulli trial at `rate / packet_flits`
-    /// — and the calendar of those cycles both replaces the per-node
-    /// per-cycle RNG loop and gives the cycle-skipper a horizon to jump
-    /// to.
-    pub fn run_pattern(
-        &mut self,
-        sampler: &PatternSampler,
-        rate: f64,
-        warmup: u64,
-        measure: u64,
-    ) -> SimReport {
-        self.run_pattern_bursty(sampler, rate, BurstModel::uniform(), warmup, measure)
-    }
-
-    /// Runs synthetic traffic with a pre-compiled sampler and a burst
-    /// model ([`Simulator::run_pattern`] with on/off phases). The
-    /// injection calendar draws per-node phase sojourns and in-phase
-    /// geometric gaps, distribution-identical to per-cycle Markov state
-    /// transitions plus Bernoulli trials.
-    pub fn run_pattern_bursty(
-        &mut self,
-        sampler: &PatternSampler,
-        rate: f64,
-        burst: BurstModel,
-        warmup: u64,
-        measure: u64,
-    ) -> SimReport {
-        let mut calendar = Calendar::new(self, sampler, rate, burst, warmup, measure, None, true);
+        let mut calendar = Calendar::new(self, &sampler, rate, burst, warmup, measure, None, true);
         self.drive(&mut calendar)
     }
 
@@ -849,7 +824,7 @@ impl Simulator {
             return 0;
         }
         let probe = probe_flit(target);
-        let d = self.table.route(src, &probe, 0, self.cfg.vcs);
+        let d = self.table.route(src, &probe, self.cfg.vcs);
         self.direction_occupancy(src, d.port)
     }
 
@@ -869,7 +844,7 @@ impl Simulator {
         while cur != dst {
             let mut f = probe_flit(dst);
             f.hops = hops;
-            let d = self.table.route(cur, &f, 0, self.cfg.vcs);
+            let d = self.table.route(cur, &f, self.cfg.vcs);
             cost += self.direction_occupancy(cur, d.port) as f64 + 1.0;
             cur = self.table.peer(cur, d.port);
             hops += 1;
@@ -1133,7 +1108,7 @@ impl Simulator {
                     && table.reachable(here, target)
                     && waits.len() < CAP
                 {
-                    let d = table.route(here, f, 0, self.cfg.vcs);
+                    let d = table.route(here, f, self.cfg.vcs);
                     waits.push(WaitForEdge {
                         from_router: r,
                         port: d.port,

@@ -428,9 +428,7 @@ fn compute_route<const VALIANT: bool>(
     table: &RoutingTable,
     concentration: usize,
     flit: &Flit,
-    in_vc: usize,
 ) -> RouteDecision {
-    let _ = in_vc;
     let at_dst = if VALIANT {
         flit.dst_router == id && (flit.intermediate().is_none() || flit.intermediate_done())
     } else {
@@ -448,7 +446,7 @@ fn compute_route<const VALIANT: bool>(
             vc: 0,
         }
     } else if VALIANT {
-        table.route(id, flit, in_vc, vcs)
+        table.route(id, flit, vcs)
     } else {
         table.route_direct(id, flit, vcs)
     }
@@ -833,7 +831,6 @@ impl RouterCore {
                             table,
                             concentration,
                             head,
-                            vc,
                         );
                         (route, head.packet.0)
                     }
@@ -973,7 +970,7 @@ impl RouterCore {
                 }
                 let f = arena.get(cb.stage_slot[lane]);
                 let route = cb.stage_route(lane).unwrap_or_else(|| {
-                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f, vc)
+                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f)
                 });
                 // Ordering: a *head* never bypasses a non-empty CB queue
                 // for the same (output, VC) — packets on a VC stay in
@@ -1029,7 +1026,7 @@ impl RouterCore {
                 let lane = port * vcs + vc;
                 let f = arena.get(cb.stage_slot[lane]);
                 let route = cb.stage_route(lane).unwrap_or_else(|| {
-                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f, vc)
+                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f)
                 });
                 let kind = f.kind;
                 let pkt = f.packet.0;
@@ -1089,6 +1086,7 @@ impl RouterCore {
     /// occupancy words vs lane contents, the per-port credit counter vs
     /// a fresh scan, and the ST mask vs the ST-live counter. Used by the
     /// shadow-model property suite; panics on any drift.
+    #[cfg(test)]
     pub(crate) fn verify_soa_invariants(&self) {
         let in_ports = self.net_ports + self.local_ports;
         match &self.arch {
@@ -1311,7 +1309,8 @@ impl RouterCore {
         self.out.st_occupied(out_port) && self.out.st_vc[out_port] as usize == vc
     }
 
-    /// Flits buffered in one edge input lane (harness introspection).
+    /// Flits buffered in one input lane (CBR: staging-slot occupancy as
+    /// 0/1).
     pub(crate) fn lane_len(&self, port: usize, vc: usize) -> usize {
         match &self.arch {
             ArchState::Edge(lanes) => lanes.len[port * self.vcs + vc] as usize,
@@ -1319,7 +1318,8 @@ impl RouterCore {
         }
     }
 
-    /// The raw occupancy word of one input port (harness introspection).
+    /// The raw occupancy word of one input port (test introspection).
+    #[cfg(test)]
     pub(crate) fn occupancy_word(&self, port: usize) -> u64 {
         match &self.arch {
             ArchState::Edge(lanes) => lanes.occ[port],
@@ -1327,21 +1327,27 @@ impl RouterCore {
         }
     }
 
-    /// Available credits on one output lane (harness introspection).
+    /// Available credits on one output lane (test introspection).
+    #[cfg(test)]
     pub(crate) fn credit(&self, out_port: usize, vc: usize) -> usize {
         self.out.credits[out_port * self.vcs + vc] as usize
     }
 
-    /// The per-port available-credit counter (harness introspection).
+    /// The per-port available-credit counter (test introspection).
+    #[cfg(test)]
     pub(crate) fn port_credits(&self, out_port: usize) -> usize {
         self.out.port_credits[out_port] as usize
     }
 
-    /// Occupied ST registers (harness introspection).
+    /// Occupied ST registers (test introspection).
+    #[cfg(test)]
     pub(crate) fn st_count(&self) -> usize {
         self.out.st_live
     }
 }
+
+#[cfg(test)]
+mod soa_props;
 
 #[cfg(test)]
 mod tests {

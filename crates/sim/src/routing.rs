@@ -374,8 +374,7 @@ impl RoutingTable {
     ///
     /// Panics if the flit is already at its destination router.
     #[must_use]
-    pub fn route(&self, cur: RouterId, flit: &Flit, in_vc: usize, vcs: usize) -> RouteDecision {
-        let _ = in_vc;
+    pub fn route(&self, cur: RouterId, flit: &Flit, vcs: usize) -> RouteDecision {
         let dst = Self::target(flit);
         self.route_toward(cur, dst, flit.hops, vcs)
     }
@@ -519,12 +518,10 @@ mod tests {
     fn walk(topo: &Topology, table: &RoutingTable, src: RouterId, dst: RouterId) -> usize {
         let mut cur = src;
         let mut f = flit_to(dst);
-        let mut vc = 0usize;
         let mut hops = 0;
         while cur != dst {
-            let d = table.route(cur, &f, vc, 2);
+            let d = table.route(cur, &f, 2);
             cur = table.peer(cur, d.port);
-            vc = d.vc;
             f.hops += 1;
             hops += 1;
             assert!(hops <= topo.router_count(), "routing loop");
@@ -568,7 +565,7 @@ mod tests {
         let table = RoutingTable::minimal(&t);
         // From (0,0) to (2,2): the first hop must go +x to router 1.
         let f = flit_to(RouterId(10));
-        let d = table.route(RouterId(0), &f, 0, 2);
+        let d = table.route(RouterId(0), &f, 2);
         assert_eq!(table.peer(RouterId(0), d.port), RouterId(1));
         assert_eq!(walk(&t, &table, RouterId(0), RouterId(10)), 4);
     }
@@ -591,16 +588,16 @@ mod tests {
         // hop (5 -> 0, cur > dst) uses VC0; once past the wrap (0 -> 1,
         // cur < dst) the packet moves to VC1.
         let f = flit_to(RouterId(1));
-        let d = table.route(RouterId(5), &f, 0, 2);
+        let d = table.route(RouterId(5), &f, 2);
         assert_eq!(table.peer(RouterId(5), d.port), RouterId(0));
         assert_eq!(d.vc, 0, "pre-wrap segment on VC0");
-        let d2 = table.route(RouterId(0), &f, 0, 2);
+        let d2 = table.route(RouterId(0), &f, 2);
         assert_eq!(table.peer(RouterId(0), d2.port), RouterId(1));
         assert_eq!(d2.vc, 1, "post-wrap segment on VC1");
         // The VC0 chain is broken at edge 0 -> 1: a forward hop from 0
         // always has cur < dst and therefore uses VC1.
         for dst in 1..=3 {
-            let dd = table.route(RouterId(0), &flit_to(RouterId(dst)), 0, 2);
+            let dd = table.route(RouterId(0), &flit_to(RouterId(dst)), 2);
             assert_eq!(dd.vc, 1, "0 -> {dst}");
         }
     }
@@ -616,11 +613,11 @@ mod tests {
             .find(|&(a, b)| table.distance(a, b) == 2)
             .expect("diameter 2");
         let mut f = flit_to(dst);
-        let d1 = table.route(src, &f, 0, 2);
+        let d1 = table.route(src, &f, 2);
         assert_eq!(d1.vc, 0, "first hop on VC0");
         f.hops = 1;
         let mid = table.peer(src, d1.port);
-        let d2 = table.route(mid, &f, 0, 2);
+        let d2 = table.route(mid, &f, 2);
         assert_eq!(d2.vc, 1, "second hop on VC1");
     }
 
@@ -718,7 +715,7 @@ mod tests {
                 if cur == dst {
                     continue;
                 }
-                let d = mt.route(cur, &flit_to(dst), 0, 2);
+                let d = mt.route(cur, &flit_to(dst), 2);
                 assert_eq!(mt.peer(cur, d.port), dor_next_mesh(cur, dst, 5));
             }
         }
@@ -729,7 +726,7 @@ mod tests {
                 if cur == dst {
                     continue;
                 }
-                let d = tt.route(cur, &flit_to(dst), 0, 4);
+                let d = tt.route(cur, &flit_to(dst), 4);
                 let (next, vc) = dor_next_torus(cur, dst, 4, 4);
                 assert_eq!(tt.peer(cur, d.port), next);
                 assert_eq!(d.vc, vc);

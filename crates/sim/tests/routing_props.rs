@@ -86,7 +86,7 @@ fn torus_dependency_graph(x: usize, y: usize, vcs: usize) -> Vec<Vec<usize>> {
             let mut prev: Option<usize> = None;
             let mut hops = 0usize;
             while cur != dst {
-                let dec = table.route(cur, &f, 0, vcs);
+                let dec = table.route(cur, &f, vcs);
                 assert!(dec.vc < vcs, "VC {} out of range on {x}x{y}", dec.vc);
                 let node = (cur.index() * max_ports + dec.port) * vcs + dec.vc;
                 if let Some(p) = prev {
@@ -170,7 +170,7 @@ proptest! {
         let mut cur = src;
         while cur != dst {
             let before = table.distance(cur, dst);
-            let dec = table.route(cur, &f, 0, 2);
+            let dec = table.route(cur, &f, 2);
             let next = table.peer(cur, dec.port);
             prop_assert_eq!(
                 table.distance(next, dst),

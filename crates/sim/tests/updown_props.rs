@@ -171,7 +171,7 @@ proptest! {
                 let mut descending = false;
                 let mut hops = 0usize;
                 while cur != dst {
-                    let d = table.route(cur, &f, 0, 2);
+                    let d = table.route(cur, &f, 2);
                     let next = table.peer(cur, d.port);
                     if key(next) > key(cur) {
                         descending = true; // a down hop commits the path
@@ -239,7 +239,7 @@ proptest! {
                 for hops in 0..2u16 {
                     let mut f = flit_to(dst);
                     f.hops = hops;
-                    let (da, db) = (a.route(cur, &f, 0, 2), b.route(cur, &f, 0, 2));
+                    let (da, db) = (a.route(cur, &f, 2), b.route(cur, &f, 2));
                     prop_assert_eq!(da, db, "route {} -> {} hop {}", cur, dst, hops);
                 }
             }

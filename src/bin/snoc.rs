@@ -24,8 +24,21 @@ use slim_noc::sim::RoutingKind;
 use snoc_bench::{figures, Args};
 use std::process::ExitCode;
 
+/// Splits every `--flag=value` argument into `--flag` and `value`, so
+/// each command reads one spelling (the next argument) and all of them
+/// accept both.
+fn split_inline_values(args: impl Iterator<Item = String>) -> Vec<String> {
+    args.flat_map(|arg| match arg.split_once('=') {
+        Some((flag, value)) if flag.starts_with("--") => {
+            vec![flag.to_string(), value.to_string()]
+        }
+        _ => vec![arg],
+    })
+    .collect()
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = split_inline_values(std::env::args().skip(1));
     let result = match args.first().map(String::as_str) {
         Some("sim") => cmd_sim(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),

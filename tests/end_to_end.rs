@@ -8,6 +8,8 @@ use slim_noc::prelude::*;
 use slim_noc::sim::Simulator;
 use slim_noc::traffic::TraceWorkload;
 
+mod common;
+
 #[test]
 fn every_paper_configuration_simulates_and_drains() {
     for name in slim_noc::topology::paper_config_names() {
@@ -40,15 +42,10 @@ fn slim_noc_latency_beats_low_radix_networks() {
 
 #[test]
 fn slim_noc_throughput_beats_low_radix_networks() {
-    let sat = |name: &str| {
-        Setup::paper(name).expect("config").saturation_throughput(
-            TrafficPattern::Random,
-            300,
-            1_500,
-        )
-    };
-    let sn = sat("sn54");
-    let t2d = sat("t2d54");
+    let setups = ["sn54", "t2d54"].map(|name| Setup::paper(name).expect("config"));
+    let sweep = common::saturation_sweep(setups.to_vec(), 300, 1_500);
+    let sn = sweep.peak_throughput("sn54", "RND");
+    let t2d = sweep.peak_throughput("t2d54", "RND");
     assert!(
         sn > 1.5 * t2d,
         "SN saturation {sn} should dwarf torus {t2d}"
@@ -73,10 +70,13 @@ fn cbr_with_smart_is_the_best_sn_design_point() {
     // §5.2.1's conclusion (3): SN with small CBs performs best; check
     // CBR-20 at least matches EB-Small in saturation throughput.
     let base = Setup::paper("sn54").expect("sn54").with_smart(true);
-    let eb = base.clone();
-    let cbr = base.with_buffers(BufferPreset::Cbr(20));
-    let eb_sat = eb.saturation_throughput(TrafficPattern::Random, 300, 1_500);
-    let cbr_sat = cbr.saturation_throughput(TrafficPattern::Random, 300, 1_500);
+    let mut eb = base.clone();
+    eb.name = "eb".to_string();
+    let mut cbr = base.with_buffers(BufferPreset::Cbr(20));
+    cbr.name = "cbr".to_string();
+    let sweep = common::saturation_sweep(vec![eb, cbr], 300, 1_500);
+    let eb_sat = sweep.peak_throughput("eb", "RND");
+    let cbr_sat = sweep.peak_throughput("cbr", "RND");
     assert!(
         cbr_sat > 0.7 * eb_sat,
         "CBR {cbr_sat} should be competitive with EB {eb_sat}"
@@ -99,7 +99,8 @@ fn power_pipeline_end_to_end() {
     let setup = Setup::paper("sn54")
         .expect("sn54")
         .with_buffers(BufferPreset::EbVar);
-    let r = setup.evaluate_power(TechNode::N45, TrafficPattern::Random, 0.08, 300, 2_000);
+    let report = setup.run_load(TrafficPattern::Random, 0.08, 300, 2_000);
+    let r = setup.power_report(TechNode::N45, &report);
     assert!(r.area.total_mm2() > 0.0);
     assert!(r.static_power.total_w() > 0.0);
     assert!(r.dynamic_power.total_w() > 0.0);

@@ -9,6 +9,8 @@ use slim_noc::layout::{BufferModel, BufferSpec, Layout, SnLayout};
 use slim_noc::power::TechNode;
 use slim_noc::prelude::*;
 
+mod common;
+
 /// §2.1: "SF reduces the number of routers by ≈25% and increases their
 /// network radix by ≈40% in comparison to a DF with a comparable N."
 #[test]
@@ -129,8 +131,9 @@ fn sn_trades_area_for_performance_against_torus() {
             .total_mm2()
     };
     assert!(area(&s_sn) > area(&s_t2d), "SN uses more area than T2D");
-    let sat_sn = s_sn.saturation_throughput(TrafficPattern::Random, 300, 1_500);
-    let sat_t2d = s_t2d.saturation_throughput(TrafficPattern::Random, 300, 1_500);
+    let sweep = common::saturation_sweep(vec![s_sn, s_t2d], 300, 1_500);
+    let sat_sn = sweep.peak_throughput("sn_s", "RND");
+    let sat_t2d = sweep.peak_throughput("t2d4", "RND");
     assert!(
         sat_sn > 2.0 * sat_t2d,
         "SN throughput {sat_sn} vs T2D {sat_t2d} (paper: 3x)"

@@ -9,6 +9,8 @@ use slim_noc::layout::{max_wires_per_tile, BufferModel, BufferSpec, Layout, SnLa
 use slim_noc::prelude::*;
 use slim_noc::topology::table2_rows;
 
+mod common;
+
 /// Table 2 smoke: the generator enumerates exactly the paper's 24 rows
 /// at the 1300-node limit.
 #[test]
@@ -68,11 +70,14 @@ fn fig6_longest_link_comparison() {
 #[test]
 fn fig11_buffer_shape() {
     let base = Setup::paper("sn_s").unwrap();
-    let small = base.clone(); // EB-Small default
-    let var = base.with_buffers(BufferPreset::EbVar);
-    let sat = |s: &Setup| s.saturation_throughput(TrafficPattern::Random, 300, 1_200);
+    let mut small = base.clone(); // EB-Small default
+    small.name = "small".to_string();
+    let mut var = base.with_buffers(BufferPreset::EbVar);
+    var.name = "var".to_string();
+    let sweep = common::saturation_sweep(vec![small, var], 300, 1_200);
+    let sat = |name: &str| sweep.peak_throughput(name, "RND");
     assert!(
-        sat(&var) > sat(&small),
+        sat("var") > sat("small"),
         "EB-Var must out-saturate EB-Small without SMART"
     );
 }

@@ -79,6 +79,37 @@ fn run_spec_replays_byte_identically_from_a_shared_cache() {
 }
 
 #[test]
+fn every_command_reads_inline_flag_values() {
+    let spaced = snoc(&[
+        "sim",
+        "--config",
+        "sn54",
+        "--load",
+        "0.02",
+        "--warmup",
+        "50",
+        "--measure",
+        "100",
+    ]);
+    assert!(spaced.status.success(), "{}", stderr(&spaced));
+    let inline = snoc(&[
+        "sim",
+        "--config=sn54",
+        "--load=0.02",
+        "--warmup=50",
+        "--measure=100",
+    ]);
+    assert!(inline.status.success(), "{}", stderr(&inline));
+    assert!(stdout(&inline).contains("avg latency"));
+    assert_eq!(inline.stdout, spaced.stdout);
+    // `run --spec=…` reaches the spec reader (exit 2 names the file,
+    // not an unknown flag).
+    let missing = snoc(&["run", "--spec=/nonexistent/spec.json", "--threads=1"]);
+    assert_eq!(missing.status.code(), Some(2));
+    assert!(stderr(&missing).contains("/nonexistent/spec.json"));
+}
+
+#[test]
 fn usage_errors_exit_2() {
     for args in [
         &["repro", "fig2"][..],
