@@ -5,13 +5,14 @@ use crate::faults::FaultsSpec;
 use snoc_layout::{per_router_central_buffers, BufferModel, BufferSpec, Layout, SnLayout};
 use snoc_power::{PowerModel, TechNode};
 use snoc_sim::{
-    BufferSizing, LinkMode, RoutingKind, ShardedSimulator, SimConfig, SimError, SimReport,
-    Simulator,
+    BufferSizing, LinkMode, RoutingKind, RoutingTable, ShardedSimulator, SimConfig, SimError,
+    SimReport, Simulator,
 };
 use snoc_topology::{paper_config, Topology, TopologyError, TopologyKind};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Buffering strategy presets from §5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,7 +288,30 @@ impl Setup {
     /// Returns [`SetupError::Sim`] when the configuration is invalid or
     /// the fault recipe is outside the supported envelope.
     pub fn simulator(&self) -> Result<Simulator, SetupError> {
-        let mut sim = Simulator::build_with_layout(&self.topology, &self.layout, &self.sim)?;
+        self.simulator_with_table(self.minimal_table())
+    }
+
+    /// A fresh [`RoutingTable::minimal`] of this setup's topology — the
+    /// crate's one table construction site. The entry points that take
+    /// no table call it per simulator; a campaign calls it once per
+    /// setup per run and hands the result to every point.
+    pub(crate) fn minimal_table(&self) -> Arc<RoutingTable> {
+        Arc::new(RoutingTable::minimal(&self.topology))
+    }
+
+    /// [`Setup::simulator`] around a pre-built
+    /// [`RoutingTable::minimal`] of this setup's topology. The table
+    /// depends on the topology alone — not on buffers, routing mode,
+    /// seed or faults (repair swaps in a fresh table, never edits the
+    /// shared one) — so a caller building many simulators of one setup,
+    /// like a campaign's points, builds it once.
+    ///
+    /// # Errors
+    ///
+    /// As [`Setup::simulator`].
+    pub fn simulator_with_table(&self, table: Arc<RoutingTable>) -> Result<Simulator, SetupError> {
+        let mut sim =
+            Simulator::build_with_table(&self.topology, Some(&self.layout), &self.sim, table)?;
         if let Some(faults) = &self.faults {
             sim.set_fault_plan(&faults.resolve(&self.topology))?;
         }
@@ -310,12 +334,7 @@ impl Setup {
         warmup: u64,
         measure: u64,
     ) -> SimReport {
-        let mut sim = self.simulator().expect("valid setup");
-        let report = sim.run_synthetic(pattern, rate, warmup, measure);
-        if let Some(diag) = &report.deadlock {
-            panic!("simulation deadlocked ({}): {diag}", self.name);
-        }
-        report
+        self.run_load_sharded(pattern, rate, warmup, measure, 1)
     }
 
     /// The shard count a request for `shards` actually runs on (see
@@ -354,11 +373,33 @@ impl Setup {
         measure: u64,
         shards: usize,
     ) -> SimReport {
+        self.run_load_with_table(pattern, rate, warmup, measure, shards, self.minimal_table())
+    }
+
+    /// The one point runner: [`Setup::run_load`] and
+    /// [`Setup::run_load_sharded`] call it with a fresh
+    /// [`Setup::minimal_table`], a campaign with the table it holds for
+    /// the setup (see [`Setup::simulator_with_table`]).
+    pub(crate) fn run_load_with_table(
+        &self,
+        pattern: TrafficPattern,
+        rate: f64,
+        warmup: u64,
+        measure: u64,
+        shards: usize,
+        table: Arc<RoutingTable>,
+    ) -> SimReport {
         let shards = self.effective_shards(shards);
         if shards == 1 {
-            return self.run_load(pattern, rate, warmup, measure);
+            let mut sim = self.simulator_with_table(table).expect("valid setup");
+            let report = sim.run_synthetic(pattern, rate, warmup, measure);
+            if let Some(diag) = &report.deadlock {
+                panic!("simulation deadlocked ({}): {diag}", self.name);
+            }
+            return report;
         }
-        ShardedSimulator::build_with_layout(&self.topology, &self.layout, &self.sim, shards)
+        let layout = Some(&self.layout);
+        ShardedSimulator::build_with_table(&self.topology, layout, &self.sim, shards, table)
             .expect("valid setup")
             .run_synthetic(pattern, rate, warmup, measure)
     }

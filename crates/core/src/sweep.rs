@@ -41,12 +41,30 @@ use crate::parallel::parallel_map_with_threads;
 use crate::report::{format_float, Series};
 use crate::setup::Setup;
 use snoc_power::TechNode;
-use snoc_sim::saturation_heuristic;
+use snoc_sim::{saturation_heuristic, RoutingTable};
 use snoc_traffic::TrafficPattern;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One setup's routing table for the duration of one campaign run:
+/// empty until a point of that setup has to be simulated.
+type TableSlot = OnceLock<Arc<RoutingTable>>;
+
+/// What the points of one latency–load curve share.
+struct Curve<'a> {
+    setup: &'a Setup,
+    pattern: TrafficPattern,
+    table: &'a TableSlot,
+    /// Reference latency for saturation detection, set by the curve's
+    /// first point — cached points reproduce it bit-exactly, so warm
+    /// and cold curves agree on every derived flag.
+    zero_load: f64,
+    /// Points served from / simulated into the attached cache.
+    hits: u64,
+    misses: u64,
+}
 
 /// A declarative sweep specification: every combination of setup ×
 /// pattern is one latency–load curve, swept over `loads` (plus optional
@@ -266,6 +284,22 @@ impl Campaign {
     /// [`run`]: Campaign::run
     #[must_use]
     pub fn run_observed<F: Fn(&SweepPoint) + Sync>(&self, observe: F) -> CampaignResult {
+        let tables: Vec<TableSlot> = self.setups.iter().map(|_| OnceLock::new()).collect();
+        self.run_with_tables(&tables, observe)
+    }
+
+    /// [`Campaign::run_observed`] over the run's routing-table slots,
+    /// one per setup. A setup's minimal table is a function of its
+    /// topology alone, so the first point of any of its curves that
+    /// misses the cache builds it and every later miss — on any worker
+    /// — shares it; a setup whose points all hit builds none. The slots
+    /// live for one run only: nothing is cached on [`Setup`] or across
+    /// runs.
+    fn run_with_tables<F: Fn(&SweepPoint) + Sync>(
+        &self,
+        tables: &[TableSlot],
+        observe: F,
+    ) -> CampaignResult {
         for (i, a) in self.setups.iter().enumerate() {
             assert!(
                 !self.setups[..i].iter().any(|b| b.name == a.name),
@@ -279,7 +313,15 @@ impl Campaign {
             .flat_map(|s| (0..self.patterns.len()).map(move |p| (s, p)))
             .collect();
         let curves = parallel_map_with_threads(pairs, self.threads, |(s, p)| {
-            self.run_curve(&self.setups[s], self.patterns[p], &observe)
+            let curve = Curve {
+                setup: &self.setups[s],
+                pattern: self.patterns[p],
+                table: &tables[s],
+                zero_load: 0.0,
+                hits: 0,
+                misses: 0,
+            };
+            self.run_curve(curve, &observe)
         });
         let mut points = Vec::new();
         let (mut cache_hits, mut cache_misses) = (0, 0);
@@ -310,25 +352,14 @@ impl Campaign {
     /// returns the points plus this curve's cache hit/miss counts.
     fn run_curve<F: Fn(&SweepPoint) + Sync>(
         &self,
-        setup: &Setup,
-        pattern: TrafficPattern,
+        mut curve: Curve<'_>,
         observe: &F,
     ) -> (Vec<SweepPoint>, u64, u64) {
         let mut points = Vec::new();
-        let mut zero_load = 0.0;
-        let (mut hits, mut misses) = (0, 0);
         let mut last_ok: Option<f64> = None;
         let mut first_sat: Option<f64> = None;
         for &load in &self.loads {
-            let point = self.run_point(
-                setup,
-                pattern,
-                load,
-                &mut zero_load,
-                false,
-                &mut hits,
-                &mut misses,
-            );
+            let point = self.run_point(&mut curve, load, false);
             observe(&point);
             let saturated = point.saturated;
             points.push(point);
@@ -347,15 +378,7 @@ impl Campaign {
         if let (Some(mut lo), Some(mut hi)) = (last_ok, first_sat) {
             for _ in 0..self.refine_rounds {
                 let mid = 0.5 * (lo + hi);
-                let point = self.run_point(
-                    setup,
-                    pattern,
-                    mid,
-                    &mut zero_load,
-                    true,
-                    &mut hits,
-                    &mut misses,
-                );
+                let point = self.run_point(&mut curve, mid, true);
                 observe(&point);
                 if point.saturated {
                     hi = mid;
@@ -366,7 +389,7 @@ impl Campaign {
             }
         }
         points.sort_by(|a, b| a.load.total_cmp(&b.load));
-        (points, hits, misses)
+        (points, curve.hits, curve.misses)
     }
 
     /// The cache and the key of one point in it, when the campaign has
@@ -393,31 +416,27 @@ impl Campaign {
         Some((cache, key))
     }
 
-    /// Runs (or replays from cache) one point. `zero_load` is the
-    /// curve's reference latency for saturation detection, set by the
-    /// curve's first point — cached points reproduce it bit-exactly, so
-    /// warm and cold curves agree on every derived flag.
-    #[allow(clippy::too_many_arguments)] // internal; counters travel with the curve
-    fn run_point(
-        &self,
-        setup: &Setup,
-        pattern: TrafficPattern,
-        load: f64,
-        zero_load: &mut f64,
-        refined: bool,
-        hits: &mut u64,
-        misses: &mut u64,
-    ) -> SweepPoint {
+    /// Runs (or replays from cache) one point of `curve`. Only a point
+    /// that has to be simulated touches the setup's table slot.
+    fn run_point(&self, curve: &mut Curve<'_>, load: f64, refined: bool) -> SweepPoint {
+        let (setup, pattern) = (curve.setup, curve.pattern);
         let seed = self.point_seed(&setup.name, pattern, load);
         let keyed = self.cache_key(setup, pattern, load);
         let cached = keyed.as_ref().and_then(|(cache, key)| cache.get(key));
         let point = if let Some(hit) = cached {
-            *hits += 1;
+            curve.hits += 1;
             hit
         } else {
+            let table = curve.table.get_or_init(|| setup.minimal_table());
             let seeded = setup.clone().with_seed(seed);
-            let report =
-                seeded.run_load_sharded(pattern, load, self.warmup, self.measure, self.shards);
+            let report = seeded.run_load_with_table(
+                pattern,
+                load,
+                self.warmup,
+                self.measure,
+                self.shards,
+                Arc::clone(table),
+            );
             let point = CachedPoint {
                 latency: report.avg_packet_latency(),
                 p99_latency: report.latency_percentile(0.99),
@@ -433,14 +452,14 @@ impl Campaign {
                     .map(|tech| PowerPoint::from_report(&seeded.power_report(tech, &report))),
             };
             if let Some((cache, key)) = &keyed {
-                *misses += 1;
+                curve.misses += 1;
                 // A failed append only loses future reuse, never this run.
                 let _ = cache.put(key, &point);
             }
             point
         };
-        if *zero_load == 0.0 {
-            *zero_load = point.latency;
+        if curve.zero_load == 0.0 {
+            curve.zero_load = point.latency;
         }
         SweepPoint {
             setup: setup.name.clone(),
@@ -460,7 +479,7 @@ impl Campaign {
                 point.drained,
                 point.delivered_packets,
                 point.injected_packets,
-                *zero_load,
+                curve.zero_load,
             ),
             drained: point.drained,
             refined,
@@ -785,6 +804,43 @@ mod tests {
         assert_eq!(r.points[1].load, 0.05);
         assert!(r.points.iter().all(|p| p.delivered_packets > 0));
         assert!(r.points.iter().all(|p| !p.refined));
+    }
+
+    #[test]
+    fn table_slots_fill_once_per_simulated_setup_and_never_on_a_warm_run() {
+        let dir = std::env::temp_dir().join(format!("snoc_sweep_slots_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let campaign = tiny_campaign()
+            .with_setups(vec![
+                Setup::paper("sn54").expect("paper config"),
+                Setup::paper("fbf3").expect("paper config"),
+            ])
+            .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
+            .with_threads(2)
+            .with_cache_dir(&dir)
+            .expect("cache dir");
+        let slots = || -> Vec<TableSlot> { (0..2).map(|_| OnceLock::new()).collect() };
+        let filled = |tables: &[TableSlot]| tables.iter().filter(|t| t.get().is_some()).count();
+        // Cold: 2 curves × 2 loads per setup all miss, one table each.
+        let cold_tables = slots();
+        let cold = campaign.run_with_tables(&cold_tables, |_| {});
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 8));
+        assert_eq!(filled(&cold_tables), 2);
+        // Each slot holds its own setup's table, and no finished point
+        // kept a reference to it.
+        for (slot, setup) in cold_tables.iter().zip(&campaign.setups) {
+            let table = slot.get().expect("filled");
+            let r0 = snoc_topology::RouterId(0);
+            assert_eq!(table.port_count(r0), setup.topology.neighbors(r0).len());
+            assert_eq!(Arc::strong_count(table), 1);
+        }
+        // Warm: every point replays, so no table is ever built.
+        let warm_tables = slots();
+        let warm = campaign.run_with_tables(&warm_tables, |_| {});
+        assert_eq!((warm.cache_hits, warm.cache_misses), (8, 0));
+        assert_eq!(filled(&warm_tables), 0);
+        assert_eq!(warm.to_json(), cold.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

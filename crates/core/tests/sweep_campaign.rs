@@ -1,7 +1,8 @@
 //! Integration tests for the sweep-campaign engine: thread-count
-//! determinism and adaptive saturation-knee refinement.
+//! determinism, adaptive saturation-knee refinement, and the isolation
+//! of points that share one routing table.
 
-use snoc_core::{Campaign, Setup};
+use snoc_core::{Campaign, FaultsSpec, Setup, StormSpec};
 use snoc_sim::RoutingKind;
 use snoc_traffic::TrafficPattern;
 
@@ -102,4 +103,73 @@ fn adaptive_refinement_finds_adv1_knee_near_one_third() {
         (0.25..=0.38).contains(&cap),
         "saturation throughput {cap} should approach 1/3"
     );
+}
+
+/// A campaign run builds one routing table per setup and hands the same
+/// `Arc` to every point of that setup. A faulted point repairs its
+/// routing mid-run; if that repair ever reached the shared table, the
+/// sibling points after it would diverge from a run that built its own.
+/// So: every point of a fault-free and a storm setup, at 1 and 2
+/// worker threads, equals `Setup::run_load` with the point's own seed
+/// bit for bit, and the sweep JSON is identical across thread counts.
+#[test]
+fn shared_tables_never_leak_between_points() {
+    let (warmup, measure) = (200, 800);
+    let healthy = Setup::paper("sn54").expect("paper config");
+    let mut stormy = healthy.clone().with_faults(FaultsSpec {
+        events: Vec::new(),
+        storm: Some(StormSpec {
+            links: 6,
+            start: 300,
+            window: 300,
+            seed: 9,
+        }),
+    });
+    stormy.name = "sn54+storm".to_string();
+    let setups = [healthy, stormy];
+    let run = |threads: usize| {
+        Campaign::new("shared-tables")
+            .with_setups(setups.to_vec())
+            .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
+            .with_loads(vec![0.02, 0.06, 0.12])
+            .with_windows(warmup, measure)
+            .with_stop_at_saturation(false)
+            .with_threads(threads)
+            .run()
+    };
+    let one = run(1);
+    let two = run(2);
+    assert_eq!(one.points.len(), 12);
+    assert_eq!(one.to_json(), two.to_json(), "1 vs 2 worker threads");
+    for p in &one.points {
+        let setup = setups
+            .iter()
+            .find(|s| s.name == p.setup)
+            .expect("own setup");
+        let pattern = TrafficPattern::from_short_name(&p.pattern).expect("own pattern");
+        let alone = setup
+            .clone()
+            .with_seed(p.seed)
+            .run_load(pattern, p.load, warmup, measure);
+        let at = format!("{} {} {}", p.setup, p.pattern, p.load);
+        assert_eq!(
+            p.latency.to_bits(),
+            alone.avg_packet_latency().to_bits(),
+            "{at}"
+        );
+        assert_eq!(p.p99_latency, alone.latency_percentile(0.99), "{at}");
+        assert_eq!(p.throughput.to_bits(), alone.throughput().to_bits(), "{at}");
+        assert_eq!(p.avg_hops.to_bits(), alone.avg_hops().to_bits(), "{at}");
+        assert_eq!(p.acceptance.to_bits(), alone.acceptance().to_bits(), "{at}");
+        assert_eq!(p.delivered_packets, alone.delivered_packets, "{at}");
+        assert_eq!(p.dropped_packets, alone.dropped_packets, "{at}");
+        assert_eq!(p.drained, alone.drained, "{at}");
+    }
+    // The storm really did cut traffic, i.e. tables really were repaired.
+    let dropped = |name: &str| -> u64 {
+        let of_setup = one.points.iter().filter(|p| p.setup == name);
+        of_setup.map(|p| p.dropped_packets).sum()
+    };
+    assert!(dropped("sn54+storm") > 0);
+    assert_eq!(dropped("sn54"), 0);
 }

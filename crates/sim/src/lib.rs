@@ -66,4 +66,6 @@ pub use flit::{Flit, FlitArena, FlitKind, FlitRef, PacketId};
 pub use network::shard::ShardedSimulator;
 pub use network::Simulator;
 pub use routing::{RouteDecision, RoutingTable};
-pub use stats::{saturation_heuristic, ActivityCounters, Conformance, SimReport, Snapshot};
+pub use stats::{
+    saturation_heuristic, ActivityCounters, Conformance, SimReport, Snapshot, WorkCounters,
+};

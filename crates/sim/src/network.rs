@@ -15,7 +15,7 @@ use crate::flit::{Flit, FlitArena, FlitRef, PacketId};
 use crate::link::Channel;
 use crate::router::{AllocResult, RouterCore, StFlit};
 use crate::routing::RoutingTable;
-use crate::stats::SimReport;
+use crate::stats::{SimReport, WorkCounters};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use snoc_layout::Layout;
@@ -115,6 +115,9 @@ pub struct Simulator {
     /// Last cycle with progress: a flit delivery, switch traversal,
     /// injection, packet creation, or an applied fault batch.
     last_progress: u64,
+    /// Host-side work counters ([`Simulator::work`]); never read by the
+    /// simulation itself.
+    work: WorkCounters,
 }
 
 impl Simulator {
@@ -126,7 +129,7 @@ impl Simulator {
     /// inconsistent (including [`BufferSizing::VariableRtt`], which needs
     /// a layout).
     pub fn build(topo: &Topology, cfg: &SimConfig) -> Result<Self, SimError> {
-        Self::build_inner(topo, None, cfg)
+        Self::build_with_table(topo, None, cfg, Arc::new(RoutingTable::minimal(topo)))
     }
 
     /// Builds a simulator whose link latencies come from the layout:
@@ -141,27 +144,36 @@ impl Simulator {
         layout: &Layout,
         cfg: &SimConfig,
     ) -> Result<Self, SimError> {
-        Self::build_inner(topo, Some(layout), cfg)
-    }
-
-    fn build_inner(
-        topo: &Topology,
-        layout: Option<&Layout>,
-        cfg: &SimConfig,
-    ) -> Result<Self, SimError> {
         let table = Arc::new(RoutingTable::minimal(topo));
-        Self::build_with_table(topo, layout, cfg, table)
+        Self::build_with_table(topo, Some(layout), cfg, table)
     }
 
-    /// Builds a simulator around a pre-built routing table. The sharded
-    /// engine uses this to share one table across all shard replicas.
-    pub(crate) fn build_with_table(
+    /// Builds a simulator around a pre-built routing table for `topo` —
+    /// the one construction path; [`Simulator::build`] and
+    /// [`Simulator::build_with_layout`] are this with a fresh
+    /// [`RoutingTable::minimal`]. The table is a function of the
+    /// topology alone and is never mutated (fault repair swaps in a
+    /// fresh one), so one `Arc` can serve every simulator of a
+    /// topology: the shard replicas of a sharded run, the points of a
+    /// campaign.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] as the other builders do, and
+    /// [`SimError::InvalidConfig`] if `table` was built for another
+    /// wiring than `topo`'s.
+    pub fn build_with_table(
         topo: &Topology,
         layout: Option<&Layout>,
         cfg: &SimConfig,
         table: Arc<RoutingTable>,
     ) -> Result<Self, SimError> {
         cfg.validate()?;
+        if !table.is_wired_like(topo) {
+            return Err(SimError::InvalidConfig {
+                reason: format!("routing table was not built for {}", topo.name()),
+            });
+        }
         if cfg.buffer_sizing == BufferSizing::VariableRtt && layout.is_none() {
             return Err(SimError::InvalidConfig {
                 reason: "VariableRtt buffer sizing requires a layout".to_string(),
@@ -291,6 +303,7 @@ impl Simulator {
             scratch_alloc: AllocResult::default(),
             watchdog: Some(watchdog),
             last_progress: 0,
+            work: WorkCounters::default(),
         })
     }
 
@@ -304,6 +317,12 @@ impl Simulator {
     #[must_use]
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// The work this simulator has done so far (see [`WorkCounters`]).
+    #[must_use]
+    pub fn work(&self) -> WorkCounters {
+        self.work
     }
 
     /// Enables or disables cycle-skipping (on by default). With skipping
@@ -527,9 +546,10 @@ impl Simulator {
         // compact stale entries now (routers and channels tolerate
         // stale entries until the end-of-step compaction).
         let inj_queues = &self.inj_queues;
-        compact(&mut self.active_inj, &mut self.inj_queued, |node| {
+        let removed = compact(&mut self.active_inj, &mut self.inj_queued, |node| {
             inj_queues[node].is_empty()
         });
+        self.work.compact_removals += removed as u64;
         // 6. Swap the degraded table in. Debug builds first re-verify
         // the deadlock-freedom the up*/down* construction promises —
         // including for packets already mid-flight with accumulated
@@ -642,16 +662,24 @@ impl Simulator {
                 report.deadlock = Some(self.deadlock_diagnostic());
                 break;
             }
-            self.now = if self.must_step() {
+            let next = if self.must_step() {
                 self.now + 1
             } else {
                 let next = self.next_local_event(source.horizon());
                 windows.jump(self.now, source.pending(self.now), next)
             };
+            self.advance_to(next);
         }
         report.drained = self.outstanding == 0;
         report.total_cycles = self.now;
         report
+    }
+
+    /// Moves the clock to `next` (> `now`), counting the cycles in
+    /// between as skipped.
+    fn advance_to(&mut self, next: u64) {
+        self.work.cycles_skipped += next - self.now - 1;
+        self.now = next;
     }
 
     /// Whether the next cycle must be stepped: while any router or
@@ -899,6 +927,9 @@ impl Simulator {
     /// shard's cut-channel view in sharded runs.
     fn step<B: Boundary>(&mut self, measuring: bool, report: &mut SimReport, boundary: &mut B) {
         let now = self.now;
+        self.work.cycles_stepped += 1;
+        self.work.channel_visits += self.active_channels.len() as u64;
+        self.work.router_visits += self.active_routers.len() as u64;
         // Phases 1–3 fused per active channel: pipeline tick, delivery
         // into the router input, credit returns. Deliveries do not
         // affect other channels' readiness and credits only feed the
@@ -982,6 +1013,10 @@ impl Simulator {
                     &mut res,
                 );
             }
+            self.work.alloc_calls += 1;
+            self.work.ports_examined += res.ports_examined;
+            self.work.lanes_examined += res.lanes_examined;
+            self.work.grants += res.alloc_grants;
             if measuring {
                 report.activity.record_alloc(&res);
             }
@@ -1015,17 +1050,18 @@ impl Simulator {
             }
         }
         let routers = &self.routers;
-        compact(&mut self.active_routers, &mut self.router_queued, |r| {
+        let mut removed = compact(&mut self.active_routers, &mut self.router_queued, |r| {
             routers[r].is_idle()
         });
         let channels = &self.channels;
-        compact(&mut self.active_channels, &mut self.chan_queued, |id| {
+        removed += compact(&mut self.active_channels, &mut self.chan_queued, |id| {
             channels[id].is_idle()
         });
         let inj_queues = &self.inj_queues;
-        compact(&mut self.active_inj, &mut self.inj_queued, |node| {
+        removed += compact(&mut self.active_inj, &mut self.inj_queued, |node| {
             inj_queues[node].is_empty()
         });
+        self.work.compact_removals += removed as u64;
     }
 
     /// Hands a flit to its destination node, releasing its arena slot.
@@ -1175,8 +1211,9 @@ impl Boundary for NoBoundary {
 }
 
 /// Drops the worklist entries whose component went idle, clearing
-/// their queued flags so they can re-enter later.
-fn compact(worklist: &mut Vec<usize>, queued: &mut [bool], idle: impl Fn(usize) -> bool) {
+/// their queued flags so they can re-enter later; returns how many.
+fn compact(worklist: &mut Vec<usize>, queued: &mut [bool], idle: impl Fn(usize) -> bool) -> usize {
+    let before = worklist.len();
     worklist.retain(|&i| {
         if idle(i) {
             queued[i] = false;
@@ -1185,6 +1222,7 @@ fn compact(worklist: &mut Vec<usize>, queued: &mut [bool], idle: impl Fn(usize) 
             true
         }
     });
+    before - worklist.len()
 }
 
 /// Physical output-port index of `r` toward adjacent `peer`. Channel
@@ -1237,6 +1275,30 @@ mod tests {
             "hops {}",
             report.avg_hops()
         );
+    }
+
+    #[test]
+    fn low_load_allocation_examines_only_non_empty_ports() {
+        // sn_l: 13 network + 8 local ports per router. At 0.008
+        // flits/node/cycle almost every port of a busy router is empty.
+        let topo = Topology::slim_noc(9, 8).unwrap();
+        let run = || {
+            let mut sim = Simulator::build(&topo, &SimConfig::default()).unwrap();
+            let report = sim.run_synthetic(TrafficPattern::Random, 0.008, 150, 600);
+            (report, sim.work())
+        };
+        let (report, w) = run();
+        assert!(w.alloc_calls > 0 && w.grants > 0);
+        // Every examined port was non-empty: it had an occupied lane to
+        // inspect, and at most one of its lanes is granted per call.
+        assert!(w.ports_examined <= w.lanes_examined, "{w:?}");
+        assert!(w.grants <= w.ports_examined, "{w:?}");
+        // The all-ports walk would have examined 21 per call.
+        assert!(w.ports_examined < 2 * w.alloc_calls, "{w:?}");
+        assert_eq!(w.cycles_stepped + w.cycles_skipped, report.total_cycles);
+        assert!(w.calendar_pops >= report.injected_packets);
+        // Counts, not timings: they repeat exactly.
+        assert_eq!(run(), (report, w));
     }
 
     #[test]
@@ -1538,6 +1600,20 @@ mod tests {
         assert!(Simulator::build(&topo, &SimConfig::eb_var()).is_err());
         let layout = Layout::natural(&topo);
         assert!(Simulator::build_with_layout(&topo, &layout, &SimConfig::eb_var()).is_ok());
+    }
+
+    #[test]
+    fn a_table_of_another_wiring_is_refused() {
+        // Same router count and the same four ports per router, so only
+        // the neighbour lists tell the two tori apart.
+        let (topo, other) = (Topology::torus(6, 6, 1), Topology::torus(4, 9, 1));
+        let cfg = SimConfig::default();
+        let table = |t: &Topology| Arc::new(RoutingTable::minimal(t));
+        assert!(Simulator::build_with_table(&topo, None, &cfg, table(&topo)).is_ok());
+        let err = Simulator::build_with_table(&topo, None, &cfg, table(&other)).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        let small = table(&Topology::torus(3, 3, 1));
+        assert!(Simulator::build_with_table(&topo, None, &cfg, small).is_err());
     }
 
     #[test]

@@ -246,7 +246,8 @@ impl ShardedSimulator {
     /// (the former reads remote occupancy, the latter has zero
     /// lookahead).
     pub fn build(topo: &Topology, cfg: &SimConfig, shards: usize) -> Result<Self, SimError> {
-        Self::build_inner(topo, None, cfg, shards)
+        let table = Arc::new(RoutingTable::minimal(topo));
+        Self::build_with_table(topo, None, cfg, shards, table)
     }
 
     /// Builds a sharded simulator whose link latencies come from the
@@ -261,14 +262,23 @@ impl ShardedSimulator {
         cfg: &SimConfig,
         shards: usize,
     ) -> Result<Self, SimError> {
-        Self::build_inner(topo, Some(layout), cfg, shards)
+        let table = Arc::new(RoutingTable::minimal(topo));
+        Self::build_with_table(topo, Some(layout), cfg, shards, table)
     }
 
-    fn build_inner(
+    /// Builds a sharded simulator around a pre-built routing table for
+    /// `topo`, which every shard replica shares; the sharded
+    /// counterpart of [`Simulator::build_with_table`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError`] as [`ShardedSimulator::build`] does.
+    pub fn build_with_table(
         topo: &Topology,
         layout: Option<&Layout>,
         cfg: &SimConfig,
         shards: usize,
+        table: Arc<RoutingTable>,
     ) -> Result<Self, SimError> {
         let shards = shards.clamp(1, topo.router_count().max(1));
         if shards > 1 {
@@ -288,7 +298,6 @@ impl ShardedSimulator {
         }
         let exact = cfg.routing != RoutingKind::UgalL;
         let assign = topo.partition(shards);
-        let table = Arc::new(RoutingTable::minimal(topo));
         let mut sims = Vec::with_capacity(shards);
         for k in 0..shards {
             // The statistical tier decorrelates shard RNGs; the exact
@@ -497,7 +506,7 @@ fn run_shard(
             windows.jump(now, source.pending(now), next)
         };
         shared.round_b.wait();
-        sim.now = new_now;
+        sim.advance_to(new_now);
         outstanding = initial_outstanding + inj as i64 - del as i64;
     }
     (report, outstanding, sim.now)

@@ -158,6 +158,7 @@ impl Source for Calendar<'_> {
                 break;
             }
             self.heap.pop();
+            sim.work.calendar_pops += 1;
             if let Some(dst) = self.sampler.sample(NodeId(src), &mut sim.rng) {
                 if self.is_local(src) {
                     sim.generate(NodeId(src), dst, self.pkt_len, false, measuring, report);

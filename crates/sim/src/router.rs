@@ -17,7 +17,9 @@
 //!
 //! All hot per-router state is flattened into contiguous arrays indexed
 //! by `lane = port * vcs + vc`, with one **occupancy bitmask word per
-//! port** (bit `vc` set ⇔ that lane holds at least one flit):
+//! port** (bit `vc` set ⇔ that lane holds at least one flit) and, one
+//! level up, a **port mask** over those words (bit `port` set ⇔ the
+//! port's word is non-zero, 64 ports per mask word):
 //!
 //! - edge input buffers are fixed-capacity ring buffers carved out of a
 //!   single flat [`FlitRef`] slab ([`EdgeLanes`]);
@@ -27,10 +29,16 @@
 //!   arrays on the shared [`OutputSide`], plus a per-port available-
 //!   credit counter so congestion lookups never rescan the VC row.
 //!
-//! The allocator scans are driven by the mask words: an idle port costs
-//! one integer load, and the per-VC scan skips empty lanes without
-//! touching the buffer slab. The allocation *algorithm* (round-robin
-//! rotations, nomination order, output-arbitration sort) is unchanged
+//! The allocator scans are driven by the masks, so an allocation call
+//! costs what the occupied lanes cost, not what the radix costs: the
+//! scans walk the set bits of a port mask (ascending, or rotated from a
+//! round-robin pointer by [`ports_from`]) and never visit an empty
+//! port, the per-VC scan skips empty lanes without touching the buffer
+//! slab, and the edge output-arbitration scratch is persistent — only
+//! the outputs a call nominated are visited and reset. Walking set bits
+//! in ascending (or rotated) order visits the non-empty ports in the
+//! order the all-ports walk met them, so the allocation *algorithm*
+//! (round-robin rotations, nomination order, grant order) is unchanged
 //! from the array-of-structs layout — results are bit-for-bit
 //! identical; only the state representation moved. Nothing derived
 //! from a flit or the routing table outlives an allocation call: a
@@ -102,9 +110,14 @@ struct EdgeLanes {
     /// upstream), so the fault sweep needs the owner recorded here to
     /// release wormhole state of dropped packets.
     route_pkt: Vec<u64>,
-    /// Occupancy word per input port — allocation skips ports at 0, and
-    /// the VC scan skips clear bits without touching the slab.
+    /// Occupancy word per input port — the VC scan skips clear bits
+    /// without touching the slab.
     occ: Vec<u64>,
+    /// Port-level mask (bit `p` ⇔ `occ[p] != 0`, 64 ports per word):
+    /// allocation walks its set bits, so empty ports cost nothing.
+    /// Maintained in `push` / `pop` only, which the fault sweep also
+    /// goes through.
+    port_mask: Vec<u64>,
     /// Precomputed `lane / vcs` and `1 << (lane % vcs)` — `vcs` is a
     /// runtime value, so the per-push/pop occupancy-bit address would
     /// otherwise cost a hardware divide on the hottest datapath.
@@ -124,6 +137,69 @@ pub(crate) fn fast_wrap(x: usize, m: usize) -> usize {
     } else {
         x
     }
+}
+
+/// Sets bit `port` of a port mask (64 ports per word).
+#[inline(always)]
+fn mask_set(mask: &mut [u64], port: usize) {
+    mask[port >> 6] |= 1 << (port & 63);
+}
+
+/// Clears bit `port` of a port mask.
+#[inline(always)]
+fn mask_clear(mask: &mut [u64], port: usize) {
+    mask[port >> 6] &= !(1 << (port & 63));
+}
+
+/// The set bits of a port mask (64 ports per word) within `lo..hi`, in
+/// ascending port order.
+struct PortsIn<'a> {
+    mask: &'a [u64],
+    word: usize,
+    /// Unvisited bits of `mask[word]`.
+    bits: u64,
+    hi: usize,
+}
+
+fn ports_in(mask: &[u64], lo: usize, hi: usize) -> PortsIn<'_> {
+    let word = lo >> 6;
+    let bits = mask.get(word).map_or(0, |w| w & (!0 << (lo & 63)));
+    PortsIn {
+        mask,
+        word,
+        bits,
+        hi,
+    }
+}
+
+impl Iterator for PortsIn<'_> {
+    type Item = usize;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            self.word += 1;
+            if self.word << 6 >= self.hi {
+                return None;
+            }
+            self.bits = *self.mask.get(self.word)?;
+        }
+        let port = (self.word << 6) | self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        (port < self.hi).then_some(port)
+    }
+}
+
+/// The set bits of a port mask over `ports` ports in round-robin order
+/// from `start`: exactly the ports the `fast_wrap(start + i, ports)`
+/// walk finds set, in its order.
+#[inline(always)]
+fn ports_from(
+    mask: &[u64],
+    start: usize,
+    ports: usize,
+) -> std::iter::Chain<PortsIn<'_>, PortsIn<'_>> {
+    ports_in(mask, start, ports).chain(ports_in(mask, 0, start))
 }
 
 /// Decodes a lane's held-route pair ([`NO_ROUTE`] = none).
@@ -161,6 +237,7 @@ impl EdgeLanes {
             route_vc: vec![0; lanes],
             route_pkt: vec![NO_PKT; lanes],
             occ: vec![0; in_ports],
+            port_mask: vec![0; in_ports.div_ceil(64)],
             occ_port: (0..lanes).map(|l| (l / vcs) as u32).collect(),
             occ_bit: (0..lanes).map(|l| 1u64 << (l % vcs)).collect(),
         }
@@ -188,7 +265,9 @@ impl EdgeLanes {
         }
         self.slots[(self.base[lane] + pos) as usize] = flit;
         self.len[lane] += 1;
-        self.occ[self.occ_port[lane] as usize] |= self.occ_bit[lane];
+        let port = self.occ_port[lane] as usize;
+        self.occ[port] |= self.occ_bit[lane];
+        mask_set(&mut self.port_mask, port);
     }
 
     /// Pops the front of a non-empty lane, clearing its occupancy bit
@@ -205,7 +284,11 @@ impl EdgeLanes {
         };
         self.len[lane] -= 1;
         if self.len[lane] == 0 {
-            self.occ[self.occ_port[lane] as usize] &= !self.occ_bit[lane];
+            let port = self.occ_port[lane] as usize;
+            self.occ[port] &= !self.occ_bit[lane];
+            if self.occ[port] == 0 {
+                mask_clear(&mut self.port_mask, port);
+            }
         }
         fr
     }
@@ -230,8 +313,11 @@ struct CbState {
     /// [`MODE_BYPASS`] / [`MODE_CENTRAL`]).
     stage_mode: Vec<u8>,
     /// Occupied-staging word per input port — the bypass and CB-write
-    /// scans skip ports at 0 and clear bits within a port.
+    /// scans skip clear bits within a port.
     stage_occ: Vec<u64>,
+    /// Port-level mask over `stage_occ` (bit `p` ⇔ `stage_occ[p] != 0`):
+    /// the bypass and CB-write scans walk its set bits.
+    stage_ports: Vec<u64>,
     /// Precomputed `lane / vcs` and `1 << (lane % vcs)` (see
     /// [`EdgeLanes::occ_port`]): avoids a hardware divide per staging
     /// take.
@@ -239,9 +325,12 @@ struct CbState {
     stage_occ_bit: Vec<u64>,
     /// CB virtual output queues, lane-indexed `[out_port * vcs + vc]`.
     queues: Vec<VecDeque<CbFlit>>,
-    /// Non-empty-queue word per output port — the CB-read scan skips
-    /// outputs at 0, and the bypass ordering check is one bit test.
+    /// Non-empty-queue word per output port — the bypass ordering check
+    /// is one bit test.
     queue_mask: Vec<u64>,
+    /// Port-level mask over `queue_mask` (bit `p` ⇔ `queue_mask[p] != 0`):
+    /// the CB-read scan walks its set bits.
+    queue_ports: Vec<u64>,
     /// Packet currently streaming through each CB queue (head admitted,
     /// tail not yet), [`NO_PKT`] = none. A new head may enter a queue
     /// only when clear — flits of two packets must never interleave
@@ -267,10 +356,12 @@ impl CbState {
             stage_route_vc: vec![0; in_lanes],
             stage_mode: vec![MODE_NONE; in_lanes],
             stage_occ: vec![0; in_ports],
+            stage_ports: vec![0; in_ports.div_ceil(64)],
             stage_occ_port: (0..in_lanes).map(|l| (l / vcs) as u32).collect(),
             stage_occ_bit: (0..in_lanes).map(|l| 1u64 << (l % vcs)).collect(),
             queues: (0..out_lanes).map(|_| VecDeque::new()).collect(),
             queue_mask: vec![0; out_ports],
+            queue_ports: vec![0; out_ports.div_ceil(64)],
             open_pkt: vec![NO_PKT; out_lanes],
             free: cb_flits,
             rr_read: 0,
@@ -290,7 +381,11 @@ impl CbState {
         let fr = self.stage_slot[lane];
         debug_assert!(fr.is_valid(), "take from empty staging lane");
         self.stage_slot[lane] = FlitRef::INVALID;
-        self.stage_occ[self.stage_occ_port[lane] as usize] &= !self.stage_occ_bit[lane];
+        let port = self.stage_occ_port[lane] as usize;
+        self.stage_occ[port] &= !self.stage_occ_bit[lane];
+        if self.stage_occ[port] == 0 {
+            mask_clear(&mut self.stage_ports, port);
+        }
         fr
     }
 }
@@ -358,12 +453,13 @@ impl OutputSide {
     #[inline(always)]
     fn ready<F: Fn(usize, usize) -> bool>(
         &self,
-        claimed: &[bool],
         out: RouteDecision,
         pkt: u64,
         link_ready: &F,
     ) -> bool {
-        if self.st_occupied(out.port) || claimed[out.port] {
+        // An output granted earlier in this call needs no claim flag of
+        // its own: every grant commits into the ST register.
+        if self.st_occupied(out.port) {
             return false;
         }
         if out.port >= self.net_ports {
@@ -404,7 +500,7 @@ impl OutputSide {
         self.st_live += 1;
         self.st_flit[out.port] = flit;
         self.st_vc[out.port] = out.vc as u8;
-        self.st_mask[out.port >> 6] |= 1 << (out.port & 63);
+        mask_set(&mut self.st_mask, out.port);
     }
 
     /// Ground-truth credit sum for one port (debug assertions).
@@ -471,15 +567,20 @@ pub(crate) struct RouterCore {
     /// ST registers). `0` means the router is idle and the cycle loop
     /// can skip it entirely.
     live_flits: usize,
-    /// Reusable allocation scratch: per-output claim flags.
-    scratch_claimed: Vec<bool>,
     /// Reusable allocation scratch: input nominations.
     scratch_noms: Vec<(usize, usize, RouteDecision)>,
-    /// Reusable allocation scratch: winning nomination index per output
-    /// port (`u32::MAX` = none) for the edge output-arbitration pass.
+    /// Edge output arbitration: winning nomination index per output
+    /// port (`u32::MAX` = none). Persistent and `out_ports` long; an
+    /// entry is written only together with its `scratch_touched` bit
+    /// and reset as that output is granted, so between allocation calls
+    /// every entry reads `u32::MAX`.
     scratch_winner: Vec<u32>,
-    /// Reusable allocation scratch: winning priority per output port.
+    /// Edge output arbitration: winning priority per output port, reset
+    /// alongside `scratch_winner`.
     scratch_prio: Vec<u32>,
+    /// Edge output arbitration: port mask of the outputs nominated in
+    /// this call — the grant pass walks (and clears) its set bits.
+    scratch_touched: Vec<u64>,
 }
 
 /// Resource release information produced by the allocation phase.
@@ -503,6 +604,12 @@ pub(crate) struct AllocResult {
     /// Successful allocator grants this cycle: edge grants, bypasses,
     /// central-buffer reads and writes (activity counter).
     pub alloc_grants: u64,
+    /// Ports the allocator scans visited (work counter): non-empty
+    /// input ports on the edge path; CB-read outputs plus bypass and
+    /// CB-write inputs on the central-buffer path.
+    pub ports_examined: u64,
+    /// Occupied lanes those scans inspected (work counter).
+    pub lanes_examined: u64,
 }
 
 impl AllocResult {
@@ -524,6 +631,8 @@ impl AllocResult {
         self.cb_reads = 0;
         self.bypasses = 0;
         self.alloc_grants = 0;
+        self.ports_examined = 0;
+        self.lanes_examined = 0;
     }
 }
 
@@ -569,10 +678,10 @@ impl RouterCore {
             out: OutputSide::new(net_ports, local_ports, vcs, link_mode == LinkMode::Credited),
             rr_in: vec![0; in_ports],
             live_flits: 0,
-            scratch_claimed: Vec::with_capacity(out_ports),
             scratch_noms: Vec::with_capacity(in_ports),
-            scratch_winner: Vec::with_capacity(out_ports),
-            scratch_prio: Vec::with_capacity(out_ports),
+            scratch_winner: vec![u32::MAX; out_ports],
+            scratch_prio: vec![u32::MAX; out_ports],
+            scratch_touched: vec![0; out_ports.div_ceil(64)],
         }
     }
 
@@ -634,6 +743,7 @@ impl RouterCore {
                 );
                 cb.stage_slot[lane] = flit;
                 cb.stage_occ[port] |= 1 << vc;
+                mask_set(&mut cb.stage_ports, port);
             }
         }
     }
@@ -781,37 +891,32 @@ impl RouterCore {
         let vcs = self.vcs;
         let in_ports = net_ports + self.local_ports;
         let out_ports = in_ports;
-        let mut nominations = std::mem::take(&mut self.scratch_noms);
+        let nominations = &mut self.scratch_noms;
         nominations.clear();
-        let mut claimed = std::mem::take(&mut self.scratch_claimed);
-        claimed.clear();
-        claimed.resize(out_ports, false);
-        let mut winner = std::mem::take(&mut self.scratch_winner);
-        winner.clear();
-        winner.resize(out_ports, u32::MAX);
-        let mut best = std::mem::take(&mut self.scratch_prio);
-        best.clear();
-        best.resize(out_ports, u32::MAX);
+        let winner = &mut self.scratch_winner;
+        let best = &mut self.scratch_prio;
+        let touched = &mut self.scratch_touched;
         let ArchState::Edge(lanes) = &mut self.arch else {
             unreachable!()
         };
         let out = &mut self.out;
         let rr_in = &mut self.rr_in;
-        // Pass 1 (input arbitration): each input port nominates one VC.
-        // The occupancy word drives the scan: idle ports cost one load,
-        // and clear bits skip without touching the ring slab. A lane
+        // Pass 1 (input arbitration): each non-empty input port, in
+        // ascending order, nominates one VC. The port mask drives the
+        // walk — empty ports are never visited — and the occupancy word
+        // skips clear bits without touching the ring slab. A lane
         // mid-packet answers from its held route; otherwise the front
         // flit is a head, read from the arena and routed here.
-        for (port, &start) in rr_in.iter().enumerate() {
+        for port in ports_in(&lanes.port_mask, 0, in_ports) {
+            result.ports_examined += 1;
             let occ = lanes.occ[port];
-            if occ == 0 {
-                continue; // empty input: nothing to nominate
-            }
+            let start = rr_in[port];
             for i in 0..vcs {
                 let vc = fast_wrap(start + i, vcs);
                 if occ >> vc & 1 == 0 {
                     continue;
                 }
+                result.lanes_examined += 1;
                 let lane = port * vcs + vc;
                 let (route, pkt) = match lanes.route(lane) {
                     Some(held) => {
@@ -835,7 +940,7 @@ impl RouterCore {
                         (route, head.packet.0)
                     }
                 };
-                if out.ready(&claimed, route, pkt, link_ready) {
+                if out.ready(route, pkt, link_ready) {
                     nominations.push((port, vc, route));
                     break;
                 }
@@ -848,7 +953,9 @@ impl RouterCore {
         // former stable sort by `(output, priority)` put first — and
         // granting outputs in ascending order reproduces the sorted
         // grant sequence bit-for-bit, without the O(n log n) sort that
-        // dominated the saturated-load profile.
+        // dominated the saturated-load profile. Only nominated outputs
+        // are visited: `touched` records them, and walking its set bits
+        // ascending is the same order as walking every `winner` slot.
         for (i, &(port, _, route)) in nominations.iter().enumerate() {
             // `rr_out` entries stay `< out_ports` by construction, so
             // the dividend is `< 2 * out_ports` and the round-robin
@@ -857,38 +964,40 @@ impl RouterCore {
             if prio < best[route.port] {
                 best[route.port] = prio;
                 winner[route.port] = i as u32;
+                mask_set(touched, route.port);
             }
         }
-        for &w in winner.iter() {
-            if w == u32::MAX {
-                continue; // no nomination for this output
+        for (w, word) in touched.iter_mut().enumerate() {
+            let mut m = std::mem::take(word);
+            while m != 0 {
+                let out_port = (w << 6) | m.trailing_zeros() as usize;
+                m &= m - 1;
+                let won = std::mem::replace(&mut winner[out_port], u32::MAX);
+                best[out_port] = u32::MAX;
+                let (port, vc, route) = nominations[won as usize];
+                debug_assert_eq!(route.port, out_port, "winner slot of another output");
+                debug_assert!(!out.st_occupied(route.port), "nominated an occupied ST");
+                let lane = port * vcs + vc;
+                let fr = lanes.pop(lane);
+                let f = arena.get(fr);
+                let kind = f.kind;
+                if kind.is_head() {
+                    lanes.route_port[lane] = route.port as u16;
+                    lanes.route_vc[lane] = route.vc as u8;
+                    lanes.route_pkt[lane] = f.packet.0;
+                }
+                if kind.is_tail() {
+                    lanes.route_port[lane] = NO_ROUTE;
+                    lanes.route_pkt[lane] = NO_PKT;
+                }
+                rr_in[port] = fast_wrap(vc + 1, vcs);
+                out.rr_out[route.port] = fast_wrap(port + 1, in_ports);
+                result.buffer_accesses += 1;
+                result.alloc_grants += 1;
+                result.freed(port, vc, net_ports);
+                out.commit(route, fr, arena);
             }
-            let (port, vc, route) = nominations[w as usize];
-            debug_assert!(!out.st_occupied(route.port), "nominated an occupied ST");
-            let lane = port * vcs + vc;
-            let fr = lanes.pop(lane);
-            let f = arena.get(fr);
-            let kind = f.kind;
-            if kind.is_head() {
-                lanes.route_port[lane] = route.port as u16;
-                lanes.route_vc[lane] = route.vc as u8;
-                lanes.route_pkt[lane] = f.packet.0;
-            }
-            if kind.is_tail() {
-                lanes.route_port[lane] = NO_ROUTE;
-                lanes.route_pkt[lane] = NO_PKT;
-            }
-            rr_in[port] = fast_wrap(vc + 1, vcs);
-            out.rr_out[route.port] = fast_wrap(port + 1, in_ports);
-            result.buffer_accesses += 1;
-            result.alloc_grants += 1;
-            result.freed(port, vc, net_ports);
-            out.commit(route, fr, arena);
         }
-        self.scratch_noms = nominations;
-        self.scratch_claimed = claimed;
-        self.scratch_winner = winner;
-        self.scratch_prio = best;
     }
 
     fn alloc_cb<const VALIANT: bool, F: Fn(usize, usize) -> bool>(
@@ -905,10 +1014,7 @@ impl RouterCore {
         let vcs = self.vcs;
         let in_ports = net_ports + self.local_ports;
         let out_ports = in_ports;
-        let mut claimed = std::mem::take(&mut self.scratch_claimed);
-        claimed.clear();
-        claimed.resize(out_ports, false);
-        let mut nominations = std::mem::take(&mut self.scratch_noms);
+        let nominations = &mut self.scratch_noms;
         nominations.clear();
         let ArchState::Cb(cb) = &mut self.arch else {
             unreachable!()
@@ -916,18 +1022,16 @@ impl RouterCore {
         let out = &mut self.out;
         let rr_in = &mut self.rr_in;
 
-        // Phase A1: the single CB read port serves one eligible flit.
-        let start = cb.rr_read;
-        'read: for i in 0..out_ports {
-            let out_port = fast_wrap(start + i, out_ports);
+        // Phase A1: the single CB read port serves one eligible flit,
+        // round-robin over the outputs with a non-empty CB queue.
+        'read: for out_port in ports_from(&cb.queue_ports, cb.rr_read, out_ports) {
+            result.ports_examined += 1;
             let mask = cb.queue_mask[out_port];
-            if mask == 0 {
-                continue; // no CB flit bound for this output
-            }
             for vc in 0..vcs {
                 if mask >> vc & 1 == 0 {
                     continue;
                 }
+                result.lanes_examined += 1;
                 let lane = out_port * vcs + vc;
                 let candidate = cb.queues[lane]
                     .front()
@@ -935,11 +1039,13 @@ impl RouterCore {
                     .map(|c| (c.flit, c.pkt));
                 let Some((fr, pkt)) = candidate else { continue };
                 let route = RouteDecision { port: out_port, vc };
-                if out.ready(&claimed, route, pkt, link_ready) {
-                    claimed[out_port] = true;
+                if out.ready(route, pkt, link_ready) {
                     cb.queues[lane].pop_front();
                     if cb.queues[lane].is_empty() {
                         cb.queue_mask[out_port] &= !(1 << vc);
+                        if cb.queue_mask[out_port] == 0 {
+                            mask_clear(&mut cb.queue_ports, out_port);
+                        }
                     }
                     cb.free += 1;
                     cb.rr_read = fast_wrap(out_port + 1, out_ports);
@@ -951,17 +1057,18 @@ impl RouterCore {
             }
         }
 
-        // Phase A2: bypass — staging heads go straight for the outputs.
-        for (port, &start) in rr_in.iter().enumerate() {
+        // Phase A2: bypass — staging heads go straight for the outputs
+        // (an output the read phase just took shows as an occupied ST).
+        for port in ports_in(&cb.stage_ports, 0, in_ports) {
+            result.ports_examined += 1;
             let occ = cb.stage_occ[port];
-            if occ == 0 {
-                continue; // empty staging: nothing to bypass
-            }
+            let start = rr_in[port];
             for i in 0..vcs {
                 let vc = fast_wrap(start + i, vcs);
                 if occ >> vc & 1 == 0 {
                     continue;
                 }
+                result.lanes_examined += 1;
                 let lane = port * vcs + vc;
                 // A packet committed to the CB keeps using it (atomic CB
                 // allocation, §4.3); others try the bypass.
@@ -981,17 +1088,16 @@ impl RouterCore {
                 let queue_blocked = f.kind.is_head()
                     && route.port < out_ports
                     && cb.queue_mask[route.port] >> route.vc & 1 == 1;
-                if !queue_blocked && out.ready(&claimed, route, f.packet.0, link_ready) {
+                if !queue_blocked && out.ready(route, f.packet.0, link_ready) {
                     nominations.push((port, vc, route));
                     break;
                 }
             }
         }
-        for &(port, vc, route) in &nominations {
-            if claimed[route.port] || out.st_occupied(route.port) {
-                continue;
+        for &(port, vc, route) in nominations.iter() {
+            if out.st_occupied(route.port) {
+                continue; // an earlier nomination won this output
             }
-            claimed[route.port] = true;
             let lane = port * vcs + vc;
             let fr = cb.take_stage(lane);
             let kind = arena.get(fr).kind;
@@ -1011,18 +1117,16 @@ impl RouterCore {
             out.commit(route, fr, arena);
         }
 
-        // Phase B: the single CB write port admits one flit from staging.
-        let start_w = cb.rr_write;
-        'write: for i in 0..in_ports {
-            let port = fast_wrap(start_w + i, in_ports);
+        // Phase B: the single CB write port admits one flit from
+        // staging, round-robin over the inputs with an occupied slot.
+        'write: for port in ports_from(&cb.stage_ports, cb.rr_write, in_ports) {
+            result.ports_examined += 1;
             let occ = cb.stage_occ[port];
-            if occ == 0 {
-                continue; // empty staging: nothing to admit
-            }
             for vc in 0..vcs {
                 if occ >> vc & 1 == 0 {
                     continue;
                 }
+                result.lanes_examined += 1;
                 let lane = port * vcs + vc;
                 let f = arena.get(cb.stage_slot[lane]);
                 let route = cb.stage_route(lane).unwrap_or_else(|| {
@@ -1069,6 +1173,7 @@ impl RouterCore {
                     eligible_at: now + 2,
                 });
                 cb.queue_mask[route.port] |= 1 << route.vc;
+                mask_set(&mut cb.queue_ports, route.port);
                 cb.rr_write = fast_wrap(port + 1, in_ports);
                 result.cb_writes += 1;
                 result.alloc_grants += 1;
@@ -1076,19 +1181,42 @@ impl RouterCore {
                 break 'write;
             }
         }
-        self.scratch_noms = nominations;
-        self.scratch_claimed = claimed;
     }
 }
 
 impl RouterCore {
     /// Verifies every derived SoA structure against its ground truth:
-    /// occupancy words vs lane contents, the per-port credit counter vs
-    /// a fresh scan, and the ST mask vs the ST-live counter. Used by the
-    /// shadow-model property suite; panics on any drift.
+    /// occupancy words vs lane contents, port masks vs occupancy words,
+    /// the per-port credit counter vs a fresh scan, the ST mask vs the
+    /// ST-live counter, and the arbitration scratch being at rest. Used
+    /// by the shadow-model property suite; panics on any drift.
     #[cfg(test)]
     pub(crate) fn verify_soa_invariants(&self) {
         let in_ports = self.net_ports + self.local_ports;
+        // Bit `p` of a port mask ⇔ word `p` is non-zero.
+        let assert_port_mask = |mask: &[u64], words: &[u64], what: &str| {
+            assert_eq!(mask.len(), words.len().div_ceil(64), "{what} mask length");
+            for (port, &word) in words.iter().enumerate() {
+                assert_eq!(
+                    mask[port >> 6] >> (port & 63) & 1 == 1,
+                    word != 0,
+                    "{what} port mask drifted at {} port {port}",
+                    self.id
+                );
+            }
+            let set: u32 = mask.iter().map(|w| w.count_ones()).sum();
+            let nonzero = words.iter().filter(|&&w| w != 0).count();
+            assert_eq!(set as usize, nonzero, "{what} port mask has stray bits");
+        };
+        assert!(
+            self.scratch_winner.iter().all(|&w| w == u32::MAX)
+                && self.scratch_prio.iter().all(|&p| p == u32::MAX)
+                && self.scratch_touched.iter().all(|&w| w == 0),
+            "arbitration scratch not reset at {}",
+            self.id
+        );
+        assert_eq!(self.scratch_winner.len(), in_ports);
+        assert_eq!(self.scratch_prio.len(), in_ports);
         match &self.arch {
             ArchState::Edge(lanes) => {
                 for port in 0..in_ports {
@@ -1104,6 +1232,7 @@ impl RouterCore {
                         self.id
                     );
                 }
+                assert_port_mask(&lanes.port_mask, &lanes.occ, "edge");
                 for lane in 0..in_ports * self.vcs {
                     assert_eq!(
                         lanes.route_port[lane] == NO_ROUTE,
@@ -1127,6 +1256,7 @@ impl RouterCore {
                         self.id
                     );
                 }
+                assert_port_mask(&cb.stage_ports, &cb.stage_occ, "staging");
                 for out_port in 0..in_ports {
                     let mut word = 0u64;
                     for vc in 0..self.vcs {
@@ -1140,6 +1270,7 @@ impl RouterCore {
                         self.id
                     );
                 }
+                assert_port_mask(&cb.queue_ports, &cb.queue_mask, "CB queue");
             }
         }
         if self.out.credited {
@@ -1278,7 +1409,7 @@ impl RouterCore {
                 if drop_pkt(arena.get(fr).packet.0) {
                     removed.push(arena.remove(fr));
                     self.out.st_flit[port] = FlitRef::INVALID;
-                    self.out.st_mask[port >> 6] &= !(1 << (port & 63));
+                    mask_clear(&mut self.out.st_mask, port);
                     self.out.st_live -= 1;
                     dropped_here += 1;
                 }
@@ -1657,6 +1788,75 @@ mod tests {
         assert_eq!(r.output_occupancy(0, 5), 2, "ST flit + consumed credit");
         r.add_credit(0, 0);
         assert_eq!(r.port_credits(0), 10);
+        r.verify_soa_invariants();
+    }
+
+    #[test]
+    fn rotated_port_walk_matches_the_naive_wrap_for_every_start() {
+        // Multi-word masks: dense, sparse, word-boundary bits, empty,
+        // and widths that end mid-word, on a word edge, and past one.
+        let masks: [(usize, Vec<u64>); 6] = [
+            (21, vec![0b1_0010_0000_0100_1000_0101]),
+            (64, vec![u64::MAX]),
+            (64, vec![1 | 1 << 63]),
+            (70, vec![1 << 63, 0b10_0001]),
+            (130, vec![0x8000_0000_0000_0001, 0, 0b11]),
+            (130, vec![0, 0, 0]),
+        ];
+        for (ports, mask) in &masks {
+            let set = |p: usize| mask[p >> 6] >> (p & 63) & 1 == 1;
+            for start in 0..*ports {
+                let naive: Vec<usize> = (0..*ports)
+                    .map(|i| fast_wrap(start + i, *ports))
+                    .filter(|&p| set(p))
+                    .collect();
+                let walked: Vec<usize> = ports_from(mask, start, *ports).collect();
+                assert_eq!(walked, naive, "{ports} ports from {start}");
+            }
+            let ascending: Vec<usize> = (0..*ports).filter(|&p| set(p)).collect();
+            assert_eq!(
+                ports_in(mask, 0, *ports).collect::<Vec<_>>(),
+                ascending,
+                "{ports} ports ascending"
+            );
+        }
+    }
+
+    #[test]
+    fn edge_allocation_examines_only_non_empty_ports() {
+        // Router 4 of a 3x3 mesh has 4 network ports + 1 local; flits in
+        // two of them: the scan visits exactly those two, whatever the
+        // port count.
+        let topo = Topology::mesh(3, 3, 1);
+        let table = RoutingTable::minimal(&topo);
+        let mut arena = FlitArena::default();
+        let caps = vec![5; 4];
+        let mut r = RouterCore::new(
+            RouterId(4),
+            4,
+            1,
+            2,
+            RouterArch::EdgeBuffer,
+            LinkMode::Credited,
+            &caps,
+            20,
+            false,
+        );
+        for p in 0..4 {
+            r.set_credits(p, 5);
+        }
+        let res = r.alloc(0, &table, 1, &mut arena, &|_, _| true);
+        assert_eq!((res.ports_examined, res.lanes_examined), (0, 0));
+        for (port, dst) in [(1usize, 8usize), (4, 0)] {
+            let mut f = head_to(dst, 1);
+            f.packet = PacketId(port as u64 + 10);
+            let fr = arena.insert(f);
+            r.deliver(port, 0, fr, &mut arena);
+        }
+        let res = r.alloc(1, &table, 1, &mut arena, &|_, _| true);
+        assert_eq!(res.ports_examined, 2, "two non-empty ports of five");
+        assert_eq!(res.lanes_examined, 2);
+        assert_eq!(res.alloc_grants, 2);
         r.verify_soa_invariants();
     }
 

@@ -75,6 +75,17 @@ pub struct RoutingTable {
     /// `neighbors[cur]` is the sorted neighbor list (ports are positions
     /// in it).
     neighbors: Vec<Vec<RouterId>>,
+    /// Largest finite entry of `dist`, computed once at construction
+    /// ([`RoutingTable::max_finite_distance`]).
+    max_dist: usize,
+}
+
+/// The largest non-sentinel entry of a distance matrix (0 if none).
+fn max_finite(dist: &[u16]) -> usize {
+    dist.iter()
+        .filter(|&&d| d != u16::MAX)
+        .max()
+        .map_or(0, |&d| d as usize)
 }
 
 impl RoutingTable {
@@ -153,6 +164,7 @@ impl RoutingTable {
         }
         RoutingTable {
             nr,
+            max_dist: max_finite(&dist),
             dist,
             next_port,
             route_vc,
@@ -311,6 +323,7 @@ impl RoutingTable {
         }
         RoutingTable {
             nr,
+            max_dist: max_finite(&dist),
             dist,
             next_port,
             route_vc: None,
@@ -330,6 +343,16 @@ impl RoutingTable {
     #[must_use]
     pub fn distance(&self, a: RouterId, b: RouterId) -> usize {
         self.dist[a.index() * self.nr + b.index()] as usize
+    }
+
+    /// Whether the table was built for `topo`'s wiring: same routers,
+    /// same neighbour at every port. Simulators lay their channels out
+    /// from the table, so a table of another topology must be refused.
+    pub(crate) fn is_wired_like(&self, topo: &Topology) -> bool {
+        self.nr == topo.router_count()
+            && topo
+                .routers()
+                .all(|r| self.neighbors[r.index()] == topo.neighbors(r))
     }
 
     /// Number of router-to-router ports at `r`.
@@ -400,15 +423,10 @@ impl RoutingTable {
     /// Largest finite distance in the table: the diameter for
     /// [`RoutingTable::minimal`] tables, the longest walked table path
     /// for [`RoutingTable::degraded`] ones. Scales the default
-    /// no-progress watchdog bound.
+    /// no-progress watchdog bound; O(1), every simulator build reads it.
     #[must_use]
     pub fn max_finite_distance(&self) -> usize {
-        self.dist
-            .iter()
-            .filter(|&&d| d != u16::MAX)
-            .map(|&d| d as usize)
-            .max()
-            .unwrap_or(0)
+        self.max_dist
     }
 
     /// Shared table lookup behind [`RoutingTable::route`] and
@@ -679,6 +697,33 @@ mod tests {
         assert!(!table.reachable(RouterId(3), RouterId(1)));
         assert_eq!(walk(&t, &table, RouterId(0), RouterId(1)), 1);
         assert_eq!(walk(&t, &table, RouterId(3), RouterId(2)), 1);
+    }
+
+    #[test]
+    fn stored_max_distance_equals_a_scan_of_the_table() {
+        let scan = |t: &Topology, table: &RoutingTable| {
+            let pairs = t.routers().flat_map(|a| t.routers().map(move |b| (a, b)));
+            pairs
+                .filter(|&(a, b)| table.reachable(a, b))
+                .map(|(a, b)| table.distance(a, b))
+                .max()
+                .unwrap_or(0)
+        };
+        let sn = Topology::slim_noc(5, 1).unwrap();
+        let minimal = RoutingTable::minimal(&sn);
+        assert_eq!(minimal.max_finite_distance(), sn.diameter());
+        assert_eq!(minimal.max_finite_distance(), scan(&sn, &minimal));
+        // Degraded: sentinels are skipped and up*/down* detours count.
+        let line = Topology::mesh(4, 1, 1);
+        let cut = RoutingTable::degraded(&line, &[true; 4], |a, b| {
+            (a.index().min(b.index()), a.index().max(b.index())) != (1, 2)
+        });
+        assert_eq!(cut.max_finite_distance(), 1);
+        let torus = Topology::torus(4, 4, 1);
+        let mut alive = vec![true; torus.router_count()];
+        alive[5] = false;
+        let healed = RoutingTable::degraded(&torus, &alive, |_, _| true);
+        assert_eq!(healed.max_finite_distance(), scan(&torus, &healed));
     }
 
     #[test]

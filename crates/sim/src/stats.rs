@@ -57,6 +57,60 @@ pub struct ActivityCounters {
     pub dropped_flits: u64,
 }
 
+/// Host-side work counters of a [`crate::Simulator`]: how much the
+/// engine *did*, as opposed to what the network did. Always on (plain
+/// `u64` additions on existing code paths), cumulative over the
+/// simulator's lifetime — warmup, measurement and drain alike — and
+/// deliberately outside [`SimReport`] / [`Snapshot`] / the JSON, so no
+/// simulated byte depends on them. Read through
+/// [`crate::Simulator::work`]; the counts repeat exactly for a fixed
+/// seed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Cycles the cycle body ran for.
+    pub cycles_stepped: u64,
+    /// Event-free cycles the clock jumped over instead.
+    pub cycles_skipped: u64,
+    /// Active-channel visits (tick + delivery + credit return).
+    pub channel_visits: u64,
+    /// Active-router visits of the switch-traversal phase.
+    pub router_visits: u64,
+    /// Allocation calls (non-idle routers of the allocation phase).
+    pub alloc_calls: u64,
+    /// Ports the allocator scans visited: non-empty input ports on the
+    /// edge path; CB-read outputs plus bypass and CB-write inputs on
+    /// the central-buffer path.
+    pub ports_examined: u64,
+    /// Occupied lanes those scans inspected.
+    pub lanes_examined: u64,
+    /// Allocator grants (unlike [`ActivityCounters::alloc_grants`], not
+    /// limited to the measurement window).
+    pub grants: u64,
+    /// Injection-calendar events popped.
+    pub calendar_pops: u64,
+    /// Worklist entries removed by the end-of-step compaction.
+    pub compact_removals: u64,
+}
+
+impl WorkCounters {
+    /// Every counter with its display name, in declaration order.
+    #[must_use]
+    pub fn rows(&self) -> [(&'static str, u64); 10] {
+        [
+            ("cycles stepped", self.cycles_stepped),
+            ("cycles skipped", self.cycles_skipped),
+            ("channel visits", self.channel_visits),
+            ("router visits", self.router_visits),
+            ("allocation calls", self.alloc_calls),
+            ("ports examined", self.ports_examined),
+            ("lanes examined", self.lanes_examined),
+            ("grants", self.grants),
+            ("calendar pops", self.calendar_pops),
+            ("compact removals", self.compact_removals),
+        ]
+    }
+}
+
 impl ActivityCounters {
     /// Folds one router's allocation cycle into the window counters.
     ///

@@ -112,7 +112,8 @@ SIM / ANALYZE OPTIONS:
   --measure <cycles>  default 10000
   --smart             enable SMART links (H = 9)
   --tech <node>       45 | 22 | 11 (default 45)
-  --seed <n>          RNG seed"
+  --seed <n>          RNG seed
+  --work              sim: also print the engine's work counters (stderr)"
     );
 }
 
@@ -123,6 +124,8 @@ struct Options {
     warmup: u64,
     measure: u64,
     tech: TechNode,
+    /// `sim --work`: print the engine's work counters on stderr.
+    work: bool,
 }
 
 /// The value of flag `name`: the next argument.
@@ -158,6 +161,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
     let mut smart = false;
     let mut tech = String::from("45");
     let mut seed: Option<u64> = None;
+    let mut work = false;
 
     let mut it = args.iter();
     while let Some(flag) = it.next() {
@@ -179,6 +183,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--smart" => smart = true,
             "--tech" => tech = value(it, flag)?,
             "--seed" => seed = Some(number(it, flag)?),
+            "--work" => work = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -228,14 +233,20 @@ fn parse(args: &[String]) -> Result<Options, String> {
         warmup,
         measure,
         tech,
+        work,
     })
 }
 
 fn cmd_sim(args: &[String]) -> Result<(), String> {
     let opt = parse(args)?;
-    let report = opt
-        .setup
-        .run_load(opt.pattern, opt.load, opt.warmup, opt.measure);
+    let mut sim = opt.setup.simulator().map_err(|e| e.to_string())?;
+    let report = sim.run_synthetic(opt.pattern, opt.load, opt.warmup, opt.measure);
+    if let Some(diag) = &report.deadlock {
+        return Err(format!(
+            "simulation deadlocked ({}): {diag}",
+            opt.setup.name
+        ));
+    }
     let power = opt.setup.power_report(opt.tech, &report);
     let mut t = TextTable::new(
         format!(
@@ -275,6 +286,14 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         format_float(power.throughput_per_power(), 3),
     );
     t.print(false);
+    if opt.work {
+        let mut w = TextTable::new("engine work (whole run)", &["counter", "count"]);
+        for (name, count) in sim.work().rows() {
+            w.push_row(vec![name.to_string(), count.to_string()]);
+        }
+        w.write_to(&mut std::io::stderr().lock(), false)
+            .map_err(|e| e.to_string())?;
+    }
     Ok(())
 }
 

@@ -102,6 +102,21 @@ fn every_command_reads_inline_flag_values() {
     assert!(inline.status.success(), "{}", stderr(&inline));
     assert!(stdout(&inline).contains("avg latency"));
     assert_eq!(inline.stdout, spaced.stdout);
+    // `--work` adds the engine's counters on stderr and nothing on stdout.
+    let work = snoc(&[
+        "sim",
+        "--config=sn54",
+        "--load=0.02",
+        "--warmup=50",
+        "--measure=100",
+        "--work",
+    ]);
+    assert!(work.status.success(), "{}", stderr(&work));
+    assert_eq!(work.stdout, spaced.stdout);
+    assert!(stderr(&spaced).is_empty());
+    for counter in ["cycles stepped", "ports examined", "grants"] {
+        assert!(stderr(&work).contains(counter), "{}", stderr(&work));
+    }
     // `run --spec=…` reaches the spec reader (exit 2 names the file,
     // not an unknown flag).
     let missing = snoc(&["run", "--spec=/nonexistent/spec.json", "--threads=1"]);
