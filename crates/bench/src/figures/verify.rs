@@ -1,5 +1,5 @@
 //! The `verify` figure, the differential verification driver: runs the
-//! optimized event-accelerated simulator and the golden reference model
+//! optimized simulator and the golden reference model
 //! (`snoc_refsim`) over a deterministic matrix of topology × routing ×
 //! pattern × rate, checks conservation laws and cross-engine agreement
 //! on every case, and fails on any divergence.

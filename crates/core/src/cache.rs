@@ -43,7 +43,7 @@ use std::sync::Mutex;
 /// heuristic, …). Entries written under an older salt remain in the
 /// JSONL file but become unreachable — a version bump invalidates a
 /// cache without touching the filesystem.
-pub const ENGINE_VERSION: &str = "slim_noc-engine-v2";
+pub const ENGINE_VERSION: &str = "slim_noc-engine-v3";
 
 /// The name of the JSON-lines store inside a cache directory.
 const STORE_FILE: &str = "points.jsonl";
@@ -455,7 +455,7 @@ mod tests {
     /// The salt and the engine behaviour it was recorded against: the
     /// [`mix64`] hash of `SimReport::to_json` over a pinned mini-matrix
     /// (minimal, UGAL-L, CBR, a seeded 10-link storm, a 2-shard run).
-    const FINGERPRINT: (&str, u64) = ("slim_noc-engine-v2", 0x0897_eeda_960c_5117);
+    const FINGERPRINT: (&str, u64) = ("slim_noc-engine-v3", 0x7318_4329_89f0_1c38);
 
     #[test]
     fn engine_behaviour_moves_only_with_the_salt() {

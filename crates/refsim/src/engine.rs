@@ -4,7 +4,7 @@
 //! Every design decision here is the *opposite* of the optimized
 //! engine's: flits travel **by value** (no arena, no 4-byte refs),
 //! every router, channel and node is visited **every cycle** (no
-//! worklists, no cycle-skipping, no injection calendar), injection is a
+//! worklists, no injection calendar), injection is a
 //! **per-cycle Bernoulli trial** per node (via
 //! [`snoc_traffic::InjectionProcess::tick`], not geometric sampling),
 //! and scratch buffers are freshly allocated each cycle. What the two

@@ -1,14 +1,13 @@
 //! Golden reference simulator for differential verification.
 //!
-//! PR 4 rewrote the optimized simulator's hot path (cycle-skipping,
-//! geometric injection sampling, the flit arena) and deliberately broke
-//! same-seed compatibility with earlier versions; until now the only
-//! correctness anchor was the simulator agreeing with *itself*
-//! (skipping on vs. off). This crate is the independent oracle: a
+//! The optimized simulator's hot path (worklists, geometric injection
+//! sampling, the flit arena, struct-of-arrays routers) is aggressive
+//! about not doing work, and the simulator agreeing with *itself* is
+//! too weak an anchor for it. This crate is the independent oracle: a
 //! deliberately simple, allocation-happy, cycle-by-cycle wormhole
 //! simulator in the style of an executable specification — by-value
-//! flits, per-cycle Bernoulli injection, no worklists, no skipping, no
-//! arena — sharing only `snoc_topology`, `snoc_traffic` definitions and
+//! flits, per-cycle Bernoulli injection, no worklists, no arena —
+//! sharing only `snoc_topology`, `snoc_traffic` definitions and
 //! the written routing/microarchitecture *spec* with `snoc_sim`, never
 //! its optimized data structures.
 //!

@@ -1,5 +1,5 @@
 //! The differential verification harness: the optimized
-//! event-accelerated `snoc_sim::Simulator` cross-checked against the
+//! `snoc_sim::Simulator` cross-checked against the
 //! golden `snoc_refsim::RefSimulator` over a fuzzed matrix of
 //! topology × routing × pattern × rate × seed.
 //!

@@ -263,38 +263,6 @@ impl Channel {
         }
     }
 
-    /// A conservative earliest cycle at which this channel can change
-    /// state, used by the cycle-skipping fast-forward. `None` means the
-    /// channel is idle (nothing will ever happen without a new push).
-    ///
-    /// Credited wires are passive between the push and the scheduled
-    /// arrival, so the head-of-queue arrival cycles bound the next event
-    /// exactly (the caller clamps results into the future — a blocked
-    /// head due in the past simply means "next cycle"). Elastic
-    /// pipelines latch every cycle while occupied, so they pin the next
-    /// event to `now + 1`.
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        match self {
-            Channel::Credited {
-                in_flight, credits, ..
-            } => {
-                let flit = in_flight.front().map(|&(when, _, _)| when);
-                let credit = credits.front().map(|&(when, _)| when);
-                match (flit, credit) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            }
-            Channel::Elastic { .. } => {
-                if self.is_idle() {
-                    None
-                } else {
-                    Some(now + 1)
-                }
-            }
-        }
-    }
-
     /// Number of flits currently inside the channel (for occupancy-based
     /// adaptive routing and drain checks).
     pub(crate) fn occupancy(&self) -> usize {
@@ -493,24 +461,5 @@ mod tests {
         assert_eq!(ch.occupancy(), 2);
         ch.pop_deliverable(2, |_| true);
         assert_eq!(ch.occupancy(), 1);
-    }
-
-    #[test]
-    fn next_event_tracks_heads_and_idleness() {
-        let (_a, f) = arena(2);
-        let mut ch = Channel::credited(3);
-        assert_eq!(ch.next_event(0), None, "idle channel");
-        ch.push(0, 0, f[0]); // arrives at 3
-        ch.push_credit(1, 0); // arrives at 4
-        assert_eq!(ch.next_event(0), Some(3));
-        assert!(ch.pop_deliverable(3, |_| true).is_some());
-        assert_eq!(ch.next_event(3), Some(4), "credit head remains");
-        assert_eq!(ch.pop_credit(4), Some(0));
-        assert_eq!(ch.next_event(4), None);
-        // Elastic pipelines tick every cycle while occupied.
-        let mut el = Channel::elastic(3, 1);
-        assert_eq!(el.next_event(7), None);
-        el.push(7, 0, f[1]);
-        assert_eq!(el.next_event(7), Some(8));
     }
 }

@@ -1,7 +1,7 @@
 //! The simulator: network assembly, the cycle body ([`Simulator::step`],
 //! shared by the monolithic and the sharded engine through a
-//! [`Boundary`] hook), the one event-accelerated driver loop
-//! ([`Simulator::drive`]) every `run_*` entry point feeds with a
+//! [`Boundary`] hook), the one driver loop ([`Simulator::drive`], one
+//! stepped cycle per iteration) every `run_*` entry point feeds with a
 //! workload [`source`], injection/ejection, fault repair and adaptive
 //! route selection.
 
@@ -18,7 +18,7 @@ use crate::routing::RoutingTable;
 use crate::stats::{SimReport, WorkCounters};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use snoc_layout::Layout;
+use snoc_layout::{BufferSpec, Layout};
 use snoc_topology::{NodeId, RouterId, Topology, TopologyKind};
 use snoc_traffic::{BurstModel, PatternSampler, TraceMessage, TrafficPattern};
 use source::{Calendar, Source, TraceCursor};
@@ -28,13 +28,12 @@ use std::sync::Arc;
 /// A ready-to-run network simulator bound to one topology (and optionally
 /// one layout, which determines link latencies and RTT-sized buffers).
 ///
-/// The run loops are *event-accelerated*: traffic generation is an event
-/// calendar of per-node geometric injection draws (cost proportional to
-/// offered traffic, not `nodes × cycles`), and whenever every worklist is
-/// empty the clock fast-forwards straight to the conservatively earliest
-/// next event instead of ticking through dead cycles. Fast-forwarding is
-/// an optimization only — same seed, same [`SimReport`], bit for bit,
-/// with it on or off (see [`Simulator::set_cycle_skipping`]).
+/// Every simulated cycle is stepped; what keeps a quiet cycle cheap is
+/// that the step visits worklists, not the network: traffic generation
+/// is an event calendar of per-node geometric injection draws (cost
+/// proportional to offered traffic, not `nodes × cycles`), and only
+/// routers, channels and injection queues that hold something are
+/// touched.
 ///
 /// See the crate docs for an example.
 #[derive(Debug, Clone)]
@@ -88,9 +87,6 @@ pub struct Simulator {
     active_inj: Vec<usize>,
     /// `inj_queued[node]` — whether `node` is in `active_inj`.
     inj_queued: Vec<bool>,
-    /// Whether the run loops may fast-forward over event-free cycles
-    /// (on by default; equivalence-tested against the off setting).
-    cycle_skip: bool,
     /// Armed fault schedule, sorted by cycle (empty on fault-free runs,
     /// which keeps every fault path out of the hot loop).
     faults: Vec<FaultEvent>,
@@ -182,6 +178,12 @@ impl Simulator {
         let nr = topo.router_count();
         let concentration = topo.concentration();
 
+        // §3.2.2's wire timing has one owner, shared with the power
+        // model's buffer term.
+        let wires = BufferSpec {
+            vcs: cfg.vcs,
+            smart_hops: cfg.smart_hops,
+        };
         // Channels, one per directed adjacency.
         let mut channels = Vec::new();
         let mut chan_out = vec![Vec::new(); nr];
@@ -193,7 +195,7 @@ impl Simulator {
             for port in 0..ports {
                 let peer = table.peer(r, port);
                 let tiles = layout.map_or(1, |l| l.manhattan(r, peer).max(1));
-                let latency = (tiles as u64).div_ceil(cfg.smart_hops as u64).max(1);
+                let latency = wires.link_cycles(tiles) as u64;
                 let ch = match cfg.link_mode {
                     LinkMode::Credited => Channel::credited(latency),
                     LinkMode::Elastic => Channel::elastic(latency, cfg.vcs),
@@ -218,7 +220,9 @@ impl Simulator {
         let capacity_of = |r: usize, port: usize| -> usize {
             match cfg.buffer_sizing {
                 BufferSizing::Fixed(n) => n,
-                BufferSizing::VariableRtt => 2 * channels[chan_in[r][port]].latency() as usize + 3,
+                BufferSizing::VariableRtt => {
+                    wires.round_trip(chan_tiles[chan_in[r][port]] as usize)
+                }
             }
         };
         let mut routers = Vec::with_capacity(nr);
@@ -230,9 +234,6 @@ impl Simulator {
                 BufferSizing::Fixed(n) => n,
                 BufferSizing::VariableRtt => 5,
             };
-            // Minimal routing never assigns Valiant intermediates, so
-            // those routers take the monomorphized allocation loops with
-            // the intermediate checks compiled out.
             routers.push(RouterCore::new(
                 r,
                 ports,
@@ -242,7 +243,6 @@ impl Simulator {
                 cfg.link_mode,
                 &caps,
                 inj_cap,
-                cfg.routing != RoutingKind::Minimal,
             ));
         }
         // Credits mirror the downstream capacity.
@@ -293,7 +293,6 @@ impl Simulator {
             active_channels: Vec::new(),
             active_inj: Vec::new(),
             inj_queued: vec![false; topo.node_count()],
-            cycle_skip: true,
             faults: Vec::new(),
             next_fault: 0,
             router_alive: vec![true; nr],
@@ -325,14 +324,6 @@ impl Simulator {
         self.work
     }
 
-    /// Enables or disables cycle-skipping (on by default). With skipping
-    /// off, the run loops tick every cycle exactly like the classic
-    /// cycle-accurate loop; the results are identical either way — the
-    /// toggle exists so tests can assert that equivalence.
-    pub fn set_cycle_skipping(&mut self, enabled: bool) {
-        self.cycle_skip = enabled;
-    }
-
     /// Sets the no-progress watchdog bound in cycles, or disarms it
     /// with `None`. Armed by default at
     /// [`crate::default_watchdog_bound`] of the routing diameter and
@@ -350,7 +341,7 @@ impl Simulator {
     /// hardware (and whole packets they belong to) are dropped and
     /// counted, routing self-heals on the surviving graph, and traffic
     /// between severed pairs quiesces. Same plan + same seed ⇒ the same
-    /// [`SimReport`], bit for bit, with cycle-skipping on or off.
+    /// [`SimReport`], bit for bit.
     ///
     /// Fault injection is supported on the edge-buffer + credited-link +
     /// minimal-routing envelope — exactly the envelope the reference
@@ -602,9 +593,8 @@ impl Simulator {
     /// Injection is event-driven: each node carries a next-injection
     /// cycle drawn from geometric inter-arrival sampling — distribution-
     /// identical to a per-cycle Bernoulli trial at `rate / packet_flits`
-    /// — and the calendar of those cycles both replaces the per-node
-    /// per-cycle RNG loop and gives the cycle-skipper a horizon to jump
-    /// to.
+    /// — and the calendar of those cycles replaces the per-node
+    /// per-cycle RNG loop.
     pub fn run_synthetic(
         &mut self,
         pattern: TrafficPattern,
@@ -638,8 +628,7 @@ impl Simulator {
 
     /// Replays a trace (§5.1's PARSEC/SPLASH protocol): read requests are
     /// answered with 6-flit replies by their destination node. Packets
-    /// created at or after `warmup` are measured. Gaps between trace
-    /// messages with no network activity are fast-forwarded.
+    /// created at or after `warmup` are measured.
     pub fn run_trace(&mut self, trace: &[TraceMessage], warmup: u64) -> SimReport {
         self.drive(&mut TraceCursor::new(trace, warmup))
     }
@@ -662,61 +651,11 @@ impl Simulator {
                 report.deadlock = Some(self.deadlock_diagnostic());
                 break;
             }
-            let next = if self.must_step() {
-                self.now + 1
-            } else {
-                let next = self.next_local_event(source.horizon());
-                windows.jump(self.now, source.pending(self.now), next)
-            };
-            self.advance_to(next);
+            self.now += 1;
         }
         report.drained = self.outstanding == 0;
         report.total_cycles = self.now;
         report
-    }
-
-    /// Moves the clock to `next` (> `now`), counting the cycles in
-    /// between as skipped.
-    fn advance_to(&mut self, next: u64) {
-        self.work.cycles_skipped += next - self.now - 1;
-        self.now = next;
-    }
-
-    /// Whether the next cycle must be stepped: while any router or
-    /// injection queue holds a flit (or cycle-skipping is off) the
-    /// clock ticks; otherwise it may jump to the next event.
-    fn must_step(&self) -> bool {
-        !self.cycle_skip || !self.active_routers.is_empty() || !self.active_inj.is_empty()
-    }
-
-    /// The earliest future event of a network with nothing to step:
-    /// the caller's `horizon` (next pending injection or trace
-    /// message), channel arrivals/credits, the next fault event and
-    /// the watchdog deadline. Cycles before it are provably event-free,
-    /// which keeps skipped runs bit-identical to single-stepped ones.
-    fn next_local_event(&self, horizon: Option<u64>) -> Option<u64> {
-        let mut next = horizon;
-        // Pending fault events are wake-ups too: the jump lands exactly
-        // on the next fault cycle, so skipped runs apply faults on the
-        // same cycles as single-stepped ones.
-        if let Some(e) = self.faults.get(self.next_fault) {
-            next = Some(next.map_or(e.cycle, |n| n.min(e.cycle)));
-        }
-        // The watchdog deadline is a wake-up when flits are live: a
-        // skipped-over expiry must still fire on the exact cycle the
-        // single-stepped loop would report.
-        if let Some(bound) = self.watchdog {
-            if !self.arena.is_empty() {
-                let deadline = self.last_progress + bound;
-                next = Some(next.map_or(deadline, |n| n.min(deadline)));
-            }
-        }
-        for &id in &self.active_channels {
-            if let Some(e) = self.channels[id].next_event(self.now) {
-                next = Some(next.map_or(e, |n| n.min(e)));
-            }
-        }
-        next
     }
 
     /// Creates a packet and appends its flits to the source node's
@@ -1252,7 +1191,7 @@ fn probe_flit(dst_router: RouterId) -> Flit {
 mod tests {
     use super::*;
     use crate::stats::Conformance;
-    use snoc_traffic::TraceWorkload;
+    use snoc_traffic::{MessageKind, TraceWorkload};
 
     fn small_sn() -> Topology {
         Topology::slim_noc(3, 3).unwrap() // 18 routers, 54 nodes
@@ -1295,7 +1234,7 @@ mod tests {
         assert!(w.grants <= w.ports_examined, "{w:?}");
         // The all-ports walk would have examined 21 per call.
         assert!(w.ports_examined < 2 * w.alloc_calls, "{w:?}");
-        assert_eq!(w.cycles_stepped + w.cycles_skipped, report.total_cycles);
+        assert_eq!(w.cycles_stepped, report.total_cycles);
         assert!(w.calendar_pops >= report.injected_packets);
         // Counts, not timings: they repeat exactly.
         assert_eq!(run(), (report, w));
@@ -1531,6 +1470,35 @@ mod tests {
     }
 
     #[test]
+    fn gappy_trace_replay_drains() {
+        // Gaps far longer than any drain time: the network empties
+        // between messages and every one is still delivered.
+        let topo = small_sn();
+        let nodes = topo.node_count();
+        for cfg in [SimConfig::default(), SimConfig::cbr(20)] {
+            let trace: Vec<TraceMessage> = (0..12usize)
+                .map(|i| TraceMessage {
+                    cycle: i as u64 * 3_000,
+                    src: NodeId(i * 7 % nodes),
+                    dst: NodeId((i * 13 + 1) % nodes),
+                    kind: if i % 3 == 0 {
+                        MessageKind::ReadRequest
+                    } else {
+                        MessageKind::WriteRequest
+                    },
+                })
+                .collect();
+            let mut sim = Simulator::build(&topo, &cfg).unwrap();
+            let report = sim.run_trace(&trace, 0);
+            assert!(report.drained, "{report}");
+            // 12 messages, 4 of them reads answered by a reply.
+            assert_eq!(report.delivered_packets, 16);
+            assert_eq!(sim.in_flight_flits(), 0);
+            assert!(report.total_cycles > 33_000 && report.total_cycles < 33_100);
+        }
+    }
+
+    #[test]
     fn ugal_runs_and_delivers() {
         let topo = Topology::slim_noc(3, 3).unwrap();
         for kind in [RoutingKind::UgalL, RoutingKind::UgalG] {
@@ -1643,11 +1611,11 @@ mod tests {
     }
 
     #[test]
-    fn zero_rate_fast_forwards_to_the_window_end() {
+    fn zero_rate_run_ends_on_the_window_boundary() {
         let topo = small_sn();
         let mut sim = Simulator::build(&topo, &SimConfig::default()).unwrap();
         let report = sim.run_synthetic(TrafficPattern::Random, 0.0, 1_000, 50_000);
-        assert_eq!(report.total_cycles, 51_000, "clock lands on the boundary");
+        assert_eq!(report.total_cycles, 51_000, "nothing to drain");
         assert_eq!(report.delivered_packets, 0);
         assert!(report.drained);
     }
@@ -1694,19 +1662,21 @@ mod tests {
     }
 
     #[test]
-    fn fault_runs_identical_with_skip_on_and_off() {
+    fn faulted_runs_repeat_byte_for_byte_and_conserve() {
         let topo = small_sn();
         let plan = FaultPlan::storm(&topo, 6, 800, 1_500, 9);
-        let run = |skip: bool| {
+        let run = || {
             let mut sim = Simulator::build(&topo, &SimConfig::default()).unwrap();
-            sim.set_cycle_skipping(skip);
             sim.set_fault_plan(&plan).unwrap();
             sim.run_synthetic(TrafficPattern::Random, 0.06, 500, 3_000)
         };
-        let on = run(true);
-        let off = run(false);
-        assert_eq!(on.to_json(), off.to_json(), "byte-identical reports");
-        assert!(on.dropped_packets > 0, "the run actually exercised drops");
+        let report = run();
+        assert_eq!(report.to_json(), run().to_json(), "same plan, same seed");
+        assert!(
+            report.dropped_packets > 0,
+            "the run actually exercised drops"
+        );
+        report.snapshot().check_conservation().unwrap();
     }
 
     #[test]
@@ -1756,9 +1726,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_faults_do_not_change_the_clock_path() {
-        // Fault events during a dead window are wake-ups for the
-        // cycle-skipper but drop nothing and leave the boundary exact.
+    fn idle_faults_leave_the_run_on_the_window_boundary() {
+        // Fault events on an empty network repair routing but drop
+        // nothing, and the run still ends exactly where the window does.
         let topo = small_sn();
         let mut sim = Simulator::build(&topo, &SimConfig::default()).unwrap();
         let plan = FaultPlan::storm(&topo, 3, 10_000, 5_000, 3);

@@ -28,21 +28,15 @@
 //! Link latency on cut channels is the conservative lookahead: a
 //! boundary message created at cycle `t` can take effect no earlier
 //! than `t + latency ≥ t + 1`, so a lockstep round per simulated cycle
-//! (two [`Barrier`] waits) is sufficient for full determinism. The
-//! cycle-skipping fast-forward still works globally: each shard
-//! publishes its earliest next event (calendar horizon, channel
-//! arrivals, and the arrival cycles of the messages it just sent) and
-//! every shard computes the identical jump target from the shared
-//! atomics.
+//! (two [`Barrier`] waits) is sufficient for full determinism.
 //!
 //! There is no sharded copy of the cycle: a shard runs the monolith's
 //! [`Simulator::step`] with a [`ShardBoundary`] hooked in at the three
 //! points where a cut channel differs (mirror release at delivery
 //! time, the flit message beside a cut-out push, the credit message
-//! instead of a cut-in credit push), feeds it from the same
-//! [`Calendar`] source, and asks the same
-//! [`Simulator::next_local_event`] what its earliest event is. Only
-//! the publish / barrier / apply rounds live here.
+//! instead of a cut-in credit push) and feeds it from the same
+//! [`Calendar`] source. Only the publish / barrier / apply rounds live
+//! here.
 //!
 //! # Determinism contract
 //!
@@ -67,7 +61,7 @@ use crate::stats::SimReport;
 use snoc_layout::Layout;
 use snoc_topology::Topology;
 use snoc_traffic::{BurstModel, PatternSampler, TrafficPattern};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Barrier, Mutex};
 
 /// A flit or credit crossing a shard boundary. `when` is the absolute
@@ -94,14 +88,6 @@ pub(crate) enum BoundaryMsg {
         /// Virtual channel.
         vc: u8,
     },
-}
-
-impl BoundaryMsg {
-    fn when(&self) -> u64 {
-        match *self {
-            BoundaryMsg::Flit { when, .. } | BoundaryMsg::Credit { when, .. } => when,
-        }
-    }
 }
 
 /// Per-shard view of the partition. A channel with both endpoints
@@ -182,10 +168,6 @@ struct Shared {
     /// Post-read barrier: no shard starts the next round's publishes
     /// until every shard has finished reading this round's.
     round_b: Barrier,
-    /// Whether each shard must single-step the next cycle.
-    busy: Vec<AtomicBool>,
-    /// Each shard's earliest next event (`u64::MAX` = none).
-    next: Vec<AtomicU64>,
     /// Cumulative measured packets injected per shard this run.
     injected: Vec<AtomicU64>,
     /// Cumulative measured packets delivered per shard this run.
@@ -199,8 +181,6 @@ impl Shared {
         Shared {
             round_a: Barrier::new(n),
             round_b: Barrier::new(n),
-            busy: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            next: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
             injected: (0..n).map(|_| AtomicU64::new(0)).collect(),
             delivered: (0..n).map(|_| AtomicU64::new(0)).collect(),
             mailboxes: (0..n)
@@ -425,11 +405,11 @@ impl ShardedSimulator {
     }
 }
 
-/// One shard's run loop: step, let the source inject, publish, sync,
-/// apply inbound boundary messages, and commit the globally agreed
-/// clock jump. Every shard evaluates the loop condition and the jump
-/// on identical shared inputs, so all of them execute the same number
-/// of rounds — the barriers never mismatch.
+/// One shard's run loop, one simulated cycle per round: step, let the
+/// source inject, publish, sync, apply inbound boundary messages.
+/// Every shard evaluates the loop condition on identical shared
+/// inputs, so all of them execute the same number of rounds — the
+/// barriers never mismatch.
 fn run_shard(
     sim: &mut Simulator,
     meta: &ShardMeta,
@@ -438,7 +418,7 @@ fn run_shard(
     mut source: Calendar<'_>,
     initial_outstanding: i64,
 ) -> (SimReport, i64, u64) {
-    let nshards = shared.busy.len();
+    let nshards = shared.injected.len();
     let windows = source.windows();
     let mut report = SimReport::new(sim.node_count);
     report.measured_cycles = windows.measured;
@@ -448,27 +428,10 @@ fn run_shard(
     };
     let mut outstanding = initial_outstanding;
     while source.pending(sim.now) || (outstanding > 0 && sim.now < windows.drain_cap) {
-        let now = sim.now;
-        let measuring = windows.measuring(now);
+        let measuring = windows.measuring(sim.now);
         sim.step(measuring, &mut report, &mut boundary);
         source.due(sim, measuring, &mut report);
-        // Publish phase: this shard's earliest next event also covers
-        // the arrival cycles of the messages it is sending this round —
-        // a just-sent credit is held by no channel on either side yet,
-        // so skipping it here could jump the global clock past it.
-        let sent = boundary
-            .outbox
-            .iter()
-            .flatten()
-            .map(BoundaryMsg::when)
-            .min();
-        let next = sim
-            .next_local_event(source.horizon())
-            .into_iter()
-            .chain(sent)
-            .min();
-        shared.busy[k].store(sim.must_step(), Relaxed);
-        shared.next[k].store(next.unwrap_or(u64::MAX), Relaxed);
+        // Publish phase.
         shared.injected[k].store(report.injected_packets, Relaxed);
         shared.delivered[k].store(report.delivered_packets, Relaxed);
         for (to, msgs) in boundary.outbox.iter_mut().enumerate() {
@@ -480,8 +443,8 @@ fn run_shard(
             }
         }
         shared.round_a.wait();
-        // Read phase: apply inbound messages, then compute the global
-        // clock decision — identically on every shard.
+        // Read phase: apply inbound messages and recount the packets
+        // still in flight — identically on every shard.
         for from in 0..nshards {
             if from == k {
                 continue;
@@ -489,24 +452,14 @@ fn run_shard(
             let msgs = std::mem::take(&mut *shared.mailboxes[from][k].lock().expect("mailbox"));
             sim.apply_inbound(meta, &msgs);
         }
-        let mut any_busy = false;
-        let mut next_global = u64::MAX;
         let mut inj = 0u64;
         let mut del = 0u64;
         for j in 0..nshards {
-            any_busy |= shared.busy[j].load(Relaxed);
-            next_global = next_global.min(shared.next[j].load(Relaxed));
             inj += shared.injected[j].load(Relaxed);
             del += shared.delivered[j].load(Relaxed);
         }
-        let new_now = if any_busy {
-            now + 1
-        } else {
-            let next = (next_global != u64::MAX).then_some(next_global);
-            windows.jump(now, source.pending(now), next)
-        };
         shared.round_b.wait();
-        sim.advance_to(new_now);
+        sim.now += 1;
         outstanding = initial_outstanding + inj as i64 - del as i64;
     }
     (report, outstanding, sim.now)
@@ -552,6 +505,7 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mono_report(
         topo: &Topology,
@@ -659,13 +613,56 @@ mod tests {
     }
 
     #[test]
-    fn sharded_zero_rate_fast_forwards_to_the_window_end() {
+    fn sharded_zero_rate_run_ends_on_the_window_boundary() {
+        // Short windows: every idle cycle is a barrier round.
         let topo = Topology::slim_noc(3, 3).unwrap();
         let mut sim = ShardedSimulator::build(&topo, &SimConfig::default(), 3).unwrap();
-        let report = sim.run_synthetic(TrafficPattern::Random, 0.0, 1_000, 50_000);
-        assert_eq!(report.total_cycles, 51_000, "clock lands on the boundary");
+        let report = sim.run_synthetic(TrafficPattern::Random, 0.0, 100, 900);
+        assert_eq!(report.total_cycles, 1_000, "nothing to drain");
         assert_eq!(report.delivered_packets, 0);
         assert!(report.drained);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Bursty (on/off Markov) injection costs extra RNG draws per
+        /// arrival (phase sojourns), which every replica must also burn
+        /// for the nodes it does not own — across fuzzed burst shapes,
+        /// from near-uniform to long-burst/long-gap.
+        #[test]
+        fn sharded_bursty_traffic_matches_monolithic(
+            topo_idx in 0usize..4,
+            rate in 0.0f64..0.35,
+            off_to_on in 0.02f64..0.95,
+            on_to_off in 0.02f64..0.95,
+            seed in 0u64..1_000_000,
+        ) {
+            let topo = match topo_idx {
+                0 => Topology::slim_noc(3, 3).unwrap(),
+                1 => Topology::mesh(4, 3, 2),
+                2 => Topology::torus(4, 4, 1),
+                _ => Topology::flattened_butterfly(3, 3, 2),
+            };
+            let cfg = SimConfig::default().with_seed(seed);
+            let burst = BurstModel { off_to_on, on_to_off };
+            let mono = Simulator::build(&topo, &cfg)
+                .unwrap()
+                .run_synthetic_bursty(TrafficPattern::Random, rate, burst, 300, 1_500);
+            let sharded = ShardedSimulator::build(&topo, &cfg, 2)
+                .unwrap()
+                .run_synthetic_bursty(TrafficPattern::Random, rate, burst, 300, 1_500);
+            prop_assert_eq!(
+                mono.to_json(),
+                sharded.to_json(),
+                "topo {} rate {} burst {}/{} seed {}",
+                topo_idx,
+                rate,
+                off_to_on,
+                on_to_off,
+                seed
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Workload sources: what injects next, and when. The driver loops
 //! ([`Simulator::drive`], the sharded round loop) know nothing about
-//! traffic: they ask a [`Source`] for its [`Windows`], let it inject
-//! what is due after each stepped cycle, and read its horizon to bound
-//! an idle clock's jump. [`Calendar`] feeds every synthetic run,
-//! [`TraceCursor`] trace replay.
+//! traffic: they ask a [`Source`] for its [`Windows`] and let it inject
+//! what is due after each stepped cycle. [`Calendar`] feeds every
+//! synthetic run, [`TraceCursor`] trace replay.
 
 use super::Simulator;
 use crate::stats::SimReport;
@@ -18,11 +17,8 @@ use std::collections::BinaryHeap;
 pub(crate) struct Windows {
     /// Measurement starts here.
     pub warmup: u64,
-    /// While injections pend an idle clock never jumps past this cycle
-    /// (`u64::MAX` for traces: the loop runs to the next message
-    /// regardless of the drain cap).
-    pub inject_end: u64,
-    /// Measurement stops here.
+    /// Measurement stops here (and with it a synthetic run's
+    /// injection; `u64::MAX` for traces).
     pub measure_end: u64,
     /// The drain phase gives up here.
     pub drain_cap: u64,
@@ -35,19 +31,6 @@ impl Windows {
     pub(crate) fn measuring(&self, now: u64) -> bool {
         now >= self.warmup && now < self.measure_end
     }
-
-    /// Where the clock of a network with nothing to step lands, given
-    /// the earliest future event `next`: clamped into `(now, cap]`, so
-    /// window boundaries are landed on exactly; with nothing scheduled
-    /// the injection phase jumps to its end and the drain phase ticks.
-    pub(crate) fn jump(&self, now: u64, pending: bool, next: Option<u64>) -> u64 {
-        let (cap, idle_target) = if pending {
-            (self.inject_end, self.inject_end)
-        } else {
-            (self.drain_cap, now + 1)
-        };
-        next.unwrap_or(idle_target).clamp(now + 1, cap.max(now + 1))
-    }
 }
 
 /// A stream of packet injections feeding one run.
@@ -57,8 +40,6 @@ pub(crate) trait Source {
     /// Whether injections may still come at or after `now` — the run
     /// loop keeps going while this holds, drained or not.
     fn pending(&self, now: u64) -> bool;
-    /// The cycle of the next scheduled injection, if any.
-    fn horizon(&self) -> Option<u64>;
     /// Injects everything due at or before `sim.now`. It gets the
     /// simulator rather than returning a batch: its RNG draws interleave
     /// with the adaptive-routing draws inside [`Simulator::generate`].
@@ -68,7 +49,7 @@ pub(crate) trait Source {
 /// The injection calendar of a synthetic run: each node carries a
 /// next-injection cycle drawn from geometric inter-arrival sampling
 /// (with on/off burst phases), kept in a `(cycle, node)` min-heap.
-/// Entries at or past the injection end can never fire and are dropped
+/// Entries at or past the measurement end can never fire and are dropped
 /// eagerly (arrivals are strictly increasing per node).
 pub(crate) struct Calendar<'a> {
     sampler: &'a PatternSampler,
@@ -109,7 +90,6 @@ impl<'a> Calendar<'a> {
             pkt_len: pkt_len as u32,
             windows: Windows {
                 warmup,
-                inject_end: end,
                 measure_end: end,
                 drain_cap: end + measure.max(2_000),
                 measured: measure,
@@ -132,7 +112,7 @@ impl<'a> Calendar<'a> {
     fn arm(&mut self, node: usize, rng: &mut ChaCha8Rng) {
         if let Some(c) = self.process.next_arrival(node, rng) {
             let cycle = self.t0.saturating_add(c);
-            if cycle < self.windows.inject_end {
+            if cycle < self.windows.measure_end {
                 self.heap.push(Reverse((cycle, node)));
             }
         }
@@ -145,11 +125,7 @@ impl Source for Calendar<'_> {
     }
 
     fn pending(&self, now: u64) -> bool {
-        now < self.windows.inject_end
-    }
-
-    fn horizon(&self) -> Option<u64> {
-        self.heap.peek().map(|&Reverse((cycle, _))| cycle)
+        now < self.windows.measure_end
     }
 
     fn due(&mut self, sim: &mut Simulator, measuring: bool, report: &mut SimReport) {
@@ -186,7 +162,6 @@ impl<'a> TraceCursor<'a> {
             next: 0,
             windows: Windows {
                 warmup,
-                inject_end: u64::MAX,
                 measure_end: u64::MAX,
                 drain_cap: end + 50_000,
                 measured: end.saturating_sub(warmup).max(1),
@@ -202,10 +177,6 @@ impl Source for TraceCursor<'_> {
 
     fn pending(&self, _now: u64) -> bool {
         self.next < self.trace.len()
-    }
-
-    fn horizon(&self) -> Option<u64> {
-        self.trace.get(self.next).map(|m| m.cycle)
     }
 
     fn due(&mut self, sim: &mut Simulator, measuring: bool, report: &mut SimReport) {

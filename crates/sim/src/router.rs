@@ -26,8 +26,7 @@
 //! - CBR staging slots, queue masks and open-packet registers are flat
 //!   lane arrays ([`CbState`]);
 //! - ST registers, wormhole ownership and credit counters are flat
-//!   arrays on the shared [`OutputSide`], plus a per-port available-
-//!   credit counter so congestion lookups never rescan the VC row.
+//!   arrays on the shared [`OutputSide`].
 //!
 //! The allocator scans are driven by the masks, so an allocation call
 //! costs what the occupied lanes cost, not what the radix costs: the
@@ -398,7 +397,7 @@ enum ArchState {
 
 /// The output side shared by both router architectures: ST registers,
 /// wormhole VC ownership, and credit counters — flat arrays with an
-/// ST-occupancy bitmask and a per-port available-credit counter.
+/// ST-occupancy bitmask.
 #[derive(Debug, Clone)]
 struct OutputSide {
     net_ports: usize,
@@ -417,10 +416,6 @@ struct OutputSide {
     out_pkt: Vec<u64>,
     /// Credits toward downstream per network output lane.
     credits: Vec<u32>,
-    /// Sum of available credits per network output port — kept in sync
-    /// with `credits` so the adaptive-routing congestion probe
-    /// ([`RouterCore::output_occupancy`]) is O(1) instead of a VC scan.
-    port_credits: Vec<u32>,
     /// Round-robin pointer per output port (input selection).
     rr_out: Vec<usize>,
 }
@@ -438,7 +433,6 @@ impl OutputSide {
             st_live: 0,
             out_pkt: vec![NO_PKT; net_ports * vcs],
             credits: vec![0; net_ports * vcs],
-            port_credits: vec![0; net_ports],
             rr_out: vec![0; out_ports],
         }
     }
@@ -494,7 +488,6 @@ impl OutputSide {
             f.hops += 1;
             if self.credited {
                 self.credits[lane] -= 1;
-                self.port_credits[out.port] -= 1;
             }
         }
         self.st_live += 1;
@@ -503,7 +496,7 @@ impl OutputSide {
         mask_set(&mut self.st_mask, out.port);
     }
 
-    /// Ground-truth credit sum for one port (debug assertions).
+    /// Available credits of one port, summed over its VC row.
     fn credit_scan(&self, out_port: usize) -> usize {
         self.credits[out_port * self.vcs..(out_port + 1) * self.vcs]
             .iter()
@@ -512,12 +505,9 @@ impl OutputSide {
     }
 }
 
-/// Computes the route for a flit at router `id`. With `VALIANT = false`
-/// (the [`crate::RoutingKind::Minimal`] specialization) the Valiant
-/// intermediate checks compile out and the table lookup skips the
-/// intermediate decode entirely.
+/// Computes the route for a flit at router `id`.
 #[inline]
-fn compute_route<const VALIANT: bool>(
+fn compute_route(
     id: RouterId,
     net_ports: usize,
     vcs: usize,
@@ -525,26 +515,15 @@ fn compute_route<const VALIANT: bool>(
     concentration: usize,
     flit: &Flit,
 ) -> RouteDecision {
-    let at_dst = if VALIANT {
-        flit.dst_router == id && (flit.intermediate().is_none() || flit.intermediate_done())
-    } else {
-        debug_assert!(
-            flit.intermediate().is_none(),
-            "minimal routing never assigns Valiant intermediates"
-        );
-        flit.dst_router == id
-    };
-    if at_dst {
+    if flit.dst_router == id && (flit.intermediate().is_none() || flit.intermediate_done()) {
         // Eject to the local node's port.
         let local = flit.dst.index() % concentration;
         RouteDecision {
             port: net_ports + local,
             vc: 0,
         }
-    } else if VALIANT {
-        table.route(id, flit, vcs)
     } else {
-        table.route_direct(id, flit, vcs)
+        table.route(id, flit, vcs)
     }
 }
 
@@ -555,10 +534,6 @@ pub(crate) struct RouterCore {
     pub net_ports: usize,
     pub local_ports: usize,
     pub vcs: usize,
-    /// Whether the configured routing mode can assign Valiant
-    /// intermediates — `false` selects the monomorphized minimal-routing
-    /// allocation loops.
-    valiant: bool,
     arch: ArchState,
     out: OutputSide,
     /// Round-robin pointer per input port (VC selection).
@@ -639,10 +614,7 @@ impl AllocResult {
 impl RouterCore {
     /// Builds a router. `input_capacity[port]` gives the per-VC buffer
     /// capacity of each network input port (RTT-sized buffers differ per
-    /// port); injection ports use `inj_capacity`. `valiant` declares
-    /// whether the routing mode may assign Valiant intermediates —
-    /// `false` (minimal routing) selects the monomorphized allocation
-    /// loops with the intermediate checks compiled out.
+    /// port); injection ports use `inj_capacity`.
     #[allow(clippy::too_many_arguments)] // one call site, in network assembly
     pub(crate) fn new(
         id: RouterId,
@@ -653,7 +625,6 @@ impl RouterCore {
         link_mode: LinkMode,
         input_capacity: &[usize],
         inj_capacity: usize,
-        valiant: bool,
     ) -> Self {
         assert_eq!(input_capacity.len(), net_ports, "one capacity per port");
         let in_ports = net_ports + local_ports;
@@ -673,7 +644,6 @@ impl RouterCore {
             net_ports,
             local_ports,
             vcs,
-            valiant,
             arch,
             out: OutputSide::new(net_ports, local_ports, vcs, link_mode == LinkMode::Credited),
             rr_in: vec![0; in_ports],
@@ -692,13 +662,11 @@ impl RouterCore {
         for vc in 0..self.vcs {
             self.out.credits[base + vc] = per;
         }
-        self.out.port_credits[out_port] = per * self.vcs as u32;
     }
 
     /// Adds one returned credit.
     pub(crate) fn add_credit(&mut self, out_port: usize, vc: usize) {
         self.out.credits[out_port * self.vcs + vc] += 1;
-        self.out.port_credits[out_port] += 1;
     }
 
     /// Whether input `port` can accept a flit on `vc` right now.
@@ -716,13 +684,10 @@ impl RouterCore {
     /// Panics if the input has no space ([`RouterCore::can_deliver`]).
     pub(crate) fn deliver(&mut self, port: usize, vc: usize, flit: FlitRef, arena: &mut FlitArena) {
         // Valiant bookkeeping: reaching the intermediate re-targets the
-        // flit at its true destination. Minimal routing never assigns
-        // intermediates, so the specialized routers skip the load.
-        if self.valiant {
-            let f = arena.get_mut(flit);
-            if f.intermediate() == Some(self.id) {
-                f.mark_intermediate_done();
-            }
+        // flit at its true destination.
+        let f = arena.get_mut(flit);
+        if f.intermediate() == Some(self.id) {
+            f.mark_intermediate_done();
         }
         self.live_flits += 1;
         let lane = port * self.vcs + vc;
@@ -782,20 +747,14 @@ impl RouterCore {
     }
 
     /// Occupancy of an output direction (ST register + consumed credits),
-    /// used by adaptive routing as the local congestion signal. O(1):
-    /// the per-port credit counter replaces the former per-VC rescan.
+    /// used by adaptive routing as the local congestion signal — read
+    /// only when a UGAL/XY packet is created, so it sums the VC row
+    /// instead of every flit hop keeping a per-port total.
     pub(crate) fn output_occupancy(&self, out_port: usize, init_credits: usize) -> usize {
         let st = usize::from(self.out.st_occupied(out_port));
         if self.out.credited && out_port < self.net_ports {
-            let avail = self.out.port_credits[out_port] as usize;
-            debug_assert_eq!(
-                avail,
-                self.out.credit_scan(out_port),
-                "per-port credit counter drifted at {} port {out_port}",
-                self.id
-            );
             let total = init_credits * self.vcs;
-            st + total.saturating_sub(avail)
+            st + total.saturating_sub(self.out.credit_scan(out_port))
         } else {
             st
         }
@@ -834,9 +793,8 @@ impl RouterCore {
     /// performs no per-router allocation. `arena` resolves the buffered
     /// [`FlitRef`]s (and records the hop on departing flits).
     ///
-    /// Generic over the link-readiness predicate (so the network's
-    /// closure inlines instead of dispatching through a vtable) and
-    /// dispatched onto `VALIANT`-specialized loops per routing mode.
+    /// Generic over the link-readiness predicate, so the network's
+    /// closure inlines instead of dispatching through a vtable.
     pub(crate) fn alloc_into<F: Fn(usize, usize) -> bool>(
         &mut self,
         now: u64,
@@ -847,18 +805,12 @@ impl RouterCore {
         result: &mut AllocResult,
     ) {
         result.clear();
-        match (&self.arch, self.valiant) {
-            (ArchState::Edge(_), true) => {
-                self.alloc_edge::<true, F>(table, concentration, arena, link_ready, result);
+        match &self.arch {
+            ArchState::Edge(_) => {
+                self.alloc_edge(table, concentration, arena, link_ready, result);
             }
-            (ArchState::Edge(_), false) => {
-                self.alloc_edge::<false, F>(table, concentration, arena, link_ready, result);
-            }
-            (ArchState::Cb(_), true) => {
-                self.alloc_cb::<true, F>(now, table, concentration, arena, link_ready, result);
-            }
-            (ArchState::Cb(_), false) => {
-                self.alloc_cb::<false, F>(now, table, concentration, arena, link_ready, result);
+            ArchState::Cb(_) => {
+                self.alloc_cb(now, table, concentration, arena, link_ready, result);
             }
         }
     }
@@ -878,7 +830,7 @@ impl RouterCore {
         result
     }
 
-    fn alloc_edge<const VALIANT: bool, F: Fn(usize, usize) -> bool>(
+    fn alloc_edge<F: Fn(usize, usize) -> bool>(
         &mut self,
         table: &RoutingTable,
         concentration: usize,
@@ -929,14 +881,7 @@ impl RouterCore {
                     }
                     None => {
                         let head = arena.get(lanes.front(lane));
-                        let route = compute_route::<VALIANT>(
-                            id,
-                            net_ports,
-                            vcs,
-                            table,
-                            concentration,
-                            head,
-                        );
+                        let route = compute_route(id, net_ports, vcs, table, concentration, head);
                         (route, head.packet.0)
                     }
                 };
@@ -1000,7 +945,7 @@ impl RouterCore {
         }
     }
 
-    fn alloc_cb<const VALIANT: bool, F: Fn(usize, usize) -> bool>(
+    fn alloc_cb<F: Fn(usize, usize) -> bool>(
         &mut self,
         now: u64,
         table: &RoutingTable,
@@ -1076,9 +1021,9 @@ impl RouterCore {
                     continue;
                 }
                 let f = arena.get(cb.stage_slot[lane]);
-                let route = cb.stage_route(lane).unwrap_or_else(|| {
-                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f)
-                });
+                let route = cb
+                    .stage_route(lane)
+                    .unwrap_or_else(|| compute_route(id, net_ports, vcs, table, concentration, f));
                 // Ordering: a *head* never bypasses a non-empty CB queue
                 // for the same (output, VC) — packets on a VC stay in
                 // order. Body flits of an in-flight bypass packet are
@@ -1129,9 +1074,9 @@ impl RouterCore {
                 result.lanes_examined += 1;
                 let lane = port * vcs + vc;
                 let f = arena.get(cb.stage_slot[lane]);
-                let route = cb.stage_route(lane).unwrap_or_else(|| {
-                    compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f)
-                });
+                let route = cb
+                    .stage_route(lane)
+                    .unwrap_or_else(|| compute_route(id, net_ports, vcs, table, concentration, f));
                 let kind = f.kind;
                 let pkt = f.packet.0;
                 let plen = f.packet_len as usize;
@@ -1187,8 +1132,8 @@ impl RouterCore {
 impl RouterCore {
     /// Verifies every derived SoA structure against its ground truth:
     /// occupancy words vs lane contents, port masks vs occupancy words,
-    /// the per-port credit counter vs a fresh scan, the ST mask vs the
-    /// ST-live counter, and the arbitration scratch being at rest. Used
+    /// the ST mask vs the ST-live counter, and the arbitration scratch
+    /// being at rest. Used
     /// by the shadow-model property suite; panics on any drift.
     #[cfg(test)]
     pub(crate) fn verify_soa_invariants(&self) {
@@ -1271,16 +1216,6 @@ impl RouterCore {
                     );
                 }
                 assert_port_mask(&cb.queue_ports, &cb.queue_mask, "CB queue");
-            }
-        }
-        if self.out.credited {
-            for port in 0..self.net_ports {
-                assert_eq!(
-                    self.out.port_credits[port] as usize,
-                    self.out.credit_scan(port),
-                    "per-port credit counter drifted at {} port {port}",
-                    self.id
-                );
             }
         }
         let st_count: usize = self
@@ -1424,13 +1359,10 @@ impl RouterCore {
     }
 
     /// Fault support: overwrites one output lane's credit counter with a
-    /// ground-truth recount, keeping the per-port sum in sync.
+    /// ground-truth recount.
     pub(crate) fn set_lane_credits(&mut self, out_port: usize, vc: usize, value: usize) {
-        let lane = out_port * self.vcs + vc;
-        let old = self.out.credits[lane];
-        let new = u32::try_from(value).expect("credit count fits u32");
-        self.out.credits[lane] = new;
-        self.out.port_credits[out_port] = self.out.port_credits[out_port] - old + new;
+        self.out.credits[out_port * self.vcs + vc] =
+            u32::try_from(value).expect("credit count fits u32");
     }
 
     /// Whether the ST register of `out_port` holds a flit bound for
@@ -1462,12 +1394,6 @@ impl RouterCore {
     #[cfg(test)]
     pub(crate) fn credit(&self, out_port: usize, vc: usize) -> usize {
         self.out.credits[out_port * self.vcs + vc] as usize
-    }
-
-    /// The per-port available-credit counter (test introspection).
-    #[cfg(test)]
-    pub(crate) fn port_credits(&self, out_port: usize) -> usize {
-        self.out.port_credits[out_port] as usize
     }
 
     /// Occupied ST registers (test introspection).
@@ -1516,7 +1442,6 @@ mod tests {
             LinkMode::Credited,
             &caps,
             20,
-            true,
         );
         for p in 0..net_ports {
             r.set_credits(p, 5);
@@ -1644,7 +1569,6 @@ mod tests {
             LinkMode::Elastic,
             &caps,
             20,
-            true,
         )
     }
 
@@ -1776,22 +1700,6 @@ mod tests {
     }
 
     #[test]
-    fn port_credit_counter_tracks_scan() {
-        let (_t, table) = table();
-        let mut arena = FlitArena::default();
-        let mut r = edge_router(1);
-        assert_eq!(r.port_credits(0), 10, "5 credits x 2 VCs");
-        let f = arena.insert(head_to(2, 1));
-        r.deliver(1, 0, f, &mut arena);
-        let _ = r.alloc(0, &table, 1, &mut arena, &|_, _| true);
-        assert_eq!(r.port_credits(0), 9, "departure consumed one credit");
-        assert_eq!(r.output_occupancy(0, 5), 2, "ST flit + consumed credit");
-        r.add_credit(0, 0);
-        assert_eq!(r.port_credits(0), 10);
-        r.verify_soa_invariants();
-    }
-
-    #[test]
     fn rotated_port_walk_matches_the_naive_wrap_for_every_start() {
         // Multi-word masks: dense, sparse, word-boundary bits, empty,
         // and widths that end mid-word, on a word edge, and past one.
@@ -1840,7 +1748,6 @@ mod tests {
             LinkMode::Credited,
             &caps,
             20,
-            false,
         );
         for p in 0..4 {
             r.set_credits(p, 5);
@@ -1858,49 +1765,5 @@ mod tests {
         assert_eq!(res.lanes_examined, 2);
         assert_eq!(res.alloc_grants, 2);
         r.verify_soa_invariants();
-    }
-
-    #[test]
-    fn minimal_specialization_matches_generic_path() {
-        // The same delivery/alloc sequence through the VALIANT=true and
-        // VALIANT=false instantiations must be bit-identical when no
-        // intermediates are assigned (minimal routing).
-        let (_t, table) = table();
-        let run = |valiant: bool| -> Vec<(usize, usize, u16)> {
-            let mut arena = FlitArena::default();
-            let caps = vec![5; 1];
-            let mut r = RouterCore::new(
-                RouterId(0),
-                1,
-                1,
-                2,
-                RouterArch::EdgeBuffer,
-                LinkMode::Credited,
-                &caps,
-                20,
-                valiant,
-            );
-            r.set_credits(0, 5);
-            let mut log = Vec::new();
-            for i in 0..6u64 {
-                let mut f = head_to(if i % 2 == 0 { 2 } else { 0 }, 1);
-                f.packet = PacketId(i + 1);
-                let fr = arena.insert(f);
-                r.deliver(
-                    if i % 2 == 0 { 1 } else { 0 },
-                    (i % 2) as usize,
-                    fr,
-                    &mut arena,
-                );
-                let _ = r.alloc(i, &table, 1, &mut arena, &|_, _| true);
-                let mut st = Vec::new();
-                r.drain_st(&mut st);
-                for (port, stf) in st {
-                    log.push((port, stf.out_vc, arena.get(stf.flit).hops));
-                }
-            }
-            log
-        };
-        assert_eq!(run(true), run(false));
     }
 }

@@ -402,24 +402,6 @@ impl RoutingTable {
         self.route_toward(cur, dst, flit.hops, vcs)
     }
 
-    /// Routes a flit that is known to carry no Valiant intermediate
-    /// (minimal routing): the target is always `flit.dst_router`, so
-    /// the intermediate decode of [`RoutingTable::target`] is skipped
-    /// entirely. This is the monomorphized hot path the allocator uses
-    /// under [`crate::RoutingKind::Minimal`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flit is already at its destination router.
-    #[must_use]
-    pub fn route_direct(&self, cur: RouterId, flit: &Flit, vcs: usize) -> RouteDecision {
-        debug_assert!(
-            flit.intermediate().is_none(),
-            "route_direct requires a flit without a Valiant intermediate"
-        );
-        self.route_toward(cur, flit.dst_router, flit.hops, vcs)
-    }
-
     /// Largest finite distance in the table: the diameter for
     /// [`RoutingTable::minimal`] tables, the longest walked table path
     /// for [`RoutingTable::degraded`] ones. Scales the default
@@ -429,9 +411,8 @@ impl RoutingTable {
         self.max_dist
     }
 
-    /// Shared table lookup behind [`RoutingTable::route`] and
-    /// [`RoutingTable::route_direct`] (and the deadlock checker, which
-    /// probes it pair by pair).
+    /// The table lookup behind [`RoutingTable::route`] (and the deadlock
+    /// checker, which probes it pair by pair).
     #[inline]
     pub(crate) fn route_toward(
         &self,

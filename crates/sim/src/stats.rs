@@ -67,10 +67,8 @@ pub struct ActivityCounters {
 /// seed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
-    /// Cycles the cycle body ran for.
+    /// Cycles the cycle body ran for — every simulated cycle.
     pub cycles_stepped: u64,
-    /// Event-free cycles the clock jumped over instead.
-    pub cycles_skipped: u64,
     /// Active-channel visits (tick + delivery + credit return).
     pub channel_visits: u64,
     /// Active-router visits of the switch-traversal phase.
@@ -95,10 +93,9 @@ pub struct WorkCounters {
 impl WorkCounters {
     /// Every counter with its display name, in declaration order.
     #[must_use]
-    pub fn rows(&self) -> [(&'static str, u64); 10] {
+    pub fn rows(&self) -> [(&'static str, u64); 9] {
         [
             ("cycles stepped", self.cycles_stepped),
-            ("cycles skipped", self.cycles_skipped),
             ("channel visits", self.channel_visits),
             ("router visits", self.router_visits),
             ("allocation calls", self.alloc_calls),
@@ -148,7 +145,7 @@ impl ActivityCounters {
 /// An engine-independent extract of one simulation run's metrics: the
 /// comparison interface of the differential-verification harness.
 ///
-/// Both the optimized event-accelerated simulator (via
+/// Both the optimized simulator (via
 /// [`Conformance::snapshot`] on [`SimReport`]) and the golden reference
 /// simulator (`snoc_refsim`) emit this structure, so the harness never
 /// reaches into either engine's internal state. Two engines agree on a
@@ -476,8 +473,9 @@ impl SimReport {
     /// the build is offline and has no serde).
     ///
     /// Two reports are equal iff their JSON is byte-identical, which is
-    /// what the cycle-skipping equivalence tests compare: any divergence
-    /// in any counter shows up as a byte difference.
+    /// what the shard-equivalence tests and the engine fingerprint
+    /// compare: any divergence in any counter shows up as a byte
+    /// difference.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -572,39 +570,24 @@ impl SimReport {
         out.push_str("]\n}\n");
         out
     }
-
-    /// A simple saturation heuristic used by load sweeps: the network is
-    /// saturated when it rejects offered traffic, latency explodes
-    /// relative to `zero_load` latency, or it accepted packets but
-    /// delivered none at all.
-    ///
-    /// Defined for every report: zero delivered packets used to read as
-    /// *unsaturated* (average latency is 0 on an empty histogram, which
-    /// trivially fails the blow-up test) even when packets had been
-    /// injected — the worst congestion looked like the best. A
-    /// non-finite `zero_load_latency` reference (e.g. propagated from a
-    /// degenerate upstream division) is ignored instead of poisoning
-    /// the comparison.
-    #[must_use]
-    pub fn is_saturated(&self, zero_load_latency: f64) -> bool {
-        saturation_heuristic(
-            self.avg_packet_latency(),
-            self.acceptance(),
-            self.drained,
-            self.delivered_packets,
-            self.injected_packets,
-            zero_load_latency,
-        )
-    }
 }
 
-/// The saturation heuristic behind [`SimReport::is_saturated`], in
-/// terms of the condensed scalars a report yields. Exposed so the
-/// sweep engine's content-addressed point cache can re-evaluate
-/// saturation for a *cached* point against the current curve's
-/// zero-load reference without rehydrating a full report — the cache
-/// stores these five scalars, and using the same function here is what
-/// keeps a warm rerun's saturation flags bit-identical to a cold run's.
+/// The saturation heuristic used by load sweeps, in terms of the
+/// condensed scalars a report yields: the network is saturated when it
+/// rejects offered traffic, latency explodes relative to the zero-load
+/// latency, the run did not drain, or it accepted packets but delivered
+/// none at all (average latency is 0 on an empty histogram, which would
+/// otherwise fail the blow-up test — the worst congestion looking like
+/// the best). A non-finite `zero_load_latency` reference (e.g.
+/// propagated from a degenerate upstream division) is ignored instead
+/// of poisoning the comparison.
+///
+/// Scalars rather than a report, so the sweep engine's
+/// content-addressed point cache can re-evaluate saturation for a
+/// *cached* point against the current curve's zero-load reference
+/// without rehydrating a full report — the cache stores these five
+/// scalars, and the one function is what keeps a warm rerun's
+/// saturation flags bit-identical to a cold run's.
 #[must_use]
 pub fn saturation_heuristic(
     avg_latency: f64,
@@ -641,6 +624,19 @@ impl fmt::Display for SimReport {
 mod tests {
     use super::*;
 
+    /// [`saturation_heuristic`] on a report's scalars, as a campaign
+    /// point feeds it.
+    fn saturated(r: &SimReport, zero_load_latency: f64) -> bool {
+        saturation_heuristic(
+            r.avg_packet_latency(),
+            r.acceptance(),
+            r.drained,
+            r.delivered_packets,
+            r.injected_packets,
+            zero_load_latency,
+        )
+    }
+
     #[test]
     fn latency_statistics() {
         let mut r = SimReport::new(4);
@@ -665,10 +661,10 @@ mod tests {
         r.stalled_generations = 10;
         assert!((r.acceptance() - 0.9).abs() < 1e-12);
         r.record_delivery(15, 2, 6);
-        assert!(r.is_saturated(14.0), "acceptance below threshold");
+        assert!(saturated(&r, 14.0), "acceptance below threshold");
         r.stalled_generations = 0;
-        assert!(!r.is_saturated(14.0));
-        assert!(r.is_saturated(2.0), "latency blow-up");
+        assert!(!saturated(&r, 14.0));
+        assert!(saturated(&r, 2.0), "latency blow-up");
     }
 
     #[test]
@@ -732,11 +728,11 @@ mod tests {
         let mut r = SimReport::new(4);
         r.measured_cycles = 100;
         r.injected_packets = 50;
-        assert!(r.is_saturated(10.0));
-        assert!(r.is_saturated(0.0), "even without a latency reference");
+        assert!(saturated(&r, 10.0));
+        assert!(saturated(&r, 0.0), "even without a latency reference");
         // A genuinely empty window (nothing offered) stays unsaturated.
         let empty = SimReport::new(4);
-        assert!(!empty.is_saturated(10.0));
+        assert!(!saturated(&empty, 10.0));
     }
 
     #[test]
@@ -746,9 +742,9 @@ mod tests {
         r.injected_packets = 10;
         r.record_delivery(500, 2, 6);
         // NaN/inf references must not poison the comparison either way.
-        assert!(!r.is_saturated(f64::NAN));
-        assert!(!r.is_saturated(f64::INFINITY));
-        assert!(r.is_saturated(10.0), "finite reference still works");
+        assert!(!saturated(&r, f64::NAN));
+        assert!(!saturated(&r, f64::INFINITY));
+        assert!(saturated(&r, 10.0), "finite reference still works");
     }
 
     #[test]

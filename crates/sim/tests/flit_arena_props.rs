@@ -1,5 +1,5 @@
 //! Property tests for the free-list flit slab ([`FlitArena`] /
-//! [`FlitRef`]) introduced by the event-accelerated core: fuzzed
+//! [`FlitRef`]): fuzzed
 //! alloc/free sequences must never hand out a ref that is already live
 //! (the observable form of a double-free), the live count must track a
 //! shadow model exactly, every live slot must retain its payload

@@ -6,7 +6,8 @@ use slim_noc::layout::{Layout, SnLayout};
 use slim_noc::power::TechNode;
 use slim_noc::prelude::*;
 use slim_noc::sim::Simulator;
-use slim_noc::traffic::TraceWorkload;
+use slim_noc::topology::{NodeId, RouterId};
+use slim_noc::traffic::{MessageKind, TraceMessage, TraceWorkload};
 
 mod common;
 
@@ -92,6 +93,37 @@ fn trace_protocol_round_trip() {
     assert!(report.drained, "{report}");
     assert!(report.avg_packet_latency() > 5.0);
     assert!(report.delivered_packets > 100);
+}
+
+#[test]
+fn the_clock_stops_the_cycle_after_the_last_measured_tail_ejects() {
+    // With sn_s's own layout a lone packet's credits are still
+    // returning on multi-cycle wires when its tail ejects; the run is
+    // over all the same.
+    let setup = Setup::paper("sn_s").expect("sn_s");
+    let (topo, layout) = (&setup.topology, &setup.layout);
+    let src = RouterId(0);
+    let wire = |r: &RouterId| layout.manhattan(src, *r);
+    let near = *topo.neighbors(src).iter().min_by_key(|r| wire(r)).unwrap();
+    let far = *topo.neighbors(src).iter().max_by_key(|r| wire(r)).unwrap();
+    let two_hops = topo
+        .routers()
+        .find(|&r| r != src && !topo.neighbors(src).contains(&r))
+        .unwrap();
+    // A credit pushed when the tail leaves the last input buffer is
+    // still on a wire this long one cycle after the tail ejects.
+    assert!(wire(&far) > 2, "sn_s has multi-cycle wires");
+    for dst in [near, far, two_hops] {
+        let trace = [TraceMessage {
+            cycle: 0,
+            src: NodeId(0),
+            dst: NodeId(dst.index() * topo.concentration()),
+            kind: MessageKind::WriteRequest,
+        }];
+        let report = setup.simulator().expect("sim").run_trace(&trace, 0);
+        assert_eq!(report.delivered_packets, 1, "to {dst}");
+        assert_eq!(report.total_cycles, report.latency_max + 1, "to {dst}");
+    }
 }
 
 #[test]
