@@ -146,12 +146,8 @@ pub fn retention_rows(result: &CampaignResult) -> Vec<RetentionRow> {
     for network in NETWORKS {
         let point = |fraction: f64| {
             let name = setup_name(network, fraction);
-            let p = result
-                .curve(&name, "RND")
-                .next()
-                .unwrap_or_else(|| panic!("missing point {network}@{fraction}"))
-                .clone();
-            p
+            let p = result.point(&name, "RND", LOAD);
+            p.unwrap_or_else(|| panic!("missing point {network}@{fraction}"))
         };
         let baseline = point(0.0).throughput;
         for fraction in FRACTIONS {

@@ -11,9 +11,12 @@ mod studies;
 mod verify;
 
 use crate::fault_storm::{retention_rows, storm_campaign, LOAD};
-use crate::{energy_campaign, figure_campaign, io_err, latency_curves, Args};
+use crate::{
+    energy_campaign, energy_load_grid, figure_campaign, io_err, latency_curves, load_grid, Args,
+};
 use snoc_core::{
-    format_float, parallel_map, BufferPreset, CampaignResult, PowerPoint, Series, Setup, TextTable,
+    format_float, BufferPreset, Campaign, CampaignResult, PowerPoint, Series, Setup, SweepPoint,
+    TextTable,
 };
 use snoc_field::{GeneratorSets, Gf};
 use snoc_layout::{
@@ -295,6 +298,59 @@ fn power_rows(
             nodes: nodes as f64,
         })
         .collect()
+}
+
+/// The trace campaign behind Fig. 10b, Fig. 18 and Table 6: `setups` ×
+/// the 14 workloads, the first tenth of each trace as warmup.
+fn trace_campaign(name: &str, setups: Vec<Setup>, args: &Args) -> Campaign {
+    let cycles = args.trace_cycles();
+    figure_campaign(name, setups, Vec::new(), args)
+        .with_workloads(benchmark_workloads())
+        .with_windows(cycles / 10, cycles - cycles / 10)
+}
+
+/// The point of curve (setup, pattern or workload name) at `load`, for
+/// figures that ran every curve over its whole grid.
+fn point_at<'a>(result: &'a CampaignResult, setup: &str, curve: &str, load: f64) -> &'a SweepPoint {
+    let point = result.point(setup, curve, load);
+    point.expect("every grid point of the curve was run")
+}
+
+/// Writes the per-benchmark table the trace figures share: one row per
+/// workload of the trace campaign `result`, one column per entry of
+/// `columns`, holding `cell(the workload's point of a setup, column
+/// index)` rendered by `fmt`. Returns the values by column.
+fn benchmark_table<'a>(
+    title: &str,
+    columns: &[&str],
+    result: &'a CampaignResult,
+    cell: impl Fn(&dyn Fn(&str) -> &'a SweepPoint, usize) -> f64,
+    fmt: fn(f64) -> String,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<Vec<Vec<f64>>, String> {
+    let mut table = TextTable::new(title, &[&["benchmark"], columns].concat());
+    let mut values = vec![Vec::new(); columns.len()];
+    for w in benchmark_workloads() {
+        let at = |setup: &str| point_at(result, setup, w.name, w.offered_flit_rate());
+        let mut cells = vec![w.name.to_string()];
+        for (i, column) in values.iter_mut().enumerate() {
+            let value = cell(&at, i);
+            column.push(value);
+            cells.push(fmt(value));
+        }
+        table.push_row(cells);
+    }
+    emit(&table, args, out)?;
+    Ok(values)
+}
+
+/// The geometric mean of a column of positive values.
+fn geomean(column: &[f64]) -> f64 {
+    column
+        .iter()
+        .product::<f64>()
+        .powf(1.0 / column.len() as f64)
 }
 
 /// Figure 1: the headline comparison at N = 1296.
@@ -598,39 +654,22 @@ fn fig10(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
 
     // (b) Trace workloads.
-    let mut table = TextTable::new(
+    let columns = ["sn_basic", "sn_gr", "sn_subgr"];
+    let setups = layout_setups()
+        .into_iter()
+        .filter(|s| columns.contains(&s.name.as_str()))
+        .collect();
+    let result = trace_campaign("fig10b", setups, args).run();
+    let latency = benchmark_table(
         "Fig 10b: PARSEC/SPLASH-like latency [cycles] per SN layout",
-        &["benchmark", "sn_basic", "sn_gr", "sn_subgr"],
-    );
-    let rows = parallel_map(benchmark_workloads(), |w| {
-        let lat = |layout: SnLayout| {
-            sn_s_with_layout(layout)
-                .run_trace_workload(&w, args.trace_cycles())
-                .avg_packet_latency()
-        };
-        (
-            w.name,
-            lat(SnLayout::Basic),
-            lat(SnLayout::Group),
-            lat(SnLayout::Subgroup),
-        )
-    });
-    let mut geo_basic = 1.0f64;
-    let mut geo_sub = 1.0f64;
-    let mut count = 0u32;
-    for (name, basic, gr, sub) in rows {
-        geo_basic *= basic;
-        geo_sub *= sub;
-        count += 1;
-        table.push_row(vec![
-            name.to_string(),
-            format_float(basic, 2),
-            format_float(gr, 2),
-            format_float(sub, 2),
-        ]);
-    }
-    emit(&table, args, out)?;
-    let gain = 100.0 * (1.0 - (geo_sub / geo_basic).powf(1.0 / f64::from(count.max(1))));
+        &columns,
+        &result,
+        |at, i| at(columns[i]).latency,
+        |v| format_float(v, 2),
+        args,
+        out,
+    )?;
+    let gain = 100.0 * (1.0 - geomean(&latency[2]) / geomean(&latency[0]));
     writeln!(
         out,
         "sn_subgr vs sn_basic (geometric mean latency): {gain:.1}% lower (paper: ~5%)\n"
@@ -735,18 +774,15 @@ fn class_figure(fig: &ClassFigure, args: &Args, out: &mut dyn Write) -> Result<(
     if args.json {
         return emit_json(&result, out);
     }
-    let figure = fig.figure;
+    let (figure, low) = (fig.figure, load_grid()[0]);
     for pattern in &result.patterns {
         let curves = result.series(pattern);
         let title = format!("{figure} ({pattern}): {}", fig.subtitle);
         emit(&Series::tabulate(title, "load", &curves), args, out)?;
-        let at_low = |name: &str| -> Option<f64> {
-            curves
-                .iter()
-                .find(|s| s.name == name)?
-                .points
-                .first()
-                .map(|&(_, y)| y)
+        // A curve already saturated at the grid's lowest load has no ratio.
+        let at_low = |name: &str| {
+            let point = result.point(name, pattern, low);
+            point.filter(|p| !p.saturated).map(|p| p.latency)
         };
         if let Some(sn_lat) = at_low(fig.sn) {
             let mut table = TextTable::new(
@@ -866,43 +902,28 @@ const TRACE_NETS: [&str; 4] = ["fbf3", "pfbf3", "cm3", "sn_s"];
 /// normalized to FBF, for fbf3 / pfbf3 / cm3 / sn_subgr (SMART links
 /// on, 45 nm).
 fn fig18(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let rows = parallel_map(benchmark_workloads(), |w| {
-        let values: Vec<f64> = smart_eb_var(&TRACE_NETS)
-            .iter()
-            .map(|s| {
-                let report = s.run_trace_workload(&w, args.trace_cycles());
-                s.power_report(TechNode::N45, &report).energy_delay()
-            })
-            .collect();
-        (w.name, values)
-    });
-    let mut table = TextTable::new(
-        "Fig 18: energy-delay product normalized to FBF (SMART, 45nm)",
-        &["benchmark", "fbf3", "pfbf3", "cm3", "sn_subgr"],
-    );
-    let mut geo: Vec<f64> = vec![1.0; TRACE_NETS.len()];
-    let mut count = 0u32;
-    for (name, values) in rows {
-        let base = values[0];
-        let mut cells = vec![name.to_string()];
-        for (i, v) in values.iter().enumerate() {
-            let norm = v / base;
-            geo[i] *= norm;
-            cells.push(format_float(norm, 3));
-        }
-        count += 1;
-        table.push_row(cells);
+    let result = trace_campaign("fig18", smart_eb_var(&TRACE_NETS), args)
+        .with_power(TechNode::N45)
+        .run();
+    if args.json {
+        return emit_json(&result, out);
     }
-    emit(&table, args, out)?;
+    let edp = |p: &SweepPoint| p.power.expect("power-aware campaign").edp_js;
+    let normalized = benchmark_table(
+        "Fig 18: energy-delay product normalized to FBF (SMART, 45nm)",
+        &["fbf3", "pfbf3", "cm3", "sn_subgr"],
+        &result,
+        |at, i| edp(at(TRACE_NETS[i])) / edp(at(TRACE_NETS[0])),
+        |v| format_float(v, 3),
+        args,
+        out,
+    )?;
     let mut summary = TextTable::new(
         "Fig 18 summary: geometric-mean EDP vs FBF (paper: SN 55% better)",
         &["network", "geomean EDP / FBF"],
     );
-    for (i, n) in TRACE_NETS.iter().enumerate() {
-        summary.push_row(vec![
-            n.to_string(),
-            format_float(geo[i].powf(1.0 / f64::from(count.max(1))), 3),
-        ]);
+    for (net, column) in TRACE_NETS.iter().zip(normalized) {
+        summary.push_row(vec![net.to_string(), format_float(geomean(&column), 3)]);
     }
     emit(&summary, args, out)
 }
@@ -1146,52 +1167,45 @@ fn table5(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// SMART links, per topology, per PARSEC/SPLASH-like benchmark
 /// (N = 192/200 class).
 fn table6(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let rows = parallel_map(benchmark_workloads(), |w| {
-        let gains: Vec<f64> = smart_eb_var(&TRACE_NETS)
-            .into_iter()
-            .map(|s| {
-                let lat = |s: &Setup| {
-                    s.run_trace_workload(&w, args.trace_cycles())
-                        .avg_packet_latency()
-                };
-                let no = lat(&s.clone().with_smart(false));
-                let yes = lat(&s);
-                if no > 0.0 {
-                    100.0 * (1.0 - yes / no)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        (w.name, gains)
-    });
-    let mut table = TextTable::new(
-        "Table 6: % latency decrease due to SMART links",
-        &["benchmark", "fbf3", "pfbf3", "cm3", "sn"],
-    );
-    let mut sums = vec![0.0f64; TRACE_NETS.len()];
-    let mut count = 0u32;
-    for (name, gains) in rows {
-        let mut cells = vec![name.to_string()];
-        for (i, g) in gains.iter().enumerate() {
-            sums[i] += g;
-            cells.push(format!("{g:.1}"));
-        }
-        count += 1;
-        table.push_row(cells);
+    let smart_name = |net: &str| format!("{net}+smart");
+    let setups = smart_eb_var(&TRACE_NETS)
+        .into_iter()
+        .flat_map(|smart| {
+            let plain = smart.clone().with_smart(false);
+            let name = smart_name(&smart.name);
+            [plain, Setup { name, ..smart }]
+        })
+        .collect();
+    let result = trace_campaign("table6", setups, args).run();
+    if args.json {
+        return emit_json(&result, out);
     }
-    emit(&table, args, out)?;
-    let mut avg = TextTable::new(
+    let gains = benchmark_table(
+        "Table 6: % latency decrease due to SMART links",
+        &["fbf3", "pfbf3", "cm3", "sn"],
+        &result,
+        |at, i| {
+            let no = at(TRACE_NETS[i]).latency;
+            let yes = at(&smart_name(TRACE_NETS[i])).latency;
+            if no > 0.0 {
+                100.0 * (1.0 - yes / no)
+            } else {
+                0.0
+            }
+        },
+        |v| format!("{v:.1}"),
+        args,
+        out,
+    )?;
+    let mut summary = TextTable::new(
         "Table 6 summary: mean latency gain from SMART (paper: SN largest at ~11%)",
         &["network", "mean gain %"],
     );
-    for (i, n) in TRACE_NETS.iter().enumerate() {
-        avg.push_row(vec![
-            n.to_string(),
-            format!("{:.1}", sums[i] / f64::from(count.max(1))),
-        ]);
+    for (net, column) in TRACE_NETS.iter().zip(gains) {
+        let mean = column.iter().sum::<f64>() / column.len() as f64;
+        summary.push_row(vec![net.to_string(), format!("{mean:.1}")]);
     }
-    emit(&avg, args, out)
+    emit(&summary, args, out)
 }
 
 /// The energy figures: a power-aware campaign of `setups` whose
@@ -1218,12 +1232,7 @@ fn energy_figure(
     }
     let baseline = setups[0];
     let pattern = &result.patterns[0];
-    let loads: Vec<f64> = {
-        let mut l: Vec<f64> = result.points.iter().map(|p| p.load).collect();
-        l.sort_by(f64::total_cmp);
-        l.dedup();
-        l
-    };
+    let loads = energy_load_grid();
     for &load in &loads {
         let mut table = TextTable::new(
             format!("{figure} ({pattern}): offered load {load} flits/node/cycle"),
@@ -1239,10 +1248,7 @@ fn energy_figure(
             ],
         );
         for name in &result.setups {
-            let Some(p) = result
-                .curve(name, pattern)
-                .find(|p| (p.load - load).abs() < 1e-12)
-            else {
+            let Some(p) = result.point(name, pattern, load) else {
                 continue;
             };
             let pw = p.power.expect("power-aware campaign");
@@ -1262,12 +1268,7 @@ fn energy_figure(
     // Matched-load efficiency ratios at the top of the grid, the
     // figure's headline comparison.
     if let Some(&top) = loads.last() {
-        let at_top = |name: &str| {
-            result
-                .curve(name, pattern)
-                .find(|p| (p.load - top).abs() < 1e-12)
-                .and_then(|p| p.power)
-        };
+        let at_top = |name: &str| result.point(name, pattern, top).and_then(|p| p.power);
         if let Some(base) = at_top(baseline) {
             let mut table = TextTable::new(
                 format!("{figure}: efficiency vs {baseline} at load {top}"),

@@ -1,11 +1,9 @@
 //! The extension studies of the registry: ablation, static resilience
 //! and the §5.5 sensitivity summary.
 
-use super::{emit, sn_s_with_layout};
+use super::{emit, point_at, sn_s_with_layout};
 use crate::{energy_campaign, figure_campaign, io_err, saturation_load_grid, Args};
-use snoc_core::{
-    format_float, BufferPreset, Campaign, CampaignResult, Setup, SweepPoint, TextTable,
-};
+use snoc_core::{format_float, BufferPreset, Campaign, CampaignResult, Setup, TextTable};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_topology::Topology;
@@ -39,20 +37,6 @@ fn saturation_sweep(name: &str, setups: Vec<Setup>, args: &Args) -> CampaignResu
         .run()
 }
 
-/// The point of one curve at exactly `load` (every curve of these
-/// studies is swept over its whole grid).
-fn at_load<'a>(
-    result: &'a CampaignResult,
-    setup: &'a str,
-    pattern: TrafficPattern,
-    load: f64,
-) -> &'a SweepPoint {
-    result
-        .curve(setup, pattern.short_name())
-        .find(|p| p.load == load)
-        .expect("every grid point of the curve was run")
-}
-
 struct Step {
     name: &'static str,
     layout: SnLayout,
@@ -60,9 +44,10 @@ struct Step {
     smart: bool,
 }
 
-/// Ablation study of Slim NoC's design ingredients (the DESIGN.md
-/// ablation index): starting from the naive design (basic layout, small
-/// edge buffers, no SMART) and adding one mechanism at a time —
+/// Ablation study of Slim NoC's design ingredients (`ablation` in the
+/// README's "Reproducing figures and tables"): starting from the naive
+/// design (basic layout, small edge buffers, no SMART) and adding one
+/// mechanism at a time —
 /// layout → RTT-sized buffers → SMART links → central-buffer routers —
 /// measuring latency, saturation throughput, buffer area and
 /// throughput/power at each step.
@@ -126,7 +111,7 @@ pub(super) fn ablation(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         .run();
     let saturation = saturation_sweep("ablation_saturation", setups.clone(), args);
     for setup in &setups {
-        let at = |load| at_load(&powered, &setup.name, TrafficPattern::Random, load);
+        let at = |load| point_at(&powered, &setup.name, "RND", load);
         let tpp = at(0.2).power.expect("power-aware campaign");
         table.push_row(vec![
             setup.name.clone(),
@@ -312,7 +297,7 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
     let low_load = full_grid("sensitivity_p", setups.clone(), rnd, vec![0.05], args).run();
     let saturation = saturation_sweep("sensitivity_p_saturation", setups.clone(), args);
     for setup in &setups {
-        let point = at_load(&low_load, &setup.name, TrafficPattern::Random, 0.05);
+        let point = point_at(&low_load, &setup.name, "RND", 0.05);
         table.push_row(vec![
             setup.topology.concentration().to_string(),
             setup.topology.node_count().to_string(),
@@ -340,7 +325,7 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
     )
     .run();
     for load in loads {
-        let latency = |setup| at_load(&rates, setup, TrafficPattern::Random, load).latency;
+        let latency = |setup| point_at(&rates, setup, "RND", load).latency;
         table.push_row(vec![
             format_float(load, 2),
             format_float(latency("sn_s"), 2),
@@ -426,7 +411,7 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
     )
     .run();
     for pattern in patterns {
-        let point = at_load(&by_pattern, "sn_s", pattern, 0.05);
+        let point = point_at(&by_pattern, "sn_s", pattern.short_name(), 0.05);
         table.push_row(vec![
             pattern.to_string(),
             format_float(point.latency, 2),

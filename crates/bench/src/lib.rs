@@ -8,18 +8,20 @@
 //! paper. All accept:
 //!
 //! - `--csv` — emit CSV instead of aligned text;
-//! - `--json` — emit the structured sweep-campaign JSON (figures built
-//!   on [`Campaign`]; see `snoc_core::sweep` for the schema);
+//! - `--json` — emit the structured sweep-campaign JSON (figures that
+//!   are one [`Campaign`]: `fig12`–`fig14`, `fig18`, `table6`, energy,
+//!   `fault_storm`; see `snoc_core::sweep` for the schema);
 //! - `--quick` — shorter warmup/measurement windows (for quick local
-//!   runs and CI; the default windows match the shapes reported in
-//!   `EXPERIMENTS.md`);
+//!   runs and CI; the default windows are the ones behind the shapes
+//!   quoted in the README, "Reproducing figures and tables");
 //! - `--smoke` — minimal windows (statistically meaningless numbers);
 //!   used by the `repro_smoke` test suite to exercise every entry;
 //! - `--threads N` — worker threads for campaign fan-out (0 = one per
 //!   core; results are identical for every thread count);
 //! - `--shards N` — simulation-engine shards per point (sharded runs of
 //!   deterministic-routing configs are bit-identical to `--shards 1`;
-//!   see the README's "Sharded engine" section);
+//!   see the README's "Sharded engine" section; it has no trace
+//!   source, so trace-workload points always run on one);
 //! - `--cache-dir DIR` — attach the content-addressed point cache at
 //!   `DIR` to the figure's campaigns: already-simulated points replay
 //!   from disk, new ones are stored for next time.
@@ -28,11 +30,11 @@
 //! `--smoke`, `--threads`, `--shards`, `--cache-dir`) and folds them
 //! into the spec it runs.
 //!
-//! Every synthetic-traffic number a figure prints is a point of the
-//! sweep-campaign engine: a figure declares its campaign (setups ×
-//! patterns × a load grid) via [`figure_campaign`] or
-//! [`energy_campaign`] and only formats the result. The trace-driven
-//! tables replay traces through `Setup::run_trace_workload` instead.
+//! Every simulated number a figure prints is a point of the
+//! sweep-campaign engine: a figure declares its campaign — setups ×
+//! patterns × a load grid via [`figure_campaign`] or
+//! [`energy_campaign`]; for `fig10` (b), `fig18` and `table6`, setups ×
+//! trace workloads — and only formats the result.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +55,7 @@ pub struct Args {
     /// Emit CSV instead of aligned text tables.
     pub csv: bool,
     /// Emit the sweep campaign's structured JSON instead of tables
-    /// (campaign-based figures only; others ignore it).
+    /// (single-campaign figures only; others ignore it).
     pub json: bool,
     /// Use short simulation windows.
     pub quick: bool,
@@ -64,7 +66,7 @@ pub struct Args {
     /// Campaign worker threads (0 = one per core).
     pub threads: usize,
     /// Simulation-engine shards per point (0 = leave the campaign or
-    /// spec default in place).
+    /// spec default in place). Trace-workload points always run on one.
     pub shards: usize,
     /// Attach the content-addressed point cache at this directory.
     pub cache_dir: Option<String>,

@@ -7,7 +7,7 @@
 
 use snoc_bench::figures::{find, REGISTRY};
 use snoc_bench::Args;
-use snoc_core::{parallel_map, PointCache};
+use snoc_core::{parallel_map_with_threads, PointCache};
 
 #[test]
 fn every_registry_entry_smokes() {
@@ -16,7 +16,7 @@ fn every_registry_entry_smokes() {
         csv: true,
         ..Args::default()
     };
-    let runs = parallel_map(REGISTRY.iter().collect(), |figure| {
+    let runs = parallel_map_with_threads(REGISTRY.iter().collect(), 0, |figure| {
         let mut out = Vec::new();
         ((figure.run)(&args, &mut out), out)
     });
@@ -43,7 +43,16 @@ fn power_and_study_figures_replay_from_the_point_cache() {
         ..Args::default()
     };
     let entries = || PointCache::open(&dir).expect("cache dir").len();
-    for name in ["ablation", "sensitivity", "table5", "fig16", "fig19"] {
+    for name in [
+        "ablation",
+        "sensitivity",
+        "table5",
+        "fig16",
+        "fig19",
+        "fig10",
+        "fig18",
+        "table6",
+    ] {
         let figure = find(name).expect("registry entry");
         let run = || {
             let mut out = Vec::new();

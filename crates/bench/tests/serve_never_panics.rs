@@ -129,18 +129,25 @@ fn the_unmutated_submission_is_served() {
     assert!(text.contains("\"event\": \"done\""), "{text}");
 }
 
-/// Specs the parser accepts but no simulator can run (`tests/specs/`)
-/// are refused before the `200 OK` header goes out; a handler that
-/// found out at the first point would panic with the stream open.
+/// Specs the parser accepts but no simulator can run (`tests/specs/`;
+/// an unknown workload name is the one the parser itself refuses) are
+/// refused before the `200 OK` header goes out; a handler that found
+/// out at the first point would panic with the stream open.
 #[test]
 fn well_formed_specs_that_cannot_run_are_refused_with_400() {
-    for name in ["duplicate_name", "cbr0", "faults_ugal", "phantom_router"] {
+    for (name, parses) in [
+        ("duplicate_name", true),
+        ("cbr0", true),
+        ("faults_ugal", true),
+        ("phantom_router", true),
+        ("unknown_workload", false),
+    ] {
         let path = format!(
             "{}/../../tests/specs/unrunnable_{name}.json",
             env!("CARGO_MANIFEST_DIR")
         );
         let body = std::fs::read_to_string(&path).expect("fixture exists");
-        CampaignSpec::from_json(&body).expect("fixture is well-formed");
+        assert_eq!(CampaignSpec::from_json(&body).is_ok(), parses, "{name}");
         let reply = exchange(&submission(&body)).expect("answered");
         let text = String::from_utf8_lossy(&reply);
         assert!(text.starts_with("HTTP/1.1 400"), "{name}: {text}");

@@ -4,8 +4,9 @@
 //! This crate glues the substrates together: it knows how the paper
 //! configures each named network (Table 4 cycle times, per-topology VC
 //! counts, buffer presets of §5.1), runs latency–load sweeps with
-//! saturation detection, replays trace workloads, evaluates the power
-//! model, and renders results as aligned text tables or CSV.
+//! saturation detection, replays trace workloads (both as points of a
+//! [`Campaign`]), evaluates the power model, and renders results as
+//! aligned text tables or CSV.
 //!
 //! # Example
 //!
@@ -34,7 +35,7 @@ mod sweep;
 
 pub use cache::{CachedPoint, PointCache, PointCoord, ENGINE_VERSION};
 pub use faults::{FaultsSpec, StormSpec};
-pub use parallel::{parallel_map, parallel_map_with_threads};
+pub use parallel::parallel_map_with_threads;
 pub use report::{format_float, Series, TextTable};
 pub use setup::{BufferPreset, Setup, SetupError};
 pub use spec::{CampaignSpec, SetupSpec, SpecError};
@@ -42,5 +43,5 @@ pub use sweep::{Campaign, CampaignResult, PowerPoint, SweepPoint};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::{parallel_map, BufferPreset, Campaign, Series, Setup, TextTable};
+    pub use crate::{BufferPreset, Campaign, Series, Setup, TextTable};
 }

@@ -1,37 +1,20 @@
-//! Parallel experiment sweeps.
-//!
-//! Reproduction binaries run dozens of independent simulations (one per
-//! curve point per configuration); this helper fans them out over
-//! available cores with deterministic result ordering.
+//! Parallel experiment sweeps: a campaign's independent curves fanned
+//! out over the available cores with deterministic result ordering.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Maps `f` over `items` in parallel, preserving input order in the
-/// output. Uses scoped threads, so `f` may borrow from the environment.
+/// Maps `f` over `items` in parallel on `threads` workers (`0` = one
+/// per available core), preserving input order in the output — which is
+/// identical for every thread count; the sweep determinism tests rely
+/// on that. Uses scoped threads, so `f` may borrow from the environment.
 ///
 /// # Panics
 ///
 /// If `f` panics on any item, the first panic is re-raised on the
 /// calling thread with the item index and the original message attached
 /// (other workers stop taking new work).
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    parallel_map_with_threads(items, 0, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (`0` = one per
-/// available core). Output is identical for every thread count — the
-/// sweep determinism tests rely on that.
-///
-/// # Panics
-///
-/// See [`parallel_map`].
 pub fn parallel_map_with_threads<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -82,7 +65,7 @@ where
             .map(|s| (*s).to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_string());
-        panic!("parallel_map: worker panicked on item {idx}: {msg}");
+        panic!("parallel_map_with_threads: worker panicked on item {idx}: {msg}");
     }
     let mut results = results.into_inner().expect("results lock");
     results.sort_by_key(|(idx, _)| *idx);
@@ -95,7 +78,7 @@ mod tests {
 
     #[test]
     fn preserves_order() {
-        let out = parallel_map((0..100).collect(), |x: i32| x * x);
+        let out = parallel_map_with_threads((0..100).collect(), 0, |x: i32| x * x);
         let expect: Vec<i32> = (0..100).map(|x| x * x).collect();
         assert_eq!(out, expect);
     }
@@ -103,13 +86,13 @@ mod tests {
     #[test]
     fn borrows_environment() {
         let offset = 7;
-        let out = parallel_map(vec![1, 2, 3], |x: i32| x + offset);
+        let out = parallel_map_with_threads(vec![1, 2, 3], 0, |x: i32| x + offset);
         assert_eq!(out, vec![8, 9, 10]);
     }
 
     #[test]
     fn empty_input() {
-        let out: Vec<i32> = parallel_map(Vec::<i32>::new(), |x| x);
+        let out: Vec<i32> = parallel_map_with_threads(Vec::<i32>::new(), 0, |x| x);
         assert!(out.is_empty());
     }
 

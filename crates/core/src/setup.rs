@@ -109,6 +109,24 @@ impl From<snoc_layout::LayoutError> for SetupError {
     }
 }
 
+/// What one campaign point injects: a synthetic pattern at a swept
+/// rate, or a trace workload at its own.
+#[derive(Clone, Copy)]
+pub(crate) enum Traffic<'a> {
+    Pattern(TrafficPattern),
+    Trace(&'a TraceWorkload),
+}
+
+impl Traffic<'_> {
+    /// The curve key in the `pattern` column, the seed and the cache.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Traffic::Pattern(pattern) => pattern.short_name(),
+            Traffic::Trace(workload) => workload.name,
+        }
+    }
+}
+
 /// A fully specified experiment configuration.
 #[derive(Debug, Clone)]
 pub struct Setup {
@@ -338,11 +356,13 @@ impl Setup {
     }
 
     /// The shard count a request for `shards` actually runs on (see
-    /// [`Setup::run_load_sharded`]). The one place this is decided: the
-    /// runner runs it and the campaign cache keys it, so identical work
-    /// is never stored under several keys.
-    pub(crate) fn effective_shards(&self, shards: usize) -> usize {
-        if self.faults.is_some()
+    /// [`Setup::run_load_sharded`]; the sharded engine has no trace
+    /// source). The one place this is decided: the runner runs it and
+    /// the campaign cache keys it, so identical work is never stored
+    /// under several keys.
+    pub(crate) fn effective_shards(&self, traffic: Traffic<'_>, shards: usize) -> usize {
+        if matches!(traffic, Traffic::Trace(_))
+            || self.faults.is_some()
             || self.sim.routing == RoutingKind::UgalG
             || self.sim.link_mode == LinkMode::Elastic
         {
@@ -373,42 +393,44 @@ impl Setup {
         measure: u64,
         shards: usize,
     ) -> SimReport {
-        self.run_load_with_table(pattern, rate, warmup, measure, shards, self.minimal_table())
+        let traffic = Traffic::Pattern(pattern);
+        self.run_point(traffic, rate, warmup, measure, shards, self.minimal_table())
     }
 
     /// The one point runner: [`Setup::run_load`] and
     /// [`Setup::run_load_sharded`] call it with a fresh
     /// [`Setup::minimal_table`], a campaign with the table it holds for
-    /// the setup (see [`Setup::simulator_with_table`]).
-    pub(crate) fn run_load_with_table(
+    /// the setup (see [`Setup::simulator_with_table`]). A trace ignores
+    /// `rate`: it is `warmup + measure` cycles at the workload's own,
+    /// generated from this setup's seed and measured from `warmup` on.
+    pub(crate) fn run_point(
         &self,
-        pattern: TrafficPattern,
+        traffic: Traffic<'_>,
         rate: f64,
         warmup: u64,
         measure: u64,
         shards: usize,
         table: Arc<RoutingTable>,
     ) -> SimReport {
-        let shards = self.effective_shards(shards);
-        if shards == 1 {
-            let mut sim = self.simulator_with_table(table).expect("valid setup");
-            let report = sim.run_synthetic(pattern, rate, warmup, measure);
-            if let Some(diag) = &report.deadlock {
-                panic!("simulation deadlocked ({}): {diag}", self.name);
-            }
-            return report;
+        let shards = self.effective_shards(traffic, shards);
+        if let (Traffic::Pattern(pattern), true) = (traffic, shards > 1) {
+            let (topo, layout) = (&self.topology, Some(&self.layout));
+            return ShardedSimulator::build_with_table(topo, layout, &self.sim, shards, table)
+                .expect("valid setup")
+                .run_synthetic(pattern, rate, warmup, measure);
         }
-        let layout = Some(&self.layout);
-        ShardedSimulator::build_with_table(&self.topology, layout, &self.sim, shards, table)
-            .expect("valid setup")
-            .run_synthetic(pattern, rate, warmup, measure)
-    }
-
-    /// Runs a PARSEC/SPLASH-like trace workload.
-    pub fn run_trace_workload(&self, workload: &TraceWorkload, cycles: u64) -> SimReport {
-        let trace = workload.generate(&self.topology, cycles, self.sim.seed);
-        let mut sim = self.simulator().expect("valid setup");
-        sim.run_trace(&trace, cycles / 10)
+        let mut sim = self.simulator_with_table(table).expect("valid setup");
+        let report = match traffic {
+            Traffic::Pattern(pattern) => sim.run_synthetic(pattern, rate, warmup, measure),
+            Traffic::Trace(workload) => {
+                let trace = workload.generate(&self.topology, warmup + measure, self.sim.seed);
+                sim.run_trace(&trace, warmup)
+            }
+        };
+        if let Some(diag) = &report.deadlock {
+            panic!("simulation deadlocked ({}): {diag}", self.name);
+        }
+        report
     }
 
     /// Total buffer flits in one router under the active preset — the
@@ -578,15 +600,22 @@ mod tests {
             base.clone().with_buffers(BufferPreset::ElLinks),
             base.clone().with_buffers(BufferPreset::Cbr(20)),
         ];
+        let rnd = Traffic::Pattern(TrafficPattern::Random);
         for s in &cases {
             let accepted =
                 ShardedSimulator::build_with_layout(&s.topology, &s.layout, &s.sim, 2).is_ok();
-            assert_eq!(s.effective_shards(2) == 2, accepted, "{:?}", s.sim);
-            assert_eq!(s.effective_shards(1), 1);
-            assert_eq!(s.effective_shards(0), 1);
+            assert_eq!(s.effective_shards(rnd, 2) == 2, accepted, "{:?}", s.sim);
+            assert_eq!(s.effective_shards(rnd, 1), 1);
+            assert_eq!(s.effective_shards(rnd, 0), 1);
         }
-        assert_eq!(base.effective_shards(1_000), 18, "clamped like the builder");
-        assert_eq!(base.with_faults(storm).effective_shards(4), 1);
+        assert_eq!(
+            base.effective_shards(rnd, 1_000),
+            18,
+            "clamped like the builder"
+        );
+        let fft = TraceWorkload::by_name("fft").unwrap();
+        assert_eq!(base.effective_shards(Traffic::Trace(&fft), 4), 1);
+        assert_eq!(base.with_faults(storm).effective_shards(rnd, 4), 1);
     }
 
     #[test]
@@ -649,14 +678,6 @@ mod tests {
             .peak_throughput("sn54", "RND");
         assert!(thpt > 0.05, "throughput {thpt}");
         assert!(thpt <= 1.0);
-    }
-
-    #[test]
-    fn trace_workload_runs() {
-        let setup = Setup::paper("sn54").unwrap();
-        let w = TraceWorkload::by_name("fft").unwrap();
-        let report = setup.run_trace_workload(&w, 2_000);
-        assert!(report.delivered_packets > 0, "{report}");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! A [`Campaign`](crate::Campaign) built through the in-code builder
 //! cannot be keyed, cached, or submitted to a server — the spec types
 //! here are its value-type twin. [`CampaignSpec`] captures **every**
-//! builder option (setups × patterns × loads × windows × seed ×
-//! refinement × power × threads × cache) as plain data with a
+//! builder option (setups × patterns × workloads × loads × windows ×
+//! seed × refinement × power × threads × cache) as plain data with a
 //! byte-stable JSON round trip:
 //!
 //! - [`CampaignSpec::to_json`] / [`CampaignSpec::from_json`] define the
@@ -28,6 +28,10 @@
 //! Setups built from arbitrary topologies
 //! ([`Setup::from_topology`](crate::Setup::from_topology)) have no
 //! recipe and are not spec-representable.
+//!
+//! Beside `patterns`, the optional `workloads` (names from
+//! [`snoc_traffic::benchmark_names`], emitted only when non-empty) adds
+//! one point per setup per trace, at its own rate, always on one shard.
 
 use crate::faults::FaultsSpec;
 use crate::json::{self, JsonValue};
@@ -36,7 +40,7 @@ use crate::sweep::Campaign;
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_sim::RoutingKind;
-use snoc_traffic::TrafficPattern;
+use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
@@ -263,6 +267,9 @@ pub struct CampaignSpec {
     pub setups: Vec<SetupSpec>,
     /// Traffic patterns.
     pub patterns: Vec<TrafficPattern>,
+    /// Trace workloads ([`Campaign::workloads`]); on the wire a list of
+    /// names, present only when non-empty.
+    pub workloads: Vec<TraceWorkload>,
     /// Injection-rate grid in flits/node/cycle.
     pub loads: Vec<f64>,
     /// Warmup cycles per point.
@@ -324,6 +331,11 @@ impl CampaignSpec {
             .collect::<Vec<_>>()
             .join(", ");
         let _ = writeln!(out, "  \"patterns\": [{patterns}],");
+        if !self.workloads.is_empty() {
+            // Only when present: pre-workloads specs keep their bytes.
+            let names: Vec<_> = self.workloads.iter().map(|w| w.name).collect();
+            let _ = writeln!(out, "  \"workloads\": [\"{}\"],", names.join("\", \""));
+        }
         let loads = self
             .loads
             .iter()
@@ -364,8 +376,8 @@ impl CampaignSpec {
     ///
     /// Returns [`SpecError::Parse`] on malformed JSON, an unknown
     /// schema, missing required fields, or invalid values (non-finite
-    /// or non-positive loads, unknown pattern/layout/buffer/routing
-    /// names).
+    /// or non-positive loads, unknown pattern/workload/layout/buffer/
+    /// routing names).
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         json::parse(text)
             .and_then(|root| Self::parse(&root))
@@ -388,6 +400,10 @@ impl CampaignSpec {
         let usize_field = |key| root.field(key, "a usize", JsonValue::as_usize);
         let u64_field = |key| root.field(key, "a u64", JsonValue::as_u64);
         let defaults = CampaignSpec::new("");
+        let workloads = root.field("workloads", "a list of benchmark names", |v| {
+            let items = v.as_arr()?.iter();
+            items.map(|w| TraceWorkload::by_name(w.as_str()?)).collect()
+        })?;
         Ok(CampaignSpec {
             name: root
                 .field("name", "a string", JsonValue::as_str)?
@@ -406,6 +422,7 @@ impl CampaignSpec {
                         .ok_or("patterns must be RND|SHF|REV|ADV1|ADV2|ASYM|TRN")
                 })
                 .collect::<Result<_, _>>()?,
+            workloads: workloads.unwrap_or_default(),
             loads: array("loads")?
                 .iter()
                 .map(|l| {
@@ -468,6 +485,7 @@ impl Campaign {
         let mut campaign = Campaign::new(spec.name.clone())
             .with_setups(setups)
             .with_patterns(spec.patterns.clone())
+            .with_workloads(spec.workloads.clone())
             .with_loads(spec.loads.clone())
             .with_windows(spec.warmup, spec.measure)
             .with_seed(spec.base_seed)
@@ -508,6 +526,7 @@ impl Campaign {
             name: self.name.clone(),
             setups,
             patterns: self.patterns.clone(),
+            workloads: self.workloads.clone(),
             loads: self.loads.clone(),
             warmup: self.warmup,
             measure: self.measure,
@@ -554,6 +573,9 @@ mod tests {
             },
         ];
         spec.patterns = vec![TrafficPattern::Random, TrafficPattern::Adversarial1];
+        spec.workloads = ["fft", "water-s"]
+            .map(|w| TraceWorkload::by_name(w).unwrap())
+            .into();
         spec.loads = vec![0.008, 0.1, 1.0 / 3.0];
         spec.warmup = 123;
         spec.measure = 456;
@@ -628,6 +650,10 @@ mod tests {
             (
                 r#"{"schema": "slim_noc-spec-v1", "name": "x", "setups": [], "patterns": ["HOT"], "loads": []}"#,
                 "pattern",
+            ),
+            (
+                r#"{"schema": "slim_noc-spec-v1", "name": "x", "setups": [], "patterns": [], "workloads": ["doom"], "loads": []}"#,
+                "workload",
             ),
             (
                 r#"{"schema": "slim_noc-spec-v1", "name": "x", "setups": [], "patterns": [], "loads": [-0.1]}"#,

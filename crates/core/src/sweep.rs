@@ -39,10 +39,10 @@ use crate::cache::{CachedPoint, PointCache, PointCoord};
 use crate::json;
 use crate::parallel::parallel_map_with_threads;
 use crate::report::{format_float, Series};
-use crate::setup::Setup;
+use crate::setup::{Setup, Traffic};
 use snoc_power::TechNode;
 use snoc_sim::{saturation_heuristic, RoutingTable};
-use snoc_traffic::TrafficPattern;
+use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -55,7 +55,7 @@ type TableSlot = OnceLock<Arc<RoutingTable>>;
 /// What the points of one latency–load curve share.
 struct Curve<'a> {
     setup: &'a Setup,
-    pattern: TrafficPattern,
+    traffic: Traffic<'a>,
     table: &'a TableSlot,
     /// Reference latency for saturation detection, set by the curve's
     /// first point — cached points reproduce it bit-exactly, so warm
@@ -68,7 +68,7 @@ struct Curve<'a> {
 
 /// A declarative sweep specification: every combination of setup ×
 /// pattern is one latency–load curve, swept over `loads` (plus optional
-/// knee refinement).
+/// knee refinement); every setup × workload is one point at its own.
 #[derive(Debug, Clone)]
 pub struct Campaign {
     /// Campaign name (recorded in the JSON output).
@@ -77,6 +77,11 @@ pub struct Campaign {
     pub setups: Vec<Setup>,
     /// Traffic patterns.
     pub patterns: Vec<TrafficPattern>,
+    /// Trace workloads: one point per setup each, its name in the
+    /// `pattern` column, at `load = offered_flit_rate()`. The trace is
+    /// `warmup + measure` cycles long, generated from the point's seed
+    /// and measured from `warmup` on.
+    pub workloads: Vec<TraceWorkload>,
     /// Injection-rate grid in flits/node/cycle.
     pub loads: Vec<f64>,
     /// Warmup cycles per point.
@@ -118,6 +123,7 @@ impl Campaign {
             name: name.into(),
             setups: Vec::new(),
             patterns: Vec::new(),
+            workloads: Vec::new(),
             loads: Vec::new(),
             warmup: 2_000,
             measure: 10_000,
@@ -142,6 +148,13 @@ impl Campaign {
     #[must_use]
     pub fn with_patterns(mut self, patterns: Vec<TrafficPattern>) -> Self {
         self.patterns = patterns;
+        self
+    }
+
+    /// Sets the trace workloads (see [`Campaign::workloads`]).
+    #[must_use]
+    pub fn with_workloads(mut self, workloads: Vec<TraceWorkload>) -> Self {
+        self.workloads = workloads;
         self
     }
 
@@ -183,7 +196,8 @@ impl Campaign {
 
     /// Sets the number of simulation-engine shards each point runs on
     /// (clamped to at least 1). Sharding pays off for large instances;
-    /// small campaign points are usually faster monolithic.
+    /// small campaign points are usually faster monolithic. Workload
+    /// points ignore it: the sharded engine has no trace source.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -241,6 +255,11 @@ impl Campaign {
     /// simulation.
     #[must_use]
     pub fn point_seed(&self, setup: &str, pattern: TrafficPattern, load: f64) -> u64 {
+        self.seed_of(setup, pattern.short_name(), load)
+    }
+
+    /// [`Campaign::point_seed`] by curve key (a workload's is its name).
+    fn seed_of(&self, setup: &str, traffic: &str, load: f64) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.base_seed;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -249,7 +268,7 @@ impl Campaign {
             }
         };
         eat(setup.as_bytes());
-        eat(pattern.short_name().as_bytes());
+        eat(traffic.as_bytes());
         eat(&load.to_bits().to_le_bytes());
         // splitmix64 finalizer for avalanche.
         h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -257,9 +276,9 @@ impl Campaign {
         h ^ (h >> 31)
     }
 
-    /// Runs the campaign: one parallel task per (setup, pattern) curve.
-    /// Output ordering and every simulated number are independent of
-    /// the thread count.
+    /// Runs the campaign: one parallel task per (setup, pattern) and
+    /// per (setup, workload) curve. Output ordering and every simulated
+    /// number are independent of the thread count.
     ///
     /// # Panics
     ///
@@ -309,13 +328,17 @@ impl Campaign {
                 a.name
             );
         }
-        let pairs: Vec<(usize, usize)> = (0..self.setups.len())
-            .flat_map(|s| (0..self.patterns.len()).map(move |p| (s, p)))
+        let patterns = self.patterns.iter().copied().map(Traffic::Pattern);
+        let traffics: Vec<Traffic<'_>> = patterns
+            .chain(self.workloads.iter().map(Traffic::Trace))
             .collect();
-        let curves = parallel_map_with_threads(pairs, self.threads, |(s, p)| {
+        let pairs: Vec<(usize, Traffic<'_>)> = (0..self.setups.len())
+            .flat_map(|s| traffics.iter().map(move |&t| (s, t)))
+            .collect();
+        let curves = parallel_map_with_threads(pairs, self.threads, |(s, traffic)| {
             let curve = Curve {
                 setup: &self.setups[s],
-                pattern: self.patterns[p],
+                traffic,
                 table: &tables[s],
                 zero_load: 0.0,
                 hits: 0,
@@ -333,11 +356,7 @@ impl Campaign {
         CampaignResult {
             name: self.name.clone(),
             setups: self.setups.iter().map(|s| s.name.clone()).collect(),
-            patterns: self
-                .patterns
-                .iter()
-                .map(|p| p.short_name().to_string())
-                .collect(),
+            patterns: traffics.iter().map(|t| t.name().to_string()).collect(),
             warmup: self.warmup,
             measure: self.measure,
             base_seed: self.base_seed,
@@ -348,8 +367,9 @@ impl Campaign {
         }
     }
 
-    /// Runs one latency–load curve (grid sweep + knee refinement);
-    /// returns the points plus this curve's cache hit/miss counts.
+    /// Runs one latency–load curve (grid sweep + knee refinement; a
+    /// workload's one-point grid has no knee); returns the points plus
+    /// this curve's cache hit/miss counts.
     fn run_curve<F: Fn(&SweepPoint) + Sync>(
         &self,
         mut curve: Curve<'_>,
@@ -358,7 +378,11 @@ impl Campaign {
         let mut points = Vec::new();
         let mut last_ok: Option<f64> = None;
         let mut first_sat: Option<f64> = None;
-        for &load in &self.loads {
+        let loads = match curve.traffic {
+            Traffic::Pattern(_) => self.loads.clone(),
+            Traffic::Trace(workload) => vec![workload.offered_flit_rate()],
+        };
+        for load in loads {
             let point = self.run_point(&mut curve, load, false);
             observe(&point);
             let saturated = point.saturated;
@@ -394,23 +418,19 @@ impl Campaign {
 
     /// The cache and the key of one point in it, when the campaign has
     /// a cache and the setup has a serializable recipe.
-    fn cache_key(
-        &self,
-        setup: &Setup,
-        pattern: TrafficPattern,
-        load: f64,
-    ) -> Option<(&PointCache, String)> {
+    fn cache_key(&self, curve: &Curve<'_>, load: f64) -> Option<(&PointCache, String)> {
+        let (setup, traffic) = (curve.setup, curve.traffic);
         let cache = self.cache.as_deref()?;
         let setup_spec = setup.to_spec()?.canonical_json();
         let tech = self.power_tech.map(|t| t.to_string());
         let key = cache.key(&PointCoord {
             setup_spec: &setup_spec,
-            pattern: pattern.short_name(),
+            pattern: traffic.name(),
             load,
             warmup: self.warmup,
             measure: self.measure,
             base_seed: self.base_seed,
-            shards: setup.effective_shards(self.shards),
+            shards: setup.effective_shards(traffic, self.shards),
             tech: tech.as_deref(),
         });
         Some((cache, key))
@@ -419,9 +439,9 @@ impl Campaign {
     /// Runs (or replays from cache) one point of `curve`. Only a point
     /// that has to be simulated touches the setup's table slot.
     fn run_point(&self, curve: &mut Curve<'_>, load: f64, refined: bool) -> SweepPoint {
-        let (setup, pattern) = (curve.setup, curve.pattern);
-        let seed = self.point_seed(&setup.name, pattern, load);
-        let keyed = self.cache_key(setup, pattern, load);
+        let (setup, traffic) = (curve.setup, curve.traffic);
+        let seed = self.seed_of(&setup.name, traffic.name(), load);
+        let keyed = self.cache_key(curve, load);
         let cached = keyed.as_ref().and_then(|(cache, key)| cache.get(key));
         let point = if let Some(hit) = cached {
             curve.hits += 1;
@@ -429,8 +449,8 @@ impl Campaign {
         } else {
             let table = curve.table.get_or_init(|| setup.minimal_table());
             let seeded = setup.clone().with_seed(seed);
-            let report = seeded.run_load_with_table(
-                pattern,
+            let report = seeded.run_point(
+                traffic,
                 load,
                 self.warmup,
                 self.measure,
@@ -463,7 +483,7 @@ impl Campaign {
         }
         SweepPoint {
             setup: setup.name.clone(),
-            pattern: pattern.short_name().to_string(),
+            pattern: traffic.name().to_string(),
             load,
             seed,
             latency: point.latency,
@@ -529,7 +549,7 @@ impl PowerPoint {
 pub struct SweepPoint {
     /// Setup name.
     pub setup: String,
-    /// Traffic pattern short name (`RND`, `ADV1`, …).
+    /// Pattern short name (`RND`, `ADV1`, …) or workload name (`fft`, …).
     pub pattern: String,
     /// Offered load in flits/node/cycle.
     pub load: f64,
@@ -618,7 +638,7 @@ pub struct CampaignResult {
     pub name: String,
     /// Setup names, in spec order.
     pub setups: Vec<String>,
-    /// Pattern short names, in spec order.
+    /// Pattern short names, then workload names, in spec order.
     pub patterns: Vec<String>,
     /// Warmup cycles per point.
     pub warmup: u64,
@@ -655,6 +675,15 @@ impl CampaignResult {
         self.points
             .iter()
             .filter(move |p| p.setup == setup && p.pattern == pattern)
+    }
+
+    /// The point of curve (setup, pattern) at exactly `load`: the grid
+    /// value swept, or a workload's [`TraceWorkload::offered_flit_rate`].
+    #[must_use]
+    pub fn point(&self, setup: &str, pattern: &str, load: f64) -> Option<&SweepPoint> {
+        self.points
+            .iter()
+            .find(|p| p.setup == setup && p.pattern == pattern && p.load == load)
     }
 
     /// Latency-vs-load series for one pattern, one per setup in spec

@@ -13,7 +13,7 @@ use snoc_core::{BufferPreset, CampaignSpec, SetupSpec};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_sim::RoutingKind;
-use snoc_traffic::TrafficPattern;
+use snoc_traffic::{benchmark_names, TraceWorkload, TrafficPattern};
 
 /// A fully deterministic spec covering the format's edge cases: every
 /// optional field populated, an escaped quote in the name, a layout
@@ -52,6 +52,10 @@ fn spec_v1_json_matches_golden_file() {
     }
     let golden = std::fs::read_to_string(&path)
         .expect("golden file missing; record it with UPDATE_GOLDEN=1");
+    assert!(
+        !got.contains("workloads"),
+        "a spec without workloads keeps its pre-workloads bytes"
+    );
     assert_eq!(
         got, golden,
         "slim_noc-spec-v1 serialization changed; the spec schema is \
@@ -74,6 +78,18 @@ fn golden_file_parses_back_to_the_same_spec() {
         "value round trip from the pinned bytes"
     );
     assert_eq!(parsed.to_json(), golden, "byte round trip");
+    // With workloads the same spec gains exactly one line, after
+    // `patterns`, and still round-trips by value and by byte.
+    let mut traced = fixed_spec();
+    traced.workloads = ["fft", "water-s"]
+        .map(|w| TraceWorkload::by_name(w).expect("workload"))
+        .to_vec();
+    let patterns_line = "  \"patterns\": [\"RND\", \"ADV1\"],\n";
+    let with_line = format!("{patterns_line}  \"workloads\": [\"fft\", \"water-s\"],\n");
+    assert_eq!(traced.to_json(), golden.replace(patterns_line, &with_line));
+    let reparsed = CampaignSpec::from_json(&traced.to_json()).expect("parses");
+    assert_eq!(reparsed, traced);
+    assert_eq!(reparsed.to_json(), traced.to_json());
 }
 
 #[test]
@@ -101,6 +117,15 @@ fn spec_field_names_and_order_are_pinned() {
             .unwrap_or_else(|| panic!("missing spec field {field}"));
         assert!(idx > last, "spec field {field} out of order");
         last = idx;
+    }
+    // Workload names share the `pattern` column of results, seeds and
+    // cache keys with the pattern short names: the two sets are disjoint.
+    for name in benchmark_names() {
+        assert_eq!(TrafficPattern::from_short_name(name), None, "{name}");
+    }
+    for pattern in ["RND", "SHF", "REV", "ADV1", "ADV2", "ASYM", "TRN"] {
+        assert!(TrafficPattern::from_short_name(pattern).is_some());
+        assert_eq!(TraceWorkload::by_name(pattern), None, "{pattern}");
     }
     let setup_order = ["config", "name", "layout", "smart", "buffers", "routing"];
     let line = json

@@ -16,7 +16,7 @@ use snoc_core::{BufferPreset, CampaignSpec, SetupSpec};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_sim::RoutingKind;
-use snoc_traffic::TrafficPattern;
+use snoc_traffic::{benchmark_workloads, TrafficPattern};
 
 const CONFIGS: [&str; 6] = ["sn54", "sn_s", "cm4", "t2d3", "df3", "fbf3"];
 const PATTERNS: [TrafficPattern; 7] = [
@@ -75,6 +75,7 @@ proptest! {
         setup_bits in 1u64..u64::MAX,
         n_setups in 0usize..4,
         pattern_mask in 0u64..128,
+        workload_mask in 0u64..(1 << 15),
         load_bits in 1u64..u64::MAX,
         n_loads in 1usize..6,
         warmup in 0u64..100_000,
@@ -92,6 +93,13 @@ proptest! {
             .enumerate()
             .filter(|(i, _)| pattern_mask & (1 << i) != 0)
             .map(|(_, p)| *p)
+            .collect();
+        // Bit 14 set: no workloads at all (the common spec).
+        spec.workloads = benchmark_workloads()
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| workload_mask >> 14 == 0 && workload_mask & (1 << i) != 0)
+            .map(|(_, w)| w)
             .collect();
         spec.loads = (0..n_loads)
             .map(|i| load_from(load_bits.wrapping_add(0x1234_5678 * i as u64)))
@@ -117,6 +125,7 @@ proptest! {
         let json1 = spec.to_json();
         let parsed = CampaignSpec::from_json(&json1)
             .map_err(|e| TestCaseError(format!("own output must parse: {e}\n{json1}")))?;
+        prop_assert_eq!(json1.contains("\"workloads\":"), !spec.workloads.is_empty());
         // Lossless: every field (including f64 bits) survives.
         prop_assert_eq!(&parsed, &spec);
         for (a, b) in spec.loads.iter().zip(&parsed.loads) {

@@ -4,7 +4,7 @@
 
 use snoc_core::{Campaign, FaultsSpec, Setup, StormSpec};
 use snoc_sim::RoutingKind;
-use snoc_traffic::TrafficPattern;
+use snoc_traffic::{TraceWorkload, TrafficPattern};
 
 /// Same spec + same seed ⇒ bit-identical results for every worker
 /// count. Seeds are derived from the point coordinates alone, so the
@@ -19,6 +19,7 @@ fn same_spec_is_bit_identical_across_thread_counts() {
                 Setup::paper("fbf3").expect("paper config"),
             ])
             .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
+            .with_workloads(vec![TraceWorkload::by_name("fft").expect("workload")])
             .with_loads(vec![0.02, 0.1, 0.3, 0.5])
             .with_windows(200, 800)
             .with_refinement(2)
@@ -39,12 +40,18 @@ fn same_spec_is_bit_identical_across_thread_counts() {
             Setup::paper("fbf3").expect("paper config"),
         ])
         .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
+        .with_workloads(vec![TraceWorkload::by_name("fft").expect("workload")])
         .with_loads(vec![0.02, 0.1, 0.3, 0.5])
         .with_windows(200, 800)
         .with_refinement(2)
         .with_seed(43)
         .run();
     assert_ne!(serial, other, "base seed must matter");
+    // The workload is one point per setup, at the trace's own rate.
+    for (a, b) in serial.curve("sn54", "fft").zip(other.curve("sn54", "fft")) {
+        assert_ne!(a, b, "base seed must reach the trace");
+    }
+    assert_eq!(serial.curve("fbf3", "fft").count(), 1);
 }
 
 /// ADV1 on the 54-node Slim NoC maps each router's 3 nodes onto one
@@ -110,8 +117,10 @@ fn adaptive_refinement_finds_adv1_knee_near_one_third() {
 /// routing mid-run; if that repair ever reached the shared table, the
 /// sibling points after it would diverge from a run that built its own.
 /// So: every point of a fault-free and a storm setup, at 1 and 2
-/// worker threads, equals `Setup::run_load` with the point's own seed
-/// bit for bit, and the sweep JSON is identical across thread counts.
+/// worker threads, equals `Setup::run_load` (for the workload: the
+/// trace generated from, and replayed under, the point's seed) with the
+/// point's own seed bit for bit, and the sweep JSON is identical across
+/// thread counts.
 #[test]
 fn shared_tables_never_leak_between_points() {
     let (warmup, measure) = (200, 800);
@@ -127,10 +136,12 @@ fn shared_tables_never_leak_between_points() {
     });
     stormy.name = "sn54+storm".to_string();
     let setups = [healthy, stormy];
+    let canneal = TraceWorkload::by_name("canneal").expect("workload");
     let run = |threads: usize| {
         Campaign::new("shared-tables")
             .with_setups(setups.to_vec())
             .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
+            .with_workloads(vec![canneal])
             .with_loads(vec![0.02, 0.06, 0.12])
             .with_windows(warmup, measure)
             .with_stop_at_saturation(false)
@@ -139,18 +150,28 @@ fn shared_tables_never_leak_between_points() {
     };
     let one = run(1);
     let two = run(2);
-    assert_eq!(one.points.len(), 12);
+    assert_eq!(one.points.len(), 12 + 2);
     assert_eq!(one.to_json(), two.to_json(), "1 vs 2 worker threads");
     for p in &one.points {
         let setup = setups
             .iter()
             .find(|s| s.name == p.setup)
             .expect("own setup");
-        let pattern = TrafficPattern::from_short_name(&p.pattern).expect("own pattern");
-        let alone = setup
-            .clone()
-            .with_seed(p.seed)
-            .run_load(pattern, p.load, warmup, measure);
+        let seeded = setup.clone().with_seed(p.seed);
+        let alone = match TrafficPattern::from_short_name(&p.pattern) {
+            Some(pattern) => seeded.run_load(pattern, p.load, warmup, measure),
+            None => {
+                assert_eq!(
+                    (p.pattern.as_str(), p.load),
+                    ("canneal", canneal.offered_flit_rate())
+                );
+                let trace = canneal.generate(&seeded.topology, warmup + measure, p.seed);
+                seeded
+                    .simulator()
+                    .expect("valid setup")
+                    .run_trace(&trace, warmup)
+            }
+        };
         let at = format!("{} {} {}", p.setup, p.pattern, p.load);
         assert_eq!(
             p.latency.to_bits(),

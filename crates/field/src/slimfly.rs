@@ -15,8 +15,9 @@
 //!
 //! Diameter 2 of the resulting graph is equivalent to the following
 //! algebraic conditions, which [`GeneratorSets::generate`] verifies for
-//! every field it accepts (a derivation is in this repository's
-//! `DESIGN.md`):
+//! every field it accepts (the construction is §3.5.2 of the paper;
+//! `snoc repro table3` prints the sets for GF(9) and GF(8), see the
+//! README's "Reproducing figures and tables"):
 //!
 //! 1. `X = −X`, `X' = −X'`, and `0 ∉ X ∪ X'` (symmetry);
 //! 2. `X ∪ X' = GF(q)*` (cross-type coverage);

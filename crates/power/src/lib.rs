@@ -1,5 +1,6 @@
 //! Analytic area, power and energy model — the reproduction's stand-in
-//! for MIT DSENT (§5.1; substitution rationale in `DESIGN.md` §4).
+//! for MIT DSENT (§5.1; how it is driven by measured activity is in the
+//! README, "Energy-efficiency pipeline").
 //!
 //! The model mirrors the structural cost terms the paper's analysis
 //! rests on:

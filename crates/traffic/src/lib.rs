@@ -12,8 +12,9 @@
 //!    preserve the properties the evaluation depends on: per-benchmark
 //!    load intensity, the 2-flit read / 6-flit write / 2-flit coherence
 //!    message mix, 6-flit replies to every read, hotspot skew, and
-//!    bursty injection (see `DESIGN.md` §4 for the substitution
-//!    rationale).
+//!    bursty injection (the README's "Reproducing figures and tables"
+//!    lists the three artifacts they drive: `fig10` (b), `fig18`,
+//!    `table6`).
 //!
 //! # Example
 //!

@@ -7,7 +7,8 @@
 //! destination. We reproduce that protocol with a synthetic generator
 //! whose per-benchmark parameters (intensity, message mix, hotspot skew,
 //! burstiness) are chosen to span the qualitative diversity of the suite
-//! — see `DESIGN.md` §4 for the substitution rationale.
+//! — see the crate docs ([`crate`]) for the substitution rationale and
+//! the README's "Campaign server & cache" for running them.
 
 use crate::injection::BurstModel;
 use rand::SeedableRng;

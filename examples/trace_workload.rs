@@ -4,18 +4,24 @@
 //!
 //! Run with: `cargo run --release --example trace_workload`
 
-use slim_noc::core::{format_float, BufferPreset, Setup, TextTable};
+use slim_noc::core::{format_float, BufferPreset, Campaign, Setup, TextTable};
 use slim_noc::power::TechNode;
 use slim_noc::traffic::benchmark_workloads;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cycles = 10_000;
-    let sn = Setup::paper("sn_s")?
-        .with_smart(true)
-        .with_buffers(BufferPreset::EbVar);
-    let fbf = Setup::paper("fbf3")?
-        .with_smart(true)
-        .with_buffers(BufferPreset::EbVar);
+    let setup = |name: &str| -> Result<Setup, Box<dyn std::error::Error>> {
+        Ok(Setup::paper(name)?
+            .with_smart(true)
+            .with_buffers(BufferPreset::EbVar))
+    };
+    // Every setup × workload is one campaign point: a 10 000-cycle
+    // trace, measured after the first 1 000 cycles.
+    let result = Campaign::new("trace_workload")
+        .with_setups(vec![setup("sn_s")?, setup("fbf3")?])
+        .with_workloads(benchmark_workloads())
+        .with_windows(1_000, 9_000)
+        .with_power(TechNode::N45)
+        .run();
 
     let mut table = TextTable::new(
         "PARSEC/SPLASH-like workloads: SN vs FBF (SMART, 45nm)",
@@ -24,13 +30,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut geomean = 1.0f64;
     let mut count = 0u32;
     for w in benchmark_workloads() {
-        let eval = |s: &Setup| {
-            let report = s.run_trace_workload(&w, cycles);
-            let power = s.power_report(TechNode::N45, &report);
-            (report.avg_packet_latency(), power.energy_delay())
+        let eval = |setup: &str| {
+            let point = result
+                .point(setup, w.name, w.offered_flit_rate())
+                .expect("every workload was run");
+            (point.latency, point.power.expect("power-aware").edp_js)
         };
-        let (sn_lat, sn_edp) = eval(&sn);
-        let (fbf_lat, fbf_edp) = eval(&fbf);
+        let (sn_lat, sn_edp) = eval("sn_s");
+        let (fbf_lat, fbf_edp) = eval("fbf3");
         let ratio = sn_edp / fbf_edp;
         geomean *= ratio;
         count += 1;

@@ -85,11 +85,15 @@ USAGE:
 
 REPRO / RUN OPTIONS:
   --csv               repro: CSV instead of aligned text
-  --json              repro: raw sweep JSON (campaign figures)
+  --json              repro: raw sweep JSON (single-campaign figures:
+                      fig12-14, fig18, table6, energy_*, fig_energy,
+                      fault_storm)
   --quick             short simulation windows
   --smoke             minimal windows (meaningless numbers; for tests)
   --threads <n>       campaign worker threads (0 = per core)
-  --shards <n>        simulation-engine shards per point
+  --shards <n>        simulation-engine shards per point (trace workload
+                      points always run on one: the sharded engine has
+                      no trace source)
   --cache-dir <dir>   content-addressed point cache to replay from
 
 SERVE / SUBMIT OPTIONS:
@@ -188,9 +192,18 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
 
+    // A zero-rate run is legitimate; a negative or NaN rate is not.
+    if !(load.is_finite() && load >= 0.0) {
+        return Err(format!("--load: `{load}` is not a finite rate >= 0"));
+    }
     let mut setup = if let Some(name) = config {
         Setup::paper(&name).map_err(|e| e.to_string())?
     } else {
+        if topology != "sn" && (x == 0 || y == 0 || p == 0) {
+            return Err(format!(
+                "--x, --y and --p must be at least 1 (got {x}x{y}, p={p})"
+            ));
+        }
         let topo = match topology.as_str() {
             "sn" => Topology::slim_noc(q, p).map_err(|e| e.to_string())?,
             "mesh" => Topology::mesh(x, y, p),

@@ -87,12 +87,18 @@ fn cbr_with_smart_is_the_best_sn_design_point() {
 #[test]
 fn trace_protocol_round_trip() {
     // Reads trigger replies; everything drains; latency is sane.
-    let setup = Setup::paper("sn54").expect("sn54");
     let w = TraceWorkload::by_name("streamcluster").unwrap();
-    let report = setup.run_trace_workload(&w, 4_000);
-    assert!(report.drained, "{report}");
-    assert!(report.avg_packet_latency() > 5.0);
-    assert!(report.delivered_packets > 100);
+    let result = Campaign::new("trace_round_trip")
+        .with_setups(vec![Setup::paper("sn54").expect("sn54")])
+        .with_workloads(vec![w])
+        .with_windows(400, 3_600)
+        .run();
+    let point = result
+        .point("sn54", w.name, w.offered_flit_rate())
+        .expect("the workload's point");
+    assert!(point.drained, "{point:?}");
+    assert!(point.latency > 5.0);
+    assert!(point.delivered_packets > 100);
 }
 
 #[test]

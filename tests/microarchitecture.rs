@@ -130,3 +130,45 @@ fn deeper_central_buffers_absorb_more_conflicts() {
     // should not lose throughput.
     assert!(large.throughput() >= small.throughput() * 0.9);
 }
+
+#[test]
+fn a_layout_whose_wires_all_fit_one_smart_hop_is_invisible_to_the_clock() {
+    // Link latency is ⌈distance / H⌉ cycles: once H covers the longest
+    // wire every link is unit-latency, so raising H further changes
+    // nothing and the layout itself only shows in the wire-energy
+    // counter (with fixed-size buffers; EB-Var sizes from the layout).
+    for name in ["sn54", "fbf3"] {
+        let setup = slim_noc::core::Setup::paper(name).unwrap();
+        let (topo, layout) = (&setup.topology, &setup.layout);
+        assert!(matches!(setup.sim.buffer_sizing, BufferSizing::Fixed(_)));
+        let longest = layout.max_wire_length(topo);
+        assert!(longest > 1, "{name} has multi-tile wires");
+        for load in [0.03, 0.2] {
+            let run = |layout: Option<&Layout>, smart_hops: usize| {
+                let cfg = SimConfig {
+                    smart_hops,
+                    ..setup.sim.clone()
+                };
+                let built = match layout {
+                    Some(layout) => Simulator::build_with_layout(topo, layout, &cfg),
+                    None => Simulator::build(topo, &cfg),
+                };
+                built
+                    .unwrap()
+                    .run_synthetic(TrafficPattern::Random, load, 300, 1_500)
+            };
+            let covered = run(Some(layout), longest);
+            assert!(covered.delivered_packets > 50, "{name} @ {load}: {covered}");
+            // (i) H = max wire ≡ H = 10 × max wire, byte for byte.
+            let far = run(Some(layout), 10 * longest);
+            assert_eq!(covered.to_json(), far.to_json(), "{name} @ {load}");
+            // (ii) ≡ no layout at all, except the one counter that reads
+            // tile distances.
+            let mut bare = run(None, longest);
+            let tiles = covered.activity.wire_flit_tiles;
+            assert!(tiles >= covered.activity.link_flit_hops, "{name} @ {load}");
+            bare.activity.wire_flit_tiles = tiles;
+            assert_eq!(covered, bare, "{name} @ {load}");
+        }
+    }
+}

@@ -1,5 +1,6 @@
 //! Tests pinning the paper's headline quantitative claims (the "shape"
-//! targets recorded in EXPERIMENTS.md). Absolute constants differ from
+//! targets behind the README's "Reproducing figures and tables" and
+//! "Energy-efficiency pipeline"). Absolute constants differ from
 //! the authors' testbed; each assertion checks the direction and rough
 //! factor of a published comparison.
 
@@ -185,15 +186,22 @@ fn smart_links_accelerate_slim_noc() {
 #[test]
 fn sn_edp_beats_fbf_on_a_trace() {
     let w = slim_noc::traffic::TraceWorkload::by_name("fft").unwrap();
-    let edp = |name: &str| {
-        let s = Setup::paper(name)
+    let setups = ["sn_s", "fbf3"].map(|name| {
+        Setup::paper(name)
             .unwrap()
             .with_smart(true)
-            .with_buffers(BufferPreset::EbVar);
-        let report = s.run_trace_workload(&w, 6_000);
-        s.power_report(TechNode::N45, &report).energy_delay()
+            .with_buffers(BufferPreset::EbVar)
+    });
+    let result = Campaign::new("fig18_fft")
+        .with_setups(setups.into())
+        .with_workloads(vec![w])
+        .with_windows(600, 5_400)
+        .with_power(TechNode::N45)
+        .run();
+    let edp = |name: &str| {
+        let point = result.point(name, w.name, w.offered_flit_rate()).unwrap();
+        point.power.expect("power-aware campaign").edp_js
     };
-    let sn = edp("sn_s");
-    let fbf = edp("fbf3");
+    let (sn, fbf) = (edp("sn_s"), edp("fbf3"));
     assert!(sn < fbf, "SN EDP {sn:.3e} vs FBF {fbf:.3e}");
 }

@@ -134,6 +134,10 @@ fn usage_errors_exit_2() {
         &["run", "--spec", "/nonexistent/spec.json"],
         &["sim", "--pattern", "nope"],
         &["sim", "--buffers", "cbrX"],
+        &["sim", "--config", "sn54", "--load", "-0.1"],
+        &["sim", "--config", "sn54", "--load", "nan"],
+        &["sim", "--topology", "mesh", "--x", "0"],
+        &["analyze", "--topology", "mesh", "--p", "0"],
     ] {
         let out = snoc(args);
         assert_eq!(
@@ -148,7 +152,13 @@ fn usage_errors_exit_2() {
 
 #[test]
 fn specs_no_simulator_can_run_exit_2_without_panicking() {
-    for name in ["duplicate_name", "cbr0", "faults_ugal", "phantom_router"] {
+    for name in [
+        "duplicate_name",
+        "cbr0",
+        "faults_ugal",
+        "phantom_router",
+        "unknown_workload",
+    ] {
         let spec = format!(
             "{}/tests/specs/unrunnable_{name}.json",
             env!("CARGO_MANIFEST_DIR")
