@@ -1,7 +1,7 @@
 //! Golden reference simulator for differential verification.
 //!
 //! The optimized simulator's hot path (worklists, geometric injection
-//! sampling, the flit arena, struct-of-arrays routers) is aggressive
+//! sampling, the flit arena, mask-driven packed routers) is aggressive
 //! about not doing work, and the simulator agreeing with *itself* is
 //! too weak an anchor for it. This crate is the independent oracle: a
 //! deliberately simple, allocation-happy, cycle-by-cycle wormhole

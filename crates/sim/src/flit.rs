@@ -212,10 +212,9 @@ impl Flit {
 pub struct FlitRef(u32);
 
 impl FlitRef {
-    /// "Empty slot" sentinel for the flattened struct-of-arrays router
-    /// and link state: occupancy is tracked by bitmask words, and empty
-    /// slots hold this reserved index. [`FlitArena::insert`] never hands
-    /// it out.
+    /// "Empty slot" sentinel for the flattened router and link state:
+    /// occupancy is tracked by bitmask words, and empty slots hold this
+    /// reserved index. [`FlitArena::insert`] never hands it out.
     pub(crate) const INVALID: FlitRef = FlitRef(u32::MAX);
 
     /// Whether this reference is a real arena index (not the

@@ -13,7 +13,7 @@ use crate::deadlock::{DeadlockDiagnostic, StuckPacket, WaitForEdge};
 use crate::fault::{FaultEvent, FaultKind, FaultPlan};
 use crate::flit::{Flit, FlitArena, FlitRef, PacketId};
 use crate::link::Channel;
-use crate::router::{AllocResult, RouterCore, StFlit};
+use crate::router::{AllocResult, RouterCore};
 use crate::routing::RoutingTable;
 use crate::stats::{SimReport, WorkCounters};
 use rand::{RngExt, SeedableRng};
@@ -99,8 +99,9 @@ pub struct Simulator {
     chan_enabled: Vec<bool>,
     /// Derived per-channel liveness: enabled with both endpoints alive.
     chan_alive: Vec<bool>,
-    /// Scratch for the ST-drain phase (reused every cycle).
-    scratch_st: Vec<(usize, StFlit)>,
+    /// Scratch for the ST-drain phase (reused every cycle): the flits
+    /// it ejects, handed to [`Simulator::eject`] after the link pushes.
+    scratch_eject: Vec<FlitRef>,
     /// Scratch for the allocation phase (reused every cycle).
     scratch_alloc: AllocResult,
     /// No-progress watchdog bound in cycles (`None` disarms it): if
@@ -298,7 +299,7 @@ impl Simulator {
             router_alive: vec![true; nr],
             chan_enabled: vec![true; chan_count],
             chan_alive: vec![true; chan_count],
-            scratch_st: Vec::new(),
+            scratch_eject: Vec::new(),
             scratch_alloc: AllocResult::default(),
             watchdog: Some(watchdog),
             last_progress: 0,
@@ -726,7 +727,7 @@ impl Simulator {
             let fr = self.arena.insert(f);
             self.inj_queues[src.index()].push_back(fr);
         }
-        self.activate_injection(src.index());
+        activate(&mut self.inj_queued, &mut self.active_inj, src.index());
         self.last_progress = self.now;
     }
 
@@ -819,33 +820,6 @@ impl Simulator {
         cost
     }
 
-    /// Enqueues a router on the active worklist (idempotent).
-    #[inline]
-    fn activate_router(&mut self, r: usize) {
-        if !self.router_queued[r] {
-            self.router_queued[r] = true;
-            self.active_routers.push(r);
-        }
-    }
-
-    /// Enqueues a channel on the active worklist (idempotent).
-    #[inline]
-    fn activate_channel(&mut self, id: usize) {
-        if !self.chan_queued[id] {
-            self.chan_queued[id] = true;
-            self.active_channels.push(id);
-        }
-    }
-
-    /// Enqueues a node on the injection worklist (idempotent).
-    #[inline]
-    fn activate_injection(&mut self, node: usize) {
-        if !self.inj_queued[node] {
-            self.inj_queued[node] = true;
-            self.active_inj.push(node);
-        }
-    }
-
     /// Advances the network by one cycle (all phases except traffic
     /// generation, which the run loops own).
     ///
@@ -869,120 +843,171 @@ impl Simulator {
         self.work.cycles_stepped += 1;
         self.work.channel_visits += self.active_channels.len() as u64;
         self.work.router_visits += self.active_routers.len() as u64;
+        // Each phase borrows the fields it works on once, side by side.
+        //
         // Phases 1–3 fused per active channel: pipeline tick, delivery
         // into the router input, credit returns. Deliveries do not
         // affect other channels' readiness and credits only feed the
         // allocation phase below, so fusing preserves phase semantics.
-        for i in 0..self.active_channels.len() {
-            let id = self.active_channels[i];
-            self.channels[id].tick();
-            if boundary.receiver_is_remote(id) {
-                // The receiving shard materialized its own copy from
-                // the boundary message, so the mirror just releases the
-                // local arena slot at the exact cycle the monolith
-                // would deliver it.
-                if let Some((_vc, fr)) = self.channels[id].pop_deliverable(now, |_| true) {
-                    self.arena.remove(fr);
-                }
-            } else {
-                let (dst, port) = self.chan_dst[id];
-                let router = &self.routers[dst];
-                let delivered =
-                    self.channels[id].pop_deliverable(now, |vc| router.can_deliver(port, vc));
-                if let Some((vc, flit)) = delivered {
-                    self.routers[dst].deliver(port, vc, flit, &mut self.arena);
-                    self.activate_router(dst);
-                    self.last_progress = now;
-                    if measuring {
-                        report.activity.buffer_writes += 1;
+        {
+            let Simulator {
+                channels,
+                routers,
+                arena,
+                chan_dst,
+                chan_src,
+                active_channels,
+                active_routers,
+                router_queued,
+                last_progress,
+                ..
+            } = self;
+            for &id in active_channels.iter() {
+                let channel = &mut channels[id];
+                channel.tick();
+                if boundary.receiver_is_remote(id) {
+                    // The receiving shard materialized its own copy from
+                    // the boundary message, so the mirror just releases
+                    // the local arena slot at the exact cycle the
+                    // monolith would deliver it.
+                    if let Some((_vc, fr)) = channel.pop_deliverable(now, |_| true) {
+                        arena.remove(fr);
+                    }
+                } else {
+                    let (dst, port) = chan_dst[id];
+                    let router = &mut routers[dst];
+                    let delivered = channel.pop_deliverable(now, |vc| router.can_deliver(port, vc));
+                    if let Some((vc, flit)) = delivered {
+                        router.deliver(port, vc, flit, arena);
+                        activate(router_queued, active_routers, dst);
+                        *last_progress = now;
+                        if measuring {
+                            report.activity.buffer_writes += 1;
+                        }
                     }
                 }
-            }
-            let (src, src_port) = self.chan_src[id];
-            while let Some(vc) = self.channels[id].pop_credit(now) {
-                self.routers[src].add_credit(src_port, vc);
+                let (src, src_port) = chan_src[id];
+                while let Some(vc) = channel.pop_credit(now) {
+                    routers[src].add_credit(src_port, vc);
+                }
             }
         }
         // 4. Switch traversal: ST registers drain onto links / nodes.
-        for i in 0..self.active_routers.len() {
-            let r = self.active_routers[i];
-            let mut st = std::mem::take(&mut self.scratch_st);
-            self.routers[r].drain_st(&mut st);
-            let net_ports = self.chan_out[r].len();
-            for &(port, stf) in &st {
-                self.last_progress = now;
-                if measuring {
-                    report.activity.crossbar_traversals += 1;
-                }
-                if port < net_ports {
-                    let ch = self.chan_out[r][port];
+        // Ejections run after the link pushes: a reply created at
+        // ejection probes output occupancy under adaptive routing, which
+        // sees a flit in an ST register or on a channel, not one drained
+        // and not yet pushed.
+        {
+            let Simulator {
+                channels,
+                routers,
+                arena,
+                chan_out,
+                chan_tiles,
+                active_routers,
+                active_channels,
+                chan_queued,
+                scratch_eject,
+                last_progress,
+                ..
+            } = self;
+            for &r in active_routers.iter() {
+                let ports = &chan_out[r];
+                routers[r].drain_st(|port, st| {
+                    *last_progress = now;
+                    if measuring {
+                        report.activity.crossbar_traversals += 1;
+                    }
+                    let Some(&ch) = ports.get(port) else {
+                        return scratch_eject.push(st.flit);
+                    };
                     if measuring {
                         report.activity.link_flit_hops += 1;
-                        report.activity.wire_flit_tiles += self.chan_tiles[ch];
+                        report.activity.wire_flit_tiles += chan_tiles[ch];
                     }
-                    let arrives = now + self.channels[ch].latency();
-                    boundary.flit_sent(ch, arrives, stf.out_vc, stf.flit, &self.arena);
-                    self.channels[ch].push(now, stf.out_vc, stf.flit);
-                    self.activate_channel(ch);
-                } else {
-                    self.eject(stf.flit, measuring, report);
-                }
+                    let channel = &mut channels[ch];
+                    let arrives = now + channel.latency();
+                    boundary.flit_sent(ch, arrives, st.out_vc, st.flit, arena);
+                    channel.push(now, st.out_vc, st.flit);
+                    activate(chan_queued, active_channels, ch);
+                });
             }
-            self.scratch_st = st;
         }
+        for e in 0..self.scratch_eject.len() {
+            self.eject(self.scratch_eject[e], measuring, report);
+        }
+        self.scratch_eject.clear();
         // 5. Allocation (router pipelines).
-        for i in 0..self.active_routers.len() {
-            let r = self.active_routers[i];
-            if self.routers[r].is_idle() {
-                continue; // nothing buffered, nothing to allocate
-            }
-            let mut res = std::mem::take(&mut self.scratch_alloc);
-            {
-                let routers = &mut self.routers;
-                let arena = &mut self.arena;
-                let channels = &self.channels;
-                let ports = &self.chan_out[r];
-                let ready = |out: usize, vc: usize| channels[ports[out]].can_accept(vc);
-                routers[r].alloc_into(
-                    now,
-                    &self.table,
-                    self.concentration,
-                    arena,
-                    &ready,
-                    &mut res,
-                );
-            }
-            self.work.alloc_calls += 1;
-            self.work.ports_examined += res.ports_examined;
-            self.work.lanes_examined += res.lanes_examined;
-            self.work.grants += res.alloc_grants;
-            if measuring {
-                report.activity.record_alloc(&res);
-            }
-            for idx in 0..res.freed_inputs.len() {
-                let (port, vc) = res.freed_inputs[idx];
-                let ch = self.chan_in[r][port];
-                let arrives = now + self.channels[ch].latency();
-                if !boundary.credit_freed(ch, arrives, vc) {
-                    self.channels[ch].push_credit(now, vc);
-                    self.activate_channel(ch);
+        {
+            let Simulator {
+                channels,
+                routers,
+                arena,
+                table,
+                concentration,
+                chan_out,
+                chan_in,
+                active_routers,
+                active_channels,
+                chan_queued,
+                scratch_alloc: res,
+                work,
+                ..
+            } = self;
+            for &r in active_routers.iter() {
+                let router = &mut routers[r];
+                if router.is_idle() {
+                    continue; // nothing buffered, nothing to allocate
+                }
+                {
+                    let (channels, ports) = (&*channels, &chan_out[r]);
+                    let ready = |out: usize, vc: usize| channels[ports[out]].can_accept(vc);
+                    router.alloc_into(now, table, *concentration, arena, &ready, res);
+                }
+                work.alloc_calls += 1;
+                work.ports_examined += res.ports_examined;
+                work.lanes_examined += res.lanes_examined;
+                work.grants += res.alloc_grants;
+                if measuring {
+                    report.activity.record_alloc(res);
+                }
+                for &(port, vc) in &res.freed {
+                    // Injection ports have no upstream channel to credit.
+                    let Some(&ch) = chan_in[r].get(port) else {
+                        continue;
+                    };
+                    let channel = &mut channels[ch];
+                    let arrives = now + channel.latency();
+                    if !boundary.credit_freed(ch, arrives, vc) {
+                        channel.push_credit(now, vc);
+                        activate(chan_queued, active_channels, ch);
+                    }
                 }
             }
-            self.scratch_alloc = res;
         }
         // 6. Injection: one flit per active node per cycle into the
         // router.
-        for i in 0..self.active_inj.len() {
-            let node = self.active_inj[i];
-            let r = node / self.concentration;
-            let offset = node % self.concentration;
-            let port = self.chan_out[r].len() + offset;
-            if self.routers[r].can_deliver(port, 0) {
-                let fr = self.inj_queues[node].pop_front().expect("non-empty");
-                self.arena.get_mut(fr).injected = now;
-                self.routers[r].deliver(port, 0, fr, &mut self.arena);
-                self.activate_router(r);
-                self.last_progress = now;
+        let Simulator {
+            routers,
+            arena,
+            concentration,
+            chan_out,
+            inj_queues,
+            active_inj,
+            active_routers,
+            router_queued,
+            last_progress,
+            ..
+        } = self;
+        for &node in active_inj.iter() {
+            let r = node / *concentration;
+            let port = chan_out[r].len() + node % *concentration;
+            if routers[r].can_deliver(port, 0) {
+                let fr = inj_queues[node].pop_front().expect("non-empty");
+                arena.get_mut(fr).injected = now;
+                routers[r].deliver(port, 0, fr, arena);
+                activate(router_queued, active_routers, r);
+                *last_progress = now;
                 if measuring {
                     report.activity.buffer_writes += 1;
                 }
@@ -1146,6 +1171,15 @@ impl Boundary for NoBoundary {
     #[inline(always)]
     fn credit_freed(&mut self, _ch: usize, _arrives: u64, _vc: usize) -> bool {
         false
+    }
+}
+
+/// Enqueues component `i` on its active worklist (idempotent).
+#[inline]
+fn activate(queued: &mut [bool], worklist: &mut Vec<usize>, i: usize) {
+    if !queued[i] {
+        queued[i] = true;
+        worklist.push(i);
     }
 }
 

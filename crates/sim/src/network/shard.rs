@@ -53,7 +53,7 @@
 //! shard.
 
 use super::source::{Calendar, Source};
-use super::{Boundary, Simulator};
+use super::{activate, Boundary, Simulator};
 use crate::config::{LinkMode, RoutingKind, SimConfig, SimError};
 use crate::flit::{Flit, FlitArena, FlitRef};
 use crate::routing::RoutingTable;
@@ -486,7 +486,7 @@ impl Simulator {
                     );
                     let fr = self.arena.insert(flit);
                     self.channels[chan].push_at(when, vc as usize, fr);
-                    self.activate_channel(chan);
+                    activate(&mut self.chan_queued, &mut self.active_channels, chan);
                 }
                 BoundaryMsg::Credit { chan, when, vc } => {
                     let chan = chan as usize;
@@ -495,7 +495,7 @@ impl Simulator {
                         "credit on a non-cut-out channel"
                     );
                     self.channels[chan].push_credit_at(when, vc as usize);
-                    self.activate_channel(chan);
+                    activate(&mut self.chan_queued, &mut self.active_channels, chan);
                 }
             }
         }

@@ -13,33 +13,39 @@
 //! (ST) register per output port, per-VC wormhole output allocation, and
 //! credit counters toward downstream buffers (credited links).
 //!
-//! # State layout (struct-of-arrays)
+//! # State layout (lane-major records)
 //!
-//! All hot per-router state is flattened into contiguous arrays indexed
-//! by `lane = port * vcs + vc`, with one **occupancy bitmask word per
-//! port** (bit `vc` set ⇔ that lane holds at least one flit) and, one
-//! level up, a **port mask** over those words (bit `port` set ⇔ the
-//! port's word is non-zero, 64 ports per mask word):
+//! The allocator never streams over an array: its scans walk bit masks
+//! and every access is a point access by `(port, vc)`. So the state is
+//! laid out by what one grant touches — one record per thing, indexed
+//! by `lane = port * vcs + vc` or by port — not one array per field:
 //!
-//! - edge input buffers are fixed-capacity ring buffers carved out of a
-//!   single flat [`FlitRef`] slab ([`EdgeLanes`]);
-//! - CBR staging slots, queue masks and open-packet registers are flat
-//!   lane arrays ([`CbState`]);
-//! - ST registers, wormhole ownership and credit counters are flat
-//!   arrays on the shared [`OutputSide`].
+//! - an edge input lane is a [`Lane`] (ring cursors into the router's
+//!   one flat [`FlitRef`] slab, and the route its packet holds), an
+//!   input port an [`InPort`]: the **occupancy word** (bit `vc` set ⇔
+//!   that lane holds a flit) beside the VC round-robin pointer it is
+//!   always read with ([`EdgeLanes`]);
+//! - a CBR staging lane is a [`StageLane`] under the same [`InPort`]s;
+//!   the central queues keep their own masks ([`CbState`]);
+//! - an output port is an [`OutPort`] (ST register, input round-robin
+//!   pointer, arbitration scratch), an output lane an [`OutLane`]
+//!   (wormhole owner beside its credit counter), both on the shared
+//!   [`OutputSide`].
 //!
-//! The allocator scans are driven by the masks, so an allocation call
-//! costs what the occupied lanes cost, not what the radix costs: the
-//! scans walk the set bits of a port mask (ascending, or rotated from a
-//! round-robin pointer by [`ports_from`]) and never visit an empty
-//! port, the per-VC scan skips empty lanes without touching the buffer
-//! slab, and the edge output-arbitration scratch is persistent — only
-//! the outputs a call nominated are visited and reset. Walking set bits
-//! in ascending (or rotated) order visits the non-empty ports in the
-//! order the all-ports walk met them, so the allocation *algorithm*
-//! (round-robin rotations, nomination order, grant order) is unchanged
-//! from the array-of-structs layout — results are bit-for-bit
-//! identical; only the state representation moved. Nothing derived
+//! Above the occupancy words sits a **port mask** (bit `port` set ⇔ the
+//! port's word is non-zero, 64 ports per mask word) that drives the
+//! scans, so an allocation call costs what the occupied lanes cost, not
+//! what the radix costs: they walk its set bits (ascending, or rotated
+//! from a round-robin pointer by [`ports_from`]) and never visit an
+//! empty port, the per-VC scan skips empty lanes without touching the
+//! buffer slab, and the edge output-arbitration scratch is persistent —
+//! only the outputs a call nominated are visited and reset. Walking set
+//! bits in ascending (or rotated) order visits the non-empty ports in
+//! the order an all-ports walk meets them, so the allocation
+//! *algorithm* (round-robin rotations, nomination order, grant order)
+//! does not depend on the layout: results are bit-for-bit those of the
+//! array-of-structs layout and of the struct-of-arrays one that served
+//! while the allocator still scanned whole arrays. Nothing derived
 //! from a flit or the routing table outlives an allocation call: a
 //! lane mid-packet answers from its held route, and a waiting head is
 //! read from the arena and routed afresh on every attempt, so a table
@@ -55,9 +61,9 @@ use crate::routing::{RouteDecision, RoutingTable};
 use snoc_topology::RouterId;
 use std::collections::VecDeque;
 
-/// "No held route" sentinel for the per-lane route-port arrays.
+/// "No held route" sentinel for a lane record's route port.
 const NO_ROUTE: u16 = u16::MAX;
-/// "No packet" sentinel for the flat wormhole/open-packet arrays
+/// "No packet" sentinel for wormhole owners and open CB packets
 /// (raw [`crate::flit::PacketId`] values; real ids are monotonic from 0
 /// and never reach `u64::MAX`).
 const NO_PKT: u64 = u64::MAX;
@@ -85,43 +91,49 @@ struct CbFlit {
     eligible_at: u64,
 }
 
-/// Edge-buffer input state: every `(port, vc)` lane is a fixed-capacity
-/// ring buffer carved out of one flat slab, with a per-port occupancy
-/// bitmask word (bit `vc` ⇔ lane non-empty).
-#[derive(Debug, Clone)]
-struct EdgeLanes {
-    /// Flat ring-buffer slab; lane `l` owns `base[l]..base[l]+cap[l]`.
-    slots: Vec<FlitRef>,
-    /// Slab offset per lane.
-    base: Vec<u32>,
-    /// Ring capacity per lane (the per-VC buffer depth of its port).
-    cap: Vec<u32>,
-    /// Ring head index per lane (relative to `base`).
-    head: Vec<u16>,
-    /// Flits currently in each lane.
-    len: Vec<u16>,
-    /// Route held from head to tail of the current packet
-    /// ([`NO_ROUTE`] = none).
-    route_port: Vec<u16>,
-    route_vc: Vec<u8>,
+/// One edge input lane: a fixed-capacity ring carved out of
+/// [`EdgeLanes::slots`] and the route its current packet holds.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
     /// Packet holding the lane's route ([`NO_PKT`] = none). The lane can
     /// be momentarily empty while a route is held (bodies still
     /// upstream), so the fault sweep needs the owner recorded here to
     /// release wormhole state of dropped packets.
-    route_pkt: Vec<u64>,
-    /// Occupancy word per input port — the VC scan skips clear bits
-    /// without touching the slab.
-    occ: Vec<u64>,
-    /// Port-level mask (bit `p` ⇔ `occ[p] != 0`, 64 ports per word):
+    route_pkt: u64,
+    /// The ring is `slots[base..base + cap]`.
+    base: u32,
+    /// Ring capacity (the per-VC buffer depth of the lane's port).
+    cap: u16,
+    /// Ring head (relative to `base`) and flits queued.
+    head: u16,
+    len: u16,
+    /// Route held from head to tail of the current packet
+    /// ([`NO_ROUTE`] = none).
+    route_port: u16,
+    route_vc: u8,
+}
+
+/// One input port: its occupancy word (bit `vc` ⇔ that lane holds a
+/// flit — the VC scan skips clear bits without touching the lanes) and
+/// the round-robin pointer the VC scan starts from.
+#[derive(Debug, Clone, Copy, Default)]
+struct InPort {
+    occ: u64,
+    rr: u32,
+}
+
+/// Edge-buffer input state.
+#[derive(Debug, Clone)]
+struct EdgeLanes {
+    /// Flat ring-buffer slab shared by the lanes.
+    slots: Vec<FlitRef>,
+    lane: Vec<Lane>,
+    inp: Vec<InPort>,
+    /// Port-level mask (bit `p` ⇔ `inp[p].occ != 0`, 64 ports per word):
     /// allocation walks its set bits, so empty ports cost nothing.
     /// Maintained in `push` / `pop` only, which the fault sweep also
     /// goes through.
     port_mask: Vec<u64>,
-    /// Precomputed `lane / vcs` and `1 << (lane % vcs)` — `vcs` is a
-    /// runtime value, so the per-push/pop occupancy-bit address would
-    /// otherwise cost a hardware divide on the hottest datapath.
-    occ_port: Vec<u32>,
-    occ_bit: Vec<u64>,
 }
 
 /// `x % m` for `x < 2 * m` as a compare-and-subtract. The moduli on the
@@ -213,115 +225,113 @@ fn held_route(port: u16, vc: u8) -> Option<RouteDecision> {
 impl EdgeLanes {
     fn new(in_ports: usize, vcs: usize, capacity: &[usize]) -> Self {
         assert!(vcs <= 64, "occupancy words hold at most 64 VCs");
-        let lanes = in_ports * vcs;
-        let mut base = Vec::with_capacity(lanes);
-        let mut cap = Vec::with_capacity(lanes);
+        let mut lane = Vec::with_capacity(in_ports * vcs);
         let mut off: u32 = 0;
         for &c in capacity.iter().take(in_ports) {
-            let c = u32::try_from(c).expect("buffer capacity fits u32");
-            assert!(c <= u32::from(u16::MAX), "ring indices fit u16");
+            let cap = u16::try_from(c).expect("ring indices fit u16");
             for _ in 0..vcs {
-                base.push(off);
-                cap.push(c);
-                off += c;
+                lane.push(Lane {
+                    route_pkt: NO_PKT,
+                    base: off,
+                    cap,
+                    head: 0,
+                    len: 0,
+                    route_port: NO_ROUTE,
+                    route_vc: 0,
+                });
+                off = off.checked_add(u32::from(cap)).expect("slab fits u32");
             }
         }
         EdgeLanes {
             slots: vec![FlitRef::INVALID; off as usize],
-            base,
-            cap,
-            head: vec![0; lanes],
-            len: vec![0; lanes],
-            route_port: vec![NO_ROUTE; lanes],
-            route_vc: vec![0; lanes],
-            route_pkt: vec![NO_PKT; lanes],
-            occ: vec![0; in_ports],
+            lane,
+            inp: vec![InPort::default(); in_ports],
             port_mask: vec![0; in_ports.div_ceil(64)],
-            occ_port: (0..lanes).map(|l| (l / vcs) as u32).collect(),
-            occ_bit: (0..lanes).map(|l| 1u64 << (l % vcs)).collect(),
         }
     }
 
     #[inline(always)]
     fn is_full(&self, lane: usize) -> bool {
-        u32::from(self.len[lane]) >= self.cap[lane]
+        let l = &self.lane[lane];
+        l.len >= l.cap
+    }
+
+    /// Slab index of the `i`-th queued flit of a lane (`i <= len`).
+    /// Widened: `head + i` passes `u16::MAX` in the deepest rings.
+    #[inline(always)]
+    fn slot(l: &Lane, i: u16) -> usize {
+        let mut pos = u32::from(l.head) + u32::from(i);
+        if pos >= u32::from(l.cap) {
+            pos -= u32::from(l.cap);
+        }
+        (l.base + pos) as usize
     }
 
     /// Front of a non-empty lane.
     #[inline(always)]
     fn front(&self, lane: usize) -> FlitRef {
-        debug_assert!(self.len[lane] > 0, "front of empty lane");
-        self.slots[(self.base[lane] + u32::from(self.head[lane])) as usize]
+        let l = &self.lane[lane];
+        debug_assert!(l.len > 0, "front of empty lane");
+        self.slots[Self::slot(l, 0)]
     }
 
-    /// Appends to a non-full lane and sets its occupancy bit.
+    /// Appends to non-full lane `lane = port * vcs + vc` and sets its
+    /// occupancy bit.
     #[inline(always)]
-    fn push(&mut self, lane: usize, flit: FlitRef) {
-        debug_assert!(!self.is_full(lane), "push into full lane");
-        let mut pos = u32::from(self.head[lane]) + u32::from(self.len[lane]);
-        if pos >= self.cap[lane] {
-            pos -= self.cap[lane];
-        }
-        self.slots[(self.base[lane] + pos) as usize] = flit;
-        self.len[lane] += 1;
-        let port = self.occ_port[lane] as usize;
-        self.occ[port] |= self.occ_bit[lane];
+    fn push(&mut self, lane: usize, port: usize, vc: usize, flit: FlitRef) {
+        let l = &mut self.lane[lane];
+        debug_assert!(l.len < l.cap, "push into full lane");
+        self.slots[Self::slot(l, l.len)] = flit;
+        l.len += 1;
+        self.inp[port].occ |= 1 << vc;
         mask_set(&mut self.port_mask, port);
     }
 
-    /// Pops the front of a non-empty lane, clearing its occupancy bit
-    /// when it empties.
+    /// Pops the front of non-empty lane `lane = port * vcs + vc`,
+    /// clearing its occupancy bit when it empties.
     #[inline(always)]
-    fn pop(&mut self, lane: usize) -> FlitRef {
-        debug_assert!(self.len[lane] > 0, "pop from empty lane");
-        let fr = self.slots[(self.base[lane] + u32::from(self.head[lane])) as usize];
-        let next = u32::from(self.head[lane]) + 1;
-        self.head[lane] = if next >= self.cap[lane] {
-            0
-        } else {
-            next as u16
-        };
-        self.len[lane] -= 1;
-        if self.len[lane] == 0 {
-            let port = self.occ_port[lane] as usize;
-            self.occ[port] &= !self.occ_bit[lane];
-            if self.occ[port] == 0 {
+    fn pop(&mut self, lane: usize, port: usize, vc: usize) -> FlitRef {
+        let l = &mut self.lane[lane];
+        debug_assert!(l.len > 0, "pop from empty lane");
+        let fr = self.slots[Self::slot(l, 0)];
+        l.head = if l.head + 1 == l.cap { 0 } else { l.head + 1 };
+        l.len -= 1;
+        if l.len == 0 {
+            let inp = &mut self.inp[port];
+            inp.occ &= !(1 << vc);
+            if inp.occ == 0 {
                 mask_clear(&mut self.port_mask, port);
             }
         }
         fr
     }
+}
 
-    /// The route held by a lane's in-flight packet, if any.
-    #[inline(always)]
-    fn route(&self, lane: usize) -> Option<RouteDecision> {
-        held_route(self.route_port[lane], self.route_vc[lane])
-    }
+/// One CBR staging lane: a single-flit slot and the path its current
+/// packet holds through the router.
+#[derive(Debug, Clone, Copy)]
+struct StageLane {
+    /// The staged flit ([`FlitRef::INVALID`] = empty).
+    slot: FlitRef,
+    /// Route held from head to tail ([`NO_ROUTE`] = none).
+    route_port: u16,
+    route_vc: u8,
+    /// [`MODE_NONE`] / [`MODE_BYPASS`] / [`MODE_CENTRAL`].
+    mode: u8,
 }
 
 /// Central-buffer-router input state: single-flit staging slots plus the
 /// CB virtual output queues, both lane-indexed with per-port masks.
 #[derive(Debug, Clone)]
 struct CbState {
-    /// Staging slot per input lane ([`FlitRef::INVALID`] = empty).
-    stage_slot: Vec<FlitRef>,
-    /// Route held from head to tail ([`NO_ROUTE`] = none).
-    stage_route_port: Vec<u16>,
-    stage_route_vc: Vec<u8>,
-    /// Packet path through the CBR per lane ([`MODE_NONE`] /
-    /// [`MODE_BYPASS`] / [`MODE_CENTRAL`]).
-    stage_mode: Vec<u8>,
-    /// Occupied-staging word per input port — the bypass and CB-write
-    /// scans skip clear bits within a port.
-    stage_occ: Vec<u64>,
-    /// Port-level mask over `stage_occ` (bit `p` ⇔ `stage_occ[p] != 0`):
-    /// the bypass and CB-write scans walk its set bits.
+    stage: Vec<StageLane>,
+    /// Occupied-staging word and VC round-robin pointer per input port —
+    /// the bypass and CB-write scans skip clear bits within a port.
+    inp: Vec<InPort>,
+    /// Port-level mask over the staging words (bit `p` ⇔
+    /// `inp[p].occ != 0`): the bypass and CB-write scans walk its set
+    /// bits.
     stage_ports: Vec<u64>,
-    /// Precomputed `lane / vcs` and `1 << (lane % vcs)` (see
-    /// [`EdgeLanes::occ_port`]): avoids a hardware divide per staging
-    /// take.
-    stage_occ_port: Vec<u32>,
-    stage_occ_bit: Vec<u64>,
     /// CB virtual output queues, lane-indexed `[out_port * vcs + vc]`.
     queues: Vec<VecDeque<CbFlit>>,
     /// Non-empty-queue word per output port — the bypass ordering check
@@ -347,17 +357,17 @@ struct CbState {
 impl CbState {
     fn new(in_ports: usize, out_ports: usize, vcs: usize, cb_flits: usize) -> Self {
         assert!(vcs <= 64, "occupancy words hold at most 64 VCs");
-        let in_lanes = in_ports * vcs;
         let out_lanes = out_ports * vcs;
+        let idle = StageLane {
+            slot: FlitRef::INVALID,
+            route_port: NO_ROUTE,
+            route_vc: 0,
+            mode: MODE_NONE,
+        };
         CbState {
-            stage_slot: vec![FlitRef::INVALID; in_lanes],
-            stage_route_port: vec![NO_ROUTE; in_lanes],
-            stage_route_vc: vec![0; in_lanes],
-            stage_mode: vec![MODE_NONE; in_lanes],
-            stage_occ: vec![0; in_ports],
+            stage: vec![idle; in_ports * vcs],
+            inp: vec![InPort::default(); in_ports],
             stage_ports: vec![0; in_ports.div_ceil(64)],
-            stage_occ_port: (0..in_lanes).map(|l| (l / vcs) as u32).collect(),
-            stage_occ_bit: (0..in_lanes).map(|l| 1u64 << (l % vcs)).collect(),
             queues: (0..out_lanes).map(|_| VecDeque::new()).collect(),
             queue_mask: vec![0; out_ports],
             queue_ports: vec![0; out_ports.div_ceil(64)],
@@ -368,21 +378,15 @@ impl CbState {
         }
     }
 
-    /// The route held by a staged packet, if any.
+    /// Empties staging lane `lane = port * vcs + vc`, clearing its
+    /// occupancy bit.
     #[inline(always)]
-    fn stage_route(&self, lane: usize) -> Option<RouteDecision> {
-        held_route(self.stage_route_port[lane], self.stage_route_vc[lane])
-    }
-
-    /// Empties a staging lane, clearing its occupancy bit.
-    #[inline(always)]
-    fn take_stage(&mut self, lane: usize) -> FlitRef {
-        let fr = self.stage_slot[lane];
+    fn take_stage(&mut self, lane: usize, port: usize, vc: usize) -> FlitRef {
+        let fr = std::mem::replace(&mut self.stage[lane].slot, FlitRef::INVALID);
         debug_assert!(fr.is_valid(), "take from empty staging lane");
-        self.stage_slot[lane] = FlitRef::INVALID;
-        let port = self.stage_occ_port[lane] as usize;
-        self.stage_occ[port] &= !self.stage_occ_bit[lane];
-        if self.stage_occ[port] == 0 {
+        let inp = &mut self.inp[port];
+        inp.occ &= !(1 << vc);
+        if inp.occ == 0 {
             mask_clear(&mut self.stage_ports, port);
         }
         fr
@@ -395,45 +399,71 @@ enum ArchState {
     Cb(CbState),
 }
 
+/// One output port: its ST register, the input round-robin pointer, and
+/// the edge allocator's arbitration scratch.
+#[derive(Debug, Clone, Copy)]
+struct OutPort {
+    /// ST register (valid iff the port's `st_mask` bit is set).
+    st_flit: FlitRef,
+    st_vc: u8,
+    /// Round-robin pointer (input selection).
+    rr: u32,
+    /// Edge output arbitration: the winning nomination's index and
+    /// priority. Written only together with the port's
+    /// `scratch_touched` bit and reset as that output is granted, so
+    /// between allocation calls both read `u32::MAX`.
+    winner: u32,
+    prio: u32,
+}
+
+/// One network output lane (`[out_port * vcs + vc]`): the wormhole
+/// owner (raw packet id, [`NO_PKT`] = free) and the credits toward the
+/// downstream buffer.
+#[derive(Debug, Clone, Copy)]
+struct OutLane {
+    pkt: u64,
+    credits: u32,
+}
+
 /// The output side shared by both router architectures: ST registers,
-/// wormhole VC ownership, and credit counters — flat arrays with an
-/// ST-occupancy bitmask.
+/// wormhole VC ownership, and credit counters, with an ST-occupancy
+/// bitmask.
 #[derive(Debug, Clone)]
 struct OutputSide {
     net_ports: usize,
     vcs: usize,
     credited: bool,
-    /// ST register per output port (valid iff the `st_mask` bit is set).
-    st_flit: Vec<FlitRef>,
-    st_vc: Vec<u8>,
+    ports: Vec<OutPort>,
+    lanes: Vec<OutLane>,
     /// Occupied-ST bitmask words over output ports.
     st_mask: Vec<u64>,
     /// Occupied ST registers — `drain_st` returns without scanning
     /// when 0.
     st_live: usize,
-    /// Wormhole output-VC allocation per network output lane
-    /// (`[out_port * vcs + vc]`, raw packet id, [`NO_PKT`] = free).
-    out_pkt: Vec<u64>,
-    /// Credits toward downstream per network output lane.
-    credits: Vec<u32>,
-    /// Round-robin pointer per output port (input selection).
-    rr_out: Vec<usize>,
 }
 
 impl OutputSide {
     fn new(net_ports: usize, local_ports: usize, vcs: usize, credited: bool) -> Self {
         let out_ports = net_ports + local_ports;
+        let idle = OutPort {
+            st_flit: FlitRef::INVALID,
+            st_vc: 0,
+            rr: 0,
+            winner: u32::MAX,
+            prio: u32::MAX,
+        };
+        let free = OutLane {
+            pkt: NO_PKT,
+            credits: 0,
+        };
         OutputSide {
             net_ports,
             vcs,
             credited,
-            st_flit: vec![FlitRef::INVALID; out_ports],
-            st_vc: vec![0; out_ports],
+            ports: vec![idle; out_ports],
+            lanes: vec![free; net_ports * vcs],
             st_mask: vec![0; out_ports.div_ceil(64)],
             st_live: 0,
-            out_pkt: vec![NO_PKT; net_ports * vcs],
-            credits: vec![0; net_ports * vcs],
-            rr_out: vec![0; out_ports],
         }
     }
 
@@ -460,13 +490,12 @@ impl OutputSide {
             return true; // ejection: node always consumes
         }
         // Wormhole VC allocation.
-        let lane = out.port * self.vcs + out.vc;
-        let holder = self.out_pkt[lane];
-        if holder != NO_PKT && holder != pkt {
+        let lane = &self.lanes[out.port * self.vcs + out.vc];
+        if lane.pkt != NO_PKT && lane.pkt != pkt {
             return false;
         }
         if self.credited {
-            self.credits[lane] > 0
+            lane.credits > 0
         } else {
             link_ready(out.port, out.vc)
         }
@@ -477,30 +506,31 @@ impl OutputSide {
     fn commit(&mut self, out: RouteDecision, flit: FlitRef, arena: &mut FlitArena) {
         if out.port < self.net_ports {
             let f = arena.get_mut(flit);
-            let lane = out.port * self.vcs + out.vc;
+            let lane = &mut self.lanes[out.port * self.vcs + out.vc];
             if f.kind.is_head() {
                 debug_assert_ne!(f.packet.0, NO_PKT, "packet id collides with sentinel");
-                self.out_pkt[lane] = f.packet.0;
+                lane.pkt = f.packet.0;
             }
             if f.kind.is_tail() {
-                self.out_pkt[lane] = NO_PKT;
+                lane.pkt = NO_PKT;
             }
             f.hops += 1;
             if self.credited {
-                self.credits[lane] -= 1;
+                lane.credits -= 1;
             }
         }
         self.st_live += 1;
-        self.st_flit[out.port] = flit;
-        self.st_vc[out.port] = out.vc as u8;
+        let port = &mut self.ports[out.port];
+        port.st_flit = flit;
+        port.st_vc = out.vc as u8;
         mask_set(&mut self.st_mask, out.port);
     }
 
     /// Available credits of one port, summed over its VC row.
     fn credit_scan(&self, out_port: usize) -> usize {
-        self.credits[out_port * self.vcs..(out_port + 1) * self.vcs]
+        self.lanes[out_port * self.vcs..(out_port + 1) * self.vcs]
             .iter()
-            .map(|&c| c as usize)
+            .map(|l| l.credits as usize)
             .sum()
     }
 }
@@ -536,23 +566,12 @@ pub(crate) struct RouterCore {
     pub vcs: usize,
     arch: ArchState,
     out: OutputSide,
-    /// Round-robin pointer per input port (VC selection).
-    rr_in: Vec<usize>,
     /// Flits currently inside the router (buffers, staging, CB queues,
     /// ST registers). `0` means the router is idle and the cycle loop
     /// can skip it entirely.
     live_flits: usize,
     /// Reusable allocation scratch: input nominations.
     scratch_noms: Vec<(usize, usize, RouteDecision)>,
-    /// Edge output arbitration: winning nomination index per output
-    /// port (`u32::MAX` = none). Persistent and `out_ports` long; an
-    /// entry is written only together with its `scratch_touched` bit
-    /// and reset as that output is granted, so between allocation calls
-    /// every entry reads `u32::MAX`.
-    scratch_winner: Vec<u32>,
-    /// Edge output arbitration: winning priority per output port, reset
-    /// alongside `scratch_winner`.
-    scratch_prio: Vec<u32>,
     /// Edge output arbitration: port mask of the outputs nominated in
     /// this call — the grant pass walks (and clears) its set bits.
     scratch_touched: Vec<u64>,
@@ -563,11 +582,9 @@ pub(crate) struct RouterCore {
 /// clears it before filling.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AllocResult {
-    /// Network input ports whose buffer freed one slot: `(port, vc)` —
-    /// the network returns one credit upstream for each.
-    pub freed_inputs: Vec<(usize, usize)>,
-    /// Injection input ports that freed a slot: `(local_index, vc)`.
-    pub freed_injection: Vec<(usize, usize)>,
+    /// Input lanes that freed one slot: `(port, vc)` — for a network
+    /// port the network returns one credit upstream.
+    pub freed: Vec<(usize, usize)>,
     /// Number of buffer read+write pairs performed (activity counter).
     pub buffer_accesses: u64,
     /// Number of central-buffer writes (activity counter).
@@ -588,19 +605,9 @@ pub(crate) struct AllocResult {
 }
 
 impl AllocResult {
-    /// Records the slot input `port` just freed on `vc`.
-    fn freed(&mut self, port: usize, vc: usize, net_ports: usize) {
-        if port < net_ports {
-            self.freed_inputs.push((port, vc));
-        } else {
-            self.freed_injection.push((port - net_ports, vc));
-        }
-    }
-
     /// Resets the result for reuse (keeps the Vec capacities).
     pub(crate) fn clear(&mut self) {
-        self.freed_inputs.clear();
-        self.freed_injection.clear();
+        self.freed.clear();
         self.buffer_accesses = 0;
         self.cb_writes = 0;
         self.cb_reads = 0;
@@ -646,11 +653,8 @@ impl RouterCore {
             vcs,
             arch,
             out: OutputSide::new(net_ports, local_ports, vcs, link_mode == LinkMode::Credited),
-            rr_in: vec![0; in_ports],
             live_flits: 0,
             scratch_noms: Vec::with_capacity(in_ports),
-            scratch_winner: vec![u32::MAX; out_ports],
-            scratch_prio: vec![u32::MAX; out_ports],
             scratch_touched: vec![0; out_ports.div_ceil(64)],
         }
     }
@@ -658,22 +662,21 @@ impl RouterCore {
     /// Initializes credit counters for a network output port.
     pub(crate) fn set_credits(&mut self, out_port: usize, per_vc: usize) {
         let per = u32::try_from(per_vc).expect("credit count fits u32");
-        let base = out_port * self.vcs;
-        for vc in 0..self.vcs {
-            self.out.credits[base + vc] = per;
+        for lane in &mut self.out.lanes[out_port * self.vcs..(out_port + 1) * self.vcs] {
+            lane.credits = per;
         }
     }
 
     /// Adds one returned credit.
     pub(crate) fn add_credit(&mut self, out_port: usize, vc: usize) {
-        self.out.credits[out_port * self.vcs + vc] += 1;
+        self.out.lanes[out_port * self.vcs + vc].credits += 1;
     }
 
     /// Whether input `port` can accept a flit on `vc` right now.
     pub(crate) fn can_deliver(&self, port: usize, vc: usize) -> bool {
         match &self.arch {
             ArchState::Edge(lanes) => !lanes.is_full(port * self.vcs + vc),
-            ArchState::Cb(cb) => cb.stage_occ[port] >> vc & 1 == 0,
+            ArchState::Cb(cb) => cb.inp[port].occ >> vc & 1 == 0,
         }
     }
 
@@ -698,46 +701,44 @@ impl RouterCore {
                     "input buffer overflow at {} port {port} vc {vc}",
                     self.id
                 );
-                lanes.push(lane, flit);
+                lanes.push(lane, port, vc, flit);
             }
             ArchState::Cb(cb) => {
                 assert!(
-                    cb.stage_occ[port] >> vc & 1 == 0,
+                    cb.inp[port].occ >> vc & 1 == 0,
                     "staging overflow at {} port {port} vc {vc}",
                     self.id
                 );
-                cb.stage_slot[lane] = flit;
-                cb.stage_occ[port] |= 1 << vc;
+                cb.stage[lane].slot = flit;
+                cb.inp[port].occ |= 1 << vc;
                 mask_set(&mut cb.stage_ports, port);
             }
         }
     }
 
-    /// Drains the ST registers into `out` (cleared first): the flits
-    /// traversing the switch this cycle, by output port. Takes a caller
-    /// scratch buffer so the cycle loop allocates nothing.
-    pub(crate) fn drain_st(&mut self, out: &mut Vec<(usize, StFlit)>) {
-        out.clear();
+    /// Drains the ST registers: hands `visit` each flit traversing the
+    /// switch this cycle with its output port, ports ascending.
+    pub(crate) fn drain_st(&mut self, mut visit: impl FnMut(usize, StFlit)) {
         if self.out.st_live == 0 {
             return;
         }
         for (w, word) in self.out.st_mask.iter_mut().enumerate() {
-            let mut m = *word;
+            let mut m = std::mem::take(word);
             while m != 0 {
                 let port = (w << 6) | m.trailing_zeros() as usize;
                 m &= m - 1;
-                out.push((
+                let st = &self.out.ports[port];
+                visit(
                     port,
                     StFlit {
-                        flit: self.out.st_flit[port],
-                        out_vc: self.out.st_vc[port] as usize,
+                        flit: st.st_flit,
+                        out_vc: st.st_vc as usize,
                     },
-                ));
+                );
             }
-            *word = 0;
         }
-        self.live_flits -= out.len();
-        self.out.st_live -= out.len();
+        self.live_flits -= self.out.st_live;
+        self.out.st_live = 0;
     }
 
     /// Whether the router holds no flits at all (nothing to allocate,
@@ -776,9 +777,9 @@ impl RouterCore {
     /// for the `live_flits` counter (debug assertions only).
     fn recount_flits(&self) -> usize {
         let inside: usize = match &self.arch {
-            ArchState::Edge(lanes) => lanes.len.iter().map(|&n| n as usize).sum(),
+            ArchState::Edge(lanes) => lanes.lane.iter().map(|l| l.len as usize).sum(),
             ArchState::Cb(cb) => {
-                let s = cb.stage_slot.iter().filter(|s| s.is_valid()).count();
+                let s = cb.stage.iter().filter(|s| s.slot.is_valid()).count();
                 let q: usize = cb.queues.iter().map(VecDeque::len).sum();
                 s + q
             }
@@ -845,39 +846,36 @@ impl RouterCore {
         let out_ports = in_ports;
         let nominations = &mut self.scratch_noms;
         nominations.clear();
-        let winner = &mut self.scratch_winner;
-        let best = &mut self.scratch_prio;
         let touched = &mut self.scratch_touched;
         let ArchState::Edge(lanes) = &mut self.arch else {
             unreachable!()
         };
         let out = &mut self.out;
-        let rr_in = &mut self.rr_in;
         // Pass 1 (input arbitration): each non-empty input port, in
         // ascending order, nominates one VC. The port mask drives the
         // walk — empty ports are never visited — and the occupancy word
-        // skips clear bits without touching the ring slab. A lane
+        // skips clear bits without touching the lanes. A lane
         // mid-packet answers from its held route; otherwise the front
         // flit is a head, read from the arena and routed here.
         for port in ports_in(&lanes.port_mask, 0, in_ports) {
             result.ports_examined += 1;
-            let occ = lanes.occ[port];
-            let start = rr_in[port];
+            let InPort { occ, rr } = lanes.inp[port];
             for i in 0..vcs {
-                let vc = fast_wrap(start + i, vcs);
+                let vc = fast_wrap(rr as usize + i, vcs);
                 if occ >> vc & 1 == 0 {
                     continue;
                 }
                 result.lanes_examined += 1;
                 let lane = port * vcs + vc;
-                let (route, pkt) = match lanes.route(lane) {
+                let l = &lanes.lane[lane];
+                let (route, pkt) = match held_route(l.route_port, l.route_vc) {
                     Some(held) => {
                         debug_assert_eq!(
                             arena.get(lanes.front(lane)).packet.0,
-                            lanes.route_pkt[lane],
+                            l.route_pkt,
                             "held route outlived its packet at {id} port {port} vc {vc}",
                         );
-                        (held, lanes.route_pkt[lane])
+                        (held, l.route_pkt)
                     }
                     None => {
                         let head = arena.get(lanes.front(lane));
@@ -900,15 +898,16 @@ impl RouterCore {
         // grant sequence bit-for-bit, without the O(n log n) sort that
         // dominated the saturated-load profile. Only nominated outputs
         // are visited: `touched` records them, and walking its set bits
-        // ascending is the same order as walking every `winner` slot.
+        // ascending is the same order as walking every output.
         for (i, &(port, _, route)) in nominations.iter().enumerate() {
-            // `rr_out` entries stay `< out_ports` by construction, so
-            // the dividend is `< 2 * out_ports` and the round-robin
-            // distance needs no hardware divide.
-            let prio = fast_wrap(port + out_ports - out.rr_out[route.port], out_ports) as u32;
-            if prio < best[route.port] {
-                best[route.port] = prio;
-                winner[route.port] = i as u32;
+            let o = &mut out.ports[route.port];
+            // `rr` stays `< out_ports` by construction, so the dividend
+            // is `< 2 * out_ports` and the round-robin distance needs no
+            // hardware divide.
+            let prio = fast_wrap(port + out_ports - o.rr as usize, out_ports) as u32;
+            if prio < o.prio {
+                o.prio = prio;
+                o.winner = i as u32;
                 mask_set(touched, route.port);
             }
         }
@@ -917,29 +916,31 @@ impl RouterCore {
             while m != 0 {
                 let out_port = (w << 6) | m.trailing_zeros() as usize;
                 m &= m - 1;
-                let won = std::mem::replace(&mut winner[out_port], u32::MAX);
-                best[out_port] = u32::MAX;
+                let o = &mut out.ports[out_port];
+                let won = std::mem::replace(&mut o.winner, u32::MAX);
+                o.prio = u32::MAX;
                 let (port, vc, route) = nominations[won as usize];
                 debug_assert_eq!(route.port, out_port, "winner slot of another output");
                 debug_assert!(!out.st_occupied(route.port), "nominated an occupied ST");
                 let lane = port * vcs + vc;
-                let fr = lanes.pop(lane);
+                let fr = lanes.pop(lane, port, vc);
                 let f = arena.get(fr);
                 let kind = f.kind;
+                let l = &mut lanes.lane[lane];
                 if kind.is_head() {
-                    lanes.route_port[lane] = route.port as u16;
-                    lanes.route_vc[lane] = route.vc as u8;
-                    lanes.route_pkt[lane] = f.packet.0;
+                    l.route_port = route.port as u16;
+                    l.route_vc = route.vc as u8;
+                    l.route_pkt = f.packet.0;
                 }
                 if kind.is_tail() {
-                    lanes.route_port[lane] = NO_ROUTE;
-                    lanes.route_pkt[lane] = NO_PKT;
+                    l.route_port = NO_ROUTE;
+                    l.route_pkt = NO_PKT;
                 }
-                rr_in[port] = fast_wrap(vc + 1, vcs);
-                out.rr_out[route.port] = fast_wrap(port + 1, in_ports);
+                lanes.inp[port].rr = fast_wrap(vc + 1, vcs) as u32;
+                out.ports[out_port].rr = fast_wrap(port + 1, in_ports) as u32;
                 result.buffer_accesses += 1;
                 result.alloc_grants += 1;
-                result.freed(port, vc, net_ports);
+                result.freed.push((port, vc));
                 out.commit(route, fr, arena);
             }
         }
@@ -965,7 +966,6 @@ impl RouterCore {
             unreachable!()
         };
         let out = &mut self.out;
-        let rr_in = &mut self.rr_in;
 
         // Phase A1: the single CB read port serves one eligible flit,
         // round-robin over the outputs with a non-empty CB queue.
@@ -1006,10 +1006,9 @@ impl RouterCore {
         // (an output the read phase just took shows as an occupied ST).
         for port in ports_in(&cb.stage_ports, 0, in_ports) {
             result.ports_examined += 1;
-            let occ = cb.stage_occ[port];
-            let start = rr_in[port];
+            let InPort { occ, rr } = cb.inp[port];
             for i in 0..vcs {
-                let vc = fast_wrap(start + i, vcs);
+                let vc = fast_wrap(rr as usize + i, vcs);
                 if occ >> vc & 1 == 0 {
                     continue;
                 }
@@ -1017,12 +1016,12 @@ impl RouterCore {
                 let lane = port * vcs + vc;
                 // A packet committed to the CB keeps using it (atomic CB
                 // allocation, §4.3); others try the bypass.
-                if cb.stage_mode[lane] == MODE_CENTRAL {
+                let st = &cb.stage[lane];
+                if st.mode == MODE_CENTRAL {
                     continue;
                 }
-                let f = arena.get(cb.stage_slot[lane]);
-                let route = cb
-                    .stage_route(lane)
+                let f = arena.get(st.slot);
+                let route = held_route(st.route_port, st.route_vc)
                     .unwrap_or_else(|| compute_route(id, net_ports, vcs, table, concentration, f));
                 // Ordering: a *head* never bypasses a non-empty CB queue
                 // for the same (output, VC) — packets on a VC stay in
@@ -1044,21 +1043,22 @@ impl RouterCore {
                 continue; // an earlier nomination won this output
             }
             let lane = port * vcs + vc;
-            let fr = cb.take_stage(lane);
+            let fr = cb.take_stage(lane, port, vc);
             let kind = arena.get(fr).kind;
+            let st = &mut cb.stage[lane];
             if kind.is_head() {
-                cb.stage_route_port[lane] = route.port as u16;
-                cb.stage_route_vc[lane] = route.vc as u8;
-                cb.stage_mode[lane] = MODE_BYPASS;
+                st.route_port = route.port as u16;
+                st.route_vc = route.vc as u8;
+                st.mode = MODE_BYPASS;
             }
             if kind.is_tail() {
-                cb.stage_route_port[lane] = NO_ROUTE;
-                cb.stage_mode[lane] = MODE_NONE;
+                st.route_port = NO_ROUTE;
+                st.mode = MODE_NONE;
             }
-            rr_in[port] = fast_wrap(vc + 1, vcs);
+            cb.inp[port].rr = fast_wrap(vc + 1, vcs) as u32;
             result.bypasses += 1;
             result.alloc_grants += 1;
-            result.freed(port, vc, net_ports);
+            result.freed.push((port, vc));
             out.commit(route, fr, arena);
         }
 
@@ -1066,16 +1066,16 @@ impl RouterCore {
         // staging, round-robin over the inputs with an occupied slot.
         'write: for port in ports_from(&cb.stage_ports, cb.rr_write, in_ports) {
             result.ports_examined += 1;
-            let occ = cb.stage_occ[port];
+            let occ = cb.inp[port].occ;
             for vc in 0..vcs {
                 if occ >> vc & 1 == 0 {
                     continue;
                 }
                 result.lanes_examined += 1;
                 let lane = port * vcs + vc;
-                let f = arena.get(cb.stage_slot[lane]);
-                let route = cb
-                    .stage_route(lane)
+                let st = cb.stage[lane];
+                let f = arena.get(st.slot);
+                let route = held_route(st.route_port, st.route_vc)
                     .unwrap_or_else(|| compute_route(id, net_ports, vcs, table, concentration, f));
                 let kind = f.kind;
                 let pkt = f.packet.0;
@@ -1084,7 +1084,7 @@ impl RouterCore {
                 // (atomic allocation) and no other packet is still
                 // streaming through the target queue; bodies follow
                 // their head.
-                let admit = match cb.stage_mode[lane] {
+                let admit = match st.mode {
                     MODE_CENTRAL => true,
                     MODE_BYPASS => false,
                     _ => {
@@ -1098,17 +1098,18 @@ impl RouterCore {
                     continue;
                 }
                 let out_lane = route.port * vcs + route.vc;
-                let fr = cb.take_stage(lane);
+                let fr = cb.take_stage(lane, port, vc);
+                let st = &mut cb.stage[lane];
                 if kind.is_head() {
-                    cb.stage_route_port[lane] = route.port as u16;
-                    cb.stage_route_vc[lane] = route.vc as u8;
-                    cb.stage_mode[lane] = MODE_CENTRAL;
+                    st.route_port = route.port as u16;
+                    st.route_vc = route.vc as u8;
+                    st.mode = MODE_CENTRAL;
                     cb.free -= plen;
                     cb.open_pkt[out_lane] = pkt;
                 }
                 if kind.is_tail() {
-                    cb.stage_route_port[lane] = NO_ROUTE;
-                    cb.stage_mode[lane] = MODE_NONE;
+                    st.route_port = NO_ROUTE;
+                    st.mode = MODE_NONE;
                     cb.open_pkt[out_lane] = NO_PKT;
                 }
                 // The buffered path adds two cycles over the bypass.
@@ -1122,7 +1123,7 @@ impl RouterCore {
                 cb.rr_write = fast_wrap(port + 1, in_ports);
                 result.cb_writes += 1;
                 result.alloc_grants += 1;
-                result.freed(port, vc, net_ports);
+                result.freed.push((port, vc));
                 break 'write;
             }
         }
@@ -1130,15 +1131,16 @@ impl RouterCore {
 }
 
 impl RouterCore {
-    /// Verifies every derived SoA structure against its ground truth:
+    /// Verifies every derived structure against its ground truth:
     /// occupancy words vs lane contents, port masks vs occupancy words,
-    /// the ST mask vs the ST-live counter, and the arbitration scratch
-    /// being at rest. Used
-    /// by the shadow-model property suite; panics on any drift.
+    /// held routes vs their owners, ring cursors and round-robin
+    /// pointers in range, the ST mask vs the ST-live counter, and the
+    /// arbitration scratch being at rest. Used by the shadow-model
+    /// property suite; panics on any drift.
     #[cfg(test)]
-    pub(crate) fn verify_soa_invariants(&self) {
+    pub(crate) fn verify_invariants(&self) {
         let in_ports = self.net_ports + self.local_ports;
-        // Bit `p` of a port mask ⇔ word `p` is non-zero.
+        // Bit `p` of a port mask ⇔ word `p` is non-zero, no stray bits.
         let assert_port_mask = |mask: &[u64], words: &[u64], what: &str| {
             assert_eq!(mask.len(), words.len().div_ceil(64), "{what} mask length");
             for (port, &word) in words.iter().enumerate() {
@@ -1153,55 +1155,52 @@ impl RouterCore {
             let nonzero = words.iter().filter(|&&w| w != 0).count();
             assert_eq!(set as usize, nonzero, "{what} port mask has stray bits");
         };
-        assert!(
-            self.scratch_winner.iter().all(|&w| w == u32::MAX)
-                && self.scratch_prio.iter().all(|&p| p == u32::MAX)
-                && self.scratch_touched.iter().all(|&w| w == 0),
-            "arbitration scratch not reset at {}",
-            self.id
-        );
-        assert_eq!(self.scratch_winner.len(), in_ports);
-        assert_eq!(self.scratch_prio.len(), in_ports);
+        // Occupancy word `p` ⇔ which of port `p`'s lanes hold a flit.
+        let assert_in_ports = |inp: &[InPort], holds: &dyn Fn(usize) -> bool, what: &str| {
+            assert_eq!(inp.len(), in_ports, "{what} port count");
+            for (port, p) in inp.iter().enumerate() {
+                let word = (0..self.vcs)
+                    .filter(|vc| holds(port * self.vcs + vc))
+                    .fold(0u64, |w, vc| w | 1 << vc);
+                assert_eq!(
+                    word, p.occ,
+                    "{what} word drifted at {} port {port}",
+                    self.id
+                );
+                assert!((p.rr as usize) < self.vcs, "{what} rr out of range");
+            }
+            inp.iter().map(|p| p.occ).collect::<Vec<u64>>()
+        };
+        assert_eq!(self.out.ports.len(), in_ports);
+        for (port, o) in self.out.ports.iter().enumerate() {
+            assert!(
+                o.winner == u32::MAX && o.prio == u32::MAX,
+                "arbitration scratch not reset at {} output {port}",
+                self.id
+            );
+            assert!((o.rr as usize) < in_ports, "output rr out of range");
+        }
+        assert!(self.scratch_touched.iter().all(|&w| w == 0));
         match &self.arch {
             ArchState::Edge(lanes) => {
-                for port in 0..in_ports {
-                    let mut word = 0u64;
-                    for vc in 0..self.vcs {
-                        if lanes.len[port * self.vcs + vc] > 0 {
-                            word |= 1 << vc;
-                        }
-                    }
+                let occ = assert_in_ports(&lanes.inp, &|l| lanes.lane[l].len > 0, "edge");
+                assert_port_mask(&lanes.port_mask, &occ, "edge");
+                for (lane, l) in lanes.lane.iter().enumerate() {
+                    assert!(l.len <= l.cap && l.head < l.cap.max(1), "ring cursors");
                     assert_eq!(
-                        word, lanes.occ[port],
-                        "edge occupancy word drifted at {} port {port}",
-                        self.id
-                    );
-                }
-                assert_port_mask(&lanes.port_mask, &lanes.occ, "edge");
-                for lane in 0..in_ports * self.vcs {
-                    assert_eq!(
-                        lanes.route_port[lane] == NO_ROUTE,
-                        lanes.route_pkt[lane] == NO_PKT,
+                        l.route_port == NO_ROUTE,
+                        l.route_pkt == NO_PKT,
                         "route holder drifted at lane {lane} of {}",
                         self.id
                     );
                 }
             }
             ArchState::Cb(cb) => {
-                for port in 0..in_ports {
-                    let mut word = 0u64;
-                    for vc in 0..self.vcs {
-                        if cb.stage_slot[port * self.vcs + vc].is_valid() {
-                            word |= 1 << vc;
-                        }
-                    }
-                    assert_eq!(
-                        word, cb.stage_occ[port],
-                        "staging occupancy word drifted at {} port {port}",
-                        self.id
-                    );
+                let occ = assert_in_ports(&cb.inp, &|l| cb.stage[l].slot.is_valid(), "staging");
+                assert_port_mask(&cb.stage_ports, &occ, "staging");
+                for st in &cb.stage {
+                    assert_eq!(st.route_port == NO_ROUTE, st.mode == MODE_NONE);
                 }
-                assert_port_mask(&cb.stage_ports, &cb.stage_occ, "staging");
                 for out_port in 0..in_ports {
                     let mut word = 0u64;
                     for vc in 0..self.vcs {
@@ -1251,21 +1250,20 @@ impl RouterCore {
         let ArchState::Edge(lanes) = &self.arch else {
             unreachable!("fault sweeps run on the edge-buffer datapath only")
         };
-        for lane in 0..lanes.route_port.len() {
-            let p = lanes.route_port[lane];
+        for l in &lanes.lane {
+            let p = l.route_port;
             if p != NO_ROUTE && (p as usize) < self.net_ports && dead_out(p as usize) {
-                out.push(lanes.route_pkt[lane]);
+                out.push(l.route_pkt);
             }
         }
         for port in 0..self.net_ports {
             if self.out.st_occupied(port) && dead_out(port) {
-                out.push(arena.get(self.out.st_flit[port]).packet.0);
+                out.push(arena.get(self.out.ports[port].st_flit).packet.0);
             }
         }
-        for lane in 0..self.net_ports * self.vcs {
-            let holder = self.out.out_pkt[lane];
-            if holder != NO_PKT && dead_out(lane / self.vcs) {
-                out.push(holder);
+        for (lane, l) in self.out.lanes.iter().enumerate() {
+            if l.pkt != NO_PKT && dead_out(lane / self.vcs) {
+                out.push(l.pkt);
             }
         }
     }
@@ -1277,19 +1275,15 @@ impl RouterCore {
         let ArchState::Edge(lanes) = &self.arch else {
             unreachable!("fault sweeps run on the edge-buffer datapath only")
         };
-        for lane in 0..lanes.len.len() {
-            for i in 0..u32::from(lanes.len[lane]) {
-                let mut pos = u32::from(lanes.head[lane]) + i;
-                if pos >= lanes.cap[lane] {
-                    pos -= lanes.cap[lane];
-                }
-                visit(lanes.slots[(lanes.base[lane] + pos) as usize], None);
+        for l in &lanes.lane {
+            for i in 0..l.len {
+                visit(lanes.slots[EdgeLanes::slot(l, i)], None);
             }
         }
         for port in 0..self.net_ports + self.local_ports {
             if self.out.st_occupied(port) {
                 visit(
-                    self.out.st_flit[port],
+                    self.out.ports[port].st_flit,
                     (port < self.net_ports).then_some(port),
                 );
             }
@@ -1316,12 +1310,13 @@ impl RouterCore {
         };
         let mut dropped_here = 0usize;
         let mut kept: Vec<FlitRef> = Vec::new();
-        for lane in 0..lanes.len.len() {
-            let n = lanes.len[lane];
+        for lane in 0..lanes.lane.len() {
+            let (port, vc) = (lane / vcs, lane % vcs);
+            let n = lanes.lane[lane].len;
             if n > 0 {
                 kept.clear();
                 for _ in 0..n {
-                    let fr = lanes.pop(lane);
+                    let fr = lanes.pop(lane, port, vc);
                     if drop_pkt(arena.get(fr).packet.0) {
                         removed.push(arena.remove(fr));
                         dropped_here += 1;
@@ -1330,29 +1325,30 @@ impl RouterCore {
                     }
                 }
                 for &fr in &kept {
-                    lanes.push(lane, fr);
+                    lanes.push(lane, port, vc, fr);
                 }
             }
-            if lanes.route_port[lane] != NO_ROUTE && drop_pkt(lanes.route_pkt[lane]) {
-                lanes.route_port[lane] = NO_ROUTE;
-                lanes.route_pkt[lane] = NO_PKT;
+            let l = &mut lanes.lane[lane];
+            if l.route_port != NO_ROUTE && drop_pkt(l.route_pkt) {
+                l.route_port = NO_ROUTE;
+                l.route_pkt = NO_PKT;
             }
         }
         for port in 0..net_ports + self.local_ports {
             if self.out.st_occupied(port) {
-                let fr = self.out.st_flit[port];
+                let fr = self.out.ports[port].st_flit;
                 if drop_pkt(arena.get(fr).packet.0) {
                     removed.push(arena.remove(fr));
-                    self.out.st_flit[port] = FlitRef::INVALID;
+                    self.out.ports[port].st_flit = FlitRef::INVALID;
                     mask_clear(&mut self.out.st_mask, port);
                     self.out.st_live -= 1;
                     dropped_here += 1;
                 }
             }
         }
-        for lane in 0..net_ports * vcs {
-            if self.out.out_pkt[lane] != NO_PKT && drop_pkt(self.out.out_pkt[lane]) {
-                self.out.out_pkt[lane] = NO_PKT;
+        for l in &mut self.out.lanes {
+            if l.pkt != NO_PKT && drop_pkt(l.pkt) {
+                l.pkt = NO_PKT;
             }
         }
         self.live_flits -= dropped_here;
@@ -1361,7 +1357,7 @@ impl RouterCore {
     /// Fault support: overwrites one output lane's credit counter with a
     /// ground-truth recount.
     pub(crate) fn set_lane_credits(&mut self, out_port: usize, vc: usize, value: usize) {
-        self.out.credits[out_port * self.vcs + vc] =
+        self.out.lanes[out_port * self.vcs + vc].credits =
             u32::try_from(value).expect("credit count fits u32");
     }
 
@@ -1369,15 +1365,15 @@ impl RouterCore {
     /// output VC `vc` — that flit has already consumed a credit, so the
     /// fault-time credit recount must account for it.
     pub(crate) fn st_holds(&self, out_port: usize, vc: usize) -> bool {
-        self.out.st_occupied(out_port) && self.out.st_vc[out_port] as usize == vc
+        self.out.st_occupied(out_port) && self.out.ports[out_port].st_vc as usize == vc
     }
 
     /// Flits buffered in one input lane (CBR: staging-slot occupancy as
     /// 0/1).
     pub(crate) fn lane_len(&self, port: usize, vc: usize) -> usize {
         match &self.arch {
-            ArchState::Edge(lanes) => lanes.len[port * self.vcs + vc] as usize,
-            ArchState::Cb(cb) => usize::from(cb.stage_slot[port * self.vcs + vc].is_valid()),
+            ArchState::Edge(lanes) => lanes.lane[port * self.vcs + vc].len as usize,
+            ArchState::Cb(cb) => usize::from(cb.stage[port * self.vcs + vc].slot.is_valid()),
         }
     }
 
@@ -1385,15 +1381,26 @@ impl RouterCore {
     #[cfg(test)]
     pub(crate) fn occupancy_word(&self, port: usize) -> u64 {
         match &self.arch {
-            ArchState::Edge(lanes) => lanes.occ[port],
-            ArchState::Cb(cb) => cb.stage_occ[port],
+            ArchState::Edge(lanes) => lanes.inp[port].occ,
+            ArchState::Cb(cb) => cb.inp[port].occ,
         }
+    }
+
+    /// The route an edge input lane holds, with its owner's raw packet
+    /// id (test introspection).
+    #[cfg(test)]
+    pub(crate) fn lane_route(&self, port: usize, vc: usize) -> Option<(RouteDecision, u64)> {
+        let ArchState::Edge(lanes) = &self.arch else {
+            unreachable!("staging lanes record no owner")
+        };
+        let l = &lanes.lane[port * self.vcs + vc];
+        held_route(l.route_port, l.route_vc).map(|route| (route, l.route_pkt))
     }
 
     /// Available credits on one output lane (test introspection).
     #[cfg(test)]
     pub(crate) fn credit(&self, out_port: usize, vc: usize) -> usize {
-        self.out.credits[out_port * self.vcs + vc] as usize
+        self.out.lanes[out_port * self.vcs + vc].credits as usize
     }
 
     /// Occupied ST registers (test introspection).
@@ -1404,7 +1411,7 @@ impl RouterCore {
 }
 
 #[cfg(test)]
-mod soa_props;
+mod lane_props;
 
 #[cfg(test)]
 mod tests {
@@ -1449,11 +1456,10 @@ mod tests {
         r
     }
 
-    /// Drains the ST registers through the scratch-buffer path (the same
-    /// path the cycle loop uses).
+    /// Drains the ST registers into a list, in visit order.
     fn take_st(r: &mut RouterCore) -> Vec<(usize, StFlit)> {
         let mut out = Vec::new();
-        r.drain_st(&mut out);
+        r.drain_st(|port, st| out.push((port, st)));
         out
     }
 
@@ -1467,7 +1473,7 @@ mod tests {
         // Inject via the local port.
         r.deliver(1, 0, f, &mut arena);
         let res = r.alloc(0, &table, 1, &mut arena, &|_, _| true);
-        assert_eq!(res.freed_injection.len(), 1);
+        assert_eq!(res.freed, vec![(1, 0)], "the injection lane");
         let st = take_st(&mut r);
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].0, 0, "departs through the network port");
@@ -1483,11 +1489,11 @@ mod tests {
         let f = arena.insert(head_to(2, 1));
         r.deliver(1, 0, f, &mut arena);
         let res = r.alloc(0, &table, 1, &mut arena, &|_, _| true);
-        assert!(res.freed_injection.is_empty(), "blocked without credits");
+        assert!(res.freed.is_empty(), "blocked without credits");
         assert!(take_st(&mut r).is_empty());
         r.add_credit(0, 0);
         let res = r.alloc(1, &table, 1, &mut arena, &|_, _| true);
-        assert_eq!(res.freed_injection.len(), 1);
+        assert_eq!(res.freed.len(), 1);
     }
 
     #[test]
@@ -1499,7 +1505,7 @@ mod tests {
         let f = arena.insert(head_to(0, 1));
         r.deliver(0, 0, f, &mut arena);
         let res = r.alloc(0, &table, 1, &mut arena, &|_, _| true);
-        assert_eq!(res.freed_inputs, vec![(0, 0)]);
+        assert_eq!(res.freed, vec![(0, 0)]);
         let st = take_st(&mut r);
         assert_eq!(st[0].0, 1, "ejection port");
         assert_eq!(
@@ -1672,8 +1678,9 @@ mod tests {
         let (_t, table) = table();
         let mut arena = FlitArena::default();
         let mut r = edge_router(1);
-        for round in 0..4u64 {
-            // Fill the injection lane (capacity 20 is plenty; use 3).
+        for round in 0..8u64 {
+            // Three flits a round through the 20-deep injection lane:
+            // the head wraps in round 6.
             let refs: Vec<FlitRef> = (0..3)
                 .map(|i| {
                     let mut f = head_to(2, 1);
@@ -1684,7 +1691,7 @@ mod tests {
             for &fr in &refs {
                 r.deliver(1, 0, fr, &mut arena);
             }
-            r.verify_soa_invariants();
+            r.verify_invariants();
             assert_eq!(r.occupancy_word(1) & 1, 1);
             for &fr in &refs {
                 let _ = r.alloc(round, &table, 1, &mut arena, &|_, _| true);
@@ -1695,7 +1702,47 @@ mod tests {
                 r.add_credit(st[0].0, st[0].1.out_vc);
             }
             assert_eq!(r.occupancy_word(1), 0, "lane emptied, bit cleared");
-            r.verify_soa_invariants();
+            r.verify_invariants();
+        }
+    }
+
+    #[test]
+    fn rings_wrap_at_the_shallowest_and_the_deepest_capacity() {
+        // `u16` cursors: at `cap = u16::MAX`, `head + len` passes
+        // `u16::MAX` and `head + 1` reaches it. Release builds wrap
+        // silently, so the FIFO order is the check.
+        let mut arena = FlitArena::default();
+        let pool: Vec<FlitRef> = (0..7).map(|_| arena.insert(head_to(2, 1))).collect();
+        for cap in [1, 2, 5, usize::from(u16::MAX)] {
+            // Lane 1 of 2: its ring starts where lane 0's ends.
+            let mut lanes = EdgeLanes::new(1, 2, &[cap]);
+            let mut shadow = VecDeque::new();
+            let (mut pushed, mut popped) = (0usize, 0usize);
+            // Fill, pop two thirds, three times over: the head laps the
+            // ring while the lane is non-empty, and ends past the wrap.
+            for _ in 0..3 {
+                while !lanes.is_full(1) {
+                    lanes.push(1, 0, 1, pool[pushed % 7]);
+                    shadow.push_back(pool[pushed % 7]);
+                    pushed += 1;
+                }
+                assert_eq!(shadow.len(), cap);
+                assert_eq!((lanes.inp[0].occ, lanes.port_mask[0]), (0b10, 1));
+                for _ in 0..(2 * cap).div_ceil(3) {
+                    assert_eq!(lanes.front(1), shadow[0]);
+                    assert_eq!(Some(lanes.pop(1, 0, 1)), shadow.pop_front(), "cap {cap}");
+                    popped += 1;
+                }
+            }
+            assert!(popped > cap, "the head wrapped at cap {cap}");
+            while let Some(expected) = shadow.pop_front() {
+                assert_eq!(lanes.pop(1, 0, 1), expected, "cap {cap}");
+            }
+            assert_eq!((lanes.inp[0].occ, lanes.port_mask[0]), (0, 0));
+            assert!(
+                lanes.slots[..cap].iter().all(|s| !s.is_valid()),
+                "lane 0 written"
+            );
         }
     }
 
@@ -1764,6 +1811,6 @@ mod tests {
         assert_eq!(res.ports_examined, 2, "two non-empty ports of five");
         assert_eq!(res.lanes_examined, 2);
         assert_eq!(res.alloc_grants, 2);
-        r.verify_soa_invariants();
+        r.verify_invariants();
     }
 }

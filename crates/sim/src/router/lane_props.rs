@@ -1,14 +1,15 @@
-//! Shadow-model property suite for the struct-of-arrays router
-//! datapath.
+//! Shadow-model property suite for the router datapath's lane and port
+//! records.
 //!
 //! Each case drives a single [`RouterCore`] (the center of a 3x3 mesh)
-//! through a random deliver/alloc/drain/credit sequence and checks the
-//! SoA hot state — per-lane ring lengths, occupancy bitmask words,
-//! per-VC credit counters, ST registers, the live-flit
-//! counter — against a naive shadow model that tracks the same
-//! quantities with plain nested vectors. After every operation the
-//! router additionally audits its own derived structures against a
-//! fresh recount (`verify_soa_invariants`).
+//! through a random deliver/alloc/drain/credit sequence of 1–6-flit
+//! packets into lanes of per-port depth and checks the hot state —
+//! per-lane ring contents and FIFO order, held routes, occupancy
+//! words, per-VC credit counters, ST registers, wormhole ownership of
+//! the output VCs, the live-flit counter — against a naive shadow model
+//! that tracks the same quantities with plain nested collections. After
+//! every operation the router additionally audits its own derived
+//! structures against a fresh recount (`verify_invariants`).
 //!
 //! Honors `PROPTEST_CASES` for deep-soak runs (see the vendored
 //! proptest's `ProptestConfig::effective_cases`).
@@ -17,6 +18,13 @@ use super::*;
 use crate::flit::PacketId;
 use proptest::prelude::*;
 use snoc_topology::{NodeId, Topology};
+use std::collections::HashMap;
+
+/// A packet whose flits are still arriving at an input lane.
+struct Arriving {
+    flits: Vec<Flit>,
+    next: usize,
+}
 
 /// The center router of a 3x3 mesh (4 network ports, 1 local port) with
 /// the context needed to drive it alone: a flit arena and the mesh's
@@ -27,28 +35,33 @@ struct Center {
     table: RoutingTable,
     topo: Topology,
     next_pid: u64,
+    /// Per input lane: the packet mid-delivery, if any. Flits of one
+    /// packet arrive in order on one lane, as a wormhole link delivers
+    /// them.
+    arriving: Vec<Option<Arriving>>,
 }
 
 impl Center {
-    /// `capacity` is the per-VC depth of every input lane; credited
-    /// links also start with `capacity` credits per output VC.
-    fn new(vcs: usize, capacity: usize, arch: RouterArch, credited: bool) -> Self {
+    /// `capacity[port]` is the per-VC depth of each input port's lanes
+    /// (the last entry is the injection port's); credited links start
+    /// with `credits` credits per output VC.
+    fn new(vcs: usize, capacity: &[usize], arch: RouterArch, credits: Option<usize>) -> Self {
         let topo = Topology::mesh(3, 3, 1);
         let table = RoutingTable::minimal(&topo);
         let center = RouterId(4);
         let net_ports = table.port_count(center);
         assert_eq!(net_ports, 4, "mesh center has 4 neighbors");
-        let link_mode = if credited {
-            LinkMode::Credited
-        } else {
-            LinkMode::Elastic
+        assert_eq!(capacity.len(), net_ports + 1);
+        let link_mode = match credits {
+            Some(_) => LinkMode::Credited,
+            None => LinkMode::Elastic,
         };
-        let caps = vec![capacity; net_ports];
-        let mut core = RouterCore::new(center, net_ports, 1, vcs, arch, link_mode, &caps, capacity);
-        if credited {
-            for p in 0..net_ports {
-                core.set_credits(p, capacity);
-            }
+        let (net_caps, inj_cap) = (&capacity[..net_ports], capacity[net_ports]);
+        let mut core = RouterCore::new(
+            center, net_ports, 1, vcs, arch, link_mode, net_caps, inj_cap,
+        );
+        for p in 0..net_ports {
+            core.set_credits(p, credits.unwrap_or(0));
         }
         Center {
             core,
@@ -56,6 +69,7 @@ impl Center {
             table,
             topo,
             next_pid: 0,
+            arriving: (0..capacity.len() * vcs).map(|_| None).collect(),
         }
     }
 
@@ -63,27 +77,32 @@ impl Center {
         self.core.net_ports + self.core.local_ports
     }
 
-    /// Delivers a fresh single-flit packet for node `dst` into
-    /// `(port, vc)` if there is space; returns whether it was accepted.
-    fn try_deliver(&mut self, port: usize, vc: usize, dst: usize) -> bool {
+    /// Delivers the next flit of the packet arriving on `(port, vc)` —
+    /// the head of a fresh `len`-flit packet for node `dst` if none is
+    /// mid-delivery — when there is space; returns the accepted flit.
+    fn try_deliver(&mut self, port: usize, vc: usize, dst: usize, len: u32) -> Option<FlitRef> {
         if !self.core.can_deliver(port, vc) {
-            return false;
+            return None;
         }
         let dst = NodeId(dst);
-        self.next_pid += 1;
-        let flit = Flit::packet(
-            PacketId(self.next_pid),
-            NodeId(0),
-            dst,
-            self.topo.router_of(dst),
-            1,
-            0,
-            true,
-            false,
-        )[0];
+        let router = self.topo.router_of(dst);
+        let slot = &mut self.arriving[port * self.core.vcs + vc];
+        let packet = slot.get_or_insert_with(|| {
+            self.next_pid += 1;
+            let id = PacketId(self.next_pid);
+            Arriving {
+                flits: Flit::packet(id, NodeId(0), dst, router, len, 0, true, false),
+                next: 0,
+            }
+        });
+        let flit = packet.flits[packet.next];
+        packet.next += 1;
+        if packet.next == packet.flits.len() {
+            *slot = None;
+        }
         let fr = self.arena.insert(flit);
         self.core.deliver(port, vc, fr, &mut self.arena);
-        true
+        Some(fr)
     }
 
     /// One allocation cycle with an always-ready link predicate.
@@ -93,16 +112,14 @@ impl Center {
     }
 
     /// Drains the ST registers, removing the departing flits from the
-    /// arena (there is no downstream). Returns `(out_port, vc)` pairs in
-    /// drain order.
-    fn drain(&mut self) -> Vec<(usize, usize)> {
+    /// arena (there is no downstream). Returns `(out_port, vc, ref,
+    /// flit)` in drain order.
+    fn drain(&mut self) -> Vec<(usize, usize, FlitRef, Flit)> {
         let mut st = Vec::new();
-        self.core.drain_st(&mut st);
+        self.core
+            .drain_st(|port, stf| st.push((port, stf.out_vc, stf.flit)));
         st.into_iter()
-            .map(|(port, stf)| {
-                self.arena.remove(stf.flit);
-                (port, stf.out_vc)
-            })
+            .map(|(port, vc, fr)| (port, vc, fr, self.arena.remove(fr)))
             .collect()
     }
 }
@@ -127,14 +144,21 @@ impl OpRng {
 
 /// Naive mirror of the edge router's hot state.
 struct EdgeShadow {
-    /// Flits queued per input lane `[port][vc]`.
-    lane: Vec<Vec<usize>>,
+    /// Flits queued per input lane `[port][vc]`, front first.
+    lane: Vec<Vec<VecDeque<FlitRef>>>,
+    /// Packet holding each input lane's route `[port][vc]`: set by a
+    /// head's grant, cleared by its tail's.
+    holder: Vec<Vec<Option<u64>>>,
+    /// Granted flits sitting in ST registers, not yet drained.
+    st: Vec<FlitRef>,
+    /// The output `(port, vc)` each packet's head left through.
+    left_by: HashMap<u64, (usize, usize)>,
+    /// Packet streaming through each network output VC `[port][vc]`.
+    out_owner: Vec<Vec<Option<u64>>>,
     /// Available credits per output lane `[port][vc]` (credited mode).
     credit: Vec<Vec<usize>>,
     /// Credits consumed downstream but not yet returned `[port][vc]`.
     owed: Vec<Vec<usize>>,
-    /// Flits sitting in ST registers (granted, not yet drained).
-    st: usize,
     /// Flits accepted minus flits drained.
     inside: usize,
 }
@@ -148,69 +172,106 @@ proptest! {
     fn edge_router_matches_shadow_model(
         seed in 0u64..=u64::MAX,
         vcs in prop::sample::select(vec![1usize, 2, 4]),
-        capacity in 1usize..5,
+        max_capacity in 1usize..7,
         credited in prop::sample::select(vec![true, false]),
-        steps in 40usize..140,
+        steps in 60usize..220,
     ) {
-        let mut h = Center::new(vcs, capacity, RouterArch::EdgeBuffer, credited);
+        let mut rng = OpRng(seed);
+        // EB-Var gives every port its own depth, so ring bases are not
+        // a multiple of anything.
+        let capacity: Vec<usize> = (0..5).map(|_| 1 + rng.below(max_capacity)).collect();
+        let credits = 1 + rng.below(4);
+        let mut h = Center::new(vcs, &capacity, RouterArch::EdgeBuffer, credited.then_some(credits));
         let in_ports = h.in_ports();
         let net_ports = h.core.net_ports;
         let nodes = h.topo.node_count();
-        let mut rng = OpRng(seed);
         let mut s = EdgeShadow {
-            lane: vec![vec![0; vcs]; in_ports],
-            credit: vec![vec![capacity; vcs]; net_ports],
+            lane: vec![vec![VecDeque::new(); vcs]; in_ports],
+            holder: vec![vec![None; vcs]; in_ports],
+            st: Vec::new(),
+            left_by: HashMap::new(),
+            out_owner: vec![vec![None; vcs]; net_ports],
+            credit: vec![vec![credits; vcs]; net_ports],
             owed: vec![vec![0; vcs]; net_ports],
-            st: 0,
             inside: 0,
         };
         let mut now = 0u64;
         for _ in 0..steps {
             match rng.below(8) {
-                // Deliver a fresh single-flit packet into a random lane.
+                // Deliver the next flit of a 1–6-flit packet into a
+                // random lane.
                 0..=3 => {
                     let port = rng.below(in_ports);
                     let vc = rng.below(vcs);
                     let dst = rng.below(nodes);
-                    let accepted = h.try_deliver(port, vc, dst);
+                    let len = 1 + rng.below(6) as u32;
+                    let accepted = h.try_deliver(port, vc, dst, len);
                     prop_assert_eq!(
-                        accepted,
-                        s.lane[port][vc] < capacity,
+                        accepted.is_some(),
+                        s.lane[port][vc].len() < capacity[port],
                         "acceptance at port {} vc {} disagrees with shadow depth {}",
-                        port, vc, s.lane[port][vc],
+                        port, vc, s.lane[port][vc].len(),
                     );
-                    if accepted {
-                        s.lane[port][vc] += 1;
+                    if let Some(fr) = accepted {
+                        s.lane[port][vc].push_back(fr);
                         s.inside += 1;
                     }
                 }
-                // One allocation cycle; grants move lane flits into ST.
+                // One allocation cycle; a grant moves a lane's front
+                // flit into an ST register and sets or clears the
+                // lane's held route.
                 4 | 5 => {
                     let summary = h.alloc(now);
                     now += 1;
                     prop_assert_eq!(
                         summary.alloc_grants as usize,
-                        summary.freed_inputs.len() + summary.freed_injection.len(),
+                        summary.freed.len(),
                         "every edge grant frees exactly one lane slot",
                     );
-                    for &(p, v) in &summary.freed_inputs {
-                        prop_assert!(s.lane[p][v] > 0, "freed an empty lane {p}/{v}");
-                        s.lane[p][v] -= 1;
+                    for &(p, v) in &summary.freed {
+                        let Some(fr) = s.lane[p][v].pop_front() else {
+                            return Err(TestCaseError(format!("freed an empty lane {p}/{v}")));
+                        };
+                        let f = h.arena.get(fr);
+                        if f.kind.is_head() {
+                            prop_assert_eq!(s.holder[p][v], None, "head granted under a held route");
+                            s.holder[p][v] = Some(f.packet.0);
+                        }
+                        prop_assert_eq!(s.holder[p][v], Some(f.packet.0), "granted out of packet order");
+                        if f.kind.is_tail() {
+                            s.holder[p][v] = None;
+                        }
+                        s.st.push(fr);
                     }
-                    for &(l, v) in &summary.freed_injection {
-                        let p = net_ports + l;
-                        prop_assert!(s.lane[p][v] > 0, "freed an empty injection lane {l}/{v}");
-                        s.lane[p][v] -= 1;
-                    }
-                    s.st += summary.alloc_grants as usize;
                 }
-                // Drain the crossbar: flits leave the router; net-port
-                // departures consumed one downstream credit at commit.
+                // Drain the crossbar: flits leave the router in lane
+                // FIFO order; net-port departures consumed one
+                // downstream credit at commit and obey wormhole
+                // ownership of their output VC.
                 6 => {
-                    for (p, v) in h.drain() {
-                        s.st -= 1;
+                    for (p, v, fr, f) in h.drain() {
+                        let Some(at) = s.st.iter().position(|&g| g == fr) else {
+                            return Err(TestCaseError(format!("drained {fr:?}, never granted")));
+                        };
+                        s.st.swap_remove(at);
                         s.inside -= 1;
-                        if credited && p < net_ports {
+                        let pkt = f.packet.0;
+                        if f.kind.is_head() {
+                            s.left_by.insert(pkt, (p, v));
+                        }
+                        prop_assert_eq!(s.left_by[&pkt], (p, v), "a body left its head's output");
+                        if p >= net_ports {
+                            continue;
+                        }
+                        if f.kind.is_head() {
+                            prop_assert_eq!(s.out_owner[p][v], None, "two packets interleave on {}/{}", p, v);
+                            s.out_owner[p][v] = Some(pkt);
+                        }
+                        prop_assert_eq!(s.out_owner[p][v], Some(pkt), "output VC {}/{} has another owner", p, v);
+                        if f.kind.is_tail() {
+                            s.out_owner[p][v] = None;
+                        }
+                        if credited {
                             prop_assert!(s.credit[p][v] > 0, "over-consumed credit {p}/{v}");
                             s.credit[p][v] -= 1;
                             s.owed[p][v] += 1;
@@ -236,24 +297,32 @@ proptest! {
                 }
             }
             // Audit the router's own derived structures, then every
-            // externally visible SoA quantity against the shadow.
-            h.core.verify_soa_invariants();
+            // externally visible quantity against the shadow.
+            h.core.verify_invariants();
             for port in 0..in_ports {
                 let mut word = 0u64;
                 for vc in 0..vcs {
-                    prop_assert_eq!(h.core.lane_len(port, vc), s.lane[port][vc]);
-                    if s.lane[port][vc] > 0 {
+                    prop_assert_eq!(h.core.lane_len(port, vc), s.lane[port][vc].len());
+                    if !s.lane[port][vc].is_empty() {
                         word |= 1 << vc;
+                    }
+                    let held = h.core.lane_route(port, vc);
+                    prop_assert_eq!(held.map(|(_, pkt)| pkt), s.holder[port][vc]);
+                    // The route itself shows once the head has drained.
+                    if let Some((route, pkt)) = held {
+                        if let Some(&left_by) = s.left_by.get(&pkt) {
+                            prop_assert_eq!((route.port, route.vc), left_by);
+                        }
                     }
                 }
                 prop_assert_eq!(h.core.occupancy_word(port), word);
             }
-            prop_assert_eq!(h.core.st_count(), s.st);
+            prop_assert_eq!(h.core.st_count(), s.st.len());
             prop_assert_eq!(h.core.buffered_flits(), s.inside);
             // Credits are consumed at commit time but the shadow models
             // them at drain time, so they only agree while no committed
             // flit is waiting in an ST register.
-            if credited && s.st == 0 {
+            if credited && s.st.is_empty() {
                 for p in 0..net_ports {
                     let mut sum = 0;
                     for v in 0..vcs {
@@ -261,8 +330,8 @@ proptest! {
                         sum += s.credit[p][v];
                     }
                     prop_assert_eq!(
-                        h.core.output_occupancy(p, capacity),
-                        capacity * vcs - sum,
+                        h.core.output_occupancy(p, credits),
+                        credits * vcs - sum,
                         "occupancy probe disagrees at port {}",
                         p,
                     );
@@ -272,11 +341,11 @@ proptest! {
     }
 
     /// The central-buffer datapath conserves flits and keeps its derived
-    /// structures (staging occupancy words, credit counters, ST mask)
-    /// consistent under the same random schedules. The CB's internal
-    /// queue moves are not shadowed flit-by-flit — `verify_soa_invariants`
-    /// audits those — but acceptance, conservation, and drain
-    /// bookkeeping are.
+    /// structures (staging occupancy words, held paths, credit counters,
+    /// ST mask) consistent under the same random schedules. The CB's
+    /// internal queue moves are not shadowed flit-by-flit —
+    /// `verify_invariants` audits those — but acceptance, conservation,
+    /// and drain bookkeeping are.
     #[test]
     fn cb_router_conserves_flits(
         seed in 0u64..=u64::MAX,
@@ -286,7 +355,7 @@ proptest! {
         steps in 40usize..140,
     ) {
         let arch = RouterArch::CentralBuffer { cb_flits };
-        let mut h = Center::new(vcs, capacity, arch, true);
+        let mut h = Center::new(vcs, &[capacity; 5], arch, Some(capacity));
         let in_ports = h.in_ports();
         let nodes = h.topo.node_count();
         let mut rng = OpRng(seed);
@@ -300,7 +369,9 @@ proptest! {
                 0..=3 => {
                     let port = rng.below(in_ports);
                     let vc = rng.below(vcs);
-                    let accepted = h.try_deliver(port, vc, rng.below(nodes));
+                    // Packets longer than the CB can only bypass.
+                    let len = 1 + rng.below(6) as u32;
+                    let accepted = h.try_deliver(port, vc, rng.below(nodes), len).is_some();
                     prop_assert_eq!(
                         accepted,
                         !staged[port][vc],
@@ -349,7 +420,7 @@ proptest! {
                     }
                 }
             }
-            h.core.verify_soa_invariants();
+            h.core.verify_invariants();
             for (port, row) in staged.iter().enumerate() {
                 let mut word = 0u64;
                 for (vc, &slot) in row.iter().enumerate() {

@@ -39,7 +39,13 @@ fn split_inline_values(args: impl Iterator<Item = String>) -> Vec<String> {
 
 fn main() -> ExitCode {
     let args = split_inline_values(std::env::args().skip(1));
+    let wants_help = args.iter().skip(1).any(|a| a == "--help" || a == "-h");
     let result = match args.first().map(String::as_str) {
+        // `--help` after a command is a request, not a flag to reject.
+        Some("sim" | "analyze" | "repro" | "run" | "serve" | "submit" | "list") if wants_help => {
+            usage();
+            Ok(())
+        }
         Some("sim") => cmd_sim(&args[1..]),
         Some("analyze") => cmd_analyze(&args[1..]),
         Some("repro") => cmd_repro(&args[1..]),

@@ -172,3 +172,50 @@ fn a_layout_whose_wires_all_fit_one_smart_hop_is_invisible_to_the_clock() {
         }
     }
 }
+
+/// FNV-1a finished with the splitmix64 avalanche — the construction
+/// `snoc_core`'s engine fingerprint hashes report bytes with.
+fn mix64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    h ^ (h >> 31)
+}
+
+#[test]
+fn adaptive_trace_replies_are_pinned_byte_for_byte() {
+    // The engine fingerprint's members are synthetic; this pins traces
+    // *with replies* under adaptive routing. A reply is created while
+    // its request's tail ejects: UGAL draws its intermediate from the
+    // simulator's RNG and probes output occupancy, which counts a flit
+    // in an ST register or on a channel — so the bytes move if a
+    // router's ejections ever run ahead of its own link pushes (the
+    // fingerprint does not notice). Constants recorded at `ebfae72`,
+    // before the cycle loop's phases were restructured.
+    use slim_noc::sim::RoutingKind::{UgalG, UgalL};
+    let pins = [
+        ("fft", UgalL, 0x0e4f_aaf7_ba6f_a5b0_u64),
+        ("fft", UgalG, 0x9230_f5e5_f5cd_1fa9),
+        ("streamcluster", UgalL, 0xf3c6_2fae_47ed_6e1b),
+        ("streamcluster", UgalG, 0x7cec_0640_eae6_560d),
+    ];
+    for (workload, routing, pinned) in pins {
+        let setup = slim_noc::core::Setup::paper("sn_s")
+            .unwrap()
+            .with_routing(routing);
+        let w = TraceWorkload::by_name(workload).unwrap();
+        let trace = w.generate(&setup.topology, 1_500, setup.sim.seed);
+        let report = setup.simulator().unwrap().run_trace(&trace, 300);
+        assert!(report.drained, "{workload} {routing:?}: {report}");
+        assert!(report.delivered_packets > 1_000, "{workload}: {report}");
+        assert_eq!(
+            mix64(report.to_json().as_bytes()),
+            pinned,
+            "{workload} under {routing:?} moved: {report}"
+        );
+    }
+}

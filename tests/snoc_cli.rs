@@ -151,6 +151,23 @@ fn usage_errors_exit_2() {
 }
 
 #[test]
+fn help_after_any_command_prints_the_usage_and_exits_0() {
+    let usage = stdout(&snoc(&["--help"]));
+    assert!(usage.contains("USAGE:"));
+    for command in ["sim", "analyze", "repro", "run", "serve", "submit", "list"] {
+        for args in [&[command, "--help"][..], &[command, "-h"]] {
+            let out = snoc(args);
+            assert!(out.status.success(), "snoc {args:?}: {}", stderr(&out));
+            assert_eq!(stdout(&out), usage, "snoc {args:?}");
+        }
+    }
+    // After other arguments too; an unknown command stays an error.
+    let out = snoc(&["repro", "fig12", "--smoke", "--help"]);
+    assert_eq!((out.status.success(), stdout(&out)), (true, usage));
+    assert_eq!(snoc(&["nope", "--help"]).status.code(), Some(2));
+}
+
+#[test]
 fn specs_no_simulator_can_run_exit_2_without_panicking() {
     for name in [
         "duplicate_name",
