@@ -30,8 +30,10 @@
 //! [`PointCache`]: snoc_core::PointCache
 //! [`SweepPoint`]: snoc_core::SweepPoint
 
-use snoc_core::json::{self, JsonValue};
-use snoc_core::{Campaign, CampaignSpec, PointCache};
+use snoc_core::json::{self, Reader};
+use snoc_core::{Campaign, CampaignSpec, PointCache, SweepPoint};
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -283,28 +285,43 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
         campaign = campaign.with_threads(state.threads);
     }
     write_head(stream, 200, "OK")?;
-    let out = Mutex::new(stream.try_clone()?);
+    // A point is rendered once: its line goes out in one `write` and
+    // is kept, by point seed, for the `done` result. `exact` falls when
+    // two different lines come in under one seed (a bisection landing
+    // on a grid load, a hash collision): the result is then rendered
+    // afresh.
+    let out = Mutex::new((&mut *stream, HashMap::new(), true, Ok(())));
     let result = {
         let _turn = state.queue.enter();
         campaign.run_observed(|point| {
-            let mut w = out.lock().expect("stream lock");
-            let _ = writeln!(
-                w,
-                "{{\"event\": \"point\", \"point\": {}}}",
-                point.to_json_line()
-            );
-            let _ = w.flush();
+            let mut out = out.lock().expect("stream lock");
+            let (stream, lines, exact, sent) = &mut *out;
+            if sent.is_err() {
+                return; // the client hung up: the job still fills the cache
+            }
+            let line = point.to_json_line();
+            let event = format!("{{\"event\": \"point\", \"point\": {line}}}\n");
+            *sent = stream.write_all(event.as_bytes());
+            match lines.entry(point.seed) {
+                Entry::Vacant(slot) => drop(slot.insert(line)),
+                Entry::Occupied(kept) => *exact &= *kept.get() == line,
+            }
         })
     };
     state.jobs_done.fetch_add(1, Ordering::Relaxed);
-    writeln!(
-        stream,
-        "{{\"event\": \"done\", \"cache_hits\": {}, \"cache_misses\": {}, \"result\": {}}}",
+    let (stream, lines, exact, sent) = out.into_inner().expect("stream lock");
+    sent?;
+    let kept = |point: &SweepPoint| match lines.get(&point.seed) {
+        Some(line) if exact => Cow::Borrowed(&**line),
+        _ => Cow::Owned(point.to_json_line()),
+    };
+    let done = format!(
+        "{{\"event\": \"done\", \"cache_hits\": {}, \"cache_misses\": {}, \"result\": {}}}\n",
         result.cache_hits,
         result.cache_misses,
-        json::compact(&result.to_json()),
-    )?;
-    stream.flush()
+        json::compact(&result.to_json_with(kept)),
+    );
+    stream.write_all(done.as_bytes())
 }
 
 fn stats_json(state: &ServerState) -> String {
@@ -318,18 +335,20 @@ fn stats_json(state: &ServerState) -> String {
     )
 }
 
+/// The response head, in one `write`: the socket is unbuffered.
 fn write_head(stream: &mut TcpStream, status: u16, reason: &str) -> io::Result<()> {
-    write!(
-        stream,
+    stream.write_all(head(status, reason).as_bytes())
+}
+
+fn head(status: u16, reason: &str) -> String {
+    format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/x-ndjson\r\n\
          Connection: close\r\n\r\n"
     )
 }
 
 fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str) -> io::Result<()> {
-    write_head(stream, status, reason)?;
-    writeln!(stream, "{body}")?;
-    stream.flush()
+    stream.write_all(format!("{}{body}\n", head(status, reason)).as_bytes())
 }
 
 /// What a completed [`submit`] observed.
@@ -387,14 +406,26 @@ pub fn submit(
             return Err(io::Error::other(format!("server: {status}: {line}")));
         }
         on_line(&line);
-        let event = json::parse(&line)
+        // Only the event name and the two counters are read (a field's
+        // first occurrence, as `JsonValue::get` had it); the rest of the
+        // line — a 100 KB result — is validated, never built.
+        let (mut event, mut hits, mut misses) = (None, None, None);
+        let count = |r: &mut Reader<'_>| r.number()?.parse::<u64>().map_err(|e| e.to_string());
+        let mut reader = Reader::new(&line);
+        let fields = reader.object(|r, key| match &*key {
+            "event" if event.is_none() => r.string().map(|name| event = Some(name)),
+            "cache_hits" if hits.is_none() => count(r).map(|n| hits = Some(n)),
+            "cache_misses" if misses.is_none() => count(r).map(|n| misses = Some(n)),
+            _ => r.skip(),
+        });
+        fields
+            .and_then(|()| reader.finish())
             .map_err(|e| io::Error::other(format!("bad stream line: {e}: {line}")))?;
-        match event.get("event").and_then(JsonValue::as_str) {
+        match event.as_deref() {
             Some("point") => outcome.points += 1,
             Some("done") => {
-                let count = |field: &str| event.get(field).and_then(JsonValue::as_u64).unwrap_or(0);
-                outcome.cache_hits = count("cache_hits");
-                outcome.cache_misses = count("cache_misses");
+                outcome.cache_hits = hits.unwrap_or(0);
+                outcome.cache_misses = misses.unwrap_or(0);
                 done = true;
             }
             _ => {}

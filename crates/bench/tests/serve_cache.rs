@@ -4,7 +4,7 @@
 
 use snoc_bench::serve::{fetch_stats, submit, Server, SubmitOutcome};
 use snoc_core::json::{self, JsonValue};
-use snoc_core::{CampaignSpec, SetupSpec};
+use snoc_core::{Campaign, CampaignSpec, SetupSpec};
 use snoc_traffic::TrafficPattern;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -230,4 +230,94 @@ fn server_without_cache_still_serves() {
     let (outcome, _) = run_client(&addr, &spec("uncached", &[0.02]));
     assert_eq!(outcome.points, 1);
     assert_eq!((outcome.cache_hits, outcome.cache_misses), (0, 0));
+}
+
+#[test]
+fn a_client_that_hangs_up_costs_one_failed_write_and_the_job_still_fills_the_cache() {
+    let dir = tmp("hangup");
+    let server =
+        Server::bind("127.0.0.1:0", Some(dir.to_str().expect("utf-8 path")), 1).expect("bind");
+    let addr = server.local_addr().expect("bound").to_string();
+    thread::spawn(move || server.run());
+
+    // Read the response head, then close: every event the job still
+    // has to report goes to a dead socket.
+    let abandoned = spec("abandoned", &[0.02, 0.05, 0.08]);
+    let body = abandoned.to_json();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    write!(
+        stream,
+        "POST /campaign HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut head = [0u8; 15];
+    stream.read_exact(&mut head).expect("response head");
+    assert_eq!(&head, b"HTTP/1.1 200 OK");
+    drop(stream);
+
+    // The job runs to completion regardless and is counted …
+    let jobs_done = || {
+        let stats = fetch_stats(&addr).expect("stats");
+        let v = json::parse(&stats).expect("stats is JSON");
+        v.get("jobs_done")
+            .and_then(JsonValue::as_u64)
+            .expect("counter")
+    };
+    let start = Instant::now();
+    while jobs_done() == 0 {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "job never finished"
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+    // … and left every point behind for the next client.
+    let (again, _) = run_client(&addr, &abandoned);
+    assert_eq!((again.cache_hits, again.cache_misses), (3, 0));
+    assert_eq!(jobs_done(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn streamed_bytes_are_the_in_process_bytes() {
+    let dir = tmp("bytes");
+    let server =
+        Server::bind("127.0.0.1:0", Some(dir.to_str().expect("utf-8 path")), 2).expect("bind");
+    let addr = server.local_addr().expect("bound").to_string();
+    thread::spawn(move || server.run());
+
+    // Two curves, one of which saturates and is refined: the stream is
+    // in completion order, the result in curve and load order, and a
+    // bisection can land where the two share no line.
+    let mut spec = spec("bytes", &[0.05, 0.6]);
+    spec.patterns.push(TrafficPattern::Adversarial1);
+    spec.refine_rounds = 2;
+    let expected = Campaign::from_spec(&spec).expect("valid spec").run();
+
+    for pass in ["cold", "warm"] {
+        let (outcome, lines) = run_client(&addr, &spec);
+        assert_eq!(outcome.points as usize, expected.points.len(), "{pass}");
+        let (done, points) = lines.split_last().expect("a done event");
+        let mut streamed: Vec<&str> = points.iter().map(String::as_str).collect();
+        let mut want: Vec<String> = expected
+            .points
+            .iter()
+            .map(|p| format!("{{\"event\": \"point\", \"point\": {}}}", p.to_json_line()))
+            .collect();
+        streamed.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(streamed, want, "{pass}: point events");
+        assert_eq!(
+            *done,
+            format!(
+                "{{\"event\": \"done\", \"cache_hits\": {}, \"cache_misses\": {}, \"result\": {}}}",
+                outcome.cache_hits,
+                outcome.cache_misses,
+                json::compact(&expected.to_json()),
+            ),
+            "{pass}: done event"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -25,8 +25,9 @@
 //! when simulator behavior changes retires an entire cache without
 //! deleting files.
 
-use crate::json;
+use crate::json::Reader;
 use crate::sweep::PowerPoint;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -79,26 +80,31 @@ impl PointCoord<'_> {
     /// The canonical coordinate string that gets hashed into the key.
     #[must_use]
     pub fn canonical(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"setup\": {}, \"pattern\": \"{}\", \"load_bits\": {}, \
-             \"warmup\": {}, \"measure\": {}, \"base_seed\": {}",
-            self.setup_spec,
-            self.pattern,
-            self.load.to_bits(),
-            self.warmup,
-            self.measure,
-            self.base_seed,
+        let [head, tail] = self.canonical_halves();
+        format!("{head}{}{tail}", self.load.to_bits())
+    }
+
+    /// [`PointCoord::canonical`] before and after the load bits — the
+    /// one place that knows the form. The points of a curve share both
+    /// halves, so a campaign builds them once per curve and mints each
+    /// key with [`PointCache::key_at`].
+    pub(crate) fn canonical_halves(&self) -> [String; 2] {
+        let head = format!(
+            "{{\"setup\": {}, \"pattern\": \"{}\", \"load_bits\": ",
+            self.setup_spec, self.pattern,
+        );
+        let mut tail = format!(
+            ", \"warmup\": {}, \"measure\": {}, \"base_seed\": {}",
+            self.warmup, self.measure, self.base_seed,
         );
         if self.shards > 1 {
-            let _ = write!(out, ", \"shards\": {}", self.shards);
+            let _ = write!(tail, ", \"shards\": {}", self.shards);
         }
         if let Some(tech) = self.tech {
-            let _ = write!(out, ", \"tech\": \"{tech}\"");
+            let _ = write!(tail, ", \"tech\": \"{tech}\"");
         }
-        out.push('}');
-        out
+        tail.push('}');
+        [head, tail]
     }
 }
 
@@ -173,23 +179,52 @@ impl CachedPoint {
         out
     }
 
-    /// Parses one JSON line; returns the key alongside the point.
+    /// Parses one JSON line; returns the key alongside the point. The
+    /// first occurrence of a field counts, later ones and unknown
+    /// fields are skipped (and must still be valid JSON), and the line
+    /// holds nothing after its object.
     fn from_line(line: &str) -> Option<(String, CachedPoint)> {
-        let v = json::parse(line).ok()?;
-        let key = v.get("key")?.as_str()?.to_string();
-        let f = |field: &str| Some(f64::from_bits(v.get(field)?.as_u64()?));
-        let power = match v.get("power") {
-            None => None,
-            Some(arr) => {
-                let bits = arr.as_arr()?;
-                if bits.len() != 7 {
-                    return None;
+        /// The `u64` fields, in the order of `nums` below.
+        const NUMS: [&str; 8] = [
+            "latency",
+            "p99",
+            "throughput",
+            "avg_hops",
+            "acceptance",
+            "delivered",
+            "dropped",
+            "injected",
+        ];
+        /// Reads a field's first occurrence into `slot`.
+        fn first<'a, T>(
+            slot: &mut Option<T>,
+            r: &mut Reader<'a>,
+            read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+        ) -> Result<(), String> {
+            match slot {
+                Some(_) => r.skip(),
+                None => read(r).map(|value| *slot = Some(value)),
+            }
+        }
+        fn uint(r: &mut Reader<'_>) -> Result<u64, String> {
+            r.number()?.parse().map_err(|_| "not a u64".to_string())
+        }
+        let (mut key, mut drained, mut power, mut nums) = (None, None, None, [None; 8]);
+        let mut r = Reader::new(line);
+        r.object(|r, name| match &*name {
+            "key" => first(&mut key, r, |r| r.string().map(Cow::into_owned)),
+            "drained" => first(&mut drained, r, Reader::boolean),
+            "power" => first(&mut power, r, |r| {
+                let (mut vals, mut n) = ([0.0f64; 7], 0);
+                r.array(|r| {
+                    *vals.get_mut(n).ok_or("more than 7 power columns")? = f64::from_bits(uint(r)?);
+                    n += 1;
+                    Ok(())
+                })?;
+                if n != 7 {
+                    return Err("fewer than 7 power columns".to_string());
                 }
-                let mut vals = [0.0f64; 7];
-                for (slot, b) in vals.iter_mut().zip(bits) {
-                    *slot = f64::from_bits(b.as_u64()?);
-                }
-                Some(PowerPoint {
+                Ok(PowerPoint {
                     power_w: vals[0],
                     static_w: vals[1],
                     dynamic_w: vals[2],
@@ -198,23 +233,27 @@ impl CachedPoint {
                     energy_per_flit_j: vals[5],
                     edp_js: vals[6],
                 })
-            }
-        };
+            }),
+            name => match NUMS.iter().position(|field| *field == name) {
+                Some(i) => first(&mut nums[i], r, uint),
+                None => r.skip(),
+            },
+        })
+        .ok()?;
+        r.finish().ok()?;
+        let [latency, p99, throughput, avg_hops, acceptance, delivered, dropped, injected] = nums;
         Some((
-            key,
+            key?,
             CachedPoint {
-                latency: f("latency")?,
-                p99_latency: v.get("p99")?.as_u64()?,
-                throughput: f("throughput")?,
-                avg_hops: f("avg_hops")?,
-                acceptance: f("acceptance")?,
-                delivered_packets: v.get("delivered")?.as_u64()?,
-                dropped_packets: match v.get("dropped") {
-                    None => 0,
-                    Some(d) => d.as_u64()?,
-                },
-                injected_packets: v.get("injected")?.as_u64()?,
-                drained: v.get("drained")?.as_bool()?,
+                latency: f64::from_bits(latency?),
+                p99_latency: p99?,
+                throughput: f64::from_bits(throughput?),
+                avg_hops: f64::from_bits(avg_hops?),
+                acceptance: f64::from_bits(acceptance?),
+                delivered_packets: delivered?,
+                dropped_packets: dropped.unwrap_or(0),
+                injected_packets: injected?,
+                drained: drained?,
                 power,
             },
         ))
@@ -286,6 +325,7 @@ impl PointCache {
             // bytes, and an invalid-UTF-8 read error must degrade to a
             // skipped line, not abort the whole open.
             let bytes = fs::read(&path)?;
+            map.reserve(bytes.iter().filter(|&&b| b == b'\n').count());
             for raw in bytes.split(|&b| b == b'\n') {
                 if raw.is_empty() {
                     continue;
@@ -322,9 +362,16 @@ impl PointCache {
     /// hash over the version salt and the canonical coordinate string.
     #[must_use]
     pub fn key(&self, coord: &PointCoord<'_>) -> String {
-        let text = format!("{}\n{}", self.version, coord.canonical());
-        let a = mix64(0xcbf2_9ce4_8422_2325, text.as_bytes());
-        let b = mix64(0x9e37_79b9_7f4a_7c15 ^ a, text.as_bytes());
+        self.key_at(&coord.canonical_halves(), coord.load)
+    }
+
+    /// [`PointCache::key`] of the coordinate with these
+    /// [`PointCoord::canonical_halves`] at `load`.
+    pub(crate) fn key_at(&self, [head, tail]: &[String; 2], load: f64) -> String {
+        let bits = load.to_bits().to_string();
+        let text = [&*self.version, "\n", head, &bits, tail];
+        let a = mix64(0xcbf2_9ce4_8422_2325, &text);
+        let b = mix64(0x9e37_79b9_7f4a_7c15 ^ a, &text);
         format!("{a:016x}{b:016x}")
     }
 
@@ -392,11 +439,12 @@ impl PointCache {
     }
 }
 
-/// FNV-1a with a caller-chosen basis, finished with the splitmix64
-/// avalanche — the same construction the per-point seeds use.
-fn mix64(basis: u64, bytes: &[u8]) -> u64 {
+/// FNV-1a over the concatenation of `parts` with a caller-chosen basis,
+/// finished with the splitmix64 avalanche — the same construction the
+/// per-point seeds use.
+fn mix64(basis: u64, parts: &[&str]) -> u64 {
     let mut h = basis;
-    for &b in bytes {
+    for &b in parts.iter().flat_map(|part| part.as_bytes()) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -489,7 +537,7 @@ mod tests {
             bytes.push_str(&r.to_json());
             bytes.push('\n');
         }
-        let hash = mix64(0xcbf2_9ce4_8422_2325, bytes.as_bytes());
+        let hash = mix64(0xcbf2_9ce4_8422_2325, &[&bytes]);
         assert_eq!(
             ENGINE_VERSION, FINGERPRINT.0,
             "salt changed: re-record FINGERPRINT as (ENGINE_VERSION, {hash:#018x})"
@@ -524,6 +572,226 @@ mod tests {
         let salted = PointCache::open_with_version(&dir, "other-engine").unwrap();
         assert_ne!(base, salted.key(&coord(0.05)), "salt changes keys");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn piecewise_keys_equal_the_hash_of_the_whole_canonical_string() {
+        use crate::{FaultsSpec, SetupSpec, StormSpec};
+        let dir = tmp("key_split");
+        let cache = PointCache::open(&dir).unwrap();
+        let mut storm = SetupSpec::new("sn54");
+        storm.name = "sn54 \"storm\"".to_string();
+        storm.faults = Some(FaultsSpec {
+            events: Vec::new(),
+            storm: Some(StormSpec {
+                links: 10,
+                start: 150,
+                window: 200,
+                seed: 7,
+            }),
+        });
+        let setups = [
+            SetupSpec::new("sn_s").canonical_json(),
+            storm.canonical_json(),
+        ];
+        // Keys `PointCache::key` minted at `13bcf53`, before the split.
+        let minted = [
+            (0, "RND", None, 1, 1e-9, "2d7affcadfd2aa18003d9b94d5f8780b"),
+            (
+                0,
+                "RND",
+                Some("45nm"),
+                1,
+                123_456.789,
+                "74b3a25d9f036f0be74ea691cf8203e2",
+            ),
+            (0, "fft", None, 1, 0.3, "f576b3aed981f7b612350f33776272e4"),
+            (
+                1,
+                "RND",
+                None,
+                2,
+                123_456.789,
+                "758553f00625db2a5f021e0009ec9f12",
+            ),
+            (
+                1,
+                "fft",
+                Some("45nm"),
+                2,
+                123_456.789,
+                "27d671f68bc149b6f82eddc89f9f5c6b",
+            ),
+        ];
+        let mut pinned = 0;
+        for (s, setup_spec) in setups.iter().enumerate() {
+            for pattern in ["RND", "fft"] {
+                for tech in [None, Some("45nm")] {
+                    for shards in [1, 2] {
+                        for load in [1e-9, 0.3, 123_456.789] {
+                            let coord = PointCoord {
+                                setup_spec,
+                                pattern,
+                                load,
+                                warmup: 150,
+                                measure: 500,
+                                base_seed: 0xC0FFEE,
+                                shards,
+                                tech,
+                            };
+                            // The key as it was defined: two passes over
+                            // salt, newline, canonical string.
+                            let text = format!("{ENGINE_VERSION}\n{}", coord.canonical());
+                            let a = mix64(0xcbf2_9ce4_8422_2325, &[&text]);
+                            let b = mix64(0x9e37_79b9_7f4a_7c15 ^ a, &[&text]);
+                            let key = cache.key(&coord);
+                            assert_eq!(key, format!("{a:016x}{b:016x}"), "{text}");
+                            // Halves built at any load mint it too.
+                            let halves = PointCoord { load: 7.5, ..coord }.canonical_halves();
+                            assert_eq!(cache.key_at(&halves, load), key, "{text}");
+                            let here = (s, pattern, tech, shards, load);
+                            for &(s, pattern, tech, shards, load, want) in &minted {
+                                if (s, pattern, tech, shards, load) == here {
+                                    assert_eq!(key, want, "{text}");
+                                    pinned += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(pinned, minted.len());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Hostile store lines with what `from_line` made of each at
+    /// `13bcf53`, through `json::parse` and `JsonValue::get`.
+    #[test]
+    fn hostile_store_lines_load_or_corrupt_as_they_did_through_the_tree() {
+        let base = |key: &str| {
+            format!(
+                "\"key\": \"{key}\", \"latency\": 4623155868060469658, \"p99\": 40, \
+                 \"throughput\": 4599075939470750516, \"avg_hops\": 4609434218613702656, \
+                 \"acceptance\": 4607182418800017408, \"delivered\": 1234, \
+                 \"injected\": 1300, \"drained\": true"
+            )
+        };
+        let one = 1.0f64.to_bits();
+        let columns = |n: u64| {
+            let bits: Vec<_> = (0..n).map(|i| (one + i).to_string()).collect();
+            bits.join(", ")
+        };
+        let plain = CachedPoint {
+            latency: f64::from_bits(4_623_155_868_060_469_658),
+            p99_latency: 40,
+            throughput: 0.1 + 0.2,
+            avg_hops: 1.5,
+            acceptance: 1.0,
+            delivered_packets: 1234,
+            dropped_packets: 0,
+            injected_packets: 1300,
+            drained: true,
+            power: None,
+        };
+        let dropped = |dropped_packets| CachedPoint {
+            dropped_packets,
+            ..plain.clone()
+        };
+        let p = |i: u64| f64::from_bits(one + i);
+        let powered = CachedPoint {
+            power: Some(PowerPoint {
+                power_w: p(0),
+                static_w: p(1),
+                dynamic_w: p(2),
+                area_mm2: p(3),
+                throughput_per_watt: p(4),
+                energy_per_flit_j: p(5),
+                edp_js: p(6),
+            }),
+            ..plain.clone()
+        };
+        let reordered = CachedPoint {
+            latency: f64::from_bits(3),
+            p99_latency: 4,
+            throughput: f64::from_bits(5),
+            avg_hops: f64::from_bits(6),
+            acceptance: f64::from_bits(7),
+            delivered_packets: 8,
+            dropped_packets: 3,
+            injected_packets: 9,
+            drained: false,
+            power: None,
+        };
+        let b = base("k");
+        let ok = |key: &str, point: &CachedPoint| Some((key.to_string(), point.clone()));
+        let table = [
+            (format!("{{{b}}}"), ok("k", &plain)),
+            // The first occurrence of a field counts …
+            (
+                format!("{{{}, \"key\": \"k2\"}}", base("k1")),
+                ok("k1", &plain),
+            ),
+            (format!("{{{b}, \"latency\": \"x\"}}"), ok("k", &plain)),
+            (
+                format!("{{{b}, \"power\": [{}], \"power\": 3}}", columns(7)),
+                ok("k", &powered),
+            ),
+            // … also when it is the ill-typed one.
+            (format!("{{\"latency\": \"x\", {b}}}"), None),
+            (format!("{{\"key\": 5, {b}}}"), None),
+            (
+                "{\"drained\": false, \"injected\": 9, \"delivered\": 8, \"dropped\": 3, \
+                 \"acceptance\": 7, \"avg_hops\": 6, \"throughput\": 5, \"p99\": 4, \
+                 \"latency\": 3, \"key\": \"r\"}"
+                    .to_string(),
+                ok("r", &reordered),
+            ),
+            // Unknown fields are skipped, and validated.
+            (
+                format!("{{\"extra\": {{\"a\": [1, {{\"b\": null}}], \"s\": \"\\u0041\"}}, {b}}}"),
+                ok("k", &plain),
+            ),
+            (format!("{{\"extra\": {{\"a\": 1-2}}, {b}}}"), None),
+            (format!("{{{b}, \"extra\": [1,]}}"), None),
+            (format!("{{{b}, \"power\": [{}]}}", columns(6)), None),
+            (
+                format!("{{{b}, \"power\": [{}]}}", columns(7)),
+                ok("k", &powered),
+            ),
+            (format!("{{{b}, \"power\": [{}]}}", columns(8)), None),
+            (format!("{{{b}, \"power\": null}}"), None),
+            (format!("{{{b}, \"power\": [1.5, {}]}}", columns(6)), None),
+            (
+                format!("{{{b}, \"dropped\": 18446744073709551615}}"),
+                ok("k", &dropped(u64::MAX)),
+            ),
+            (format!("{{{b}, \"dropped\": 18446744073709551616}}"), None),
+            (format!("{{{b}, \"dropped\": null}}"), None),
+            (format!("{{{b}, \"dropped\": 007}}"), ok("k", &dropped(7))),
+            (format!("{{{b}, \"dropped\": 7.0}}"), None),
+            (format!("{{{b}, \"dropped\": 1e2}}"), None),
+            (format!("{{{b}, \"dropped\": -0}}"), None),
+            // The whole line is one object.
+            (format!("{{{b}}} x"), None),
+            (format!("{{{b}}}}}"), None),
+            (format!(" {{{b}}} \t"), ok("k", &plain)),
+            ("[1, 2]".to_string(), None),
+            ("7".to_string(), None),
+            ("{}".to_string(), None),
+            (
+                format!("{{{}}}", b.replace("\"injected\": 1300, ", "")),
+                None,
+            ),
+            (format!("{{{}}}", b.replace("true", "\"true\"")), None),
+            (
+                format!("{{{}}}", base("a\\u0041\\n\\\"b")),
+                ok("aA\n\"b", &plain),
+            ),
+        ];
+        for (line, want) in table {
+            assert_eq!(CachedPoint::from_line(&line), want, "{line}");
+        }
     }
 
     #[test]
@@ -653,7 +921,7 @@ mod tests {
         let mut c = coord(0.05);
         c.tech = Some("22nm");
         let text = c.canonical();
-        assert!(json::parse(&text).is_ok(), "{text}");
+        assert!(crate::json::parse(&text).is_ok(), "{text}");
         assert!(text.contains("\"load_bits\""));
         assert!(text.contains("\"tech\": \"22nm\""));
         assert!(
@@ -662,7 +930,7 @@ mod tests {
         );
         c.shards = 2;
         let text = c.canonical();
-        assert!(json::parse(&text).is_ok(), "{text}");
+        assert!(crate::json::parse(&text).is_ok(), "{text}");
         assert!(text.contains("\"shards\": 2"));
     }
 }

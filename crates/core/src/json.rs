@@ -1,8 +1,20 @@
 //! A minimal JSON reader for the offline build (no serde).
 //!
 //! The campaign-spec wire format, the content-addressed point cache,
-//! and the `snoc serve` protocol all exchange JSON; this module is the
-//! single parser behind them. Two properties matter more than speed:
+//! and the `snoc serve` protocol all exchange JSON; this module holds
+//! the single grammar behind them, once, in [`Reader`]: a pull reader
+//! that borrows from the document (a string without escapes is a slice
+//! of it, a number is its source token) and allocates nothing of its
+//! own. The two hot consumers drive it directly — a stored cache line
+//! goes straight into its ten scalars, tens of thousands per
+//! [`PointCache::open`](crate::PointCache::open), and the `snoc submit`
+//! client reads an event's name and counters while [`Reader::skip`]
+//! validates the 100 KB result beside them. Everything else calls
+//! [`parse`], a tree builder over the same reader; [`JsonValue`] stays
+//! owned because specs are read field by field in any order and callers
+//! keep values past the text they came from (`snoc-perf` stores one) —
+//! a borrowing tree would put a lifetime on all of them to save
+//! allocations nobody measures. Two properties matter more than speed:
 //!
 //! - **Numbers keep their source text.** Seeds are full 64-bit values
 //!   that an `f64` detour would silently round; [`JsonValue::Num`]
@@ -15,6 +27,7 @@
 //! spec serializers pin their schemas byte-for-byte in golden tests);
 //! this module only adds the shared escaping/compaction helpers.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -121,190 +134,275 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// Parses one JSON document (trailing whitespace allowed, nothing else)
+/// into an owned tree — a visitor over [`Reader`], no scanner of its own.
 ///
 /// # Errors
 ///
 /// Returns a human-readable message with a byte offset on malformed
 /// input.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(value)
+    let mut reader = Reader::new(text);
+    let value = build(&mut reader)?;
+    reader.finish().map(|()| value)
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+fn build(r: &mut Reader<'_>) -> Result<JsonValue, String> {
+    Ok(match r.peek() {
+        Some(b'{') => {
+            let mut fields = Vec::new();
+            r.object(|r, key| build(r).map(|v| fields.push((key.into_owned(), v))))?;
+            JsonValue::Obj(fields)
+        }
+        Some(b'[') => {
+            let mut items = Vec::new();
+            r.array(|r| build(r).map(|v| items.push(v)))?;
+            JsonValue::Arr(items)
+        }
+        Some(b'"') => JsonValue::Str(r.string()?.into_owned()),
+        Some(b't' | b'f') => JsonValue::Bool(r.boolean()?),
+        Some(b'n') => r.null().map(|()| JsonValue::Null)?,
+        _ => JsonValue::Num(r.number()?.to_string()),
+    })
 }
 
-/// Deepest accepted container nesting. The parser recurses once per
+/// Deepest accepted container nesting. The reader recurses once per
 /// level and documents arrive from the network, so the depth is capped
 /// well below what any stack can take (our own formats nest 4 deep).
 const MAX_DEPTH: usize = 64;
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    skip_ws(b, pos);
-    if depth > MAX_DEPTH {
-        return Err(format!(
-            "nesting deeper than {MAX_DEPTH} at byte {pos}",
-            pos = *pos
-        ));
-    }
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos, depth + 1),
-        Some(b'[') => parse_arr(b, pos, depth + 1),
-        Some(b'"') => Ok(JsonValue::Str(parse_string(b, pos)?)),
-        Some(b't') => parse_lit(b, pos, "true", JsonValue::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", JsonValue::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", JsonValue::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(b, pos),
-        Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}", pos = *pos)),
-    }
+/// A borrowing pull reader over one JSON document: the one JSON grammar
+/// of the workspace (module docs). Each method reads exactly one value
+/// of its type at the cursor, or fails with a message and a byte offset
+/// when something else is there or the value is malformed.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(value)
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
     }
-}
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
+    /// The first byte of the next value (whitespace skipped, nothing
+    /// else consumed): `{`, `[`, `"`, `t`/`f`, `n`, or a number's first.
+    pub fn peek(&mut self) -> Option<u8> {
+        let b = self.text.as_bytes();
+        while self.pos < b.len() && matches!(b[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+        b.get(self.pos).copied()
     }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
-        *pos += 1;
-    }
-    let raw = std::str::from_utf8(&b[start..*pos]).expect("ascii number token");
-    // Validate by parsing as f64 (accepts every JSON number form).
-    raw.parse::<f64>()
-        .map_err(|_| format!("bad number `{raw}` at byte {start}"))?;
-    Ok(JsonValue::Num(raw.to_string()))
-}
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// [`Reader::peek`] for a value that starts with one of `first`.
+    fn value_start(&mut self, first: &[u8]) -> Result<(), String> {
+        let (next, pos) = (self.peek(), self.pos);
+        match next {
+            _ if self.depth > MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|e| format!("bad \\u escape: {e}"))?;
-                        // Surrogate pairs are not produced by our own
-                        // serializers; map lone surrogates to U+FFFD.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
+            None => Err("unexpected end of input".to_string()),
+            Some(c) if first.contains(&c) => Ok(()),
+            Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
+        }
+    }
+
+    fn literal<T>(&mut self, lit: &str, value: T) -> Result<T, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(value)
+        } else {
+            Err(format!("expected `{lit}` at byte {pos}", pos = self.pos))
+        }
+    }
+
+    /// Reads `null`.
+    pub fn null(&mut self) -> Result<(), String> {
+        self.value_start(b"n")?;
+        self.literal("null", ())
+    }
+
+    /// Reads `true` or `false`.
+    pub fn boolean(&mut self) -> Result<bool, String> {
+        self.value_start(b"tf")?;
+        match self.text.as_bytes()[self.pos] {
+            b't' => self.literal("true", true),
+            _ => self.literal("false", false),
+        }
+    }
+
+    /// Reads a number and returns its source token (a seed must not
+    /// take an `f64` detour): any `[-]?[0-9.eE+-]*` run `f64` parses.
+    pub fn number(&mut self) -> Result<&'a str, String> {
+        self.value_start(b"0123456789-")?;
+        let (b, start) = (self.text.as_bytes(), self.pos);
+        // A run of plain digits is a number without asking `f64`.
+        let mut plain = true;
+        while let Some(&c @ (b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) = b.get(self.pos) {
+            plain &= c.is_ascii_digit();
+            self.pos += 1;
+        }
+        let raw = &self.text[start..self.pos];
+        if !plain && raw.parse::<f64>().is_err() {
+            return Err(format!("bad number `{raw}` at byte {start}"));
+        }
+        Ok(raw)
+    }
+
+    /// Reads a string: a slice of the document when it holds no escape,
+    /// the unescaped copy otherwise.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.value_start(b"\"")?;
+        self.quoted()
+    }
+
+    /// The string (or object key) whose opening quote is at the cursor.
+    fn quoted(&mut self) -> Result<Cow<'a, str>, String> {
+        self.pos += 1;
+        let b = self.text.as_bytes();
+        let mut out = Cow::Borrowed("");
+        loop {
+            match b.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Copy the whole run up to the next delimiter at once:
-                // `"` and `\` are ASCII, so they never fall inside a
-                // multi-byte sequence and the run stays on character
-                // boundaries of the `&str` the document came from.
-                let rest = &b[*pos..];
-                let len = rest
-                    .iter()
-                    .position(|&c| c == b'"' || c == b'\\')
-                    .unwrap_or(rest.len());
-                out.push_str(
-                    std::str::from_utf8(&rest[..len])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                );
-                *pos += len;
+                Some(b'\\') => {
+                    self.pos += 1;
+                    out.to_mut().push(match b.get(self.pos) {
+                        Some(&c @ (b'"' | b'\\' | b'/')) => c as char,
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let hex = b
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or("truncated \\u escape")?;
+                            let code = u32::from_str_radix(
+                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
+                                16,
+                            )
+                            .map_err(|e| format!("bad \\u escape: {e}"))?;
+                            self.pos += 4;
+                            // Surrogate pairs are not produced by our own
+                            // serializers; map lone surrogates to U+FFFD.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        other => return Err(format!("bad escape {other:?}")),
+                    });
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Take the whole run up to the next delimiter at
+                    // once: `"` and `\` are ASCII, so they never fall
+                    // inside a multi-byte sequence and the run stays on
+                    // character boundaries of the document.
+                    let rest = &b[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = self.text.get(self.pos..self.pos + len);
+                    let run = run.ok_or("invalid UTF-8 in string")?;
+                    if out.is_empty() {
+                        out = Cow::Borrowed(run);
+                    } else {
+                        out.to_mut().push_str(run);
+                    }
+                    self.pos += len;
+                }
             }
         }
     }
-}
 
-fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume '{'
-    let mut fields = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Obj(fields));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_string(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected `:` at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        let value = parse_value(b, pos, depth)?;
-        fields.push((key, value));
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Obj(fields));
+    /// Reads `open`, then `each` once per comma-separated member, then
+    /// `close`.
+    fn container(
+        &mut self,
+        (open, close): (u8, u8),
+        mut each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.value_start(&[open])?;
+        self.pos += 1;
+        if self.peek() != Some(close) {
+            self.depth += 1;
+            loop {
+                each(self)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(c) if c == close => break,
+                    _ => {
+                        let (close, pos) = (close as char, self.pos);
+                        return Err(format!("expected `,` or `{close}` at byte {pos}"));
+                    }
+                }
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
+            self.depth -= 1;
         }
+        self.pos += 1;
+        Ok(())
     }
-}
 
-fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos, depth)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
+    /// Reads an object, handing `field` each key in source order with
+    /// the reader at its value; `field` must read exactly that value
+    /// (through [`Reader::skip`] when it has no use for it).
+    pub fn object(
+        &mut self,
+        mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.container((b'{', b'}'), |r| {
+            if r.peek() != Some(b'"') {
+                return Err(format!("expected object key at byte {pos}", pos = r.pos));
             }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
+            let key = r.quoted()?;
+            if r.peek() != Some(b':') {
+                return Err(format!("expected `:` at byte {pos}", pos = r.pos));
+            }
+            r.pos += 1;
+            field(r, key)
+        })
+    }
+
+    /// Reads an array, calling `item` with the reader at each element;
+    /// `item` must read exactly that element.
+    pub fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.container((b'[', b']'), item)
+    }
+
+    /// Reads one value of any type and drops it, validated exactly as
+    /// [`parse`] validates it.
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'[') => self.array(Self::skip),
+            Some(b'"') => self.string().map(drop),
+            Some(b't' | b'f') => self.boolean().map(drop),
+            Some(b'n') => self.null(),
+            _ => self.number().map(drop),
+        }
+    }
+
+    /// Ends the document: only whitespace may remain.
+    pub fn finish(mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing data at byte {pos}", pos = self.pos)),
         }
     }
 }
@@ -434,6 +532,107 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    /// Edge documents with what `parse` said of each at `13bcf53`, the
+    /// last commit whose `parse` scanned for itself.
+    #[test]
+    fn edge_tokens_are_accepted_and_rejected_as_before_the_reader() {
+        let nested = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
+        let keyed = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        let deep = "nesting deeper than 64 at byte";
+        let table: Vec<(String, Result<(), String>)> = [
+            ("-", Err("bad number `-` at byte 0")),
+            ("--1", Err("bad number `--1` at byte 0")),
+            ("1.", Ok(())),
+            ("01", Ok(())),
+            ("1e", Err("bad number `1e` at byte 0")),
+            ("1e+", Err("bad number `1e+` at byte 0")),
+            ("1-2", Err("bad number `1-2` at byte 0")),
+            ("1e5", Ok(())),
+            ("-0", Ok(())),
+            ("1.e5", Ok(())),
+            ("1e5.5", Err("bad number `1e5.5` at byte 0")),
+            ("+1", Err("unexpected byte 0x2b at 0")),
+            (".5", Err("unexpected byte 0x2e at 0")),
+            ("inf", Err("unexpected byte 0x69 at 0")),
+            ("-inf", Err("bad number `-` at byte 0")),
+            ("nan", Err("expected `null` at byte 0")),
+            ("tru", Err("expected `true` at byte 0")),
+            ("falsey", Err("trailing data at byte 5")),
+            ("\"", Err("unterminated string")),
+            ("\"\\u12\"", Err("truncated \\u escape")),
+            ("\"\\u+041\"", Ok(())),
+            ("\"\\ud800\"", Ok(())),
+            ("\"\\x\"", Err("bad escape Some(120)")),
+            (
+                "\"\\u00é\"",
+                Err("bad \\u escape: invalid digit found in string"),
+            ),
+            ("\"é\\\"日\"", Ok(())),
+            ("é", Err("unexpected byte 0xc3 at 0")),
+            ("[1,]", Err("unexpected byte 0x5d at 3")),
+            ("{\"a\": 1,}", Err("expected object key at byte 8")),
+            ("1,", Err("trailing data at byte 1")),
+            ("1 2", Err("trailing data at byte 2")),
+            ("[1 2]", Err("expected `,` or `]` at byte 3")),
+            ("{\"a\" 1}", Err("expected `:` at byte 5")),
+            ("{1: 2}", Err("expected object key at byte 1")),
+            ("", Err("unexpected end of input")),
+            (" ", Err("unexpected end of input")),
+            ("[", Err("unexpected end of input")),
+            ("{", Err("expected object key at byte 1")),
+            ("{\"a\":", Err("unexpected end of input")),
+            (" [ ] ", Ok(())),
+            ("{ }", Ok(())),
+        ]
+        .into_iter()
+        .map(|(doc, want)| (doc.to_string(), want.map_err(str::to_string)))
+        .chain([
+            // An empty container never reads a value at its own depth.
+            (nested(64, ""), Ok(())),
+            (nested(65, ""), Ok(())),
+            (nested(66, ""), Err(format!("{deep} 65"))),
+            (nested(64, "1"), Ok(())),
+            (nested(65, "1"), Err(format!("{deep} 65"))),
+            (keyed(64), Ok(())),
+            (keyed(65), Err(format!("{deep} 325"))),
+        ])
+        .collect();
+        for (doc, want) in table {
+            let shown: String = doc.chars().take(24).collect();
+            assert_eq!(parse(&doc).map(drop), want, "parse `{shown}`");
+            let mut reader = Reader::new(&doc);
+            let skipped = reader.skip().and_then(|()| reader.finish());
+            assert_eq!(skipped, want, "skip `{shown}`");
+        }
+    }
+
+    #[test]
+    fn typed_reads_borrow_and_name_what_they_expected() {
+        let doc = r#" {"plain": "as is", "esc": "a\nb", "n": -12.5e3, "t": true, "z": null} "#;
+        let mut seen = Vec::new();
+        let mut r = Reader::new(doc);
+        r.object(|r, key| {
+            match &*key {
+                "plain" => assert!(matches!(r.string()?, Cow::Borrowed("as is"))),
+                "esc" => assert!(matches!(r.string()?, Cow::Owned(s) if s == "a\nb")),
+                "n" => assert_eq!(r.number()?, "-12.5e3"),
+                "t" => assert!(r.boolean()?),
+                _ => r.null()?,
+            }
+            seen.push(key.into_owned());
+            Ok(())
+        })
+        .unwrap();
+        r.finish().unwrap();
+        assert_eq!(seen, ["plain", "esc", "n", "t", "z"]);
+        // A value of another type is refused, and nothing is consumed.
+        let mut r = Reader::new("[true]");
+        let refused = |at| Err(format!("unexpected byte {at}"));
+        assert_eq!(r.string().map(drop), refused("0x5b at 0"));
+        assert_eq!(r.object(|r, _| r.skip()), refused("0x5b at 0"));
+        assert_eq!(r.array(|r| r.number().map(drop)), refused("0x74 at 1"));
     }
 
     #[test]

@@ -6,9 +6,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Maps `f` over `items` in parallel on `threads` workers (`0` = one
-/// per available core), preserving input order in the output — which is
-/// identical for every thread count; the sweep determinism tests rely
-/// on that. Uses scoped threads, so `f` may borrow from the environment.
+/// per available core) — the calling thread and `threads - 1` scoped
+/// ones, so `f` may borrow from the environment — preserving input
+/// order in the output, which is identical for every thread count; the
+/// sweep determinism tests rely on that.
 ///
 /// # Panics
 ///
@@ -37,27 +38,31 @@ where
     // and re-raised with context after the scope joins.
     let failed = AtomicBool::new(false);
     let first_panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if failed.load(Ordering::Relaxed) {
-                    break; // a sibling already panicked; stop early
-                }
-                let next = work.lock().expect("work queue lock").pop();
-                let Some((idx, item)) = next else { break };
-                match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                    Ok(out) => results.lock().expect("results lock").push((idx, out)),
-                    Err(payload) => {
-                        failed.store(true, Ordering::Relaxed);
-                        let mut slot = first_panic.lock().expect("panic slot lock");
-                        if slot.is_none() {
-                            *slot = Some((idx, payload));
-                        }
-                        break;
-                    }
-                }
-            });
+    let worker = || loop {
+        if failed.load(Ordering::Relaxed) {
+            break; // a sibling already panicked; stop early
         }
+        let next = work.lock().expect("work queue lock").pop();
+        let Some((idx, item)) = next else { break };
+        match catch_unwind(AssertUnwindSafe(|| f(item))) {
+            Ok(out) => results.lock().expect("results lock").push((idx, out)),
+            Err(payload) => {
+                failed.store(true, Ordering::Relaxed);
+                let mut slot = first_panic.lock().expect("panic slot lock");
+                if slot.is_none() {
+                    *slot = Some((idx, payload));
+                }
+                break;
+            }
+        }
+    };
+    // The caller is the last worker: one thread asks for no spawn at
+    // all, and nobody sits parked in a join while the others work.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
+        }
+        worker();
     });
     if let Some((idx, payload)) = first_panic.into_inner().expect("panic slot lock") {
         let msg = payload
@@ -104,19 +109,29 @@ mod tests {
     }
 
     #[test]
+    fn one_thread_is_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = parallel_map_with_threads(vec![(); 4], 1, |()| std::thread::current().id());
+        assert_eq!(ran_on, [caller; 4]);
+    }
+
+    #[test]
     fn worker_panic_propagates_with_context() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            parallel_map_with_threads((0..8).collect(), 2, |x: i32| {
-                assert!(x != 5, "item five is cursed");
-                x
-            })
-        }))
-        .expect_err("must propagate the worker panic");
-        let msg = caught
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("string payload");
-        assert!(msg.contains("worker panicked on item 5"), "{msg}");
-        assert!(msg.contains("item five is cursed"), "{msg}");
+        // One thread: the panicking worker is the caller itself.
+        for threads in [1, 2] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                parallel_map_with_threads((0..8).collect(), threads, |x: i32| {
+                    assert!(x != 5, "item five is cursed");
+                    x
+                })
+            }))
+            .expect_err("must propagate the worker panic");
+            let msg = caught
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("string payload");
+            assert!(msg.contains("worker panicked on item 5"), "{msg}");
+            assert!(msg.contains("item five is cursed"), "{msg}");
+        }
     }
 }

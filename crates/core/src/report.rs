@@ -1,20 +1,29 @@
 //! Result rendering: aligned text tables and CSV for the reproduction
 //! figures (`snoc repro`).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 
 /// Formats a float with `prec` decimals, trimming to a compact form.
 #[must_use]
 pub fn format_float(x: f64, prec: usize) -> String {
-    if x == 0.0 {
-        return "0".to_string();
-    }
-    let ax = x.abs();
-    if (0.01..1e6).contains(&ax) {
-        format!("{x:.prec$}")
-    } else {
-        format!("{x:.prec$e}")
+    CompactFloat(x, prec).to_string()
+}
+
+/// [`format_float`] as a `Display` value, for writers that format into
+/// a buffer of their own.
+pub(crate) struct CompactFloat(pub f64, pub usize);
+
+impl fmt::Display for CompactFloat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let CompactFloat(x, prec) = *self;
+        if x == 0.0 {
+            f.write_str("0")
+        } else if (0.01..1e6).contains(&x.abs()) {
+            write!(f, "{x:.prec$}")
+        } else {
+            write!(f, "{x:.prec$e}")
+        }
     }
 }
 

@@ -10,9 +10,10 @@ use snoc_sim::{
 };
 use snoc_topology::{paper_config, Topology, TopologyError, TopologyKind};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Buffering strategy presets from §5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,10 +171,19 @@ impl Setup {
     ///
     /// Returns [`SetupError`] for unknown names.
     pub fn paper(name: &str) -> Result<Self, SetupError> {
+        // A base setup is a pure function of its name, the names are a
+        // closed set, and building one costs an all-pairs BFS for the
+        // VC count — which a served spec would pay per setup per
+        // request. Built once per process; callers get clones.
+        static BUILT: Mutex<BTreeMap<String, Setup>> = Mutex::new(BTreeMap::new());
+        if let Some(setup) = BUILT.lock().expect("setup memo").get(name) {
+            return Ok(setup.clone());
+        }
         let desc = paper_config(name)?;
         let mut setup = Setup::from_topology(name, desc.topology, desc.cycle_time_ns)?;
         setup.paper_config = Some(name.to_string());
-        Ok(setup)
+        let mut memo = BUILT.lock().expect("setup memo");
+        Ok(memo.entry(name.to_string()).or_insert(setup).clone())
     }
 
     /// Builds a setup from an arbitrary topology with natural layout.

@@ -38,12 +38,12 @@
 use crate::cache::{CachedPoint, PointCache, PointCoord};
 use crate::json;
 use crate::parallel::parallel_map_with_threads;
-use crate::report::{format_float, Series};
+use crate::report::{CompactFloat, Series};
 use crate::setup::{Setup, Traffic};
 use snoc_power::TechNode;
 use snoc_sim::{saturation_heuristic, RoutingTable};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -57,6 +57,9 @@ struct Curve<'a> {
     setup: &'a Setup,
     traffic: Traffic<'a>,
     table: &'a TableSlot,
+    /// What the cache keys of this curve's points share; `None` when
+    /// its points are not cached ([`Campaign::key_halves`]).
+    key_halves: Option<[String; 2]>,
     /// Reference latency for saturation detection, set by the curve's
     /// first point — cached points reproduce it bit-exactly, so warm
     /// and cold curves agree on every derived flag.
@@ -336,10 +339,12 @@ impl Campaign {
             .flat_map(|s| traffics.iter().map(move |&t| (s, t)))
             .collect();
         let curves = parallel_map_with_threads(pairs, self.threads, |(s, traffic)| {
+            let setup = &self.setups[s];
             let curve = Curve {
-                setup: &self.setups[s],
+                setup,
                 traffic,
                 table: &tables[s],
+                key_halves: self.key_halves(setup, traffic),
                 zero_load: 0.0,
                 hits: 0,
                 misses: 0,
@@ -416,24 +421,24 @@ impl Campaign {
         (points, curve.hits, curve.misses)
     }
 
-    /// The cache and the key of one point in it, when the campaign has
-    /// a cache and the setup has a serializable recipe.
-    fn cache_key(&self, curve: &Curve<'_>, load: f64) -> Option<(&PointCache, String)> {
-        let (setup, traffic) = (curve.setup, curve.traffic);
-        let cache = self.cache.as_deref()?;
+    /// The load-independent halves of the cache keys of one curve, when
+    /// the campaign has a cache and the setup a serializable recipe:
+    /// the recipe is serialized once per curve, not once per point.
+    fn key_halves(&self, setup: &Setup, traffic: Traffic<'_>) -> Option<[String; 2]> {
+        self.cache.as_ref()?;
         let setup_spec = setup.to_spec()?.canonical_json();
         let tech = self.power_tech.map(|t| t.to_string());
-        let key = cache.key(&PointCoord {
+        let coord = PointCoord {
             setup_spec: &setup_spec,
             pattern: traffic.name(),
-            load,
+            load: 0.0, // in neither half
             warmup: self.warmup,
             measure: self.measure,
             base_seed: self.base_seed,
             shards: setup.effective_shards(traffic, self.shards),
             tech: tech.as_deref(),
-        });
-        Some((cache, key))
+        };
+        Some(coord.canonical_halves())
     }
 
     /// Runs (or replays from cache) one point of `curve`. Only a point
@@ -441,7 +446,8 @@ impl Campaign {
     fn run_point(&self, curve: &mut Curve<'_>, load: f64, refined: bool) -> SweepPoint {
         let (setup, traffic) = (curve.setup, curve.traffic);
         let seed = self.seed_of(&setup.name, traffic.name(), load);
-        let keyed = self.cache_key(curve, load);
+        let keyed = self.cache.as_deref().zip(curve.key_halves.as_ref());
+        let keyed = keyed.map(|(cache, halves)| (cache, cache.key_at(halves, load)));
         let cached = keyed.as_ref().and_then(|(cache, key)| cache.get(key));
         let point = if let Some(hit) = cached {
             curve.hits += 1;
@@ -596,13 +602,13 @@ impl SweepPoint {
              \"drained\": {}, \"refined\": {}",
             json::escape(&self.setup),
             json::escape(&self.pattern),
-            json_f64(self.load),
+            JsonF64(self.load),
             self.seed,
-            json_f64(self.latency),
+            JsonF64(self.latency),
             self.p99_latency,
-            json_f64(self.throughput),
-            json_f64(self.avg_hops),
-            json_f64(self.acceptance),
+            JsonF64(self.throughput),
+            JsonF64(self.avg_hops),
+            JsonF64(self.acceptance),
             self.delivered_packets,
             self.saturated,
             self.drained,
@@ -617,13 +623,13 @@ impl SweepPoint {
                 ", \"power_w\": {}, \"static_w\": {}, \"dynamic_w\": {}, \
                  \"area_mm2\": {}, \"throughput_per_watt\": {}, \
                  \"energy_per_flit_j\": {}, \"edp_js\": {}",
-                json_f64(pw.power_w),
-                json_f64(pw.static_w),
-                json_f64(pw.dynamic_w),
-                json_f64(pw.area_mm2),
-                json_f64(pw.throughput_per_watt),
-                json_f64(pw.energy_per_flit_j),
-                json_f64(pw.edp_js),
+                JsonF64(pw.power_w),
+                JsonF64(pw.static_w),
+                JsonF64(pw.dynamic_w),
+                JsonF64(pw.area_mm2),
+                JsonF64(pw.throughput_per_watt),
+                JsonF64(pw.energy_per_flit_j),
+                JsonF64(pw.edp_js),
             );
         }
         out.push('}');
@@ -745,6 +751,15 @@ impl CampaignResult {
     /// name parse v2 unchanged.
     #[must_use]
     pub fn to_json(&self) -> String {
+        self.to_json_with(SweepPoint::to_json_line)
+    }
+
+    /// [`CampaignResult::to_json`] with each point's line supplied by
+    /// `line` — a caller that already rendered
+    /// [`SweepPoint::to_json_line`] (the server streamed it) hands the
+    /// same text back instead of paying for it twice.
+    #[must_use]
+    pub fn to_json_with<L: fmt::Display>(&self, mut line: impl FnMut(&SweepPoint) -> L) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let schema = if self.tech.is_some() {
@@ -771,7 +786,7 @@ impl CampaignResult {
         }
         out.push_str("  \"points\": [\n");
         for (i, p) in self.points.iter().enumerate() {
-            let _ = write!(out, "    {}", p.to_json_line());
+            let _ = write!(out, "    {}", line(p));
             out.push_str(if i + 1 < self.points.len() {
                 ",\n"
             } else {
@@ -783,13 +798,17 @@ impl CampaignResult {
     }
 }
 
-/// A float formatted as a valid JSON number (no NaN/inf; those become
+/// A float displayed as a valid JSON number (no NaN/inf; those become
 /// null, which downstream tooling treats as missing).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format_float(x, 6)
-    } else {
-        "null".to_string()
+struct JsonF64(f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            CompactFloat(self.0, 6).fmt(f)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
@@ -962,7 +981,7 @@ mod tests {
 
     #[test]
     fn non_finite_floats_serialize_as_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
+        assert_eq!(JsonF64(f64::NAN).to_string(), "null");
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! (c) an engine-version salt change makes every stored entry
 //!     unreachable, forcing a full re-simulation.
 
-use snoc_core::{Campaign, CampaignResult, FaultsSpec, PointCache, Setup, StormSpec};
+use snoc_core::{
+    CachedPoint, Campaign, CampaignResult, FaultsSpec, PointCache, PointCoord, Setup, StormSpec,
+};
 use snoc_power::TechNode;
-use snoc_traffic::TrafficPattern;
+use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -248,4 +250,94 @@ fn refined_points_are_cached_too() {
     assert_eq!(warm.cache_hits, cold.cache_misses);
     assert_eq!(warm.to_json(), cold.to_json());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_store_filled_under_the_public_key_is_all_hits_for_a_campaign() {
+    // A campaign mints a point's key from its curve's two halves of the
+    // canonical coordinate; every other writer — another tool, an older
+    // binary — from `PointCache::key` over the whole `PointCoord`. Fill
+    // a store the second way, coordinate by coordinate, and a campaign
+    // over the same grid has nothing left to simulate.
+    let storm = FaultsSpec {
+        events: Vec::new(),
+        storm: Some(StormSpec {
+            links: 4,
+            start: 200,
+            window: 200,
+            seed: 3,
+        }),
+    };
+    let mut faulted = Setup::paper("sn54")
+        .expect("paper config")
+        .with_faults(storm);
+    faulted.name = "sn54 \"storm\"".to_string();
+    let setups = vec![Setup::paper("cm3").expect("paper config"), faulted];
+    let fft = TraceWorkload::by_name("fft").expect("benchmark name");
+    let loads = [1e-9, 0.3, 123_456.789];
+    let (warmup, measure, base_seed) = (150, 500, 0xC0FFEE);
+    let stored = CachedPoint {
+        latency: 17.25,
+        p99_latency: 41,
+        throughput: 0.03,
+        avg_hops: 1.9,
+        acceptance: 1.0,
+        delivered_packets: 1_234,
+        dropped_packets: 0,
+        injected_packets: 1_234,
+        drained: true,
+        power: None,
+    };
+    for tech in [None, Some(TechNode::N45)] {
+        for shards in [1, 2] {
+            let dir = tmp(&format!("public_key_{}_{shards}", tech.is_some()));
+            let writer = PointCache::open(&dir).expect("open cache");
+            let tech_name = tech.map(|t| t.to_string());
+            let mut written = 0;
+            for setup in &setups {
+                let recipe = setup.to_spec().expect("paper setup").canonical_json();
+                let rnd = loads.map(|load| ("RND", load));
+                for (pattern, load) in rnd.into_iter().chain([("fft", fft.offered_flit_rate())]) {
+                    let coord = PointCoord {
+                        setup_spec: &recipe,
+                        pattern,
+                        load,
+                        warmup,
+                        measure,
+                        base_seed,
+                        // Traces and fault recipes pin one shard.
+                        shards: if pattern == "fft" || setup.faults.is_some() {
+                            1
+                        } else {
+                            shards
+                        },
+                        tech: tech_name.as_deref(),
+                    };
+                    writer.put(&writer.key(&coord), &stored).expect("append");
+                    written += 1;
+                }
+            }
+            drop(writer);
+            let mut campaign = Campaign::new("public-key")
+                .with_setups(setups.clone())
+                .with_patterns(vec![TrafficPattern::Random])
+                .with_workloads(vec![fft])
+                .with_loads(loads.to_vec())
+                .with_windows(warmup, measure)
+                .with_seed(base_seed)
+                .with_shards(shards)
+                .with_stop_at_saturation(false);
+            if let Some(tech) = tech {
+                campaign = campaign.with_power(tech);
+            }
+            let run = campaign.with_cache_dir(&dir).expect("open cache").run();
+            assert_eq!(
+                (run.cache_hits, run.cache_misses),
+                (written, 0),
+                "tech {tech:?}, {shards} shards"
+            );
+            assert!(run.points.iter().all(|p| p.latency == stored.latency));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }

@@ -10,8 +10,14 @@
 //! network (`POST /campaign`), so `CampaignSpec::from_json` must turn
 //! every byte string into `Ok` or `Err` — never a panic, a stack
 //! overflow or a hang.
+//!
+//! And the grammar under it: `json::parse` is a tree builder over
+//! `json::Reader`, which the cache loader and the `snoc submit` client
+//! drive directly — so a tree must survive serialise → `parse`, and a
+//! document `Reader::skip` validates must be exactly one `parse` takes.
 
 use proptest::prelude::*;
+use snoc_core::json::{self, JsonValue, Reader};
 use snoc_core::{BufferPreset, CampaignSpec, SetupSpec};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
@@ -164,8 +170,108 @@ fn mutate(doc: &[u8], seed: u64, edits: usize) -> Vec<u8> {
     out
 }
 
+/// A random tree at most `depth` containers deep: awkward strings,
+/// numbers in every form our writers and `f64`'s `Display` emit.
+fn value_from(rng: &mut TestRng, depth: usize) -> JsonValue {
+    const STRINGS: [&str; 6] = ["", "plain", "q\"uo\\te", "tab\tnl\n\u{1}", "é日本🦀", "a/b"];
+    let mut pick = |n: u64| rng.next_u64() % n;
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match pick(kinds) {
+        0 => JsonValue::Null,
+        1 => JsonValue::Bool(pick(2) == 0),
+        2 => JsonValue::Num(match pick(5) {
+            0 => pick(u64::MAX).to_string(),
+            1 => format!("-{}", pick(1000)),
+            2 => format!("{}", f64::from_bits(pick(u64::MAX)).abs().min(1e300)),
+            3 => format!("{:e}", (pick(1 << 40) as f64 - 5e11) / 977.0),
+            _ => ["-0", "1E+2", "0.5e-7", "01"][pick(4) as usize].to_string(),
+        }),
+        3 => JsonValue::Str(STRINGS[pick(6) as usize].repeat(pick(3) as usize)),
+        4 => {
+            let len = pick(4);
+            JsonValue::Arr((0..len).map(|_| value_from(rng, depth - 1)).collect())
+        }
+        _ => {
+            let len = pick(4);
+            let key = |i: u64| format!("{}{i}", STRINGS[(i % 6) as usize]);
+            JsonValue::Obj(
+                (0..len)
+                    .map(|i| (key(i), value_from(rng, depth - 1)))
+                    .collect(),
+            )
+        }
+    }
+}
+
+/// `value` as JSON text, `ws` between every two tokens.
+fn write_value(value: &JsonValue, ws: &str, out: &mut String) {
+    match value {
+        JsonValue::Null => out.push_str("null"),
+        JsonValue::Bool(b) => out.push_str(&b.to_string()),
+        JsonValue::Num(raw) => out.push_str(raw),
+        JsonValue::Str(s) => *out += &format!("\"{}\"", json::escape(s)),
+        JsonValue::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                *out += if i == 0 { ws } else { "," };
+                write_value(item, ws, out);
+                *out += ws;
+            }
+            out.push(']');
+        }
+        JsonValue::Obj(fields) => {
+            out.push('{');
+            for (i, (key, item)) in fields.iter().enumerate() {
+                *out += if i == 0 { ws } else { "," };
+                *out += &format!("{ws}\"{}\"{ws}:{ws}", json::escape(key));
+                write_value(item, ws, out);
+                *out += ws;
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// What `Reader::skip` + `finish` make of a document.
+fn skipped(doc: &str) -> Result<(), String> {
+    let mut reader = Reader::new(doc);
+    reader.skip()?;
+    reader.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn json_trees_survive_serialise_then_parse(seed in 0u64..u64::MAX, depth in 0usize..5) {
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let tree = value_from(&mut rng, depth);
+        for ws in ["", " ", "\n\t "] {
+            let mut doc = ws.to_string();
+            write_value(&tree, ws, &mut doc);
+            doc += ws;
+            prop_assert_eq!(json::parse(&doc), Ok(tree.clone()));
+            prop_assert_eq!(skipped(&doc), Ok(()));
+        }
+    }
+
+    #[test]
+    fn skip_accepts_exactly_the_documents_parse_accepts(
+        seed in 0u64..u64::MAX,
+        depth in 1usize..5,
+        edits in 0usize..4,
+    ) {
+        let mut rng = TestRng::from_name(&seed.to_string());
+        let mut doc = String::new();
+        write_value(&value_from(&mut rng, depth), " ", &mut doc);
+        let golden = include_bytes!("golden/spec_v1.json");
+        for source in [doc.as_bytes(), golden] {
+            let mutated = mutate(source, seed, edits);
+            let text = String::from_utf8_lossy(&mutated);
+            // Same verdict, and the same words for it.
+            prop_assert_eq!(skipped(&text), json::parse(&text).map(drop));
+        }
+    }
 
     #[test]
     fn from_json_never_panics_on_arbitrary_bytes(seed in 0u64..u64::MAX, len in 0usize..400) {
