@@ -16,9 +16,8 @@
 //!   byte-identical snapshots.
 //!
 //! A shard-equivalence block then holds the sharded parallel engine to
-//! the monolithic engine over the same matrix: exact byte identity for
-//! deterministic routing at 2 and 4 shards, the statistical tier for
-//! UGAL-L (whose shards re-seed independently).
+//! the monolithic engine over the topology pool: exact byte identity at
+//! 2 and 4 shards, the only contract that engine has.
 //!
 //! A degraded-mode block reruns each topology's workload under a seeded
 //! mid-run link storm, holding both engines to byte-exact agreement —
@@ -182,10 +181,8 @@ fn run_case(case: &Case, args: &Args) -> Outcome {
 }
 
 /// Shard-equivalence rows: the sharded parallel engine against the
-/// monolithic engine on the same seed, across the full topology pool.
-/// Deterministic routing is the exact tier — byte identity at any
-/// shard count; UGAL-L derives per-shard seeds, so it is held to the
-/// same statistical contract as the reference model instead.
+/// monolithic engine on the same seed, across the full topology pool —
+/// byte identity at any shard count.
 fn shard_outcomes(args: &Args) -> Vec<Outcome> {
     let rate = 0.05;
     let mut outcomes = Vec::new();
@@ -215,43 +212,6 @@ fn shard_outcomes(args: &Args) -> Vec<Outcome> {
             });
         }
     }
-    // Locally-adaptive routing: stall-history gating makes lockstep RNG
-    // replication impossible, so shards re-seed independently and the
-    // agreement tier is statistical.
-    let topo = Topology::slim_noc(3, 3).unwrap();
-    let cfg = SimConfig::default()
-        .with_vcs(4)
-        .with_routing(RoutingKind::UgalL)
-        .with_seed(0xBEEF);
-    let mut mono = Simulator::build(&topo, &cfg).expect("sim builds");
-    let reference = mono
-        .run_synthetic(
-            TrafficPattern::Adversarial1,
-            rate,
-            args.warmup(),
-            args.measure(),
-        )
-        .snapshot();
-    let mut sim = ShardedSimulator::build(&topo, &cfg, 4).expect("sharded builds");
-    let optimized = sim
-        .run_synthetic(
-            TrafficPattern::Adversarial1,
-            rate,
-            args.warmup(),
-            args.measure(),
-        )
-        .snapshot();
-    let verdict = evaluate(&optimized, &reference, "stats");
-    outcomes.push(Outcome {
-        label: format!(
-            "{} ADV1 UgalL {} [4sh stats]",
-            topo.name(),
-            format_float(rate, 2)
-        ),
-        optimized,
-        reference,
-        verdict,
-    });
     outcomes
 }
 

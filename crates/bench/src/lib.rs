@@ -18,16 +18,12 @@
 //!   used by the `repro_smoke` test suite to exercise every entry;
 //! - `--threads N` — worker threads for campaign fan-out (0 = one per
 //!   core; results are identical for every thread count);
-//! - `--shards N` — simulation-engine shards per point (sharded runs of
-//!   deterministic-routing configs are bit-identical to `--shards 1`;
-//!   see the README's "Sharded engine" section; it has no trace
-//!   source, so trace-workload points always run on one);
 //! - `--cache-dir DIR` — attach the content-addressed point cache at
 //!   `DIR` to the figure's campaigns: already-simulated points replay
 //!   from disk, new ones are stored for next time.
 //!
 //! `snoc run --spec FILE` takes the same execution flags (`--quick`,
-//! `--smoke`, `--threads`, `--shards`, `--cache-dir`) and folds them
+//! `--smoke`, `--threads`, `--cache-dir`) and folds them
 //! into the spec it runs.
 //!
 //! Every simulated number a figure prints is a point of the
@@ -65,9 +61,6 @@ pub struct Args {
     pub smoke: bool,
     /// Campaign worker threads (0 = one per core).
     pub threads: usize,
-    /// Simulation-engine shards per point (0 = leave the campaign or
-    /// spec default in place). Trace-workload points always run on one.
-    pub shards: usize,
     /// Attach the content-addressed point cache at this directory.
     pub cache_dir: Option<String>,
 }
@@ -97,7 +90,6 @@ impl Args {
                 "--quick" => args.quick = true,
                 "--smoke" => args.smoke = true,
                 "--threads" => args.threads = count(next_value()?)?,
-                "--shards" => args.shards = count(next_value()?)?,
                 "--cache-dir" => args.cache_dir = Some(next_value()?),
                 other => return Err(format!("unknown flag `{other}`")),
             }
@@ -113,9 +105,6 @@ impl Args {
     pub fn configure(&self, mut campaign: Campaign) -> Campaign {
         if self.threads != 0 {
             campaign = campaign.with_threads(self.threads);
-        }
-        if self.shards != 0 {
-            campaign = campaign.with_shards(self.shards);
         }
         if let Some(dir) = &self.cache_dir {
             match PointCache::open(dir) {
@@ -136,9 +125,6 @@ impl Args {
         }
         if self.threads != 0 {
             spec.threads = self.threads;
-        }
-        if self.shards != 0 {
-            spec.shards = self.shards;
         }
         if let Some(dir) = &self.cache_dir {
             spec.cache_dir = Some(dir.clone());
@@ -318,10 +304,10 @@ mod tests {
         ])
         .unwrap();
         assert!(args.csv && args.smoke && !args.json && !args.quick);
-        assert_eq!((args.threads, args.shards), (3, 0));
+        assert_eq!(args.threads, 3);
         assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));
         // `--spec` belongs to `snoc run`, not to a figure.
-        for bad in [&["--spec", "x"][..], &["--threads"], &["--shards", "two"]] {
+        for bad in [&["--spec", "x"][..], &["--threads"], &["--threads", "two"]] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }

@@ -141,6 +141,8 @@ fn well_formed_specs_that_cannot_run_are_refused_with_400() {
         ("faults_ugal", true),
         ("phantom_router", true),
         ("unknown_workload", false),
+        ("xy_off_fbf", true),
+        ("shards", true),
     ] {
         let path = format!(
             "{}/../../tests/specs/unrunnable_{name}.json",

@@ -68,8 +68,10 @@ pub struct PointCoord<'a> {
     pub measure: u64,
     /// Campaign base seed.
     pub base_seed: u64,
-    /// Simulation-engine shard count. Only part of the canonical form
-    /// when above 1, so keys minted before sharding existed stay valid.
+    /// Simulation-engine shard count: always 1 from `snoc_core`, whose
+    /// campaigns run every point on the monolithic engine. Only part of
+    /// the canonical form when above 1, so 1 mints the keys every
+    /// store already holds.
     pub shards: usize,
     /// Power technology node (`45nm`, …) for power-aware campaigns;
     /// `None` for plain latency sweeps.

@@ -5,8 +5,8 @@ use crate::faults::FaultsSpec;
 use snoc_layout::{per_router_central_buffers, BufferModel, BufferSpec, Layout, SnLayout};
 use snoc_power::{PowerModel, TechNode};
 use snoc_sim::{
-    BufferSizing, LinkMode, RoutingKind, RoutingTable, ShardedSimulator, SimConfig, SimError,
-    SimReport, Simulator,
+    BufferSizing, RoutingKind, RoutingTable, ShardedSimulator, SimConfig, SimError, SimReport,
+    Simulator,
 };
 use snoc_topology::{paper_config, Topology, TopologyError, TopologyKind};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
@@ -155,8 +155,8 @@ pub struct Setup {
     pub sn_layout: Option<SnLayout>,
     /// Fault recipe applied to every simulator this setup builds
     /// (`None` = fault-free). Resolved against the topology in
-    /// [`Setup::simulator`]; pins the monolithic engine
-    /// (`Setup::effective_shards`).
+    /// [`Setup::simulator`]; the sharded engine cannot run it
+    /// ([`Setup::run_load_sharded`]).
     pub faults: Option<FaultsSpec>,
 }
 
@@ -291,7 +291,8 @@ impl Setup {
     }
 
     /// Runs every check [`Setup::simulator`] can fail on — the simulator
-    /// configuration's consistency, and the fault recipe against this
+    /// configuration's consistency (on this topology:
+    /// [`SimConfig::validate_on`]), and the fault recipe against this
     /// topology and the supported envelope — without building a routing
     /// table, so a campaign can refuse a setup before running a point.
     ///
@@ -299,7 +300,7 @@ impl Setup {
     ///
     /// Returns [`SetupError::Sim`], as [`Setup::simulator`] would.
     pub fn validate(&self) -> Result<(), SetupError> {
-        self.sim.validate()?;
+        self.sim.validate_on(&self.topology)?;
         if let Some(faults) = &self.faults {
             faults
                 .resolve(&self.topology)
@@ -362,39 +363,22 @@ impl Setup {
         warmup: u64,
         measure: u64,
     ) -> SimReport {
-        self.run_load_sharded(pattern, rate, warmup, measure, 1)
-    }
-
-    /// The shard count a request for `shards` actually runs on (see
-    /// [`Setup::run_load_sharded`]; the sharded engine has no trace
-    /// source). The one place this is decided: the runner runs it and
-    /// the campaign cache keys it, so identical work is never stored
-    /// under several keys.
-    pub(crate) fn effective_shards(&self, traffic: Traffic<'_>, shards: usize) -> usize {
-        if matches!(traffic, Traffic::Trace(_))
-            || self.faults.is_some()
-            || self.sim.routing == RoutingKind::UgalG
-            || self.sim.link_mode == LinkMode::Elastic
-        {
-            1
-        } else {
-            shards.clamp(1, self.topology.router_count().max(1))
-        }
+        let traffic = Traffic::Pattern(pattern);
+        self.run_point(traffic, rate, warmup, measure, self.minimal_table())
     }
 
     /// Runs one synthetic-traffic point on the sharded parallel engine,
-    /// with `shards` clamped to the router count as the sharded builder
-    /// clamps it. One shard is the monolithic simulator, and so is any
-    /// request on exactly the setups the sharded engine cannot take — a
-    /// fault recipe (replicated shards never see fault plans), UGAL-G
-    /// (reads remote occupancy), elastic links (zero lookahead) — so
-    /// mixed campaigns keep running. Exact-mode configurations produce
-    /// reports bit-identical to [`Setup::run_load`] at any shard count.
+    /// [`snoc_sim::ShardedSimulator`] — a tool for one point too large
+    /// for one core, which no campaign uses. Its report is
+    /// byte-identical to [`Setup::run_load`]'s at any shard count; with
+    /// `shards ≤ 1` it *is* [`Setup::run_load`].
     ///
     /// # Panics
     ///
-    /// Panics if the setup cannot construct a simulator (all presets in
-    /// this crate can).
+    /// Panics, with the builder's message, on a setup the sharded
+    /// engine refuses with more than one shard — a fault recipe
+    /// (replicated shards never see fault plans), UGAL-L, UGAL-G,
+    /// elastic links — as [`Setup::run_load`] panics on an invalid one.
     pub fn run_load_sharded(
         &self,
         pattern: TrafficPattern,
@@ -403,12 +387,20 @@ impl Setup {
         measure: u64,
         shards: usize,
     ) -> SimReport {
-        let traffic = Traffic::Pattern(pattern);
-        self.run_point(traffic, rate, warmup, measure, shards, self.minimal_table())
+        if shards <= 1 {
+            return self.run_load(pattern, rate, warmup, measure);
+        }
+        assert!(
+            self.faults.is_none(),
+            "{}: a fault recipe runs on the monolithic engine only",
+            self.name
+        );
+        ShardedSimulator::build_with_layout(&self.topology, &self.layout, &self.sim, shards)
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name))
+            .run_synthetic(pattern, rate, warmup, measure)
     }
 
-    /// The one point runner: [`Setup::run_load`] and
-    /// [`Setup::run_load_sharded`] call it with a fresh
+    /// The one point runner: [`Setup::run_load`] calls it with a fresh
     /// [`Setup::minimal_table`], a campaign with the table it holds for
     /// the setup (see [`Setup::simulator_with_table`]). A trace ignores
     /// `rate`: it is `warmup + measure` cycles at the workload's own,
@@ -419,16 +411,8 @@ impl Setup {
         rate: f64,
         warmup: u64,
         measure: u64,
-        shards: usize,
         table: Arc<RoutingTable>,
     ) -> SimReport {
-        let shards = self.effective_shards(traffic, shards);
-        if let (Traffic::Pattern(pattern), true) = (traffic, shards > 1) {
-            let (topo, layout) = (&self.topology, Some(&self.layout));
-            return ShardedSimulator::build_with_table(topo, layout, &self.sim, shards, table)
-                .expect("valid setup")
-                .run_synthetic(pattern, rate, warmup, measure);
-        }
         let mut sim = self.simulator_with_table(table).expect("valid setup");
         let report = match traffic {
             Traffic::Pattern(pattern) => sim.run_synthetic(pattern, rate, warmup, measure),
@@ -592,43 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn effective_shards_is_one_exactly_where_the_sharded_engine_refuses() {
-        let base = Setup::paper("sn54").unwrap();
-        let storm = FaultsSpec {
-            events: Vec::new(),
-            storm: Some(crate::StormSpec {
-                links: 2,
-                start: 10,
-                window: 10,
-                seed: 1,
-            }),
-        };
-        let cases = [
-            base.clone(),
-            base.clone().with_routing(RoutingKind::UgalL),
-            base.clone().with_routing(RoutingKind::UgalG),
-            base.clone().with_buffers(BufferPreset::ElLinks),
-            base.clone().with_buffers(BufferPreset::Cbr(20)),
-        ];
-        let rnd = Traffic::Pattern(TrafficPattern::Random);
-        for s in &cases {
-            let accepted =
-                ShardedSimulator::build_with_layout(&s.topology, &s.layout, &s.sim, 2).is_ok();
-            assert_eq!(s.effective_shards(rnd, 2) == 2, accepted, "{:?}", s.sim);
-            assert_eq!(s.effective_shards(rnd, 1), 1);
-            assert_eq!(s.effective_shards(rnd, 0), 1);
-        }
-        assert_eq!(
-            base.effective_shards(rnd, 1_000),
-            18,
-            "clamped like the builder"
-        );
-        let fft = TraceWorkload::by_name("fft").unwrap();
-        assert_eq!(base.effective_shards(Traffic::Trace(&fft), 4), 1);
-        assert_eq!(base.with_faults(storm).effective_shards(rnd, 4), 1);
-    }
-
-    #[test]
     fn validate_fails_exactly_where_the_simulator_refuses_to_build() {
         let base = Setup::paper("sn54").unwrap();
         let recipe = |text| FaultsSpec::from_json_value(&crate::json::parse(text).unwrap()).ok();
@@ -639,7 +586,11 @@ mod tests {
         ];
         for buffers in ["eb-small", "eb-var", "el-links", "cbr20", "cbr0"] {
             let buffers = BufferPreset::from_spec_name(buffers).unwrap();
-            for routing in [RoutingKind::Minimal, RoutingKind::UgalL] {
+            for routing in [
+                RoutingKind::Minimal,
+                RoutingKind::UgalL,
+                RoutingKind::XyAdaptive,
+            ] {
                 for faults in &faults {
                     let mut s = base.clone().with_buffers(buffers).with_routing(routing);
                     s.faults.clone_from(faults);

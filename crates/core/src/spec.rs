@@ -31,7 +31,8 @@
 //!
 //! Beside `patterns`, the optional `workloads` (names from
 //! [`snoc_traffic::benchmark_names`], emitted only when non-empty) adds
-//! one point per setup per trace, at its own rate, always on one shard.
+//! one point per setup per trace, at its own rate. Every point runs on
+//! the monolithic engine: `shards` (emitted only when not 1) must be 1.
 
 use crate::faults::FaultsSpec;
 use crate::json::{self, JsonValue};
@@ -285,10 +286,9 @@ pub struct CampaignSpec {
     /// Worker threads (0 = one per core). Execution detail — not part
     /// of any cache key.
     pub threads: usize,
-    /// Simulation-engine shards per point (1 = the monolithic engine).
-    /// Part of the cache key: only minimal/XY-adaptive credited
-    /// configurations are bit-identical across shard counts, so points
-    /// computed under different sharding never alias in the cache.
+    /// Simulation-engine shards per point. Always 1 in a runnable
+    /// spec: campaign points run on the monolithic engine, and
+    /// [`Campaign::from_spec`] refuses any other value.
     pub shards: usize,
     /// Power-aware mode technology node.
     pub power_tech: Option<TechNode>,
@@ -470,9 +470,16 @@ impl Campaign {
     ///
     /// Returns [`SpecError`] when a setup recipe fails to build or to
     /// [validate](Setup::validate), two setups share a name (curves
-    /// are keyed by name), or the cache directory cannot be opened —
-    /// everything that would otherwise panic once the campaign runs.
+    /// are keyed by name), `shards` is not 1, or the cache directory
+    /// cannot be opened — everything that would otherwise panic, or
+    /// silently run something else, once the campaign runs.
     pub fn from_spec(spec: &CampaignSpec) -> Result<Campaign, SpecError> {
+        if spec.shards != 1 {
+            return Err(SpecError::Parse(format!(
+                "`shards` is {}: campaign points always run on the monolithic engine",
+                spec.shards
+            )));
+        }
         let mut setups = Vec::with_capacity(spec.setups.len());
         for recipe in &spec.setups {
             let setup = recipe.build()?;
@@ -491,8 +498,7 @@ impl Campaign {
             .with_seed(spec.base_seed)
             .with_refinement(spec.refine_rounds)
             .with_stop_at_saturation(spec.stop_at_saturation)
-            .with_threads(spec.threads)
-            .with_shards(spec.shards);
+            .with_threads(spec.threads);
         if let Some(tech) = spec.power_tech {
             campaign = campaign.with_power(tech);
         }
@@ -534,7 +540,7 @@ impl Campaign {
             refine_rounds: self.refine_rounds,
             stop_at_saturation: self.stop_at_saturation,
             threads: self.threads,
-            shards: self.shards,
+            shards: 1,
             power_tech: self.power_tech,
             cache_dir: self.cache().map(|c| c.dir().display().to_string()),
         }
@@ -583,7 +589,6 @@ mod tests {
         spec.refine_rounds = 2;
         spec.stop_at_saturation = false;
         spec.threads = 3;
-        spec.shards = 4;
         spec.power_tech = Some(TechNode::N22);
         spec.cache_dir = Some("/tmp/cache dir".into());
         spec
@@ -746,6 +751,14 @@ mod tests {
         };
         let campaign = Campaign::from_spec(&spec).expect("buildable");
         assert_eq!(campaign.to_spec().expect("representable"), spec);
+        // A sharded spec still parses, but no campaign runs it.
+        let sharded = CampaignSpec { shards: 4, ..spec };
+        assert_eq!(
+            CampaignSpec::from_json(&sharded.to_json()).unwrap(),
+            sharded
+        );
+        let err = Campaign::from_spec(&sharded).unwrap_err().to_string();
+        assert!(err.contains("`shards`"), "{err}");
     }
 
     #[test]

@@ -102,9 +102,6 @@ pub struct Campaign {
     pub stop_at_saturation: bool,
     /// Worker threads (0 = one per available core).
     pub threads: usize,
-    /// Simulation-engine shards per point (1 = monolithic engine; see
-    /// [`snoc_sim::ShardedSimulator`] for the determinism contract).
-    pub shards: usize,
     /// Power-aware campaign mode: evaluate the power/area model at this
     /// technology node for every point, feeding it the activity factors
     /// the simulation *measured*. Points then carry
@@ -134,7 +131,6 @@ impl Campaign {
             refine_rounds: 0,
             stop_at_saturation: true,
             threads: 0,
-            shards: 1,
             power_tech: None,
             cache: None,
         }
@@ -194,16 +190,6 @@ impl Campaign {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the number of simulation-engine shards each point runs on
-    /// (clamped to at least 1). Sharding pays off for large instances;
-    /// small campaign points are usually faster monolithic. Workload
-    /// points ignore it: the sharded engine has no trace source.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -435,7 +421,7 @@ impl Campaign {
             warmup: self.warmup,
             measure: self.measure,
             base_seed: self.base_seed,
-            shards: setup.effective_shards(traffic, self.shards),
+            shards: 1, // every point runs on the monolithic engine
             tech: tech.as_deref(),
         };
         Some(coord.canonical_halves())
@@ -455,14 +441,8 @@ impl Campaign {
         } else {
             let table = curve.table.get_or_init(|| setup.minimal_table());
             let seeded = setup.clone().with_seed(seed);
-            let report = seeded.run_point(
-                traffic,
-                load,
-                self.warmup,
-                self.measure,
-                self.shards,
-                Arc::clone(table),
-            );
+            let report =
+                seeded.run_point(traffic, load, self.warmup, self.measure, Arc::clone(table));
             let point = CachedPoint {
                 latency: report.avg_packet_latency(),
                 p99_latency: report.latency_percentile(0.99),

@@ -190,10 +190,7 @@ fn faulted_points_round_trip_the_cache_under_their_own_keys() {
             .with_cache_dir(dir)
             .expect("open cache")
     };
-    // A fault recipe pins the monolithic engine, so the shard count a
-    // campaign asks for is not part of a faulted point's key: the cold
-    // run requests 2 shards, every warm run below the default 1.
-    let cold = faulted(&dir).with_shards(2).run();
+    let cold = faulted(&dir).run();
     assert_eq!(cold.cache_misses, 2);
     assert!(
         cold.points.iter().any(|p| p.dropped_packets > 0),
@@ -289,55 +286,45 @@ fn a_store_filled_under_the_public_key_is_all_hits_for_a_campaign() {
         power: None,
     };
     for tech in [None, Some(TechNode::N45)] {
-        for shards in [1, 2] {
-            let dir = tmp(&format!("public_key_{}_{shards}", tech.is_some()));
-            let writer = PointCache::open(&dir).expect("open cache");
-            let tech_name = tech.map(|t| t.to_string());
-            let mut written = 0;
-            for setup in &setups {
-                let recipe = setup.to_spec().expect("paper setup").canonical_json();
-                let rnd = loads.map(|load| ("RND", load));
-                for (pattern, load) in rnd.into_iter().chain([("fft", fft.offered_flit_rate())]) {
-                    let coord = PointCoord {
-                        setup_spec: &recipe,
-                        pattern,
-                        load,
-                        warmup,
-                        measure,
-                        base_seed,
-                        // Traces and fault recipes pin one shard.
-                        shards: if pattern == "fft" || setup.faults.is_some() {
-                            1
-                        } else {
-                            shards
-                        },
-                        tech: tech_name.as_deref(),
-                    };
-                    writer.put(&writer.key(&coord), &stored).expect("append");
-                    written += 1;
-                }
+        let dir = tmp(&format!("public_key_{}", tech.is_some()));
+        let writer = PointCache::open(&dir).expect("open cache");
+        let tech_name = tech.map(|t| t.to_string());
+        let mut written = 0;
+        for setup in &setups {
+            let recipe = setup.to_spec().expect("paper setup").canonical_json();
+            let rnd = loads.map(|load| ("RND", load));
+            for (pattern, load) in rnd.into_iter().chain([("fft", fft.offered_flit_rate())]) {
+                let coord = PointCoord {
+                    setup_spec: &recipe,
+                    pattern,
+                    load,
+                    warmup,
+                    measure,
+                    base_seed,
+                    // Every campaign point runs monolithic, so its key
+                    // is the one-shard key every store already holds.
+                    shards: 1,
+                    tech: tech_name.as_deref(),
+                };
+                writer.put(&writer.key(&coord), &stored).expect("append");
+                written += 1;
             }
-            drop(writer);
-            let mut campaign = Campaign::new("public-key")
-                .with_setups(setups.clone())
-                .with_patterns(vec![TrafficPattern::Random])
-                .with_workloads(vec![fft])
-                .with_loads(loads.to_vec())
-                .with_windows(warmup, measure)
-                .with_seed(base_seed)
-                .with_shards(shards)
-                .with_stop_at_saturation(false);
-            if let Some(tech) = tech {
-                campaign = campaign.with_power(tech);
-            }
-            let run = campaign.with_cache_dir(&dir).expect("open cache").run();
-            assert_eq!(
-                (run.cache_hits, run.cache_misses),
-                (written, 0),
-                "tech {tech:?}, {shards} shards"
-            );
-            assert!(run.points.iter().all(|p| p.latency == stored.latency));
-            let _ = std::fs::remove_dir_all(&dir);
         }
+        drop(writer);
+        let mut campaign = Campaign::new("public-key")
+            .with_setups(setups.clone())
+            .with_patterns(vec![TrafficPattern::Random])
+            .with_workloads(vec![fft])
+            .with_loads(loads.to_vec())
+            .with_windows(warmup, measure)
+            .with_seed(base_seed)
+            .with_stop_at_saturation(false);
+        if let Some(tech) = tech {
+            campaign = campaign.with_power(tech);
+        }
+        let run = campaign.with_cache_dir(&dir).expect("open cache").run();
+        assert_eq!((run.cache_hits, run.cache_misses), (written, 0), "{tech:?}");
+        assert!(run.points.iter().all(|p| p.latency == stored.latency));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,7 +1,7 @@
 //! Simulator configuration (§5.1's microarchitectural parameters).
 
 use snoc_layout::LayoutError;
-use snoc_topology::TopologyError;
+use snoc_topology::{Topology, TopologyError, TopologyKind};
 use std::error::Error;
 use std::fmt;
 
@@ -242,6 +242,27 @@ impl SimConfig {
             if cb_flits < self.packet_flits {
                 return fail("central buffer must hold at least one packet");
             }
+        }
+        Ok(())
+    }
+
+    /// [`SimConfig::validate`] plus what needs the network: XY-adaptive
+    /// routing adapts over a flattened butterfly's grid, so needs one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] as [`SimConfig::validate`]
+    /// does, and for XY-adaptive routing off a flattened butterfly.
+    pub fn validate_on(&self, topo: &Topology) -> Result<(), SimError> {
+        self.validate()?;
+        let fbf = matches!(topo.kind(), TopologyKind::FlattenedButterfly { .. });
+        if self.routing == RoutingKind::XyAdaptive && !fbf {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "XY-adaptive routing needs a flattened butterfly, not {}",
+                    topo.name()
+                ),
+            });
         }
         Ok(())
     }

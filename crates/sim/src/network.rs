@@ -65,8 +65,6 @@ pub struct Simulator {
     arena: FlitArena,
     /// Per-node injection queues (flit refs).
     inj_queues: Vec<VecDeque<FlitRef>>,
-    /// FBF grid width for XY-adaptive routing, if applicable.
-    fbf_x_dim: Option<usize>,
     now: u64,
     next_pid: u64,
     rng: ChaCha8Rng,
@@ -165,7 +163,7 @@ impl Simulator {
         cfg: &SimConfig,
         table: Arc<RoutingTable>,
     ) -> Result<Self, SimError> {
-        cfg.validate()?;
+        cfg.validate_on(topo)?;
         if !table.is_wired_like(topo) {
             return Err(SimError::InvalidConfig {
                 reason: format!("routing table was not built for {}", topo.name()),
@@ -259,11 +257,6 @@ impl Simulator {
             }
         }
 
-        let fbf_x_dim = match topo.kind() {
-            TopologyKind::FlattenedButterfly { x, .. } => Some(*x),
-            _ => None,
-        };
-
         let chan_count = channels.len();
         let watchdog =
             crate::deadlock::default_watchdog_bound(table.max_finite_distance(), cfg.packet_flits);
@@ -285,7 +278,6 @@ impl Simulator {
             init_credits,
             arena: FlitArena::default(),
             inj_queues: vec![VecDeque::new(); topo.node_count()],
-            fbf_x_dim,
             now: 0,
             next_pid: 0,
             rng: ChaCha8Rng::seed_from_u64(cfg.seed),
@@ -623,7 +615,7 @@ impl Simulator {
         measure: u64,
     ) -> SimReport {
         let sampler = PatternSampler::new(pattern, &self.topo);
-        let mut calendar = Calendar::new(self, &sampler, rate, burst, warmup, measure, None, true);
+        let mut calendar = Calendar::new(self, &sampler, rate, burst, warmup, measure, None);
         self.drive(&mut calendar)
     }
 
@@ -753,7 +745,10 @@ impl Simulator {
                 (non_cost + 3.0 < min_cost).then_some(mid)
             }
             RoutingKind::XyAdaptive => {
-                let x_dim = self.fbf_x_dim?;
+                // `SimConfig::validate_on` admits XY on an FBF only.
+                let TopologyKind::FlattenedButterfly { x: x_dim, .. } = *self.topo.kind() else {
+                    return None;
+                };
                 let (sx, sy) = (src.index() % x_dim, src.index() / x_dim);
                 let (dx, dy) = (dst.index() % x_dim, dst.index() / x_dim);
                 if sx == dx || sy == dy {
@@ -1594,6 +1589,9 @@ mod tests {
         let report = sim.run_synthetic(TrafficPattern::Random, 0.10, 500, 3_000);
         assert!(report.drained, "{report}");
         assert!(report.avg_hops() <= 2.0 + 1e-9);
+        // Off a flattened butterfly there is no grid to adapt over.
+        let err = Simulator::build(&small_sn(), &cfg).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
     }
 
     #[test]

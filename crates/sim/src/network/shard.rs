@@ -40,17 +40,15 @@
 //!
 //! # Determinism contract
 //!
-//! With minimal or XY-adaptive routing on credited links, every shard
-//! replicates the full global injection calendar and RNG stream
-//! (sampling draws are burned for remote sources), so an `N`-shard run
-//! produces a [`SimReport`] — and its JSON — byte-identical to the
-//! single-shard run. UGAL-L draws RNG conditionally on local queue
-//! state, which remote shards cannot replicate; sharded UGAL-L runs use
-//! per-shard derived seeds and are statistically equivalent instead
-//! (verified by `snoc_refsim`'s distribution checks). UGAL-G reads
-//! remote router occupancy and elastic links exert same-cycle
-//! backpressure (zero lookahead); both are rejected with more than one
-//! shard.
+//! An `N`-shard run produces a [`SimReport`] — and its JSON —
+//! byte-identical to the monolithic run, or it is refused at build
+//! time. Every shard replicates the full global injection calendar and
+//! RNG stream (sampling draws are burned for remote sources), which
+//! holds for minimal and XY-adaptive routing on credited links. The
+//! rest is refused with more than one shard: UGAL-L draws RNG
+//! conditionally on local queue state, which remote shards cannot
+//! replicate; UGAL-G reads remote router occupancy; elastic links exert
+//! same-cycle backpressure (zero lookahead).
 
 use super::source::{Calendar, Source};
 use super::{activate, Boundary, Simulator};
@@ -190,27 +188,16 @@ impl Shared {
     }
 }
 
-/// Splitmix-style per-shard seed derivation for the statistical tier.
-fn derive_seed(seed: u64, k: u64) -> u64 {
-    let mut z = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A parallel simulator running one network split across `N` worker
 /// shards (see the module docs for the partitioning and determinism
 /// contract). With one shard it is exactly the monolithic
-/// [`Simulator`]; with minimal or XY-adaptive routing on credited links
-/// every shard count produces byte-identical reports.
+/// [`Simulator`]; with more, every report it gives is byte-identical to
+/// the monolith's.
 #[derive(Debug)]
 pub struct ShardedSimulator {
     shards: Vec<Simulator>,
     meta: Vec<ShardMeta>,
     topo: Topology,
-    /// Whether this configuration is on the bit-exact tier (shards
-    /// replicate the global RNG) vs. the statistical tier (UGAL-L).
-    exact: bool,
 }
 
 impl ShardedSimulator {
@@ -222,12 +209,12 @@ impl ShardedSimulator {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for invalid configurations,
-    /// and for UGAL-G routing or elastic links with more than one shard
-    /// (the former reads remote occupancy, the latter has zero
-    /// lookahead).
+    /// and for UGAL-L, UGAL-G or elastic links with more than one shard
+    /// (no shard could replay the monolith's run: UGAL-L's draws depend
+    /// on queues only the owning shard holds, UGAL-G reads remote
+    /// occupancy, elastic links have zero lookahead).
     pub fn build(topo: &Topology, cfg: &SimConfig, shards: usize) -> Result<Self, SimError> {
-        let table = Arc::new(RoutingTable::minimal(topo));
-        Self::build_with_table(topo, None, cfg, shards, table)
+        Self::assemble(topo, None, cfg, shards)
     }
 
     /// Builds a sharded simulator whose link latencies come from the
@@ -242,52 +229,34 @@ impl ShardedSimulator {
         cfg: &SimConfig,
         shards: usize,
     ) -> Result<Self, SimError> {
-        let table = Arc::new(RoutingTable::minimal(topo));
-        Self::build_with_table(topo, Some(layout), cfg, shards, table)
+        Self::assemble(topo, Some(layout), cfg, shards)
     }
 
-    /// Builds a sharded simulator around a pre-built routing table for
-    /// `topo`, which every shard replica shares; the sharded
-    /// counterpart of [`Simulator::build_with_table`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] as [`ShardedSimulator::build`] does.
-    pub fn build_with_table(
+    /// The shard replicas around one shared [`RoutingTable::minimal`].
+    fn assemble(
         topo: &Topology,
         layout: Option<&Layout>,
         cfg: &SimConfig,
         shards: usize,
-        table: Arc<RoutingTable>,
     ) -> Result<Self, SimError> {
         let shards = shards.clamp(1, topo.router_count().max(1));
-        if shards > 1 {
-            if cfg.routing == RoutingKind::UgalG {
-                return Err(SimError::InvalidConfig {
-                    reason: "UGAL-G reads occupancy on remote routers; it cannot run sharded"
-                        .to_string(),
-                });
-            }
-            if cfg.link_mode == LinkMode::Elastic {
-                return Err(SimError::InvalidConfig {
-                    reason: "elastic links backpressure within the cycle (zero lookahead); \
-                             run them single-shard"
-                        .to_string(),
-                });
-            }
+        let refusal = match (cfg.routing, cfg.link_mode) {
+            _ if shards == 1 => None,
+            (RoutingKind::UgalL, _) => Some("UGAL-L draws on local queue state"),
+            (RoutingKind::UgalG, _) => Some("UGAL-G reads occupancy on remote routers"),
+            (_, LinkMode::Elastic) => Some("elastic links backpressure within the cycle"),
+            _ => None,
+        };
+        if let Some(why) = refusal {
+            return Err(SimError::InvalidConfig {
+                reason: format!("{why}; no shard can replay it, run it on one shard"),
+            });
         }
-        let exact = cfg.routing != RoutingKind::UgalL;
+        let table = Arc::new(RoutingTable::minimal(topo));
         let assign = topo.partition(shards);
         let mut sims = Vec::with_capacity(shards);
         for k in 0..shards {
-            // The statistical tier decorrelates shard RNGs; the exact
-            // tier keeps every replica on the one global stream.
-            let cfg_k = if exact || shards == 1 {
-                cfg.clone()
-            } else {
-                cfg.clone().with_seed(derive_seed(cfg.seed, k as u64))
-            };
-            let mut sim = Simulator::build_with_table(topo, layout, &cfg_k, Arc::clone(&table))?;
+            let mut sim = Simulator::build_with_table(topo, layout, cfg, Arc::clone(&table))?;
             // Disjoint packet-id spaces per shard: routers compare ids
             // for equality only, so any collision-free scheme preserves
             // monolithic behavior bit for bit.
@@ -301,7 +270,6 @@ impl ShardedSimulator {
             shards: sims,
             meta,
             topo: topo.clone(),
-            exact,
         })
     }
 
@@ -345,7 +313,7 @@ impl ShardedSimulator {
         let initial_outstanding = self.shards.iter().map(|s| s.outstanding as i64).sum();
         let sampler = PatternSampler::new(pattern, &self.topo);
         let shared = Shared::new(self.shards.len());
-        let (meta, exact) = (&self.meta, self.exact);
+        let meta = &self.meta;
         let results: Vec<(SimReport, i64, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
@@ -354,13 +322,11 @@ impl ShardedSimulator {
                 .map(|(k, shard)| {
                     let (shared, sampler, meta) = (&shared, &sampler, &meta[k]);
                     scope.spawn(move || {
-                        // Exact tier: every shard carries the full global
-                        // calendar so the RNG streams stay in lockstep.
-                        // Statistical tier: local nodes only.
+                        // Every shard carries the full global calendar,
+                        // so the RNG streams stay in lockstep.
                         let local = Some(&meta.local_node[..]);
-                        let source = Calendar::new(
-                            shard, sampler, rate, burst, warmup, measure, local, exact,
-                        );
+                        let source =
+                            Calendar::new(shard, sampler, rate, burst, warmup, measure, local);
                         run_shard(shard, meta, shared, k, source, initial_outstanding)
                     })
                 })
@@ -564,7 +530,7 @@ mod tests {
     #[test]
     fn sharded_xy_adaptive_matches_monolithic() {
         // XY-adaptive probes only source-side occupancy, which the
-        // cut-out mirrors reproduce exactly — still on the exact tier.
+        // cut-out mirrors reproduce exactly.
         let topo = Topology::flattened_butterfly(4, 4, 2);
         let cfg = SimConfig::default().with_routing(RoutingKind::XyAdaptive);
         let mono = mono_report(&topo, &cfg, TrafficPattern::Random, 0.10, 500, 2_000);
@@ -666,33 +632,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_ugal_l_is_statistically_sane() {
-        let topo = Topology::slim_noc(3, 3).unwrap();
-        let cfg = SimConfig::default()
-            .with_vcs(4)
-            .with_routing(RoutingKind::UgalL);
-        let mono = mono_report(&topo, &cfg, TrafficPattern::Random, 0.08, 500, 3_000);
-        let sharded = sharded_report(&topo, &cfg, 3, TrafficPattern::Random, 0.08, 500, 3_000);
-        assert!(sharded.drained, "{sharded}");
-        assert!(sharded.delivered_packets > 100);
-        let (a, b) = (mono.throughput(), sharded.throughput());
-        assert!(
-            (a - b).abs() < a * 0.2,
-            "sharded UGAL-L throughput {b} strays from monolithic {a}"
-        );
-    }
-
-    #[test]
     fn global_state_configs_are_rejected_with_multiple_shards() {
         let topo = Topology::slim_noc(3, 3).unwrap();
-        let ugal_g = SimConfig::default()
-            .with_vcs(4)
-            .with_routing(RoutingKind::UgalG);
-        assert!(ShardedSimulator::build(&topo, &ugal_g, 2).is_err());
-        assert!(ShardedSimulator::build(&topo, &ugal_g, 1).is_ok());
-        let elastic = SimConfig::elastic_links();
-        assert!(ShardedSimulator::build(&topo, &elastic, 2).is_err());
-        assert!(ShardedSimulator::build(&topo, &elastic, 1).is_ok());
+        let ugal = |routing| SimConfig::default().with_vcs(4).with_routing(routing);
+        for cfg in [
+            ugal(RoutingKind::UgalL),
+            ugal(RoutingKind::UgalG),
+            SimConfig::elastic_links(),
+        ] {
+            assert!(ShardedSimulator::build(&topo, &cfg, 2).is_err(), "{cfg:?}");
+            assert!(ShardedSimulator::build(&topo, &cfg, 1).is_ok(), "{cfg:?}");
+        }
     }
 
     #[test]

@@ -65,11 +65,10 @@ pub(crate) struct Calendar<'a> {
 }
 
 impl<'a> Calendar<'a> {
-    /// Seeds the calendar from `sim`'s RNG. With a `local` mask,
-    /// `replicate` keeps the full global calendar anyway — draws for
-    /// remote nodes are made and discarded, so every replica stays on
-    /// the one RNG stream; `false` schedules local nodes only.
-    #[allow(clippy::too_many_arguments)] // the run_* parameters, verbatim
+    /// Seeds the calendar from `sim`'s RNG. Every node is scheduled,
+    /// `local` mask or not: a shard replica makes and discards the draws
+    /// for nodes it does not own, so every replica stays on the one
+    /// global RNG stream.
     pub(crate) fn new(
         sim: &mut Simulator,
         sampler: &'a PatternSampler,
@@ -78,7 +77,6 @@ impl<'a> Calendar<'a> {
         warmup: u64,
         measure: u64,
         local: Option<&'a [bool]>,
-        replicate: bool,
     ) -> Self {
         let pkt_len = sim.cfg.packet_flits;
         let end = warmup + measure;
@@ -97,9 +95,7 @@ impl<'a> Calendar<'a> {
             local,
         };
         for node in 0..sim.node_count {
-            if replicate || calendar.is_local(node) {
-                calendar.arm(node, &mut sim.rng);
-            }
+            calendar.arm(node, &mut sim.rng);
         }
         calendar
     }

@@ -473,9 +473,9 @@ impl SimReport {
     /// the build is offline and has no serde).
     ///
     /// Two reports are equal iff their JSON is byte-identical, which is
-    /// what the shard-equivalence tests and the engine fingerprint
-    /// compare: any divergence in any counter shows up as a byte
-    /// difference.
+    /// what the engine fingerprint compares and what a multi-shard
+    /// [`crate::ShardedSimulator`] run owes the monolithic one: any
+    /// divergence in any counter shows up as a byte difference.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;

@@ -1,8 +1,8 @@
 //! The workspace's one seeded breadth-first traversal.
 //!
 //! Three subsystems previously hand-rolled BFS — resilience analysis
-//! (components + path stats over degraded graphs), the shard
-//! partitioner (greedy frontier growth), and the reference router's
+//! (components + path stats over degraded graphs), the sharded
+//! engine's partitioner (greedy frontier growth), and the reference router's
 //! distance tables — and each carried its own queue discipline. They
 //! now share this helper, so the traversal order is pinned in exactly
 //! one place.

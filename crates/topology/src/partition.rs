@@ -1,9 +1,11 @@
 //! Edge-cut partitioning of the router graph.
 //!
-//! The sharded simulation engine assigns every router to exactly one
-//! shard and pays one boundary message per flit (plus one per credit)
-//! crossing the cut, so the partitioner's job is to keep parts balanced
-//! — the lockstep window barrier waits for the slowest shard — while
+//! The sharded simulation engine (`snoc_sim::ShardedSimulator`, a tool
+//! for one very large point; no campaign runs sharded) assigns every
+//! router to exactly one shard and pays one boundary message per flit
+//! (plus one per credit) crossing the cut, so the partitioner's job is
+//! to keep parts balanced — the per-cycle barrier waits for the slowest
+//! shard — while
 //! heuristically shrinking the cut. A deterministic greedy BFS growth
 //! does both well enough on the low-diameter graphs this repo cares
 //! about, and determinism is non-negotiable: the same topology and
@@ -14,7 +16,8 @@ use crate::{bfs_from, BfsControl, RouterId, Topology};
 
 impl Topology {
     /// Partitions the routers into `parts` balanced, BFS-contiguous
-    /// groups; returns the part index of each router.
+    /// groups; returns the part index of each router. The sharded
+    /// engine's builders are its one caller.
     ///
     /// Part sizes differ by at most one (`nr mod parts` parts get one
     /// extra router), every part is non-empty when `parts ≤ nr`, and

@@ -97,9 +97,6 @@ REPRO / RUN OPTIONS:
   --quick             short simulation windows
   --smoke             minimal windows (meaningless numbers; for tests)
   --threads <n>       campaign worker threads (0 = per core)
-  --shards <n>        simulation-engine shards per point (trace workload
-                      points always run on one: the sharded engine has
-                      no trace source)
   --cache-dir <dir>   content-addressed point cache to replay from
 
 SERVE / SUBMIT OPTIONS:

@@ -138,6 +138,7 @@ fn usage_errors_exit_2() {
         &["sim", "--config", "sn54", "--load", "nan"],
         &["sim", "--topology", "mesh", "--x", "0"],
         &["analyze", "--topology", "mesh", "--p", "0"],
+        &["sim", "--config", "sn54", "--routing", "xy"],
     ] {
         let out = snoc(args);
         assert_eq!(
@@ -147,6 +148,20 @@ fn usage_errors_exit_2() {
             stderr(&out)
         );
         assert!(stderr(&out).starts_with("error: "), "snoc {args:?}");
+    }
+    // Campaign points run monolithic: a shard count is not a flag.
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_quick.json");
+    for args in [
+        &["repro", "fig12", "--smoke", "--shards=2"][..],
+        &["run", "--spec", spec, "--shards=2"],
+    ] {
+        let out = snoc(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "snoc {args:?}: {err}");
+        assert!(
+            err.contains("unknown flag `--shards`"),
+            "snoc {args:?}: {err}"
+        );
     }
 }
 
@@ -175,6 +190,8 @@ fn specs_no_simulator_can_run_exit_2_without_panicking() {
         "faults_ugal",
         "phantom_router",
         "unknown_workload",
+        "xy_off_fbf",
+        "shards",
     ] {
         let spec = format!(
             "{}/tests/specs/unrunnable_{name}.json",
