@@ -4,80 +4,100 @@
 //! pattern × rate, checks conservation laws and cross-engine agreement
 //! on every case, and fails on any divergence.
 //!
-//! Three check tiers per case (see `crates/refsim/tests/differential.rs`
-//! for the fuzzed version of the same contract):
+//! This file only generates cases and formats rows. Each case is a
+//! `snoc_refsim::check::Case` over the shared topology pool, run by
+//! `check::run` and judged by one of its verdicts — the same runner and
+//! contract the fuzzed suite (`crates/refsim/tests/differential.rs`)
+//! applies. Both verdicts fail a no-progress watchdog abort and check
+//! each engine's conservation laws first; then:
 //!
-//! - `conserve` — each engine's snapshot satisfies the activity-counter
-//!   conservation laws;
-//! - `stats` — injected/delivered counts within binomial tolerance,
-//!   mean hops/latency within relative tolerance (skipped below a
-//!   minimum sample, e.g. in `--smoke` windows);
-//! - `exact` — workload-driven minimal-routing cases must produce
-//!   byte-identical snapshots.
+//! - `stats` ([`check::statistical`]) — injected/delivered counts within
+//!   binomial tolerance, mean hops/latency within relative tolerance
+//!   (skipped below a minimum sample, e.g. in `--smoke` windows);
+//! - `exact` ([`check::exact`]) — workload-driven minimal-routing cases
+//!   must produce byte-identical snapshots.
 //!
 //! A shard-equivalence block then holds the sharded parallel engine to
-//! the monolithic engine over the topology pool: exact byte identity at
-//! 2 and 4 shards, the only contract that engine has.
+//! the monolithic engine over the topology pool under the exact
+//! verdict: byte identity at 2 and 4 shards, the only contract that
+//! engine has.
 //!
 //! A degraded-mode block reruns each topology's workload under a seeded
 //! mid-run link storm, holding both engines to byte-exact agreement —
-//! including the dropped-packet accounting and self-healed routing.
+//! including the dropped-packet accounting and self-healed routing. A
+//! wedged drain phase is a first-class divergence, not a silent
+//! truncation.
 //!
 //! A deadlock-freedom tier closes the run: fuzzed fault scenarios
 //! (seeded link storms, downed routers) across the topology pool, each
 //! survivor graph's up*/down* repair table run through the
 //! channel-dependency-graph cycle checker at 1 VC and at the family's
 //! configured VC count, plus a rebuild-determinism check. Any cycle or
-//! nondeterministic rebuild fails the run. The storm rows above also
-//! fail on a no-progress watchdog abort, so a wedged drain phase is a
-//! first-class divergence, not a silent truncation.
+//! nondeterministic rebuild fails the run.
 //!
 //! `--smoke` shrinks windows to prove the pipeline end-to-end; `--json`
 //! emits one JSON object per case instead of the table.
 
 use super::emit;
 use crate::{io_err, Args};
-use snoc_core::{format_float, TextTable};
-use snoc_refsim::check::{compare_statistics, workload};
-use snoc_refsim::{RefConfig, RefSimulator};
+use snoc_core::{format_float, json, TextTable};
+use snoc_refsim::check::{self, pool, workload, Case, Run, Traffic, Verdict};
 use snoc_sim::{
     verify_deadlock_free, Conformance, FaultKind, FaultPlan, RoutingKind, RoutingTable,
-    ShardedSimulator, SimConfig, Simulator, Snapshot,
+    ShardedSimulator, SimConfig, Simulator,
 };
 use snoc_topology::{RouterId, Topology};
 use snoc_traffic::TrafficPattern;
 use std::fmt::Write as _;
 use std::io::Write;
 
-/// One differential case of the matrix.
-struct Case {
-    topo: Topology,
-    vcs: usize,
-    routing: RoutingKind,
-    pattern: TrafficPattern,
-    rate: f64,
-    exact: bool,
-}
-
 /// One evaluated row.
 struct Outcome {
     label: String,
-    optimized: Snapshot,
-    reference: Snapshot,
+    run: Run,
     verdict: Result<&'static str, String>,
 }
 
+/// The matrix's topologies: the shared pool without its last member,
+/// which is too small for stable statistics (the CDG sweep keeps it).
 fn topologies() -> Vec<(Topology, usize)> {
-    vec![
-        (Topology::slim_noc(3, 3).unwrap(), 2),
-        (Topology::mesh(4, 3, 2), 2),
-        (Topology::torus(4, 4, 2), 2),
-        (Topology::dragonfly(2), 4),
-        (Topology::flattened_butterfly(3, 3, 2), 2),
-    ]
+    let mut pool = pool();
+    pool.pop();
+    pool
 }
 
-fn matrix(args: &Args) -> Vec<Case> {
+fn config(vcs: usize, routing: RoutingKind) -> SimConfig {
+    SimConfig::default()
+        .with_vcs(vcs)
+        .with_routing(routing)
+        .with_seed(0xBEEF)
+}
+
+/// Runs `case` through the shared runner and judges it with `verdict`.
+fn judge(label: String, case: &Case, verdict: Verdict) -> Outcome {
+    let run = check::run(case).unwrap_or_else(|e| panic!("{label}: {e}"));
+    let verdict = verdict(&run);
+    Outcome {
+        label,
+        run,
+        verdict,
+    }
+}
+
+/// A workload-driven minimal-routing case on `topo`: uniform random
+/// messages at `rate` over the trace window.
+fn workload_case(topo: &Topology, vcs: usize, rate: f64, args: &Args) -> Case {
+    let cycles = args.trace_cycles();
+    let messages = workload(topo, TrafficPattern::Random, rate, cycles, 0xD1FF);
+    let warmup = cycles / 4;
+    let traffic = Traffic::Workload { messages, warmup };
+    Case::new(topo.clone(), config(vcs, RoutingKind::Minimal), traffic)
+}
+
+/// The deterministic matrix: every pattern at every rate on every
+/// topology (statistical tier), one workload-driven case per topology
+/// (exact tier), and UGAL-L/G on Slim NoC.
+fn matrix(args: &Args) -> Vec<Outcome> {
     let rates: &[f64] = if args.smoke {
         &[0.05]
     } else if args.quick {
@@ -91,124 +111,80 @@ fn matrix(args: &Args) -> Vec<Case> {
         TrafficPattern::Adversarial1,
         TrafficPattern::BitReversal,
     ];
-    let mut cases = Vec::new();
-    for (topo, vcs) in topologies() {
+    let label = |topo: &Topology, pattern, routing, rate| {
+        format!(
+            "{} {pattern} {routing:?} {}",
+            topo.name(),
+            format_float(rate, 2)
+        )
+    };
+    let synthetic = |topo: &Topology, vcs, routing, pattern, rate| {
+        let traffic = Traffic::uniform(pattern, rate, args.warmup(), args.measure());
+        let case = Case::new(topo.clone(), config(vcs, routing), traffic);
+        judge(
+            label(topo, pattern, routing, rate),
+            &case,
+            check::statistical,
+        )
+    };
+    let pool = topologies();
+    let mut outcomes = Vec::new();
+    for (topo, vcs) in &pool {
         for &pattern in &patterns {
             for &rate in rates {
-                cases.push(Case {
-                    topo: topo.clone(),
-                    vcs,
-                    routing: RoutingKind::Minimal,
-                    pattern,
-                    rate,
-                    exact: false,
-                });
+                outcomes.push(synthetic(topo, *vcs, RoutingKind::Minimal, pattern, rate));
             }
         }
-        // One workload-driven exact-equality case per topology.
-        cases.push(Case {
-            topo: topo.clone(),
-            vcs,
-            routing: RoutingKind::Minimal,
-            pattern: TrafficPattern::Random,
-            rate: rates[0],
-            exact: true,
-        });
+        let name = label(topo, TrafficPattern::Random, RoutingKind::Minimal, rates[0]);
+        let case = workload_case(topo, *vcs, rates[0], args);
+        outcomes.push(judge(name + " [exact]", &case, check::exact));
     }
     // Adaptive routing on the diameter-2 Slim NoC (4 VCs cover the
     // longest Valiant detour).
-    let sn = Topology::slim_noc(3, 3).unwrap();
+    let sn = &pool[0].0;
     for routing in [RoutingKind::UgalL, RoutingKind::UgalG] {
-        cases.push(Case {
-            topo: sn.clone(),
-            vcs: 4,
+        outcomes.push(synthetic(
+            sn,
+            4,
             routing,
-            pattern: TrafficPattern::Adversarial1,
-            rate: rates[0],
-            exact: false,
-        });
+            TrafficPattern::Adversarial1,
+            rates[0],
+        ));
     }
-    cases
-}
-
-fn run_case(case: &Case, args: &Args) -> Outcome {
-    let sim_cfg = SimConfig::default()
-        .with_vcs(case.vcs)
-        .with_routing(case.routing)
-        .with_seed(0xBEEF);
-    let ref_cfg = RefConfig::try_from_sim(&sim_cfg)
-        .expect("matrix uses edge/credited configs")
-        .with_seed(0xBEEF ^ 0x5EED_5EED);
-    let mut sim = Simulator::build(&case.topo, &sim_cfg).expect("sim builds");
-    let mut rsim = RefSimulator::build(&case.topo, &ref_cfg).expect("refsim builds");
-    let (optimized, reference, mode) = if case.exact {
-        let trace = workload(
-            &case.topo,
-            case.pattern,
-            case.rate,
-            args.trace_cycles(),
-            0xD1FF,
-        );
-        let warmup = args.trace_cycles() / 4;
-        (
-            sim.run_trace(&trace, warmup).snapshot(),
-            rsim.run_workload(&trace, warmup),
-            "exact",
-        )
-    } else {
-        (
-            sim.run_synthetic(case.pattern, case.rate, args.warmup(), args.measure())
-                .snapshot(),
-            rsim.run_synthetic(case.pattern, case.rate, args.warmup(), args.measure()),
-            "stats",
-        )
-    };
-    let label = format!(
-        "{} {} {:?} {}{}",
-        case.topo.name(),
-        case.pattern,
-        case.routing,
-        format_float(case.rate, 2),
-        if case.exact { " [exact]" } else { "" },
-    );
-    let verdict = evaluate(&optimized, &reference, mode);
-    Outcome {
-        label,
-        optimized,
-        reference,
-        verdict,
-    }
+    outcomes
 }
 
 /// Shard-equivalence rows: the sharded parallel engine against the
 /// monolithic engine on the same seed, across the full topology pool —
-/// byte identity at any shard count.
+/// byte identity at any shard count, judged by the exact verdict.
 fn shard_outcomes(args: &Args) -> Vec<Outcome> {
     let rate = 0.05;
     let mut outcomes = Vec::new();
     for (topo, vcs) in topologies() {
-        let cfg = SimConfig::default().with_vcs(vcs).with_seed(0xBEEF);
+        let cfg = config(vcs, RoutingKind::Minimal);
         let mut mono = Simulator::build(&topo, &cfg).expect("sim builds");
         let reference = mono
             .run_synthetic(TrafficPattern::Random, rate, args.warmup(), args.measure())
             .snapshot();
         for shards in [2usize, 4] {
             let mut sim = ShardedSimulator::build(&topo, &cfg, shards).expect("sharded builds");
-            let optimized = sim
-                .run_synthetic(TrafficPattern::Random, rate, args.warmup(), args.measure())
-                .snapshot();
-            let label = format!(
-                "{} Random Minimal {} [{}sh exact]",
-                topo.name(),
-                format_float(rate, 2),
-                sim.shard_count(),
-            );
-            let verdict = evaluate(&optimized, &reference, "exact");
-            outcomes.push(Outcome {
-                label,
-                optimized,
+            let report =
+                sim.run_synthetic(TrafficPattern::Random, rate, args.warmup(), args.measure());
+            let run = Run {
+                optimized: report.snapshot(),
                 reference: reference.clone(),
-                verdict,
+                deadlock: report.deadlock,
+                allow_abort: false,
+            };
+            outcomes.push(Outcome {
+                label: format!(
+                    "{} Random Minimal {} [{}sh exact]",
+                    topo.name(),
+                    format_float(rate, 2),
+                    sim.shard_count(),
+                ),
+                verdict: check::exact(&run),
+                run,
             });
         }
     }
@@ -220,40 +196,21 @@ fn shard_outcomes(args: &Args) -> Vec<Outcome> {
 /// exact — byte-identical snapshots including drop accounting — so a
 /// divergence in fault repair (doomed-packet selection, credit
 /// recounts, degraded routing) fails loudly here, not just in the
-/// fuzzed differential suite.
-fn fault_outcomes(args: &Args) -> Vec<Outcome> {
+/// fuzzed differential suite. So does a watchdog abort, a liveness bug
+/// even when both engines abort identically.
+fn storm_outcomes(args: &Args) -> Vec<Outcome> {
     let cycles = args.trace_cycles();
-    let mut outcomes = Vec::new();
-    for (topo, vcs) in topologies() {
-        let plan = FaultPlan::storm(&topo, 4, cycles / 3, cycles / 3, 0xFA17);
-        let sim_cfg = SimConfig::default().with_vcs(vcs).with_seed(0xBEEF);
-        let ref_cfg = RefConfig::try_from_sim(&sim_cfg)
-            .expect("matrix uses edge/credited configs")
-            .with_seed(0xBEEF ^ 0x5EED_5EED);
-        let mut sim = Simulator::build(&topo, &sim_cfg).expect("sim builds");
-        sim.set_fault_plan(&plan).expect("minimal routing");
-        let mut rsim = RefSimulator::build(&topo, &ref_cfg).expect("refsim builds");
-        rsim.set_fault_plan(&plan).expect("minimal routing");
-        let trace = workload(&topo, TrafficPattern::Random, 0.05, cycles, 0xD1FF);
-        let warmup = cycles / 4;
-        let report = sim.run_trace(&trace, warmup);
-        let deadlock = report.deadlock.clone();
-        let optimized = report.snapshot();
-        let reference = rsim.run_workload(&trace, warmup);
-        // A watchdog abort under the storm is a routing-liveness bug in
-        // its own right, even if both engines abort identically.
-        let verdict = match deadlock {
-            Some(d) => Err(format!("watchdog abort under storm: {d}")),
-            None => evaluate(&optimized, &reference, "exact"),
-        };
-        outcomes.push(Outcome {
-            label: format!("{} Random Minimal 0.05 [storm exact]", topo.name()),
-            optimized,
-            reference,
-            verdict,
-        });
-    }
-    outcomes
+    topologies()
+        .into_iter()
+        .map(|(topo, vcs)| {
+            let case = Case {
+                faults: Some(FaultPlan::storm(&topo, 4, cycles / 3, cycles / 3, 0xFA17)),
+                ..workload_case(&topo, vcs, 0.05, args)
+            };
+            let label = format!("{} Random Minimal 0.05 [storm exact]", topo.name());
+            judge(label, &case, check::exact)
+        })
+        .collect()
 }
 
 /// A probe flit bound for `dst`'s router, for exercising
@@ -283,11 +240,7 @@ fn probe_flit(dst: RouterId) -> snoc_sim::Flit {
 ///
 /// Returns `(tables_checked, failures)`.
 fn cdg_failures(args: &Args) -> (usize, Vec<String>) {
-    let mut pool = topologies();
-    // The irregular 2-column Slim NoC is absent from the differential
-    // matrix (too small for stable statistics) but is the family whose
-    // minimal tables deadlock soonest; keep it in the CDG sweep.
-    pool.push((Topology::slim_noc(3, 2).unwrap(), 2));
+    let pool = pool();
     let seeds: u64 = if args.smoke || args.quick { 8 } else { 64 };
     let mut checked = 0usize;
     let mut failures = Vec::new();
@@ -347,64 +300,39 @@ fn cdg_failures(args: &Args) -> (usize, Vec<String>) {
     (checked, failures)
 }
 
-fn evaluate(
-    optimized: &Snapshot,
-    reference: &Snapshot,
-    mode: &str,
-) -> Result<&'static str, String> {
-    optimized
-        .check_conservation()
-        .map_err(|e| format!("optimized conservation: {e}"))?;
-    reference
-        .check_conservation()
-        .map_err(|e| format!("reference conservation: {e}"))?;
-    if mode == "exact" {
-        if optimized != reference {
-            return Err("exact-mode snapshots diverged".to_string());
-        }
-        return Ok("exact match");
-    }
-    // The agreement tier is the shared contract in `snoc_refsim::check`
-    // — the same one the fuzzed differential suite enforces.
-    compare_statistics(optimized, reference, 50)
-}
-
 /// Runs the whole matrix and reports it; `Err` lists every failed case
 /// and deadlock-freedom violation as a `REPRO …` line (the exact inputs
 /// needed to replay it).
 pub(super) fn verify(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let cases = matrix(args);
-    let mut outcomes: Vec<Outcome> = cases.iter().map(|c| run_case(c, args)).collect();
+    let mut outcomes = matrix(args);
     outcomes.extend(shard_outcomes(args));
-    outcomes.extend(fault_outcomes(args));
+    outcomes.extend(storm_outcomes(args));
     let failures: Vec<&Outcome> = outcomes.iter().filter(|o| o.verdict.is_err()).collect();
     let (cdg_checked, cdg_failures) = cdg_failures(args);
 
     if args.json {
-        writeln!(out, "[").map_err(io_err)?;
-        for (i, o) in outcomes.iter().enumerate() {
-            let (ok, detail) = match &o.verdict {
-                Ok(d) => (true, (*d).to_string()),
-                Err(e) => (false, e.clone()),
-            };
-            writeln!(
-                out,
-                "  {{\"case\": \"{}\", \"pass\": {ok}, \"detail\": \"{}\", \
-                 \"injected\": [{}, {}], \"delivered\": [{}, {}], \
-                 \"latency\": [{}, {}]}}{}",
-                o.label,
-                detail.replace('"', "'"),
-                o.optimized.injected_packets,
-                o.reference.injected_packets,
-                o.optimized.delivered_packets,
-                o.reference.delivered_packets,
-                format_float(o.optimized.mean_latency(), 2),
-                format_float(o.reference.mean_latency(), 2),
-                if i + 1 < outcomes.len() { "," } else { "" }
-            )
-            .map_err(io_err)?;
-        }
-        writeln!(out, "]").map_err(io_err)?;
+        let rows: Vec<String> = outcomes
+            .iter()
+            .map(|o| {
+                let (opt, reference) = (&o.run.optimized, &o.run.reference);
+                let detail = o.verdict.as_deref().unwrap_or_else(String::as_str);
+                format!(
+                    "  {{\"case\": \"{}\", \"pass\": {}, \"detail\": \"{}\", \
+                     \"injected\": [{}, {}], \"delivered\": [{}, {}], \
+                     \"latency\": [{}, {}]}}",
+                    json::escape(&o.label),
+                    o.verdict.is_ok(),
+                    json::escape(detail),
+                    opt.injected_packets,
+                    reference.injected_packets,
+                    opt.delivered_packets,
+                    reference.delivered_packets,
+                    format_float(opt.mean_latency(), 2),
+                    format_float(reference.mean_latency(), 2),
+                )
+            })
+            .collect();
+        writeln!(out, "[\n{}\n]", rows.join(",\n")).map_err(io_err)?;
     } else {
         let mut table = TextTable::new(
             "Differential verification: optimized engine vs. golden reference".to_string(),
@@ -422,16 +350,17 @@ pub(super) fn verify(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             ],
         );
         for o in &outcomes {
+            let (opt, reference) = (&o.run.optimized, &o.run.reference);
             table.push_row(vec![
                 o.label.clone(),
-                o.optimized.injected_packets.to_string(),
-                o.reference.injected_packets.to_string(),
-                o.optimized.delivered_packets.to_string(),
-                o.reference.delivered_packets.to_string(),
-                format_float(o.optimized.mean_latency(), 1),
-                format_float(o.reference.mean_latency(), 1),
-                format_float(o.optimized.mean_hops(), 2),
-                format_float(o.reference.mean_hops(), 2),
+                opt.injected_packets.to_string(),
+                reference.injected_packets.to_string(),
+                opt.delivered_packets.to_string(),
+                reference.delivered_packets.to_string(),
+                format_float(opt.mean_latency(), 1),
+                format_float(reference.mean_latency(), 1),
+                format_float(opt.mean_hops(), 2),
+                format_float(reference.mean_hops(), 2),
                 match &o.verdict {
                     Ok(d) => (*d).to_string(),
                     Err(e) => format!("FAIL: {e}"),

@@ -7,6 +7,7 @@
 
 use snoc_bench::figures::{find, REGISTRY};
 use snoc_bench::Args;
+use snoc_core::json::{self, JsonValue};
 use snoc_core::{parallel_map_with_threads, PointCache};
 
 #[test]
@@ -27,6 +28,32 @@ fn every_registry_entry_smokes() {
             "{} produced no output in --csv mode",
             figure.name
         );
+    }
+}
+
+/// `verify --json` is one JSON array with one passing object per row of
+/// the `--csv` table.
+#[test]
+fn verify_json_parses_into_one_passing_object_per_row() {
+    let run = |as_json: bool| {
+        let args = Args {
+            smoke: true,
+            csv: !as_json,
+            json: as_json,
+            ..Args::default()
+        };
+        let mut out = Vec::new();
+        (find("verify").expect("registry entry").run)(&args, &mut out).expect("verify passes");
+        String::from_utf8(out).expect("utf-8")
+    };
+    let parsed = json::parse(&run(true)).expect("valid JSON");
+    let rows = parsed.as_arr().expect("an array");
+    // The CSV table has a title, a header and a trailing summary line.
+    assert_eq!(rows.len(), run(false).lines().count() - 3);
+    for row in rows {
+        assert!(row.get("case").and_then(JsonValue::as_str).is_some());
+        let pass = row.get("pass").and_then(JsonValue::as_bool);
+        assert_eq!(pass, Some(true), "{row:?}");
     }
 }
 

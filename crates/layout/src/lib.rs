@@ -111,7 +111,7 @@ pub enum LayoutKind {
     Grid,
     /// Folded placement (tori): wrap links become length-2 hops.
     Folded,
-    /// Block placement for group-structured topologies (Dragonfly, Clos).
+    /// Block placement for group-structured topologies (Dragonfly).
     Blocks,
 }
 
@@ -177,8 +177,8 @@ impl Layout {
 
     /// Builds the natural layout for any topology: the paper's layouts for
     /// Slim NoC (subgroup by default), row-major grids for meshes and
-    /// butterflies, folded grids for tori, block placements for Dragonfly
-    /// and Clos.
+    /// butterflies, folded grids for tori, block placements for
+    /// Dragonfly.
     #[must_use]
     pub fn natural(topo: &Topology) -> Self {
         place::natural(topo)
@@ -318,7 +318,6 @@ mod tests {
             Topology::flattened_butterfly(10, 5, 4),
             Topology::partitioned_fbf(2, 2, 4, 4, 3),
             Topology::dragonfly(2),
-            Topology::folded_clos(10, 5, 4),
         ];
         for t in &topos {
             let l = Layout::natural(t);

@@ -78,7 +78,6 @@ pub(crate) fn natural(topo: &Topology) -> Layout {
             grid(topo.router_count(), parts_x * sub_x)
         }
         TopologyKind::Dragonfly { h } => dragonfly_blocks(*h),
-        TopologyKind::FoldedClos { leaves, spines } => clos_blocks(*leaves, *spines),
         _ => {
             // Future topology kinds: fall back to a near-square grid.
             let x = (topo.router_count() as f64).sqrt().ceil() as usize;
@@ -131,17 +130,6 @@ fn dragonfly_blocks(h: usize) -> Layout {
             (gx * bw + t % bw, gy * bh + t / bw)
         })
         .collect();
-    Layout::from_coords(coords, LayoutKind::Blocks)
-}
-
-/// Folded Clos: leaves tile a near-square grid; spines occupy extra rows
-/// below (approximating a center-spine floorplan).
-fn clos_blocks(leaves: usize, spines: usize) -> Layout {
-    let lw = (leaves as f64).sqrt().ceil() as usize;
-    let leaf_rows = leaves.div_ceil(lw);
-    let mut coords: Vec<(usize, usize)> = (0..leaves).map(|i| (i % lw, i / lw)).collect();
-    let sw = lw.max(1);
-    coords.extend((0..spines).map(|i| (i % sw, leaf_rows + i / sw)));
     Layout::from_coords(coords, LayoutKind::Blocks)
 }
 
@@ -271,10 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn dragonfly_and_clos_blocks_cover_all_routers() {
+    fn dragonfly_blocks_cover_all_routers() {
         let df = Topology::dragonfly(2);
         assert_eq!(natural(&df).router_count(), df.router_count());
-        let clos = Topology::folded_clos(10, 5, 4);
-        assert_eq!(natural(&clos).router_count(), clos.router_count());
     }
 }

@@ -64,13 +64,6 @@ impl Default for RefConfig {
 }
 
 impl RefConfig {
-    /// Sets the number of virtual channels.
-    #[must_use]
-    pub fn with_vcs(mut self, vcs: usize) -> Self {
-        self.vcs = vcs;
-        self
-    }
-
     /// Sets the routing algorithm.
     #[must_use]
     pub fn with_routing(mut self, routing: RoutingKind) -> Self {
@@ -410,12 +403,6 @@ impl RefSimulator {
         }
     }
 
-    /// The number of endpoint nodes.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
     /// Total flits currently in the network and injection queues,
     /// recounted structurally every call (the reference model keeps no
     /// cached counters).
@@ -736,22 +723,11 @@ impl RefSimulator {
         self.router_alive[s.index()] && self.router_alive[d.index()] && self.routing.reachable(s, d)
     }
 
-    /// Runs open-loop synthetic traffic: per-cycle Bernoulli injection
-    /// of `cfg.packet_flits`-flit packets at `rate` flits/node/cycle,
-    /// measured after `warmup` cycles for `measure` cycles, plus a
-    /// bounded drain phase — the classic cycle-accurate loop.
-    pub fn run_synthetic(
-        &mut self,
-        pattern: TrafficPattern,
-        rate: f64,
-        warmup: u64,
-        measure: u64,
-    ) -> Snapshot {
-        self.run_synthetic_bursty(pattern, rate, BurstModel::uniform(), warmup, measure)
-    }
-
-    /// Runs synthetic traffic with a two-state Markov burst model, one
-    /// `InjectionProcess::tick` per node per cycle.
+    /// Runs open-loop synthetic traffic: `cfg.packet_flits`-flit packets
+    /// at `rate` flits/node/cycle from one `InjectionProcess::tick` per
+    /// node per cycle (Bernoulli trials under a two-state Markov burst
+    /// model), measured after `warmup` cycles for `measure` cycles, plus
+    /// a bounded drain phase — the classic cycle-accurate loop.
     pub fn run_synthetic_bursty(
         &mut self,
         pattern: TrafficPattern,

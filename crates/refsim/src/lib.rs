@@ -27,16 +27,19 @@
 //!
 //! # Example
 //!
+//! One statistical case through the shared runner ([`check`]):
+//!
 //! ```
-//! use snoc_refsim::{RefConfig, RefSimulator};
+//! use snoc_refsim::check::{self, Case, Traffic};
+//! use snoc_sim::SimConfig;
 //! use snoc_topology::Topology;
 //! use snoc_traffic::TrafficPattern;
 //!
 //! let topo = Topology::slim_noc(3, 3)?;
-//! let mut sim = RefSimulator::build(&topo, &RefConfig::default())?;
-//! let snap = sim.run_synthetic(TrafficPattern::Random, 0.05, 500, 2_000);
-//! assert!(snap.delivered_packets > 0);
-//! snap.check_conservation().map_err(|e| format!("violated: {e}"))?;
+//! let traffic = Traffic::uniform(TrafficPattern::Random, 0.05, 500, 2_000);
+//! let run = check::run(&Case::new(topo, SimConfig::default(), traffic))?;
+//! assert!(run.reference.delivered_packets > 0);
+//! check::statistical(&run)?;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -54,13 +57,19 @@ pub use routing::RefRouting;
 mod tests {
     use super::*;
     use snoc_topology::Topology;
-    use snoc_traffic::TrafficPattern;
+    use snoc_traffic::{BurstModel, TrafficPattern};
 
     #[test]
     fn low_load_drains_with_small_latency() {
         let topo = Topology::slim_noc(3, 3).unwrap();
         let mut sim = RefSimulator::build(&topo, &RefConfig::default()).unwrap();
-        let snap = sim.run_synthetic(TrafficPattern::Random, 0.03, 500, 3_000);
+        let snap = sim.run_synthetic_bursty(
+            TrafficPattern::Random,
+            0.03,
+            BurstModel::uniform(),
+            500,
+            3_000,
+        );
         assert!(snap.delivered_packets > 100, "{snap:?}");
         assert!(snap.drained);
         assert_eq!(sim.in_flight_flits(), 0);
@@ -76,7 +85,13 @@ mod tests {
         let run = |seed: u64| {
             let cfg = RefConfig::default().with_seed(seed);
             let mut sim = RefSimulator::build(&topo, &cfg).unwrap();
-            sim.run_synthetic(TrafficPattern::Random, 0.05, 300, 1_500)
+            sim.run_synthetic_bursty(
+                TrafficPattern::Random,
+                0.05,
+                BurstModel::uniform(),
+                300,
+                1_500,
+            )
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));

@@ -3,9 +3,13 @@
 //! golden `snoc_refsim::RefSimulator` over a fuzzed matrix of
 //! topology × routing × pattern × rate × seed.
 //!
-//! Checks per case:
+//! Every cross-engine case runs through `snoc_refsim::check` — the
+//! runner and verdicts `snoc repro verify` applies too; only the
+//! shard-equivalence cases build engines here. Checks per case:
 //!
-//! - **conservation** — each engine's [`Snapshot`] satisfies the
+//! - **watchdog** — a no-progress abort fails the case, except in the
+//!   saturation-storm tier, whose runs must drain or abort;
+//! - **conservation** — each engine's `Snapshot` satisfies the
 //!   activity-counter conservation laws (crossbar == link hops +
 //!   ejections, grants == pops, histogram mass == deliveries, drained
 //!   ⇒ delivered == injected);
@@ -24,53 +28,41 @@
 //! `verify` job runs one nightly).
 
 use proptest::prelude::*;
-use snoc_refsim::check::{compare_statistics, counts_close, workload};
-use snoc_refsim::{RefConfig, RefSimulator};
-use snoc_sim::{Conformance, FaultPlan, RoutingKind, ShardedSimulator, SimConfig, Simulator};
-use snoc_topology::{NodeId, Topology};
+use snoc_refsim::check::{self, counts_close, pool, workload, Case, Run, Traffic, Verdict};
+use snoc_refsim::RefRouting;
+use snoc_sim::{
+    Conformance, FaultPlan, Flit, PacketId, RoutingKind, RoutingTable, ShardedSimulator, SimConfig,
+    Simulator,
+};
+use snoc_topology::{NodeId, RouterId, Topology};
 use snoc_traffic::{BurstModel, TrafficPattern};
 
-/// The fuzzed topology pool: at least one member of every supported
-/// family (Slim NoC, mesh, torus, Dragonfly, Flattened Butterfly), all
-/// small enough that a case simulates in milliseconds. The second
-/// element is the VC count required for deadlock freedom (hop-indexed
-/// VCs need one VC per hop of the longest minimal path).
-fn topology(idx: usize) -> (Topology, usize) {
-    match idx {
-        0 => (Topology::slim_noc(3, 3).unwrap(), 2),
-        1 => (Topology::mesh(4, 3, 2), 2),
-        2 => (Topology::torus(4, 4, 2), 2),
-        3 => (Topology::dragonfly(2), 4),
-        4 => (Topology::flattened_butterfly(3, 3, 2), 2),
-        _ => (Topology::slim_noc(3, 2).unwrap(), 2),
-    }
-}
+const PATTERNS: [TrafficPattern; 6] = [
+    TrafficPattern::Random,
+    TrafficPattern::BitShuffle,
+    TrafficPattern::BitReversal,
+    TrafficPattern::Adversarial1,
+    TrafficPattern::Adversarial2,
+    TrafficPattern::Transpose,
+];
 
-fn pattern(idx: usize) -> TrafficPattern {
-    match idx {
-        0 => TrafficPattern::Random,
-        1 => TrafficPattern::BitShuffle,
-        2 => TrafficPattern::BitReversal,
-        3 => TrafficPattern::Adversarial1,
-        4 => TrafficPattern::Adversarial2,
-        _ => TrafficPattern::Transpose,
-    }
-}
-
-fn configs(vcs: usize, routing: RoutingKind, seed: u64) -> (SimConfig, RefConfig) {
-    let sim = SimConfig::default()
+fn config(vcs: usize, routing: RoutingKind, seed: u64) -> SimConfig {
+    SimConfig::default()
         .with_vcs(vcs)
         .with_routing(routing)
-        .with_seed(seed);
-    let reference = RefConfig::try_from_sim(&sim).expect("edge/credited config");
-    // Give the reference engine an independent stream: agreement must
-    // come from the shared spec, never from shared draws.
-    (sim, reference.with_seed(seed ^ 0x5EED_5EED))
+        .with_seed(seed)
 }
 
-/// Runs one synthetic differential case and applies every check.
-/// Returns an error string naming the first failed check.
-#[allow(clippy::too_many_arguments)] // a flat case descriptor, called from 3 proptests
+/// Runs `case` through the shared runner and judges it with `verdict`;
+/// a failure is prefixed with `ctx`, the inputs that replay it.
+fn judge(case: &Case, verdict: Verdict, ctx: &str) -> Result<Run, String> {
+    let run = check::run(case).map_err(|e| format!("{ctx}: {e}"))?;
+    verdict(&run).map_err(|e| format!("{ctx}: {e}"))?;
+    Ok(run)
+}
+
+/// One synthetic case under the statistical verdict, measured for
+/// `measure` cycles after a 400-cycle warmup.
 fn check_synthetic_case(
     topo_idx: usize,
     pat_idx: usize,
@@ -78,166 +70,74 @@ fn check_synthetic_case(
     rate: f64,
     burst: BurstModel,
     seed: u64,
-    warmup: u64,
     measure: u64,
 ) -> Result<(), String> {
-    let (topo, vcs) = topology(topo_idx);
+    let (topo, vcs) = pool().swap_remove(topo_idx);
     let vcs = if routing == RoutingKind::Minimal {
         vcs
     } else {
         4
     };
-    let (sim_cfg, ref_cfg) = configs(vcs, routing, seed);
-    let pat = pattern(pat_idx);
-    let mut sim = Simulator::build(&topo, &sim_cfg).expect("sim builds");
-    let optimized = sim
-        .run_synthetic_bursty(pat, rate, burst, warmup, measure)
-        .snapshot();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).expect("refsim builds");
-    let reference = rsim.run_synthetic_bursty(pat, rate, burst, warmup, measure);
+    let pat = PATTERNS[pat_idx];
     let ctx = format!(
         "topo {} pattern {pat} routing {routing:?} rate {rate:.4} seed {seed}",
         topo.name()
     );
-    optimized
-        .check_conservation()
-        .map_err(|e| format!("{ctx}: optimized conservation: {e}"))?;
-    reference
-        .check_conservation()
-        .map_err(|e| format!("{ctx}: reference conservation: {e}"))?;
-    // The agreement tier lives in `snoc_refsim::check` so this suite
-    // and the `snoc repro verify` matrix enforce the identical contract.
-    compare_statistics(&optimized, &reference, 50)
-        .map(|_| ())
-        .map_err(|e| format!("{ctx}: {e}"))
+    let traffic = Traffic::Synthetic {
+        pattern: pat,
+        rate,
+        burst,
+        warmup: 400,
+        measure,
+    };
+    let case = Case::new(topo, config(vcs, routing, seed), traffic);
+    judge(&case, check::statistical, &ctx).map(drop)
 }
 
-/// One exact-equality case: same workload into both engines, minimal
-/// routing, zero RNG consumption — snapshots must be equal.
-fn check_exact_case(
-    topo_idx: usize,
-    pat_idx: usize,
-    rate: f64,
-    seed: u64,
-    cycles: u64,
-) -> Result<(), String> {
-    let (topo, vcs) = topology(topo_idx);
-    let (sim_cfg, ref_cfg) = configs(vcs, RoutingKind::Minimal, seed);
-    let pat = pattern(pat_idx);
-    let trace = workload(&topo, pat, rate, cycles, seed);
-    let warmup = cycles / 4;
-    let mut sim = Simulator::build(&topo, &sim_cfg).expect("sim builds");
-    let optimized = sim.run_trace(&trace, warmup).snapshot();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).expect("refsim builds");
-    let reference = rsim.run_workload(&trace, warmup);
-    if optimized != reference {
-        return Err(format!(
-            "exact mode diverged: topo {} pattern {pat} rate {rate:.4} seed {seed} \
-             ({} messages)\noptimized: {optimized:?}\nreference: {reference:?}",
-            topo.name(),
-            trace.len()
-        ));
-    }
-    optimized
-        .check_conservation()
-        .map_err(|e| format!("conservation in exact mode: {e}"))
-}
-
-/// One faulted exact-equality case: the same explicit workload *and*
-/// the same seeded fault storm into both engines under minimal routing.
-/// Neither engine consumes randomness, and the drop rules are specified
-/// as a pure function of pre-fault state, so the snapshots — including
-/// `dropped_packets` and the `dropped_flits` activity counter — must be
-/// byte-for-byte equal even when the degraded graph severs pairs.
-fn check_faulted_exact_case(
+/// One workload case under the exact verdict: the same explicit workload
+/// — and, with `storm_links > 0`, the same seeded fault storm — into both
+/// engines under minimal routing. Neither engine consumes randomness and
+/// the drop rules are a pure function of pre-fault state, so the
+/// snapshots, drop accounting included, must be byte-for-byte equal even
+/// when the degraded graph severs pairs; a watchdog abort fails the case.
+///
+/// `saturated` runs past capacity, where backpressure chains are longest
+/// and a deadlock-prone repair table would actually wedge: the case then
+/// allows an abort, but the run must drain or abort with the diagnostic.
+fn check_workload_case(
     topo_idx: usize,
     pat_idx: usize,
     rate: f64,
     storm_links: usize,
     seed: u64,
     cycles: u64,
+    saturated: bool,
 ) -> Result<(), String> {
-    let (topo, vcs) = topology(topo_idx);
-    let (sim_cfg, ref_cfg) = configs(vcs, RoutingKind::Minimal, seed);
-    let pat = pattern(pat_idx);
-    let trace = workload(&topo, pat, rate, cycles, seed);
-    let warmup = cycles / 4;
-    // Storm lands mid-trace so in-flight flits are on the dead links.
-    let plan = FaultPlan::storm(&topo, storm_links, cycles / 3, cycles / 2, seed ^ 0xFA17);
+    let (topo, vcs) = pool().swap_remove(topo_idx);
+    let pat = PATTERNS[pat_idx];
+    let messages = workload(&topo, pat, rate, cycles, seed);
+    // The storm lands mid-trace so in-flight flits are on the dead links.
+    let plan = (storm_links > 0)
+        .then(|| FaultPlan::storm(&topo, storm_links, cycles / 3, cycles / 2, seed ^ 0xFA17));
     let ctx = format!(
-        "topo {} pattern {pat} rate {rate:.4} storm {storm_links} seed {seed}",
-        topo.name()
+        "topo {} pattern {pat} rate {rate:.4} storm {storm_links} seed {seed} ({} messages)",
+        topo.name(),
+        messages.len()
     );
-    let mut sim = Simulator::build(&topo, &sim_cfg).expect("sim builds");
-    sim.set_fault_plan(&plan)
-        .map_err(|e| format!("{ctx}: sim rejected plan: {e}"))?;
-    let optimized = sim.run_trace(&trace, warmup).snapshot();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).expect("refsim builds");
-    rsim.set_fault_plan(&plan)
-        .map_err(|e| format!("{ctx}: refsim rejected plan: {e}"))?;
-    let reference = rsim.run_workload(&trace, warmup);
-    if optimized != reference {
-        return Err(format!(
-            "faulted exact mode diverged: {ctx} ({} messages, {} events)\n\
-             optimized: {optimized:?}\nreference: {reference:?}",
-            trace.len(),
-            plan.events().len()
-        ));
-    }
-    optimized
-        .check_conservation()
-        .map_err(|e| format!("{ctx}: conservation under faults: {e}"))
-}
-
-/// One saturation-storm exact case: the faulted exact tier pushed past
-/// the network's capacity (offered load 0.4–1.0), where wormhole
-/// backpressure chains are longest and a deadlock-prone repair table
-/// would actually wedge. Both engines run with their default-armed
-/// watchdogs; the run must either drain or abort with the structured
-/// diagnostic — and the snapshots must stay byte-for-byte equal either
-/// way.
-fn check_saturated_storm_case(
-    topo_idx: usize,
-    pat_idx: usize,
-    rate: f64,
-    storm_links: usize,
-    seed: u64,
-    cycles: u64,
-) -> Result<(), String> {
-    let (topo, vcs) = topology(topo_idx);
-    let (sim_cfg, ref_cfg) = configs(vcs, RoutingKind::Minimal, seed);
-    let pat = pattern(pat_idx);
-    let trace = workload(&topo, pat, rate, cycles, seed);
     let warmup = cycles / 4;
-    let plan = FaultPlan::storm(&topo, storm_links, cycles / 3, cycles / 2, seed ^ 0xFA17);
-    let ctx = format!(
-        "topo {} pattern {pat} saturation rate {rate:.4} storm {storm_links} seed {seed}",
-        topo.name()
-    );
-    let mut sim = Simulator::build(&topo, &sim_cfg).expect("sim builds");
-    sim.set_fault_plan(&plan)
-        .map_err(|e| format!("{ctx}: sim rejected plan: {e}"))?;
-    let report = sim.run_trace(&trace, warmup);
-    if !report.drained && report.deadlock.is_none() {
+    let traffic = Traffic::Workload { messages, warmup };
+    let case = Case {
+        faults: plan,
+        allow_abort: saturated,
+        ..Case::new(topo, config(vcs, RoutingKind::Minimal, seed), traffic)
+    };
+    let run = judge(&case, check::exact, &ctx)?;
+    if saturated && !run.optimized.drained && run.deadlock.is_none() {
         return Err(format!(
             "{ctx}: run neither drained nor watchdog-aborted (outstanding flits at cap)"
         ));
     }
-    let optimized = report.snapshot();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).expect("refsim builds");
-    rsim.set_fault_plan(&plan)
-        .map_err(|e| format!("{ctx}: refsim rejected plan: {e}"))?;
-    let reference = rsim.run_workload(&trace, warmup);
-    if optimized != reference {
-        return Err(format!(
-            "saturated storm diverged: {ctx} ({} messages)\n\
-             optimized: {optimized:?}\nreference: {reference:?}",
-            trace.len()
-        ));
-    }
-    optimized
-        .check_conservation()
-        .map_err(|e| format!("{ctx}: conservation at saturation: {e}"))
+    Ok(())
 }
 
 /// One sharded-equivalence case: the sharded parallel engine at 2 and
@@ -251,9 +151,9 @@ fn check_shard_exact_case(
     rate: f64,
     seed: u64,
 ) -> Result<(), String> {
-    let (topo, vcs) = topology(topo_idx);
-    let (sim_cfg, _) = configs(vcs, RoutingKind::Minimal, seed);
-    let pat = pattern(pat_idx);
+    let (topo, vcs) = pool().swap_remove(topo_idx);
+    let sim_cfg = config(vcs, RoutingKind::Minimal, seed);
+    let pat = PATTERNS[pat_idx];
     let mut mono = Simulator::build(&topo, &sim_cfg).expect("sim builds");
     let baseline = mono.run_synthetic(pat, rate, 400, 1_600);
     for shards in [2usize, 4] {
@@ -287,7 +187,7 @@ proptest! {
     ) {
         let r = check_synthetic_case(
             topo_idx, pat_idx, RoutingKind::Minimal, rate,
-            BurstModel::uniform(), seed, 400, 2_400,
+            BurstModel::uniform(), seed, 2_400,
         );
         prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
     }
@@ -306,7 +206,7 @@ proptest! {
         let routing = if ugal_g == 1 { RoutingKind::UgalG } else { RoutingKind::UgalL };
         let r = check_synthetic_case(
             topo_idx, pat_idx, routing, rate,
-            BurstModel::uniform(), seed, 400, 2_400,
+            BurstModel::uniform(), seed, 2_400,
         );
         prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
     }
@@ -323,7 +223,7 @@ proptest! {
     ) {
         let burst = BurstModel { off_to_on, on_to_off };
         let r = check_synthetic_case(
-            topo_idx, 0, RoutingKind::Minimal, rate, burst, seed, 400, 3_200,
+            topo_idx, 0, RoutingKind::Minimal, rate, burst, seed, 3_200,
         );
         prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
     }
@@ -338,7 +238,7 @@ proptest! {
         rate in 0.005f64..0.14,
         seed in 0u64..1_000_000,
     ) {
-        let r = check_exact_case(topo_idx, pat_idx, rate, seed, 1_200);
+        let r = check_workload_case(topo_idx, pat_idx, rate, 0, seed, 1_200, false);
         prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
     }
 
@@ -354,7 +254,7 @@ proptest! {
         storm_links in 1usize..7,
         seed in 0u64..1_000_000,
     ) {
-        let r = check_faulted_exact_case(topo_idx, pat_idx, rate, storm_links, seed, 1_200);
+        let r = check_workload_case(topo_idx, pat_idx, rate, storm_links, seed, 1_200, false);
         prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
     }
 
@@ -369,7 +269,7 @@ proptest! {
         storm_links in 1usize..7,
         seed in 0u64..1_000_000,
     ) {
-        let r = check_saturated_storm_case(topo_idx, pat_idx, rate, storm_links, seed, 600);
+        let r = check_workload_case(topo_idx, pat_idx, rate, storm_links, seed, 600, true);
         prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
     }
 
@@ -388,55 +288,69 @@ proptest! {
     }
 }
 
+/// Holds an optimized table to the reference routing on every (router,
+/// target) decision: reachability, distances, and — out of every live
+/// router — the port and VC at hop offsets 0 and 1.
+fn assert_routing_agrees(
+    topo: &Topology,
+    vcs: usize,
+    alive: &[bool],
+    table: &RoutingTable,
+    reference: &RefRouting,
+) {
+    let name = topo.name();
+    for cur in topo.routers() {
+        assert_eq!(table.port_count(cur), reference.port_count(cur));
+        for dst in topo.routers() {
+            let reachable = table.reachable(cur, dst);
+            assert_eq!(
+                reachable,
+                reference.reachable(cur, dst),
+                "{name}: {cur} -> {dst}"
+            );
+            if !reachable || cur == dst {
+                continue;
+            }
+            let dist = (table.distance(cur, dst), reference.distance(cur, dst));
+            assert_eq!(dist.0, dist.1, "{name}: dist {cur} -> {dst}");
+            if !alive[cur.index()] {
+                continue; // nothing routes out of a dead router
+            }
+            for hops in 0..2u32 {
+                let mut flit = Flit::nth_of_packet(
+                    PacketId(0),
+                    0,
+                    1,
+                    NodeId(0),
+                    NodeId(dst.index()),
+                    dst,
+                    0,
+                    false,
+                    false,
+                );
+                flit.hops = hops as u16;
+                let opt = table.route(cur, &flit, vcs);
+                let (port, vc) = reference.route(cur, dst, hops, vcs);
+                assert_eq!(
+                    (opt.port, opt.vc),
+                    (port, vc),
+                    "{name}: route {cur} -> {dst} hop {hops}"
+                );
+            }
+        }
+    }
+}
+
 /// The reference routing reimplementation must agree with the optimized
 /// `RoutingTable` on every (router, target) decision — ports, VCs and
 /// distances — for every topology family in the pool. Differential at
 /// the routing layer, cheaper and sharper than end-to-end runs.
 #[test]
 fn reference_routing_agrees_with_optimized_tables() {
-    use snoc_refsim::RefRouting;
-    use snoc_sim::{Flit, PacketId, RoutingTable};
-
-    for idx in 0..6 {
-        let (topo, vcs) = topology(idx);
-        let table = RoutingTable::minimal(&topo);
-        let reference = RefRouting::new(&topo);
-        for cur in topo.routers() {
-            assert_eq!(table.port_count(cur), reference.port_count(cur));
-            for dst in topo.routers() {
-                if cur == dst {
-                    continue;
-                }
-                assert_eq!(
-                    table.distance(cur, dst),
-                    reference.distance(cur, dst),
-                    "{}: dist {cur} -> {dst}",
-                    topo.name()
-                );
-                for hops in 0..2u32 {
-                    let mut flit = Flit::nth_of_packet(
-                        PacketId(0),
-                        0,
-                        1,
-                        NodeId(0),
-                        NodeId(dst.index()),
-                        dst,
-                        0,
-                        false,
-                        false,
-                    );
-                    flit.hops = hops as u16;
-                    let opt = table.route(cur, &flit, vcs);
-                    let (port, vc) = reference.route(cur, dst, hops, vcs);
-                    assert_eq!(
-                        (opt.port, opt.vc),
-                        (port, vc),
-                        "{}: route {cur} -> {dst} hop {hops}",
-                        topo.name()
-                    );
-                }
-            }
-        }
+    for (topo, vcs) in pool() {
+        let alive = vec![true; topo.router_count()];
+        let (table, reference) = (RoutingTable::minimal(&topo), RefRouting::new(&topo));
+        assert_routing_agrees(&topo, vcs, &alive, &table, &reference);
     }
 }
 
@@ -447,65 +361,17 @@ fn reference_routing_agrees_with_optimized_tables() {
 /// tie-break drift would be hardest to see end-to-end.
 #[test]
 fn degraded_reference_routing_agrees_with_optimized_tables() {
-    use snoc_refsim::RefRouting;
-    use snoc_sim::{Flit, PacketId, RoutingTable};
-    use snoc_topology::RouterId;
-
-    for idx in 0..6 {
-        let (topo, vcs) = topology(idx);
+    for (topo, vcs) in pool() {
         let nr = topo.router_count();
-        let mut router_alive = vec![true; nr];
-        router_alive[nr / 2] = false;
+        let mut alive = vec![true; nr];
+        alive[nr / 2] = false;
         let dead_links: Vec<_> = topo.links().take(2).collect();
         let link_alive = |a: RouterId, b: RouterId| {
             !dead_links.contains(&(a, b)) && !dead_links.contains(&(b, a))
         };
-        let table = RoutingTable::degraded(&topo, &router_alive, link_alive);
-        let reference = RefRouting::new(&topo).degraded(&router_alive, link_alive);
-        for cur in topo.routers() {
-            for dst in topo.routers() {
-                assert_eq!(
-                    table.reachable(cur, dst),
-                    reference.reachable(cur, dst),
-                    "{}: reachable {cur} -> {dst}",
-                    topo.name()
-                );
-                if !table.reachable(cur, dst) || cur == dst {
-                    continue;
-                }
-                assert_eq!(
-                    table.distance(cur, dst),
-                    reference.distance(cur, dst),
-                    "{}: degraded dist {cur} -> {dst}",
-                    topo.name()
-                );
-                if !router_alive[cur.index()] {
-                    continue; // nothing routes out of a dead router
-                }
-                for hops in 0..2u32 {
-                    let mut flit = Flit::nth_of_packet(
-                        PacketId(0),
-                        0,
-                        1,
-                        NodeId(0),
-                        NodeId(dst.index()),
-                        dst,
-                        0,
-                        false,
-                        false,
-                    );
-                    flit.hops = hops as u16;
-                    let opt = table.route(cur, &flit, vcs);
-                    let (port, vc) = reference.route(cur, dst, hops, vcs);
-                    assert_eq!(
-                        (opt.port, opt.vc),
-                        (port, vc),
-                        "{}: degraded route {cur} -> {dst} hop {hops}",
-                        topo.name()
-                    );
-                }
-            }
-        }
+        let table = RoutingTable::degraded(&topo, &alive, link_alive);
+        let reference = RefRouting::new(&topo).degraded(&alive, link_alive);
+        assert_routing_agrees(&topo, vcs, &alive, &table, &reference);
     }
 }
 
@@ -514,49 +380,31 @@ fn degraded_reference_routing_agrees_with_optimized_tables() {
 /// binomial tolerance, surviving traffic within the statistical tier.
 #[test]
 fn fault_storm_statistics_agree_across_engines() {
-    let (topo, vcs) = topology(0); // Slim NoC 3x3: diameter 2, heals well
-    let (sim_cfg, ref_cfg) = configs(vcs, RoutingKind::Minimal, 4242);
+    let (topo, vcs) = pool().swap_remove(0); // Slim NoC 3x3: diameter 2, heals well
     let plan = FaultPlan::storm(&topo, 8, 900, 1_200, 0xFA17);
-    let mut sim = Simulator::build(&topo, &sim_cfg).unwrap();
-    sim.set_fault_plan(&plan).unwrap();
-    let optimized = sim
-        .run_synthetic(TrafficPattern::Random, 0.08, 400, 3_200)
-        .snapshot();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).unwrap();
-    rsim.set_fault_plan(&plan).unwrap();
-    let reference = rsim.run_synthetic(TrafficPattern::Random, 0.08, 400, 3_200);
-    optimized.check_conservation().unwrap();
-    reference.check_conservation().unwrap();
-    assert!(optimized.dropped_packets > 0, "storm must hit live traffic");
-    assert!(reference.dropped_packets > 0, "storm must hit live traffic");
-    assert!(
-        counts_close(
-            optimized.dropped_packets,
-            reference.dropped_packets,
-            6.0,
-            12.0
-        ),
-        "dropped diverged: optimized {} vs reference {}",
-        optimized.dropped_packets,
-        reference.dropped_packets
-    );
-    compare_statistics(&optimized, &reference, 50).unwrap();
+    let traffic = Traffic::uniform(TrafficPattern::Random, 0.08, 400, 3_200);
+    let case = Case {
+        faults: Some(plan),
+        ..Case::new(topo, config(vcs, RoutingKind::Minimal, 4242), traffic)
+    };
+    let run = check::run(&case).unwrap();
+    check::statistical(&run).unwrap();
+    let (a, b) = (run.optimized.dropped_packets, run.reference.dropped_packets);
+    assert!(a > 0 && b > 0, "storm must hit live traffic");
+    let close = counts_close(a, b, 6.0, 12.0);
+    assert!(close, "dropped diverged: optimized {a} vs reference {b}");
 }
 
 /// Zero-rate runs: both engines must report a completely idle network.
 #[test]
 fn zero_rate_agrees_exactly() {
-    let (topo, vcs) = topology(0);
-    let (sim_cfg, ref_cfg) = configs(vcs, RoutingKind::Minimal, 7);
-    let mut sim = Simulator::build(&topo, &sim_cfg).unwrap();
-    let optimized = sim
-        .run_synthetic(TrafficPattern::Random, 0.0, 1_000, 20_000)
-        .snapshot();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).unwrap();
-    let reference = rsim.run_synthetic(TrafficPattern::Random, 0.0, 1_000, 20_000);
-    assert_eq!(optimized, reference);
-    assert_eq!(optimized.delivered_packets, 0);
-    assert_eq!(optimized.total_cycles, 21_000);
+    let (topo, vcs) = pool().swap_remove(0);
+    let traffic = Traffic::uniform(TrafficPattern::Random, 0.0, 1_000, 20_000);
+    let case = Case::new(topo, config(vcs, RoutingKind::Minimal, 7), traffic);
+    let run = check::run(&case).unwrap();
+    check::exact(&run).unwrap();
+    assert_eq!(run.optimized.delivered_packets, 0);
+    assert_eq!(run.optimized.total_cycles, 21_000);
 }
 
 /// The two engines must agree on the watchdog's *progress event set*
@@ -565,34 +413,23 @@ fn zero_rate_agrees_exactly() {
 /// progress event (delivery, switch traversal, injection, packet or
 /// fault arrival) occurs. A healthy multi-flit wormhole stream has a
 /// progress event on every in-flight cycle, so neither engine may
-/// fire even through a saturated fault storm — and if either engine's
-/// bump sites deviated by a single cycle anywhere in the run, its
-/// truncated clock would break the byte-for-byte snapshot equality
-/// this asserts.
+/// fire even through a saturated fault storm (the exact verdict fails
+/// an abort) — and if either engine's bump sites deviated by a single
+/// cycle anywhere in the run, its truncated clock would break the
+/// byte-for-byte snapshot equality the verdict asserts.
 #[test]
 fn bound_one_watchdogs_agree_across_engines_under_storm() {
-    let (topo, vcs) = topology(2); // torus 4x4: datelines + wrap links
-    let (sim_cfg, ref_cfg) = configs(vcs, RoutingKind::Minimal, 99);
-    let trace = workload(&topo, TrafficPattern::Adversarial1, 0.7, 800, 99);
+    let (topo, vcs) = pool().swap_remove(2); // torus 4x4: datelines + wrap links
+    let messages = workload(&topo, TrafficPattern::Adversarial1, 0.7, 800, 99);
     let plan = FaultPlan::storm(&topo, 4, 260, 400, 99 ^ 0xFA17);
-    let mut sim = Simulator::build(&topo, &sim_cfg).unwrap();
-    sim.set_fault_plan(&plan).unwrap();
-    sim.set_watchdog(Some(1));
-    let report = sim.run_trace(&trace, 200);
-    assert!(
-        report.deadlock.is_none(),
-        "a live run must bump progress every in-flight cycle: {}",
-        report.deadlock.unwrap()
-    );
-    let optimized = report.snapshot();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).unwrap();
-    rsim.set_fault_plan(&plan).unwrap();
-    rsim.set_watchdog(Some(1));
-    let reference = rsim.run_workload(&trace, 200);
-    assert_eq!(
-        optimized, reference,
-        "progress event sets must agree cycle for cycle"
-    );
+    let warmup = 200;
+    let traffic = Traffic::Workload { messages, warmup };
+    let case = Case {
+        faults: Some(plan),
+        watchdog: Some(1),
+        ..Case::new(topo, config(vcs, RoutingKind::Minimal, 99), traffic)
+    };
+    check::exact(&check::run(&case).unwrap()).unwrap();
 }
 
 /// The reference engine's watchdog aborts on the same condition as the
@@ -602,28 +439,25 @@ fn bound_one_watchdogs_agree_across_engines_under_storm() {
 #[test]
 fn reference_watchdog_aborts_like_the_optimized_engine() {
     let topo = Topology::mesh(4, 3, 2);
-    let (mut sim_cfg, _) = configs(2, RoutingKind::Minimal, 11);
-    sim_cfg.packet_flits = 1;
-    let ref_cfg = RefConfig::try_from_sim(&sim_cfg)
-        .expect("edge/credited config")
-        .with_seed(11);
+    let mut cfg = config(2, RoutingKind::Minimal, 11);
+    cfg.packet_flits = 1;
+    let traffic = Traffic::uniform(TrafficPattern::Random, 0.005, 100, 400);
+    let case = Case::new(topo, cfg, traffic);
     // Control: at the default bound the same run goes the distance.
-    let mut healthy = RefSimulator::build(&topo, &ref_cfg).unwrap();
-    let full = healthy.run_synthetic(TrafficPattern::Random, 0.005, 100, 400);
-    assert!(full.total_cycles >= 500, "healthy horizon");
-    // Bound 1 cuts the run at the first quiet cycle instead.
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).unwrap();
-    rsim.set_watchdog(Some(1));
-    let aborted = rsim.run_synthetic(TrafficPattern::Random, 0.005, 100, 400);
-    assert!(aborted.total_cycles < full.total_cycles, "abort truncates");
-    // The optimized engine under the identical config (and its own
-    // RNG) aborts the same way, with the diagnostic attached.
-    let mut sim = Simulator::build(&topo, &sim_cfg).unwrap();
-    sim.set_watchdog(Some(1));
-    let report = sim.run_synthetic(TrafficPattern::Random, 0.005, 100, 400);
-    assert!(report.deadlock.is_some(), "optimized watchdog fires too");
-    assert!(aborted.total_cycles < 500);
-    assert!(report.total_cycles < 500);
+    let full = check::run(&case).unwrap();
+    assert!(full.deadlock.is_none());
+    assert!(full.reference.total_cycles >= 500, "healthy horizon");
+    // Bound 1 cuts the run at the first quiet cycle instead, in both
+    // engines (each on its own RNG stream); the optimized one attaches
+    // the diagnostic.
+    let aborted = check::run(&Case {
+        watchdog: Some(1),
+        ..case
+    })
+    .unwrap();
+    assert!(aborted.deadlock.is_some(), "optimized watchdog fires");
+    assert!(aborted.reference.total_cycles < 500, "abort truncates");
+    assert!(aborted.optimized.total_cycles < 500);
 }
 
 /// A deterministic saturation-stress case: conservation laws must hold
@@ -631,19 +465,12 @@ fn reference_watchdog_aborts_like_the_optimized_engine() {
 /// saturated latencies are seed-dependent).
 #[test]
 fn conservation_holds_at_saturation_in_both_engines() {
-    let (topo, vcs) = topology(0);
-    let (sim_cfg, ref_cfg) = configs(vcs, RoutingKind::Minimal, 21);
-    let mut sim = Simulator::build(&topo, &sim_cfg).unwrap();
-    let optimized = sim
-        .run_synthetic(TrafficPattern::Adversarial1, 0.8, 500, 2_000)
-        .snapshot();
-    optimized.check_conservation().unwrap();
-    let mut rsim = RefSimulator::build(&topo, &ref_cfg).unwrap();
-    let reference = rsim.run_synthetic(TrafficPattern::Adversarial1, 0.8, 500, 2_000);
-    reference.check_conservation().unwrap();
-    assert!(
-        optimized.stalled_generations > 0,
-        "0.8 must exceed capacity"
-    );
-    assert!(reference.stalled_generations > 0);
+    let (topo, vcs) = pool().swap_remove(0);
+    let traffic = Traffic::uniform(TrafficPattern::Adversarial1, 0.8, 500, 2_000);
+    let case = Case::new(topo, config(vcs, RoutingKind::Minimal, 21), traffic);
+    let run = check::run(&case).unwrap();
+    for snapshot in [&run.optimized, &run.reference] {
+        snapshot.check_conservation().unwrap();
+        assert!(snapshot.stalled_generations > 0, "0.8 must exceed capacity");
+    }
 }

@@ -8,7 +8,7 @@
 //! - full-bandwidth Flattened Butterfly (`FBF`),
 //! - partitioned Flattened Butterfly (`PFBF`) — the paper's fairness
 //!   baseline matching Slim NoC's radix and bisection bandwidth,
-//! - Dragonfly (`DF`, §2.2) and a folded Clos (§5.5),
+//! - Dragonfly (`DF`, §2.2),
 //!
 //! plus graph analysis (diameter, average path length, bisection) and the
 //! paper's named configurations (Tables 2 and 4).
@@ -35,7 +35,6 @@
 
 mod analysis;
 mod bfs;
-mod clos;
 mod configs;
 mod dragonfly;
 mod error;
@@ -145,14 +144,6 @@ pub enum TopologyKind {
     Dragonfly {
         /// Global links per router.
         h: usize,
-    },
-    /// Folded Clos (2-level fat tree): `leaves` leaf routers each wired to
-    /// all `spines` spine routers; nodes attach to leaves only.
-    FoldedClos {
-        /// Leaf router count.
-        leaves: usize,
-        /// Spine router count.
-        spines: usize,
     },
 }
 
@@ -271,17 +262,6 @@ impl Topology {
         dragonfly::dragonfly(h)
     }
 
-    /// Builds a folded Clos: `leaves` leaf routers each connected to all
-    /// `spines` spine routers, `p` nodes per leaf (spines have none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leaves`, `spines`, or the concentration is zero.
-    #[must_use]
-    pub fn folded_clos(leaves: usize, spines: usize, concentration: usize) -> Self {
-        clos::folded_clos(leaves, spines, concentration)
-    }
-
     /// The family and structural details of this topology.
     #[must_use]
     pub fn kind(&self) -> &TopologyKind {
@@ -307,15 +287,9 @@ impl Topology {
     }
 
     /// Total number of endpoint nodes `N = N_r · p`.
-    ///
-    /// For the folded Clos, only leaf routers carry nodes (spine routers
-    /// contribute no endpoints); see the `clos` module docs.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        match self.kind {
-            TopologyKind::FoldedClos { leaves, .. } => leaves * self.concentration,
-            _ => self.router_count() * self.concentration,
-        }
+        self.router_count() * self.concentration
     }
 
     /// Routers adjacent to `r` (sorted, no duplicates).
@@ -375,14 +349,10 @@ impl Topology {
         RouterId(n.0 / self.concentration)
     }
 
-    /// The nodes attached to router `r` (empty for spine routers in a
-    /// folded Clos).
+    /// The nodes attached to router `r`.
     #[must_use]
     pub fn nodes_of(&self, r: RouterId) -> Vec<NodeId> {
         let first = r.0 * self.concentration;
-        if first >= self.node_count() {
-            return Vec::new();
-        }
         (first..first + self.concentration).map(NodeId).collect()
     }
 

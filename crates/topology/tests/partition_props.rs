@@ -17,14 +17,13 @@ fn topology_from(bits: u64) -> Topology {
     let y = 2 + (bits >> 16) % 4; // 2..=5
     let c = 1 + (bits >> 24) % 3; // 1..=3
     let (x, y, c) = (x as usize, y as usize, c as usize);
-    match bits % 7 {
+    match bits % 6 {
         0 => Topology::slim_noc([3, 5, 7][x % 3], c).expect("prime-power q"),
         1 => Topology::mesh(x, y, c),
         2 => Topology::torus(x, y, c),
         3 => Topology::flattened_butterfly(x, y, c),
         4 => Topology::partitioned_fbf(2, 1, x, y, c),
-        5 => Topology::dragonfly(1 + x % 3),
-        _ => Topology::folded_clos(x + y, x, c),
+        _ => Topology::dragonfly(1 + x % 3),
     }
 }
 

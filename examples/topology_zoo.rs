@@ -17,7 +17,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Topology::torus(10, 5, 4),
         Topology::mesh(10, 5, 4),
         Topology::dragonfly(3),
-        Topology::folded_clos(25, 8, 8),
     ];
     println!(
         "{:<18} {:>5} {:>4} {:>4} {:>3} {:>4} {:>9} {:>7} {:>9}",

@@ -7,8 +7,7 @@
 //!
 //! - [`field`] — finite fields `GF(p^n)` and MMS generator sets,
 //! - [`topology`] — Slim NoC and all baseline topologies (mesh, torus,
-//!   concentrated mesh, Flattened Butterfly, partitioned FBF, Dragonfly,
-//!   folded Clos),
+//!   concentrated mesh, Flattened Butterfly, partitioned FBF, Dragonfly),
 //! - [`layout`] — on-chip placement, wire, buffer and cost models,
 //! - [`traffic`] — synthetic traffic patterns and trace workloads,
 //! - [`sim`] — the cycle-accurate flit-level network simulator,
