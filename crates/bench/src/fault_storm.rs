@@ -14,7 +14,7 @@
 //! Everything here is deterministic: storms are seeded, per-point seeds
 //! are spec-derived, and results are identical across thread counts.
 
-use crate::{figure_campaign, Args};
+use crate::Args;
 use snoc_core::{Campaign, CampaignResult, FaultsSpec, Setup, StormSpec};
 use snoc_traffic::TrafficPattern;
 
@@ -62,9 +62,9 @@ pub fn failed_links(network: &str, fraction: f64) -> usize {
     links
 }
 
-/// The declarative campaign behind the figure: every network × failure
-/// fraction at [`LOAD`], with each faulted setup carrying a seeded
-/// storm that strikes just after measurement opens — the measured
+/// The campaign behind the figure: every network × failure fraction at
+/// [`LOAD`], with each faulted setup carrying a seeded storm that
+/// strikes just after measurement opens — the measured
 /// window watches the network lose links live, so in-flight casualties
 /// show up in the `dropped_packets` column and the throughput average
 /// is dominated by the degraded steady state.
@@ -111,8 +111,13 @@ fn storm_campaign_at(name: &str, load: f64, args: &Args) -> Campaign {
             setups.push(setup);
         }
     }
-    figure_campaign(name, setups, vec![TrafficPattern::Random], args)
+    // Built in Rust, not committed as a spec: the storm's timing follows
+    // the windows the flags select, which the campaign states itself.
+    Campaign::new(name)
+        .with_setups(setups)
+        .with_patterns(vec![TrafficPattern::Random])
         .with_loads(vec![load])
+        .with_windows(warmup, measure)
         .with_stop_at_saturation(false)
 }
 

@@ -2,31 +2,42 @@
 //! evaluation as one row of [`REGISTRY`], reached through
 //! `snoc repro <name>`.
 //!
-//! A figure is a function from the shared flags ([`Args`]) to bytes on
-//! a writer. Figures that differ only in data — the class-comparison
-//! latency figures (12/13/14), the per-node cost figures (16/17), the
-//! energy sweeps — are one function each, parameterised by their row.
+//! A figure that simulates is data where it can be: each of its
+//! campaigns is a committed `slim_noc-spec-v1` file under `specs/`,
+//! drawn by one of five shared renderers ([`Render`]). Code writes the
+//! rest: the analytic figures, the studies that fold several campaigns
+//! into one table, `fault_storm` and `verify`.
+
+/// The text of the committed campaign spec `specs/<stem>.json`.
+macro_rules! spec {
+    ($stem:literal) => {
+        include_str!(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../specs/",
+            $stem,
+            ".json"
+        ))
+    };
+}
 
 mod studies;
 mod verify;
 
 use crate::fault_storm::{retention_rows, storm_campaign, LOAD};
-use crate::{
-    energy_campaign, energy_load_grid, figure_campaign, io_err, latency_curves, load_grid, Args,
-};
+use crate::{io_err, Args};
 use snoc_core::{
-    format_float, BufferPreset, Campaign, CampaignResult, PowerPoint, Series, Setup, SweepPoint,
-    TextTable,
+    format_float, BufferPreset, Campaign, CampaignResult, CampaignSpec, PointCache, PowerPoint,
+    Series, Setup, SpecError, SweepPoint, TextTable,
 };
 use snoc_field::{GeneratorSets, Gf};
 use snoc_layout::{
     max_wires_per_tile, per_router_central_buffers, BufferModel, BufferSpec, Layout, SnLayout,
 };
 use snoc_power::{PowerModel, TechNode};
-use snoc_sim::RoutingKind;
 use snoc_topology::{paper_config, table2_rows, Topology};
-use snoc_traffic::{benchmark_workloads, TrafficPattern};
 use std::io::Write;
+use Draw::{Code, Json, Panels};
+use Render::{Benchmarks, Energy, Gain, Latency, Power};
 
 /// One reproducible table, figure or study.
 pub struct Figure {
@@ -34,187 +45,379 @@ pub struct Figure {
     pub name: &'static str,
     /// One-line description shown by `snoc repro --list`.
     pub about: &'static str,
-    /// Runs the figure under the shared flags, writing its report to
-    /// the writer. `Err` carries a diagnostic for a failed write or —
-    /// for the self-checking `verify` entry — a detected divergence.
-    pub run: fn(&Args, &mut dyn Write) -> Result<(), String>,
+    /// How the figure makes its report.
+    pub draw: Draw,
 }
+
+/// Code that writes a report under the flags.
+pub type Run = fn(&Args, &mut dyn Write) -> Result<(), String>;
+
+/// How a [`Figure`] makes its report.
+pub enum Draw {
+    /// Committed campaigns (spec texts), each drawn by a shared renderer.
+    Panels(&'static [(&'static str, Render)]),
+    /// Code, running the committed campaigns listed; it refuses `--json`.
+    Code(&'static [&'static str], Run),
+    /// Code that answers `--json`: with its one campaign's sweep JSON, or
+    /// with a JSON form of its own.
+    Json(Run),
+}
+
+/// A shared renderer: how a committed campaign's result becomes tables.
+/// `{pattern}` and `{tech}` in a title stand for the table's pattern and
+/// technology node.
+pub enum Render {
+    /// `(title, ratios)`: a latency–load table per pattern. With
+    /// `ratios = Some((sn, baselines))` each is followed by `sn`'s
+    /// latency as a share of each baseline's at the lowest load.
+    Latency(
+        &'static str,
+        Option<(&'static str, &'static [&'static str])>,
+    ),
+    /// `(title, nodes, columns)`: a row of power columns per setup of a
+    /// one-load campaign, run at each node.
+    Power(&'static str, &'static [TechNode], &'static [PowerColumn]),
+    /// `(title, nodes)`: the first setup's throughput-per-watt gain over
+    /// every other setup, at each node.
+    Gain(&'static str, &'static [TechNode]),
+    /// `(title, headers, cell, summary)`: a row per trace workload and a
+    /// column per header, then the summary `cell` names.
+    Benchmarks(&'static str, &'static [&'static str], Cell, &'static str),
+    /// `(title)`: power and efficiency of every setup at each load, then
+    /// every setup's throughput/W and EDP against the first's at the top
+    /// load.
+    Energy(&'static str),
+}
+
+/// A column of a [`Render::Power`] table.
+#[derive(Debug, Clone, Copy)]
+pub enum PowerColumn {
+    /// Delivered flits per joule.
+    ThroughputPerWatt,
+    /// Area per endpoint in cm².
+    AreaPerNode,
+    /// Static power per endpoint in W.
+    StaticPerNode,
+    /// Dynamic power per endpoint in W.
+    DynamicPerNode,
+}
+
+/// What column `i` of a [`Render::Benchmarks`] table holds, and how the
+/// table is summarised.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell {
+    /// Setup `i`'s mean latency in cycles. Summary: a line, `{gain}` set
+    /// to the last column's geometric-mean latency cut against the first.
+    Latency,
+    /// Setup `i`'s EDP over setup 0's. Summary: each column's geometric
+    /// mean.
+    EdpRatio,
+    /// The latency cut in % that SMART links give network `i`: setup
+    /// `2i` without them, `2i + 1` with. Summary: each column's mean.
+    SmartGain,
+}
+
+/// Both technology nodes of the power tables.
+const BOTH_NODES: &[TechNode] = &[TechNode::N45, TechNode::N22];
+
+/// The per-node columns of Figs. 16 and 17.
+const PER_NODE: &[PowerColumn] = &[
+    PowerColumn::AreaPerNode,
+    PowerColumn::StaticPerNode,
+    PowerColumn::DynamicPerNode,
+];
 
 /// Every figure, in the order `snoc repro --list` prints them.
 pub const REGISTRY: &[Figure] = &[
     Figure {
         name: "fig1",
         about: "headline comparison at N=1296: ADV1 latency, throughput/power",
-        run: fig1,
+        draw: Panels(&[
+            (
+                spec!("fig1a"),
+                Latency(
+                    "Fig 1a: latency [cycles] vs load, ADV1, N=1296 (SMART + CBR-20)",
+                    None,
+                ),
+            ),
+            (
+                spec!("fig1bc"),
+                Power(
+                    "Fig 1b/c: throughput per power ({tech}), RND @ 0.4 offered",
+                    BOTH_NODES,
+                    &[PowerColumn::ThroughputPerWatt],
+                ),
+            ),
+        ]),
     },
     Figure {
         name: "fig3",
         about: "cost of Slim Fly / Dragonfly used naively on-chip",
-        run: fig3,
+        draw: Code(&[], fig3),
     },
     Figure {
         name: "fig5",
         about: "layout cost analysis: wire length, buffers, wire crossings",
-        run: fig5,
+        draw: Code(&[], fig5),
     },
     Figure {
         name: "fig6",
         about: "link-distance distributions of the sn_gr / sn_subgr layouts",
-        run: fig6,
+        draw: Code(&[], fig6),
     },
     Figure {
         name: "fig10",
         about: "effect of Slim NoC layouts on latency (N=200, no SMART)",
-        run: fig10,
+        draw: Panels(&[
+            (
+                spec!("fig10a"),
+                Latency(
+                    "Fig 10a ({pattern}): latency vs load per SN layout, N=200, no SMART",
+                    None,
+                ),
+            ),
+            (
+                spec!("fig10b"),
+                Benchmarks(
+                    "Fig 10b: PARSEC/SPLASH-like latency [cycles] per SN layout",
+                    &["sn_basic", "sn_gr", "sn_subgr"],
+                    Cell::Latency,
+                    "sn_subgr vs sn_basic (geometric mean latency): {gain}% lower (paper: ~5%)",
+                ),
+            ),
+        ]),
     },
     Figure {
         name: "fig11",
         about: "buffering strategies (edge, elastic, central) with/without SMART",
-        run: fig11,
+        draw: Panels(&[
+            (
+                spec!("fig11_200"),
+                Latency("Fig 11 (N=200, No-SMART): latency vs load, RND", None),
+            ),
+            (
+                spec!("fig11_200_smart"),
+                Latency("Fig 11 (N=200, SMART): latency vs load, RND", None),
+            ),
+            (
+                spec!("fig11_1296"),
+                Latency("Fig 11 (N=1296, No-SMART): latency vs load, RND", None),
+            ),
+            (
+                spec!("fig11_1296_smart"),
+                Latency("Fig 11 (N=1296, SMART): latency vs load, RND", None),
+            ),
+        ]),
     },
     Figure {
         name: "fig12",
         about: "latency vs load with SMART, small class (campaign)",
-        run: |a, o| class_figure(&FIG12, a, o),
+        draw: Panels(&[(
+            spec!("fig12"),
+            Latency(
+                "Fig 12 ({pattern}): latency vs load, SMART, N in {192,200}",
+                Some(("sn_s", &["cm3", "t2d3", "pfbf3", "pfbf4", "fbf3"])),
+            ),
+        )]),
     },
     Figure {
         name: "fig13",
         about: "latency vs load with SMART, N=1296 (campaign)",
-        run: |a, o| class_figure(&FIG13, a, o),
+        draw: Panels(&[(
+            spec!("fig13"),
+            Latency(
+                "Fig 13 ({pattern}): latency vs load, SMART, N=1296",
+                Some(("sn_l", &["cm9", "t2d9", "pfbf9", "fbf9"])),
+            ),
+        )]),
     },
     Figure {
         name: "fig14",
         about: "latency vs load without SMART, small class (campaign)",
-        run: |a, o| class_figure(&FIG14, a, o),
+        draw: Panels(&[(
+            spec!("fig14"),
+            Latency(
+                "Fig 14 ({pattern}): latency vs load, no SMART, N in {192,200}",
+                Some(("sn_s", &["cm3", "t2d3", "pfbf3", "fbf3"])),
+            ),
+        )]),
     },
     Figure {
         name: "fig15",
         about: "area and static power without SMART at N=200",
-        run: fig15,
+        draw: Code(&[], fig15),
     },
     Figure {
         name: "fig16",
         about: "per-node area/static/dynamic power with SMART, small class",
-        run: |a, o| {
-            per_node_cost(
-                "Fig 16",
-                "N in {192,200}",
-                &["fbf3", "fbf4", "pfbf3", "sn_s", "t2d4", "cm4"],
-                a,
-                o,
-            )
-        },
+        draw: Panels(&[(
+            spec!("fig16"),
+            Power(
+                "Fig 16 ({tech}): per-node area/power, SMART, N in {192,200}",
+                BOTH_NODES,
+                PER_NODE,
+            ),
+        )]),
     },
     Figure {
         name: "fig17",
         about: "per-node area/static/dynamic power with SMART, N=1296",
-        run: |a, o| {
-            per_node_cost(
-                "Fig 17",
-                "N=1296",
-                &["fbf8", "fbf9", "pfbf9", "sn_l", "t2d9", "cm9"],
-                a,
-                o,
-            )
-        },
+        draw: Panels(&[(
+            spec!("fig17"),
+            Power(
+                "Fig 17 ({tech}): per-node area/power, SMART, N=1296",
+                BOTH_NODES,
+                PER_NODE,
+            ),
+        )]),
     },
     Figure {
         name: "fig18",
         about: "energy-delay product on PARSEC/SPLASH-like traces vs FBF",
-        run: fig18,
+        draw: Panels(&[(
+            spec!("fig18"),
+            Benchmarks(
+                "Fig 18: energy-delay product normalized to FBF (SMART, 45nm)",
+                &["fbf3", "pfbf3", "cm3", "sn_subgr"],
+                Cell::EdpRatio,
+                "Fig 18 summary: geometric-mean EDP vs FBF (paper: SN 55% better)",
+            ),
+        )]),
     },
     Figure {
         name: "fig19",
         about: "today's small-scale designs (N=54): latency, area, power",
-        run: fig19,
+        draw: Panels(&[
+            (
+                spec!("fig19a"),
+                Latency("Fig 19a: latency vs load, N=54, SMART, RND", None),
+            ),
+            (
+                spec!("fig19bc"),
+                Power(
+                    "Fig 19b/c: per-node area and dynamic power, N=54 (45nm, SMART)",
+                    &[TechNode::N45],
+                    &[PowerColumn::AreaPerNode, PowerColumn::DynamicPerNode],
+                ),
+            ),
+        ]),
     },
     Figure {
         name: "fig20",
         about: "adaptive routing (UGAL-L/G, XY) in input-queued routers",
-        run: fig20,
+        draw: Panels(&[(
+            spec!("fig20"),
+            Latency(
+                "Fig 20 ({pattern}): adaptive routing, N=200, input-queued routers",
+                None,
+            ),
+        )]),
     },
     Figure {
         name: "table2",
         about: "all Slim NoC configurations with N <= 1300",
-        run: table2,
+        draw: Code(&[], table2),
     },
     Figure {
         name: "table3",
         about: "GF(9) and GF(8) operation tables and generator sets",
-        run: table3,
+        draw: Code(&[], table3),
     },
     Figure {
         name: "table4",
         about: "the evaluated network configurations",
-        run: table4,
+        draw: Code(&[], table4),
     },
     Figure {
         name: "table5",
         about: "Slim NoC throughput/power gains over every baseline",
-        run: table5,
+        // Every network runs at a heavy common offered load, so each
+        // delivers its saturated throughput at its own saturated power.
+        draw: Panels(&[
+            (
+                spec!("table5_small"),
+                Gain(
+                    "Table 5 (N in {192,200}, {tech}): SN throughput/power advantage, RND",
+                    BOTH_NODES,
+                ),
+            ),
+            (
+                spec!("table5_large"),
+                Gain(
+                    "Table 5 (N = 1296, {tech}): SN throughput/power advantage, RND",
+                    BOTH_NODES,
+                ),
+            ),
+        ]),
     },
     Figure {
         name: "table6",
         about: "latency decrease due to SMART links per benchmark",
-        run: table6,
+        draw: Panels(&[(
+            spec!("table6"),
+            Benchmarks(
+                "Table 6: % latency decrease due to SMART links",
+                &["fbf3", "pfbf3", "cm3", "sn"],
+                Cell::SmartGain,
+                "Table 6 summary: mean latency gain from SMART (paper: SN largest at ~11%)",
+            ),
+        )]),
     },
     Figure {
         name: "energy_mesh",
         about: "energy-efficiency sweep of the mesh (cm4)",
-        run: |a, o| energy_figure("energy_mesh", &["cm4"], "Energy: mesh (cm4)", a, o),
+        draw: Panels(&[(spec!("energy_mesh"), Energy("Energy: mesh (cm4)"))]),
     },
     Figure {
         name: "energy_torus",
         about: "energy-efficiency sweep of the torus (t2d4)",
-        run: |a, o| energy_figure("energy_torus", &["t2d4"], "Energy: torus (t2d4)", a, o),
+        draw: Panels(&[(spec!("energy_torus"), Energy("Energy: torus (t2d4)"))]),
     },
     Figure {
         name: "energy_df",
         about: "energy-efficiency sweep of the Dragonfly (df3)",
-        run: |a, o| energy_figure("energy_df", &["df3"], "Energy: dragonfly (df3)", a, o),
+        draw: Panels(&[(spec!("energy_df"), Energy("Energy: dragonfly (df3)"))]),
     },
     Figure {
         name: "energy_sn",
         about: "energy-efficiency sweep of the Slim NoC (sn_s)",
-        run: |a, o| energy_figure("energy_sn", &["sn_s"], "Energy: Slim NoC (sn_s)", a, o),
+        draw: Panels(&[(spec!("energy_sn"), Energy("Energy: Slim NoC (sn_s)"))]),
     },
     Figure {
         name: "fig_energy",
         about: "matched-load throughput/Watt and EDP: mesh, torus, DF, SN",
-        run: |a, o| {
-            energy_figure(
-                "fig_energy",
-                &ENERGY_CLASS,
-                "Energy figure: matched-load efficiency, N~200 class + df3",
-                a,
-                o,
-            )
-        },
+        // The matched-cost N in {192, 200} mesh, torus and Slim NoC plus
+        // the nearest balanced Dragonfly (df3, N = 342): metrics are per
+        // delivered flit, so the size mismatch washes out.
+        draw: Panels(&[(
+            spec!("fig_energy"),
+            Energy("Energy figure: matched-load efficiency, N~200 class + df3"),
+        )]),
     },
     Figure {
         name: "ablation",
         about: "Slim NoC design ingredients added one at a time",
-        run: studies::ablation,
+        draw: Code(&studies::ABLATION, studies::ablation),
     },
     Figure {
         name: "resilience",
         about: "connectivity and path length under random link failures",
-        run: studies::resilience,
+        draw: Json(studies::resilience),
     },
     Figure {
         name: "fault_storm",
         about: "delivered-throughput retention under live link storms",
-        run: fault_storm,
+        draw: Json(fault_storm),
     },
     Figure {
         name: "sensitivity",
         about: "the section 5.5 sensitivity summary",
-        run: studies::sensitivity,
+        draw: Code(&studies::SENSITIVITY, studies::sensitivity),
     },
     Figure {
         name: "verify",
         about: "differential verification against the reference simulator",
-        run: verify::verify,
+        draw: Json(verify::verify),
     },
 ];
 
@@ -224,33 +427,166 @@ pub fn find(name: &str) -> Option<&'static Figure> {
     REGISTRY.iter().find(|f| f.name == name)
 }
 
-/// The paper's small-class comparison set (N ∈ {192, 200}).
-const SMALL_CLASS: [&str; 6] = ["cm3", "t2d3", "pfbf3", "pfbf4", "sn_s", "fbf3"];
+impl Figure {
+    /// Whether the figure answers `--json`: one that runs exactly one
+    /// campaign, or [`Draw::Json`] code.
+    #[must_use]
+    pub fn answers_json(&self) -> bool {
+        match self.draw {
+            Panels(panels) => panels.iter().map(|(_, r)| r.campaigns()).sum::<usize>() == 1,
+            Code(..) => false,
+            Json(_) => true,
+        }
+    }
 
-/// The paper's large-class comparison set (N = 1296).
-const LARGE_CLASS: [&str; 5] = ["cm9", "t2d9", "pfbf9", "sn_l", "fbf9"];
+    /// Refuses, before anything simulates, a flag the figure cannot
+    /// honour: `--json` when it does not [answer it](Figure::answers_json),
+    /// and a `--cache-dir` that cannot be opened (with the diagnostic
+    /// [`Args::configure`] gives).
+    ///
+    /// # Errors
+    ///
+    /// The usage error to report.
+    pub fn check(&self, args: &Args) -> Result<(), String> {
+        if args.json && !self.answers_json() {
+            return Err(format!(
+                "`{}` has no JSON form (--json needs a figure that runs exactly one campaign)",
+                self.name
+            ));
+        }
+        if let Some(dir) = &args.cache_dir {
+            PointCache::open(dir).map_err(|e| SpecError::Cache(e).to_string())?;
+        }
+        Ok(())
+    }
 
-/// The energy-efficiency comparison class: the paper's matched-cost
-/// N ∈ {192, 200} mesh/torus/Slim NoC plus the nearest balanced
-/// Dragonfly (df3, N = 342; balanced DFs only exist at N = 2h²(2h²+1)).
-/// All four sit in comparable bisection-per-node classes; metrics are
-/// normalized per delivered flit, so the size mismatch washes out.
-const ENERGY_CLASS: [&str; 4] = ["cm4", "t2d4", "df3", "sn_s"];
+    /// Runs the figure under the flags, writing its report to `out`.
+    ///
+    /// # Errors
+    ///
+    /// A diagnostic for a failed write, a campaign the runner refused,
+    /// or — for the self-checking `verify` entry — a detected divergence.
+    pub fn run(&self, args: &Args, out: &mut dyn Write) -> Result<(), String> {
+        match self.draw {
+            Panels(panels) => panels.iter().try_for_each(|(s, r)| r.draw(s, args, out)),
+            Code(_, run) | Json(run) => run(args, out),
+        }
+    }
+}
 
-/// The four Slim NoC layouts, in the order Figs. 5 and 15 list them.
-const SN_LAYOUTS: [(&str, SnLayout); 4] = [
-    ("sn_rand", SnLayout::Random(1)),
-    ("sn_basic", SnLayout::Basic),
-    ("sn_gr", SnLayout::Group),
-    ("sn_subgr", SnLayout::Subgroup),
-];
+/// The campaign a committed spec describes, fitted to the flags
+/// ([`Args::campaign`]).
+fn campaign(spec: &str, args: &Args) -> Result<Campaign, String> {
+    let spec = CampaignSpec::from_json(spec).map_err(|e| format!("committed spec: {e}"))?;
+    args.campaign(spec).map_err(|e| e.to_string())
+}
 
-/// Builds the named paper configurations (they never fail to build).
-fn paper_setups(names: &[&str]) -> Vec<Setup> {
-    names
-        .iter()
-        .map(|n| Setup::paper(n).expect("paper config"))
-        .collect()
+impl Render {
+    /// The campaigns the renderer runs: one per node for the power
+    /// tables, else the spec's one.
+    fn campaigns(&self) -> usize {
+        match self {
+            Power(_, nodes, _) | Gain(_, nodes) => nodes.len(),
+            Latency(..) | Benchmarks(..) | Energy(_) => 1,
+        }
+    }
+
+    /// Runs `spec`, at each node for the power tables, and draws each
+    /// result.
+    fn draw(&self, spec: &str, args: &Args, out: &mut dyn Write) -> Result<(), String> {
+        let mut campaign = campaign(spec, args)?;
+        let nodes = match *self {
+            Power(_, nodes, _) | Gain(_, nodes) => nodes.iter().map(|&n| Some(n)).collect(),
+            Latency(..) | Benchmarks(..) | Energy(_) => vec![campaign.power_tech],
+        };
+        for tech in nodes {
+            campaign.power_tech = tech;
+            if let Some(result) = run(&campaign, args, out)? {
+                self.tables(&campaign, &result, args, out)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn tables(
+        &self,
+        campaign: &Campaign,
+        result: &CampaignResult,
+        args: &Args,
+        out: &mut dyn Write,
+    ) -> Result<(), String> {
+        let tech = campaign
+            .power_tech
+            .map(|t| t.to_string())
+            .unwrap_or_default();
+        let power = |p: &SweepPoint| p.power.expect("power-aware campaign");
+        match *self {
+            Latency(title, ratios) => latency(result, title, ratios, campaign.loads[0], args, out),
+            Power(title, _, columns) => {
+                let headers: Vec<&str> = columns.iter().map(|c| c.header()).collect();
+                let headers = [&["network"], &headers[..]].concat();
+                let mut table = TextTable::new(title.replace("{tech}", &tech), &headers);
+                for (point, setup) in result.points.iter().zip(&campaign.setups) {
+                    let nodes = setup.topology.node_count() as f64;
+                    let mut row = vec![point.setup.clone()];
+                    row.extend(columns.iter().map(|c| c.cell(&power(point), nodes)));
+                    table.push_row(row);
+                }
+                emit(&table, args, out)
+            }
+            Gain(title, _) => {
+                let title = title.replace("{tech}", &tech);
+                let mut table = TextTable::new(title, &["baseline", "SN gain"]);
+                let tpw = |p: &SweepPoint| power(p).throughput_per_watt;
+                let (sn, baselines) = result.points.split_first().expect("a campaign with setups");
+                for point in baselines {
+                    let gain = 100.0 * (tpw(sn) / tpw(point) - 1.0);
+                    table.push_row(vec![point.setup.clone(), format!("{gain:+.0}%")]);
+                }
+                emit(&table, args, out)
+            }
+            Benchmarks(title, headers, cell, summary) => {
+                benchmarks(result, title, headers, cell, summary, args, out)
+            }
+            Energy(title) => energy(result, title, &campaign.loads, args, out),
+        }
+    }
+}
+
+impl PowerColumn {
+    fn header(self) -> &'static str {
+        match self {
+            PowerColumn::ThroughputPerWatt => "throughput/power [flits/J]",
+            PowerColumn::AreaPerNode => "area/node [cm^2]",
+            PowerColumn::StaticPerNode => "static/node [W]",
+            PowerColumn::DynamicPerNode => "dynamic/node [W]",
+        }
+    }
+
+    fn cell(self, power: &PowerPoint, nodes: f64) -> String {
+        match self {
+            PowerColumn::ThroughputPerWatt => format_float(power.throughput_per_watt, 3),
+            PowerColumn::AreaPerNode => format_float(power.area_mm2 / 100.0 / nodes, 5),
+            PowerColumn::StaticPerNode => format_float(power.static_w / nodes, 5),
+            PowerColumn::DynamicPerNode => format_float(power.dynamic_w / nodes, 5),
+        }
+    }
+}
+
+/// Runs one of a figure's campaigns. Under `--json`, which only a figure
+/// of exactly one campaign accepts ([`Figure::check`]), writes the
+/// campaign's sweep JSON instead of returning the result for tables.
+fn run(
+    campaign: &Campaign,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<Option<CampaignResult>, String> {
+    let result = campaign.run();
+    if args.json {
+        out.write_all(result.to_json().as_bytes()).map_err(io_err)?;
+        return Ok(None);
+    }
+    Ok(Some(result))
 }
 
 /// Writes one table in the format the flags select.
@@ -258,91 +594,11 @@ fn emit(table: &TextTable, args: &Args, out: &mut dyn Write) -> Result<(), Strin
     table.write_to(out, args.csv).map_err(io_err)
 }
 
-/// Writes a campaign's raw sweep JSON (`--json` of the campaign figures).
-fn emit_json(result: &CampaignResult, out: &mut dyn Write) -> Result<(), String> {
-    out.write_all(result.to_json().as_bytes()).map_err(io_err)
-}
-
-/// One row of a power table: a setup's power columns at one offered
-/// load, driven by the activity its simulation measured.
-struct PowerRow {
-    name: String,
-    /// Endpoints of the setup's topology; the per-node columns of
-    /// Figs. 16, 17 and 19 divide the network totals by it.
-    nodes: f64,
-    power: PowerPoint,
-}
-
-/// Every setup's [`PowerRow`] under uniform random traffic at one
-/// offered load: one power-aware campaign, one point per setup, in setup
-/// order.
-fn power_rows(
-    campaign: &str,
-    setups: Vec<Setup>,
-    tech: TechNode,
-    load: f64,
-    args: &Args,
-) -> Vec<PowerRow> {
-    let nodes: Vec<usize> = setups.iter().map(|s| s.topology.node_count()).collect();
-    let result = energy_campaign(campaign, setups, args)
-        .with_power(tech)
-        .with_loads(vec![load])
-        .run();
-    result
-        .points
-        .into_iter()
-        .zip(nodes)
-        .map(|(point, nodes)| PowerRow {
-            power: point.power.expect("power-aware campaign"),
-            name: point.setup,
-            nodes: nodes as f64,
-        })
-        .collect()
-}
-
-/// The trace campaign behind Fig. 10b, Fig. 18 and Table 6: `setups` ×
-/// the 14 workloads, the first tenth of each trace as warmup.
-fn trace_campaign(name: &str, setups: Vec<Setup>, args: &Args) -> Campaign {
-    let cycles = args.trace_cycles();
-    figure_campaign(name, setups, Vec::new(), args)
-        .with_workloads(benchmark_workloads())
-        .with_windows(cycles / 10, cycles - cycles / 10)
-}
-
 /// The point of curve (setup, pattern or workload name) at `load`, for
 /// figures that ran every curve over its whole grid.
 fn point_at<'a>(result: &'a CampaignResult, setup: &str, curve: &str, load: f64) -> &'a SweepPoint {
     let point = result.point(setup, curve, load);
     point.expect("every grid point of the curve was run")
-}
-
-/// Writes the per-benchmark table the trace figures share: one row per
-/// workload of the trace campaign `result`, one column per entry of
-/// `columns`, holding `cell(the workload's point of a setup, column
-/// index)` rendered by `fmt`. Returns the values by column.
-fn benchmark_table<'a>(
-    title: &str,
-    columns: &[&str],
-    result: &'a CampaignResult,
-    cell: impl Fn(&dyn Fn(&str) -> &'a SweepPoint, usize) -> f64,
-    fmt: fn(f64) -> String,
-    args: &Args,
-    out: &mut dyn Write,
-) -> Result<Vec<Vec<f64>>, String> {
-    let mut table = TextTable::new(title, &[&["benchmark"], columns].concat());
-    let mut values = vec![Vec::new(); columns.len()];
-    for w in benchmark_workloads() {
-        let at = |setup: &str| point_at(result, setup, w.name, w.offered_flit_rate());
-        let mut cells = vec![w.name.to_string()];
-        for (i, column) in values.iter_mut().enumerate() {
-            let value = cell(&at, i);
-            column.push(value);
-            cells.push(fmt(value));
-        }
-        table.push_row(cells);
-    }
-    emit(&table, args, out)?;
-    Ok(values)
 }
 
 /// The geometric mean of a column of positive values.
@@ -353,47 +609,232 @@ fn geomean(column: &[f64]) -> f64 {
         .powf(1.0 / column.len() as f64)
 }
 
-/// Figure 1: the headline comparison at N = 1296.
-///
-/// - (a) latency vs. load under the adversarial pattern (ADV1) for
-///   Slim NoC, torus, mesh, and bisection-matched Flattened Butterflies;
-/// - (b)/(c) throughput per power at 45 nm and 22 nm under random
-///   traffic near each network's operating load.
-///
-/// All networks use the paper's shared microarchitecture (SMART links +
-/// CBR-20, per §1's "all using the same microarchitectural schemes").
-fn fig1(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let setups = || -> Vec<Setup> {
-        paper_setups(&["t2d9", "cm9", "pfbf9", "sn_l", "fbf9"])
-            .into_iter()
-            .map(|s| s.with_smart(true).with_buffers(BufferPreset::Cbr(20)))
-            .collect()
+/// [`Render::Latency`]: a table per pattern, each followed by the
+/// latency ratios at `low`, the grid's lowest load.
+fn latency(
+    result: &CampaignResult,
+    title: &str,
+    ratios: Option<(&str, &[&str])>,
+    low: f64,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    for pattern in &result.patterns {
+        let title = title.replace("{pattern}", pattern);
+        emit(
+            &Series::tabulate(&title, "load", &result.series(pattern)),
+            args,
+            out,
+        )?;
+        let Some((sn, baselines)) = ratios else {
+            continue;
+        };
+        // A curve already saturated at the grid's lowest load has no ratio.
+        let at_low = |name: &str| {
+            let point = result.point(name, pattern, low);
+            point.filter(|p| !p.saturated).map(|p| p.latency)
+        };
+        if let Some(sn_lat) = at_low(sn) {
+            let figure = title.split_once(": ").map_or(&*title, |(figure, _)| figure);
+            let mut table = TextTable::new(
+                format!("{figure}: SN latency ratio at load {low}"),
+                &["baseline", "SN/baseline"],
+            );
+            for base in baselines {
+                if let Some(b) = at_low(base) {
+                    table.push_row(vec![
+                        (*base).to_string(),
+                        format!("{:.0}%", 100.0 * sn_lat / b),
+                    ]);
+                }
+            }
+            emit(&table, args, out)?;
+        }
+    }
+    Ok(())
+}
+
+/// [`Render::Benchmarks`]: a row per workload of the trace campaign,
+/// then the summary `cell` names.
+fn benchmarks(
+    result: &CampaignResult,
+    title: &str,
+    headers: &[&str],
+    cell: Cell,
+    summary: &str,
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    // Setup `i`'s point of a workload, at the workload's own rate.
+    let at = |i: usize, workload: &str| {
+        let (setup, mut points) = (&result.setups[i], result.points.iter());
+        let point = points.find(|p| p.setup == *setup && p.pattern == workload);
+        point.expect("every setup ran every workload")
     };
+    let edp = |p: &SweepPoint| p.power.expect("power-aware campaign").edp_js;
+    let value = |i: usize, workload: &str| match cell {
+        Cell::Latency => at(i, workload).latency,
+        Cell::EdpRatio => edp(at(i, workload)) / edp(at(0, workload)),
+        Cell::SmartGain => {
+            let (no, yes) = (at(2 * i, workload).latency, at(2 * i + 1, workload).latency);
+            if no > 0.0 {
+                100.0 * (1.0 - yes / no)
+            } else {
+                0.0
+            }
+        }
+    };
+    let columns: Vec<Vec<f64>> = (0..headers.len())
+        .map(|i| result.patterns.iter().map(|w| value(i, w)).collect())
+        .collect();
+    let mut table = TextTable::new(title, &[&["benchmark"], headers].concat());
+    for (row, workload) in result.patterns.iter().enumerate() {
+        let mut cells = vec![workload.clone()];
+        cells.extend(columns.iter().map(|column| match cell {
+            Cell::Latency => format_float(column[row], 2),
+            Cell::EdpRatio => format_float(column[row], 3),
+            Cell::SmartGain => format!("{:.1}", column[row]),
+        }));
+        table.push_row(cells);
+    }
+    emit(&table, args, out)?;
+    let (step, header) = match cell {
+        Cell::Latency => {
+            let last = &columns[columns.len() - 1];
+            let gain = 100.0 * (1.0 - geomean(last) / geomean(&columns[0]));
+            let line = summary.replace("{gain}", &format!("{gain:.1}"));
+            return writeln!(out, "{line}\n").map_err(io_err);
+        }
+        Cell::EdpRatio => (1, "geomean EDP / FBF"),
+        Cell::SmartGain => (2, "mean gain %"),
+    };
+    let mut table = TextTable::new(summary, &["network", header]);
+    for (setup, column) in result.setups.iter().step_by(step).zip(&columns) {
+        let mean = column.iter().sum::<f64>() / column.len() as f64;
+        table.push_row(vec![
+            setup.clone(),
+            match cell {
+                Cell::SmartGain => format!("{mean:.1}"),
+                _ => format_float(geomean(column), 3),
+            },
+        ]);
+    }
+    emit(&table, args, out)
+}
 
-    // (a) ADV1 latency-load curves.
-    let curves = latency_curves(&setups(), TrafficPattern::Adversarial1, args);
-    let title = "Fig 1a: latency [cycles] vs load, ADV1, N=1296 (SMART + CBR-20)";
-    emit(&Series::tabulate(title, "load", &curves), args, out)?;
-
-    // (b)/(c) Throughput per power at a heavy common offered load (0.4
-    // flits/node/cycle of random traffic): every network delivers its
-    // saturated throughput, and the metric divides flits delivered per
-    // second by the power consumed during delivery.
-    for tech in [TechNode::N45, TechNode::N22] {
+/// [`Render::Energy`]: the power-aware campaign's power/efficiency table
+/// at each of `loads`, with dynamic power driven by the activity the
+/// simulator *measured*, then every setup's throughput/W and EDP ratio
+/// against the first setup at the top load (§5.4's matched-load
+/// methodology: past the mesh/torus saturation knee the low-diameter
+/// Slim NoC keeps accepting traffic at ~2 hops/packet, so its delivered
+/// flits per joule pull ahead).
+fn energy(
+    result: &CampaignResult,
+    title: &str,
+    loads: &[f64],
+    args: &Args,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    let baseline = &result.setups[0];
+    let pattern = &result.patterns[0];
+    for &load in loads {
         let mut table = TextTable::new(
-            format!("Fig 1b/c: throughput per power ({tech}), RND @ 0.4 offered"),
-            &["network", "throughput/power [flits/J]"],
+            format!("{title} ({pattern}): offered load {load} flits/node/cycle"),
+            &[
+                "setup",
+                "thpt",
+                "latency",
+                "power[W]",
+                "area[mm2]",
+                "thpt/W[flits/J]",
+                "E/flit[pJ]",
+                "EDP[J*s]",
+            ],
         );
-        for row in power_rows("fig1", setups(), tech, 0.40, args) {
+        for name in &result.setups {
+            let Some(p) = result.point(name, pattern, load) else {
+                continue;
+            };
+            let pw = p.power.expect("power-aware campaign");
             table.push_row(vec![
-                row.name,
-                format_float(row.power.throughput_per_watt, 3),
+                name.clone(),
+                format_float(p.throughput, 3),
+                format_float(p.latency, 1),
+                format_float(pw.power_w, 2),
+                format_float(pw.area_mm2, 1),
+                format_float(pw.throughput_per_watt, 3),
+                format_float(pw.energy_per_flit_j * 1e12, 2),
+                format_float(pw.edp_js, 3),
             ]);
         }
         emit(&table, args, out)?;
     }
+    // Matched-load efficiency ratios at the top of the grid, the
+    // figure's headline comparison.
+    if let Some(&top) = loads.last() {
+        let at_top = |name: &str| result.point(name, pattern, top).and_then(|p| p.power);
+        if let Some(base) = at_top(baseline) {
+            let mut table = TextTable::new(
+                format!("{title}: efficiency vs {baseline} at load {top}"),
+                &["setup", "thpt/W ratio", "EDP ratio"],
+            );
+            for name in &result.setups {
+                if let Some(pw) = at_top(name) {
+                    table.push_row(vec![
+                        name.clone(),
+                        format!("{:.2}x", pw.throughput_per_watt / base.throughput_per_watt),
+                        format!("{:.2}x", pw.edp_js / base.edp_js),
+                    ]);
+                }
+            }
+            emit(&table, args, out)?;
+        }
+    }
     Ok(())
 }
+
+/// Extension study: delivered-throughput retention under live
+/// link-failure storms — the dynamic half of §2.1's resilience claim
+/// (see [`crate::fault_storm`] for the campaign, built in Rust because
+/// the storm's timing follows the windows). Degraded points carry a
+/// `dropped_packets` column in the sweep JSON.
+fn fault_storm(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    let campaign = args
+        .configure(storm_campaign(args))
+        .map_err(|e| e.to_string())?;
+    let Some(result) = run(&campaign, args, out)? else {
+        return Ok(());
+    };
+    let mut table = TextTable::new(
+        format!("Delivered-throughput retention under live link storms (load {LOAD})"),
+        &[
+            "network",
+            "failed links",
+            "thpt",
+            "dropped pkts",
+            "retention",
+        ],
+    );
+    for row in retention_rows(&result) {
+        table.push_row(vec![
+            format!("{}@{:.0}%", row.network, row.fraction * 100.0),
+            row.links_failed.to_string(),
+            format_float(row.throughput, 4),
+            row.dropped.to_string(),
+            format!("{:.0}%", row.retention * 100.0),
+        ]);
+    }
+    emit(&table, args, out)
+}
+
+/// The four Slim NoC layouts, in the order Figs. 5 and 15 list them.
+const SN_LAYOUTS: [(&str, SnLayout); 4] = [
+    ("sn_rand", SnLayout::Random(1)),
+    ("sn_basic", SnLayout::Basic),
+    ("sn_gr", SnLayout::Group),
+    ("sn_subgr", SnLayout::Subgroup),
+];
 
 /// Figure 3: the cost of using Slim Fly and Dragonfly
 /// *straightforwardly* as NoCs.
@@ -611,198 +1052,6 @@ fn fig6(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
-/// The `sn_s` paper setup re-placed with one Slim NoC layout.
-fn sn_s_with_layout(layout: SnLayout) -> Setup {
-    Setup::paper("sn_s")
-        .expect("sn_s")
-        .with_sn_layout(layout)
-        .expect("layout")
-}
-
-/// Figure 10: the effect of Slim NoC layouts on performance at N = 200
-/// without SMART links.
-///
-/// - (a) latency vs. load for REV / RND / SHF under each layout;
-/// - (b) average latency on the 14 PARSEC/SPLASH-like workloads per
-///   layout.
-fn fig10(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let layout_setups = || -> Vec<Setup> {
-        [
-            ("sn_basic", SnLayout::Basic),
-            ("sn_gr", SnLayout::Group),
-            ("sn_rand", SnLayout::Random(1)),
-            ("sn_subgr", SnLayout::Subgroup),
-        ]
-        .into_iter()
-        .map(|(name, l)| {
-            let mut s = sn_s_with_layout(l);
-            s.name = name.to_string();
-            s
-        })
-        .collect()
-    };
-
-    // (a) Synthetic patterns.
-    for pattern in [
-        TrafficPattern::BitReversal,
-        TrafficPattern::Random,
-        TrafficPattern::BitShuffle,
-    ] {
-        let curves = latency_curves(&layout_setups(), pattern, args);
-        let title = format!("Fig 10a ({pattern}): latency vs load per SN layout, N=200, no SMART");
-        emit(&Series::tabulate(title, "load", &curves), args, out)?;
-    }
-
-    // (b) Trace workloads.
-    let columns = ["sn_basic", "sn_gr", "sn_subgr"];
-    let setups = layout_setups()
-        .into_iter()
-        .filter(|s| columns.contains(&s.name.as_str()))
-        .collect();
-    let result = trace_campaign("fig10b", setups, args).run();
-    let latency = benchmark_table(
-        "Fig 10b: PARSEC/SPLASH-like latency [cycles] per SN layout",
-        &columns,
-        &result,
-        |at, i| at(columns[i]).latency,
-        |v| format_float(v, 2),
-        args,
-        out,
-    )?;
-    let gain = 100.0 * (1.0 - geomean(&latency[2]) / geomean(&latency[0]));
-    writeln!(
-        out,
-        "sn_subgr vs sn_basic (geometric mean latency): {gain:.1}% lower (paper: ~5%)\n"
-    )
-    .map_err(io_err)
-}
-
-/// Figure 11: the impact of buffering strategies (edge buffers, elastic
-/// links, central buffers) on Slim NoC latency, with and without SMART
-/// links, for N = 200 and N = 1296.
-fn fig11(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let presets = [
-        ("EB-Small", BufferPreset::EbSmall),
-        ("EB-Var", BufferPreset::EbVar),
-        ("EB-Large", BufferPreset::EbLarge),
-        ("EL-Links", BufferPreset::ElLinks),
-        ("CBR-40", BufferPreset::Cbr(40)),
-        ("CBR-6", BufferPreset::Cbr(6)),
-    ];
-    for (size_label, cfg_name) in [("200", "sn_s"), ("1296", "sn_l")] {
-        for smart in [false, true] {
-            let smart_label = if smart { "SMART" } else { "No-SMART" };
-            let setups: Vec<Setup> = presets
-                .into_iter()
-                .map(|(name, preset)| {
-                    let mut s = Setup::paper(cfg_name)
-                        .expect("config")
-                        .with_buffers(preset)
-                        .with_smart(smart);
-                    s.name = name.to_string();
-                    s
-                })
-                .collect();
-            let curves = latency_curves(&setups, TrafficPattern::Random, args);
-            let title = format!("Fig 11 (N={size_label}, {smart_label}): latency vs load, RND");
-            emit(&Series::tabulate(title, "load", &curves), args, out)?;
-        }
-    }
-    Ok(())
-}
-
-/// One class-comparison latency figure (Figs. 12–14): a sweep campaign
-/// of `setups` × the paper pattern set × the standard load grid.
-struct ClassFigure {
-    /// Campaign name (recorded in the `--json` output).
-    name: &'static str,
-    /// Title prefix, e.g. `Fig 12`.
-    figure: &'static str,
-    subtitle: &'static str,
-    setups: &'static [&'static str],
-    smart: bool,
-    /// The Slim NoC setup the ratio annotations compare against…
-    sn: &'static str,
-    /// …each of these.
-    baselines: &'static [&'static str],
-}
-
-/// Figure 12: synthetic-traffic performance with SMART links for the
-/// small network class across all topologies.
-const FIG12: ClassFigure = ClassFigure {
-    name: "fig12",
-    figure: "Fig 12",
-    subtitle: "latency vs load, SMART, N in {192,200}",
-    setups: &SMALL_CLASS,
-    smart: true,
-    sn: "sn_s",
-    baselines: &["cm3", "t2d3", "pfbf3", "pfbf4", "fbf3"],
-};
-
-/// Figure 13: the same for the large network class (N = 1296).
-const FIG13: ClassFigure = ClassFigure {
-    name: "fig13",
-    figure: "Fig 13",
-    subtitle: "latency vs load, SMART, N=1296",
-    setups: &LARGE_CLASS,
-    smart: true,
-    sn: "sn_l",
-    baselines: &["cm9", "t2d9", "pfbf9", "fbf9"],
-};
-
-/// Figure 14: the small class *without* SMART links — the case where
-/// Slim NoC's longer wires cost latency against FBF.
-const FIG14: ClassFigure = ClassFigure {
-    name: "fig14",
-    figure: "Fig 14",
-    subtitle: "latency vs load, no SMART, N in {192,200}",
-    setups: &SMALL_CLASS,
-    smart: false,
-    sn: "sn_s",
-    baselines: &["cm3", "t2d3", "pfbf3", "fbf3"],
-};
-
-/// Runs one [`ClassFigure`]: a latency-vs-load table per pattern plus
-/// the paper's SN/baseline latency-ratio annotations at the lowest
-/// load. With `--json` the raw campaign result is emitted instead.
-fn class_figure(fig: &ClassFigure, args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let setups = paper_setups(fig.setups)
-        .into_iter()
-        .map(|s| s.with_smart(fig.smart))
-        .collect();
-    let result = figure_campaign(fig.name, setups, TrafficPattern::paper_set(), args).run();
-    if args.json {
-        return emit_json(&result, out);
-    }
-    let (figure, low) = (fig.figure, load_grid()[0]);
-    for pattern in &result.patterns {
-        let curves = result.series(pattern);
-        let title = format!("{figure} ({pattern}): {}", fig.subtitle);
-        emit(&Series::tabulate(title, "load", &curves), args, out)?;
-        // A curve already saturated at the grid's lowest load has no ratio.
-        let at_low = |name: &str| {
-            let point = result.point(name, pattern, low);
-            point.filter(|p| !p.saturated).map(|p| p.latency)
-        };
-        if let Some(sn_lat) = at_low(fig.sn) {
-            let mut table = TextTable::new(
-                format!("{figure} ({pattern}): SN latency ratio at load 0.008"),
-                &["baseline", "SN/baseline"],
-            );
-            for base in fig.baselines {
-                if let Some(b) = at_low(base) {
-                    table.push_row(vec![
-                        (*base).to_string(),
-                        format!("{:.0}%", 100.0 * sn_lat / b),
-                    ]);
-                }
-            }
-            emit(&table, args, out)?;
-        }
-    }
-    Ok(())
-}
-
 /// Figure 15: area and static power without SMART links at N = 200.
 ///
 /// - (a) total area of the four Slim NoC layouts;
@@ -817,7 +1066,9 @@ fn fig15(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         &["layout", "area [cm^2]"],
     );
     for (name, l) in SN_LAYOUTS {
-        let s = sn_s_with_layout(l).with_buffers(BufferPreset::EbVar);
+        let sn_s = Setup::paper("sn_s").expect("paper config");
+        let s = sn_s.with_sn_layout(l).expect("layout");
+        let s = s.with_buffers(BufferPreset::EbVar);
         let model = s.power_model(tech);
         let area = model.area(&s.topology, &s.layout, s.buffer_flits_per_router());
         table.push_row(vec![
@@ -838,7 +1089,8 @@ fn fig15(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             "static power [W]",
         ],
     );
-    for s in paper_setups(&["fbf4", "pfbf4", "sn_s", "t2d4", "cm4"]) {
+    for name in ["fbf4", "pfbf4", "sn_s", "t2d4", "cm4"] {
+        let s = Setup::paper(name).expect("paper config");
         let s = s.with_buffers(BufferPreset::EbVar);
         let model = s.power_model(tech);
         let area = model.area(&s.topology, &s.layout, s.buffer_flits_per_router());
@@ -852,136 +1104,6 @@ fn fig15(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         ]);
     }
     emit(&table, args, out)
-}
-
-/// The paper's power-evaluation design point: SMART links on,
-/// RTT-sized edge buffers.
-fn smart_eb_var(names: &[&str]) -> Vec<Setup> {
-    paper_setups(names)
-        .into_iter()
-        .map(|s| s.with_smart(true).with_buffers(BufferPreset::EbVar))
-        .collect()
-}
-
-/// Figures 16 and 17: per-node area, static power and dynamic power
-/// with SMART links for one size class at 45 nm and 22 nm.
-fn per_node_cost(
-    figure: &str,
-    class: &str,
-    names: &[&str],
-    args: &Args,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    for tech in [TechNode::N45, TechNode::N22] {
-        let mut table = TextTable::new(
-            format!("{figure} ({tech}): per-node area/power, SMART, {class}"),
-            &[
-                "network",
-                "area/node [cm^2]",
-                "static/node [W]",
-                "dynamic/node [W]",
-            ],
-        );
-        for row in power_rows(figure, smart_eb_var(names), tech, 0.10, args) {
-            table.push_row(vec![
-                row.name,
-                format_float(row.power.area_mm2 / 100.0 / row.nodes, 5),
-                format_float(row.power.static_w / row.nodes, 5),
-                format_float(row.power.dynamic_w / row.nodes, 5),
-            ]);
-        }
-        emit(&table, args, out)?;
-    }
-    Ok(())
-}
-
-/// The four networks of the trace-driven comparisons (Fig. 18, Table 6).
-const TRACE_NETS: [&str; 4] = ["fbf3", "pfbf3", "cm3", "sn_s"];
-
-/// Figure 18: energy–delay product on the PARSEC/SPLASH-like workloads,
-/// normalized to FBF, for fbf3 / pfbf3 / cm3 / sn_subgr (SMART links
-/// on, 45 nm).
-fn fig18(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let result = trace_campaign("fig18", smart_eb_var(&TRACE_NETS), args)
-        .with_power(TechNode::N45)
-        .run();
-    if args.json {
-        return emit_json(&result, out);
-    }
-    let edp = |p: &SweepPoint| p.power.expect("power-aware campaign").edp_js;
-    let normalized = benchmark_table(
-        "Fig 18: energy-delay product normalized to FBF (SMART, 45nm)",
-        &["fbf3", "pfbf3", "cm3", "sn_subgr"],
-        &result,
-        |at, i| edp(at(TRACE_NETS[i])) / edp(at(TRACE_NETS[0])),
-        |v| format_float(v, 3),
-        args,
-        out,
-    )?;
-    let mut summary = TextTable::new(
-        "Fig 18 summary: geometric-mean EDP vs FBF (paper: SN 55% better)",
-        &["network", "geomean EDP / FBF"],
-    );
-    for (net, column) in TRACE_NETS.iter().zip(normalized) {
-        summary.push_row(vec![net.to_string(), format_float(geomean(&column), 3)]);
-    }
-    emit(&summary, args, out)
-}
-
-/// Figure 19: today's small-scale designs (N = 54, the KNL scale of
-/// §5.6) — latency, per-node area and per-node dynamic power at 45 nm
-/// with SMART links.
-fn fig19(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let setups = || smart_eb_var(&["fbf54", "pfbf54", "sn54", "t2d54"]);
-
-    // (a) Latency-load.
-    let curves = latency_curves(&setups(), TrafficPattern::Random, args);
-    let title = "Fig 19a: latency vs load, N=54, SMART, RND";
-    emit(&Series::tabulate(title, "load", &curves), args, out)?;
-
-    // (b)+(c) Area and dynamic power per node.
-    let mut table = TextTable::new(
-        "Fig 19b/c: per-node area and dynamic power, N=54 (45nm, SMART)",
-        &["network", "area/node [cm^2]", "dynamic/node [W]"],
-    );
-    for row in power_rows("fig19", setups(), TechNode::N45, 0.10, args) {
-        table.push_row(vec![
-            row.name,
-            format_float(row.power.area_mm2 / 100.0 / row.nodes, 5),
-            format_float(row.power.dynamic_w / row.nodes, 5),
-        ]);
-    }
-    emit(&table, args, out)
-}
-
-/// Figure 20: preliminary adaptive-routing analysis at N = 200 in
-/// simple input-queued routers (no CBR / SMART / elastic links): SN
-/// with MIN / UGAL-L / UGAL-G vs. FBF with MIN / UGAL-L / XY-adaptive,
-/// under uniform random and the asymmetric pattern of §6.
-fn fig20(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let setups: Vec<Setup> = [
-        ("SN_MIN", "sn_s", RoutingKind::Minimal),
-        ("SN_UGAL-L", "sn_s", RoutingKind::UgalL),
-        ("SN_UGAL-G", "sn_s", RoutingKind::UgalG),
-        ("FBF_MIN", "fbf4", RoutingKind::Minimal),
-        ("FBF_UGAL-L", "fbf4", RoutingKind::UgalL),
-        ("FBF_XY-ADAPT", "fbf4", RoutingKind::XyAdaptive),
-    ]
-    .into_iter()
-    .map(|(name, config, routing)| {
-        let mut s = Setup::paper(config)
-            .expect("paper config")
-            .with_routing(routing);
-        s.name = name.to_string();
-        s
-    })
-    .collect();
-    for pattern in [TrafficPattern::Random, TrafficPattern::Asymmetric] {
-        let curves = latency_curves(&setups, pattern, args);
-        let title = format!("Fig 20 ({pattern}): adaptive routing, N=200, input-queued routers");
-        emit(&Series::tabulate(title, "load", &curves), args, out)?;
-    }
-    Ok(())
 }
 
 /// Table 2: all Slim NoC configurations with N ≤ 1300 nodes, split into
@@ -1128,199 +1250,6 @@ fn table4(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     emit(&table, args, out)
 }
 
-/// Table 5: Slim NoC's relative throughput-per-power gains over every
-/// other topology under random traffic, at 45 nm and 22 nm, for both
-/// size classes.
-///
-/// Every network runs at a heavy common offered load, so each delivers
-/// its saturated throughput while consuming its own saturated power
-/// (the paper divides delivered flits per cycle by the power consumed
-/// during delivery).
-fn table5(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    // Slim NoC first, then its baselines.
-    let classes: [(&str, [&str; 6]); 2] = [
-        (
-            "N in {192,200}",
-            ["sn_s", "t2d4", "cm4", "pfbf3", "fbf3", "fbf4"],
-        ),
-        ("N = 1296", ["sn_l", "t2d9", "cm9", "pfbf9", "fbf8", "fbf9"]),
-    ];
-    for (class, names) in classes {
-        for tech in [TechNode::N45, TechNode::N22] {
-            let rows = power_rows("table5", smart_eb_var(&names), tech, 0.40, args);
-            let sn_tpp = rows[0].power.throughput_per_watt;
-            let mut table = TextTable::new(
-                format!("Table 5 ({class}, {tech}): SN throughput/power advantage, RND"),
-                &["baseline", "SN gain"],
-            );
-            for row in rows.into_iter().skip(1) {
-                let gain = 100.0 * (sn_tpp / row.power.throughput_per_watt - 1.0);
-                table.push_row(vec![row.name, format!("{gain:+.0}%")]);
-            }
-            emit(&table, args, out)?;
-        }
-    }
-    Ok(())
-}
-
-/// Table 6: the percentage decrease in average packet latency due to
-/// SMART links, per topology, per PARSEC/SPLASH-like benchmark
-/// (N = 192/200 class).
-fn table6(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let smart_name = |net: &str| format!("{net}+smart");
-    let setups = smart_eb_var(&TRACE_NETS)
-        .into_iter()
-        .flat_map(|smart| {
-            let plain = smart.clone().with_smart(false);
-            let name = smart_name(&smart.name);
-            [plain, Setup { name, ..smart }]
-        })
-        .collect();
-    let result = trace_campaign("table6", setups, args).run();
-    if args.json {
-        return emit_json(&result, out);
-    }
-    let gains = benchmark_table(
-        "Table 6: % latency decrease due to SMART links",
-        &["fbf3", "pfbf3", "cm3", "sn"],
-        &result,
-        |at, i| {
-            let no = at(TRACE_NETS[i]).latency;
-            let yes = at(&smart_name(TRACE_NETS[i])).latency;
-            if no > 0.0 {
-                100.0 * (1.0 - yes / no)
-            } else {
-                0.0
-            }
-        },
-        |v| format!("{v:.1}"),
-        args,
-        out,
-    )?;
-    let mut summary = TextTable::new(
-        "Table 6 summary: mean latency gain from SMART (paper: SN largest at ~11%)",
-        &["network", "mean gain %"],
-    );
-    for (net, column) in TRACE_NETS.iter().zip(gains) {
-        let mean = column.iter().sum::<f64>() / column.len() as f64;
-        summary.push_row(vec![net.to_string(), format!("{mean:.1}")]);
-    }
-    emit(&summary, args, out)
-}
-
-/// The energy figures: a power-aware campaign of `setups` whose
-/// dynamic power is driven by the activity factors the simulator
-/// *measured* (buffer reads/writes, crossbar traversals, allocator
-/// grants, link flit·tiles) — no analytic activity defaults. Prints one
-/// power/efficiency table per load, plus every setup's ratio of
-/// throughput/Watt and EDP against the first setup at the highest load
-/// (§5.4's matched-load methodology: past the mesh/torus saturation
-/// knee the low-diameter Slim NoC keeps accepting traffic at ~2
-/// hops/packet, so its delivered flits per joule pull ahead). With
-/// `--json` the raw `slim_noc-sweep-v2` campaign result is emitted
-/// instead.
-fn energy_figure(
-    name: &str,
-    setups: &[&str],
-    figure: &str,
-    args: &Args,
-    out: &mut dyn Write,
-) -> Result<(), String> {
-    let result = energy_campaign(name, paper_setups(setups), args).run();
-    if args.json {
-        return emit_json(&result, out);
-    }
-    let baseline = setups[0];
-    let pattern = &result.patterns[0];
-    let loads = energy_load_grid();
-    for &load in &loads {
-        let mut table = TextTable::new(
-            format!("{figure} ({pattern}): offered load {load} flits/node/cycle"),
-            &[
-                "setup",
-                "thpt",
-                "latency",
-                "power[W]",
-                "area[mm2]",
-                "thpt/W[flits/J]",
-                "E/flit[pJ]",
-                "EDP[J*s]",
-            ],
-        );
-        for name in &result.setups {
-            let Some(p) = result.point(name, pattern, load) else {
-                continue;
-            };
-            let pw = p.power.expect("power-aware campaign");
-            table.push_row(vec![
-                name.clone(),
-                format_float(p.throughput, 3),
-                format_float(p.latency, 1),
-                format_float(pw.power_w, 2),
-                format_float(pw.area_mm2, 1),
-                format_float(pw.throughput_per_watt, 3),
-                format_float(pw.energy_per_flit_j * 1e12, 2),
-                format_float(pw.edp_js, 3),
-            ]);
-        }
-        emit(&table, args, out)?;
-    }
-    // Matched-load efficiency ratios at the top of the grid, the
-    // figure's headline comparison.
-    if let Some(&top) = loads.last() {
-        let at_top = |name: &str| result.point(name, pattern, top).and_then(|p| p.power);
-        if let Some(base) = at_top(baseline) {
-            let mut table = TextTable::new(
-                format!("{figure}: efficiency vs {baseline} at load {top}"),
-                &["setup", "thpt/W ratio", "EDP ratio"],
-            );
-            for name in &result.setups {
-                if let Some(pw) = at_top(name) {
-                    table.push_row(vec![
-                        name.clone(),
-                        format!("{:.2}x", pw.throughput_per_watt / base.throughput_per_watt),
-                        format!("{:.2}x", pw.edp_js / base.edp_js),
-                    ]);
-                }
-            }
-            emit(&table, args, out)?;
-        }
-    }
-    Ok(())
-}
-
-/// Extension study: delivered-throughput retention under live
-/// link-failure storms — the dynamic half of §2.1's resilience claim
-/// (see [`crate::fault_storm`] for the campaign). `--json` emits the
-/// raw sweep campaign JSON (degraded points carry a `dropped_packets`
-/// column).
-fn fault_storm(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let result = storm_campaign(args).run();
-    if args.json {
-        return emit_json(&result, out);
-    }
-    let mut table = TextTable::new(
-        format!("Delivered-throughput retention under live link storms (load {LOAD})"),
-        &[
-            "network",
-            "failed links",
-            "thpt",
-            "dropped pkts",
-            "retention",
-        ],
-    );
-    for row in retention_rows(&result) {
-        table.push_row(vec![
-            format!("{}@{:.0}%", row.network, row.fraction * 100.0),
-            row.links_failed.to_string(),
-            format_float(row.throughput, 4),
-            row.dropped.to_string(),
-            format!("{:.0}%", row.retention * 100.0),
-        ]);
-    }
-    emit(&table, args, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1349,12 +1278,5 @@ mod tests {
             assert_eq!(find(figure.name).map(|f| f.name), Some(figure.name));
         }
         assert!(find("fig2").is_none());
-    }
-
-    #[test]
-    fn class_setup_lists_build() {
-        assert_eq!(paper_setups(&SMALL_CLASS).len(), 6);
-        assert_eq!(paper_setups(&LARGE_CLASS).len(), 5);
-        assert_eq!(paper_setups(&ENERGY_CLASS).len(), 4);
     }
 }

@@ -1,48 +1,18 @@
 //! The extension studies of the registry: ablation, static resilience
 //! and the §5.5 sensitivity summary.
 
-use super::{emit, point_at, sn_s_with_layout};
-use crate::{energy_campaign, figure_campaign, io_err, saturation_load_grid, Args};
-use snoc_core::{format_float, BufferPreset, Campaign, CampaignResult, Setup, TextTable};
-use snoc_layout::SnLayout;
+use super::{campaign, emit, point_at};
+use crate::{io_err, saturation_load_grid, Args};
+use snoc_core::{format_float, BufferPreset, Campaign, Setup, TextTable};
 use snoc_power::TechNode;
 use snoc_topology::Topology;
 use snoc_traffic::TrafficPattern;
 use std::fmt::Write as _;
 use std::io::Write;
 
-/// A campaign over exactly `loads`, saturated points kept: these
-/// studies tabulate a value at every load, not a curve that ends at its
-/// knee.
-fn full_grid(
-    name: &str,
-    setups: Vec<Setup>,
-    patterns: Vec<TrafficPattern>,
-    loads: Vec<f64>,
-    args: &Args,
-) -> Campaign {
-    figure_campaign(name, setups, patterns, args)
-        .with_loads(loads)
-        .with_stop_at_saturation(false)
-}
-
-/// The saturation-throughput sweep of `setups` under uniform random
-/// traffic over [`saturation_load_grid`]; read a column with
-/// [`CampaignResult::peak_throughput`]. The sweep runs many
-/// simulations, so each gets half the windows.
-fn saturation_sweep(name: &str, setups: Vec<Setup>, args: &Args) -> CampaignResult {
-    let patterns = vec![TrafficPattern::Random];
-    full_grid(name, setups, patterns, saturation_load_grid(), args)
-        .with_windows(args.warmup() / 2, args.measure() / 2)
-        .run()
-}
-
-struct Step {
-    name: &'static str,
-    layout: SnLayout,
-    buffers: BufferPreset,
-    smart: bool,
-}
+/// The committed campaigns of [`ablation`]: each step at the two loads
+/// the table reads (power-aware), and its saturation sweep.
+pub(super) const ABLATION: [&str; 2] = [spec!("ablation"), spec!("ablation_saturation")];
 
 /// Ablation study of Slim NoC's design ingredients (`ablation` in the
 /// README's "Reproducing figures and tables"): starting from the naive
@@ -52,38 +22,6 @@ struct Step {
 /// measuring latency, saturation throughput, buffer area and
 /// throughput/power at each step.
 pub(super) fn ablation(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let steps = [
-        Step {
-            name: "naive (basic, EB-Small)",
-            layout: SnLayout::Basic,
-            buffers: BufferPreset::EbSmall,
-            smart: false,
-        },
-        Step {
-            name: "+ subgroup layout",
-            layout: SnLayout::Subgroup,
-            buffers: BufferPreset::EbSmall,
-            smart: false,
-        },
-        Step {
-            name: "+ RTT-sized buffers",
-            layout: SnLayout::Subgroup,
-            buffers: BufferPreset::EbVar,
-            smart: false,
-        },
-        Step {
-            name: "+ SMART links",
-            layout: SnLayout::Subgroup,
-            buffers: BufferPreset::EbVar,
-            smart: true,
-        },
-        Step {
-            name: "+ CBR-20 (full design)",
-            layout: SnLayout::Subgroup,
-            buffers: BufferPreset::Cbr(20),
-            smart: true,
-        },
-    ];
     let mut table = TextTable::new(
         "Ablation: Slim NoC design ingredients (SN-S, RND)",
         &[
@@ -94,23 +32,12 @@ pub(super) fn ablation(args: &Args, out: &mut dyn Write) -> Result<(), String> {
             "thpt/power [flits/J]",
         ],
     );
-    let setups: Vec<Setup> = steps
-        .iter()
-        .map(|step| {
-            let mut s = sn_s_with_layout(step.layout)
-                .with_buffers(step.buffers)
-                .with_smart(step.smart);
-            s.name = step.name.to_string();
-            s
-        })
-        .collect();
+    let steps = campaign(ABLATION[0], args)?;
     // Latency at 0.05 and throughput/power at 0.2 are two points of one
     // power-aware curve per step.
-    let powered = energy_campaign("ablation", setups.clone(), args)
-        .with_loads(vec![0.05, 0.2])
-        .run();
-    let saturation = saturation_sweep("ablation_saturation", setups.clone(), args);
-    for setup in &setups {
+    let powered = steps.run();
+    let saturation = campaign(ABLATION[1], args)?.run();
+    for setup in &steps.setups {
         let at = |load| point_at(&powered, &setup.name, "RND", load);
         let tpp = at(0.2).power.expect("power-aware campaign");
         table.push_row(vec![
@@ -273,6 +200,10 @@ pub(super) fn resilience(args: &Args, out: &mut dyn Write) -> Result<(), String>
     Ok(())
 }
 
+/// The committed campaigns of [`sensitivity`]: the injection-rate and
+/// traffic-pattern sweeps.
+pub(super) const SENSITIVITY: [&str; 2] = [spec!("sensitivity_rate"), spec!("sensitivity_pattern")];
+
 /// The §5.5 sensitivity summary: Slim NoC's advantages under
 /// varying concentration, injection rate, technology node, network size
 /// and traffic pattern.
@@ -281,6 +212,27 @@ pub(super) fn resilience(args: &Args, out: &mut dyn Write) -> Result<(), String>
 /// robustness claim ("SN's benefits are robust") can be checked row by
 /// row.
 pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String> {
+    // The concentration and size sweeps' topologies have no
+    // paper-configuration name, so their campaigns are built here rather
+    // than committed: uniform random traffic over `loads`, saturated
+    // points kept. A saturation sweep runs many points, so it gets half
+    // the default windows.
+    let sweep = |name: &str, setups: &[Setup], saturation: bool| {
+        let (loads, warmup, measure) = if saturation {
+            (saturation_load_grid(), 1_000, 5_000)
+        } else {
+            (vec![0.05], 2_000, 10_000)
+        };
+        let campaign = Campaign::new(name)
+            .with_setups(setups.to_vec())
+            .with_patterns(vec![TrafficPattern::Random])
+            .with_loads(loads)
+            .with_windows(warmup, measure)
+            .with_stop_at_saturation(false);
+        let campaign = args.configure(campaign).map_err(|e| e.to_string())?;
+        Ok::<_, String>(campaign.run())
+    };
+
     // (1) Concentration sweep: SN with p in {3, 4, 5} at q = 5.
     let mut table = TextTable::new(
         "Sensitivity: concentration p (q = 5, RND)",
@@ -293,9 +245,8 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
             Setup::from_topology(&format!("sn p={p}"), topo, 0.5).expect("setup")
         })
         .collect();
-    let rnd = vec![TrafficPattern::Random];
-    let low_load = full_grid("sensitivity_p", setups.clone(), rnd, vec![0.05], args).run();
-    let saturation = saturation_sweep("sensitivity_p_saturation", setups.clone(), args);
+    let low_load = sweep("sensitivity_p", &setups, false)?;
+    let saturation = sweep("sensitivity_p_saturation", &setups, true)?;
     for setup in &setups {
         let point = point_at(&low_load, &setup.name, "RND", 0.05);
         table.push_row(vec![
@@ -312,20 +263,10 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: injection rate (SN-S vs fbf3, SMART, RND latency)",
         &["load", "sn_s", "fbf3"],
     );
-    let sn = Setup::paper("sn_s").expect("sn").with_smart(true);
-    let fbf = Setup::paper("fbf3").expect("fbf").with_smart(true);
-    let loads = vec![0.01, 0.05, 0.1, 0.2];
-    let rnd = vec![TrafficPattern::Random];
-    let rates = full_grid(
-        "sensitivity_rate",
-        vec![sn.clone(), fbf],
-        rnd,
-        loads.clone(),
-        args,
-    )
-    .run();
-    for load in loads {
-        let latency = |setup| point_at(&rates, setup, "RND", load).latency;
+    let rates = campaign(SENSITIVITY[0], args)?;
+    let result = rates.run();
+    for &load in &rates.loads {
+        let latency = |setup| point_at(&result, setup, "RND", load).latency;
         table.push_row(vec![
             format_float(load, 2),
             format_float(latency("sn_s"), 2),
@@ -375,7 +316,7 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         setups.push(Setup::from_topology(&format!("sn N={n}"), sn_t, 0.5).expect("setup"));
         setups.push(Setup::from_topology(&format!("t2d N={n}"), t2d_t, 0.4).expect("setup"));
     }
-    let saturation = saturation_sweep("sensitivity_size", setups.clone(), args);
+    let saturation = sweep("sensitivity_size", &setups, true)?;
     for pair in setups.chunks(2) {
         let s1 = saturation.peak_throughput(&pair[0].name, "RND");
         let s2 = saturation.peak_throughput(&pair[1].name, "RND");
@@ -393,24 +334,9 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: traffic pattern (SN-S, SMART, load 0.05)",
         &["pattern", "latency", "avg hops"],
     );
-    let patterns = vec![
-        TrafficPattern::Random,
-        TrafficPattern::BitShuffle,
-        TrafficPattern::BitReversal,
-        TrafficPattern::Transpose,
-        TrafficPattern::Adversarial1,
-        TrafficPattern::Adversarial2,
-        TrafficPattern::Asymmetric,
-    ];
-    let by_pattern = full_grid(
-        "sensitivity_pattern",
-        vec![sn],
-        patterns.clone(),
-        vec![0.05],
-        args,
-    )
-    .run();
-    for pattern in patterns {
+    let patterns = campaign(SENSITIVITY[1], args)?;
+    let by_pattern = patterns.run();
+    for pattern in &patterns.patterns {
         let point = point_at(&by_pattern, "sn_s", pattern.short_name(), 0.05);
         table.push_row(vec![
             pattern.to_string(),

@@ -84,10 +84,21 @@ fn judge(label: String, case: &Case, verdict: Verdict) -> Outcome {
     }
 }
 
+/// The length in cycles of a workload-driven case's trace.
+fn trace_cycles(args: &Args) -> u64 {
+    if args.smoke {
+        150
+    } else if args.quick {
+        3_000
+    } else {
+        20_000
+    }
+}
+
 /// A workload-driven minimal-routing case on `topo`: uniform random
 /// messages at `rate` over the trace window.
 fn workload_case(topo: &Topology, vcs: usize, rate: f64, args: &Args) -> Case {
-    let cycles = args.trace_cycles();
+    let cycles = trace_cycles(args);
     let messages = workload(topo, TrafficPattern::Random, rate, cycles, 0xD1FF);
     let warmup = cycles / 4;
     let traffic = Traffic::Workload { messages, warmup };
@@ -199,7 +210,7 @@ fn shard_outcomes(args: &Args) -> Vec<Outcome> {
 /// fuzzed differential suite. So does a watchdog abort, a liveness bug
 /// even when both engines abort identically.
 fn storm_outcomes(args: &Args) -> Vec<Outcome> {
-    let cycles = args.trace_cycles();
+    let cycles = trace_cycles(args);
     topologies()
         .into_iter()
         .map(|(topo, vcs)| {

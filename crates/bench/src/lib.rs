@@ -4,33 +4,36 @@
 //! of `snoc serve` / `snoc submit` ([`serve`]), and the flags they
 //! share ([`Args`]).
 //!
-//! Every registry entry regenerates one table, figure or study of the
-//! paper. All accept:
+//! Every campaign a figure runs whose fields are all static is data: a
+//! committed `slim_noc-spec-v1` file under `specs/`, compiled into its
+//! registry row and drawn by one of a few shared renderers, so
+//! `snoc run --spec specs/fig12.json` reproduces a figure's data with no
+//! registry. Only two kinds of campaign are built in Rust: the
+//! `fault_storm` grid, whose storm timing follows the run's windows, and
+//! `sensitivity`'s concentration and size sweeps, whose topologies have
+//! no paper-configuration name.
+//!
+//! Every registry entry accepts:
 //!
 //! - `--csv` — emit CSV instead of aligned text;
-//! - `--json` — emit the structured sweep-campaign JSON (figures that
-//!   are one [`Campaign`]: `fig12`–`fig14`, `fig18`, `table6`, energy,
-//!   `fault_storm`; see `snoc_core::sweep` for the schema);
-//! - `--quick` — shorter warmup/measurement windows (for quick local
-//!   runs and CI; the default windows are the ones behind the shapes
-//!   quoted in the README, "Reproducing figures and tables");
-//! - `--smoke` — minimal windows (statistically meaningless numbers);
-//!   used by the `repro_smoke` test suite to exercise every entry;
+//! - `--json` — emit the sweep JSON (schema in `snoc_core::sweep`) of a
+//!   figure that runs exactly one campaign; `resilience` and `verify`
+//!   answer with JSON forms of their own, and every other figure
+//!   refuses the flag before simulating ([`figures::Figure::check`]);
+//! - `--quick` / `--smoke` — replace every campaign's windows with
+//!   [`Args::warmup`] / [`Args::measure`] cycles (300/1 200 and 20/60);
+//!   smoke numbers are statistically meaningless and exist so the
+//!   `repro_smoke` suite can exercise every entry;
 //! - `--threads N` — worker threads for campaign fan-out (0 = one per
 //!   core; results are identical for every thread count);
 //! - `--cache-dir DIR` — attach the content-addressed point cache at
-//!   `DIR` to the figure's campaigns: already-simulated points replay
-//!   from disk, new ones are stored for next time.
+//!   `DIR`: already-simulated points replay from disk, new ones are
+//!   stored for next time. A directory that cannot be opened is an
+//!   error, never an uncached run.
 //!
-//! `snoc run --spec FILE` takes the same execution flags (`--quick`,
-//! `--smoke`, `--threads`, `--cache-dir`) and folds them
-//! into the spec it runs.
-//!
-//! Every simulated number a figure prints is a point of the
-//! sweep-campaign engine: a figure declares its campaign — setups ×
-//! patterns × a load grid via [`figure_campaign`] or
-//! [`energy_campaign`]; for `fig10` (b), `fig18` and `table6`, setups ×
-//! trace workloads — and only formats the result.
+//! `snoc run --spec FILE` takes the same four execution flags. Every
+//! campaign — committed, read by `snoc run`, or built in Rust — meets
+//! them in one place, [`Args::configure`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,19 +42,17 @@ pub mod fault_storm;
 pub mod figures;
 pub mod serve;
 
-use snoc_core::{Campaign, CampaignResult, CampaignSpec, PointCache, Series, Setup};
-use snoc_power::TechNode;
-use snoc_traffic::TrafficPattern;
+use snoc_core::{Campaign, CampaignResult, CampaignSpec, PointCache, SpecError};
 use std::io::Write;
-use std::sync::Arc;
 
 /// Command-line options shared by every figure and by `snoc run`.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
     /// Emit CSV instead of aligned text tables.
     pub csv: bool,
-    /// Emit the sweep campaign's structured JSON instead of tables
-    /// (single-campaign figures only; others ignore it).
+    /// Emit JSON instead of tables: the sweep JSON of a figure that
+    /// runs exactly one campaign, or the own JSON form of `resilience`
+    /// and `verify`. Every other figure refuses it.
     pub json: bool,
     /// Use short simulation windows.
     pub quick: bool,
@@ -97,38 +98,41 @@ impl Args {
         Ok(args)
     }
 
-    /// Applies the execution-environment flags (`--threads`,
-    /// `--cache-dir`) to a campaign. An unopenable cache directory
-    /// degrades to an uncached run with a warning — a figure must never
-    /// fail because a cache is unavailable.
-    #[must_use]
-    pub fn configure(&self, mut campaign: Campaign) -> Campaign {
+    /// Fits a campaign to the flags: `--quick`/`--smoke` replace its
+    /// windows with [`Args::warmup`]/[`Args::measure`], `--threads` its
+    /// worker count, and `--cache-dir` its cache. The one place the
+    /// flags meet a campaign, whether it came from a committed spec, the
+    /// file `snoc run --spec` reads, or Rust.
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::Cache`] when the `--cache-dir` cannot be opened.
+    pub fn configure(&self, mut campaign: Campaign) -> Result<Campaign, SpecError> {
+        if self.smoke || self.quick {
+            campaign = campaign.with_windows(self.warmup(), self.measure());
+        }
         if self.threads != 0 {
             campaign = campaign.with_threads(self.threads);
         }
         if let Some(dir) = &self.cache_dir {
-            match PointCache::open(dir) {
-                Ok(cache) => campaign = campaign.with_cache(Arc::new(cache)),
-                Err(e) => eprintln!("warning: cache dir `{dir}`: {e}; running uncached"),
-            }
+            campaign = campaign.with_cache_dir(dir).map_err(SpecError::Cache)?;
         }
-        campaign
+        Ok(campaign)
     }
 
-    /// Folds the window/thread/cache overrides into a parsed spec
-    /// (`--smoke`/`--quick` replace the spec's windows; `--threads` and
-    /// `--cache-dir` replace its execution settings).
-    pub fn apply_to_spec(&self, spec: &mut CampaignSpec) {
-        if self.smoke || self.quick {
-            spec.warmup = self.warmup();
-            spec.measure = self.measure();
+    /// The campaign `spec` describes, fitted to the flags
+    /// ([`Args::configure`]). A `--cache-dir` replaces the spec's own
+    /// `cache_dir` rather than opening both.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Campaign::from_spec`] refuses, and an unopenable
+    /// `--cache-dir`.
+    pub fn campaign(&self, mut spec: CampaignSpec) -> Result<Campaign, SpecError> {
+        if self.cache_dir.is_some() {
+            spec.cache_dir = None;
         }
-        if self.threads != 0 {
-            spec.threads = self.threads;
-        }
-        if let Some(dir) = &self.cache_dir {
-            spec.cache_dir = Some(dir.clone());
-        }
+        self.configure(Campaign::from_spec(&spec)?)
     }
 
     /// The value the window flags select: `--smoke` wins over `--quick`.
@@ -142,27 +146,23 @@ impl Args {
         }
     }
 
-    /// Simulation warmup window in cycles.
+    /// Simulation warmup window in cycles: `--smoke` 20, `--quick` 300,
+    /// otherwise [`Campaign::new`]'s 2 000.
     #[must_use]
     pub fn warmup(&self) -> u64 {
         self.window(20, 300, 2_000)
     }
 
-    /// Simulation measurement window in cycles.
+    /// Simulation measurement window in cycles: `--smoke` 60, `--quick`
+    /// 1 200, otherwise [`Campaign::new`]'s 10 000.
     #[must_use]
     pub fn measure(&self) -> u64 {
         self.window(60, 1_200, 10_000)
     }
-
-    /// Trace length in cycles.
-    #[must_use]
-    pub fn trace_cycles(&self) -> u64 {
-        self.window(150, 3_000, 20_000)
-    }
 }
 
-/// Runs the `slim_noc-spec-v1` campaign spec in the file `path` with
-/// the CLI overrides folded in ([`Args::apply_to_spec`]), writes its
+/// Runs the `slim_noc-spec-v1` campaign spec in the file `path` under
+/// the flags ([`Args::campaign`]), writes its
 /// sweep JSON to `out`, and returns the [`cache_stats_line`] for the
 /// caller to report (`snoc run --spec` prints it to stderr).
 ///
@@ -173,9 +173,9 @@ impl Args {
 /// write to `out`.
 pub fn run_spec(path: &str, args: &Args, out: &mut dyn Write) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("--spec: read `{path}`: {e}"))?;
-    let mut spec = CampaignSpec::from_json(&text).map_err(|e| format!("--spec: `{path}`: {e}"))?;
-    args.apply_to_spec(&mut spec);
-    let campaign = Campaign::from_spec(&spec).map_err(|e| format!("--spec: `{path}`: {e}"))?;
+    let campaign = CampaignSpec::from_json(&text)
+        .and_then(|spec| args.campaign(spec))
+        .map_err(|e| format!("--spec: `{path}`: {e}"))?;
     let result = campaign.run();
     out.write_all(result.to_json().as_bytes()).map_err(io_err)?;
     Ok(cache_stats_line(
@@ -220,35 +220,6 @@ pub fn saturation_load_grid() -> Vec<f64> {
         .collect()
 }
 
-/// The declarative sweep campaign behind one latency–load figure: the
-/// given setups × patterns over the standard load grid with the
-/// window sizes selected by `args`.
-#[must_use]
-pub fn figure_campaign(
-    name: &str,
-    setups: Vec<Setup>,
-    patterns: Vec<TrafficPattern>,
-    args: &Args,
-) -> Campaign {
-    args.configure(
-        Campaign::new(name)
-            .with_setups(setups)
-            .with_patterns(patterns)
-            .with_loads(load_grid())
-            .with_windows(args.warmup(), args.measure()),
-    )
-}
-
-/// Runs one latency–load curve per setup in parallel and returns them
-/// as series (each stops at saturation, like the figures). Runs through
-/// the sweep engine, so points carry deterministic spec-derived seeds.
-#[must_use]
-pub fn latency_curves(setups: &[Setup], pattern: TrafficPattern, args: &Args) -> Vec<Series> {
-    figure_campaign("latency_curves", setups.to_vec(), vec![pattern], args)
-        .run()
-        .series(pattern.short_name())
-}
-
 /// The load grid of the energy figures: from low load through well past
 /// the mesh/torus saturation knee (≈0.07–0.1 flits/node/cycle on the
 /// N ≈ 200 class), so matched-load comparisons expose the low-diameter
@@ -256,19 +227,6 @@ pub fn latency_curves(setups: &[Setup], pattern: TrafficPattern, args: &Args) ->
 #[must_use]
 pub fn energy_load_grid() -> Vec<f64> {
     vec![0.05, 0.15, 0.30]
-}
-
-/// The declarative power-aware campaign behind one energy figure: the
-/// given setups under uniform random traffic over [`energy_load_grid`]
-/// at 45 nm, with measured-activity power evaluation at every point.
-/// Saturated points are kept (matched-load comparison needs every
-/// setup evaluated at every load).
-#[must_use]
-pub fn energy_campaign(name: &str, setups: Vec<Setup>, args: &Args) -> Campaign {
-    figure_campaign(name, setups, vec![TrafficPattern::Random], args)
-        .with_loads(energy_load_grid())
-        .with_power(TechNode::N45)
-        .with_stop_at_saturation(false)
 }
 
 #[cfg(test)]
@@ -327,23 +285,62 @@ mod tests {
         assert!(quick.measure() < full.measure());
         assert!(smoke.warmup() < quick.warmup());
         assert!(smoke.measure() < quick.measure());
-        assert!(smoke.trace_cycles() < quick.trace_cycles());
     }
 
     #[test]
-    fn figure_campaign_reflects_args() {
-        let args = Args {
+    fn every_campaign_meets_the_flags_in_configure() {
+        let mut spec = CampaignSpec::new("t");
+        spec.setups = vec![snoc_core::SetupSpec::new("sn54")];
+        (spec.warmup, spec.measure, spec.threads) = (1_000, 5_000, 2);
+        let windows = |args: &Args| {
+            let c = args.campaign(spec.clone()).unwrap();
+            (c.warmup, c.measure, c.threads)
+        };
+        // Without a window flag the spec keeps its own; with one, every
+        // campaign takes the same rule.
+        assert_eq!(windows(&Args::default()), (1_000, 5_000, 2));
+        let quick = Args {
             quick: true,
+            threads: 3,
             ..Args::default()
         };
-        let c = figure_campaign(
-            "t",
-            vec![Setup::paper("sn54").unwrap()],
-            vec![TrafficPattern::Random],
-            &args,
-        );
-        assert_eq!(c.warmup, args.warmup());
-        assert_eq!(c.measure, args.measure());
-        assert_eq!(c.loads, load_grid());
+        assert_eq!(windows(&quick), (300, 1_200, 3));
+        let smoke = Args {
+            smoke: true,
+            ..quick.clone()
+        };
+        assert_eq!(windows(&smoke), (20, 60, 3));
+        let built = smoke.configure(Campaign::new("rust").with_windows(1, 2));
+        assert_eq!(built.map(|c| (c.warmup, c.measure)).unwrap(), (20, 60));
+
+        // `--cache-dir` replaces the spec's directory, and one that
+        // cannot be opened is an error, never an uncached run.
+        let root = std::env::temp_dir().join(format!("snoc_configure_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        std::fs::create_dir_all(&root).unwrap();
+        let file = root.join("file");
+        std::fs::write(&file, "").unwrap();
+        let unopenable = file.join("cache").to_str().unwrap().to_string();
+        spec.cache_dir = Some(unopenable.clone());
+        let good = root.join("cache").to_str().unwrap().to_string();
+        let cached = Args {
+            cache_dir: Some(good.clone()),
+            ..Args::default()
+        };
+        let campaign = cached.campaign(spec.clone()).unwrap();
+        assert_eq!(campaign.cache().unwrap().dir(), std::path::Path::new(&good));
+        let refused = Args {
+            cache_dir: Some(unopenable),
+            ..Args::default()
+        };
+        assert!(matches!(
+            refused.configure(Campaign::new("rust")),
+            Err(SpecError::Cache(_))
+        ));
+        assert!(matches!(
+            Args::default().campaign(spec),
+            Err(SpecError::Cache(_))
+        ));
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

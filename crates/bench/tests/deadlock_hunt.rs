@@ -16,7 +16,8 @@ fn saturated_storms_never_wedge_any_degraded_network() {
         smoke: true,
         ..Args::default()
     };
-    let result = saturation_storm_campaign(&args).run();
+    let campaign = args.configure(saturation_storm_campaign(&args));
+    let result = campaign.expect("no cache dir to open").run();
 
     // Reaching this line means no watchdog aborted (run_load panics on
     // a wedge). Sanity-check the sweep actually stressed something:

@@ -1,6 +1,7 @@
 //! End-to-end test of the energy-efficiency pipeline behind
 //! `snoc repro fig_energy`: simulator-measured activity → power model →
-//! power-aware sweep campaign → `slim_noc-sweep-v2` JSON.
+//! power-aware sweep campaign → `slim_noc-sweep-v2` JSON. It runs the
+//! figure's shipped spec, `specs/fig_energy.json`, through the runner.
 //!
 //! Pins the reproduction's headline claim: at matched offered load the
 //! Slim NoC delivers strictly more throughput per watt than the mesh
@@ -8,8 +9,8 @@
 //! simulator *measured* (a point with zero measured activity would show
 //! zero dynamic power and fail here).
 
-use snoc_bench::{energy_campaign, energy_load_grid, Args};
-use snoc_core::Setup;
+use snoc_bench::{energy_load_grid, Args};
+use snoc_core::CampaignSpec;
 
 #[test]
 fn slim_noc_beats_mesh_on_measured_throughput_per_watt() {
@@ -17,14 +18,15 @@ fn slim_noc_beats_mesh_on_measured_throughput_per_watt() {
         quick: true,
         ..Args::default()
     };
-    let setups = vec![
-        Setup::paper("cm4").expect("paper config"),
-        Setup::paper("sn_s").expect("paper config"),
-    ];
-    let result = energy_campaign("energy_e2e", setups, &args).run();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig_energy.json");
+    let text = std::fs::read_to_string(path).expect("shipped spec");
+    let spec = CampaignSpec::from_json(&text).expect("shipped spec parses");
+    let result = args.campaign(spec).expect("runnable spec").run();
 
     // Every point carries power columns fed by measured activity.
-    assert_eq!(result.points.len(), 2 * energy_load_grid().len());
+    assert!(result.setups.iter().any(|s| s == "cm4"));
+    let points = result.setups.len() * energy_load_grid().len();
+    assert_eq!(result.points.len(), points);
     for p in &result.points {
         let pw = p.power.expect("power-aware campaign point");
         assert!(

@@ -14,7 +14,11 @@ fn slim_noc_retains_more_throughput_than_mesh_under_storms() {
         quick: true,
         ..Args::default()
     };
-    let result = storm_campaign(&args).run();
+    let run = |args: &Args| {
+        let campaign = args.configure(storm_campaign(args));
+        campaign.expect("no cache dir to open").run()
+    };
+    let result = run(&args);
     let rows = retention_rows(&result);
 
     // The storm must actually bite: some degraded cell drops packets.
@@ -39,12 +43,7 @@ fn slim_noc_retains_more_throughput_than_mesh_under_storms() {
 
     // Same campaign on two worker threads: byte-identical result, so
     // degraded-mode sweeps parallelize (and cache) safely.
-    let threaded = storm_campaign(&Args {
-        quick: true,
-        threads: 2,
-        ..Args::default()
-    })
-    .run();
+    let threaded = run(&Args { threads: 2, ..args });
     assert_eq!(
         threaded.to_json(),
         result.to_json(),

@@ -19,7 +19,7 @@ fn every_registry_entry_smokes() {
     };
     let runs = parallel_map_with_threads(REGISTRY.iter().collect(), 0, |figure| {
         let mut out = Vec::new();
-        ((figure.run)(&args, &mut out), out)
+        (figure.run(&args, &mut out), out)
     });
     for (figure, (run, out)) in REGISTRY.iter().zip(runs) {
         assert!(run.is_ok(), "{} failed: {run:?}", figure.name);
@@ -43,7 +43,8 @@ fn verify_json_parses_into_one_passing_object_per_row() {
             ..Args::default()
         };
         let mut out = Vec::new();
-        (find("verify").expect("registry entry").run)(&args, &mut out).expect("verify passes");
+        let verify = find("verify").expect("registry entry");
+        verify.run(&args, &mut out).expect("verify passes");
         String::from_utf8(out).expect("utf-8")
     };
     let parsed = json::parse(&run(true)).expect("valid JSON");
@@ -83,7 +84,7 @@ fn power_and_study_figures_replay_from_the_point_cache() {
         let figure = find(name).expect("registry entry");
         let run = || {
             let mut out = Vec::new();
-            (figure.run)(&args, &mut out).expect(name);
+            figure.run(&args, &mut out).expect(name);
             out
         };
         let before = entries();

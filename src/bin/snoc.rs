@@ -72,6 +72,21 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
+    // The `--json` entry names the figures that answer it, straight from
+    // the registry (`Figure::answers_json`), five to a line.
+    let answering: Vec<&str> = figures::REGISTRY
+        .iter()
+        .filter(|f| f.answers_json())
+        .map(|f| f.name)
+        .collect();
+    let names: Vec<String> = answering.chunks(5).map(|line| line.join(" ")).collect();
+    let json = format!(
+        "  --json              repro: JSON instead of tables: the sweep JSON of a
+                      one-campaign figure, or a figure's own JSON form;
+                      the others refuse it. Answered by:
+                      {}",
+        names.join("\n                      ")
+    );
     println!(
         "snoc — Slim NoC reproduction CLI
 
@@ -91,11 +106,9 @@ USAGE:
 
 REPRO / RUN OPTIONS:
   --csv               repro: CSV instead of aligned text
-  --json              repro: raw sweep JSON (single-campaign figures:
-                      fig12-14, fig18, table6, energy_*, fig_energy,
-                      fault_storm)
-  --quick             short simulation windows
-  --smoke             minimal windows (meaningless numbers; for tests)
+{json}
+  --quick             short simulation windows (300 + 1200 cycles)
+  --smoke             minimal windows (20 + 60; meaningless numbers)
   --threads <n>       campaign worker threads (0 = per core)
   --cache-dir <dir>   content-addressed point cache to replay from
 
@@ -380,7 +393,8 @@ fn cmd_repro(args: &[String]) -> Result<(), String> {
     let figure = figures::find(name)
         .ok_or_else(|| format!("unknown figure `{name}` (see `snoc repro --list`)"))?;
     let args = Args::parse_from(flags.iter().cloned())?;
-    let run = (figure.run)(&args, &mut std::io::stdout().lock());
+    figure.check(&args)?;
+    let run = figure.run(&args, &mut std::io::stdout().lock());
     if let Err(msg) = run {
         // Not a usage error: the figure ran and failed (a diverged
         // `verify` case, a closed stdout).

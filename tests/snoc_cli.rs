@@ -204,3 +204,55 @@ fn specs_no_simulator_can_run_exit_2_without_panicking() {
         assert!(!err.contains("panicked"), "{name}: {err}");
     }
 }
+
+#[test]
+fn json_is_answered_by_one_campaign_figures_and_refused_elsewhere() {
+    let usage = stdout(&snoc(&["--help"]));
+    let listed: Vec<&str> = usage.split_whitespace().collect();
+    for figure in REGISTRY {
+        // The help's `--json` entry is derived from the same rule.
+        assert_eq!(
+            listed.contains(&figure.name),
+            figure.answers_json(),
+            "{}",
+            figure.name
+        );
+        if figure.answers_json() {
+            continue;
+        }
+        let out = snoc(&["repro", figure.name, "--smoke", "--json"]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{}: {err}", figure.name);
+        assert!(
+            err.starts_with("error: ") && err.contains(figure.name),
+            "{err}"
+        );
+        assert!(out.stdout.is_empty(), "{} simulated first", figure.name);
+    }
+    // fig20's two pattern sweeps are one committed campaign now.
+    let out = snoc(&["repro", "fig20", "--smoke", "--json"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(stdout(&out).contains("\"campaign\": \"fig20\""));
+}
+
+#[test]
+fn an_unopenable_cache_dir_fails_repro_and_run_alike() {
+    let file = std::env::temp_dir().join(format!("snoc_cli_not_a_dir_{}", std::process::id()));
+    std::fs::write(&file, "").expect("temp file");
+    let cache = file.join("cache");
+    let cache = cache.to_str().expect("utf-8");
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_quick.json");
+    let repro = snoc(&["repro", "fig14", "--smoke", "--cache-dir", cache]);
+    let run = snoc(&["run", "--spec", spec, "--smoke", "--cache-dir", cache]);
+    let _ = std::fs::remove_file(&file);
+    let diagnostic = |out: &Output| {
+        assert_eq!(out.status.code(), Some(2), "{}", stderr(out));
+        assert!(out.stdout.is_empty(), "ran uncached");
+        let err = stderr(out);
+        let cause = err
+            .split_once("spec cache: ")
+            .map(|(_, cause)| cause.to_string());
+        cause.unwrap_or_else(|| panic!("no cache diagnostic: {err}"))
+    };
+    assert_eq!(diagnostic(&repro), diagnostic(&run));
+}
