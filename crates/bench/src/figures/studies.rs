@@ -3,11 +3,12 @@
 
 use super::{campaign, emit, point_at};
 use crate::{io_err, saturation_load_grid, Args};
+use snoc_core::json::Layout::{Inline, Lines};
+use snoc_core::json::{Floats, Raw, Writer};
 use snoc_core::{format_float, BufferPreset, Campaign, Setup, TextTable};
 use snoc_power::TechNode;
 use snoc_topology::Topology;
 use snoc_traffic::TrafficPattern;
-use std::fmt::Write as _;
 use std::io::Write;
 
 /// The committed campaigns of [`ablation`]: each step at the two loads
@@ -105,32 +106,27 @@ fn study(seeds: &[u64]) -> Vec<Cell> {
 }
 
 fn json_report(cells: &[Cell], seeds: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\n  \"schema\": \"slim_noc-resilience-v1\",\n  \"seeds\": {seeds},\n  \"rows\": ["
-    );
-    for (i, c) in cells.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {{\"network\": \"{}\", \"fraction\": {}, \"connected\": {}, \
-             \"diameter_mean\": {}, \"diameter_std\": {}, \
-             \"path_mean\": {}, \"path_std\": {}, \
-             \"component_mean\": {}, \"component_std\": {}}}{}",
-            c.network,
-            c.fraction,
-            c.connected,
-            format_float(c.diameter.0, 4),
-            format_float(c.diameter.1, 4),
-            format_float(c.path.0, 4),
-            format_float(c.path.1, 4),
-            format_float(c.component.0, 4),
-            format_float(c.component.1, 4),
-            if i + 1 < cells.len() { "," } else { "" },
-        );
+    let mut w = Writer::new(Floats::Decimals(4));
+    w.object(Lines)
+        .field("schema", "slim_noc-resilience-v1")
+        .field("seeds", seeds)
+        .key("rows")
+        .list(Lines);
+    for c in cells {
+        // A failure fraction is a grid constant, written as it reads.
+        w.object(Inline)
+            .field("network", c.network)
+            .field("fraction", Raw(c.fraction))
+            .field("connected", c.connected)
+            .field("diameter_mean", c.diameter.0)
+            .field("diameter_std", c.diameter.1)
+            .field("path_mean", c.path.0)
+            .field("path_std", c.path.1)
+            .field("component_mean", c.component.0)
+            .field("component_std", c.component.1)
+            .end();
     }
-    out.push_str("  ]\n}\n");
-    out
+    w.finish() + "\n"
 }
 
 /// Extension study: link-failure resilience (static graph metrics).

@@ -40,7 +40,9 @@
 
 use super::emit;
 use crate::{io_err, Args};
-use snoc_core::{format_float, json, TextTable};
+use snoc_core::json::Layout::{Inline, Lines};
+use snoc_core::json::{Floats, Writer};
+use snoc_core::{format_float, TextTable};
 use snoc_refsim::check::{self, pool, workload, Case, Run, Traffic, Verdict};
 use snoc_sim::{
     verify_deadlock_free, Conformance, FaultKind, FaultPlan, RoutingKind, RoutingTable,
@@ -322,28 +324,26 @@ pub(super) fn verify(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let (cdg_checked, cdg_failures) = cdg_failures(args);
 
     if args.json {
-        let rows: Vec<String> = outcomes
-            .iter()
-            .map(|o| {
-                let (opt, reference) = (&o.run.optimized, &o.run.reference);
-                let detail = o.verdict.as_deref().unwrap_or_else(String::as_str);
-                format!(
-                    "  {{\"case\": \"{}\", \"pass\": {}, \"detail\": \"{}\", \
-                     \"injected\": [{}, {}], \"delivered\": [{}, {}], \
-                     \"latency\": [{}, {}]}}",
-                    json::escape(&o.label),
-                    o.verdict.is_ok(),
-                    json::escape(detail),
-                    opt.injected_packets,
-                    reference.injected_packets,
-                    opt.delivered_packets,
-                    reference.delivered_packets,
-                    format_float(opt.mean_latency(), 2),
-                    format_float(reference.mean_latency(), 2),
+        let mut w = Writer::new(Floats::Decimals(2));
+        w.list(Lines);
+        for o in &outcomes {
+            let (opt, reference) = (&o.run.optimized, &o.run.reference);
+            w.object(Inline)
+                .field("case", &o.label)
+                .field("pass", o.verdict.is_ok())
+                .field(
+                    "detail",
+                    o.verdict.as_deref().unwrap_or_else(String::as_str),
                 )
-            })
-            .collect();
-        writeln!(out, "[\n{}\n]", rows.join(",\n")).map_err(io_err)?;
+                .key("injected")
+                .list_of([opt.injected_packets, reference.injected_packets])
+                .key("delivered")
+                .list_of([opt.delivered_packets, reference.delivered_packets])
+                .key("latency")
+                .list_of([opt.mean_latency(), reference.mean_latency()])
+                .end();
+        }
+        writeln!(out, "{}", w.finish()).map_err(io_err)?;
     } else {
         let mut table = TextTable::new(
             "Differential verification: optimized engine vs. golden reference".to_string(),

@@ -30,7 +30,7 @@
 //! [`PointCache`]: snoc_core::PointCache
 //! [`SweepPoint`]: snoc_core::SweepPoint
 
-use snoc_core::json::{self, Reader};
+use snoc_core::json::{self, Floats, Layout::Inline, Raw, Reader, Value, Writer};
 use snoc_core::{Campaign, CampaignSpec, PointCache, SweepPoint};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
@@ -200,61 +200,61 @@ fn read_line_bounded(
 /// Reads one HTTP request, dispatches, writes one response.
 fn handle(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let too_long = "{\"error\": \"header line too long\"}";
+    let too_long = |stream: &mut TcpStream| {
+        let reason = "Request Header Fields Too Large";
+        refuse(stream, 431, reason, "header line too long")
+    };
     let mut request = String::new();
     if read_line_bounded(&mut reader, &mut request)?.is_none() {
-        return respond(
-            &mut stream,
-            431,
-            "Request Header Fields Too Large",
-            too_long,
-        );
+        return too_long(&mut stream);
     }
     let mut parts = request.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
-    let mut content_length = 0u64;
+    // The raw value when it is not a byte count.
+    let mut content_length: Result<u64, String> = Ok(0);
     loop {
         let mut header = String::new();
         match read_line_bounded(&mut reader, &mut header)? {
-            None => {
-                return respond(
-                    &mut stream,
-                    431,
-                    "Request Header Fields Too Large",
-                    too_long,
-                )
-            }
+            None => return too_long(&mut stream),
             Some(0) => break,
             Some(_) if header.trim().is_empty() => break,
             Some(_) => {}
         }
-        if let Some(v) = header.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap_or(0);
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                let value = value.trim();
+                content_length = value.parse().map_err(|_| value.to_string());
+            }
         }
     }
     match (method.as_str(), path.as_str()) {
         ("POST", "/campaign") => {
-            if content_length > MAX_BODY {
-                return respond(
-                    &mut stream,
-                    413,
-                    "Payload Too Large",
-                    "{\"error\": \"body exceeds the 4 MiB limit\"}",
-                );
-            }
-            let mut body = vec![0u8; content_length as usize];
+            let length = match content_length {
+                Ok(length) if length > MAX_BODY => {
+                    let limit = "body exceeds the 4 MiB limit";
+                    return refuse(&mut stream, 413, "Payload Too Large", limit);
+                }
+                Ok(length) => length,
+                Err(value) => {
+                    let msg = format!("Content-Length `{value}` is not a byte count");
+                    return refuse(&mut stream, 400, "Bad Request", &msg);
+                }
+            };
+            let mut body = vec![0u8; length as usize];
             reader.read_exact(&mut body)?;
-            run_job(&mut stream, state, &String::from_utf8_lossy(&body))
+            match String::from_utf8(body) {
+                Ok(body) => run_job(&mut stream, state, &body),
+                Err(e) => {
+                    let at = e.utf8_error().valid_up_to();
+                    let msg = format!("body is not UTF-8: invalid byte at {at}");
+                    refuse(&mut stream, 400, "Bad Request", &msg)
+                }
+            }
         }
         ("GET", "/stats") => respond(&mut stream, 200, "OK", &stats_json(state)),
-        ("GET", "/health") => respond(&mut stream, 200, "OK", "{\"ok\": true}"),
-        _ => respond(
-            &mut stream,
-            404,
-            "Not Found",
-            "{\"error\": \"unknown endpoint\"}",
-        ),
+        ("GET", "/health") => respond(&mut stream, 200, "OK", &one_field("ok", true)),
+        _ => refuse(&mut stream, 404, "Not Found", "unknown endpoint"),
     }
 }
 
@@ -262,10 +262,7 @@ fn handle(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
 fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Result<()> {
     let mut spec = match CampaignSpec::from_json(body) {
         Ok(spec) => spec,
-        Err(e) => {
-            let msg = format!("{{\"error\": \"{}\"}}", json::escape(&e.to_string()));
-            return respond(stream, 400, "Bad Request", &msg);
-        }
+        Err(e) => return refuse(stream, 400, "Bad Request", &e.to_string()),
     };
     // The server's cache is authoritative: every client shares it.
     if state.cache.is_some() {
@@ -273,10 +270,7 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
     }
     let mut campaign = match Campaign::from_spec(&spec) {
         Ok(c) => c,
-        Err(e) => {
-            let msg = format!("{{\"error\": \"{}\"}}", json::escape(&e.to_string()));
-            return respond(stream, 400, "Bad Request", &msg);
-        }
+        Err(e) => return refuse(stream, 400, "Bad Request", &e.to_string()),
     };
     if let Some(cache) = &state.cache {
         campaign = campaign.with_cache(Arc::clone(cache));
@@ -300,8 +294,12 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
                 return; // the client hung up: the job still fills the cache
             }
             let line = point.to_json_line();
-            let event = format!("{{\"event\": \"point\", \"point\": {line}}}\n");
-            *sent = stream.write_all(event.as_bytes());
+            let mut event = Writer::new(FLOATS);
+            event
+                .object(Inline)
+                .field("event", "point")
+                .field("point", Raw(&line));
+            *sent = stream.write_all((event.finish() + "\n").as_bytes());
             match lines.entry(point.seed) {
                 Entry::Vacant(slot) => drop(slot.insert(line)),
                 Entry::Occupied(kept) => *exact &= *kept.get() == line,
@@ -315,24 +313,42 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
         Some(line) if exact => Cow::Borrowed(&**line),
         _ => Cow::Owned(point.to_json_line()),
     };
-    let done = format!(
-        "{{\"event\": \"done\", \"cache_hits\": {}, \"cache_misses\": {}, \"result\": {}}}\n",
-        result.cache_hits,
-        result.cache_misses,
-        json::compact(&result.to_json_with(kept)),
-    );
-    stream.write_all(done.as_bytes())
+    let mut done = Writer::new(FLOATS);
+    done.object(Inline)
+        .field("event", "done")
+        .field("cache_hits", result.cache_hits)
+        .field("cache_misses", result.cache_misses)
+        .field("result", Raw(json::compact(&result.to_json_with(kept))));
+    stream.write_all((done.finish() + "\n").as_bytes())
 }
 
 fn stats_json(state: &ServerState) -> String {
     let (hits, misses, entries, corrupt) = state.cache.as_ref().map_or((0, 0, 0, 0), |c| {
         (c.hits(), c.misses(), c.len() as u64, c.corrupt_lines())
     });
-    format!(
-        "{{\"jobs_done\": {}, \"cache_hits\": {hits}, \"cache_misses\": {misses}, \
-         \"cache_entries\": {entries}, \"corrupt_lines\": {corrupt}}}",
-        state.jobs_done.load(Ordering::Relaxed),
-    )
+    let mut w = Writer::new(FLOATS);
+    w.object(Inline)
+        .field("jobs_done", state.jobs_done.load(Ordering::Relaxed))
+        .field("cache_hits", hits)
+        .field("cache_misses", misses)
+        .field("cache_entries", entries)
+        .field("corrupt_lines", corrupt);
+    w.finish()
+}
+
+/// The protocol's objects carry no floats of their own.
+const FLOATS: Floats = Floats::Shortest;
+
+/// `{"key": value}`: the body of `/health` and of every refusal.
+fn one_field(key: &str, value: impl Value) -> String {
+    let mut w = Writer::new(FLOATS);
+    w.object(Inline).field(key, value);
+    w.finish()
+}
+
+/// Answers with `status` and an `{"error": …}` body naming the problem.
+fn refuse(stream: &mut TcpStream, status: u16, reason: &str, error: &str) -> io::Result<()> {
+    respond(stream, status, reason, &one_field("error", error))
 }
 
 /// The response head, in one `write`: the socket is unbuffered.

@@ -9,6 +9,7 @@ use snoc_bench::figures::{find, REGISTRY};
 use snoc_bench::Args;
 use snoc_core::json::{self, JsonValue};
 use snoc_core::{parallel_map_with_threads, PointCache};
+use std::collections::HashSet;
 
 #[test]
 fn every_registry_entry_smokes() {
@@ -32,10 +33,11 @@ fn every_registry_entry_smokes() {
 }
 
 /// `verify --json` is one JSON array with one passing object per row of
-/// the `--csv` table.
+/// the `--csv` table, and `resilience --json` one object with one row
+/// per network × failure fraction of its tables.
 #[test]
 fn verify_json_parses_into_one_passing_object_per_row() {
-    let run = |as_json: bool| {
+    let run = |name: &str, as_json: bool| {
         let args = Args {
             smoke: true,
             csv: !as_json,
@@ -43,19 +45,38 @@ fn verify_json_parses_into_one_passing_object_per_row() {
             ..Args::default()
         };
         let mut out = Vec::new();
-        let verify = find("verify").expect("registry entry");
-        verify.run(&args, &mut out).expect("verify passes");
+        let figure = find(name).expect("registry entry");
+        figure.run(&args, &mut out).expect(name);
         String::from_utf8(out).expect("utf-8")
     };
-    let parsed = json::parse(&run(true)).expect("valid JSON");
+    let parsed = json::parse(&run("verify", true)).expect("valid JSON");
     let rows = parsed.as_arr().expect("an array");
     // The CSV table has a title, a header and a trailing summary line.
-    assert_eq!(rows.len(), run(false).lines().count() - 3);
+    assert_eq!(rows.len(), run("verify", false).lines().count() - 3);
     for row in rows {
         assert!(row.get("case").and_then(JsonValue::as_str).is_some());
         let pass = row.get("pass").and_then(JsonValue::as_bool);
         assert_eq!(pass, Some(true), "{row:?}");
     }
+
+    let parsed = json::parse(&run("resilience", true)).expect("valid JSON");
+    let rows = parsed
+        .get("rows")
+        .and_then(JsonValue::as_arr)
+        .expect("rows");
+    let cell = |row: &JsonValue| {
+        let network = row.get("network")?.as_str()?.to_string();
+        Some((network, row.get("fraction")?.as_f64()?.to_bits()))
+    };
+    let cells: HashSet<_> = rows.iter().map(|row| cell(row).expect("a cell")).collect();
+    // One CSV table per fraction, each a title, a header and its rows.
+    let tables = run("resilience", false);
+    let table_rows = tables
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.starts_with("network,"))
+        .count();
+    assert_eq!((rows.len(), cells.len()), (table_rows, table_rows));
+    assert_eq!(parsed.get("seeds").and_then(JsonValue::as_u64), Some(2));
 }
 
 /// The figures whose simulated columns used to bypass `Campaign`: each

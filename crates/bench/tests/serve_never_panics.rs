@@ -129,6 +129,39 @@ fn the_unmutated_submission_is_served() {
     assert!(text.contains("\"event\": \"done\""), "{text}");
 }
 
+/// A body the server cannot take as sent is refused with a 400 whose
+/// JSON error names the problem: it is neither decoded lossily (a setup
+/// would run, and be cached, under a `U+FFFD` name nobody sent) nor
+/// read as empty.
+#[test]
+fn undecodable_bodies_and_lengths_are_refused_with_400() {
+    let mut spec = CampaignSpec::new("fuzz");
+    spec.setups = vec![SetupSpec::new("sn54")];
+    spec.setups[0].name = "sn54 @".to_string();
+    let mut body = spec.to_json().into_bytes();
+    let at = body.iter().position(|&b| b == b'@').expect("the marker");
+    body[at] = 0xff;
+    let mut not_utf8 = format!(
+        "POST /campaign HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    not_utf8.extend(body);
+    let bad_length = b"POST /campaign HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}".to_vec();
+    for (request, names) in [(not_utf8, "UTF-8"), (bad_length, "Content-Length `abc`")] {
+        let reply = String::from_utf8(exchange(&request).expect("answered")).expect("utf-8");
+        assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+        let (_, body) = reply.split_once("\r\n\r\n").expect("a body");
+        let error = snoc_core::json::parse(body).expect("a JSON body");
+        let error = error
+            .get("error")
+            .and_then(|e| e.as_str())
+            .expect("an error");
+        assert!(error.contains(names), "{error}");
+    }
+    assert_alive_and_calm().unwrap();
+}
+
 /// Specs the parser accepts but no simulator can run (`tests/specs/`;
 /// an unknown workload name is the one the parser itself refuses) are
 /// refused before the `200 OK` header goes out; a handler that found

@@ -25,12 +25,11 @@
 //! when simulator behavior changes retires an entire cache without
 //! deleting files.
 
-use crate::json::Reader;
+use crate::json::{Floats, Layout::Inline, Raw, Reader, Writer};
 use crate::sweep::PowerPoint;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -91,22 +90,25 @@ impl PointCoord<'_> {
     /// halves, so a campaign builds them once per curve and mints each
     /// key with [`PointCache::key_at`].
     pub(crate) fn canonical_halves(&self) -> [String; 2] {
-        let head = format!(
-            "{{\"setup\": {}, \"pattern\": \"{}\", \"load_bits\": ",
-            self.setup_spec, self.pattern,
-        );
-        let mut tail = format!(
-            ", \"warmup\": {}, \"measure\": {}, \"base_seed\": {}",
-            self.warmup, self.measure, self.base_seed,
-        );
+        let mut w = Writer::new(Floats::Bits);
+        // A NUL marks the load: the writer escapes it out of every
+        // string written after it.
+        w.object(Inline)
+            .field("setup", Raw(self.setup_spec))
+            .field("pattern", self.pattern)
+            .field("load_bits", Raw('\0'))
+            .field("warmup", self.warmup)
+            .field("measure", self.measure)
+            .field("base_seed", self.base_seed);
         if self.shards > 1 {
-            let _ = write!(tail, ", \"shards\": {}", self.shards);
+            w.field("shards", self.shards);
         }
         if let Some(tech) = self.tech {
-            let _ = write!(tail, ", \"tech\": \"{tech}\"");
+            w.field("tech", tech);
         }
-        tail.push('}');
-        [head, tail]
+        let text = w.finish();
+        let (head, tail) = text.rsplit_once('\0').expect("the load's mark");
+        [head.to_string(), tail.to_string()]
     }
 }
 
@@ -145,40 +147,24 @@ impl CachedPoint {
     /// Serializes as one JSON line (floats as raw bit patterns, so the
     /// round trip is exact for every value including NaN).
     fn to_line(&self, key: &str) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"key\": \"{key}\", \"latency\": {}, \"p99\": {}, \
-             \"throughput\": {}, \"avg_hops\": {}, \"acceptance\": {}, \
-             \"delivered\": {}, \"injected\": {}, \"drained\": {}",
-            self.latency.to_bits(),
-            self.p99_latency,
-            self.throughput.to_bits(),
-            self.avg_hops.to_bits(),
-            self.acceptance.to_bits(),
-            self.delivered_packets,
-            self.injected_packets,
-            self.drained,
-        );
+        let mut w = Writer::new(Floats::Bits);
+        w.object(Inline)
+            .field("key", key)
+            .field("latency", self.latency)
+            .field("p99", self.p99_latency)
+            .field("throughput", self.throughput)
+            .field("avg_hops", self.avg_hops)
+            .field("acceptance", self.acceptance)
+            .field("delivered", self.delivered_packets)
+            .field("injected", self.injected_packets)
+            .field("drained", self.drained);
         if self.dropped_packets > 0 {
-            let _ = write!(out, ", \"dropped\": {}", self.dropped_packets);
+            w.field("dropped", self.dropped_packets);
         }
         if let Some(p) = &self.power {
-            let bits = [
-                p.power_w,
-                p.static_w,
-                p.dynamic_w,
-                p.area_mm2,
-                p.throughput_per_watt,
-                p.energy_per_flit_j,
-                p.edp_js,
-            ]
-            .map(|x| x.to_bits().to_string())
-            .join(", ");
-            let _ = write!(out, ", \"power\": [{bits}]");
+            w.key("power").list_of(p.columns().map(|(_, x)| x));
         }
-        out.push('}');
-        out
+        w.finish()
     }
 
     /// Parses one JSON line; returns the key alongside the point. The
@@ -442,11 +428,11 @@ impl PointCache {
 }
 
 /// FNV-1a over the concatenation of `parts` with a caller-chosen basis,
-/// finished with the splitmix64 avalanche — the same construction the
-/// per-point seeds use.
-fn mix64(basis: u64, parts: &[&str]) -> u64 {
+/// finished with the splitmix64 avalanche: the one hash behind cache
+/// keys and per-point seeds.
+pub(crate) fn mix64<P: AsRef<[u8]>>(basis: u64, parts: &[P]) -> u64 {
     let mut h = basis;
-    for &b in parts.iter().flat_map(|part| part.as_bytes()) {
+    for &b in parts.iter().flat_map(AsRef::as_ref) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

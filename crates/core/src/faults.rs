@@ -9,10 +9,9 @@
 //! never alias in the cache. Resolution against a concrete topology
 //! happens at simulator-build time ([`FaultsSpec::resolve`]).
 
-use crate::json::JsonValue;
+use crate::json::{Floats, JsonValue, Layout::Inline, Writer};
 use snoc_sim::{FaultEvent, FaultKind, FaultPlan};
 use snoc_topology::{RouterId, Topology};
-use std::fmt::Write as _;
 
 /// A seeded "fault storm" recipe: `links` distinct links fail, chosen
 /// by [`FaultPlan::storm`]'s seeded shuffle, spread evenly over
@@ -65,52 +64,35 @@ impl FaultsSpec {
     /// `None` and `events` when empty.
     #[must_use]
     pub fn canonical_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
+        let mut w = Writer::new(Floats::Shortest);
+        w.object(Inline);
         if let Some(s) = self.storm {
-            let _ = write!(
-                out,
-                "\"storm\": {{\"links\": {}, \"start\": {}, \"window\": {}, \"seed\": {}}}",
-                s.links, s.start, s.window, s.seed
-            );
-            first = false;
+            w.key("storm")
+                .object(Inline)
+                .field("links", s.links)
+                .field("start", s.start)
+                .field("window", s.window)
+                .field("seed", s.seed)
+                .end();
         }
         if !self.events.is_empty() {
-            if !first {
-                out.push_str(", ");
-            }
-            out.push_str("\"events\": [");
-            for (i, e) in self.events.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = match e.kind {
-                    FaultKind::LinkDown { a, b } => write!(
-                        out,
-                        "{{\"at\": {}, \"kind\": \"link_down\", \"a\": {}, \"b\": {}}}",
-                        e.cycle,
-                        a.index(),
-                        b.index()
-                    ),
-                    FaultKind::LinkUp { a, b } => write!(
-                        out,
-                        "{{\"at\": {}, \"kind\": \"link_up\", \"a\": {}, \"b\": {}}}",
-                        e.cycle,
-                        a.index(),
-                        b.index()
-                    ),
-                    FaultKind::RouterDown { router } => write!(
-                        out,
-                        "{{\"at\": {}, \"kind\": \"router_down\", \"router\": {}}}",
-                        e.cycle,
-                        router.index()
-                    ),
+            w.key("events").list(Inline);
+            for e in &self.events {
+                w.object(Inline).field("at", e.cycle);
+                let (kind, a, b) = match e.kind {
+                    FaultKind::LinkDown { a, b } => ("link_down", a, Some(b)),
+                    FaultKind::LinkUp { a, b } => ("link_up", a, Some(b)),
+                    FaultKind::RouterDown { router } => ("router_down", router, None),
                 };
+                w.field("kind", kind);
+                match b {
+                    Some(b) => w.field("a", a.index()).field("b", b.index()),
+                    None => w.field("router", a.index()),
+                }
+                .end();
             }
-            out.push(']');
         }
-        out.push('}');
-        out
+        w.finish()
     }
 
     /// Parses the `faults` object of a setup recipe.

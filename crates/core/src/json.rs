@@ -1,4 +1,4 @@
-//! A minimal JSON reader for the offline build (no serde).
+//! A minimal JSON reader and writer for the offline build (no serde).
 //!
 //! The campaign-spec wire format, the content-addressed point cache,
 //! and the `snoc serve` protocol all exchange JSON; this module holds
@@ -23,12 +23,24 @@
 //! - **Objects keep their field order**, so a parse → serialize round
 //!   trip of our own canonical output is byte-stable.
 //!
-//! The writer side stays hand-rolled in each producer (the sweep and
-//! spec serializers pin their schemas byte-for-byte in golden tests);
-//! this module only adds the shared escaping/compaction helpers.
+//! Every document the workspace writes goes through one [`Writer`],
+//! which places the separators, escapes strings in place, and renders
+//! each `f64` by the [`Floats`] rule its document names once:
+//!
+//! | document | writer | floats |
+//! |---|---|---|
+//! | `slim_noc-spec-v1`, setup and fault recipes | `CampaignSpec::to_json`, `canonical_json` | `Shortest`: loads parse back to their bits |
+//! | `slim_noc-sweep-v1`/`-v2` | `CampaignResult::to_json`, `SweepPoint::to_json_line` | `Decimals(6)`: the sweep's `JsonF64` rule |
+//! | cache store lines and coordinates | `PointCache` | `Bits`: the raw bit pattern |
+//! | `snoc serve` events, `/stats`, errors | `snoc_bench::serve` | none of its own |
+//! | `slim_noc-resilience-v1`, `verify` rows | `snoc repro … --json` | `Decimals(4)`, `Decimals(2)`: [`format_float`](crate::format_float) (failure fractions as [`Raw`]) |
+//!
+//! `SimReport::to_json` (the engine fingerprint's input) is written by
+//! `snoc_sim`, which sits below this crate.
 
+use crate::report::CompactFloat;
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -407,22 +419,228 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars) —
-/// shared by every hand-rolled serializer in the workspace.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// How a document writes its `f64`s, named once by its [`Writer`]. Every
+/// rule but `Bits` writes NaN and ±∞ as `null`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Floats {
+    /// [`format_float`](crate::format_float) at this many decimals.
+    Decimals(usize),
+    /// Rust's shortest round-trip `Display`: parses back to the same bits.
+    Shortest,
+    /// The raw `f64::to_bits` pattern: exact for every value, NaN included.
+    Bits,
+}
+
+/// Where a container puts its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// On the container's line: `{"a": 1, "b": [2, 3]}`.
+    Inline,
+    /// One per line, indented two spaces per open container, and the
+    /// closing bracket on a line of its own, an empty container's too.
+    Lines,
+}
+
+/// A value a [`Writer`] writes: a string (escaped), a `bool`, an
+/// integer, an `f64` (by the writer's [`Floats`]), or [`Raw`] text.
+pub trait Value {
+    /// Writes `self` at the writer's cursor.
+    fn write(self, w: &mut Writer);
+}
+
+/// Text that already is JSON, or a `Display` value that prints as a
+/// JSON number, written as is.
+#[derive(Debug, Clone, Copy)]
+pub struct Raw<T>(pub T);
+
+/// The workspace's one JSON writer (module docs). It places every
+/// separator itself: [`Writer::object`] and [`Writer::list`] open a
+/// container, [`Writer::field`] and [`Writer::item`] write its members,
+/// [`Writer::end`] closes it.
+#[derive(Debug)]
+pub struct Writer {
+    out: String,
+    floats: Floats,
+    /// The open containers, innermost last: closing bracket, layout,
+    /// and whether a member is written.
+    stack: Vec<(char, Layout, bool)>,
+    /// A key is written and its value comes next.
+    keyed: bool,
+}
+
+impl Writer {
+    /// An empty document whose floats follow `floats`.
+    #[must_use]
+    pub fn new(floats: Floats) -> Self {
+        Writer {
+            // One allocation holds a point or store line, which would
+            // otherwise grow through a run of small reallocations.
+            out: String::with_capacity(512),
+            floats,
+            stack: Vec::new(),
+            keyed: false,
         }
     }
-    out
+
+    /// Opens an object.
+    pub fn object(&mut self, layout: Layout) -> &mut Self {
+        self.begin('{', '}', layout)
+    }
+
+    /// Opens a list.
+    pub fn list(&mut self, layout: Layout) -> &mut Self {
+        self.begin('[', ']', layout)
+    }
+
+    /// Writes `items` as one inline list.
+    pub fn list_of<V: Value>(&mut self, items: impl IntoIterator<Item = V>) -> &mut Self {
+        self.list(Layout::Inline);
+        for item in items {
+            self.item(item);
+        }
+        self.end()
+    }
+
+    /// Closes the innermost open container.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no container is open.
+    pub fn end(&mut self) -> &mut Self {
+        let (close, layout, _) = self.stack.pop().expect("an open container");
+        if layout == Layout::Lines {
+            self.newline();
+        }
+        self.out.push(close);
+        self
+    }
+
+    /// Writes an object key; the next value written is its value.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item(key);
+        self.out.push_str(": ");
+        self.keyed = true;
+        self
+    }
+
+    /// Writes the object member `key: value`.
+    pub fn field(&mut self, key: &str, value: impl Value) -> &mut Self {
+        self.key(key).item(value)
+    }
+
+    /// Writes a list member, or the value of the key just written.
+    pub fn item(&mut self, value: impl Value) -> &mut Self {
+        self.member();
+        value.write(self);
+        self
+    }
+
+    /// Closes every container still open and returns the document.
+    #[must_use]
+    pub fn finish(mut self) -> String {
+        while !self.stack.is_empty() {
+            self.end();
+        }
+        self.out
+    }
+
+    fn begin(&mut self, open: char, close: char, layout: Layout) -> &mut Self {
+        self.member();
+        self.out.push(open);
+        self.stack.push((close, layout, false));
+        self
+    }
+
+    /// Starts a member: nothing after a key; otherwise the separator
+    /// from the previous member and, in a `Lines` container, a new line.
+    fn member(&mut self) {
+        if std::mem::take(&mut self.keyed) {
+            return;
+        }
+        let Some((_, layout, any)) = self.stack.last_mut() else {
+            return;
+        };
+        let lines = *layout == Layout::Lines;
+        if std::mem::replace(any, true) {
+            self.out.push_str(if lines { "," } else { ", " });
+        }
+        if lines {
+            self.newline();
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in &self.stack {
+            self.out.push_str("  ");
+        }
+    }
+}
+
+impl<S: AsRef<str> + ?Sized> Value for &S {
+    fn write(self, w: &mut Writer) {
+        let s = self.as_ref();
+        w.out.push('"');
+        // Copies the runs between escapes whole: every escaped byte is
+        // ASCII, so each run ends on a character boundary.
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
+            }
+            w.out.push_str(&s[run..i]);
+            let _ = match b {
+                b'"' | b'\\' => write!(w.out, "\\{}", b as char),
+                _ => write!(w.out, "\\u{b:04x}"),
+            };
+            run = i + 1;
+        }
+        w.out.push_str(&s[run..]);
+        w.out.push('"');
+    }
+}
+
+impl Value for f64 {
+    fn write(self, w: &mut Writer) {
+        match w.floats {
+            Floats::Bits => Raw(self.to_bits()).write(w),
+            _ if !self.is_finite() => w.out.push_str("null"),
+            Floats::Shortest => Raw(self).write(w),
+            Floats::Decimals(digits) => Raw(CompactFloat(self, digits)).write(w),
+        }
+    }
+}
+
+impl<T: fmt::Display> Value for Raw<T> {
+    fn write(self, w: &mut Writer) {
+        let _ = write!(w.out, "{}", self.0);
+    }
+}
+
+macro_rules! display_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn write(self, w: &mut Writer) {
+                Raw(self).write(w);
+            }
+        }
+    )*};
+}
+display_values!(u64, usize);
+
+impl Value for bool {
+    fn write(self, w: &mut Writer) {
+        w.out.push_str(if self { "true" } else { "false" });
+    }
+}
+
+/// A string as the contents of a JSON string literal (quotes,
+/// backslashes and control characters escaped), as [`Writer`] writes it.
+#[must_use]
+pub fn escape(s: &str) -> String {
+    let mut w = Writer::new(Floats::Shortest);
+    w.item(s);
+    w.out[1..w.out.len() - 1].to_string()
 }
 
 /// Compacts the workspace's line-oriented pretty JSON onto one line by
@@ -633,6 +851,58 @@ mod tests {
         assert_eq!(r.string().map(drop), refused("0x5b at 0"));
         assert_eq!(r.object(|r, _| r.skip()), refused("0x5b at 0"));
         assert_eq!(r.array(|r| r.number().map(drop)), refused("0x74 at 1"));
+    }
+
+    #[test]
+    fn writer_places_every_separator_by_layout() {
+        let mut w = Writer::new(Floats::Shortest);
+        w.object(Layout::Lines)
+            .field("s", "q\"\\\n\u{1}\u{2028}é")
+            .key("empty")
+            .list(Layout::Lines)
+            .end()
+            .key("rows")
+            .list(Layout::Lines)
+            .item(Raw("{}"));
+        w.object(Layout::Inline)
+            .field("n", 7u64)
+            .field("ok", true)
+            .key("xs")
+            .list_of([0.5, 1.0 / 3.0]);
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\n  \"s\": \"q\\\"\\\\\\u000a\\u0001\u{2028}é\",\n  \"empty\": [\n  ],\n  \
+             \"rows\": [\n    {},\n    {\"n\": 7, \"ok\": true, \"xs\": [0.5, 0.3333333333333333]}\n  ]\n}"
+        );
+        let parsed = parse(&text).unwrap();
+        assert_eq!(
+            parsed.get("s").unwrap().as_str(),
+            Some("q\"\\\n\u{1}\u{2028}é")
+        );
+        assert_eq!(escape("a\"b\n"), "a\\\"b\\u000a");
+    }
+
+    #[test]
+    fn each_float_rule_writes_its_form_and_non_finite_as_null() {
+        let written = |floats, x: f64| {
+            let mut w = Writer::new(floats);
+            w.item(x);
+            w.finish()
+        };
+        let third = 1.0 / 3.0;
+        assert_eq!(written(Floats::Decimals(6), third), "0.333333");
+        assert_eq!(written(Floats::Decimals(2), 2e-9), "2.00e-9");
+        assert_eq!(written(Floats::Shortest, third), "0.3333333333333333");
+        assert_eq!(written(Floats::Bits, third), third.to_bits().to_string());
+        for rule in [Floats::Decimals(6), Floats::Shortest] {
+            assert_eq!(written(rule, f64::NAN), "null");
+            assert_eq!(written(rule, f64::NEG_INFINITY), "null");
+        }
+        assert_eq!(
+            written(Floats::Bits, f64::NAN),
+            f64::NAN.to_bits().to_string()
+        );
     }
 
     #[test]

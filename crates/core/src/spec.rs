@@ -35,7 +35,8 @@
 //! the monolithic engine: `shards` (emitted only when not 1) must be 1.
 
 use crate::faults::FaultsSpec;
-use crate::json::{self, JsonValue};
+use crate::json::Layout::{Inline, Lines};
+use crate::json::{self, Floats, JsonValue, Raw, Writer};
 use crate::setup::{BufferPreset, Setup, SetupError};
 use crate::sweep::Campaign;
 use snoc_layout::SnLayout;
@@ -44,7 +45,6 @@ use snoc_sim::RoutingKind;
 use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::error::Error;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Errors from spec parsing, conversion, or cache attachment.
 #[derive(Debug)]
@@ -165,28 +165,20 @@ impl SetupSpec {
     /// ones.
     #[must_use]
     pub fn canonical_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"config\": \"{}\", \"name\": \"{}\"",
-            json::escape(&self.config),
-            json::escape(&self.name),
-        );
+        let mut w = Writer::new(Floats::Shortest);
+        w.object(Inline)
+            .field("config", &self.config)
+            .field("name", &self.name);
         if let Some(layout) = self.sn_layout {
-            let _ = write!(out, ", \"layout\": \"{}\"", layout.spec_name());
+            w.field("layout", &layout.spec_name());
         }
-        let _ = write!(
-            out,
-            ", \"smart\": {}, \"buffers\": \"{}\", \"routing\": \"{}\"",
-            self.smart,
-            self.buffers.spec_name(),
-            self.routing.spec_name(),
-        );
+        w.field("smart", self.smart)
+            .field("buffers", &self.buffers.spec_name())
+            .field("routing", self.routing.spec_name());
         if let Some(faults) = &self.faults {
-            let _ = write!(out, ", \"faults\": {}", faults.canonical_json());
+            w.field("faults", Raw(faults.canonical_json()));
         }
-        out.push('}');
-        out
+        w.finish()
     }
 
     /// Parses one setup object of the wire format.
@@ -310,62 +302,47 @@ impl CampaignSpec {
     /// serialize is byte-identical).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"slim_noc-spec-v1\",");
-        let _ = writeln!(out, "  \"name\": \"{}\",", json::escape(&self.name));
-        if self.setups.is_empty() {
-            out.push_str("  \"setups\": [],\n");
+        let mut w = Writer::new(Floats::Shortest);
+        w.object(Lines)
+            .field("schema", "slim_noc-spec-v1")
+            .field("name", &self.name);
+        // No setups: `[]` stays on the key's line.
+        w.key("setups").list(if self.setups.is_empty() {
+            Inline
         } else {
-            out.push_str("  \"setups\": [\n");
-            for (i, s) in self.setups.iter().enumerate() {
-                let sep = if i + 1 < self.setups.len() { "," } else { "" };
-                let _ = writeln!(out, "    {}{sep}", s.canonical_json());
-            }
-            out.push_str("  ],\n");
+            Lines
+        });
+        for s in &self.setups {
+            w.item(Raw(s.canonical_json()));
         }
-        let patterns = self
-            .patterns
-            .iter()
-            .map(|p| format!("\"{}\"", p.short_name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "  \"patterns\": [{patterns}],");
+        w.end()
+            .key("patterns")
+            .list_of(self.patterns.iter().map(|p| p.short_name()));
         if !self.workloads.is_empty() {
             // Only when present: pre-workloads specs keep their bytes.
-            let names: Vec<_> = self.workloads.iter().map(|w| w.name).collect();
-            let _ = writeln!(out, "  \"workloads\": [\"{}\"],", names.join("\", \""));
+            w.key("workloads")
+                .list_of(self.workloads.iter().map(|w| w.name));
         }
-        let loads = self
-            .loads
-            .iter()
-            .map(|l| format_load(*l))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "  \"loads\": [{loads}],");
-        let _ = writeln!(out, "  \"warmup\": {},", self.warmup);
-        let _ = writeln!(out, "  \"measure\": {},", self.measure);
-        let _ = writeln!(out, "  \"base_seed\": {},", self.base_seed);
-        let _ = writeln!(out, "  \"refine_rounds\": {},", self.refine_rounds);
-        let _ = writeln!(
-            out,
-            "  \"stop_at_saturation\": {},",
-            self.stop_at_saturation
-        );
-        let _ = write!(out, "  \"threads\": {}", self.threads);
+        w.key("loads")
+            .list_of(self.loads.iter().copied())
+            .field("warmup", self.warmup)
+            .field("measure", self.measure)
+            .field("base_seed", self.base_seed)
+            .field("refine_rounds", self.refine_rounds)
+            .field("stop_at_saturation", self.stop_at_saturation)
+            .field("threads", self.threads);
         if self.shards != 1 {
             // Emitted only when sharded, keeping pre-shards specs (and
             // the golden file) byte-stable.
-            let _ = write!(out, ",\n  \"shards\": {}", self.shards);
+            w.field("shards", self.shards);
         }
         if let Some(tech) = self.power_tech {
-            let _ = write!(out, ",\n  \"tech\": \"{tech}\"");
+            w.field("tech", &tech.to_string());
         }
         if let Some(dir) = &self.cache_dir {
-            let _ = write!(out, ",\n  \"cache_dir\": \"{}\"", json::escape(dir));
+            w.field("cache_dir", dir);
         }
-        out.push_str("\n}\n");
-        out
+        w.finish() + "\n"
     }
 
     /// Parses the wire format. `schema`, `name`, `setups`, `patterns`,
@@ -452,14 +429,6 @@ impl CampaignSpec {
                 .map(str::to_string),
         })
     }
-}
-
-/// A load value in shortest-round-trip form: Rust's `f64` `Display`
-/// prints the shortest decimal that parses back to the identical bits,
-/// so specs reproduce exact seeds and cache keys after a JSON trip.
-fn format_load(x: f64) -> String {
-    debug_assert!(x.is_finite(), "loads are validated finite");
-    format!("{x}")
 }
 
 impl Campaign {

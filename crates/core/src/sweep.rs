@@ -35,15 +35,16 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::cache::{CachedPoint, PointCache, PointCoord};
-use crate::json;
+use crate::cache::{mix64, CachedPoint, PointCache, PointCoord};
+use crate::json::Layout::{Inline, Lines};
+use crate::json::{Floats, Raw, Writer};
 use crate::parallel::parallel_map_with_threads;
-use crate::report::{CompactFloat, Series};
+use crate::report::Series;
 use crate::setup::{Setup, Traffic};
 use snoc_power::TechNode;
 use snoc_sim::{saturation_heuristic, RoutingTable};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
@@ -249,20 +250,9 @@ impl Campaign {
 
     /// [`Campaign::point_seed`] by curve key (a workload's is its name).
     fn seed_of(&self, setup: &str, traffic: &str, load: f64) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.base_seed;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(setup.as_bytes());
-        eat(traffic.as_bytes());
-        eat(&load.to_bits().to_le_bytes());
-        // splitmix64 finalizer for avalanche.
-        h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^ (h >> 31)
+        let load = load.to_bits().to_le_bytes();
+        let parts: [&[u8]; 3] = [setup.as_bytes(), traffic.as_bytes(), &load];
+        mix64(0xcbf2_9ce4_8422_2325 ^ self.base_seed, &parts)
     }
 
     /// Runs the campaign: one parallel task per (setup, pattern) and
@@ -528,6 +518,19 @@ impl PowerPoint {
             edp_js: r.energy_delay(),
         }
     }
+
+    /// The columns in schema order, under their sweep-JSON names.
+    pub(crate) fn columns(&self) -> [(&'static str, f64); 7] {
+        [
+            ("power_w", self.power_w),
+            ("static_w", self.static_w),
+            ("dynamic_w", self.dynamic_w),
+            ("area_mm2", self.area_mm2),
+            ("throughput_per_watt", self.throughput_per_watt),
+            ("energy_per_flit_j", self.energy_per_flit_j),
+            ("edp_js", self.edp_js),
+        ]
+    }
 }
 
 /// One simulated point of a campaign.
@@ -573,47 +576,28 @@ impl SweepPoint {
     /// campaign server streams per finished point.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"setup\": \"{}\", \"pattern\": \"{}\", \"load\": {}, \"seed\": {}, \
-             \"latency\": {}, \"p99_latency\": {}, \"throughput\": {}, \"avg_hops\": {}, \
-             \"acceptance\": {}, \"delivered_packets\": {}, \"saturated\": {}, \
-             \"drained\": {}, \"refined\": {}",
-            json::escape(&self.setup),
-            json::escape(&self.pattern),
-            JsonF64(self.load),
-            self.seed,
-            JsonF64(self.latency),
-            self.p99_latency,
-            JsonF64(self.throughput),
-            JsonF64(self.avg_hops),
-            JsonF64(self.acceptance),
-            self.delivered_packets,
-            self.saturated,
-            self.drained,
-            self.refined,
-        );
+        let mut w = Writer::new(SWEEP_FLOATS);
+        w.object(Inline)
+            .field("setup", &self.setup)
+            .field("pattern", &self.pattern)
+            .field("load", self.load)
+            .field("seed", self.seed)
+            .field("latency", self.latency)
+            .field("p99_latency", self.p99_latency)
+            .field("throughput", self.throughput)
+            .field("avg_hops", self.avg_hops)
+            .field("acceptance", self.acceptance)
+            .field("delivered_packets", self.delivered_packets)
+            .field("saturated", self.saturated)
+            .field("drained", self.drained)
+            .field("refined", self.refined);
         if self.dropped_packets > 0 {
-            let _ = write!(out, ", \"dropped_packets\": {}", self.dropped_packets);
+            w.field("dropped_packets", self.dropped_packets);
         }
-        if let Some(pw) = &self.power {
-            let _ = write!(
-                out,
-                ", \"power_w\": {}, \"static_w\": {}, \"dynamic_w\": {}, \
-                 \"area_mm2\": {}, \"throughput_per_watt\": {}, \
-                 \"energy_per_flit_j\": {}, \"edp_js\": {}",
-                JsonF64(pw.power_w),
-                JsonF64(pw.static_w),
-                JsonF64(pw.dynamic_w),
-                JsonF64(pw.area_mm2),
-                JsonF64(pw.throughput_per_watt),
-                JsonF64(pw.energy_per_flit_j),
-                JsonF64(pw.edp_js),
-            );
+        for (name, value) in self.power.iter().flat_map(PowerPoint::columns) {
+            w.field(name, value);
         }
-        out.push('}');
-        out
+        w.finish()
     }
 }
 
@@ -718,8 +702,8 @@ impl CampaignResult {
             .fold(0.0, f64::max)
     }
 
-    /// Serializes the full result as JSON; hand-rolled, the build is
-    /// offline and has no serde.
+    /// Serializes the full result as JSON through
+    /// [`json::Writer`](crate::json::Writer).
     ///
     /// Plain latency campaigns emit schema `slim_noc-sweep-v1`.
     /// Power-aware campaigns ([`Campaign::with_power`]) emit
@@ -740,57 +724,37 @@ impl CampaignResult {
     /// same text back instead of paying for it twice.
     #[must_use]
     pub fn to_json_with<L: fmt::Display>(&self, mut line: impl FnMut(&SweepPoint) -> L) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let schema = if self.tech.is_some() {
-            "slim_noc-sweep-v2"
-        } else {
-            "slim_noc-sweep-v1"
+        let mut w = Writer::new(SWEEP_FLOATS);
+        let schema = match self.tech {
+            Some(_) => "slim_noc-sweep-v2",
+            None => "slim_noc-sweep-v1",
         };
-        let _ = writeln!(out, "  \"schema\": \"{schema}\",");
-        let _ = writeln!(out, "  \"campaign\": \"{}\",", json::escape(&self.name));
-        let list = |names: &[String]| {
-            names
-                .iter()
-                .map(|n| format!("\"{}\"", json::escape(n)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let _ = writeln!(out, "  \"setups\": [{}],", list(&self.setups));
-        let _ = writeln!(out, "  \"patterns\": [{}],", list(&self.patterns));
-        let _ = writeln!(out, "  \"warmup\": {},", self.warmup);
-        let _ = writeln!(out, "  \"measure\": {},", self.measure);
-        let _ = writeln!(out, "  \"base_seed\": {},", self.base_seed);
+        w.object(Lines)
+            .field("schema", schema)
+            .field("campaign", &self.name)
+            .key("setups")
+            .list_of(&self.setups)
+            .key("patterns")
+            .list_of(&self.patterns)
+            .field("warmup", self.warmup)
+            .field("measure", self.measure)
+            .field("base_seed", self.base_seed);
         if let Some(tech) = self.tech {
-            let _ = writeln!(out, "  \"tech\": \"{tech}\",");
+            w.field("tech", &tech.to_string());
         }
-        out.push_str("  \"points\": [\n");
-        for (i, p) in self.points.iter().enumerate() {
-            let _ = write!(out, "    {}", line(p));
-            out.push_str(if i + 1 < self.points.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
+        // No points: the list still closes on a line of its own.
+        w.key("points").list(Lines);
+        for p in &self.points {
+            w.item(Raw(line(p)));
         }
-        out.push_str("  ]\n}\n");
-        out
+        w.finish() + "\n"
     }
 }
 
-/// A float displayed as a valid JSON number (no NaN/inf; those become
-/// null, which downstream tooling treats as missing).
-struct JsonF64(f64);
-
-impl fmt::Display for JsonF64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_finite() {
-            CompactFloat(self.0, 6).fmt(f)
-        } else {
-            f.write_str("null")
-        }
-    }
-}
+/// The sweep documents' float rule: six decimals of
+/// [`format_float`](crate::format_float), NaN and ±∞ as `null` (which
+/// downstream tooling treats as missing).
+const SWEEP_FLOATS: Floats = Floats::Decimals(6);
 
 #[cfg(test)]
 mod tests {
@@ -957,11 +921,6 @@ mod tests {
             "balanced braces"
         );
         assert!(!json.contains("NaN"));
-    }
-
-    #[test]
-    fn non_finite_floats_serialize_as_null() {
-        assert_eq!(JsonF64(f64::NAN).to_string(), "null");
     }
 
     #[test]

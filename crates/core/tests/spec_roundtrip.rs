@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 use snoc_core::json::{self, JsonValue, Reader};
-use snoc_core::{BufferPreset, CampaignSpec, SetupSpec};
+use snoc_core::{BufferPreset, CampaignResult, CampaignSpec, SetupSpec, SweepPoint};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_sim::RoutingKind;
@@ -35,13 +35,25 @@ const PATTERNS: [TrafficPattern; 7] = [
     TrafficPattern::Transpose,
 ];
 
+/// Characters every JSON writer must escape or pass through intact.
+const HOSTILE: [&str; 6] = ["\"", "\\", "\n", "\u{1}", "\u{2028}", "é日本🦀"];
+
+/// A name holding the hostile pieces `bits` selects.
+fn hostile_name(prefix: &str, bits: u64) -> String {
+    let picked = HOSTILE
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| bits & (1 << i) != 0);
+    picked.fold(prefix.to_string(), |name, (_, piece)| name + piece)
+}
+
 /// Derives one arbitrary-but-deterministic setup recipe from an
 /// integer seed (the vendored proptest only has range strategies, so
 /// structured values are expanded from integers by hand).
 fn setup_from(bits: u64) -> SetupSpec {
     let mut s = SetupSpec::new(CONFIGS[(bits % 6) as usize]);
     if bits & 0x40 != 0 {
-        s.name = format!("{}+v{}", s.config, bits % 97);
+        s.name = hostile_name(&format!("{}+v{}", s.config, bits % 97), bits >> 32);
     }
     s.sn_layout = match (bits >> 8) % 5 {
         0 => None,
@@ -90,7 +102,7 @@ proptest! {
         refine in 0usize..5,
         options in 0u64..64,
     ) {
-        let mut spec = CampaignSpec::new(format!("prop \"c{options}\""));
+        let mut spec = CampaignSpec::new(hostile_name(&format!("prop c{options}"), setup_bits));
         spec.setups = (0..n_setups)
             .map(|i| setup_from(setup_bits.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(i as u64)))
             .collect();
@@ -140,6 +152,55 @@ proptest! {
         // Byte-stable: serialize → parse → serialize is the identity.
         let json2 = parsed.to_json();
         prop_assert_eq!(json1, json2);
+
+        // The sweep documents keep the same names through `json::parse`.
+        let names: Vec<String> = spec.setups.iter().map(|s| s.name.clone()).collect();
+        let points: Vec<SweepPoint> = names
+            .iter()
+            .zip(&spec.loads)
+            .map(|(setup, &load)| SweepPoint {
+                setup: setup.clone(),
+                pattern: "RND".to_string(),
+                load,
+                seed: base_seed,
+                latency: load * 100.0,
+                p99_latency: warmup,
+                throughput: load,
+                avg_hops: 2.5,
+                acceptance: 1.0,
+                delivered_packets: measure,
+                dropped_packets: 0,
+                saturated: false,
+                drained: true,
+                refined: false,
+                power: None,
+            })
+            .collect();
+        for p in &points {
+            let line = json::parse(&p.to_json_line())
+                .map_err(|e| TestCaseError(format!("{e}: {}", p.to_json_line())))?;
+            prop_assert_eq!(line.get("setup").and_then(JsonValue::as_str), Some(&*p.setup));
+        }
+        let result = CampaignResult {
+            name: spec.name.clone(),
+            setups: names.clone(),
+            patterns: vec!["RND".to_string()],
+            warmup,
+            measure,
+            base_seed,
+            tech: spec.power_tech,
+            cache_hits: 0,
+            cache_misses: 0,
+            points,
+        };
+        let doc = json::parse(&result.to_json())
+            .map_err(|e| TestCaseError(format!("{e}: {}", result.to_json())))?;
+        prop_assert_eq!(doc.get("campaign").and_then(JsonValue::as_str), Some(&*spec.name));
+        let list = |key| doc.get(key).and_then(JsonValue::as_arr).unwrap_or_default();
+        let setups: Vec<_> = list("setups").iter().filter_map(JsonValue::as_str).collect();
+        prop_assert_eq!(&setups, &names);
+        let rows = list("points").iter().filter_map(|p| p.get("setup")?.as_str());
+        prop_assert_eq!(rows.collect::<Vec<_>>(), names[..result.points.len()].to_vec());
     }
 }
 

@@ -219,12 +219,6 @@ impl Gf {
         self.p
     }
 
-    /// The extension degree `n` (1 for prime fields).
-    #[must_use]
-    pub fn extension_degree(&self) -> usize {
-        self.n
-    }
-
     /// The modulus polynomial, or `None` for prime fields.
     #[must_use]
     pub fn modulus(&self) -> Option<&Poly> {

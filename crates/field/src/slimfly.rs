@@ -111,18 +111,6 @@ impl SlimFlyParams {
         ((self.q as i64 - self.u) / 2) as usize
     }
 
-    /// Number of subgroups (`2q`, each holding `q` routers).
-    #[must_use]
-    pub fn subgroup_count(&self) -> usize {
-        2 * self.q
-    }
-
-    /// Routers per subgroup (`q`).
-    #[must_use]
-    pub fn subgroup_size(&self) -> usize {
-        self.q
-    }
-
     /// Number of groups (`q`, each merging one subgroup of each type).
     #[must_use]
     pub fn group_count(&self) -> usize {

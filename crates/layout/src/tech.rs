@@ -39,12 +39,6 @@ impl TechNode {
         }
     }
 
-    /// Side length of one processing core in mm.
-    #[must_use]
-    pub fn core_side_mm(self) -> f64 {
-        self.core_area_mm2().sqrt()
-    }
-
     /// Supply voltage in volts.
     #[must_use]
     pub fn voltage(self) -> f64 {

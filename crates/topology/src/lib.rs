@@ -50,7 +50,6 @@ pub use error::TopologyError;
 pub use resilience::ResilienceReport;
 pub use slimnoc::RouterLabel;
 
-use snoc_field::SlimFlyParams;
 use std::fmt;
 
 /// Identifier of a router in a topology (index in `0..router_count`).
@@ -429,17 +428,7 @@ impl fmt::Display for Topology {
     }
 }
 
-/// Convenience: derived Slim Fly parameters for a Slim NoC topology.
 impl Topology {
-    /// Returns the Slim Fly parameters if this is a Slim NoC topology.
-    #[must_use]
-    pub fn slim_fly_params(&self) -> Option<SlimFlyParams> {
-        match &self.kind {
-            TopologyKind::SlimNoc { q, .. } => SlimFlyParams::new(*q).ok(),
-            _ => None,
-        }
-    }
-
     /// Returns the router labels if this is a Slim NoC topology.
     #[must_use]
     pub fn slim_noc_labels(&self) -> Option<&[RouterLabel]> {
