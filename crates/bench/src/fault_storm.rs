@@ -15,7 +15,7 @@
 //! are spec-derived, and results are identical across thread counts.
 
 use crate::Args;
-use snoc_core::{Campaign, CampaignResult, FaultsSpec, Setup, StormSpec};
+use snoc_core::{CampaignResult, CampaignSpec, FaultsSpec, Setup, SetupSpec, StormSpec};
 use snoc_traffic::TrafficPattern;
 
 /// Offered load of every run, in flits/node/cycle — below each healthy
@@ -69,8 +69,8 @@ pub fn failed_links(network: &str, fraction: f64) -> usize {
 /// show up in the `dropped_packets` column and the throughput average
 /// is dominated by the degraded steady state.
 #[must_use]
-pub fn storm_campaign(args: &Args) -> Campaign {
-    storm_campaign_at("fault_storm", LOAD, args)
+pub fn storm_spec(args: &Args) -> CampaignSpec {
+    storm_spec_at("fault_storm", LOAD, args)
 }
 
 /// The deadlock-hunt variant: the same network × fraction storm grid
@@ -81,24 +81,22 @@ pub fn storm_campaign(args: &Args) -> Campaign {
 /// flits moving under maximal backpressure. Throughput retention from
 /// this sweep is not a figure; liveness is the product.
 #[must_use]
-pub fn saturation_storm_campaign(args: &Args) -> Campaign {
-    storm_campaign_at("fault_storm_saturation", SATURATION_LOAD, args)
+pub fn saturation_storm_spec(args: &Args) -> CampaignSpec {
+    storm_spec_at("fault_storm_saturation", SATURATION_LOAD, args)
 }
 
-fn storm_campaign_at(name: &str, load: f64, args: &Args) -> Campaign {
-    let warmup = args.warmup();
-    let measure = args.measure();
+fn storm_spec_at(name: &str, load: f64, args: &Args) -> CampaignSpec {
+    let mut spec = CampaignSpec::new(name);
+    (spec.warmup, spec.measure) = (args.warmup(), args.measure());
     // All failures land in the first tenth of the measured window.
-    let storm_start = warmup + (measure / 20).max(1);
-    let storm_window = (measure / 20).max(1);
-    let mut setups = Vec::new();
+    let storm_start = spec.warmup + (spec.measure / 20).max(1);
+    let storm_window = (spec.measure / 20).max(1);
     for network in NETWORKS {
         for fraction in FRACTIONS {
-            let mut setup = Setup::paper(network).expect("paper config");
-            setup.name = setup_name(network, fraction);
             let links = failed_links(network, fraction);
-            if links > 0 {
-                setup = setup.with_faults(FaultsSpec {
+            spec.setups.push(SetupSpec {
+                name: setup_name(network, fraction),
+                faults: (links > 0).then_some(FaultsSpec {
                     events: Vec::new(),
                     storm: Some(StormSpec {
                         links,
@@ -106,19 +104,17 @@ fn storm_campaign_at(name: &str, load: f64, args: &Args) -> Campaign {
                         window: storm_window,
                         seed: STORM_SEED,
                     }),
-                });
-            }
-            setups.push(setup);
+                }),
+                ..SetupSpec::new(network)
+            });
         }
     }
-    // Built in Rust, not committed as a spec: the storm's timing follows
-    // the windows the flags select, which the campaign states itself.
-    Campaign::new(name)
-        .with_setups(setups)
-        .with_patterns(vec![TrafficPattern::Random])
-        .with_loads(vec![load])
-        .with_windows(warmup, measure)
-        .with_stop_at_saturation(false)
+    // Built in Rust, not committed: the storm's timing follows the
+    // windows the flags select, which the spec states itself.
+    spec.patterns = vec![TrafficPattern::Random];
+    spec.loads = vec![load];
+    spec.stop_at_saturation = false;
+    spec
 }
 
 /// One cell of the retention figure.
@@ -138,13 +134,13 @@ pub struct RetentionRow {
     pub retention: f64,
 }
 
-/// Condenses a [`storm_campaign`] result into retention rows, one per
+/// Condenses a [`storm_spec`] campaign's result into retention rows, one per
 /// network × fraction in sweep order.
 ///
 /// # Panics
 ///
 /// Panics if `result` is missing a campaign point (it never is for a
-/// result produced by [`storm_campaign`]).
+/// result of [`storm_spec`]'s campaign).
 #[must_use]
 pub fn retention_rows(result: &CampaignResult) -> Vec<RetentionRow> {
     let mut rows = Vec::new();
@@ -200,7 +196,7 @@ mod tests {
             smoke: true,
             ..Args::default()
         };
-        let c = storm_campaign(&args);
+        let c = storm_spec(&args);
         assert_eq!(c.setups.len(), NETWORKS.len() * FRACTIONS.len());
         assert_eq!(c.loads, vec![LOAD]);
         // Baselines are fault-free; every other cell severs links.
@@ -216,11 +212,11 @@ mod tests {
             smoke: true,
             ..Args::default()
         };
-        let c = saturation_storm_campaign(&args);
+        let c = saturation_storm_spec(&args);
         assert_eq!(c.setups.len(), NETWORKS.len() * FRACTIONS.len());
         assert_eq!(c.loads, vec![SATURATION_LOAD]);
         let names: Vec<_> = c.setups.iter().map(|s| s.name.clone()).collect();
-        let base: Vec<_> = storm_campaign(&args)
+        let base: Vec<_> = storm_spec(&args)
             .setups
             .iter()
             .map(|s| s.name.clone())

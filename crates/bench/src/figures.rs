@@ -23,7 +23,7 @@ macro_rules! spec {
 mod studies;
 mod verify;
 
-use crate::fault_storm::{retention_rows, storm_campaign, LOAD};
+use crate::fault_storm::{retention_rows, storm_spec, LOAD};
 use crate::{io_err, Args};
 use snoc_core::{
     format_float, BufferPreset, Campaign, CampaignResult, CampaignSpec, PointCache, PowerPoint,
@@ -36,6 +36,7 @@ use snoc_layout::{
 use snoc_power::{PowerModel, TechNode};
 use snoc_topology::{paper_config, table2_rows, Topology};
 use std::io::Write;
+use std::sync::Arc;
 use Draw::{Code, Json, Panels};
 use Render::{Benchmarks, Energy, Gain, Latency, Power};
 
@@ -442,7 +443,7 @@ impl Figure {
     /// Refuses, before anything simulates, a flag the figure cannot
     /// honour: `--json` when it does not [answer it](Figure::answers_json),
     /// and a `--cache-dir` that cannot be opened (with the diagnostic
-    /// [`Args::configure`] gives).
+    /// [`Args::campaign`] gives).
     ///
     /// # Errors
     ///
@@ -474,11 +475,15 @@ impl Figure {
     }
 }
 
+/// A committed spec's text, parsed.
+fn committed(spec: &str) -> Result<CampaignSpec, String> {
+    CampaignSpec::from_json(spec).map_err(|e| format!("committed spec: {e}"))
+}
+
 /// The campaign a committed spec describes, fitted to the flags
 /// ([`Args::campaign`]).
 fn campaign(spec: &str, args: &Args) -> Result<Campaign, String> {
-    let spec = CampaignSpec::from_json(spec).map_err(|e| format!("committed spec: {e}"))?;
-    args.campaign(spec).map_err(|e| e.to_string())
+    args.campaign(committed(spec)?).map_err(|e| e.to_string())
 }
 
 impl Render {
@@ -491,16 +496,31 @@ impl Render {
         }
     }
 
-    /// Runs `spec`, at each node for the power tables, and draws each
-    /// result.
+    /// Runs `spec`, as one campaign per node for the power tables, and
+    /// draws each result. The `--cache-dir` store is read once and
+    /// shared by the panel's campaigns.
     fn draw(&self, spec: &str, args: &Args, out: &mut dyn Write) -> Result<(), String> {
-        let mut campaign = campaign(spec, args)?;
+        let spec = committed(spec)?;
         let nodes = match *self {
             Power(_, nodes, _) | Gain(_, nodes) => nodes.iter().map(|&n| Some(n)).collect(),
-            Latency(..) | Benchmarks(..) | Energy(_) => vec![campaign.power_tech],
+            Latency(..) | Benchmarks(..) | Energy(_) => vec![spec.power_tech],
         };
-        for tech in nodes {
-            campaign.power_tech = tech;
+        let open = |dir: &String| PointCache::open(dir).map(Arc::new);
+        let cache = args.cache_dir.as_ref().map(open).transpose();
+        let cache = cache.map_err(|e| SpecError::Cache(e).to_string())?;
+        let uncached = Args {
+            cache_dir: None,
+            ..args.clone()
+        };
+        for power_tech in nodes {
+            let spec = CampaignSpec {
+                power_tech,
+                ..spec.clone()
+            };
+            let mut campaign = uncached.campaign(spec).map_err(|e| e.to_string())?;
+            if let Some(cache) = &cache {
+                campaign = campaign.with_cache(Arc::clone(cache));
+            }
             if let Some(result) = run(&campaign, args, out)? {
                 self.tables(&campaign, &result, args, out)?;
             }
@@ -515,18 +535,16 @@ impl Render {
         args: &Args,
         out: &mut dyn Write,
     ) -> Result<(), String> {
-        let tech = campaign
-            .power_tech
-            .map(|t| t.to_string())
-            .unwrap_or_default();
+        let spec = campaign.spec();
+        let tech = spec.power_tech.map(|t| t.to_string()).unwrap_or_default();
         let power = |p: &SweepPoint| p.power.expect("power-aware campaign");
         match *self {
-            Latency(title, ratios) => latency(result, title, ratios, campaign.loads[0], args, out),
+            Latency(title, ratios) => latency(result, title, ratios, spec.loads[0], args, out),
             Power(title, _, columns) => {
                 let headers: Vec<&str> = columns.iter().map(|c| c.header()).collect();
                 let headers = [&["network"], &headers[..]].concat();
                 let mut table = TextTable::new(title.replace("{tech}", &tech), &headers);
-                for (point, setup) in result.points.iter().zip(&campaign.setups) {
+                for (point, setup) in result.points.iter().zip(campaign.setups()) {
                     let nodes = setup.topology.node_count() as f64;
                     let mut row = vec![point.setup.clone()];
                     row.extend(columns.iter().map(|c| c.cell(&power(point), nodes)));
@@ -548,7 +566,7 @@ impl Render {
             Benchmarks(title, headers, cell, summary) => {
                 benchmarks(result, title, headers, cell, summary, args, out)
             }
-            Energy(title) => energy(result, title, &campaign.loads, args, out),
+            Energy(title) => energy(result, title, &spec.loads, args, out),
         }
     }
 }
@@ -796,13 +814,11 @@ fn energy(
 
 /// Extension study: delivered-throughput retention under live
 /// link-failure storms — the dynamic half of §2.1's resilience claim
-/// (see [`crate::fault_storm`] for the campaign, built in Rust because
-/// the storm's timing follows the windows). Degraded points carry a
+/// (see [`crate::fault_storm`] for the spec, built in Rust because the
+/// storm's timing follows the windows). Degraded points carry a
 /// `dropped_packets` column in the sweep JSON.
 fn fault_storm(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let campaign = args
-        .configure(storm_campaign(args))
-        .map_err(|e| e.to_string())?;
+    let campaign = args.campaign(storm_spec(args)).map_err(|e| e.to_string())?;
     let Some(result) = run(&campaign, args, out)? else {
         return Ok(());
     };
@@ -893,29 +909,29 @@ fn fig3(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let series = [sf, df, fbf_fixed, fbf_full, t2d];
     emit(&Series::tabulate(title, "N", &series), args, out)?;
 
-    // (b) + (c): area and static power per node at N ≈ 200.
+    // (b) + (c): area and static power per node at N ≈ 200, with
+    // RTT-sized buffers; df3 (342 nodes) is the nearest DF size.
     let model = PowerModel::new(TechNode::N45);
     let spec = BufferSpec::standard();
-    // Naive Slim Fly: basic layout, RTT-sized buffers.
-    let sf = Topology::slim_noc(5, 4).expect("sn");
-    let sf_layout = Layout::slim_noc(&sf, SnLayout::Basic).expect("layout");
-    let natural = |name: &'static str, t: Topology| {
-        let l = Layout::natural(&t);
-        (name, t, l)
-    };
-    let nets: Vec<(&str, Topology, Layout)> = vec![
-        natural("FBF", Topology::flattened_butterfly(10, 5, 4)),
-        natural("PFBF", Topology::partitioned_fbf(2, 1, 5, 5, 4)),
-        natural("T2D", Topology::torus(10, 5, 4)),
-        natural("CM", Topology::mesh(10, 5, 4)),
-        ("SF", sf, sf_layout),
-        natural("DF", Topology::dragonfly(3)), // 342 nodes, nearest DF size
-    ];
     let mut table = TextTable::new(
         "Fig 3b/3c: naive off-chip topologies on-chip (≈200 cores, 45nm)",
         &["network", "N", "area/node [cm^2]", "static power/node [W]"],
     );
-    for (name, t, l) in &nets {
+    // The naive Slim Fly keeps its basic layout; the rest their natural one.
+    let nets = [
+        ("FBF", "fbf4", None),
+        ("PFBF", "pfbf4", None),
+        ("T2D", "t2d4", None),
+        ("CM", "cm4", None),
+        ("SF", "sn_s", Some(SnLayout::Basic)),
+        ("DF", "df3", None),
+    ];
+    for (name, config, sn_layout) in nets {
+        let t = &paper_config(config).expect("paper config").topology;
+        let l = &match sn_layout {
+            Some(kind) => Layout::slim_noc(t, kind).expect("slim noc layout"),
+            None => Layout::natural(t),
+        };
         let flits = BufferModel::edge_buffers(t, l, spec).average_per_router() as usize;
         let area = model.area(t, l, flits);
         let stat = model.static_power(t, l, &area);
@@ -1024,13 +1040,9 @@ fn fig5(args: &Args, out: &mut dyn Write) -> Result<(), String> {
 /// with N ∈ {200, 1024, 1296} for the two best layouts (sn_gr and
 /// sn_subgr), binned in ranges of 2 as in the paper.
 fn fig6(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    let configs = [
-        ("N=200", 5usize, 4usize),
-        ("N=1024", 8, 8),
-        ("N=1296", 9, 8),
-    ];
-    for (label, q, p) in configs {
-        let t = Topology::slim_noc(q, p).expect("sn");
+    for config in ["sn_s", "sn_p2", "sn_l"] {
+        let t = paper_config(config).expect("paper config").topology;
+        let label = format!("N={}", t.node_count());
         let gr = Layout::slim_noc(&t, SnLayout::Group).expect("group");
         let sub = Layout::slim_noc(&t, SnLayout::Subgroup).expect("subgroup");
         let d_gr = gr.link_distance_density(&t, 2);

@@ -2,13 +2,12 @@
 //! and the §5.5 sensitivity summary.
 
 use super::{campaign, emit, point_at};
-use crate::{io_err, saturation_load_grid, Args};
+use crate::{io_err, Args};
 use snoc_core::json::Layout::{Inline, Lines};
 use snoc_core::json::{Floats, Raw, Writer};
-use snoc_core::{format_float, BufferPreset, Campaign, Setup, TextTable};
+use snoc_core::{format_float, BufferPreset, Setup, TextTable};
 use snoc_power::TechNode;
-use snoc_topology::Topology;
-use snoc_traffic::TrafficPattern;
+use snoc_topology::paper_config;
 use std::io::Write;
 
 /// The committed campaigns of [`ablation`]: each step at the two loads
@@ -38,7 +37,7 @@ pub(super) fn ablation(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     // power-aware curve per step.
     let powered = steps.run();
     let saturation = campaign(ABLATION[1], args)?.run();
-    for setup in &steps.setups {
+    for setup in steps.setups() {
         let at = |load| point_at(&powered, &setup.name, "RND", load);
         let tpp = at(0.2).power.expect("power-aware campaign");
         table.push_row(vec![
@@ -73,13 +72,8 @@ struct Cell {
 const FRACTIONS: [f64; 4] = [0.05, 0.10, 0.20, 0.30];
 
 fn study(seeds: &[u64]) -> Vec<Cell> {
-    let nets: Vec<(&'static str, Topology)> = vec![
-        ("sn_s", Topology::slim_noc(5, 4).expect("sn")),
-        ("fbf4", Topology::flattened_butterfly(10, 5, 4)),
-        ("pfbf4", Topology::partitioned_fbf(2, 1, 5, 5, 4)),
-        ("t2d4", Topology::torus(10, 5, 4)),
-        ("cm4", Topology::mesh(10, 5, 4)),
-    ];
+    let nets = ["sn_s", "fbf4", "pfbf4", "t2d4", "cm4"]
+        .map(|name| (name, paper_config(name).expect("paper config").topology));
     let mut cells = Vec::new();
     for fraction in FRACTIONS {
         for (name, topo) in &nets {
@@ -196,9 +190,17 @@ pub(super) fn resilience(args: &Args, out: &mut dyn Write) -> Result<(), String>
     Ok(())
 }
 
-/// The committed campaigns of [`sensitivity`]: the injection-rate and
-/// traffic-pattern sweeps.
-pub(super) const SENSITIVITY: [&str; 2] = [spec!("sensitivity_rate"), spec!("sensitivity_pattern")];
+/// The committed campaigns of [`sensitivity`]: the concentration sweep
+/// at low load and to saturation, the injection-rate sweep, the size
+/// sweep and the traffic-pattern sweep. A saturation sweep runs many
+/// points, so it gets half the default windows.
+pub(super) const SENSITIVITY: [&str; 5] = [
+    spec!("sensitivity_p"),
+    spec!("sensitivity_p_saturation"),
+    spec!("sensitivity_rate"),
+    spec!("sensitivity_size"),
+    spec!("sensitivity_pattern"),
+];
 
 /// The §5.5 sensitivity summary: Slim NoC's advantages under
 /// varying concentration, injection rate, technology node, network size
@@ -208,42 +210,15 @@ pub(super) const SENSITIVITY: [&str; 2] = [spec!("sensitivity_rate"), spec!("sen
 /// robustness claim ("SN's benefits are robust") can be checked row by
 /// row.
 pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String> {
-    // The concentration and size sweeps' topologies have no
-    // paper-configuration name, so their campaigns are built here rather
-    // than committed: uniform random traffic over `loads`, saturated
-    // points kept. A saturation sweep runs many points, so it gets half
-    // the default windows.
-    let sweep = |name: &str, setups: &[Setup], saturation: bool| {
-        let (loads, warmup, measure) = if saturation {
-            (saturation_load_grid(), 1_000, 5_000)
-        } else {
-            (vec![0.05], 2_000, 10_000)
-        };
-        let campaign = Campaign::new(name)
-            .with_setups(setups.to_vec())
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_loads(loads)
-            .with_windows(warmup, measure)
-            .with_stop_at_saturation(false);
-        let campaign = args.configure(campaign).map_err(|e| e.to_string())?;
-        Ok::<_, String>(campaign.run())
-    };
-
     // (1) Concentration sweep: SN with p in {3, 4, 5} at q = 5.
     let mut table = TextTable::new(
         "Sensitivity: concentration p (q = 5, RND)",
         &["p", "N", "latency @0.05", "saturation thpt"],
     );
-    let setups: Vec<Setup> = [3usize, 4, 5]
-        .into_iter()
-        .map(|p| {
-            let topo = Topology::slim_noc(5, p).expect("sn");
-            Setup::from_topology(&format!("sn p={p}"), topo, 0.5).expect("setup")
-        })
-        .collect();
-    let low_load = sweep("sensitivity_p", &setups, false)?;
-    let saturation = sweep("sensitivity_p_saturation", &setups, true)?;
-    for setup in &setups {
+    let concentrations = campaign(SENSITIVITY[0], args)?;
+    let low_load = concentrations.run();
+    let saturation = campaign(SENSITIVITY[1], args)?.run();
+    for setup in concentrations.setups() {
         let point = point_at(&low_load, &setup.name, "RND", 0.05);
         table.push_row(vec![
             setup.topology.concentration().to_string(),
@@ -259,9 +234,9 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: injection rate (SN-S vs fbf3, SMART, RND latency)",
         &["load", "sn_s", "fbf3"],
     );
-    let rates = campaign(SENSITIVITY[0], args)?;
+    let rates = campaign(SENSITIVITY[2], args)?;
     let result = rates.run();
-    for &load in &rates.loads {
+    for &load in &rates.spec().loads {
         let latency = |setup| point_at(&result, setup, "RND", load).latency;
         table.push_row(vec![
             format_float(load, 2),
@@ -304,16 +279,9 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: network size (SN vs torus of equal N, RND saturation)",
         &["N", "sn thpt", "t2d thpt", "gain"],
     );
-    let mut setups = Vec::new();
-    for (q, p, tx, ty, tp) in [(7usize, 6usize, 14usize, 7usize, 6usize), (8, 8, 16, 8, 8)] {
-        let sn_t = Topology::slim_noc(q, p).expect("sn");
-        let n = sn_t.node_count();
-        let t2d_t = Topology::torus(tx, ty, tp);
-        setups.push(Setup::from_topology(&format!("sn N={n}"), sn_t, 0.5).expect("setup"));
-        setups.push(Setup::from_topology(&format!("t2d N={n}"), t2d_t, 0.4).expect("setup"));
-    }
-    let saturation = sweep("sensitivity_size", &setups, true)?;
-    for pair in setups.chunks(2) {
+    let sizes = campaign(SENSITIVITY[3], args)?;
+    let saturation = sizes.run();
+    for pair in sizes.setups().chunks(2) {
         let s1 = saturation.peak_throughput(&pair[0].name, "RND");
         let s2 = saturation.peak_throughput(&pair[1].name, "RND");
         table.push_row(vec![
@@ -330,9 +298,9 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
         "Sensitivity: traffic pattern (SN-S, SMART, load 0.05)",
         &["pattern", "latency", "avg hops"],
     );
-    let patterns = campaign(SENSITIVITY[1], args)?;
+    let patterns = campaign(SENSITIVITY[4], args)?;
     let by_pattern = patterns.run();
-    for pattern in &patterns.patterns {
+    for pattern in &patterns.spec().patterns {
         let point = point_at(&by_pattern, "sn_s", pattern.short_name(), 0.05);
         table.push_row(vec![
             pattern.to_string(),

@@ -8,10 +8,8 @@
 //! committed `slim_noc-spec-v1` file under `specs/`, compiled into its
 //! registry row and drawn by one of a few shared renderers, so
 //! `snoc run --spec specs/fig12.json` reproduces a figure's data with no
-//! registry. Only two kinds of campaign are built in Rust: the
-//! `fault_storm` grid, whose storm timing follows the run's windows, and
-//! `sensitivity`'s concentration and size sweeps, whose topologies have
-//! no paper-configuration name.
+//! registry. Only the `fault_storm` grid builds its spec in Rust: its
+//! storm timing follows the run's windows.
 //!
 //! Every registry entry accepts:
 //!
@@ -32,8 +30,8 @@
 //!   error, never an uncached run.
 //!
 //! `snoc run --spec FILE` takes the same four execution flags. Every
-//! campaign — committed, read by `snoc run`, or built in Rust — meets
-//! them in one place, [`Args::configure`].
+//! campaign spec — committed, read by `snoc run`, or built in Rust —
+//! meets them in one place, [`Args::campaign`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,41 +96,28 @@ impl Args {
         Ok(args)
     }
 
-    /// Fits a campaign to the flags: `--quick`/`--smoke` replace its
-    /// windows with [`Args::warmup`]/[`Args::measure`], `--threads` its
-    /// worker count, and `--cache-dir` its cache. The one place the
-    /// flags meet a campaign, whether it came from a committed spec, the
-    /// file `snoc run --spec` reads, or Rust.
+    /// The campaign `spec` describes, fitted to the flags:
+    /// `--quick`/`--smoke` replace its windows with
+    /// [`Args::warmup`]/[`Args::measure`], `--threads` its worker count,
+    /// and `--cache-dir` its `cache_dir`. The one place the flags meet a
+    /// campaign, whether its spec is committed, the file
+    /// `snoc run --spec` reads, or built in Rust.
     ///
     /// # Errors
     ///
-    /// [`SpecError::Cache`] when the `--cache-dir` cannot be opened.
-    pub fn configure(&self, mut campaign: Campaign) -> Result<Campaign, SpecError> {
+    /// Whatever [`Campaign::from_spec`] refuses, including an unopenable
+    /// cache directory ([`SpecError::Cache`]).
+    pub fn campaign(&self, mut spec: CampaignSpec) -> Result<Campaign, SpecError> {
         if self.smoke || self.quick {
-            campaign = campaign.with_windows(self.warmup(), self.measure());
+            (spec.warmup, spec.measure) = (self.warmup(), self.measure());
         }
         if self.threads != 0 {
-            campaign = campaign.with_threads(self.threads);
+            spec.threads = self.threads;
         }
-        if let Some(dir) = &self.cache_dir {
-            campaign = campaign.with_cache_dir(dir).map_err(SpecError::Cache)?;
-        }
-        Ok(campaign)
-    }
-
-    /// The campaign `spec` describes, fitted to the flags
-    /// ([`Args::configure`]). A `--cache-dir` replaces the spec's own
-    /// `cache_dir` rather than opening both.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`Campaign::from_spec`] refuses, and an unopenable
-    /// `--cache-dir`.
-    pub fn campaign(&self, mut spec: CampaignSpec) -> Result<Campaign, SpecError> {
         if self.cache_dir.is_some() {
-            spec.cache_dir = None;
+            spec.cache_dir.clone_from(&self.cache_dir);
         }
-        self.configure(Campaign::from_spec(&spec)?)
+        Campaign::from_spec(&spec)
     }
 
     /// The value the window flags select: `--smoke` wins over `--quick`.
@@ -147,14 +132,14 @@ impl Args {
     }
 
     /// Simulation warmup window in cycles: `--smoke` 20, `--quick` 300,
-    /// otherwise [`Campaign::new`]'s 2 000.
+    /// otherwise [`CampaignSpec::new`]'s 2 000.
     #[must_use]
     pub fn warmup(&self) -> u64 {
         self.window(20, 300, 2_000)
     }
 
     /// Simulation measurement window in cycles: `--smoke` 60, `--quick`
-    /// 1 200, otherwise [`Campaign::new`]'s 10 000.
+    /// 1 200, otherwise [`CampaignSpec::new`]'s 10 000.
     #[must_use]
     pub fn measure(&self) -> u64 {
         self.window(60, 1_200, 10_000)
@@ -211,7 +196,7 @@ pub fn load_grid() -> Vec<f64> {
 
 /// The load grid of the saturation-throughput columns: geometric from
 /// 0.05 in steps of 1.6× up to 1.0 flits/node/cycle. Swept with
-/// [`Campaign::with_stop_at_saturation`]`(false)` and read back through
+/// [`CampaignSpec::stop_at_saturation`] off and read back through
 /// [`CampaignResult::peak_throughput`].
 #[must_use]
 pub fn saturation_load_grid() -> Vec<f64> {
@@ -288,13 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn every_campaign_meets_the_flags_in_configure() {
+    fn every_campaign_meets_the_flags_in_one_place() {
         let mut spec = CampaignSpec::new("t");
         spec.setups = vec![snoc_core::SetupSpec::new("sn54")];
         (spec.warmup, spec.measure, spec.threads) = (1_000, 5_000, 2);
         let windows = |args: &Args| {
             let c = args.campaign(spec.clone()).unwrap();
-            (c.warmup, c.measure, c.threads)
+            (c.spec().warmup, c.spec().measure, c.spec().threads)
         };
         // Without a window flag the spec keeps its own; with one, every
         // campaign takes the same rule.
@@ -310,8 +295,6 @@ mod tests {
             ..quick.clone()
         };
         assert_eq!(windows(&smoke), (20, 60, 3));
-        let built = smoke.configure(Campaign::new("rust").with_windows(1, 2));
-        assert_eq!(built.map(|c| (c.warmup, c.measure)).unwrap(), (20, 60));
 
         // `--cache-dir` replaces the spec's directory, and one that
         // cannot be opened is an error, never an uncached run.
@@ -334,7 +317,7 @@ mod tests {
             ..Args::default()
         };
         assert!(matches!(
-            refused.configure(Campaign::new("rust")),
+            refused.campaign(CampaignSpec::new("rust")),
             Err(SpecError::Cache(_))
         ));
         assert!(matches!(

@@ -268,15 +268,15 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
     if state.cache.is_some() {
         spec.cache_dir = None;
     }
+    if spec.threads == 0 {
+        spec.threads = state.threads;
+    }
     let mut campaign = match Campaign::from_spec(&spec) {
         Ok(c) => c,
         Err(e) => return refuse(stream, 400, "Bad Request", &e.to_string()),
     };
     if let Some(cache) = &state.cache {
         campaign = campaign.with_cache(Arc::clone(cache));
-    }
-    if spec.threads == 0 && state.threads != 0 {
-        campaign = campaign.with_threads(state.threads);
     }
     write_head(stream, 200, "OK")?;
     // A point is rendered once: its line goes out in one `write` and

@@ -7,7 +7,7 @@
 //! backpressure. The nightly CI soak reruns this alongside the fuzzed
 //! CDG property suite.
 
-use snoc_bench::fault_storm::{saturation_storm_campaign, FRACTIONS, NETWORKS};
+use snoc_bench::fault_storm::{saturation_storm_spec, FRACTIONS, NETWORKS};
 use snoc_bench::Args;
 
 #[test]
@@ -16,7 +16,7 @@ fn saturated_storms_never_wedge_any_degraded_network() {
         smoke: true,
         ..Args::default()
     };
-    let campaign = args.configure(saturation_storm_campaign(&args));
+    let campaign = args.campaign(saturation_storm_spec(&args));
     let result = campaign.expect("no cache dir to open").run();
 
     // Reaching this line means no watchdog aborted (run_load panics on

@@ -5,7 +5,7 @@
 //! windows) and also pins that degraded-mode campaigns are
 //! deterministic across worker-thread counts.
 
-use snoc_bench::fault_storm::{retention_at, retention_rows, storm_campaign, FRACTIONS};
+use snoc_bench::fault_storm::{retention_at, retention_rows, storm_spec, FRACTIONS};
 use snoc_bench::Args;
 
 #[test]
@@ -15,7 +15,7 @@ fn slim_noc_retains_more_throughput_than_mesh_under_storms() {
         ..Args::default()
     };
     let run = |args: &Args| {
-        let campaign = args.configure(storm_campaign(args));
+        let campaign = args.campaign(storm_spec(args));
         campaign.expect("no cache dir to open").run()
     };
     let result = run(&args);

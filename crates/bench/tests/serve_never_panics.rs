@@ -176,6 +176,8 @@ fn well_formed_specs_that_cannot_run_are_refused_with_400() {
         ("unknown_workload", false),
         ("xy_off_fbf", true),
         ("shards", true),
+        ("repeated_pattern", true),
+        ("unsorted_loads", true),
     ] {
         let path = format!(
             "{}/../../tests/specs/unrunnable_{name}.json",

@@ -138,6 +138,8 @@ fn invalid_specs_fail_with_a_diagnostic() {
         ("cbr0", "central buffer must hold at least one packet"),
         ("faults_ugal", "fault injection requires minimal routing"),
         ("phantom_router", "router 9999 out of range"),
+        ("repeated_pattern", "`patterns` lists `RND` twice"),
+        ("unsorted_loads", "`loads` must strictly increase"),
     ] {
         let path = format!(
             "{}/../../tests/specs/unrunnable_{name}.json",

@@ -1,11 +1,11 @@
 //! Pins the committed figure campaigns under `specs/`: every file is
 //! used by exactly one registry row, parses with its `name` equal to its
 //! file stem, and runs under `run_spec` at `--smoke`; the latency
-//! figures sweep `load_grid()` and the energy figures
-//! `energy_load_grid()`.
+//! figures sweep `load_grid()`, the energy figures `energy_load_grid()`
+//! and the saturation sweeps `saturation_load_grid()`.
 
 use snoc_bench::figures::{Draw, Figure, Render, REGISTRY};
-use snoc_bench::{energy_load_grid, load_grid, run_spec, Args};
+use snoc_bench::{energy_load_grid, load_grid, run_spec, saturation_load_grid, Args};
 use snoc_core::{parallel_map_with_threads, CampaignSpec};
 
 const DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
@@ -55,6 +55,16 @@ fn every_committed_spec_belongs_to_one_row_parses_and_runs() {
 
 #[test]
 fn latency_and_energy_specs_sweep_the_shared_grids() {
+    // The saturation sweeps' literal floats must be the helper's walk.
+    for stem in [
+        "ablation_saturation",
+        "sensitivity_p_saturation",
+        "sensitivity_size",
+    ] {
+        let text = std::fs::read_to_string(format!("{DIR}/{stem}.json")).expect("readable");
+        let spec = CampaignSpec::from_json(&text).expect("parses");
+        assert_eq!(spec.loads, saturation_load_grid(), "specs/{stem}.json");
+    }
     for figure in REGISTRY {
         let Draw::Panels(panels) = figure.draw else {
             continue;

@@ -9,9 +9,10 @@
 //! salted with [`ENGINE_VERSION`], and persists the measured scalars as
 //! JSON-lines under a cache directory.
 //!
-//! A [`Campaign`](crate::Campaign) with an attached cache
-//! ([`Campaign::with_cache_dir`](crate::Campaign::with_cache_dir))
-//! consults it before simulating: a widened sweep re-simulates only the
+//! A [`Campaign`](crate::Campaign) with an attached cache (its spec's
+//! `cache_dir`, or a shared store through
+//! [`Campaign::with_cache`](crate::Campaign::with_cache)) consults it
+//! before simulating: a widened sweep re-simulates only the
 //! points that are genuinely new, and the merged result is
 //! **byte-identical** to a cold run of the widened spec — floats are
 //! persisted as raw `f64` bit patterns and per-curve state (the

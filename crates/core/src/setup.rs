@@ -604,12 +604,12 @@ mod tests {
 
     #[test]
     fn campaign_curve_stops_at_saturation() {
-        let result = crate::Campaign::new("curve")
-            .with_setups(vec![Setup::paper("sn54").unwrap()])
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_loads(vec![0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0])
-            .with_windows(300, 1_200)
-            .run();
+        let mut spec = crate::CampaignSpec::new("curve");
+        spec.setups = vec![crate::SetupSpec::new("sn54")];
+        spec.patterns = vec![TrafficPattern::Random];
+        spec.loads = vec![0.02, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0];
+        (spec.warmup, spec.measure) = (300, 1_200);
+        let result = crate::Campaign::from_spec(&spec).unwrap().run();
         let curve: Vec<_> = result.curve("sn54", "RND").collect();
         assert!(!curve.is_empty());
         // Monotone non-decreasing latency along the curve (tolerantly).
@@ -629,14 +629,14 @@ mod tests {
 
     #[test]
     fn peak_throughput_past_the_knee_is_positive_and_bounded() {
-        let thpt = crate::Campaign::new("peak")
-            .with_setups(vec![Setup::paper("sn54").unwrap()])
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_loads(vec![0.05, 0.2, 0.8])
-            .with_windows(300, 1_000)
-            .with_stop_at_saturation(false)
-            .run()
-            .peak_throughput("sn54", "RND");
+        let mut spec = crate::CampaignSpec::new("peak");
+        spec.setups = vec![crate::SetupSpec::new("sn54")];
+        spec.patterns = vec![TrafficPattern::Random];
+        spec.loads = vec![0.05, 0.2, 0.8];
+        (spec.warmup, spec.measure) = (300, 1_000);
+        spec.stop_at_saturation = false;
+        let result = crate::Campaign::from_spec(&spec).unwrap().run();
+        let thpt = result.peak_throughput("sn54", "RND");
         assert!(thpt > 0.05, "throughput {thpt}");
         assert!(thpt <= 1.0);
     }

@@ -1,19 +1,15 @@
 //! Serializable campaign specifications: the `slim_noc-spec-v1` wire
 //! format.
 //!
-//! A [`Campaign`](crate::Campaign) built through the in-code builder
-//! cannot be keyed, cached, or submitted to a server — the spec types
-//! here are its value-type twin. [`CampaignSpec`] captures **every**
-//! builder option (setups × patterns × workloads × loads × windows ×
-//! seed × refinement × power × threads × cache) as plain data with a
-//! byte-stable JSON round trip:
+//! A [`CampaignSpec`] is the one description of a campaign (setups ×
+//! patterns × workloads × loads × windows × seed × refinement × power ×
+//! threads × cache), as plain data with a byte-stable JSON round trip:
 //!
 //! - [`CampaignSpec::to_json`] / [`CampaignSpec::from_json`] define the
 //!   wire format (`slim_noc-spec-v1`, golden-pinned; serialize → parse
 //!   → serialize is byte-identical);
-//! - [`Campaign::from_spec`](crate::Campaign::from_spec) /
-//!   [`Campaign::to_spec`](crate::Campaign::to_spec) convert to and
-//!   from the runnable form;
+//! - [`Campaign::from_spec`](crate::Campaign::from_spec) builds the
+//!   runnable form;
 //! - [`SetupSpec::canonical_json`] is the canonical per-setup string
 //!   that feeds the content-addressed point cache
 //!   (see [`crate::cache`]).
@@ -24,10 +20,8 @@
 //! cache keys — as the original.
 //!
 //! Setups are specified as *recipes*: a paper-configuration name plus
-//! the builder modifiers (`layout`, `buffers`, `routing`, `smart`).
-//! Setups built from arbitrary topologies
-//! ([`Setup::from_topology`](crate::Setup::from_topology)) have no
-//! recipe and are not spec-representable.
+//! the builder modifiers (`layout`, `buffers`, `routing`, `smart`,
+//! `faults`).
 //!
 //! Beside `patterns`, the optional `workloads` (names from
 //! [`snoc_traffic::benchmark_names`], emitted only when non-empty) adds
@@ -38,7 +32,6 @@ use crate::faults::FaultsSpec;
 use crate::json::Layout::{Inline, Lines};
 use crate::json::{self, Floats, JsonValue, Raw, Writer};
 use crate::setup::{BufferPreset, Setup, SetupError};
-use crate::sweep::Campaign;
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_sim::RoutingKind;
@@ -50,15 +43,15 @@ use std::fmt;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SpecError {
-    /// Malformed JSON or a missing/ill-typed field.
+    /// Malformed JSON, a missing/ill-typed field, or a field value no
+    /// campaign runs (`shards` ≠ 1, a repeated pattern or workload,
+    /// loads that do not strictly increase).
     Parse(String),
     /// A setup recipe failed to build or validate (unknown config
     /// name, undersized buffer, fault recipe outside the envelope, …).
     Setup(SetupError),
     /// Two setups share this name; curves are keyed by setup name.
     DuplicateSetup(String),
-    /// A campaign contains a setup with no serializable recipe.
-    Unrepresentable(String),
     /// The spec's cache directory could not be opened.
     Cache(std::io::Error),
 }
@@ -72,12 +65,6 @@ impl fmt::Display for SpecError {
                 f,
                 "spec setup: duplicate name `{name}` — curves are keyed by \
                  name, give each variant its own `name`"
-            ),
-            SpecError::Unrepresentable(name) => write!(
-                f,
-                "setup `{name}` was built from a custom topology and has no \
-                 serializable recipe; use Setup::paper-based setups in \
-                 spec-bound campaigns"
             ),
             SpecError::Cache(e) => write!(f, "spec cache: {e}"),
         }
@@ -134,9 +121,12 @@ impl SetupSpec {
     }
 
     /// Builds the runnable [`Setup`]. Modifiers apply in canonical
-    /// order (layout, buffers, routing, smart, faults); the builder methods are
-    /// order-independent, so any builder chain and its recipe build
-    /// identical setups.
+    /// order (layout, buffers, routing, smart, faults) to the
+    /// configuration's base setup. A builder chain that applies each
+    /// modifier at most once builds the same setup in any order; one
+    /// that reapplies a modifier need not match its recipe:
+    /// `with_routing(UgalL).with_routing(Minimal)` keeps UGAL's 4 VCs,
+    /// which `"routing": "min"` does not build.
     ///
     /// # Errors
     ///
@@ -231,8 +221,10 @@ impl Setup {
     /// The serializable recipe of this setup, or `None` when it was
     /// built from an arbitrary topology ([`Setup::from_topology`]) and
     /// has none. The recipe reflects the *current* builder state
-    /// (including direct `name` overrides), so
-    /// `setup.to_spec().unwrap().build()` reproduces the setup.
+    /// (including direct `name` overrides). For a setup a recipe built,
+    /// it builds that setup again — the same simulator configuration,
+    /// layout, buffers, faults and name — which is why a campaign keys
+    /// its cache on it: the key names exactly what was simulated.
     #[must_use]
     pub fn to_spec(&self) -> Option<SetupSpec> {
         Some(SetupSpec {
@@ -248,41 +240,52 @@ impl Setup {
 }
 
 /// A complete, serializable campaign description — the wire format,
-/// the cache-key source, and the CLI input (`--spec file.json`).
-///
-/// Every [`Campaign`] builder option is representable; see the module
-/// docs for the JSON schema.
+/// the cache-key source, and the CLI input (`--spec file.json`): the
+/// one description of a campaign, which
+/// [`Campaign::from_spec`](crate::Campaign::from_spec) makes runnable.
+/// See the module docs for the JSON schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name.
     pub name: String,
     /// Setup recipes.
     pub setups: Vec<SetupSpec>,
-    /// Traffic patterns.
+    /// Traffic patterns, each one curve per setup (no repeats).
     pub patterns: Vec<TrafficPattern>,
-    /// Trace workloads ([`Campaign::workloads`]); on the wire a list of
-    /// names, present only when non-empty.
+    /// Trace workloads (no repeats): one point per setup each, its name
+    /// in the `pattern` column, at `load = offered_flit_rate()`. The
+    /// trace is `warmup + measure` cycles long, generated from the
+    /// point's seed and measured from `warmup` on. On the wire a list
+    /// of names, present only when non-empty.
     pub workloads: Vec<TraceWorkload>,
-    /// Injection-rate grid in flits/node/cycle.
+    /// Injection-rate grid in flits/node/cycle, strictly increasing.
     pub loads: Vec<f64>,
     /// Warmup cycles per point.
     pub warmup: u64,
     /// Measured cycles per point.
     pub measure: u64,
-    /// Base seed for per-point seed derivation.
+    /// Base seed; per-point seeds are derived from it and the point's
+    /// coordinates (never from execution order).
     pub base_seed: u64,
-    /// Bisection rounds around the saturation knee.
+    /// Bisection rounds around the saturation knee (0 disables
+    /// refinement).
     pub refine_rounds: usize,
-    /// Stop each curve after its first saturated grid point.
+    /// Stop each curve after its first saturated grid point (as the
+    /// paper's figures do). Power campaigns comparing networks *at
+    /// matched load* turn it off so every setup sweeps the full grid.
     pub stop_at_saturation: bool,
     /// Worker threads (0 = one per core). Execution detail — not part
     /// of any cache key.
     pub threads: usize,
     /// Simulation-engine shards per point. Always 1 in a runnable
     /// spec: campaign points run on the monolithic engine, and
-    /// [`Campaign::from_spec`] refuses any other value.
+    /// [`Campaign::from_spec`](crate::Campaign::from_spec) refuses any
+    /// other value.
     pub shards: usize,
-    /// Power-aware mode technology node.
+    /// Power-aware mode: evaluate the power/area model at this
+    /// technology node for every point, fed the activity factors the
+    /// simulation *measured*. Points then carry power columns and the
+    /// sweep JSON is the `slim_noc-sweep-v2` schema (a superset of v1).
     pub power_tech: Option<TechNode>,
     /// Content-addressed point cache directory. Execution detail — not
     /// part of any cache key.
@@ -290,11 +293,27 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// An empty spec with the same defaults as
-    /// [`Campaign::new`](crate::Campaign::new).
+    /// An empty spec with the defaults: the paper's windows (2 000
+    /// warmup / 10 000 measured cycles), base seed `0xC0FFEE`, no
+    /// refinement, curves stopped at saturation, one thread per core.
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
-        Campaign::new(name).spec_over(Vec::new())
+        CampaignSpec {
+            name: name.into(),
+            setups: Vec::new(),
+            patterns: Vec::new(),
+            workloads: Vec::new(),
+            loads: Vec::new(),
+            warmup: 2_000,
+            measure: 10_000,
+            base_seed: 0xC0FFEE,
+            refine_rounds: 0,
+            stop_at_saturation: true,
+            threads: 0,
+            shards: 1,
+            power_tech: None,
+            cache_dir: None,
+        }
     }
 
     /// Serializes as `slim_noc-spec-v1` JSON (golden-pinned; field
@@ -431,95 +450,11 @@ impl CampaignSpec {
     }
 }
 
-impl Campaign {
-    /// Builds the runnable campaign a spec describes, including its
-    /// point cache when `cache_dir` is set.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] when a setup recipe fails to build or to
-    /// [validate](Setup::validate), two setups share a name (curves
-    /// are keyed by name), `shards` is not 1, or the cache directory
-    /// cannot be opened — everything that would otherwise panic, or
-    /// silently run something else, once the campaign runs.
-    pub fn from_spec(spec: &CampaignSpec) -> Result<Campaign, SpecError> {
-        if spec.shards != 1 {
-            return Err(SpecError::Parse(format!(
-                "`shards` is {}: campaign points always run on the monolithic engine",
-                spec.shards
-            )));
-        }
-        let mut setups = Vec::with_capacity(spec.setups.len());
-        for recipe in &spec.setups {
-            let setup = recipe.build()?;
-            setup.validate()?;
-            if setups.iter().any(|s: &Setup| s.name == setup.name) {
-                return Err(SpecError::DuplicateSetup(setup.name));
-            }
-            setups.push(setup);
-        }
-        let mut campaign = Campaign::new(spec.name.clone())
-            .with_setups(setups)
-            .with_patterns(spec.patterns.clone())
-            .with_workloads(spec.workloads.clone())
-            .with_loads(spec.loads.clone())
-            .with_windows(spec.warmup, spec.measure)
-            .with_seed(spec.base_seed)
-            .with_refinement(spec.refine_rounds)
-            .with_stop_at_saturation(spec.stop_at_saturation)
-            .with_threads(spec.threads);
-        if let Some(tech) = spec.power_tech {
-            campaign = campaign.with_power(tech);
-        }
-        if let Some(dir) = &spec.cache_dir {
-            campaign = campaign.with_cache_dir(dir).map_err(SpecError::Cache)?;
-        }
-        Ok(campaign)
-    }
-
-    /// The serializable spec of this campaign.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Unrepresentable`] when any setup was built
-    /// from a custom topology (no recipe).
-    pub fn to_spec(&self) -> Result<CampaignSpec, SpecError> {
-        let setups = self
-            .setups
-            .iter()
-            .map(|s| {
-                s.to_spec()
-                    .ok_or_else(|| SpecError::Unrepresentable(s.name.clone()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(self.spec_over(setups))
-    }
-
-    /// This campaign's settings as a spec over the given setup recipes.
-    fn spec_over(&self, setups: Vec<SetupSpec>) -> CampaignSpec {
-        CampaignSpec {
-            name: self.name.clone(),
-            setups,
-            patterns: self.patterns.clone(),
-            workloads: self.workloads.clone(),
-            loads: self.loads.clone(),
-            warmup: self.warmup,
-            measure: self.measure,
-            base_seed: self.base_seed,
-            refine_rounds: self.refine_rounds,
-            stop_at_saturation: self.stop_at_saturation,
-            threads: self.threads,
-            shards: 1,
-            power_tech: self.power_tech,
-            cache_dir: self.cache().map(|c| c.dir().display().to_string()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::StormSpec;
+    use crate::Campaign;
 
     fn full_spec() -> CampaignSpec {
         let mut spec = CampaignSpec::new("unit \"spec\"");
@@ -598,15 +533,6 @@ mod tests {
         )
         .expect("nulls are omissions");
         assert_eq!(nulled, spec);
-    }
-
-    #[test]
-    fn spec_and_campaign_share_one_set_of_defaults() {
-        let from_spec = Campaign::from_spec(&CampaignSpec::new("x")).expect("empty spec");
-        assert_eq!(
-            format!("{from_spec:?}"),
-            format!("{:?}", Campaign::new("x"))
-        );
     }
 
     #[test]
@@ -700,34 +626,48 @@ mod tests {
     }
 
     #[test]
-    fn custom_topologies_are_unrepresentable() {
+    fn custom_topologies_have_no_recipe() {
         let topo = snoc_topology::Topology::mesh(4, 4, 1);
         let setup = Setup::from_topology("custom", topo, 0.5).unwrap();
         assert!(setup.to_spec().is_none());
-        let campaign = Campaign::new("c").with_setups(vec![setup]);
-        assert!(matches!(
-            campaign.to_spec(),
-            Err(SpecError::Unrepresentable(_))
-        ));
     }
 
     #[test]
-    fn campaign_round_trips_through_spec() {
+    fn a_campaign_is_its_spec_and_refuses_what_it_cannot_run() {
         let spec = {
             let mut s = full_spec();
             s.cache_dir = None; // no filesystem in this test
             s
         };
         let campaign = Campaign::from_spec(&spec).expect("buildable");
-        assert_eq!(campaign.to_spec().expect("representable"), spec);
+        assert_eq!(campaign.spec(), &spec);
+        let names: Vec<&str> = campaign.setups().iter().map(|s| &*s.name).collect();
+        assert_eq!(names, ["sn54", "sn_s+smart"]);
         // A sharded spec still parses, but no campaign runs it.
-        let sharded = CampaignSpec { shards: 4, ..spec };
+        let sharded = CampaignSpec {
+            shards: 4,
+            ..spec.clone()
+        };
         assert_eq!(
             CampaignSpec::from_json(&sharded.to_json()).unwrap(),
             sharded
         );
-        let err = Campaign::from_spec(&sharded).unwrap_err().to_string();
-        assert!(err.contains("`shards`"), "{err}");
+        let refused = |spec: &CampaignSpec| Campaign::from_spec(spec).unwrap_err().to_string();
+        assert!(refused(&sharded).contains("`shards`"));
+        // A repeated curve or grid point would run twice.
+        let mut twice = spec.clone();
+        twice.patterns.push(TrafficPattern::Random);
+        assert!(refused(&twice).contains("`patterns`"));
+        let mut twice = spec.clone();
+        twice.workloads.push(twice.workloads[0]);
+        assert!(refused(&twice).contains("`workloads`"));
+        for loads in [vec![0.1, 0.1], vec![0.2, 0.1]] {
+            let unsorted = CampaignSpec {
+                loads,
+                ..spec.clone()
+            };
+            assert!(refused(&unsorted).contains("`loads`"));
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Sweep-campaign engine: declarative topology × traffic × load grids.
 //!
 //! The paper's figures are families of latency–throughput curves —
-//! dozens of independent simulations each. A [`Campaign`] describes one
-//! such family declaratively (which [`Setup`]s, which
+//! dozens of independent simulations each. A [`CampaignSpec`] describes
+//! one such family as data (which setup recipes, which
 //! [`TrafficPattern`]s, which injection-rate grid, which simulation
-//! windows) and [`Campaign::run`] fans the curves out over worker
-//! threads, giving every simulated point a seed derived from the spec
-//! alone. Results are therefore **bit-identical for every thread
-//! count** and can be re-derived point-by-point.
+//! windows); [`Campaign::from_spec`] makes it runnable and
+//! [`Campaign::run`] fans the curves out over worker threads, giving
+//! every simulated point a seed derived from the spec alone. Results
+//! are therefore **bit-identical for every thread count** and can be
+//! re-derived point-by-point.
 //!
 //! Around the saturation knee the fixed grid is coarse; optional
 //! adaptive refinement bisects the interval between the last
@@ -21,15 +22,15 @@
 //! # Example
 //!
 //! ```
-//! use snoc_core::{Campaign, Setup};
+//! use snoc_core::{Campaign, CampaignSpec, SetupSpec};
 //! use snoc_traffic::TrafficPattern;
 //!
-//! let campaign = Campaign::new("demo")
-//!     .with_setups(vec![Setup::paper("sn54")?])
-//!     .with_patterns(vec![TrafficPattern::Random])
-//!     .with_loads(vec![0.02, 0.05])
-//!     .with_windows(200, 800);
-//! let result = campaign.run();
+//! let mut spec = CampaignSpec::new("demo");
+//! spec.setups = vec![SetupSpec::new("sn54")];
+//! spec.patterns = vec![TrafficPattern::Random];
+//! spec.loads = vec![0.02, 0.05];
+//! (spec.warmup, spec.measure) = (200, 800);
+//! let result = Campaign::from_spec(&spec)?.run();
 //! assert_eq!(result.points.len(), 2);
 //! assert!(result.to_json().contains("\"schema\""));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -41,9 +42,10 @@ use crate::json::{Floats, Raw, Writer};
 use crate::parallel::parallel_map_with_threads;
 use crate::report::Series;
 use crate::setup::{Setup, Traffic};
+use crate::spec::{CampaignSpec, SpecError};
 use snoc_power::TechNode;
 use snoc_sim::{saturation_heuristic, RoutingTable};
-use snoc_traffic::{TraceWorkload, TrafficPattern};
+use snoc_traffic::TrafficPattern;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -70,143 +72,104 @@ struct Curve<'a> {
     misses: u64,
 }
 
-/// A declarative sweep specification: every combination of setup ×
-/// pattern is one latency–load curve, swept over `loads` (plus optional
-/// knee refinement); every setup × workload is one point at its own.
+/// A runnable campaign: the [`CampaignSpec`] it was built from, that
+/// spec's setups built and validated, and the attached point cache.
+/// Every combination of setup × pattern is one latency–load curve,
+/// swept over the spec's loads (plus optional knee refinement); every
+/// setup × workload is one point at its own rate.
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    /// Campaign name (recorded in the JSON output).
-    pub name: String,
-    /// Experiment configurations (one curve per setup per pattern).
-    pub setups: Vec<Setup>,
-    /// Traffic patterns.
-    pub patterns: Vec<TrafficPattern>,
-    /// Trace workloads: one point per setup each, its name in the
-    /// `pattern` column, at `load = offered_flit_rate()`. The trace is
-    /// `warmup + measure` cycles long, generated from the point's seed
-    /// and measured from `warmup` on.
-    pub workloads: Vec<TraceWorkload>,
-    /// Injection-rate grid in flits/node/cycle.
-    pub loads: Vec<f64>,
-    /// Warmup cycles per point.
-    pub warmup: u64,
-    /// Measured cycles per point.
-    pub measure: u64,
-    /// Base seed; per-point seeds are derived from it and the point's
-    /// coordinates (never from execution order).
-    pub base_seed: u64,
-    /// Bisection rounds around the saturation knee (0 disables
-    /// refinement).
-    pub refine_rounds: usize,
-    /// Stop a curve after its first saturated grid point (as the
-    /// paper's figures do).
-    pub stop_at_saturation: bool,
-    /// Worker threads (0 = one per available core).
-    pub threads: usize,
-    /// Power-aware campaign mode: evaluate the power/area model at this
-    /// technology node for every point, feeding it the activity factors
-    /// the simulation *measured*. Points then carry
-    /// [`SweepPoint::power`] columns and [`CampaignResult::to_json`]
-    /// emits the `slim_noc-sweep-v2` schema (a superset of v1).
-    pub power_tech: Option<TechNode>,
-    /// Content-addressed point cache ([`Campaign::with_cache_dir`]).
-    /// Shared (`Arc`) so concurrent campaigns — e.g. server clients —
-    /// reuse each other's warm points.
+    spec: CampaignSpec,
+    setups: Vec<Setup>,
+    /// Content-addressed point cache. Shared (`Arc`) so concurrent
+    /// campaigns — e.g. server clients — reuse each other's warm points.
     cache: Option<Arc<PointCache>>,
 }
 
 impl Campaign {
-    /// Creates an empty campaign with the paper's default windows
-    /// (2 000 warmup / 10 000 measured cycles).
+    /// The campaign a spec describes, including its point cache when
+    /// `cache_dir` is set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError`] when `shards` is not 1, a pattern or
+    /// workload is listed twice, the loads do not strictly increase, a
+    /// setup recipe fails to build or to [validate](Setup::validate),
+    /// two setups share a name (curves are keyed by name), or the cache
+    /// directory cannot be opened — everything that would otherwise
+    /// panic, run a point twice, or silently run something else once
+    /// the campaign runs.
+    pub fn from_spec(spec: &CampaignSpec) -> Result<Campaign, SpecError> {
+        if spec.shards != 1 {
+            return Err(SpecError::Parse(format!(
+                "`shards` is {}: campaign points always run on the monolithic engine",
+                spec.shards
+            )));
+        }
+        once("patterns", spec.patterns.iter().map(|p| p.short_name()))?;
+        once("workloads", spec.workloads.iter().map(|w| w.name))?;
+        if let Some(pair) = spec.loads.windows(2).find(|pair| pair[0] >= pair[1]) {
+            return Err(SpecError::Parse(format!(
+                "`loads` must strictly increase, but {} is followed by {}",
+                pair[0], pair[1]
+            )));
+        }
+        let mut setups = Vec::with_capacity(spec.setups.len());
+        for recipe in &spec.setups {
+            let setup = recipe.build()?;
+            setup.validate()?;
+            if setups.iter().any(|s: &Setup| s.name == setup.name) {
+                return Err(SpecError::DuplicateSetup(setup.name));
+            }
+            setups.push(setup);
+        }
+        let cache = match &spec.cache_dir {
+            Some(dir) => Some(Arc::new(PointCache::open(dir).map_err(SpecError::Cache)?)),
+            None => None,
+        };
+        Ok(Campaign {
+            spec: spec.clone(),
+            setups,
+            cache,
+        })
+    }
+
+    /// A campaign of no setups under [`CampaignSpec::new`]'s defaults:
+    /// it runs nothing, and serves [`Campaign::point_seed`] under
+    /// [`Campaign::with_seed`].
     #[must_use]
     pub fn new(name: impl Into<String>) -> Self {
         Campaign {
-            name: name.into(),
+            spec: CampaignSpec::new(name),
             setups: Vec::new(),
-            patterns: Vec::new(),
-            workloads: Vec::new(),
-            loads: Vec::new(),
-            warmup: 2_000,
-            measure: 10_000,
-            base_seed: 0xC0FFEE,
-            refine_rounds: 0,
-            stop_at_saturation: true,
-            threads: 0,
-            power_tech: None,
             cache: None,
         }
-    }
-
-    /// Sets the experiment setups.
-    #[must_use]
-    pub fn with_setups(mut self, setups: Vec<Setup>) -> Self {
-        self.setups = setups;
-        self
-    }
-
-    /// Sets the traffic patterns.
-    #[must_use]
-    pub fn with_patterns(mut self, patterns: Vec<TrafficPattern>) -> Self {
-        self.patterns = patterns;
-        self
-    }
-
-    /// Sets the trace workloads (see [`Campaign::workloads`]).
-    #[must_use]
-    pub fn with_workloads(mut self, workloads: Vec<TraceWorkload>) -> Self {
-        self.workloads = workloads;
-        self
-    }
-
-    /// Sets the injection-rate grid.
-    #[must_use]
-    pub fn with_loads(mut self, loads: Vec<f64>) -> Self {
-        self.loads = loads;
-        self
-    }
-
-    /// Sets warmup and measurement windows in cycles.
-    #[must_use]
-    pub fn with_windows(mut self, warmup: u64, measure: u64) -> Self {
-        self.warmup = warmup;
-        self.measure = measure;
-        self
     }
 
     /// Sets the base seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
+        self.spec.base_seed = seed;
         self
     }
 
-    /// Enables adaptive knee refinement with the given bisection rounds.
+    /// The spec the campaign was built from.
     #[must_use]
-    pub fn with_refinement(mut self, rounds: usize) -> Self {
-        self.refine_rounds = rounds;
-        self
+    pub fn spec(&self) -> &CampaignSpec {
+        &self.spec
     }
 
-    /// Sets the worker thread count (0 = one per core).
+    /// The spec's setups, built and validated, in spec order.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
+    pub fn setups(&self) -> &[Setup] {
+        &self.setups
     }
 
-    /// Enables power-aware mode: every point additionally runs the
-    /// power/area model at `tech`, driven by measured activity.
-    #[must_use]
-    pub fn with_power(mut self, tech: TechNode) -> Self {
-        self.power_tech = Some(tech);
-        self
-    }
-
-    /// Attaches a shared content-addressed point cache: points whose
-    /// coordinate (setup recipe × pattern × load bits × windows × base
-    /// seed × tech) is already stored are reconstructed instead of
-    /// simulated, bit-identically to a cold run. Setups without a
-    /// serializable recipe ([`Setup::from_topology`]) always simulate.
+    /// Attaches a shared content-addressed point cache in place of the
+    /// spec's own: points whose coordinate (setup recipe × pattern ×
+    /// load bits × windows × base seed × tech) is already stored are
+    /// reconstructed instead of simulated, bit-identically to a cold
+    /// run.
     #[must_use]
     pub fn with_cache(mut self, cache: Arc<PointCache>) -> Self {
         self.cache = Some(cache);
@@ -214,7 +177,9 @@ impl Campaign {
     }
 
     /// Opens (creating if needed) a [`PointCache`] at `dir` and
-    /// attaches it; see [`Campaign::with_cache`].
+    /// attaches it; see [`Campaign::with_cache`]. A spec names its
+    /// store with `cache_dir` instead; after this call `spec().cache_dir`
+    /// no longer describes [`Campaign::cache`].
     ///
     /// # Errors
     ///
@@ -227,16 +192,6 @@ impl Campaign {
     #[must_use]
     pub fn cache(&self) -> Option<&Arc<PointCache>> {
         self.cache.as_ref()
-    }
-
-    /// Controls whether curves stop after their first saturated grid
-    /// point (the figure convention; on by default). Power campaigns
-    /// comparing networks *at matched load* disable this so every
-    /// setup is evaluated over the full grid.
-    #[must_use]
-    pub fn with_stop_at_saturation(mut self, stop: bool) -> Self {
-        self.stop_at_saturation = stop;
-        self
     }
 
     /// The deterministic seed of one simulated point. Derived only from
@@ -252,19 +207,12 @@ impl Campaign {
     fn seed_of(&self, setup: &str, traffic: &str, load: f64) -> u64 {
         let load = load.to_bits().to_le_bytes();
         let parts: [&[u8]; 3] = [setup.as_bytes(), traffic.as_bytes(), &load];
-        mix64(0xcbf2_9ce4_8422_2325 ^ self.base_seed, &parts)
+        mix64(0xcbf2_9ce4_8422_2325 ^ self.spec.base_seed, &parts)
     }
 
     /// Runs the campaign: one parallel task per (setup, pattern) and
     /// per (setup, workload) curve. Output ordering and every simulated
     /// number are independent of the thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two setups share a name: names identify curves in the
-    /// result and feed the per-point seeds, so a duplicate would
-    /// silently interleave two curves into one. Give variants distinct
-    /// names (`setup.name = "sn_s+smart".into()`) before adding them.
     #[must_use]
     pub fn run(&self) -> CampaignResult {
         self.run_observed(|_| {})
@@ -274,10 +222,6 @@ impl Campaign {
     /// (from worker threads, in completion order — *not* result order).
     /// The campaign server streams progress through this; [`run`] is
     /// this with a no-op observer.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate setup names; see [`Campaign::run`].
     ///
     /// [`run`]: Campaign::run
     #[must_use]
@@ -298,23 +242,15 @@ impl Campaign {
         tables: &[TableSlot],
         observe: F,
     ) -> CampaignResult {
-        for (i, a) in self.setups.iter().enumerate() {
-            assert!(
-                !self.setups[..i].iter().any(|b| b.name == a.name),
-                "campaign `{}`: duplicate setup name `{}` — curves are keyed \
-                 by name; rename one variant before running",
-                self.name,
-                a.name
-            );
-        }
-        let patterns = self.patterns.iter().copied().map(Traffic::Pattern);
+        let spec = &self.spec;
+        let patterns = spec.patterns.iter().copied().map(Traffic::Pattern);
         let traffics: Vec<Traffic<'_>> = patterns
-            .chain(self.workloads.iter().map(Traffic::Trace))
+            .chain(spec.workloads.iter().map(Traffic::Trace))
             .collect();
         let pairs: Vec<(usize, Traffic<'_>)> = (0..self.setups.len())
             .flat_map(|s| traffics.iter().map(move |&t| (s, t)))
             .collect();
-        let curves = parallel_map_with_threads(pairs, self.threads, |(s, traffic)| {
+        let curves = parallel_map_with_threads(pairs, spec.threads, |(s, traffic)| {
             let setup = &self.setups[s];
             let curve = Curve {
                 setup,
@@ -335,13 +271,13 @@ impl Campaign {
             cache_misses += misses;
         }
         CampaignResult {
-            name: self.name.clone(),
+            name: spec.name.clone(),
             setups: self.setups.iter().map(|s| s.name.clone()).collect(),
             patterns: traffics.iter().map(|t| t.name().to_string()).collect(),
-            warmup: self.warmup,
-            measure: self.measure,
-            base_seed: self.base_seed,
-            tech: self.power_tech,
+            warmup: spec.warmup,
+            measure: spec.measure,
+            base_seed: spec.base_seed,
+            tech: spec.power_tech,
             cache_hits,
             cache_misses,
             points,
@@ -360,7 +296,7 @@ impl Campaign {
         let mut last_ok: Option<f64> = None;
         let mut first_sat: Option<f64> = None;
         let loads = match curve.traffic {
-            Traffic::Pattern(_) => self.loads.clone(),
+            Traffic::Pattern(_) => self.spec.loads.clone(),
             Traffic::Trace(workload) => vec![workload.offered_flit_rate()],
         };
         for load in loads {
@@ -370,7 +306,7 @@ impl Campaign {
             points.push(point);
             if saturated {
                 first_sat = Some(load);
-                if self.stop_at_saturation {
+                if self.spec.stop_at_saturation {
                     break;
                 }
             } else if first_sat.is_none() {
@@ -381,7 +317,7 @@ impl Campaign {
         // halves the interval between the highest load known to be
         // below saturation and the lowest known saturated load.
         if let (Some(mut lo), Some(mut hi)) = (last_ok, first_sat) {
-            for _ in 0..self.refine_rounds {
+            for _ in 0..self.spec.refine_rounds {
                 let mid = 0.5 * (lo + hi);
                 let point = self.run_point(&mut curve, mid, true);
                 observe(&point);
@@ -398,19 +334,20 @@ impl Campaign {
     }
 
     /// The load-independent halves of the cache keys of one curve, when
-    /// the campaign has a cache and the setup a serializable recipe:
-    /// the recipe is serialized once per curve, not once per point.
+    /// the campaign has a cache: the recipe of the setup as built is
+    /// serialized once per curve, not once per point.
     fn key_halves(&self, setup: &Setup, traffic: Traffic<'_>) -> Option<[String; 2]> {
         self.cache.as_ref()?;
         let setup_spec = setup.to_spec()?.canonical_json();
-        let tech = self.power_tech.map(|t| t.to_string());
+        let spec = &self.spec;
+        let tech = spec.power_tech.map(|t| t.to_string());
         let coord = PointCoord {
             setup_spec: &setup_spec,
             pattern: traffic.name(),
             load: 0.0, // in neither half
-            warmup: self.warmup,
-            measure: self.measure,
-            base_seed: self.base_seed,
+            warmup: spec.warmup,
+            measure: spec.measure,
+            base_seed: spec.base_seed,
             shards: 1, // every point runs on the monolithic engine
             tech: tech.as_deref(),
         };
@@ -431,8 +368,8 @@ impl Campaign {
         } else {
             let table = curve.table.get_or_init(|| setup.minimal_table());
             let seeded = setup.clone().with_seed(seed);
-            let report =
-                seeded.run_point(traffic, load, self.warmup, self.measure, Arc::clone(table));
+            let (warmup, measure) = (self.spec.warmup, self.spec.measure);
+            let report = seeded.run_point(traffic, load, warmup, measure, Arc::clone(table));
             let point = CachedPoint {
                 latency: report.avg_packet_latency(),
                 p99_latency: report.latency_percentile(0.99),
@@ -444,6 +381,7 @@ impl Campaign {
                 injected_packets: report.injected_packets,
                 drained: report.drained,
                 power: self
+                    .spec
                     .power_tech
                     .map(|tech| PowerPoint::from_report(&seeded.power_report(tech, &report))),
             };
@@ -482,6 +420,19 @@ impl Campaign {
             power: point.power,
         }
     }
+}
+
+/// Refuses a spec list that names a curve twice: it would run twice and
+/// interleave in [`CampaignResult::series`].
+fn once<'a>(field: &str, names: impl Iterator<Item = &'a str>) -> Result<(), SpecError> {
+    let mut seen = Vec::new();
+    for name in names {
+        if seen.contains(&name) {
+            return Err(SpecError::Parse(format!("`{field}` lists `{name}` twice")));
+        }
+        seen.push(name);
+    }
+    Ok(())
 }
 
 /// Power/area columns of one power-aware sweep point, condensed from a
@@ -648,7 +599,8 @@ impl CampaignResult {
     }
 
     /// The point of curve (setup, pattern) at exactly `load`: the grid
-    /// value swept, or a workload's [`TraceWorkload::offered_flit_rate`].
+    /// value swept, or a workload's
+    /// [`offered_flit_rate`](snoc_traffic::TraceWorkload::offered_flit_rate).
     #[must_use]
     pub fn point(&self, setup: &str, pattern: &str, load: f64) -> Option<&SweepPoint> {
         self.points
@@ -693,7 +645,7 @@ impl CampaignResult {
 
     /// The highest accepted throughput on one curve: the saturation-
     /// throughput estimate of a curve swept past its knee
-    /// ([`Campaign::with_stop_at_saturation`]`(false)`). `0.0` for a
+    /// ([`CampaignSpec::stop_at_saturation`] off). `0.0` for a
     /// curve without points.
     #[must_use]
     pub fn peak_throughput(&self, setup: &str, pattern: &str) -> f64 {
@@ -706,7 +658,7 @@ impl CampaignResult {
     /// [`json::Writer`](crate::json::Writer).
     ///
     /// Plain latency campaigns emit schema `slim_noc-sweep-v1`.
-    /// Power-aware campaigns ([`Campaign::with_power`]) emit
+    /// Power-aware campaigns ([`CampaignSpec::power_tech`]) emit
     /// `slim_noc-sweep-v2`, a strict superset: every v1 field keeps its
     /// name, order, and units, and each point gains trailing power/area
     /// columns (`power_w`, `static_w`, `dynamic_w`, `area_mm2`,
@@ -759,13 +711,27 @@ const SWEEP_FLOATS: Floats = Floats::Decimals(6);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SetupSpec;
+
+    fn tiny_spec() -> CampaignSpec {
+        let mut spec = CampaignSpec::new("unit");
+        spec.setups = vec![SetupSpec::new("sn54")];
+        spec.patterns = vec![TrafficPattern::Random];
+        spec.loads = vec![0.02, 0.05];
+        (spec.warmup, spec.measure) = (150, 500);
+        spec
+    }
 
     fn tiny_campaign() -> Campaign {
-        Campaign::new("unit")
-            .with_setups(vec![Setup::paper("sn54").expect("paper config")])
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_loads(vec![0.02, 0.05])
-            .with_windows(150, 500)
+        Campaign::from_spec(&tiny_spec()).expect("valid spec")
+    }
+
+    fn powered_campaign() -> Campaign {
+        let spec = CampaignSpec {
+            power_tech: Some(TechNode::N45),
+            ..tiny_spec()
+        };
+        Campaign::from_spec(&spec).expect("valid spec")
     }
 
     #[test]
@@ -802,15 +768,12 @@ mod tests {
     fn table_slots_fill_once_per_simulated_setup_and_never_on_a_warm_run() {
         let dir = std::env::temp_dir().join(format!("snoc_sweep_slots_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let campaign = tiny_campaign()
-            .with_setups(vec![
-                Setup::paper("sn54").expect("paper config"),
-                Setup::paper("fbf3").expect("paper config"),
-            ])
-            .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
-            .with_threads(2)
-            .with_cache_dir(&dir)
-            .expect("cache dir");
+        let mut spec = tiny_spec();
+        spec.setups.push(SetupSpec::new("fbf3"));
+        spec.patterns.push(TrafficPattern::Adversarial1);
+        spec.threads = 2;
+        spec.cache_dir = Some(dir.display().to_string());
+        let campaign = Campaign::from_spec(&spec).expect("valid spec");
         let slots = || -> Vec<TableSlot> { (0..2).map(|_| OnceLock::new()).collect() };
         let filled = |tables: &[TableSlot]| tables.iter().filter(|t| t.get().is_some()).count();
         // Cold: 2 curves × 2 loads per setup all miss, one table each.
@@ -820,7 +783,7 @@ mod tests {
         assert_eq!(filled(&cold_tables), 2);
         // Each slot holds its own setup's table, and no finished point
         // kept a reference to it.
-        for (slot, setup) in cold_tables.iter().zip(&campaign.setups) {
+        for (slot, setup) in cold_tables.iter().zip(campaign.setups()) {
             let table = slot.get().expect("filled");
             let r0 = snoc_topology::RouterId(0);
             assert_eq!(table.port_count(r0), setup.topology.neighbors(r0).len());
@@ -850,12 +813,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate setup name")]
-    fn duplicate_setup_names_are_rejected() {
-        let base = Setup::paper("sn54").expect("paper config");
-        let _ = tiny_campaign()
-            .with_setups(vec![base.clone(), base.with_smart(true)])
-            .run();
+    fn duplicate_setup_names_are_refused() {
+        let mut spec = tiny_spec();
+        spec.setups.push(SetupSpec {
+            smart: true,
+            ..SetupSpec::new("sn54")
+        });
+        assert!(matches!(
+            Campaign::from_spec(&spec),
+            Err(SpecError::DuplicateSetup(name)) if name == "sn54"
+        ));
     }
 
     #[test]
@@ -925,7 +892,7 @@ mod tests {
 
     #[test]
     fn power_campaign_attaches_measured_power_columns() {
-        let r = tiny_campaign().with_power(TechNode::N45).run();
+        let r = powered_campaign().run();
         assert_eq!(r.tech, Some(TechNode::N45));
         for p in &r.points {
             let pw = p.power.expect("power-aware point");
@@ -954,7 +921,7 @@ mod tests {
 
     #[test]
     fn v2_json_is_a_superset_of_v1() {
-        let v2 = tiny_campaign().with_power(TechNode::N45).run();
+        let v2 = powered_campaign().run();
         let json = v2.to_json();
         assert!(json.contains("\"schema\": \"slim_noc-sweep-v2\""));
         assert!(json.contains("\"tech\": \"45nm\""));

@@ -11,11 +11,12 @@
 //!     unreachable, forcing a full re-simulation.
 
 use snoc_core::{
-    CachedPoint, Campaign, CampaignResult, FaultsSpec, PointCache, PointCoord, Setup, StormSpec,
+    CachedPoint, Campaign, CampaignResult, CampaignSpec, FaultsSpec, PointCache, PointCoord,
+    SetupSpec, StormSpec,
 };
 use snoc_power::TechNode;
 use snoc_traffic::{TraceWorkload, TrafficPattern};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmp(name: &str) -> PathBuf {
@@ -25,15 +26,26 @@ fn tmp(name: &str) -> PathBuf {
     dir
 }
 
+fn spec(loads: &[f64]) -> CampaignSpec {
+    let mut spec = CampaignSpec::new("cache-contract");
+    spec.setups = vec![SetupSpec::new("sn54"), SetupSpec::new("cm3")];
+    spec.patterns = vec![TrafficPattern::Random];
+    spec.loads = loads.to_vec();
+    (spec.warmup, spec.measure) = (150, 500);
+    spec
+}
+
 fn campaign(loads: &[f64]) -> Campaign {
-    Campaign::new("cache-contract")
-        .with_setups(vec![
-            Setup::paper("sn54").expect("paper config"),
-            Setup::paper("cm3").expect("paper config"),
-        ])
-        .with_patterns(vec![TrafficPattern::Random])
-        .with_loads(loads.to_vec())
-        .with_windows(150, 500)
+    Campaign::from_spec(&spec(loads)).expect("valid spec")
+}
+
+/// The same campaign, reading and filling the store at `dir`.
+fn cached(loads: &[f64], dir: &Path) -> Campaign {
+    let spec = CampaignSpec {
+        cache_dir: Some(dir.display().to_string()),
+        ..spec(loads)
+    };
+    Campaign::from_spec(&spec).expect("valid spec")
 }
 
 const NARROW: [f64; 2] = [0.02, 0.05];
@@ -50,19 +62,13 @@ fn points_per_run(loads: &[f64]) -> u64 {
 #[test]
 fn warm_rerun_simulates_nothing_and_matches_cold_bytes() {
     let dir = tmp("identical");
-    let cold = campaign(&NARROW)
-        .with_cache_dir(&dir)
-        .expect("open cache")
-        .run();
+    let cold = cached(&NARROW, &dir).run();
     assert_eq!(cold.cache_hits, 0, "cold run: nothing to hit");
     assert_eq!(cold.cache_misses, points_per_run(&NARROW));
     assert_eq!(cold.points.len() as u64, points_per_run(&NARROW));
 
     // Same spec again, fresh cache handle from disk: zero simulations.
-    let warm = campaign(&NARROW)
-        .with_cache_dir(&dir)
-        .expect("open cache")
-        .run();
+    let warm = cached(&NARROW, &dir).run();
     assert_eq!(
         warm.cache_misses, 0,
         "identical rerun must simulate nothing"
@@ -75,10 +81,7 @@ fn warm_rerun_simulates_nothing_and_matches_cold_bytes() {
 #[test]
 fn widened_sweep_simulates_only_the_new_points() {
     let dir = tmp("widen");
-    let narrow = campaign(&NARROW)
-        .with_cache_dir(&dir)
-        .expect("open cache")
-        .run();
+    let narrow = cached(&NARROW, &dir).run();
     assert_eq!(narrow.cache_misses, points_per_run(&NARROW));
 
     // Reference: a cold run of the widened grid, no cache anywhere.
@@ -91,10 +94,7 @@ fn widened_sweep_simulates_only_the_new_points() {
     );
 
     // Warm run of the widened grid: old points replay, new points run.
-    let warm_wide = campaign(&WIDE)
-        .with_cache_dir(&dir)
-        .expect("open cache")
-        .run();
+    let warm_wide = cached(&WIDE, &dir).run();
     assert_eq!(warm_wide.cache_hits, points_per_run(&NARROW));
     assert_eq!(
         warm_wide.cache_misses,
@@ -113,10 +113,7 @@ fn widened_sweep_simulates_only_the_new_points() {
 #[test]
 fn engine_version_salt_invalidates_stale_entries() {
     let dir = tmp("salt");
-    let first = campaign(&NARROW)
-        .with_cache_dir(&dir)
-        .expect("open cache")
-        .run();
+    let first = cached(&NARROW, &dir).run();
     assert_eq!(first.cache_misses, points_per_run(&NARROW));
 
     // Same directory, different engine version: everything is stale.
@@ -138,10 +135,12 @@ fn engine_version_salt_invalidates_stale_entries() {
 fn power_campaigns_cache_their_power_columns() {
     let dir = tmp("power");
     let with_power = |loads: &[f64]| {
-        campaign(loads)
-            .with_power(TechNode::N45)
-            .with_cache_dir(&dir)
-            .expect("open cache")
+        let spec = CampaignSpec {
+            power_tech: Some(TechNode::N45),
+            cache_dir: Some(dir.display().to_string()),
+            ..spec(loads)
+        };
+        Campaign::from_spec(&spec).expect("valid spec")
     };
     let cold = with_power(&NARROW).run();
     assert!(cold.points.iter().all(|p| p.power.is_some()));
@@ -155,10 +154,7 @@ fn power_campaigns_cache_their_power_columns() {
 
     // Power and plain campaigns must not share cache keys: the same
     // coordinates without a tech node re-simulate.
-    let plain = campaign(&NARROW)
-        .with_cache_dir(&dir)
-        .expect("open cache")
-        .run();
+    let plain = cached(&NARROW, &dir).run();
     assert_eq!(plain.cache_hits, 0, "tech is part of the cache key");
     assert_eq!(plain.cache_misses, points_per_run(&NARROW));
     let _ = std::fs::remove_dir_all(&dir);
@@ -179,44 +175,35 @@ fn faulted_points_round_trip_the_cache_under_their_own_keys() {
             seed: 3,
         }),
     };
-    let faulted = |dir: &PathBuf| {
-        Campaign::new("fault-cache")
-            .with_setups(vec![Setup::paper("sn54")
-                .expect("paper config")
-                .with_faults(storm.clone())])
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_loads(vec![0.02, 0.05])
-            .with_windows(150, 800)
-            .with_cache_dir(dir)
-            .expect("open cache")
-    };
-    let cold = faulted(&dir).run();
+    let mut plain = CampaignSpec::new("fault-cache");
+    plain.setups = vec![SetupSpec::new("sn54")];
+    plain.patterns = vec![TrafficPattern::Random];
+    plain.loads = vec![0.02, 0.05];
+    (plain.warmup, plain.measure) = (150, 800);
+    plain.cache_dir = Some(dir.display().to_string());
+    let mut spec = plain.clone();
+    spec.setups[0].faults = Some(storm);
+    let faulted = |spec: &CampaignSpec| Campaign::from_spec(spec).expect("valid spec").run();
+    let cold = faulted(&spec);
     assert_eq!(cold.cache_misses, 2);
     assert!(
         cold.points.iter().any(|p| p.dropped_packets > 0),
         "the storm must actually bite for this test to mean anything"
     );
 
-    let warm = faulted(&dir).run();
+    let warm = faulted(&spec);
     assert_eq!(warm.cache_misses, 0, "faulted points replay from cache");
     assert_eq!(warm.cache_hits, 2);
     assert_eq!(warm.to_json(), cold.to_json(), "byte-identical replay");
 
     // Faulted runs are deterministic across worker-thread counts, so
     // parallel campaigns hit the sequential run's cache entries.
-    let threaded = faulted(&dir).with_threads(2).run();
+    let threaded = faulted(&CampaignSpec { threads: 2, ..spec });
     assert_eq!(threaded.cache_misses, 0, "thread count must not leak in");
     assert_eq!(threaded.to_json(), cold.to_json());
 
     // Same coordinates without the fault recipe: different keys.
-    let plain = Campaign::new("fault-cache")
-        .with_setups(vec![Setup::paper("sn54").expect("paper config")])
-        .with_patterns(vec![TrafficPattern::Random])
-        .with_loads(vec![0.02, 0.05])
-        .with_windows(150, 800)
-        .with_cache_dir(&dir)
-        .expect("open cache")
-        .run();
+    let plain = faulted(&plain);
     assert_eq!(plain.cache_hits, 0, "faults are part of the cache key");
     assert_eq!(plain.cache_misses, 2);
     let _ = std::fs::remove_dir_all(&dir);
@@ -227,22 +214,20 @@ fn refined_points_are_cached_too() {
     // Refinement bisections carry deterministic loads, so they hit the
     // cache on replay exactly like grid points.
     let dir = tmp("refine");
-    let c = |dir: &PathBuf| {
-        Campaign::new("refine-cache")
-            .with_setups(vec![Setup::paper("sn54").expect("paper config")])
-            .with_patterns(vec![TrafficPattern::Random])
-            // High tail load so the curve saturates and refinement has
-            // a bracket to bisect.
-            .with_loads(vec![0.05, 0.6])
-            .with_windows(150, 500)
-            .with_refinement(2)
-            .with_cache_dir(dir)
-            .expect("open cache")
-    };
-    let cold = c(&dir).run();
+    let mut spec = CampaignSpec::new("refine-cache");
+    spec.setups = vec![SetupSpec::new("sn54")];
+    spec.patterns = vec![TrafficPattern::Random];
+    // High tail load so the curve saturates and refinement has a
+    // bracket to bisect.
+    spec.loads = vec![0.05, 0.6];
+    (spec.warmup, spec.measure) = (150, 500);
+    spec.refine_rounds = 2;
+    spec.cache_dir = Some(dir.display().to_string());
+    let c = || Campaign::from_spec(&spec).expect("valid spec");
+    let cold = c().run();
     let refined = cold.points.iter().filter(|p| p.refined).count();
     assert_eq!(refined, 2, "two bisection rounds");
-    let warm = c(&dir).run();
+    let warm = c().run();
     assert_eq!(warm.cache_misses, 0, "refined points replay from cache");
     assert_eq!(warm.cache_hits, cold.cache_misses);
     assert_eq!(warm.to_json(), cold.to_json());
@@ -265,11 +250,12 @@ fn a_store_filled_under_the_public_key_is_all_hits_for_a_campaign() {
             seed: 3,
         }),
     };
-    let mut faulted = Setup::paper("sn54")
-        .expect("paper config")
-        .with_faults(storm);
-    faulted.name = "sn54 \"storm\"".to_string();
-    let setups = vec![Setup::paper("cm3").expect("paper config"), faulted];
+    let faulted = SetupSpec {
+        name: "sn54 \"storm\"".to_string(),
+        faults: Some(storm),
+        ..SetupSpec::new("sn54")
+    };
+    let setups = vec![SetupSpec::new("cm3"), faulted];
     let fft = TraceWorkload::by_name("fft").expect("benchmark name");
     let loads = [1e-9, 0.3, 123_456.789];
     let (warmup, measure, base_seed) = (150, 500, 0xC0FFEE);
@@ -291,7 +277,7 @@ fn a_store_filled_under_the_public_key_is_all_hits_for_a_campaign() {
         let tech_name = tech.map(|t| t.to_string());
         let mut written = 0;
         for setup in &setups {
-            let recipe = setup.to_spec().expect("paper setup").canonical_json();
+            let recipe = setup.canonical_json();
             let rnd = loads.map(|load| ("RND", load));
             for (pattern, load) in rnd.into_iter().chain([("fft", fft.offered_flit_rate())]) {
                 let coord = PointCoord {
@@ -311,18 +297,16 @@ fn a_store_filled_under_the_public_key_is_all_hits_for_a_campaign() {
             }
         }
         drop(writer);
-        let mut campaign = Campaign::new("public-key")
-            .with_setups(setups.clone())
-            .with_patterns(vec![TrafficPattern::Random])
-            .with_workloads(vec![fft])
-            .with_loads(loads.to_vec())
-            .with_windows(warmup, measure)
-            .with_seed(base_seed)
-            .with_stop_at_saturation(false);
-        if let Some(tech) = tech {
-            campaign = campaign.with_power(tech);
-        }
-        let run = campaign.with_cache_dir(&dir).expect("open cache").run();
+        let mut spec = CampaignSpec::new("public-key");
+        spec.setups.clone_from(&setups);
+        spec.patterns = vec![TrafficPattern::Random];
+        spec.workloads = vec![fft];
+        spec.loads = loads.to_vec();
+        (spec.warmup, spec.measure, spec.base_seed) = (warmup, measure, base_seed);
+        spec.stop_at_saturation = false;
+        spec.power_tech = tech;
+        spec.cache_dir = Some(dir.display().to_string());
+        let run = Campaign::from_spec(&spec).expect("valid spec").run();
         assert_eq!((run.cache_hits, run.cache_misses), (written, 0), "{tech:?}");
         assert!(run.points.iter().all(|p| p.latency == stored.latency));
         let _ = std::fs::remove_dir_all(&dir);

@@ -4,7 +4,8 @@
 //! Byte stability matters beyond aesthetics here — the serialized
 //! setup recipes feed the content-addressed cache keys, so any
 //! serialize → parse → serialize drift would re-key (cold-start)
-//! existing caches.
+//! existing caches. For the same reason the recipe a built setup
+//! reports must build that setup again.
 //!
 //! Also here: the parser's never-panic property. Specs arrive from the
 //! network (`POST /campaign`), so `CampaignSpec::from_json` must turn
@@ -18,7 +19,9 @@
 
 use proptest::prelude::*;
 use snoc_core::json::{self, JsonValue, Reader};
-use snoc_core::{BufferPreset, CampaignResult, CampaignSpec, SetupSpec, SweepPoint};
+use snoc_core::{
+    BufferPreset, CampaignResult, CampaignSpec, FaultsSpec, SetupSpec, StormSpec, SweepPoint,
+};
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
 use snoc_sim::RoutingKind;
@@ -201,6 +204,35 @@ proptest! {
         prop_assert_eq!(&setups, &names);
         let rows = list("points").iter().filter_map(|p| p.get("setup")?.as_str());
         prop_assert_eq!(rows.collect::<Vec<_>>(), names[..result.points.len()].to_vec());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A campaign keys its cache on the recipe of each setup *as
+    /// built*, so that recipe must build the very setup that ran —
+    /// including the recipes `build` normalises: a layout on a
+    /// non-SN configuration (ignored) and an empty fault recipe (none).
+    #[test]
+    fn the_recipe_of_a_built_setup_rebuilds_it(bits in 1u64..u64::MAX, faults in 0u64..3) {
+        let mut recipe = setup_from(bits);
+        recipe.faults = match faults {
+            0 => None,
+            1 => Some(FaultsSpec::default()),
+            _ => Some(FaultsSpec {
+                events: Vec::new(),
+                storm: Some(StormSpec { links: 2, start: 10, window: 10, seed: bits }),
+            }),
+        };
+        let built = recipe.build().map_err(|e| TestCaseError(e.to_string()))?;
+        let keyed = built.to_spec().expect("a recipe-built setup has a recipe");
+        let rebuilt = keyed.build().map_err(|e| TestCaseError(e.to_string()))?;
+        prop_assert_eq!(&rebuilt.sim, &built.sim);
+        prop_assert_eq!(&rebuilt.layout, &built.layout);
+        prop_assert_eq!(rebuilt.buffers, built.buffers);
+        prop_assert_eq!(&rebuilt.faults, &built.faults);
+        prop_assert_eq!(&rebuilt.name, &built.name);
     }
 }
 

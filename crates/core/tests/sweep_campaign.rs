@@ -2,9 +2,13 @@
 //! determinism, adaptive saturation-knee refinement, and the isolation
 //! of points that share one routing table.
 
-use snoc_core::{Campaign, FaultsSpec, Setup, StormSpec};
-use snoc_sim::RoutingKind;
+use snoc_core::{Campaign, CampaignResult, CampaignSpec, FaultsSpec, SetupSpec, StormSpec};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
+
+/// Runs the campaign `spec` describes.
+fn run(spec: &CampaignSpec) -> CampaignResult {
+    Campaign::from_spec(spec).expect("valid spec").run()
+}
 
 /// Same spec + same seed ⇒ bit-identical results for every worker
 /// count. Seeds are derived from the point coordinates alone, so the
@@ -12,20 +16,19 @@ use snoc_traffic::{TraceWorkload, TrafficPattern};
 /// leak into the numbers.
 #[test]
 fn same_spec_is_bit_identical_across_thread_counts() {
+    let mut spec = CampaignSpec::new("determinism");
+    spec.setups = vec![SetupSpec::new("sn54"), SetupSpec::new("fbf3")];
+    spec.patterns = vec![TrafficPattern::Random, TrafficPattern::Adversarial1];
+    spec.workloads = vec![TraceWorkload::by_name("fft").expect("workload")];
+    spec.loads = vec![0.02, 0.1, 0.3, 0.5];
+    (spec.warmup, spec.measure) = (200, 800);
+    spec.refine_rounds = 2;
+    spec.base_seed = 42;
     let campaign = |threads: usize| {
-        Campaign::new("determinism")
-            .with_setups(vec![
-                Setup::paper("sn54").expect("paper config"),
-                Setup::paper("fbf3").expect("paper config"),
-            ])
-            .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
-            .with_workloads(vec![TraceWorkload::by_name("fft").expect("workload")])
-            .with_loads(vec![0.02, 0.1, 0.3, 0.5])
-            .with_windows(200, 800)
-            .with_refinement(2)
-            .with_seed(42)
-            .with_threads(threads)
-            .run()
+        run(&CampaignSpec {
+            threads,
+            ..spec.clone()
+        })
     };
     let serial = campaign(1);
     let two = campaign(2);
@@ -34,18 +37,10 @@ fn same_spec_is_bit_identical_across_thread_counts() {
     assert_eq!(serial, auto, "1 vs auto worker threads");
     assert_eq!(serial.to_json(), auto.to_json(), "JSON byte-identical");
     // A different base seed must actually change the simulations.
-    let other = Campaign::new("determinism")
-        .with_setups(vec![
-            Setup::paper("sn54").expect("paper config"),
-            Setup::paper("fbf3").expect("paper config"),
-        ])
-        .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
-        .with_workloads(vec![TraceWorkload::by_name("fft").expect("workload")])
-        .with_loads(vec![0.02, 0.1, 0.3, 0.5])
-        .with_windows(200, 800)
-        .with_refinement(2)
-        .with_seed(43)
-        .run();
+    let other = run(&CampaignSpec {
+        base_seed: 43,
+        ..spec
+    });
     assert_ne!(serial, other, "base seed must matter");
     // The workload is one point per setup, at the trace's own rate.
     for (a, b) in serial.curve("sn54", "fft").zip(other.curve("sn54", "fft")) {
@@ -63,16 +58,13 @@ fn same_spec_is_bit_identical_across_thread_counts() {
 /// 1/3 limit itself.
 #[test]
 fn adaptive_refinement_finds_adv1_knee_near_one_third() {
-    let setup = Setup::paper("sn54")
-        .expect("paper config")
-        .with_routing(RoutingKind::Minimal);
-    let result = Campaign::new("adv1-knee")
-        .with_setups(vec![setup])
-        .with_patterns(vec![TrafficPattern::Adversarial1])
-        .with_loads(vec![0.1, 0.2, 0.3, 0.45, 0.6])
-        .with_windows(500, 4_000)
-        .with_refinement(4)
-        .run();
+    let mut spec = CampaignSpec::new("adv1-knee");
+    spec.setups = vec![SetupSpec::new("sn54")]; // minimal routing
+    spec.patterns = vec![TrafficPattern::Adversarial1];
+    spec.loads = vec![0.1, 0.2, 0.3, 0.45, 0.6];
+    (spec.warmup, spec.measure) = (500, 4_000);
+    spec.refine_rounds = 4;
+    let result = run(&spec);
     let refined: Vec<_> = result.points.iter().filter(|p| p.refined).collect();
     assert_eq!(refined.len(), 4, "four bisection rounds");
     // Every refined load lies inside the grid's knee bracket.
@@ -124,36 +116,39 @@ fn adaptive_refinement_finds_adv1_knee_near_one_third() {
 #[test]
 fn shared_tables_never_leak_between_points() {
     let (warmup, measure) = (200, 800);
-    let healthy = Setup::paper("sn54").expect("paper config");
-    let mut stormy = healthy.clone().with_faults(FaultsSpec {
-        events: Vec::new(),
-        storm: Some(StormSpec {
-            links: 6,
-            start: 300,
-            window: 300,
-            seed: 9,
+    let stormy = SetupSpec {
+        name: "sn54+storm".to_string(),
+        faults: Some(FaultsSpec {
+            events: Vec::new(),
+            storm: Some(StormSpec {
+                links: 6,
+                start: 300,
+                window: 300,
+                seed: 9,
+            }),
         }),
-    });
-    stormy.name = "sn54+storm".to_string();
-    let setups = [healthy, stormy];
-    let canneal = TraceWorkload::by_name("canneal").expect("workload");
-    let run = |threads: usize| {
-        Campaign::new("shared-tables")
-            .with_setups(setups.to_vec())
-            .with_patterns(vec![TrafficPattern::Random, TrafficPattern::Adversarial1])
-            .with_workloads(vec![canneal])
-            .with_loads(vec![0.02, 0.06, 0.12])
-            .with_windows(warmup, measure)
-            .with_stop_at_saturation(false)
-            .with_threads(threads)
-            .run()
+        ..SetupSpec::new("sn54")
     };
-    let one = run(1);
-    let two = run(2);
+    let canneal = TraceWorkload::by_name("canneal").expect("workload");
+    let mut spec = CampaignSpec::new("shared-tables");
+    spec.setups = vec![SetupSpec::new("sn54"), stormy];
+    spec.patterns = vec![TrafficPattern::Random, TrafficPattern::Adversarial1];
+    spec.workloads = vec![canneal];
+    spec.loads = vec![0.02, 0.06, 0.12];
+    (spec.warmup, spec.measure) = (warmup, measure);
+    spec.stop_at_saturation = false;
+    let campaign = Campaign::from_spec(&CampaignSpec {
+        threads: 1,
+        ..spec.clone()
+    })
+    .expect("valid spec");
+    let one = campaign.run();
+    let two = run(&CampaignSpec { threads: 2, ..spec });
     assert_eq!(one.points.len(), 12 + 2);
     assert_eq!(one.to_json(), two.to_json(), "1 vs 2 worker threads");
     for p in &one.points {
-        let setup = setups
+        let setup = campaign
+            .setups()
             .iter()
             .find(|s| s.name == p.setup)
             .expect("own setup");

@@ -85,8 +85,8 @@ fn is_perfect_square(n: usize) -> bool {
 }
 
 /// A named experiment configuration from the paper's Table 4 (plus the
-/// `N = 54` class of §5.6): a topology together with its router cycle
-/// time.
+/// `N = 54` class of §5.6 and the sizes of §5.5): a topology together
+/// with its router cycle time.
 ///
 /// Cycle times follow §5.1: 0.5 ns for SN and PFBF, 0.4 ns for the
 /// low-radix T2D and CM, 0.6 ns for the high-radix FBF.
@@ -114,10 +114,14 @@ pub fn paper_config_names() -> Vec<&'static str> {
         // Balanced Dragonflies (§2.2 baseline; the energy-comparison
         // class uses df3, the size nearest the N ∈ {192, 200} networks).
         "df2", "df3",
+        // §5.5's other sizes: SN at concentrations 3 and 5 beside sn_s,
+        // and SN with its equal-N torus at N = 588 and 1024 (sn_p2).
+        "sn150", "sn250", "sn588", "t2d588", "t2d1024",
     ]
 }
 
-/// Builds a named configuration from the paper (Table 4, §3.4, §5.6).
+/// Builds a named configuration from the paper (Table 4, §3.4, §5.5,
+/// §5.6).
 ///
 /// # Errors
 ///
@@ -158,6 +162,12 @@ pub fn paper_config(name: &str) -> Result<ConfigDescriptor, TopologyError> {
         // df3 has k = 11 (the SN/PFBF class, 0.5 ns).
         "df2" => (0.4, Topology::dragonfly(2)),
         "df3" => (0.5, Topology::dragonfly(3)),
+        // --- §5.5 sensitivity sizes ---
+        "sn150" => (0.5, Topology::slim_noc(5, 3)?),
+        "sn250" => (0.5, Topology::slim_noc(5, 5)?),
+        "sn588" => (0.5, Topology::slim_noc(7, 6)?),
+        "t2d588" => (0.4, Topology::torus(14, 7, 6)),
+        "t2d1024" => (0.4, Topology::torus(16, 8, 8)),
         _ => {
             return Err(TopologyError::UnknownConfig {
                 name: name.to_string(),
@@ -298,6 +308,11 @@ mod tests {
             ("pfbf8", 1296, 25),
             ("sn_l", 1296, 21),
             ("sn_p2", 1024, 20),
+            ("sn150", 150, 10),
+            ("sn250", 250, 12),
+            ("sn588", 588, 17),
+            ("t2d588", 588, 10),
+            ("t2d1024", 1024, 12),
         ];
         for &(name, n, k) in sizes {
             let cfg = paper_config(name).unwrap();

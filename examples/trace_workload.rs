@@ -4,24 +4,24 @@
 //!
 //! Run with: `cargo run --release --example trace_workload`
 
-use slim_noc::core::{format_float, BufferPreset, Campaign, Setup, TextTable};
+use slim_noc::core::{format_float, BufferPreset, Campaign, CampaignSpec, SetupSpec, TextTable};
 use slim_noc::power::TechNode;
 use slim_noc::traffic::benchmark_workloads;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let setup = |name: &str| -> Result<Setup, Box<dyn std::error::Error>> {
-        Ok(Setup::paper(name)?
-            .with_smart(true)
-            .with_buffers(BufferPreset::EbVar))
+    let setup = |config: &str| SetupSpec {
+        smart: true,
+        buffers: BufferPreset::EbVar,
+        ..SetupSpec::new(config)
     };
     // Every setup × workload is one campaign point: a 10 000-cycle
     // trace, measured after the first 1 000 cycles.
-    let result = Campaign::new("trace_workload")
-        .with_setups(vec![setup("sn_s")?, setup("fbf3")?])
-        .with_workloads(benchmark_workloads())
-        .with_windows(1_000, 9_000)
-        .with_power(TechNode::N45)
-        .run();
+    let mut spec = CampaignSpec::new("trace_workload");
+    spec.setups = vec![setup("sn_s"), setup("fbf3")];
+    spec.workloads = benchmark_workloads();
+    (spec.warmup, spec.measure) = (1_000, 9_000);
+    spec.power_tech = Some(TechNode::N45);
+    let result = Campaign::from_spec(&spec)?.run();
 
     let mut table = TextTable::new(
         "PARSEC/SPLASH-like workloads: SN vs FBF (SMART, 45nm)",

@@ -1,7 +1,7 @@
 //! Integration tests spanning all crates: full build-place-simulate-
 //! evaluate pipelines on the paper's configurations.
 
-use slim_noc::core::{BufferPreset, Setup};
+use slim_noc::core::{BufferPreset, CampaignSpec, Setup, SetupSpec};
 use slim_noc::layout::{Layout, SnLayout};
 use slim_noc::power::TechNode;
 use slim_noc::prelude::*;
@@ -43,8 +43,8 @@ fn slim_noc_latency_beats_low_radix_networks() {
 
 #[test]
 fn slim_noc_throughput_beats_low_radix_networks() {
-    let setups = ["sn54", "t2d54"].map(|name| Setup::paper(name).expect("config"));
-    let sweep = common::saturation_sweep(setups.to_vec(), 300, 1_500);
+    let setups = vec![SetupSpec::new("sn54"), SetupSpec::new("t2d54")];
+    let sweep = common::saturation_sweep(setups, 300, 1_500);
     let sn = sweep.peak_throughput("sn54", "RND");
     let t2d = sweep.peak_throughput("t2d54", "RND");
     assert!(
@@ -70,11 +70,16 @@ fn zero_load_latency_matches_analytic_model() {
 fn cbr_with_smart_is_the_best_sn_design_point() {
     // §5.2.1's conclusion (3): SN with small CBs performs best; check
     // CBR-20 at least matches EB-Small in saturation throughput.
-    let base = Setup::paper("sn54").expect("sn54").with_smart(true);
-    let mut eb = base.clone();
-    eb.name = "eb".to_string();
-    let mut cbr = base.with_buffers(BufferPreset::Cbr(20));
-    cbr.name = "cbr".to_string();
+    let eb = SetupSpec {
+        name: "eb".to_string(),
+        smart: true,
+        ..SetupSpec::new("sn54")
+    };
+    let cbr = SetupSpec {
+        name: "cbr".to_string(),
+        buffers: BufferPreset::Cbr(20),
+        ..eb.clone()
+    };
     let sweep = common::saturation_sweep(vec![eb, cbr], 300, 1_500);
     let eb_sat = sweep.peak_throughput("eb", "RND");
     let cbr_sat = sweep.peak_throughput("cbr", "RND");
@@ -88,11 +93,11 @@ fn cbr_with_smart_is_the_best_sn_design_point() {
 fn trace_protocol_round_trip() {
     // Reads trigger replies; everything drains; latency is sane.
     let w = TraceWorkload::by_name("streamcluster").unwrap();
-    let result = Campaign::new("trace_round_trip")
-        .with_setups(vec![Setup::paper("sn54").expect("sn54")])
-        .with_workloads(vec![w])
-        .with_windows(400, 3_600)
-        .run();
+    let mut spec = CampaignSpec::new("trace_round_trip");
+    spec.setups = vec![SetupSpec::new("sn54")];
+    spec.workloads = vec![w];
+    (spec.warmup, spec.measure) = (400, 3_600);
+    let result = Campaign::from_spec(&spec).expect("valid spec").run();
     let point = result
         .point("sn54", w.name, w.offered_flit_rate())
         .expect("the workload's point");

@@ -4,7 +4,7 @@
 //! the authors' testbed; each assertion checks the direction and rough
 //! factor of a published comparison.
 
-use slim_noc::core::{BufferPreset, Setup};
+use slim_noc::core::{BufferPreset, CampaignSpec, Setup, SetupSpec};
 use slim_noc::field::SlimFlyParams;
 use slim_noc::layout::{BufferModel, BufferSpec, Layout, SnLayout};
 use slim_noc::power::TechNode;
@@ -120,19 +120,18 @@ fn sn_beats_fbf_in_area_and_static_power() {
 /// §6 "SN vs Low-Radix Networks": SN pays area but wins performance.
 #[test]
 fn sn_trades_area_for_performance_against_torus() {
-    let s_sn = Setup::paper("sn_s")
-        .unwrap()
-        .with_buffers(BufferPreset::EbVar);
-    let s_t2d = Setup::paper("t2d4")
-        .unwrap()
-        .with_buffers(BufferPreset::EbVar);
-    let area = |s: &Setup| {
+    let [sn, t2d] = ["sn_s", "t2d4"].map(|config| SetupSpec {
+        buffers: BufferPreset::EbVar,
+        ..SetupSpec::new(config)
+    });
+    let area = |s: &SetupSpec| {
+        let s = s.build().unwrap();
         s.power_model(TechNode::N45)
             .area(&s.topology, &s.layout, s.buffer_flits_per_router())
             .total_mm2()
     };
-    assert!(area(&s_sn) > area(&s_t2d), "SN uses more area than T2D");
-    let sweep = common::saturation_sweep(vec![s_sn, s_t2d], 300, 1_500);
+    assert!(area(&sn) > area(&t2d), "SN uses more area than T2D");
+    let sweep = common::saturation_sweep(vec![sn, t2d], 300, 1_500);
     let sat_sn = sweep.peak_throughput("sn_s", "RND");
     let sat_t2d = sweep.peak_throughput("t2d4", "RND");
     assert!(
@@ -186,18 +185,18 @@ fn smart_links_accelerate_slim_noc() {
 #[test]
 fn sn_edp_beats_fbf_on_a_trace() {
     let w = slim_noc::traffic::TraceWorkload::by_name("fft").unwrap();
-    let setups = ["sn_s", "fbf3"].map(|name| {
-        Setup::paper(name)
-            .unwrap()
-            .with_smart(true)
-            .with_buffers(BufferPreset::EbVar)
-    });
-    let result = Campaign::new("fig18_fft")
-        .with_setups(setups.into())
-        .with_workloads(vec![w])
-        .with_windows(600, 5_400)
-        .with_power(TechNode::N45)
-        .run();
+    let mut spec = CampaignSpec::new("fig18_fft");
+    spec.setups = ["sn_s", "fbf3"]
+        .map(|config| SetupSpec {
+            smart: true,
+            buffers: BufferPreset::EbVar,
+            ..SetupSpec::new(config)
+        })
+        .into();
+    spec.workloads = vec![w];
+    (spec.warmup, spec.measure) = (600, 5_400);
+    spec.power_tech = Some(TechNode::N45);
+    let result = Campaign::from_spec(&spec).unwrap().run();
     let edp = |name: &str| {
         let point = result.point(name, w.name, w.offered_flit_rate()).unwrap();
         point.power.expect("power-aware campaign").edp_js

@@ -3,7 +3,7 @@
 //! `snoc repro` figure reports at full scale. These guard the experiment
 //! harness (not just the library) against regressions.
 
-use slim_noc::core::{BufferPreset, Campaign, Series, Setup, TextTable};
+use slim_noc::core::{BufferPreset, Campaign, CampaignSpec, Series, Setup, SetupSpec, TextTable};
 use slim_noc::field::Gf;
 use slim_noc::layout::{max_wires_per_tile, BufferModel, BufferSpec, Layout, SnLayout, TechNode};
 use slim_noc::prelude::*;
@@ -69,11 +69,15 @@ fn fig6_longest_link_comparison() {
 /// in saturation throughput on a network with multi-tile wires.
 #[test]
 fn fig11_buffer_shape() {
-    let base = Setup::paper("sn_s").unwrap();
-    let mut small = base.clone(); // EB-Small default
-    small.name = "small".to_string();
-    let mut var = base.with_buffers(BufferPreset::EbVar);
-    var.name = "var".to_string();
+    let small = SetupSpec {
+        name: "small".to_string(), // EB-Small default
+        ..SetupSpec::new("sn_s")
+    };
+    let var = SetupSpec {
+        name: "var".to_string(),
+        buffers: BufferPreset::EbVar,
+        ..SetupSpec::new("sn_s")
+    };
     let sweep = common::saturation_sweep(vec![small, var], 300, 1_200);
     let sat = |name: &str| sweep.peak_throughput(name, "RND");
     assert!(
@@ -142,12 +146,12 @@ fn buffer_model_consistency() {
 /// Reporting smoke: series tabulation renders every curve of a sweep.
 #[test]
 fn series_tabulation_roundtrip() {
-    let result = Campaign::new("smoke")
-        .with_setups(vec![Setup::paper("sn54").unwrap()])
-        .with_patterns(vec![TrafficPattern::Random])
-        .with_loads(vec![0.01, 0.03])
-        .with_windows(200, 800)
-        .run();
+    let mut spec = CampaignSpec::new("smoke");
+    spec.setups = vec![SetupSpec::new("sn54")];
+    spec.patterns = vec![TrafficPattern::Random];
+    spec.loads = vec![0.01, 0.03];
+    (spec.warmup, spec.measure) = (200, 800);
+    let result = Campaign::from_spec(&spec).unwrap().run();
     let series = result.series("RND");
     assert_eq!(series[0].points.len(), result.points.len());
     let table = Series::tabulate("smoke", "load", &series);

@@ -192,6 +192,8 @@ fn specs_no_simulator_can_run_exit_2_without_panicking() {
         "unknown_workload",
         "xy_off_fbf",
         "shards",
+        "repeated_pattern",
+        "unsorted_loads",
     ] {
         let spec = format!(
             "{}/tests/specs/unrunnable_{name}.json",
