@@ -22,6 +22,26 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
+    parallel_map_with_state(items, threads, || (), |(), item| f(item))
+}
+
+/// [`parallel_map_with_threads`] with per-worker state: each worker
+/// starts from `init()` and lends it to every `f` call it makes, in the
+/// order it makes them, dropping it when the work runs out. Which items
+/// share a worker depends on timing, so the state may make work cheaper
+/// but must never change a result.
+pub(crate) fn parallel_map_with_state<T, R, S, I, F>(
+    items: Vec<T>,
+    threads: usize,
+    init: I,
+    f: F,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T) -> R + Sync,
+{
     let threads = if threads == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
@@ -38,21 +58,24 @@ where
     // and re-raised with context after the scope joins.
     let failed = AtomicBool::new(false);
     let first_panic: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
-    let worker = || loop {
-        if failed.load(Ordering::Relaxed) {
-            break; // a sibling already panicked; stop early
-        }
-        let next = work.lock().expect("work queue lock").pop();
-        let Some((idx, item)) = next else { break };
-        match catch_unwind(AssertUnwindSafe(|| f(item))) {
-            Ok(out) => results.lock().expect("results lock").push((idx, out)),
-            Err(payload) => {
-                failed.store(true, Ordering::Relaxed);
-                let mut slot = first_panic.lock().expect("panic slot lock");
-                if slot.is_none() {
-                    *slot = Some((idx, payload));
+    let worker = || {
+        let mut state = init();
+        loop {
+            if failed.load(Ordering::Relaxed) {
+                break; // a sibling already panicked; stop early
+            }
+            let next = work.lock().expect("work queue lock").pop();
+            let Some((idx, item)) = next else { break };
+            match catch_unwind(AssertUnwindSafe(|| f(&mut state, item))) {
+                Ok(out) => results.lock().expect("results lock").push((idx, out)),
+                Err(payload) => {
+                    failed.store(true, Ordering::Relaxed);
+                    let mut slot = first_panic.lock().expect("panic slot lock");
+                    if slot.is_none() {
+                        *slot = Some((idx, payload));
+                    }
+                    break;
                 }
-                break;
             }
         }
     };

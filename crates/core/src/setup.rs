@@ -13,7 +13,7 @@ use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Buffering strategy presets from §5.1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +158,11 @@ pub struct Setup {
     /// [`Setup::simulator`]; the sharded engine cannot run it
     /// ([`Setup::run_load_sharded`]).
     pub faults: Option<FaultsSpec>,
+    /// [`RoutingTable::minimal`] of `topology`, built on first use and
+    /// shared by every clone of this setup ([`Setup::minimal_table`]).
+    /// A clone that swaps in another topology gets a [`SetupError`]
+    /// from [`Setup::simulator`], never a stale table.
+    table: Arc<OnceLock<Arc<RoutingTable>>>,
 }
 
 impl Setup {
@@ -174,7 +179,8 @@ impl Setup {
         // A base setup is a pure function of its name, the names are a
         // closed set, and building one costs an all-pairs BFS for the
         // VC count — which a served spec would pay per setup per
-        // request. Built once per process; callers get clones.
+        // request. Built once per process; callers get clones, which
+        // share the memo's routing table once any of them builds it.
         static BUILT: Mutex<BTreeMap<String, Setup>> = Mutex::new(BTreeMap::new());
         if let Some(setup) = BUILT.lock().expect("setup memo").get(name) {
             return Ok(setup.clone());
@@ -214,6 +220,7 @@ impl Setup {
             paper_config: None,
             sn_layout: None,
             faults: None,
+            table: Arc::default(),
         })
     }
 
@@ -310,37 +317,52 @@ impl Setup {
     }
 
     /// Builds the simulator for this setup, with the fault recipe (if
-    /// any) resolved against the topology and scheduled.
+    /// any) resolved against the topology and scheduled. Every
+    /// simulator of a setup and of its clones shares one routing table,
+    /// built by the first of them.
     ///
     /// # Errors
     ///
     /// Returns [`SetupError::Sim`] when the configuration is invalid or
     /// the fault recipe is outside the supported envelope.
     pub fn simulator(&self) -> Result<Simulator, SetupError> {
-        self.simulator_with_table(self.minimal_table())
+        self.seeded_simulator(None, self.sim.seed)
     }
 
-    /// A fresh [`RoutingTable::minimal`] of this setup's topology — the
-    /// crate's one table construction site. The entry points that take
-    /// no table call it per simulator; a campaign calls it once per
-    /// setup per run and hands the result to every point.
+    /// [`RoutingTable::minimal`] of this setup's topology — the crate's
+    /// one table construction site. Built on the first call and shared
+    /// by every clone of the setup after it, so through the
+    /// [`Setup::paper`] memo each paper configuration's table is built
+    /// once per process. The table depends on the topology alone — not
+    /// on buffers, routing mode, seed or faults (repair swaps in a fresh
+    /// table, never edits the shared one).
     pub(crate) fn minimal_table(&self) -> Arc<RoutingTable> {
-        Arc::new(RoutingTable::minimal(&self.topology))
+        let build = || Arc::new(RoutingTable::minimal(&self.topology));
+        Arc::clone(self.table.get_or_init(build))
     }
 
-    /// [`Setup::simulator`] around a pre-built
-    /// [`RoutingTable::minimal`] of this setup's topology. The table
-    /// depends on the topology alone — not on buffers, routing mode,
-    /// seed or faults (repair swaps in a fresh table, never edits the
-    /// shared one) — so a caller building many simulators of one setup,
-    /// like a campaign's points, builds it once.
-    ///
-    /// # Errors
-    ///
-    /// As [`Setup::simulator`].
-    pub fn simulator_with_table(&self, table: Arc<RoutingTable>) -> Result<Simulator, SetupError> {
-        let mut sim =
-            Simulator::build_with_table(&self.topology, Some(&self.layout), &self.sim, table)?;
+    /// [`Setup::simulator`] seeded with `seed`: `idle`, a simulator this
+    /// setup built before, [reset](Simulator::reset) — bit-identical to
+    /// a fresh build and far cheaper — or else a new one around
+    /// [`Setup::minimal_table`]; the crate's one simulator construction
+    /// site.
+    fn seeded_simulator(
+        &self,
+        idle: Option<Simulator>,
+        seed: u64,
+    ) -> Result<Simulator, SetupError> {
+        let mut sim = match idle {
+            Some(mut sim) => {
+                sim.reset(seed);
+                sim
+            }
+            None => {
+                #[cfg(test)]
+                tests::SIMULATORS_BUILT.with(|n| n.set(n.get() + 1));
+                let (cfg, table) = (self.sim.clone().with_seed(seed), self.minimal_table());
+                Simulator::build_with_table(&self.topology, Some(&self.layout), &cfg, table)?
+            }
+        };
         if let Some(faults) = &self.faults {
             sim.set_fault_plan(&faults.resolve(&self.topology))?;
         }
@@ -364,7 +386,8 @@ impl Setup {
         measure: u64,
     ) -> SimReport {
         let traffic = Traffic::Pattern(pattern);
-        self.run_point(traffic, rate, warmup, measure, self.minimal_table())
+        let seed = self.sim.seed;
+        self.run_point(None, seed, traffic, rate, warmup, measure).0
     }
 
     /// Runs one synthetic-traffic point on the sharded parallel engine,
@@ -400,31 +423,34 @@ impl Setup {
             .run_synthetic(pattern, rate, warmup, measure)
     }
 
-    /// The one point runner: [`Setup::run_load`] calls it with a fresh
-    /// [`Setup::minimal_table`], a campaign with the table it holds for
-    /// the setup (see [`Setup::simulator_with_table`]). A trace ignores
-    /// `rate`: it is `warmup + measure` cycles at the workload's own,
-    /// generated from this setup's seed and measured from `warmup` on.
+    /// The one point runner, seeded with `seed`: [`Setup::run_load`]
+    /// calls it with no simulator, a campaign worker with the one it
+    /// kept from its last point of this setup (see
+    /// [`Setup::seeded_simulator`]), and gets the simulator back for the
+    /// next. A trace ignores `rate`: it is `warmup + measure` cycles at
+    /// the workload's own, generated from `seed` and measured from
+    /// `warmup` on.
     pub(crate) fn run_point(
         &self,
+        idle: Option<Simulator>,
+        seed: u64,
         traffic: Traffic<'_>,
         rate: f64,
         warmup: u64,
         measure: u64,
-        table: Arc<RoutingTable>,
-    ) -> SimReport {
-        let mut sim = self.simulator_with_table(table).expect("valid setup");
+    ) -> (SimReport, Simulator) {
+        let mut sim = self.seeded_simulator(idle, seed).expect("valid setup");
         let report = match traffic {
             Traffic::Pattern(pattern) => sim.run_synthetic(pattern, rate, warmup, measure),
             Traffic::Trace(workload) => {
-                let trace = workload.generate(&self.topology, warmup + measure, self.sim.seed);
+                let trace = workload.generate(&self.topology, warmup + measure, seed);
                 sim.run_trace(&trace, warmup)
             }
         };
         if let Some(diag) = &report.deadlock {
             panic!("simulation deadlocked ({}): {diag}", self.name);
         }
-        report
+        (report, sim)
     }
 
     /// Total buffer flits in one router under the active preset — the
@@ -471,9 +497,16 @@ impl Setup {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use snoc_sim::RouterArch;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Simulators built (not reset) on this thread by
+        /// [`Setup::seeded_simulator`].
+        pub(crate) static SIMULATORS_BUILT: Cell<usize> = const { Cell::new(0) };
+    }
 
     #[test]
     fn paper_setups_build_and_run() {

@@ -39,27 +39,28 @@
 use crate::cache::{mix64, CachedPoint, PointCache, PointCoord};
 use crate::json::Layout::{Inline, Lines};
 use crate::json::{Floats, Raw, Writer};
-use crate::parallel::parallel_map_with_threads;
+use crate::parallel::parallel_map_with_state;
 use crate::report::Series;
 use crate::setup::{Setup, Traffic};
 use crate::spec::{CampaignSpec, SpecError};
 use snoc_power::TechNode;
-use snoc_sim::{saturation_heuristic, RoutingTable};
+use snoc_sim::{saturation_heuristic, Simulator};
 use snoc_traffic::TrafficPattern;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// One setup's routing table for the duration of one campaign run:
-/// empty until a point of that setup has to be simulated.
-type TableSlot = OnceLock<Arc<RoutingTable>>;
+/// A campaign worker's simulator between points, with the setup that
+/// built it. The worker's next simulated point of that setup
+/// [resets](Simulator::reset) it instead of building anew; a point of
+/// another setup drops it first, so a worker holds at most one.
+type Idle<'a> = Option<(&'a Setup, Simulator)>;
 
 /// What the points of one latency–load curve share.
 struct Curve<'a> {
     setup: &'a Setup,
     traffic: Traffic<'a>,
-    table: &'a TableSlot,
     /// What the cache keys of this curve's points share; `None` when
     /// its points are not cached ([`Campaign::key_halves`]).
     key_halves: Option<[String; 2]>,
@@ -223,25 +224,14 @@ impl Campaign {
     /// The campaign server streams progress through this; [`run`] is
     /// this with a no-op observer.
     ///
+    /// Only points that miss the cache build anything: a setup's
+    /// routing table once per process (shared through the setup, see
+    /// [`Setup::simulator`]), and per worker one simulator, reset for
+    /// each further point of the same setup.
+    ///
     /// [`run`]: Campaign::run
     #[must_use]
     pub fn run_observed<F: Fn(&SweepPoint) + Sync>(&self, observe: F) -> CampaignResult {
-        let tables: Vec<TableSlot> = self.setups.iter().map(|_| OnceLock::new()).collect();
-        self.run_with_tables(&tables, observe)
-    }
-
-    /// [`Campaign::run_observed`] over the run's routing-table slots,
-    /// one per setup. A setup's minimal table is a function of its
-    /// topology alone, so the first point of any of its curves that
-    /// misses the cache builds it and every later miss — on any worker
-    /// — shares it; a setup whose points all hit builds none. The slots
-    /// live for one run only: nothing is cached on [`Setup`] or across
-    /// runs.
-    fn run_with_tables<F: Fn(&SweepPoint) + Sync>(
-        &self,
-        tables: &[TableSlot],
-        observe: F,
-    ) -> CampaignResult {
         let spec = &self.spec;
         let patterns = spec.patterns.iter().copied().map(Traffic::Pattern);
         let traffics: Vec<Traffic<'_>> = patterns
@@ -250,19 +240,23 @@ impl Campaign {
         let pairs: Vec<(usize, Traffic<'_>)> = (0..self.setups.len())
             .flat_map(|s| traffics.iter().map(move |&t| (s, t)))
             .collect();
-        let curves = parallel_map_with_threads(pairs, spec.threads, |(s, traffic)| {
-            let setup = &self.setups[s];
-            let curve = Curve {
-                setup,
-                traffic,
-                table: &tables[s],
-                key_halves: self.key_halves(setup, traffic),
-                zero_load: 0.0,
-                hits: 0,
-                misses: 0,
-            };
-            self.run_curve(curve, &observe)
-        });
+        let curves = parallel_map_with_state(
+            pairs,
+            spec.threads,
+            || None,
+            |idle, (s, traffic)| {
+                let setup = &self.setups[s];
+                let curve = Curve {
+                    setup,
+                    traffic,
+                    key_halves: self.key_halves(setup, traffic),
+                    zero_load: 0.0,
+                    hits: 0,
+                    misses: 0,
+                };
+                self.run_curve(curve, idle, &observe)
+            },
+        );
         let mut points = Vec::new();
         let (mut cache_hits, mut cache_misses) = (0, 0);
         for (curve, hits, misses) in curves {
@@ -287,9 +281,10 @@ impl Campaign {
     /// Runs one latency–load curve (grid sweep + knee refinement; a
     /// workload's one-point grid has no knee); returns the points plus
     /// this curve's cache hit/miss counts.
-    fn run_curve<F: Fn(&SweepPoint) + Sync>(
-        &self,
-        mut curve: Curve<'_>,
+    fn run_curve<'a, F: Fn(&SweepPoint) + Sync>(
+        &'a self,
+        mut curve: Curve<'a>,
+        idle: &mut Idle<'a>,
         observe: &F,
     ) -> (Vec<SweepPoint>, u64, u64) {
         let mut points = Vec::new();
@@ -300,7 +295,7 @@ impl Campaign {
             Traffic::Trace(workload) => vec![workload.offered_flit_rate()],
         };
         for load in loads {
-            let point = self.run_point(&mut curve, load, false);
+            let point = self.run_point(&mut curve, idle, load, false);
             observe(&point);
             let saturated = point.saturated;
             points.push(point);
@@ -319,7 +314,7 @@ impl Campaign {
         if let (Some(mut lo), Some(mut hi)) = (last_ok, first_sat) {
             for _ in 0..self.spec.refine_rounds {
                 let mid = 0.5 * (lo + hi);
-                let point = self.run_point(&mut curve, mid, true);
+                let point = self.run_point(&mut curve, idle, mid, true);
                 observe(&point);
                 if point.saturated {
                     hi = mid;
@@ -355,8 +350,14 @@ impl Campaign {
     }
 
     /// Runs (or replays from cache) one point of `curve`. Only a point
-    /// that has to be simulated touches the setup's table slot.
-    fn run_point(&self, curve: &mut Curve<'_>, load: f64, refined: bool) -> SweepPoint {
+    /// that has to be simulated touches the worker's `idle` simulator.
+    fn run_point<'a>(
+        &self,
+        curve: &mut Curve<'a>,
+        idle: &mut Idle<'a>,
+        load: f64,
+        refined: bool,
+    ) -> SweepPoint {
         let (setup, traffic) = (curve.setup, curve.traffic);
         let seed = self.seed_of(&setup.name, traffic.name(), load);
         let keyed = self.cache.as_deref().zip(curve.key_halves.as_ref());
@@ -366,10 +367,13 @@ impl Campaign {
             curve.hits += 1;
             hit
         } else {
-            let table = curve.table.get_or_init(|| setup.minimal_table());
-            let seeded = setup.clone().with_seed(seed);
+            let reuse = match idle.take() {
+                Some((built_by, sim)) if std::ptr::eq(built_by, setup) => Some(sim),
+                _ => None, // another setup's simulator is dropped here
+            };
             let (warmup, measure) = (self.spec.warmup, self.spec.measure);
-            let report = seeded.run_point(traffic, load, warmup, measure, Arc::clone(table));
+            let (report, sim) = setup.run_point(reuse, seed, traffic, load, warmup, measure);
+            *idle = Some((setup, sim));
             let point = CachedPoint {
                 latency: report.avg_packet_latency(),
                 p99_latency: report.latency_percentile(0.99),
@@ -383,7 +387,7 @@ impl Campaign {
                 power: self
                     .spec
                     .power_tech
-                    .map(|tech| PowerPoint::from_report(&seeded.power_report(tech, &report))),
+                    .map(|tech| PowerPoint::from_report(&setup.power_report(tech, &report))),
             };
             if let Some((cache, key)) = &keyed {
                 curve.misses += 1;
@@ -765,35 +769,37 @@ mod tests {
     }
 
     #[test]
-    fn table_slots_fill_once_per_simulated_setup_and_never_on_a_warm_run() {
-        let dir = std::env::temp_dir().join(format!("snoc_sweep_slots_{}", std::process::id()));
+    fn campaigns_share_tables_and_a_warm_run_builds_nothing() {
+        let dir = std::env::temp_dir().join(format!("snoc_sweep_shared_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut spec = tiny_spec();
         spec.setups.push(SetupSpec::new("fbf3"));
         spec.patterns.push(TrafficPattern::Adversarial1);
-        spec.threads = 2;
+        spec.threads = 1; // the calling thread is the one worker
         spec.cache_dir = Some(dir.display().to_string());
-        let campaign = Campaign::from_spec(&spec).expect("valid spec");
-        let slots = || -> Vec<TableSlot> { (0..2).map(|_| OnceLock::new()).collect() };
-        let filled = |tables: &[TableSlot]| tables.iter().filter(|t| t.get().is_some()).count();
-        // Cold: 2 curves × 2 loads per setup all miss, one table each.
-        let cold_tables = slots();
-        let cold = campaign.run_with_tables(&cold_tables, |_| {});
+        let campaign = || Campaign::from_spec(&spec).expect("valid spec");
+        let built = || crate::setup::tests::SIMULATORS_BUILT.with(std::cell::Cell::get);
+        let before = built();
+        // Cold: 2 curves × 2 loads per setup all miss; the worker builds
+        // one simulator per setup and resets it for the other three.
+        let first = campaign();
+        let cold = first.run();
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 8));
-        assert_eq!(filled(&cold_tables), 2);
-        // Each slot holds its own setup's table, and no finished point
-        // kept a reference to it.
-        for (slot, setup) in cold_tables.iter().zip(campaign.setups()) {
-            let table = slot.get().expect("filled");
+        assert_eq!(built() - before, 2);
+        // Two campaigns from one spec hold one table per setup, each
+        // its own setup's.
+        let second = campaign();
+        for (a, b) in first.setups().iter().zip(second.setups()) {
+            let table = a.minimal_table();
+            assert!(Arc::ptr_eq(&table, &b.minimal_table()));
             let r0 = snoc_topology::RouterId(0);
-            assert_eq!(table.port_count(r0), setup.topology.neighbors(r0).len());
-            assert_eq!(Arc::strong_count(table), 1);
+            assert_eq!(table.port_count(r0), a.topology.neighbors(r0).len());
         }
-        // Warm: every point replays, so no table is ever built.
-        let warm_tables = slots();
-        let warm = campaign.run_with_tables(&warm_tables, |_| {});
+        // Warm: every point replays, so no simulator is built — and a
+        // campaign fetches a table only to build one.
+        let warm = second.run();
         assert_eq!((warm.cache_hits, warm.cache_misses), (8, 0));
-        assert_eq!(filled(&warm_tables), 0);
+        assert_eq!(built() - before, 2);
         assert_eq!(warm.to_json(), cold.to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }

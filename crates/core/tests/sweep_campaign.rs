@@ -104,20 +104,23 @@ fn adaptive_refinement_finds_adv1_knee_near_one_third() {
     );
 }
 
-/// A campaign run builds one routing table per setup and hands the same
-/// `Arc` to every point of that setup. A faulted point repairs its
-/// routing mid-run; if that repair ever reached the shared table, the
-/// sibling points after it would diverge from a run that built its own.
-/// So: every point of a fault-free and a storm setup, at 1 and 2
-/// worker threads, equals `Setup::run_load` (for the workload: the
-/// trace generated from, and replayed under, the point's seed) with the
+/// Every simulator of a configuration shares its one routing table, and
+/// a campaign worker resets one simulator across the points of a setup
+/// rather than building one per point. A faulted point repairs its
+/// routing mid-run; if that repair ever reached the shared table, or
+/// any state of a point survived its worker's reset into the next, the
+/// points after it would diverge from a run on a fresh simulator. So:
+/// `sn_s` and a storm variant of it (one configuration, one table) with
+/// a third setup interleaved between them, at 1 and 2 worker threads —
+/// every point equals `Setup::run_load` (for the workload: the trace
+/// generated from, and replayed under, the point's seed) with the
 /// point's own seed bit for bit, and the sweep JSON is identical across
 /// thread counts.
 #[test]
 fn shared_tables_never_leak_between_points() {
     let (warmup, measure) = (200, 800);
     let stormy = SetupSpec {
-        name: "sn54+storm".to_string(),
+        name: "sn_s+storm".to_string(),
         faults: Some(FaultsSpec {
             events: Vec::new(),
             storm: Some(StormSpec {
@@ -127,11 +130,11 @@ fn shared_tables_never_leak_between_points() {
                 seed: 9,
             }),
         }),
-        ..SetupSpec::new("sn54")
+        ..SetupSpec::new("sn_s")
     };
     let canneal = TraceWorkload::by_name("canneal").expect("workload");
     let mut spec = CampaignSpec::new("shared-tables");
-    spec.setups = vec![SetupSpec::new("sn54"), stormy];
+    spec.setups = vec![SetupSpec::new("sn_s"), SetupSpec::new("fbf3"), stormy];
     spec.patterns = vec![TrafficPattern::Random, TrafficPattern::Adversarial1];
     spec.workloads = vec![canneal];
     spec.loads = vec![0.02, 0.06, 0.12];
@@ -144,7 +147,7 @@ fn shared_tables_never_leak_between_points() {
     .expect("valid spec");
     let one = campaign.run();
     let two = run(&CampaignSpec { threads: 2, ..spec });
-    assert_eq!(one.points.len(), 12 + 2);
+    assert_eq!(one.points.len(), 3 * (6 + 1));
     assert_eq!(one.to_json(), two.to_json(), "1 vs 2 worker threads");
     for p in &one.points {
         let setup = campaign
@@ -186,6 +189,6 @@ fn shared_tables_never_leak_between_points() {
         let of_setup = one.points.iter().filter(|p| p.setup == name);
         of_setup.map(|p| p.dropped_packets).sum()
     };
-    assert!(dropped("sn54+storm") > 0);
-    assert_eq!(dropped("sn54"), 0);
+    assert!(dropped("sn_s+storm") > 0);
+    assert_eq!(dropped("sn_s"), 0);
 }

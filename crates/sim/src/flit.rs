@@ -313,6 +313,14 @@ impl FlitArena {
         self.slots[r.0 as usize]
     }
 
+    /// Drops every flit, keeping the slab's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
+        #[cfg(debug_assertions)]
+        self.live.clear();
+    }
+
     /// Number of live flits.
     #[must_use]
     pub fn len(&self) -> usize {

@@ -74,6 +74,31 @@ impl Channel {
         }
     }
 
+    /// Empties the channel: no flit or credit in flight, every latch
+    /// free, the round-robin pointers at 0.
+    pub(crate) fn reset(&mut self) {
+        match self {
+            Channel::Credited {
+                in_flight, credits, ..
+            } => {
+                in_flight.clear();
+                credits.clear();
+            }
+            Channel::Elastic {
+                slots,
+                occ,
+                rr,
+                live,
+                ..
+            } => {
+                slots.fill(FlitRef::INVALID);
+                occ.fill(0);
+                rr.fill(0);
+                *live = 0;
+            }
+        }
+    }
+
     /// Latency in cycles.
     pub(crate) fn latency(&self) -> u64 {
         match self {

@@ -40,10 +40,15 @@ use std::sync::Arc;
 pub struct Simulator {
     cfg: SimConfig,
     topo: Topology,
-    /// Shared with sibling shard replicas in sharded runs — the table
-    /// is immutable after construction and O(N_r²), so one copy serves
-    /// every shard.
+    /// The routing table in force: `minimal` until fault repair swaps
+    /// in a degraded one.
     table: Arc<RoutingTable>,
+    /// The table the simulator was built around, which
+    /// [`Simulator::reset`] restores. Shared with sibling shard replicas
+    /// in sharded runs and with every simulator of a campaign's setup —
+    /// the table is immutable after construction and O(N_r²), so one
+    /// copy serves them all.
+    minimal: Arc<RoutingTable>,
     concentration: usize,
     node_count: usize,
     routers: Vec<RouterCore>,
@@ -149,8 +154,9 @@ impl Simulator {
     /// [`RoutingTable::minimal`]. The table is a function of the
     /// topology alone and is never mutated (fault repair swaps in a
     /// fresh one), so one `Arc` can serve every simulator of a
-    /// topology: the shard replicas of a sharded run, the points of a
-    /// campaign.
+    /// topology: the shard replicas of a sharded run, the simulators of
+    /// a campaign. Building allocates the network, then
+    /// [`Simulator::reset`]s it.
     ///
     /// # Errors
     ///
@@ -245,25 +251,21 @@ impl Simulator {
             ));
         }
         // Credits mirror the downstream capacity.
-        let mut init_credits: Vec<Vec<usize>> = vec![Vec::new(); nr];
-        for r in 0..nr {
-            let ports = chan_out[r].len();
-            init_credits[r] = vec![0; ports];
-            for port in 0..ports {
-                let (dst, dst_port) = chan_dst[chan_out[r][port]];
-                let cap = capacity_of(dst, dst_port);
-                routers[r].set_credits(port, cap);
-                init_credits[r][port] = cap;
-            }
-        }
+        let init_credits: Vec<Vec<usize>> = (0..nr)
+            .map(|r| {
+                let ports = chan_out[r].iter().map(|&id| chan_dst[id]);
+                ports
+                    .map(|(dst, dst_port)| capacity_of(dst, dst_port))
+                    .collect()
+            })
+            .collect();
 
         let chan_count = channels.len();
-        let watchdog =
-            crate::deadlock::default_watchdog_bound(table.max_finite_distance(), cfg.packet_flits);
-        Ok(Simulator {
+        let mut sim = Simulator {
             cfg: cfg.clone(),
             topo: topo.clone(),
-            table,
+            table: Arc::clone(&table),
+            minimal: table,
             concentration,
             node_count: topo.node_count(),
             router_queued: vec![false; routers.len()],
@@ -293,10 +295,56 @@ impl Simulator {
             chan_alive: vec![true; chan_count],
             scratch_eject: Vec::new(),
             scratch_alloc: AllocResult::default(),
-            watchdog: Some(watchdog),
+            watchdog: None,
             last_progress: 0,
             work: WorkCounters::default(),
-        })
+        };
+        sim.reset(cfg.seed);
+        Ok(sim)
+    }
+
+    /// Returns a used simulator to exactly the state
+    /// [`Simulator::build_with_table`] leaves — the one initializer of
+    /// its run state, which building calls too — seeded with `seed`:
+    /// every lane, ring, ST register, channel, injection queue
+    /// and worklist empty (capacity kept), credits full, round-robin
+    /// pointers at 0 and wormhole owners free, the built routing table
+    /// back in force, no fault plan armed, the default watchdog, the
+    /// RNG reseeded and every counter at 0. A run after `reset(seed)`
+    /// is bit-identical to the same run on a simulator freshly built
+    /// with `seed`, so many points of one network can share one
+    /// simulator.
+    pub fn reset(&mut self, seed: u64) {
+        self.cfg.seed = seed;
+        self.table = Arc::clone(&self.minimal);
+        for (router, credits) in self.routers.iter_mut().zip(&self.init_credits) {
+            router.reset(credits);
+        }
+        self.channels.iter_mut().for_each(Channel::reset);
+        self.arena.clear();
+        self.inj_queues.iter_mut().for_each(VecDeque::clear);
+        (self.now, self.next_pid, self.outstanding) = (0, 0, 0);
+        self.rng = ChaCha8Rng::seed_from_u64(seed);
+        for (list, queued) in [
+            (&mut self.active_routers, &mut self.router_queued),
+            (&mut self.active_channels, &mut self.chan_queued),
+            (&mut self.active_inj, &mut self.inj_queued),
+        ] {
+            list.clear();
+            queued.fill(false);
+        }
+        self.faults.clear();
+        self.next_fault = 0;
+        self.router_alive.fill(true);
+        self.chan_enabled.fill(true);
+        self.chan_alive.fill(true);
+        self.scratch_eject.clear();
+        self.scratch_alloc.clear();
+        let diameter = self.minimal.max_finite_distance();
+        let bound = crate::deadlock::default_watchdog_bound(diameter, self.cfg.packet_flits);
+        self.watchdog = Some(bound);
+        self.last_progress = 0;
+        self.work = WorkCounters::default();
     }
 
     /// The number of endpoint nodes.

@@ -113,6 +113,21 @@ struct Lane {
     route_vc: u8,
 }
 
+impl Lane {
+    /// An empty lane holding no route, at `base` with capacity `cap`.
+    fn idle(base: u32, cap: u16) -> Self {
+        Lane {
+            route_pkt: NO_PKT,
+            base,
+            cap,
+            head: 0,
+            len: 0,
+            route_port: NO_ROUTE,
+            route_vc: 0,
+        }
+    }
+}
+
 /// One input port: its occupancy word (bit `vc` ⇔ that lane holds a
 /// flit — the VC scan skips clear bits without touching the lanes) and
 /// the round-robin pointer the VC scan starts from.
@@ -230,15 +245,7 @@ impl EdgeLanes {
         for &c in capacity.iter().take(in_ports) {
             let cap = u16::try_from(c).expect("ring indices fit u16");
             for _ in 0..vcs {
-                lane.push(Lane {
-                    route_pkt: NO_PKT,
-                    base: off,
-                    cap,
-                    head: 0,
-                    len: 0,
-                    route_port: NO_ROUTE,
-                    route_vc: 0,
-                });
+                lane.push(Lane::idle(off, cap));
                 off = off.checked_add(u32::from(cap)).expect("slab fits u32");
             }
         }
@@ -248,6 +255,16 @@ impl EdgeLanes {
             inp: vec![InPort::default(); in_ports],
             port_mask: vec![0; in_ports.div_ceil(64)],
         }
+    }
+
+    /// Empties every lane and releases every held route.
+    fn reset(&mut self) {
+        for l in &mut self.lane {
+            *l = Lane::idle(l.base, l.cap);
+        }
+        self.slots.fill(FlitRef::INVALID);
+        self.inp.fill(InPort::default());
+        self.port_mask.fill(0);
     }
 
     #[inline(always)]
@@ -320,6 +337,16 @@ struct StageLane {
     mode: u8,
 }
 
+impl StageLane {
+    /// An empty staging lane holding no path.
+    const IDLE: StageLane = StageLane {
+        slot: FlitRef::INVALID,
+        route_port: NO_ROUTE,
+        route_vc: 0,
+        mode: MODE_NONE,
+    };
+}
+
 /// Central-buffer-router input state: single-flit staging slots plus the
 /// CB virtual output queues, both lane-indexed with per-port masks.
 #[derive(Debug, Clone)]
@@ -348,6 +375,8 @@ struct CbState {
     open_pkt: Vec<u64>,
     /// Remaining unreserved CB space in flits.
     free: usize,
+    /// The central buffer's capacity in flits.
+    cb_flits: usize,
     /// Round-robin over outputs for the single CB read port.
     rr_read: usize,
     /// Round-robin over inputs for the single CB write port.
@@ -358,14 +387,8 @@ impl CbState {
     fn new(in_ports: usize, out_ports: usize, vcs: usize, cb_flits: usize) -> Self {
         assert!(vcs <= 64, "occupancy words hold at most 64 VCs");
         let out_lanes = out_ports * vcs;
-        let idle = StageLane {
-            slot: FlitRef::INVALID,
-            route_port: NO_ROUTE,
-            route_vc: 0,
-            mode: MODE_NONE,
-        };
         CbState {
-            stage: vec![idle; in_ports * vcs],
+            stage: vec![StageLane::IDLE; in_ports * vcs],
             inp: vec![InPort::default(); in_ports],
             stage_ports: vec![0; in_ports.div_ceil(64)],
             queues: (0..out_lanes).map(|_| VecDeque::new()).collect(),
@@ -373,9 +396,25 @@ impl CbState {
             queue_ports: vec![0; out_ports.div_ceil(64)],
             open_pkt: vec![NO_PKT; out_lanes],
             free: cb_flits,
+            cb_flits,
             rr_read: 0,
             rr_write: 0,
         }
+    }
+
+    /// Empties the staging lanes and the central buffer, releases every
+    /// held path and rewinds the round-robin pointers.
+    fn reset(&mut self) {
+        self.stage.fill(StageLane::IDLE);
+        self.inp.fill(InPort::default());
+        self.stage_ports.fill(0);
+        self.queues.iter_mut().for_each(VecDeque::clear);
+        self.queue_mask.fill(0);
+        self.queue_ports.fill(0);
+        self.open_pkt.fill(NO_PKT);
+        self.free = self.cb_flits;
+        self.rr_read = 0;
+        self.rr_write = 0;
     }
 
     /// Empties staging lane `lane = port * vcs + vc`, clearing its
@@ -416,6 +455,17 @@ struct OutPort {
     prio: u32,
 }
 
+impl OutPort {
+    /// An empty ST register with the round-robin pointer at 0.
+    const IDLE: OutPort = OutPort {
+        st_flit: FlitRef::INVALID,
+        st_vc: 0,
+        rr: 0,
+        winner: u32::MAX,
+        prio: u32::MAX,
+    };
+}
+
 /// One network output lane (`[out_port * vcs + vc]`): the wormhole
 /// owner (raw packet id, [`NO_PKT`] = free) and the credits toward the
 /// downstream buffer.
@@ -445,13 +495,6 @@ struct OutputSide {
 impl OutputSide {
     fn new(net_ports: usize, local_ports: usize, vcs: usize, credited: bool) -> Self {
         let out_ports = net_ports + local_ports;
-        let idle = OutPort {
-            st_flit: FlitRef::INVALID,
-            st_vc: 0,
-            rr: 0,
-            winner: u32::MAX,
-            prio: u32::MAX,
-        };
         let free = OutLane {
             pkt: NO_PKT,
             credits: 0,
@@ -460,11 +503,22 @@ impl OutputSide {
             net_ports,
             vcs,
             credited,
-            ports: vec![idle; out_ports],
+            ports: vec![OutPort::IDLE; out_ports],
             lanes: vec![free; net_ports * vcs],
             st_mask: vec![0; out_ports.div_ceil(64)],
             st_live: 0,
         }
+    }
+
+    /// Empties the ST registers and frees every wormhole owner; the
+    /// credits are the caller's ([`RouterCore::reset`]).
+    fn reset(&mut self) {
+        self.ports.fill(OutPort::IDLE);
+        for lane in &mut self.lanes {
+            lane.pkt = NO_PKT;
+        }
+        self.st_mask.fill(0);
+        self.st_live = 0;
     }
 
     #[inline(always)]
@@ -657,6 +711,22 @@ impl RouterCore {
             scratch_noms: Vec::with_capacity(in_ports),
             scratch_touched: vec![0; out_ports.div_ceil(64)],
         }
+    }
+
+    /// Returns the router to its built state, empty and idle, with
+    /// `credits[port]` credits per VC on each network output port.
+    pub(crate) fn reset(&mut self, credits: &[usize]) {
+        match &mut self.arch {
+            ArchState::Edge(lanes) => lanes.reset(),
+            ArchState::Cb(cb) => cb.reset(),
+        }
+        self.out.reset();
+        for (port, &per_vc) in credits.iter().enumerate() {
+            self.set_credits(port, per_vc);
+        }
+        self.live_flits = 0;
+        self.scratch_noms.clear();
+        self.scratch_touched.fill(0);
     }
 
     /// Initializes credit counters for a network output port.
