@@ -27,7 +27,7 @@ use crate::fault_storm::{retention_rows, storm_spec, LOAD};
 use crate::{io_err, Args};
 use snoc_core::{
     format_float, BufferPreset, Campaign, CampaignResult, CampaignSpec, PointCache, PowerPoint,
-    Series, Setup, SpecError, SweepPoint, TextTable,
+    Series, Setup, SetupSpec, SpecError, SweepPoint, TextTable,
 };
 use snoc_field::{GeneratorSets, Gf};
 use snoc_layout::{
@@ -1064,6 +1064,16 @@ fn fig6(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     Ok(())
 }
 
+/// Paper configuration `config` on `sn_layout` with EB-Var buffers.
+fn eb_var(config: &str, sn_layout: Option<SnLayout>) -> Setup {
+    let recipe = SetupSpec {
+        sn_layout,
+        buffers: BufferPreset::EbVar,
+        ..SetupSpec::new(config)
+    };
+    recipe.build().expect("paper config")
+}
+
 /// Figure 15: area and static power without SMART links at N = 200.
 ///
 /// - (a) total area of the four Slim NoC layouts;
@@ -1078,9 +1088,7 @@ fn fig15(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         &["layout", "area [cm^2]"],
     );
     for (name, l) in SN_LAYOUTS {
-        let sn_s = Setup::paper("sn_s").expect("paper config");
-        let s = sn_s.with_sn_layout(l).expect("layout");
-        let s = s.with_buffers(BufferPreset::EbVar);
+        let s = eb_var("sn_s", Some(l));
         let model = s.power_model(tech);
         let area = model.area(&s.topology, &s.layout, s.buffer_flits_per_router());
         table.push_row(vec![
@@ -1102,8 +1110,7 @@ fn fig15(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         ],
     );
     for name in ["fbf4", "pfbf4", "sn_s", "t2d4", "cm4"] {
-        let s = Setup::paper(name).expect("paper config");
-        let s = s.with_buffers(BufferPreset::EbVar);
+        let s = eb_var(name, None);
         let model = s.power_model(tech);
         let area = model.area(&s.topology, &s.layout, s.buffer_flits_per_router());
         let stat = model.static_power(&s.topology, &s.layout, &area);

@@ -1,11 +1,11 @@
 //! The extension studies of the registry: ablation, static resilience
 //! and the §5.5 sensitivity summary.
 
-use super::{campaign, emit, point_at};
+use super::{campaign, eb_var, emit, point_at};
 use crate::{io_err, Args};
 use snoc_core::json::Layout::{Inline, Lines};
 use snoc_core::json::{Floats, Raw, Writer};
-use snoc_core::{format_float, BufferPreset, Setup, TextTable};
+use snoc_core::{format_float, Setup, TextTable};
 use snoc_power::TechNode;
 use snoc_topology::paper_config;
 use std::io::Write;
@@ -258,14 +258,8 @@ pub(super) fn sensitivity(args: &Args, out: &mut dyn Write) -> Result<(), String
             let p = m.static_power(&s.topology, &s.layout, &a);
             (a.total_mm2(), p.total_w())
         };
-        let sn_e = Setup::paper("sn_s")
-            .expect("sn")
-            .with_buffers(BufferPreset::EbVar);
-        let fbf_e = Setup::paper("fbf3")
-            .expect("fbf")
-            .with_buffers(BufferPreset::EbVar);
-        let (a1, p1) = eval(&sn_e);
-        let (a2, p2) = eval(&fbf_e);
+        let (a1, p1) = eval(&eb_var("sn_s", None));
+        let (a2, p2) = eval(&eb_var("fbf3", None));
         table.push_row(vec![
             tech.to_string(),
             format_float(a1 / a2, 3),

@@ -496,30 +496,38 @@ mod tests {
 
     #[test]
     fn engine_behaviour_moves_only_with_the_salt() {
-        use crate::{BufferPreset, FaultsSpec, Setup, StormSpec};
+        use crate::{BufferPreset, FaultsSpec, SetupSpec, StormSpec};
         use snoc_sim::RoutingKind;
         use snoc_traffic::TrafficPattern::{Adversarial1, Random};
 
-        let sn_s = || Setup::paper("sn_s").unwrap().with_seed(11);
-        let storm = FaultsSpec {
-            events: Vec::new(),
-            storm: Some(StormSpec {
-                links: 10,
-                start: 150,
-                window: 200,
-                seed: 7,
+        let sn_s = |recipe: SetupSpec| recipe.build().unwrap().with_seed(11);
+        let plain = || SetupSpec::new("sn_s");
+        let ugal = SetupSpec {
+            routing: RoutingKind::UgalL,
+            ..plain()
+        };
+        let cbr = SetupSpec {
+            buffers: BufferPreset::Cbr(20),
+            ..plain()
+        };
+        let storm = SetupSpec {
+            faults: Some(FaultsSpec {
+                events: Vec::new(),
+                storm: Some(StormSpec {
+                    links: 10,
+                    start: 150,
+                    window: 200,
+                    seed: 7,
+                }),
             }),
+            ..plain()
         };
         let reports = [
-            sn_s().run_load(Random, 0.7, 100, 400),
-            sn_s()
-                .with_routing(RoutingKind::UgalL)
-                .run_load(Random, 0.3, 100, 400),
-            sn_s()
-                .with_buffers(BufferPreset::Cbr(20))
-                .run_load(Random, 0.3, 100, 400),
-            sn_s().with_faults(storm).run_load(Random, 0.2, 100, 400),
-            sn_s().run_load_sharded(Adversarial1, 0.2, 100, 400, 2),
+            sn_s(plain()).run_load(Random, 0.7, 100, 400),
+            sn_s(ugal).run_load(Random, 0.3, 100, 400),
+            sn_s(cbr).run_load(Random, 0.3, 100, 400),
+            sn_s(storm).run_load(Random, 0.2, 100, 400),
+            sn_s(plain()).run_load_sharded(Adversarial1, 0.2, 100, 400, 2),
         ];
         let mut bytes = String::new();
         for r in &reports {

@@ -11,11 +11,11 @@
 //! # Example
 //!
 //! ```
-//! use snoc_core::{BufferPreset, Setup};
+//! use snoc_core::SetupSpec;
 //! use snoc_traffic::TrafficPattern;
 //!
 //! // The paper's SN-S configuration with SMART links.
-//! let setup = Setup::paper("sn_s")?.with_smart(true);
+//! let setup = SetupSpec { smart: true, ..SetupSpec::new("sn_s") }.build()?;
 //! let report = setup.run_load(TrafficPattern::Random, 0.02, 500, 1_500);
 //! assert!(report.delivered_packets > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())

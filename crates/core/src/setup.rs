@@ -2,10 +2,11 @@
 //! as the paper specifies them (§5.1, Table 4).
 
 use crate::faults::FaultsSpec;
-use snoc_layout::{per_router_central_buffers, BufferModel, BufferSpec, Layout, SnLayout};
+use crate::spec::SetupSpec;
+use snoc_layout::{per_router_central_buffers, BufferModel, BufferSpec, Layout};
 use snoc_power::{PowerModel, TechNode};
 use snoc_sim::{
-    BufferSizing, RoutingKind, RoutingTable, ShardedSimulator, SimConfig, SimError, SimReport,
+    BufferSizing, RouterArch, RoutingTable, ShardedSimulator, SimConfig, SimError, SimReport,
     Simulator,
 };
 use snoc_topology::{paper_config, Topology, TopologyError, TopologyKind};
@@ -78,8 +79,6 @@ pub enum SetupError {
     Topology(TopologyError),
     /// Simulator rejected the configuration.
     Sim(SimError),
-    /// Layout construction failed.
-    Layout(snoc_layout::LayoutError),
 }
 
 impl fmt::Display for SetupError {
@@ -87,7 +86,6 @@ impl fmt::Display for SetupError {
         match self {
             SetupError::Topology(e) => write!(f, "topology: {e}"),
             SetupError::Sim(e) => write!(f, "simulator: {e}"),
-            SetupError::Layout(e) => write!(f, "layout: {e}"),
         }
     }
 }
@@ -102,11 +100,6 @@ impl From<TopologyError> for SetupError {
 impl From<SimError> for SetupError {
     fn from(e: SimError) -> Self {
         SetupError::Sim(e)
-    }
-}
-impl From<snoc_layout::LayoutError> for SetupError {
-    fn from(e: snoc_layout::LayoutError) -> Self {
-        SetupError::Layout(e)
     }
 }
 
@@ -141,23 +134,13 @@ pub struct Setup {
     pub sim: SimConfig,
     /// Router cycle time in nanoseconds (0.4/0.5/0.6 per radix class).
     pub cycle_time_ns: f64,
-    /// Buffer preset used (drives the power model's buffer term).
-    pub buffers: BufferPreset,
-    /// The paper-configuration name this setup was built from, when it
-    /// was ([`Setup::paper`] records it; [`Setup::from_topology`] does
-    /// not). Together with the builder state below it lets
-    /// [`Setup::to_spec`](crate::spec::SetupSpec) reconstruct the
-    /// serializable recipe of the setup; custom topologies have no
-    /// recipe and are not spec-representable.
-    pub paper_config: Option<String>,
-    /// The Slim NoC layout applied via [`Setup::with_sn_layout`]
-    /// (`None` for the natural layout or non-SN topologies).
-    pub sn_layout: Option<SnLayout>,
     /// Fault recipe applied to every simulator this setup builds
     /// (`None` = fault-free). Resolved against the topology in
     /// [`Setup::simulator`]; the sharded engine cannot run it
     /// ([`Setup::run_load_sharded`]).
     pub faults: Option<FaultsSpec>,
+    /// [`Setup::to_spec`].
+    pub(crate) recipe: Option<SetupSpec>,
     /// [`RoutingTable::minimal`] of `topology`, built on first use and
     /// shared by every clone of this setup ([`Setup::minimal_table`]).
     /// A clone that swaps in another topology gets a [`SetupError`]
@@ -187,7 +170,7 @@ impl Setup {
         }
         let desc = paper_config(name)?;
         let mut setup = Setup::from_topology(name, desc.topology, desc.cycle_time_ns)?;
-        setup.paper_config = Some(name.to_string());
+        setup.recipe = Some(SetupSpec::new(name));
         let mut memo = BUILT.lock().expect("setup memo");
         Ok(memo.entry(name.to_string()).or_insert(setup).clone())
     }
@@ -216,63 +199,10 @@ impl Setup {
             layout,
             sim,
             cycle_time_ns,
-            buffers: BufferPreset::EbSmall,
-            paper_config: None,
-            sn_layout: None,
             faults: None,
+            recipe: None,
             table: Arc::default(),
         })
-    }
-
-    /// Switches the Slim NoC layout (no-op for other topologies).
-    ///
-    /// # Errors
-    ///
-    /// Never fails for Slim NoC topologies; returns the unchanged setup
-    /// otherwise.
-    pub fn with_sn_layout(mut self, which: SnLayout) -> Result<Self, SetupError> {
-        if matches!(self.topology.kind(), TopologyKind::SlimNoc { .. }) {
-            self.layout = Layout::slim_noc(&self.topology, which)?;
-            self.sn_layout = Some(which);
-        }
-        Ok(self)
-    }
-
-    /// Enables or disables SMART links (`H = 9` vs `H = 1`).
-    #[must_use]
-    pub fn with_smart(mut self, smart: bool) -> Self {
-        self.sim.smart_hops = if smart { 9 } else { 1 };
-        self
-    }
-
-    /// Applies a buffering preset: the router architecture, edge-buffer
-    /// sizing and link mode it governs. Every other simulator parameter
-    /// keeps its value.
-    #[must_use]
-    pub fn with_buffers(mut self, preset: BufferPreset) -> Self {
-        let governed = match preset {
-            BufferPreset::EbSmall => SimConfig::eb_small(),
-            BufferPreset::EbLarge => SimConfig::eb_large(),
-            BufferPreset::EbVar => SimConfig::eb_var(),
-            BufferPreset::ElLinks => SimConfig::elastic_links(),
-            BufferPreset::Cbr(x) => SimConfig::cbr(x),
-        };
-        self.sim.router_arch = governed.router_arch;
-        self.sim.buffer_sizing = governed.buffer_sizing;
-        self.sim.link_mode = governed.link_mode;
-        self.buffers = preset;
-        self
-    }
-
-    /// Selects the routing algorithm (UGAL variants force 4 VCs to cover
-    /// the doubled Valiant path length).
-    #[must_use]
-    pub fn with_routing(mut self, routing: RoutingKind) -> Self {
-        self.sim.routing = routing;
-        if matches!(routing, RoutingKind::UgalL | RoutingKind::UgalG) {
-            self.sim.vcs = self.sim.vcs.max(4);
-        }
-        self
     }
 
     /// Sets the RNG seed.
@@ -282,19 +212,13 @@ impl Setup {
         self
     }
 
-    /// Attaches a fault recipe: every simulator this setup builds runs
-    /// it live (link/router failures mid-run, dropped packets counted,
-    /// routing self-healed). Fault injection is supported on the
-    /// edge-buffer + credited-link + minimal-routing envelope; other
-    /// configurations fail at [`Setup::simulator`] time.
+    /// The recipe this setup was built from by [`Setup::paper`] or
+    /// [`SetupSpec::build`], or `None` for one built on an arbitrary
+    /// topology or base. It builds this setup again, so a campaign keys
+    /// its cache on it: the key names exactly what was simulated.
     #[must_use]
-    pub fn with_faults(mut self, faults: FaultsSpec) -> Self {
-        self.faults = if faults.is_empty() {
-            None
-        } else {
-            Some(faults)
-        };
-        self
+    pub fn to_spec(&self) -> Option<SetupSpec> {
+        self.recipe.clone()
     }
 
     /// Runs every check [`Setup::simulator`] can fail on — the simulator
@@ -458,9 +382,9 @@ impl Setup {
     #[must_use]
     pub fn buffer_flits_per_router(&self) -> usize {
         let lanes = self.topology.network_radix() * self.sim.vcs;
-        match (self.buffers, self.sim.buffer_sizing) {
-            (BufferPreset::Cbr(x), _) => {
-                per_router_central_buffers(&self.topology, x, self.sim.vcs)
+        match (self.sim.router_arch, self.sim.buffer_sizing) {
+            (RouterArch::CentralBuffer { cb_flits }, _) => {
+                per_router_central_buffers(&self.topology, cb_flits, self.sim.vcs)
             }
             (_, BufferSizing::Fixed(per_vc)) => lanes * per_vc,
             (_, BufferSizing::VariableRtt) => {
@@ -499,7 +423,7 @@ impl Setup {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use snoc_sim::RouterArch;
+    use snoc_sim::{RouterArch, RoutingKind};
     use std::cell::Cell;
 
     thread_local! {
@@ -528,13 +452,20 @@ pub(crate) mod tests {
     #[test]
     fn buffer_presets_apply() {
         let s = Setup::paper("sn54").unwrap();
-        let cbr = s.clone().with_buffers(BufferPreset::Cbr(20));
+        let built = |buffers| {
+            let recipe = SetupSpec {
+                buffers,
+                ..SetupSpec::new("sn54")
+            };
+            recipe.build().unwrap()
+        };
+        let cbr = built(BufferPreset::Cbr(20));
         assert!(matches!(
             cbr.sim.router_arch,
             RouterArch::CentralBuffer { cb_flits: 20 }
         ));
         assert_eq!(cbr.sim.vcs, s.sim.vcs, "vcs preserved across preset");
-        let var = s.clone().with_buffers(BufferPreset::EbVar);
+        let var = built(BufferPreset::EbVar);
         assert!(var.simulator().is_ok(), "EB-Var works with a layout");
     }
 
@@ -547,70 +478,75 @@ pub(crate) mod tests {
             (BufferPreset::ElLinks, SimConfig::elastic_links()),
             (BufferPreset::Cbr(20), SimConfig::cbr(20)),
         ];
-        let base = Setup::paper("sn54")
-            .unwrap()
-            .with_smart(true)
-            .with_routing(RoutingKind::UgalL)
-            .with_seed(7);
+        let recipe = SetupSpec {
+            smart: true,
+            routing: RoutingKind::UgalL,
+            ..SetupSpec::new("sn54")
+        };
+        // Parameters no preset governs survive it: those of the recipe,
+        // and those tuned on the base it is applied to.
+        let mut tuned = Setup::paper("sn54").unwrap().with_seed(7);
+        tuned.sim.packet_flits = 4;
+        tuned.sim.injection_queue_flits = 32;
         for (preset, config) in presets {
-            // On an untouched setup: the preset's SimConfig with the
-            // setup's own vcs / SMART / routing / seed.
             let expected = SimConfig {
                 vcs: 4,
                 smart_hops: 9,
                 routing: RoutingKind::UgalL,
                 seed: 7,
-                ..config
-            };
-            // Applying one preset over another leaves no trace of the first.
-            let via_cbr = base.clone().with_buffers(BufferPreset::Cbr(40));
-            assert_eq!(via_cbr.with_buffers(preset).sim, expected, "{preset}");
-            // Parameters no preset governs survive it.
-            let mut tuned = base.clone();
-            tuned.sim.packet_flits = 4;
-            tuned.sim.injection_queue_flits = 32;
-            let expected = SimConfig {
                 packet_flits: 4,
                 injection_queue_flits: 32,
-                ..expected
+                ..config
             };
-            assert_eq!(tuned.with_buffers(preset).sim, expected, "{preset}");
+            let recipe = SetupSpec {
+                buffers: preset,
+                ..recipe.clone()
+            };
+            let built = recipe.build_on(tuned.clone());
+            assert_eq!(built.sim, expected, "{preset}");
         }
     }
 
     #[test]
     fn buffer_flits_per_router_values() {
-        let s = Setup::paper("sn54").unwrap();
+        let flits = |buffers| {
+            let recipe = SetupSpec {
+                buffers,
+                ..SetupSpec::new("sn54")
+            };
+            recipe.build().unwrap().buffer_flits_per_router()
+        };
         // EB-Small: k' * vcs * 5 = 5 * 2 * 5.
-        assert_eq!(s.buffer_flits_per_router(), 50);
-        let large = s.clone().with_buffers(BufferPreset::EbLarge);
-        assert_eq!(large.buffer_flits_per_router(), 150);
-        let cbr = s.clone().with_buffers(BufferPreset::Cbr(20));
+        assert_eq!(flits(BufferPreset::EbSmall), 50);
+        assert_eq!(flits(BufferPreset::EbLarge), 150);
         // Eq. 6 per router: 20 + 2 * 5 * 2 = 40.
-        assert_eq!(cbr.buffer_flits_per_router(), 40);
-        let el = s.with_buffers(BufferPreset::ElLinks);
-        assert_eq!(el.buffer_flits_per_router(), 10);
+        assert_eq!(flits(BufferPreset::Cbr(20)), 40);
+        assert_eq!(flits(BufferPreset::ElLinks), 10);
     }
 
     #[test]
     fn smart_toggles_h() {
-        let s = Setup::paper("sn54").unwrap();
-        assert_eq!(s.sim.smart_hops, 1);
-        assert_eq!(s.clone().with_smart(true).sim.smart_hops, 9);
-        assert_eq!(s.with_smart(true).with_smart(false).sim.smart_hops, 1);
+        assert_eq!(Setup::paper("sn54").unwrap().sim.smart_hops, 1);
+        for (smart, hops) in [(false, 1), (true, 9)] {
+            let recipe = SetupSpec {
+                smart,
+                ..SetupSpec::new("sn54")
+            };
+            assert_eq!(recipe.build().unwrap().sim.smart_hops, hops);
+        }
     }
 
     #[test]
     fn ugal_forces_four_vcs() {
-        let s = Setup::paper("sn_s")
-            .unwrap()
-            .with_routing(RoutingKind::UgalL);
-        assert_eq!(s.sim.vcs, 4);
+        let recipe = SetupSpec {
+            routing: RoutingKind::UgalL,
+            ..SetupSpec::new("sn_s")
+        };
+        assert_eq!(recipe.build().unwrap().sim.vcs, 4);
     }
 
     #[test]
     fn validate_fails_exactly_where_the_simulator_refuses_to_build() {
-        let base = Setup::paper("sn54").unwrap();
         let recipe = |text| FaultsSpec::from_json_value(&crate::json::parse(text).unwrap()).ok();
         let faults = [
             None,
@@ -625,7 +561,12 @@ pub(crate) mod tests {
                 RoutingKind::XyAdaptive,
             ] {
                 for faults in &faults {
-                    let mut s = base.clone().with_buffers(buffers).with_routing(routing);
+                    let recipe = SetupSpec {
+                        buffers,
+                        routing,
+                        ..SetupSpec::new("sn54")
+                    };
+                    let mut s = recipe.build().unwrap();
                     s.faults.clone_from(faults);
                     let built = s.simulator().map(drop).map_err(|e| e.to_string());
                     let checked = s.validate().map_err(|e| e.to_string());

@@ -20,8 +20,9 @@
 //! cache keys — as the original.
 //!
 //! Setups are specified as *recipes*: a paper-configuration name plus
-//! the builder modifiers (`layout`, `buffers`, `routing`, `smart`,
-//! `faults`).
+//! the modifiers (`layout`, `buffers`, `routing`, `smart`, `faults`)
+//! that [`SetupSpec::build_on`] applies; a built setup carries its
+//! recipe ([`Setup::to_spec`]).
 //!
 //! Beside `patterns`, the optional `workloads` (names from
 //! [`snoc_traffic::benchmark_names`], emitted only when non-empty) adds
@@ -32,9 +33,10 @@ use crate::faults::FaultsSpec;
 use crate::json::Layout::{Inline, Lines};
 use crate::json::{self, Floats, JsonValue, Raw, Writer};
 use crate::setup::{BufferPreset, Setup, SetupError};
-use snoc_layout::SnLayout;
+use snoc_layout::{Layout, SnLayout};
 use snoc_power::TechNode;
-use snoc_sim::RoutingKind;
+use snoc_sim::{RoutingKind, SimConfig};
+use snoc_topology::TopologyKind;
 use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::error::Error;
 use std::fmt;
@@ -80,16 +82,16 @@ impl From<SetupError> for SpecError {
 }
 
 /// The serializable recipe of one [`Setup`]: a paper-configuration
-/// name plus builder modifiers, applied in a fixed canonical order.
+/// name plus the modifiers [`SetupSpec::build_on`] applies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetupSpec {
     /// Paper-configuration name ([`Setup::paper`] vocabulary).
     pub config: String,
-    /// Display name (defaults to `config`; repro binaries override it
-    /// to label variants, and it feeds the per-point seed derivation).
+    /// Display name (defaults to `config`; figure specs override it to
+    /// label variants, and it feeds the per-point seed derivation).
     pub name: String,
     /// Slim NoC layout override (`None` = natural layout; ignored for
-    /// non-SN topologies, mirroring [`Setup::with_sn_layout`]).
+    /// non-SN topologies, and dropped from their built setup's recipe).
     pub sn_layout: Option<SnLayout>,
     /// SMART links enabled (`H = 9` vs `H = 1`).
     pub smart: bool,
@@ -120,31 +122,57 @@ impl SetupSpec {
         }
     }
 
-    /// Builds the runnable [`Setup`]. Modifiers apply in canonical
-    /// order (layout, buffers, routing, smart, faults) to the
-    /// configuration's base setup. A builder chain that applies each
-    /// modifier at most once builds the same setup in any order; one
-    /// that reapplies a modifier need not match its recipe:
-    /// `with_routing(UgalL).with_routing(Minimal)` keeps UGAL's 4 VCs,
-    /// which `"routing": "min"` does not build.
+    /// Builds the runnable [`Setup`]: [`SetupSpec::build_on`] the
+    /// configuration's base setup, carrying this recipe normalised as
+    /// it was applied (a layout off Slim NoC and empty faults dropped).
     ///
     /// # Errors
     ///
     /// Returns [`SetupError`] for unknown configuration names.
     pub fn build(&self) -> Result<Setup, SetupError> {
-        let mut setup = Setup::paper(&self.config)?;
-        if let Some(layout) = self.sn_layout {
-            setup = setup.with_sn_layout(layout)?;
-        }
-        setup = setup
-            .with_buffers(self.buffers)
-            .with_routing(self.routing)
-            .with_smart(self.smart);
-        if let Some(faults) = &self.faults {
-            setup = setup.with_faults(faults.clone());
-        }
-        setup.name = self.name.clone();
+        let mut setup = self.build_on(Setup::paper(&self.config)?);
+        let slim_noc = matches!(setup.topology.kind(), TopologyKind::SlimNoc { .. });
+        setup.recipe = Some(SetupSpec {
+            sn_layout: self.sn_layout.filter(|_| slim_noc),
+            faults: setup.faults.clone(),
+            ..self.clone()
+        });
         Ok(setup)
+    }
+
+    /// The one place a modifier is applied: to `base`, in canonical
+    /// order, the layout (Slim NoC only), the preset's three
+    /// [`SimConfig`] fields, the routing (UGAL keeps ≥ 4 VCs for the
+    /// doubled Valiant path), SMART (`H = 9`), the faults (empty is
+    /// none) and the name. The result has no recipe: `base` is
+    /// arbitrary, and `config` is not read.
+    #[must_use]
+    pub fn build_on(&self, mut base: Setup) -> Setup {
+        let slim_noc = matches!(base.topology.kind(), TopologyKind::SlimNoc { .. });
+        if let Some(layout) = self.sn_layout.filter(|_| slim_noc) {
+            base.layout = Layout::slim_noc(&base.topology, layout)
+                .expect("every SN layout fits an SN topology");
+        }
+        let preset = match self.buffers {
+            BufferPreset::EbSmall => SimConfig::eb_small(),
+            BufferPreset::EbLarge => SimConfig::eb_large(),
+            BufferPreset::EbVar => SimConfig::eb_var(),
+            BufferPreset::ElLinks => SimConfig::elastic_links(),
+            BufferPreset::Cbr(x) => SimConfig::cbr(x),
+        };
+        let sim = &mut base.sim;
+        sim.router_arch = preset.router_arch;
+        sim.buffer_sizing = preset.buffer_sizing;
+        sim.link_mode = preset.link_mode;
+        sim.routing = self.routing;
+        if matches!(self.routing, RoutingKind::UgalL | RoutingKind::UgalG) {
+            sim.vcs = sim.vcs.max(4);
+        }
+        sim.smart_hops = if self.smart { 9 } else { 1 };
+        base.faults = self.faults.clone().filter(|f| !f.is_empty());
+        base.name.clone_from(&self.name);
+        base.recipe = None;
+        base
     }
 
     /// The recipe as a compact one-line JSON object — both the wire
@@ -213,28 +241,6 @@ impl SetupSpec {
                 .map(FaultsSpec::from_json_value)
                 .transpose()
                 .map_err(|e| format!("faults: {e}"))?,
-        })
-    }
-}
-
-impl Setup {
-    /// The serializable recipe of this setup, or `None` when it was
-    /// built from an arbitrary topology ([`Setup::from_topology`]) and
-    /// has none. The recipe reflects the *current* builder state
-    /// (including direct `name` overrides). For a setup a recipe built,
-    /// it builds that setup again — the same simulator configuration,
-    /// layout, buffers, faults and name — which is why a campaign keys
-    /// its cache on it: the key names exactly what was simulated.
-    #[must_use]
-    pub fn to_spec(&self) -> Option<SetupSpec> {
-        Some(SetupSpec {
-            config: self.paper_config.clone()?,
-            name: self.name.clone(),
-            sn_layout: self.sn_layout,
-            smart: self.sim.smart_hops > 1,
-            buffers: self.buffers,
-            routing: self.sim.routing,
-            faults: self.faults.clone(),
         })
     }
 }
@@ -609,20 +615,6 @@ mod tests {
             let back = built.to_spec().expect("paper setups have recipes");
             assert_eq!(back, spec);
         }
-    }
-
-    #[test]
-    fn built_setup_matches_builder_chain() {
-        // A recipe must reproduce the exact setup of the equivalent
-        // builder chain, regardless of the order modifiers were
-        // applied in.
-        let chain = Setup::paper("sn_s")
-            .unwrap()
-            .with_smart(true)
-            .with_routing(RoutingKind::UgalL)
-            .with_buffers(BufferPreset::Cbr(20));
-        let rebuilt = chain.to_spec().expect("recipe").build().expect("builds");
-        assert_eq!(format!("{chain:?}"), format!("{rebuilt:?}"));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! schema.
 //!
 //! The spec JSON is simultaneously the wire format of `snoc serve`,
-//! the `--spec` CLI input of every repro binary, and the source of the
+//! the `--spec` input of `snoc run` and `snoc submit`, the form of every
+//! committed figure campaign under `specs/`, and the source of the
 //! content-addressed cache keys — so its bytes are a contract twice
 //! over: consumers parse it by field name, and any serialization drift
 //! would silently re-key (and thus cold-start) every existing cache.

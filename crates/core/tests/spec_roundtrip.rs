@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use snoc_core::json::{self, JsonValue, Reader};
 use snoc_core::{
-    BufferPreset, CampaignResult, CampaignSpec, FaultsSpec, SetupSpec, StormSpec, SweepPoint,
+    BufferPreset, CampaignResult, CampaignSpec, FaultsSpec, Setup, SetupSpec, StormSpec, SweepPoint,
 };
 use snoc_layout::SnLayout;
 use snoc_power::TechNode;
@@ -213,27 +213,60 @@ proptest! {
     /// A campaign keys its cache on the recipe of each setup *as
     /// built*, so that recipe must build the very setup that ran —
     /// including the recipes `build` normalises: a layout on a
-    /// non-SN configuration (ignored) and an empty fault recipe (none).
+    /// non-SN configuration (dropped) and an empty fault recipe (none).
     #[test]
     fn the_recipe_of_a_built_setup_rebuilds_it(bits in 1u64..u64::MAX, faults in 0u64..3) {
         let mut recipe = setup_from(bits);
-        recipe.faults = match faults {
-            0 => None,
-            1 => Some(FaultsSpec::default()),
-            _ => Some(FaultsSpec {
-                events: Vec::new(),
-                storm: Some(StormSpec { links: 2, start: 10, window: 10, seed: bits }),
-            }),
+        let storm = FaultsSpec {
+            events: Vec::new(),
+            storm: Some(StormSpec { links: 2, start: 10, window: 10, seed: bits }),
+        };
+        let kept_faults;
+        (recipe.faults, kept_faults) = match faults {
+            0 => (None, None),
+            1 => (Some(FaultsSpec::default()), None),
+            _ => (Some(storm.clone()), Some(storm)),
+        };
+        let slim_noc = ["sn54", "sn_s"].contains(&recipe.config.as_str());
+        let normalised = SetupSpec {
+            sn_layout: recipe.sn_layout.filter(|_| slim_noc),
+            faults: kept_faults,
+            ..recipe.clone()
         };
         let built = recipe.build().map_err(|e| TestCaseError(e.to_string()))?;
-        let keyed = built.to_spec().expect("a recipe-built setup has a recipe");
-        let rebuilt = keyed.build().map_err(|e| TestCaseError(e.to_string()))?;
+        prop_assert_eq!(built.to_spec(), Some(normalised.clone()));
+        let rebuilt = normalised.build().map_err(|e| TestCaseError(e.to_string()))?;
         prop_assert_eq!(&rebuilt.sim, &built.sim);
         prop_assert_eq!(&rebuilt.layout, &built.layout);
-        prop_assert_eq!(rebuilt.buffers, built.buffers);
         prop_assert_eq!(&rebuilt.faults, &built.faults);
         prop_assert_eq!(&rebuilt.name, &built.name);
+        prop_assert_eq!(rebuilt.to_spec(), built.to_spec());
     }
+}
+
+/// A paper configuration's base setup carries the default recipe of
+/// its name; a setup built on an arbitrary base carries none, so no
+/// cache key can name it.
+#[test]
+fn base_setups_carry_their_recipes_and_custom_ones_none() {
+    for name in snoc_topology::paper_config_names() {
+        let base = Setup::paper(name).expect("paper config");
+        assert_eq!(base.to_spec(), Some(SetupSpec::new(name)), "{name}");
+    }
+    let recipe = SetupSpec {
+        sn_layout: Some(SnLayout::Group),
+        buffers: BufferPreset::EbVar,
+        ..SetupSpec::new("custom")
+    };
+    let topology = snoc_topology::Topology::slim_noc(5, 2).expect("q = 5");
+    let base = Setup::from_topology("sn (custom)", topology, 0.5).expect("builds");
+    let built = recipe.build_on(base);
+    assert_eq!(built.name, "custom");
+    assert_eq!(built.to_spec(), None);
+    // Nor does one built on a paper configuration's base: only `build`
+    // knows its base is the configuration's.
+    let on_paper = recipe.build_on(Setup::paper("sn_s").unwrap());
+    assert_eq!(on_paper.to_spec(), None);
 }
 
 /// `edits` random byte replacements (structural or arbitrary),

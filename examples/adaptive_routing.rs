@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example adaptive_routing`
 
-use slim_noc::core::Setup;
+use slim_noc::core::SetupSpec;
 use slim_noc::sim::RoutingKind;
 use slim_noc::traffic::TrafficPattern;
 
@@ -19,7 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("UGAL-G", RoutingKind::UgalG),
     ] {
         for load in [0.05, 0.2, 0.4] {
-            let setup = Setup::paper("sn_s")?.with_routing(routing);
+            let recipe = SetupSpec {
+                routing,
+                ..SetupSpec::new("sn_s")
+            };
+            let setup = recipe.build()?;
             let report = setup.run_load(TrafficPattern::Asymmetric, load, 1_000, 6_000);
             println!(
                 "{:<10} {:<8} {:>8.2} {:>12.4} {:>10.3} {:>9.0}%",

@@ -16,7 +16,7 @@
 //! snoc submit --spec campaign.json
 //! ```
 
-use slim_noc::core::{format_float, BufferPreset, Setup, TextTable};
+use slim_noc::core::{format_float, BufferPreset, Setup, SetupSpec, TextTable};
 use slim_noc::layout::SnLayout;
 use slim_noc::power::TechNode;
 use slim_noc::prelude::*;
@@ -139,6 +139,7 @@ SIM / ANALYZE OPTIONS:
 
 struct Options {
     setup: Setup,
+    buffers: BufferPreset,
     pattern: TrafficPattern,
     load: f64,
     warmup: u64,
@@ -212,8 +213,25 @@ fn parse(args: &[String]) -> Result<Options, String> {
     if !(load.is_finite() && load >= 0.0) {
         return Err(format!("--load: `{load}` is not a finite rate >= 0"));
     }
-    let mut setup = if let Some(name) = config {
-        Setup::paper(&name).map_err(|e| e.to_string())?
+    // One recipe of modifiers, named as in campaign specs, for both.
+    let custom = format!("{topology} (custom)");
+    let mut recipe = SetupSpec::new(config.as_deref().unwrap_or(&custom));
+    if let Some(l) = layout {
+        recipe.sn_layout = Some(match (l.as_str(), seed) {
+            // A bare `rand` shuffles with `--seed`.
+            ("rand", Some(seed)) => SnLayout::Random(seed),
+            _ => SnLayout::from_spec_name(&l).ok_or_else(|| format!("unknown layout `{l}`"))?,
+        });
+    }
+    if let Some(b) = buffers {
+        recipe.buffers =
+            BufferPreset::from_spec_name(&b).ok_or_else(|| format!("unknown buffers `{b}`"))?;
+    }
+    recipe.routing = RoutingKind::from_spec_name(&routing)
+        .ok_or_else(|| format!("unknown routing `{routing}`"))?;
+    recipe.smart = smart;
+    let mut setup = if config.is_some() {
+        recipe.build()
     } else {
         if topology != "sn" && (x == 0 || y == 0 || p == 0) {
             return Err(format!(
@@ -227,28 +245,14 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "fbf" => Topology::flattened_butterfly(x, y, p),
             other => return Err(format!("unknown topology `{other}`")),
         };
-        Setup::from_topology(&format!("{topology} (custom)"), topo, 0.5)
-            .map_err(|e| e.to_string())?
-    };
-    // The names are the campaign-spec wire names of each type.
-    if let Some(l) = layout {
-        let kind = match (l.as_str(), seed) {
-            // A bare `rand` shuffles with `--seed`.
-            ("rand", Some(seed)) => SnLayout::Random(seed),
-            _ => SnLayout::from_spec_name(&l).ok_or_else(|| format!("unknown layout `{l}`"))?,
-        };
-        setup = setup.with_sn_layout(kind).map_err(|e| e.to_string())?;
+        Setup::from_topology(&custom, topo, 0.5).map(|base| recipe.build_on(base))
     }
-    if let Some(b) = buffers {
-        let preset =
-            BufferPreset::from_spec_name(&b).ok_or_else(|| format!("unknown buffers `{b}`"))?;
-        setup = setup.with_buffers(preset);
+    .map_err(|e| e.to_string())?;
+    // A recipe ignores a layout off Slim NoC; a command line refuses it.
+    let slim_noc = matches!(setup.topology.kind(), TopologyKind::SlimNoc { .. });
+    if recipe.sn_layout.is_some() && !slim_noc {
+        return Err(format!("--layout: `{}` is not a Slim NoC", setup.name));
     }
-    setup = setup.with_routing(
-        RoutingKind::from_spec_name(&routing)
-            .ok_or_else(|| format!("unknown routing `{routing}`"))?,
-    );
-    setup = setup.with_smart(smart);
     if let Some(s) = seed {
         setup = setup.with_seed(s);
     }
@@ -257,6 +261,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
     let tech = TechNode::from_name(&tech).ok_or_else(|| format!("unknown tech node `{tech}`"))?;
     Ok(Options {
         setup,
+        buffers: recipe.buffers,
         pattern,
         load,
         warmup,
@@ -280,7 +285,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
     let mut t = TextTable::new(
         format!(
             "{} | {} @ {} flits/node/cycle | buffers {} | H={}",
-            opt.setup.name, opt.pattern, opt.load, opt.setup.buffers, opt.setup.sim.smart_hops
+            opt.setup.name, opt.pattern, opt.load, opt.buffers, opt.setup.sim.smart_hops
         ),
         &["metric", "value"],
     );

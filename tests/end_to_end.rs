@@ -28,9 +28,13 @@ fn slim_noc_latency_beats_low_radix_networks() {
     // latency than mesh and torus. Without SMART, SN's longer wires can
     // cost latency at small scales — which is exactly Fig 14's point.
     let lat = |name: &str| {
-        Setup::paper(name)
+        let recipe = SetupSpec {
+            smart: true,
+            ..SetupSpec::new(name)
+        };
+        recipe
+            .build()
             .expect("config")
-            .with_smart(true)
             .run_load(TrafficPattern::Random, 0.05, 500, 2_500)
             .avg_packet_latency()
     };
@@ -139,9 +143,11 @@ fn the_clock_stops_the_cycle_after_the_last_measured_tail_ejects() {
 
 #[test]
 fn power_pipeline_end_to_end() {
-    let setup = Setup::paper("sn54")
-        .expect("sn54")
-        .with_buffers(BufferPreset::EbVar);
+    let recipe = SetupSpec {
+        buffers: BufferPreset::EbVar,
+        ..SetupSpec::new("sn54")
+    };
+    let setup = recipe.build().expect("sn54");
     let report = setup.run_load(TrafficPattern::Random, 0.08, 300, 2_000);
     let r = setup.power_report(TechNode::N45, &report);
     assert!(r.area.total_mm2() > 0.0);

@@ -204,9 +204,11 @@ fn adaptive_trace_replies_are_pinned_byte_for_byte() {
         ("streamcluster", UgalG, 0x7cec_0640_eae6_560d),
     ];
     for (workload, routing, pinned) in pins {
-        let setup = slim_noc::core::Setup::paper("sn_s")
-            .unwrap()
-            .with_routing(routing);
+        let recipe = slim_noc::core::SetupSpec {
+            routing,
+            ..slim_noc::core::SetupSpec::new("sn_s")
+        };
+        let setup = recipe.build().unwrap();
         let w = TraceWorkload::by_name(workload).unwrap();
         let trace = w.generate(&setup.topology, 1_500, setup.sim.seed);
         let report = setup.simulator().unwrap().run_trace(&trace, 300);

@@ -4,7 +4,7 @@
 //! the authors' testbed; each assertion checks the direction and rough
 //! factor of a published comparison.
 
-use slim_noc::core::{BufferPreset, CampaignSpec, Setup, SetupSpec};
+use slim_noc::core::{BufferPreset, CampaignSpec, SetupSpec};
 use slim_noc::field::SlimFlyParams;
 use slim_noc::layout::{BufferModel, BufferSpec, Layout, SnLayout};
 use slim_noc::power::TechNode;
@@ -95,9 +95,11 @@ fn wiring_constraints_hold_for_all_paper_designs() {
 #[test]
 fn sn_beats_fbf_in_area_and_static_power() {
     let eval = |name: &str| {
-        let s = Setup::paper(name)
-            .unwrap()
-            .with_buffers(BufferPreset::EbVar);
+        let recipe = SetupSpec {
+            buffers: BufferPreset::EbVar,
+            ..SetupSpec::new(name)
+        };
+        let s = recipe.build().unwrap();
         let model = s.power_model(TechNode::N45);
         let area = model.area(&s.topology, &s.layout, s.buffer_flits_per_router());
         let stat = model.static_power(&s.topology, &s.layout, &area);
@@ -165,10 +167,14 @@ fn non_prime_fields_unlock_power_of_two_sizes() {
 #[test]
 fn smart_links_accelerate_slim_noc() {
     let lat = |smart: bool| {
-        Setup::paper("sn_s")
+        let recipe = SetupSpec {
+            buffers: BufferPreset::EbVar,
+            smart,
+            ..SetupSpec::new("sn_s")
+        };
+        recipe
+            .build()
             .unwrap()
-            .with_buffers(BufferPreset::EbVar)
-            .with_smart(smart)
             .run_load(TrafficPattern::Random, 0.06, 500, 3_000)
             .avg_packet_latency()
     };

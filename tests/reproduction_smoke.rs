@@ -3,7 +3,7 @@
 //! `snoc repro` figure reports at full scale. These guard the experiment
 //! harness (not just the library) against regressions.
 
-use slim_noc::core::{BufferPreset, Campaign, CampaignSpec, Series, Setup, SetupSpec, TextTable};
+use slim_noc::core::{BufferPreset, Campaign, CampaignSpec, Series, SetupSpec, TextTable};
 use slim_noc::field::Gf;
 use slim_noc::layout::{max_wires_per_tile, BufferModel, BufferSpec, Layout, SnLayout, TechNode};
 use slim_noc::prelude::*;
@@ -91,9 +91,13 @@ fn fig11_buffer_shape() {
 #[test]
 fn fig12_shape() {
     let lat = |name: &str| {
-        Setup::paper(name)
+        let recipe = SetupSpec {
+            smart: true,
+            ..SetupSpec::new(name)
+        };
+        recipe
+            .build()
             .unwrap()
-            .with_smart(true)
             .run_load(TrafficPattern::BitReversal, 0.008, 300, 1_200)
             .avg_packet_latency()
     };
@@ -109,9 +113,11 @@ fn fig12_shape() {
 #[test]
 fn fig15_area_ordering() {
     let area = |name: &str| {
-        let s = Setup::paper(name)
-            .unwrap()
-            .with_buffers(BufferPreset::EbVar);
+        let recipe = SetupSpec {
+            buffers: BufferPreset::EbVar,
+            ..SetupSpec::new(name)
+        };
+        let s = recipe.build().unwrap();
         s.power_model(slim_noc::power::TechNode::N45)
             .area(&s.topology, &s.layout, s.buffer_flits_per_router())
             .total_mm2()

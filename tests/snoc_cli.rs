@@ -125,6 +125,49 @@ fn every_command_reads_inline_flag_values() {
 }
 
 #[test]
+fn modifiers_apply_to_a_custom_topology() {
+    let windows = ["--warmup", "50", "--measure", "200"];
+    let fbf = [
+        "sim",
+        "--topology",
+        "fbf",
+        "--x",
+        "4",
+        "--y",
+        "4",
+        "--p",
+        "1",
+        "--buffers",
+        "cbr20",
+        "--routing",
+        "xy",
+        "--smart",
+    ];
+    let sn = [
+        "sim",
+        "--topology",
+        "sn",
+        "--q",
+        "5",
+        "--p",
+        "2",
+        "--layout",
+        "subgr",
+        "--buffers",
+        "eb-var",
+    ];
+    for (args, title) in [
+        (&fbf[..], "buffers CBR-20 | H=9"),
+        (&sn, "buffers EB-Var | H=1"),
+    ] {
+        let out = snoc(&[args, &windows].concat());
+        assert!(out.status.success(), "snoc {args:?}: {}", stderr(&out));
+        let first = stdout(&out).lines().next().unwrap_or_default().to_string();
+        assert!(first.contains(title), "snoc {args:?}: {first}");
+    }
+}
+
+#[test]
 fn usage_errors_exit_2() {
     for args in [
         &["repro", "fig2"][..],
@@ -139,6 +182,11 @@ fn usage_errors_exit_2() {
         &["sim", "--topology", "mesh", "--x", "0"],
         &["analyze", "--topology", "mesh", "--p", "0"],
         &["sim", "--config", "sn54", "--routing", "xy"],
+        // A layout is a Slim NoC modifier, never silently dropped.
+        &["sim", "--config", "fbf3", "--layout", "subgr"],
+        &["sim", "--topology", "mesh", "--layout", "gr"],
+        &["analyze", "--config", "fbf3", "--layout", "subgr"],
+        &["analyze", "--topology", "mesh", "--layout", "gr"],
     ] {
         let out = snoc(args);
         assert_eq!(
