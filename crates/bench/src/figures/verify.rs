@@ -17,11 +17,6 @@
 //! - `exact` ([`check::exact`]) — workload-driven minimal-routing cases
 //!   must produce byte-identical snapshots.
 //!
-//! A shard-equivalence block then holds the sharded parallel engine to
-//! the monolithic engine over the topology pool under the exact
-//! verdict: byte identity at 2 and 4 shards, the only contract that
-//! engine has.
-//!
 //! A degraded-mode block reruns each topology's workload under a seeded
 //! mid-run link storm, holding both engines to byte-exact agreement —
 //! including the dropped-packet accounting and self-healed routing. A
@@ -44,10 +39,7 @@ use snoc_core::json::Layout::{Inline, Lines};
 use snoc_core::json::{Floats, Writer};
 use snoc_core::{format_float, TextTable};
 use snoc_refsim::check::{self, pool, workload, Case, Run, Traffic, Verdict};
-use snoc_sim::{
-    verify_deadlock_free, Conformance, FaultKind, FaultPlan, RoutingKind, RoutingTable,
-    ShardedSimulator, SimConfig, Simulator,
-};
+use snoc_sim::{verify_deadlock_free, FaultKind, FaultPlan, RoutingKind, RoutingTable, SimConfig};
 use snoc_topology::{RouterId, Topology};
 use snoc_traffic::TrafficPattern;
 use std::fmt::Write as _;
@@ -167,43 +159,6 @@ fn matrix(args: &Args) -> Vec<Outcome> {
     outcomes
 }
 
-/// Shard-equivalence rows: the sharded parallel engine against the
-/// monolithic engine on the same seed, across the full topology pool —
-/// byte identity at any shard count, judged by the exact verdict.
-fn shard_outcomes(args: &Args) -> Vec<Outcome> {
-    let rate = 0.05;
-    let mut outcomes = Vec::new();
-    for (topo, vcs) in topologies() {
-        let cfg = config(vcs, RoutingKind::Minimal);
-        let mut mono = Simulator::build(&topo, &cfg).expect("sim builds");
-        let reference = mono
-            .run_synthetic(TrafficPattern::Random, rate, args.warmup(), args.measure())
-            .snapshot();
-        for shards in [2usize, 4] {
-            let mut sim = ShardedSimulator::build(&topo, &cfg, shards).expect("sharded builds");
-            let report =
-                sim.run_synthetic(TrafficPattern::Random, rate, args.warmup(), args.measure());
-            let run = Run {
-                optimized: report.snapshot(),
-                reference: reference.clone(),
-                deadlock: report.deadlock,
-                allow_abort: false,
-            };
-            outcomes.push(Outcome {
-                label: format!(
-                    "{} Random Minimal {} [{}sh exact]",
-                    topo.name(),
-                    format_float(rate, 2),
-                    sim.shard_count(),
-                ),
-                verdict: check::exact(&run),
-                run,
-            });
-        }
-    }
-    outcomes
-}
-
 /// Degraded-mode rows: both engines run the same workload under the
 /// same seeded mid-run link storm, per topology. The verdict tier is
 /// exact — byte-identical snapshots including drop accounting — so a
@@ -318,7 +273,6 @@ fn cdg_failures(args: &Args) -> (usize, Vec<String>) {
 /// needed to replay it).
 pub(super) fn verify(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     let mut outcomes = matrix(args);
-    outcomes.extend(shard_outcomes(args));
     outcomes.extend(storm_outcomes(args));
     let failures: Vec<&Outcome> = outcomes.iter().filter(|o| o.verdict.is_err()).collect();
     let (cdg_checked, cdg_failures) = cdg_failures(args);

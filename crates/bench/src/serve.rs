@@ -264,10 +264,9 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
         Ok(spec) => spec,
         Err(e) => return refuse(stream, 400, "Bad Request", &e.to_string()),
     };
-    // The server's cache is authoritative: every client shares it.
-    if state.cache.is_some() {
-        spec.cache_dir = None;
-    }
+    // The server's cache, or none, is authoritative: every client
+    // shares it, and no client names a path the server opens.
+    spec.cache_dir = None;
     if spec.threads == 0 {
         spec.threads = state.threads;
     }

@@ -233,6 +233,21 @@ fn server_without_cache_still_serves() {
 }
 
 #[test]
+fn a_cacheless_server_never_opens_a_path_the_client_names() {
+    let server = Server::bind("127.0.0.1:0", None, 1).expect("bind");
+    let addr = server.local_addr().expect("bound").to_string();
+    thread::spawn(move || server.run());
+
+    let dir = tmp("client_named");
+    let mut named = spec("client-named", &[0.02]);
+    named.cache_dir = Some(dir.to_str().expect("utf-8 path").to_string());
+    let (outcome, _) = run_client(&addr, &named);
+    assert_eq!(outcome.points, 1);
+    assert_eq!((outcome.cache_hits, outcome.cache_misses), (0, 0));
+    assert!(!dir.exists(), "the server created {}", dir.display());
+}
+
+#[test]
 fn a_client_that_hangs_up_costs_one_failed_write_and_the_job_still_fills_the_cache() {
     let dir = tmp("hangup");
     let server =

@@ -491,7 +491,7 @@ mod tests {
 
     /// The salt and the engine behaviour it was recorded against: the
     /// [`mix64`] hash of `SimReport::to_json` over a pinned mini-matrix
-    /// (minimal, UGAL-L, CBR, a seeded 10-link storm, a 2-shard run).
+    /// (minimal, UGAL-L, CBR, a seeded 10-link storm, ADV1).
     const FINGERPRINT: (&str, u64) = ("slim_noc-engine-v3", 0x7318_4329_89f0_1c38);
 
     #[test]
@@ -527,7 +527,7 @@ mod tests {
             sn_s(ugal).run_load(Random, 0.3, 100, 400),
             sn_s(cbr).run_load(Random, 0.3, 100, 400),
             sn_s(storm).run_load(Random, 0.2, 100, 400),
-            sn_s(plain()).run_load_sharded(Adversarial1, 0.2, 100, 400, 2),
+            sn_s(plain()).run_load(Adversarial1, 0.2, 100, 400),
         ];
         let mut bytes = String::new();
         for r in &reports {

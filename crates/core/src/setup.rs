@@ -5,10 +5,7 @@ use crate::faults::FaultsSpec;
 use crate::spec::SetupSpec;
 use snoc_layout::{per_router_central_buffers, BufferModel, BufferSpec, Layout};
 use snoc_power::{PowerModel, TechNode};
-use snoc_sim::{
-    BufferSizing, RouterArch, RoutingTable, ShardedSimulator, SimConfig, SimError, SimReport,
-    Simulator,
-};
+use snoc_sim::{BufferSizing, RouterArch, RoutingTable, SimConfig, SimError, SimReport, Simulator};
 use snoc_topology::{paper_config, Topology, TopologyError, TopologyKind};
 use snoc_traffic::{TraceWorkload, TrafficPattern};
 use std::collections::BTreeMap;
@@ -136,8 +133,7 @@ pub struct Setup {
     pub cycle_time_ns: f64,
     /// Fault recipe applied to every simulator this setup builds
     /// (`None` = fault-free). Resolved against the topology in
-    /// [`Setup::simulator`]; the sharded engine cannot run it
-    /// ([`Setup::run_load_sharded`]).
+    /// [`Setup::simulator`].
     pub faults: Option<FaultsSpec>,
     /// [`Setup::to_spec`].
     pub(crate) recipe: Option<SetupSpec>,
@@ -314,37 +310,18 @@ impl Setup {
         self.run_point(None, seed, traffic, rate, warmup, measure).0
     }
 
-    /// Runs one synthetic-traffic point on the sharded parallel engine,
-    /// [`snoc_sim::ShardedSimulator`] — a tool for one point too large
-    /// for one core, which no campaign uses. Its report is
-    /// byte-identical to [`Setup::run_load`]'s at any shard count; with
-    /// `shards ≤ 1` it *is* [`Setup::run_load`].
-    ///
-    /// # Panics
-    ///
-    /// Panics, with the builder's message, on a setup the sharded
-    /// engine refuses with more than one shard — a fault recipe
-    /// (replicated shards never see fault plans), UGAL-L, UGAL-G,
-    /// elastic links — as [`Setup::run_load`] panics on an invalid one.
+    /// Runs the monolithic engine; deleted with `benchmark/`'s shard
+    /// probes (ROADMAP 1(a)).
+    #[doc(hidden)]
     pub fn run_load_sharded(
         &self,
         pattern: TrafficPattern,
         rate: f64,
         warmup: u64,
         measure: u64,
-        shards: usize,
+        _shards: usize,
     ) -> SimReport {
-        if shards <= 1 {
-            return self.run_load(pattern, rate, warmup, measure);
-        }
-        assert!(
-            self.faults.is_none(),
-            "{}: a fault recipe runs on the monolithic engine only",
-            self.name
-        );
-        ShardedSimulator::build_with_layout(&self.topology, &self.layout, &self.sim, shards)
-            .unwrap_or_else(|e| panic!("{}: {e}", self.name))
-            .run_synthetic(pattern, rate, warmup, measure)
+        self.run_load(pattern, rate, warmup, measure)
     }
 
     /// The one point runner, seeded with `seed`: [`Setup::run_load`]

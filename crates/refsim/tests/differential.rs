@@ -4,8 +4,7 @@
 //! topology × routing × pattern × rate × seed.
 //!
 //! Every cross-engine case runs through `snoc_refsim::check` — the
-//! runner and verdicts `snoc repro verify` applies too; only the
-//! shard-equivalence cases build engines here. Checks per case:
+//! runner and verdicts `snoc repro verify` applies too. Checks per case:
 //!
 //! - **watchdog** — a no-progress abort fails the case, except in the
 //!   saturation-storm tier, whose runs must drain or abort;
@@ -30,10 +29,7 @@
 use proptest::prelude::*;
 use snoc_refsim::check::{self, counts_close, pool, workload, Case, Run, Traffic, Verdict};
 use snoc_refsim::RefRouting;
-use snoc_sim::{
-    Conformance, FaultPlan, Flit, PacketId, RoutingKind, RoutingTable, ShardedSimulator, SimConfig,
-    Simulator,
-};
+use snoc_sim::{FaultPlan, Flit, PacketId, RoutingKind, RoutingTable, SimConfig};
 use snoc_topology::{NodeId, RouterId, Topology};
 use snoc_traffic::{BurstModel, TrafficPattern};
 
@@ -140,39 +136,6 @@ fn check_workload_case(
     Ok(())
 }
 
-/// One sharded-equivalence case: the sharded parallel engine at 2 and
-/// 4 shards against the monolithic engine on identical synthetic
-/// traffic. Deterministic routing replicates the global injection
-/// calendar and RNG stream on every shard, so the merged report must be
-/// byte-for-byte identical — struct equality *and* serialized JSON.
-fn check_shard_exact_case(
-    topo_idx: usize,
-    pat_idx: usize,
-    rate: f64,
-    seed: u64,
-) -> Result<(), String> {
-    let (topo, vcs) = pool().swap_remove(topo_idx);
-    let sim_cfg = config(vcs, RoutingKind::Minimal, seed);
-    let pat = PATTERNS[pat_idx];
-    let mut mono = Simulator::build(&topo, &sim_cfg).expect("sim builds");
-    let baseline = mono.run_synthetic(pat, rate, 400, 1_600);
-    for shards in [2usize, 4] {
-        let mut sim = ShardedSimulator::build(&topo, &sim_cfg, shards).expect("sharded builds");
-        let report = sim.run_synthetic(pat, rate, 400, 1_600);
-        if report != baseline || report.to_json() != baseline.to_json() {
-            return Err(format!(
-                "topo {} pattern {pat} rate {rate:.4} seed {seed}: {shards}-shard \
-                 report diverged from monolithic\nsharded:    {report}\nmonolithic: {baseline}",
-                topo.name()
-            ));
-        }
-    }
-    baseline
-        .snapshot()
-        .check_conservation()
-        .map_err(|e| format!("conservation: {e}"))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -270,20 +233,6 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let r = check_workload_case(topo_idx, pat_idx, rate, storm_links, seed, 600, true);
-        prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
-    }
-
-    /// Fuzzed shard-equivalence: 2- and 4-shard runs of the parallel
-    /// engine must be byte-identical to the monolithic engine under
-    /// deterministic routing, for every topology family and pattern.
-    #[test]
-    fn sharded_engine_is_byte_identical_under_deterministic_routing(
-        topo_idx in 0usize..6,
-        pat_idx in 0usize..6,
-        rate in 0.01f64..0.16,
-        seed in 0u64..1_000_000,
-    ) {
-        let r = check_shard_exact_case(topo_idx, pat_idx, rate, seed);
         prop_assert!(r.is_ok(), "REPRO {}", r.unwrap_err());
     }
 }

@@ -63,9 +63,36 @@ pub use deadlock::{
 };
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use flit::{Flit, FlitArena, FlitKind, FlitRef, PacketId};
-pub use network::shard::ShardedSimulator;
 pub use network::Simulator;
 pub use routing::{RouteDecision, RoutingTable};
 pub use stats::{
     saturation_heuristic, ActivityCounters, Conformance, SimReport, Snapshot, WorkCounters,
 };
+
+/// Runs the monolithic engine; deleted with `benchmark/`'s shard probes
+/// (ROADMAP 1(a)).
+#[doc(hidden)]
+pub struct ShardedSimulator(Simulator);
+
+impl ShardedSimulator {
+    /// [`Simulator::build_with_layout`]; `_shards` is ignored.
+    pub fn build_with_layout(
+        topo: &snoc_topology::Topology,
+        layout: &snoc_layout::Layout,
+        cfg: &SimConfig,
+        _shards: usize,
+    ) -> Result<Self, SimError> {
+        Simulator::build_with_layout(topo, layout, cfg).map(Self)
+    }
+
+    /// [`Simulator::run_synthetic`].
+    pub fn run_synthetic(
+        &mut self,
+        pattern: snoc_traffic::TrafficPattern,
+        rate: f64,
+        warmup: u64,
+        measure: u64,
+    ) -> SimReport {
+        self.0.run_synthetic(pattern, rate, warmup, measure)
+    }
+}

@@ -99,14 +99,6 @@ impl Channel {
         }
     }
 
-    /// Latency in cycles.
-    pub(crate) fn latency(&self) -> u64 {
-        match self {
-            Channel::Credited { latency, .. } => *latency,
-            Channel::Elastic { occ, .. } => occ.len() as u64,
-        }
-    }
-
     /// Whether the sender may push a flit on `vc` this cycle.
     ///
     /// Credited channels always accept (the sender's credit counter is
@@ -148,29 +140,6 @@ impl Channel {
         } = self
         {
             credits.push_back((now + *latency, vc));
-        }
-    }
-
-    /// Pushes a flit with an absolute arrival cycle (credited mode
-    /// only). The sharded engine uses this to materialize boundary
-    /// flits on the receiving shard: the sender already stamped the
-    /// arrival as `push_cycle + latency`, so no further delay applies.
-    ///
-    /// # Panics
-    ///
-    /// Panics on elastic channels — the sharded engine never cuts them.
-    pub(crate) fn push_at(&mut self, when: u64, vc: usize, flit: FlitRef) {
-        match self {
-            Channel::Credited { in_flight, .. } => in_flight.push_back((when, vc, flit)),
-            Channel::Elastic { .. } => panic!("push_at is credited-only"),
-        }
-    }
-
-    /// Pushes a credit with an absolute arrival cycle (credited mode
-    /// only) — the boundary-credit counterpart of [`Channel::push_at`].
-    pub(crate) fn push_credit_at(&mut self, when: u64, vc: usize) {
-        if let Channel::Credited { credits, .. } = self {
-            credits.push_back((when, vc));
         }
     }
 

@@ -1,11 +1,9 @@
-//! The simulator: network assembly, the cycle body ([`Simulator::step`],
-//! shared by the monolithic and the sharded engine through a
-//! [`Boundary`] hook), the one driver loop ([`Simulator::drive`], one
-//! stepped cycle per iteration) every `run_*` entry point feeds with a
-//! workload [`source`], injection/ejection, fault repair and adaptive
-//! route selection.
+//! The simulator: network assembly, the cycle body ([`Simulator::step`]),
+//! the one driver loop ([`Simulator::drive`], one stepped cycle per
+//! iteration) every `run_*` entry point feeds with a workload
+//! [`source`], injection/ejection, fault repair and adaptive route
+//! selection.
 
-pub(crate) mod shard;
 mod source;
 
 use crate::config::{BufferSizing, LinkMode, RouterArch, RoutingKind, SimConfig, SimError};
@@ -44,10 +42,9 @@ pub struct Simulator {
     /// in a degraded one.
     table: Arc<RoutingTable>,
     /// The table the simulator was built around, which
-    /// [`Simulator::reset`] restores. Shared with sibling shard replicas
-    /// in sharded runs and with every simulator of a campaign's setup —
-    /// the table is immutable after construction and O(N_r²), so one
-    /// copy serves them all.
+    /// [`Simulator::reset`] restores. Shared with every simulator of a
+    /// campaign's setup — the table is immutable after construction
+    /// and O(N_r²), so one copy serves them all.
     minimal: Arc<RoutingTable>,
     concentration: usize,
     node_count: usize,
@@ -154,9 +151,8 @@ impl Simulator {
     /// [`RoutingTable::minimal`]. The table is a function of the
     /// topology alone and is never mutated (fault repair swaps in a
     /// fresh one), so one `Arc` can serve every simulator of a
-    /// topology: the shard replicas of a sharded run, the simulators of
-    /// a campaign. Building allocates the network, then
-    /// [`Simulator::reset`]s it.
+    /// topology: the simulators of a campaign. Building allocates the
+    /// network, then [`Simulator::reset`]s it.
     ///
     /// # Errors
     ///
@@ -663,7 +659,7 @@ impl Simulator {
         measure: u64,
     ) -> SimReport {
         let sampler = PatternSampler::new(pattern, &self.topo);
-        let mut calendar = Calendar::new(self, &sampler, rate, burst, warmup, measure, None);
+        let mut calendar = Calendar::new(self, &sampler, rate, burst, warmup, measure);
         self.drive(&mut calendar)
     }
 
@@ -686,7 +682,7 @@ impl Simulator {
         while source.pending(self.now) || (self.outstanding > 0 && self.now < windows.drain_cap) {
             self.apply_due_faults(&mut report);
             let measuring = windows.measuring(self.now);
-            self.step(measuring, &mut report, &mut NoBoundary);
+            self.step(measuring, &mut report);
             source.due(self, measuring, &mut report);
             if self.watchdog_expired() {
                 report.deadlock = Some(self.deadlock_diagnostic());
@@ -877,11 +873,7 @@ impl Simulator {
     /// worklist order does not affect results — and the worklists
     /// themselves evolve deterministically, keeping same-seed runs
     /// bit-identical.
-    ///
-    /// `boundary` is where the cycle meets the edge of what this
-    /// simulator simulates: [`NoBoundary`] for the monolith, the
-    /// shard's cut-channel view in sharded runs.
-    fn step<B: Boundary>(&mut self, measuring: bool, report: &mut SimReport, boundary: &mut B) {
+    fn step(&mut self, measuring: bool, report: &mut SimReport) {
         let now = self.now;
         self.work.cycles_stepped += 1;
         self.work.channel_visits += self.active_channels.len() as u64;
@@ -908,25 +900,15 @@ impl Simulator {
             for &id in active_channels.iter() {
                 let channel = &mut channels[id];
                 channel.tick();
-                if boundary.receiver_is_remote(id) {
-                    // The receiving shard materialized its own copy from
-                    // the boundary message, so the mirror just releases
-                    // the local arena slot at the exact cycle the
-                    // monolith would deliver it.
-                    if let Some((_vc, fr)) = channel.pop_deliverable(now, |_| true) {
-                        arena.remove(fr);
-                    }
-                } else {
-                    let (dst, port) = chan_dst[id];
-                    let router = &mut routers[dst];
-                    let delivered = channel.pop_deliverable(now, |vc| router.can_deliver(port, vc));
-                    if let Some((vc, flit)) = delivered {
-                        router.deliver(port, vc, flit, arena);
-                        activate(router_queued, active_routers, dst);
-                        *last_progress = now;
-                        if measuring {
-                            report.activity.buffer_writes += 1;
-                        }
+                let (dst, port) = chan_dst[id];
+                let router = &mut routers[dst];
+                let delivered = channel.pop_deliverable(now, |vc| router.can_deliver(port, vc));
+                if let Some((vc, flit)) = delivered {
+                    router.deliver(port, vc, flit, arena);
+                    activate(router_queued, active_routers, dst);
+                    *last_progress = now;
+                    if measuring {
+                        report.activity.buffer_writes += 1;
                     }
                 }
                 let (src, src_port) = chan_src[id];
@@ -944,7 +926,6 @@ impl Simulator {
             let Simulator {
                 channels,
                 routers,
-                arena,
                 chan_out,
                 chan_tiles,
                 active_routers,
@@ -968,10 +949,7 @@ impl Simulator {
                         report.activity.link_flit_hops += 1;
                         report.activity.wire_flit_tiles += chan_tiles[ch];
                     }
-                    let channel = &mut channels[ch];
-                    let arrives = now + channel.latency();
-                    boundary.flit_sent(ch, arrives, st.out_vc, st.flit, arena);
-                    channel.push(now, st.out_vc, st.flit);
+                    channels[ch].push(now, st.out_vc, st.flit);
                     activate(chan_queued, active_channels, ch);
                 });
             }
@@ -1019,12 +997,8 @@ impl Simulator {
                     let Some(&ch) = chan_in[r].get(port) else {
                         continue;
                     };
-                    let channel = &mut channels[ch];
-                    let arrives = now + channel.latency();
-                    if !boundary.credit_freed(ch, arrives, vc) {
-                        channel.push_credit(now, vc);
-                        activate(chan_queued, active_channels, ch);
-                    }
+                    channels[ch].push_credit(now, vc);
+                    activate(chan_queued, active_channels, ch);
                 }
             }
         }
@@ -1183,37 +1157,6 @@ impl Simulator {
         let links: usize = self.channels.iter().map(Channel::occupancy).sum();
         let queues: usize = self.inj_queues.iter().map(VecDeque::len).sum();
         routers + links + queues
-    }
-}
-
-/// Where a cycle meets the edge of what one [`Simulator`] simulates.
-/// The monolith has no edge — [`NoBoundary`] is a zero-sized no-op, so
-/// its `step` instantiation carries none of this — while a shard of a
-/// sharded run turns traffic on cut channels into boundary messages.
-pub(crate) trait Boundary {
-    /// Whether channel `ch`'s receiving router lives on another shard,
-    /// making the local copy a pure occupancy mirror.
-    fn receiver_is_remote(&self, ch: usize) -> bool;
-    /// A flit is entering channel `ch` on `vc`, due at cycle `arrives`.
-    fn flit_sent(&mut self, ch: usize, arrives: u64, vc: usize, flit: FlitRef, arena: &FlitArena);
-    /// An input slot fed by channel `ch` freed up. Returns `true` when
-    /// the credit travels through the boundary instead of the channel.
-    fn credit_freed(&mut self, ch: usize, arrives: u64, vc: usize) -> bool;
-}
-
-/// The monolith's [`Boundary`]: every channel is local.
-pub(crate) struct NoBoundary;
-
-impl Boundary for NoBoundary {
-    #[inline(always)]
-    fn receiver_is_remote(&self, _ch: usize) -> bool {
-        false
-    }
-    #[inline(always)]
-    fn flit_sent(&mut self, _: usize, _: u64, _: usize, _: FlitRef, _: &FlitArena) {}
-    #[inline(always)]
-    fn credit_freed(&mut self, _ch: usize, _arrives: u64, _vc: usize) -> bool {
-        false
     }
 }
 

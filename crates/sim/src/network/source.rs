@@ -1,8 +1,8 @@
-//! Workload sources: what injects next, and when. The driver loops
-//! ([`Simulator::drive`], the sharded round loop) know nothing about
-//! traffic: they ask a [`Source`] for its [`Windows`] and let it inject
-//! what is due after each stepped cycle. [`Calendar`] feeds every
-//! synthetic run, [`TraceCursor`] trace replay.
+//! Workload sources: what injects next, and when. The driver loop
+//! ([`Simulator::drive`]) knows nothing about traffic: it asks a
+//! [`Source`] for its [`Windows`] and lets it inject what is due after
+//! each stepped cycle. [`Calendar`] feeds every synthetic run,
+//! [`TraceCursor`] trace replay.
 
 use super::Simulator;
 use crate::stats::SimReport;
@@ -59,16 +59,10 @@ pub(crate) struct Calendar<'a> {
     t0: u64,
     pkt_len: u32,
     windows: Windows,
-    /// The nodes this simulator injects for (`None` = all of them; a
-    /// shard replica passes its ownership mask).
-    local: Option<&'a [bool]>,
 }
 
 impl<'a> Calendar<'a> {
-    /// Seeds the calendar from `sim`'s RNG. Every node is scheduled,
-    /// `local` mask or not: a shard replica makes and discards the draws
-    /// for nodes it does not own, so every replica stays on the one
-    /// global RNG stream.
+    /// Seeds the calendar from `sim`'s RNG, one draw per node.
     pub(crate) fn new(
         sim: &mut Simulator,
         sampler: &'a PatternSampler,
@@ -76,7 +70,6 @@ impl<'a> Calendar<'a> {
         burst: BurstModel,
         warmup: u64,
         measure: u64,
-        local: Option<&'a [bool]>,
     ) -> Self {
         let pkt_len = sim.cfg.packet_flits;
         let end = warmup + measure;
@@ -92,16 +85,11 @@ impl<'a> Calendar<'a> {
                 drain_cap: end + measure.max(2_000),
                 measured: measure,
             },
-            local,
         };
         for node in 0..sim.node_count {
             calendar.arm(node, &mut sim.rng);
         }
         calendar
-    }
-
-    fn is_local(&self, node: usize) -> bool {
-        self.local.is_none_or(|mask| mask[node])
     }
 
     /// Draws `node`'s next arrival and schedules it.
@@ -132,9 +120,7 @@ impl Source for Calendar<'_> {
             self.heap.pop();
             sim.work.calendar_pops += 1;
             if let Some(dst) = self.sampler.sample(NodeId(src), &mut sim.rng) {
-                if self.is_local(src) {
-                    sim.generate(NodeId(src), dst, self.pkt_len, false, measuring, report);
-                }
+                sim.generate(NodeId(src), dst, self.pkt_len, false, measuring, report);
             }
             self.arm(src, &mut sim.rng);
         }

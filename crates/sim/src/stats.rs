@@ -124,22 +124,6 @@ impl ActivityCounters {
         self.bypasses += res.bypasses;
         self.alloc_grants += res.alloc_grants;
     }
-
-    /// Element-wise accumulation.
-    pub fn add(&mut self, other: &ActivityCounters) {
-        self.buffer_accesses += other.buffer_accesses;
-        self.buffer_writes += other.buffer_writes;
-        self.buffer_reads += other.buffer_reads;
-        self.cb_writes += other.cb_writes;
-        self.cb_reads += other.cb_reads;
-        self.bypasses += other.bypasses;
-        self.crossbar_traversals += other.crossbar_traversals;
-        self.alloc_grants += other.alloc_grants;
-        self.link_flit_hops += other.link_flit_hops;
-        self.wire_flit_tiles += other.wire_flit_tiles;
-        self.ejections += other.ejections;
-        self.dropped_flits += other.dropped_flits;
-    }
 }
 
 /// An engine-independent extract of one simulation run's metrics: the
@@ -473,9 +457,9 @@ impl SimReport {
     /// the build is offline and has no serde).
     ///
     /// Two reports are equal iff their JSON is byte-identical, which is
-    /// what the engine fingerprint compares and what a multi-shard
-    /// [`crate::ShardedSimulator`] run owes the monolithic one: any
-    /// divergence in any counter shows up as a byte difference.
+    /// what the engine fingerprint and the reset and differential tests
+    /// compare: any divergence in any counter shows up as a byte
+    /// difference.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -674,34 +658,6 @@ mod tests {
         assert_eq!(r.throughput(), 0.0);
         assert_eq!(r.latency_percentile(0.99), 0);
         assert_eq!(r.acceptance(), 1.0);
-    }
-
-    #[test]
-    fn activity_accumulation() {
-        let mut a = ActivityCounters::default();
-        let b = ActivityCounters {
-            buffer_accesses: 1,
-            buffer_writes: 8,
-            buffer_reads: 9,
-            cb_writes: 2,
-            cb_reads: 3,
-            bypasses: 4,
-            crossbar_traversals: 5,
-            alloc_grants: 10,
-            link_flit_hops: 11,
-            wire_flit_tiles: 6,
-            ejections: 7,
-            dropped_flits: 12,
-        };
-        a.add(&b);
-        a.add(&b);
-        assert_eq!(a.crossbar_traversals, 10);
-        assert_eq!(a.wire_flit_tiles, 12);
-        assert_eq!(a.buffer_writes, 16);
-        assert_eq!(a.buffer_reads, 18);
-        assert_eq!(a.alloc_grants, 20);
-        assert_eq!(a.link_flit_hops, 22);
-        assert_eq!(a.dropped_flits, 24);
     }
 
     #[test]

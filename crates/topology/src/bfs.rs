@@ -1,11 +1,10 @@
 //! The workspace's one seeded breadth-first traversal.
 //!
 //! Three subsystems previously hand-rolled BFS — resilience analysis
-//! (components + path stats over degraded graphs), the sharded
-//! engine's partitioner (greedy frontier growth), and the reference router's
-//! distance tables — and each carried its own queue discipline. They
-//! now share this helper, so the traversal order is pinned in exactly
-//! one place.
+//! (components + path stats over degraded graphs), the partitioner
+//! (greedy frontier growth), and the reference router's distance
+//! tables — and each carried its own queue discipline. They now share
+//! this helper, so the traversal order is pinned in exactly one place.
 //!
 //! # Tie-break
 //!

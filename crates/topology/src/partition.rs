@@ -1,23 +1,18 @@
 //! Edge-cut partitioning of the router graph.
 //!
-//! The sharded simulation engine (`snoc_sim::ShardedSimulator`, a tool
-//! for one very large point; no campaign runs sharded) assigns every
-//! router to exactly one shard and pays one boundary message per flit
-//! (plus one per credit) crossing the cut, so the partitioner's job is
-//! to keep parts balanced — the per-cycle barrier waits for the slowest
-//! shard — while
-//! heuristically shrinking the cut. A deterministic greedy BFS growth
-//! does both well enough on the low-diameter graphs this repo cares
-//! about, and determinism is non-negotiable: the same topology and
-//! shard count must produce the same partition on every run, or the
-//! sharded engine's bit-exactness contract falls apart.
+//! Kept only for `benchmark/`'s `topology.partition2_q27_ms` probe: the
+//! sharded engine it was written for is deleted (README, "Measured and
+//! deleted"), and this module goes with the benchmark's shard probes
+//! (ROADMAP 1(a)). It grows balanced parts by a deterministic greedy
+//! BFS while heuristically shrinking the cut: the same topology and
+//! part count give the same partition on every run.
 
 use crate::{bfs_from, BfsControl, RouterId, Topology};
 
 impl Topology {
     /// Partitions the routers into `parts` balanced, BFS-contiguous
-    /// groups; returns the part index of each router. The sharded
-    /// engine's builders are its one caller.
+    /// groups; returns the part index of each router. Kept only for
+    /// `benchmark/`'s partition probe (ROADMAP 1(a)).
     ///
     /// Part sizes differ by at most one (`nr mod parts` parts get one
     /// extra router), every part is non-empty when `parts ≤ nr`, and

@@ -1,10 +1,7 @@
-//! Property tests for `Topology::partition` / `Topology::edge_cut`.
-//!
-//! The sharded simulation engine assigns one shard per part, so these
-//! invariants are load-bearing: a router assigned to no part (or two)
-//! would be simulated zero or two times, unbalanced parts would stall
-//! the lockstep window barrier, and any nondeterminism would break the
-//! engine's bit-exactness contract across reruns.
+//! Property tests for `Topology::partition` / `Topology::edge_cut`:
+//! every router in exactly one part, balanced parts, and the same
+//! partition on every run. The partitioner is kept only for
+//! `benchmark/`'s partition probe and goes with it (ROADMAP 1(a)).
 
 use proptest::prelude::*;
 use snoc_topology::Topology;
@@ -91,8 +88,8 @@ proptest! {
         let parts = 1 + (parts_bits % topo.router_count() as u64) as usize;
         // Same topology object, repeated calls.
         prop_assert_eq!(topo.partition(parts), topo.partition(parts));
-        // Freshly rebuilt topology from the same seed — the contract
-        // the sharded engine actually relies on across processes.
+        // Freshly rebuilt topology from the same seed, as across
+        // processes.
         prop_assert_eq!(topology_from(topo_bits).partition(parts), topo.partition(parts));
     }
 }
