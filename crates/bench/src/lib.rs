@@ -176,11 +176,17 @@ fn io_err(e: std::io::Error) -> String {
 
 /// The machine-greppable cache summary every spec run prints to
 /// stderr (and CI uploads as an artifact):
-/// `snoc-cache-stats: hits=H misses=M entries=E`.
+/// `snoc-cache-stats: hits=H misses=M entries=E`, followed by
+/// ` skipped=N` when the store skipped `N` lines at open
+/// ([`PointCache::corrupt_lines`]).
 #[must_use]
 pub fn cache_stats_line(result: &CampaignResult, cache: Option<&PointCache>) -> String {
+    let skipped = match cache.map_or(0, PointCache::corrupt_lines) {
+        0 => String::new(),
+        n => format!(" skipped={n}"),
+    };
     format!(
-        "snoc-cache-stats: hits={} misses={} entries={}",
+        "snoc-cache-stats: hits={} misses={} entries={}{skipped}",
         result.cache_hits,
         result.cache_misses,
         cache.map_or(0, PointCache::len),

@@ -62,6 +62,35 @@ fn run_spec_runs_the_spec_and_warms_the_cache() {
 }
 
 #[test]
+fn a_torn_store_tail_is_reported_as_skipped() {
+    let dir = tmp("skipped");
+    let spec_path = dir.join("campaign.json");
+    std::fs::write(&spec_path, tiny_spec().to_json()).expect("write spec");
+    let cache = dir.join("cache");
+    let args = Args {
+        cache_dir: Some(cache.to_str().expect("utf-8").to_string()),
+        ..Args::default()
+    };
+    let spec_path = spec_path.to_str().expect("utf-8");
+    let (cold, _) = run(spec_path, &args).expect("cold run");
+    // An interrupted append leaves a line without its end.
+    let mut store = std::fs::OpenOptions::new()
+        .append(true)
+        .open(cache.join("points.jsonl"))
+        .expect("store");
+    std::io::Write::write_all(&mut store, b"{\"key\": \"to").expect("torn tail");
+    drop(store);
+
+    let (warm, stats) = run(spec_path, &args).expect("warm run");
+    assert_eq!(
+        stats,
+        "snoc-cache-stats: hits=2 misses=0 entries=2 skipped=1"
+    );
+    assert_eq!(warm, cold, "the intact lines still replay");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shipped_example_spec_parses_and_runs() {
     // `examples/campaign_quick.json` is what the README and the CI
     // serve/cache smoke step feed to the server; keep it parseable.

@@ -32,7 +32,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -172,7 +172,7 @@ impl CachedPoint {
     /// first occurrence of a field counts, later ones and unknown
     /// fields are skipped (and must still be valid JSON), and the line
     /// holds nothing after its object.
-    fn from_line(line: &str) -> Option<(String, CachedPoint)> {
+    fn from_line(line: &str) -> Option<(Cow<'_, str>, CachedPoint)> {
         /// The `u64` fields, in the order of `nums` below.
         const NUMS: [&str; 8] = [
             "latency",
@@ -201,7 +201,7 @@ impl CachedPoint {
         let (mut key, mut drained, mut power, mut nums) = (None, None, None, [None; 8]);
         let mut r = Reader::new(line);
         r.object(|r, name| match &*name {
-            "key" => first(&mut key, r, |r| r.string().map(Cow::into_owned)),
+            "key" => first(&mut key, r, Reader::string),
             "drained" => first(&mut drained, r, Reader::boolean),
             "power" => first(&mut power, r, |r| {
                 let (mut vals, mut n) = ([0.0f64; 7], 0);
@@ -249,6 +249,90 @@ impl CachedPoint {
     }
 }
 
+/// A [`CachedPoint`] as the store's map holds it: the scalars inline
+/// and the power columns, which most points lack, out of line, so that
+/// a map slot, key included, is 96 bytes.
+struct Record {
+    latency: f64,
+    throughput: f64,
+    avg_hops: f64,
+    acceptance: f64,
+    p99_latency: u64,
+    delivered_packets: u64,
+    dropped_packets: u64,
+    injected_packets: u64,
+    drained: bool,
+    power: Option<Box<PowerPoint>>,
+}
+
+const _: () = assert!(std::mem::size_of::<(u128, Record)>() <= 96);
+
+impl From<&CachedPoint> for Record {
+    fn from(p: &CachedPoint) -> Self {
+        Record {
+            latency: p.latency,
+            throughput: p.throughput,
+            avg_hops: p.avg_hops,
+            acceptance: p.acceptance,
+            p99_latency: p.p99_latency,
+            delivered_packets: p.delivered_packets,
+            dropped_packets: p.dropped_packets,
+            injected_packets: p.injected_packets,
+            drained: p.drained,
+            power: p.power.map(Box::new),
+        }
+    }
+}
+
+impl From<&Record> for CachedPoint {
+    fn from(r: &Record) -> Self {
+        CachedPoint {
+            latency: r.latency,
+            p99_latency: r.p99_latency,
+            throughput: r.throughput,
+            avg_hops: r.avg_hops,
+            acceptance: r.acceptance,
+            delivered_packets: r.delivered_packets,
+            dropped_packets: r.dropped_packets,
+            injected_packets: r.injected_packets,
+            drained: r.drained,
+            power: r.power.as_deref().copied(),
+        }
+    }
+}
+
+/// Each byte's value as a lowercase hex digit, or `0xff`.
+const HEX: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[b"0123456789abcdef"[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// The value a minted key spells: exactly 32 lowercase hex digits, the
+/// only form [`render_key`] writes. Anything else is `None` — no
+/// campaign can ever look it up.
+fn parse_key(key: &str) -> Option<u128> {
+    let digits: &[u8; 32] = key.as_bytes().try_into().ok()?;
+    // Branch-free: whether a byte is a letter is a coin flip, and a
+    // branch on it cost about 160 ns a key against 30 for the table.
+    let (mut value, mut union) = (0u128, 0u8);
+    for &c in digits {
+        let digit = HEX[usize::from(c)];
+        union |= digit;
+        value = value << 4 | u128::from(digit & 0xf);
+    }
+    (union < 16).then_some(value)
+}
+
+/// The text form of a key: 32 lowercase hex digits, leading zeros kept.
+fn render_key(key: u128) -> String {
+    format!("{key:032x}")
+}
+
 /// A persistent, thread-safe, content-addressed store of simulated
 /// campaign points.
 ///
@@ -268,7 +352,7 @@ pub struct PointCache {
 }
 
 struct Inner {
-    map: HashMap<String, CachedPoint>,
+    map: HashMap<u128, Record>,
     store: File,
 }
 
@@ -289,9 +373,9 @@ impl PointCache {
     /// # Errors
     ///
     /// Propagates filesystem errors creating the directory or opening
-    /// the store file. Malformed store lines are skipped, not errors —
-    /// a truncated final line from an interrupted run must not poison
-    /// the cache.
+    /// the store file. Malformed store lines, and lines whose key is
+    /// not a minted key, are skipped, not errors — a truncated final
+    /// line from an interrupted run must not poison the cache.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<PointCache> {
         Self::open_with_version(dir, ENGINE_VERSION)
     }
@@ -305,32 +389,35 @@ impl PointCache {
     pub fn open_with_version(dir: impl AsRef<Path>, version: &str) -> io::Result<PointCache> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let path = dir.join(STORE_FILE);
+        let store = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(dir.join(STORE_FILE))?;
         let mut map = HashMap::new();
         let mut corrupt_lines = 0u64;
-        if path.exists() {
-            // Split raw bytes rather than iterating `lines()`: a torn
-            // final line from an interrupted append may hold arbitrary
-            // bytes, and an invalid-UTF-8 read error must degrade to a
-            // skipped line, not abort the whole open.
-            let bytes = fs::read(&path)?;
-            map.reserve(bytes.iter().filter(|&&b| b == b'\n').count());
-            for raw in bytes.split(|&b| b == b'\n') {
-                if raw.is_empty() {
-                    continue;
-                }
-                match std::str::from_utf8(raw)
+        // Line by line through one buffer, as raw bytes rather than
+        // `lines()`: a torn final line from an interrupted append may
+        // hold arbitrary bytes, and an invalid-UTF-8 line must degrade
+        // to a skipped line, not abort the whole open.
+        let mut reader = BufReader::new(&store);
+        let mut line = Vec::new();
+        while reader.read_until(b'\n', &mut line)? > 0 {
+            let raw = line.strip_suffix(b"\n").unwrap_or(&line);
+            if !raw.is_empty() {
+                let parsed = std::str::from_utf8(raw)
                     .ok()
                     .and_then(CachedPoint::from_line)
-                {
+                    .and_then(|(key, point)| Some((parse_key(&key)?, point)));
+                match parsed {
                     Some((key, point)) => {
-                        map.insert(key, point); // last write wins
+                        map.insert(key, Record::from(&point)); // last write wins
                     }
                     None => corrupt_lines += 1,
                 }
             }
+            line.clear();
         }
-        let store = OpenOptions::new().create(true).append(true).open(&path)?;
         Ok(PointCache {
             dir,
             version: version.to_string(),
@@ -351,23 +438,35 @@ impl PointCache {
     /// hash over the version salt and the canonical coordinate string.
     #[must_use]
     pub fn key(&self, coord: &PointCoord<'_>) -> String {
-        self.key_at(&coord.canonical_halves(), coord.load)
+        render_key(self.key_at(&coord.canonical_halves(), coord.load))
     }
 
-    /// [`PointCache::key`] of the coordinate with these
-    /// [`PointCoord::canonical_halves`] at `load`.
-    pub(crate) fn key_at(&self, [head, tail]: &[String; 2], load: f64) -> String {
+    /// The value of the [`PointCache::key`] of the coordinate with
+    /// these [`PointCoord::canonical_halves`] at `load`.
+    pub(crate) fn key_at(&self, [head, tail]: &[String; 2], load: f64) -> u128 {
         let bits = load.to_bits().to_string();
         let text = [&*self.version, "\n", head, &bits, tail];
         let a = mix64(0xcbf2_9ce4_8422_2325, &text);
         let b = mix64(0x9e37_79b9_7f4a_7c15 ^ a, &text);
-        format!("{a:016x}{b:016x}")
+        u128::from(a) << 64 | u128::from(b)
     }
 
-    /// Looks up a key, counting the lifetime hit or miss.
+    /// Looks up a key, counting the lifetime hit or miss. A string that
+    /// is not a minted key is a counted miss.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CachedPoint> {
-        let found = self.inner.lock().expect("cache lock").map.get(key).cloned();
+        match parse_key(key) {
+            Some(key) => self.get_at(key),
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
+    }
+
+    /// [`PointCache::get`] of the key with this value.
+    pub(crate) fn get_at(&self, key: u128) -> Option<CachedPoint> {
+        let found = self.lock().map.get(&key).map(CachedPoint::from);
         let counter = if found.is_some() {
             &self.hits
         } else {
@@ -381,23 +480,39 @@ impl PointCache {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem write errors.
+    /// `InvalidInput`, appending nothing, when `key` is not a minted
+    /// key; otherwise propagates filesystem write errors.
     pub fn put(&self, key: &str, point: &CachedPoint) -> io::Result<()> {
+        let value = parse_key(key).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("`{key}` is not a minted cache key (32 lowercase hex digits)"),
+            )
+        })?;
+        self.put_at(value, point)
+    }
+
+    /// [`PointCache::put`] under the key with this value.
+    pub(crate) fn put_at(&self, key: u128, point: &CachedPoint) -> io::Result<()> {
         // One `write` of the whole line: the store is an unbuffered
         // `O_APPEND` file other processes may share, and a separate
         // write for the newline could land after their payload.
-        let mut line = point.to_line(key);
+        let mut line = point.to_line(&render_key(key));
         line.push('\n');
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         inner.store.write_all(line.as_bytes())?;
-        inner.map.insert(key.to_string(), point.clone());
+        inner.map.insert(key, Record::from(point));
         Ok(())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().expect("cache lock")
     }
 
     /// Number of reachable entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache lock").map.len()
+        self.lock().map.len()
     }
 
     /// Whether the cache holds no entries.
@@ -418,10 +533,10 @@ impl PointCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Store lines skipped as unparseable when this cache was opened
-    /// (a torn final line from an interrupted append, a manual edit, a
-    /// partial disk write — anything the stored-line parser or
-    /// UTF-8 validation rejects).
+    /// Store lines skipped when this cache was opened: a torn final
+    /// line from an interrupted append, a manual edit, a partial disk
+    /// write — anything the stored-line parser or UTF-8 validation
+    /// rejects — and a line whose key is not a minted key.
     #[must_use]
     pub fn corrupt_lines(&self) -> u64 {
         self.corrupt_lines
@@ -645,7 +760,7 @@ mod tests {
                             assert_eq!(key, format!("{a:016x}{b:016x}"), "{text}");
                             // Halves built at any load mint it too.
                             let halves = PointCoord { load: 7.5, ..coord }.canonical_halves();
-                            assert_eq!(cache.key_at(&halves, load), key, "{text}");
+                            assert_eq!(render_key(cache.key_at(&halves, load)), key, "{text}");
                             let here = (s, pattern, tech, shards, load);
                             for &(s, pattern, tech, shards, load, want) in &minted {
                                 if (s, pattern, tech, shards, load) == here {
@@ -721,7 +836,7 @@ mod tests {
             power: None,
         };
         let b = base("k");
-        let ok = |key: &str, point: &CachedPoint| Some((key.to_string(), point.clone()));
+        let ok = |key: &str, point: &CachedPoint| Some((Cow::from(key.to_string()), point.clone()));
         let table = [
             (format!("{{{b}}}"), ok("k", &plain)),
             // The first occurrence of a field counts …
@@ -789,6 +904,92 @@ mod tests {
         for (line, want) in table {
             assert_eq!(CachedPoint::from_line(&line), want, "{line}");
         }
+    }
+
+    #[test]
+    fn key_values_round_trip_through_their_text_form() {
+        let dir = tmp("key_form");
+        let cache = PointCache::open(&dir).unwrap();
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = mix64(state, &[b"key"]);
+            state
+        };
+        let mut values: Vec<u128> = (0..1000)
+            .map(|_| u128::from(next()) << 64 | u128::from(next()))
+            .collect();
+        // Leading zeros: every count of them, up to the all-zero key.
+        values.extend((0..32).map(|zeros| u128::MAX >> (4 * zeros)));
+        values.push(0);
+        values.extend((0..1000).map(|i| {
+            let minted = cache.key_at(&coord(f64::from(i)).canonical_halves(), f64::from(i));
+            assert_eq!(render_key(minted), cache.key(&coord(f64::from(i))));
+            minted
+        }));
+        for &value in &values {
+            let text = render_key(value);
+            assert_eq!(text.len(), 32, "{text}");
+            assert_eq!(parse_key(&text), Some(value), "{text}");
+        }
+        assert_eq!(render_key(0), "0".repeat(32));
+        // Every ASCII byte at every position: only `0-9a-f` is a digit.
+        for at in 0..32 {
+            for c in 0..128u8 {
+                let mut text = render_key(values[0]).into_bytes();
+                text[at] = c;
+                let text = String::from_utf8(text).unwrap();
+                let digit = c.is_ascii_digit() || (b'a'..=b'f').contains(&c);
+                assert_eq!(parse_key(&text).is_some(), digit, "{text:?}");
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Keys no minting produces, through the store, `get` and `put`:
+    /// a skipped line, a counted miss, and `InvalidInput` with nothing
+    /// appended. `from_line` itself still reads their lines (the rows
+    /// above), so only the key form decides.
+    #[test]
+    fn non_minted_keys_are_skipped_missed_and_refused() {
+        let minted = "008f2e1c69b627392b2556f7abe1c155";
+        let hostile = [
+            minted.to_uppercase(),
+            "008F2e1c69b627392b2556f7abe1c155".to_string(),
+            minted[..31].to_string(),
+            format!("{minted}0"),
+            format!("0{minted}"),
+            String::new(),
+            "g08f2e1c69b627392b2556f7abe1c155".to_string(),
+            "+08f2e1c69b627392b2556f7abe1c155".to_string(),
+            " 08f2e1c69b627392b2556f7abe1c155".to_string(),
+            "0x8f2e1c69b627392b2556f7abe1c155".to_string(),
+            "008f2e1c69b627392b2556f7abe1c15\u{e9}".to_string(),
+        ];
+        let dir = tmp("non_minted");
+        let cache = PointCache::open(&dir).unwrap();
+        cache.put(minted, &sample()).unwrap();
+        let store = dir.join(STORE_FILE);
+        let length = fs::metadata(&store).unwrap().len();
+        for (i, key) in hostile.iter().enumerate() {
+            let err = cache.put(key, &sample()).expect_err(key);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{key}");
+            assert_eq!(fs::metadata(&store).unwrap().len(), length, "{key}");
+            assert!(cache.get(key).is_none(), "{key}");
+            assert_eq!(cache.misses(), i as u64 + 1, "{key}");
+        }
+        drop(cache);
+        let mut f = OpenOptions::new().append(true).open(&store).unwrap();
+        for key in &hostile {
+            let line = sample().to_line(key);
+            assert!(CachedPoint::from_line(&line).is_some(), "{line}");
+            writeln!(f, "{line}").unwrap();
+        }
+        drop(f);
+        let cache = PointCache::open(&dir).unwrap();
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.corrupt_lines(), hostile.len() as u64);
+        assert!(cache.get(minted).is_some());
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

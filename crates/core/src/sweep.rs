@@ -362,7 +362,7 @@ impl Campaign {
         let seed = self.seed_of(&setup.name, traffic.name(), load);
         let keyed = self.cache.as_deref().zip(curve.key_halves.as_ref());
         let keyed = keyed.map(|(cache, halves)| (cache, cache.key_at(halves, load)));
-        let cached = keyed.as_ref().and_then(|(cache, key)| cache.get(key));
+        let cached = keyed.and_then(|(cache, key)| cache.get_at(key));
         let point = if let Some(hit) = cached {
             curve.hits += 1;
             hit
@@ -389,10 +389,10 @@ impl Campaign {
                     .power_tech
                     .map(|tech| PowerPoint::from_report(&setup.power_report(tech, &report))),
             };
-            if let Some((cache, key)) = &keyed {
+            if let Some((cache, key)) = keyed {
                 curve.misses += 1;
                 // A failed append only loses future reuse, never this run.
-                let _ = cache.put(key, &point);
+                let _ = cache.put_at(key, &point);
             }
             point
         };

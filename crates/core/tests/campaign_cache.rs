@@ -312,3 +312,86 @@ fn a_store_filled_under_the_public_key_is_all_hits_for_a_campaign() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// What a parent-era store reads as, recorded through `PointCache::get`
+/// before the map was keyed by the key's value: one line per distinct
+/// key in store order, every field as its bit pattern. The store
+/// (`golden/store_v3.jsonl`) holds the two power-aware points of
+/// [`fixture_spec`], a leading-zero key with `dropped` and a NaN, a key
+/// written twice (the second line wins) and a torn binary tail.
+const STORE_V3_GETS: &str = "\
+34dd11a5c06ae1d95d9cb46da57d4cba lat=402ed5bf60ee9a19 p99=25 thr=3f97702f54e0d32c hops=3ffa18dab7ec1dd3 acc=3ff0000000000000 del=103 drop=0 inj=103 drained=true power=3fefdee27bb93684,3fde7b00a84ce2bc,3fe0a1622792c526,40247ca78a493162,41e27e1a59e5ab4d,3dfbafcfe4f51ced,3e407ccac6efa929\n\
+cfd4b75a6a9ae6c2c99c2737e4a46555 lat=402f1c71c71c71c7 p99=27 thr=3fa999999999999a hops=3ffa06d3a06d3a07 acc=3ff0000000000000 del=225 drop=0 inj=225 drained=true power=3ff93dfb73a6d8b6,3fde7b00a84ce2bc,3ff19f3b4993a007,40247ca78a493162,41e98091c98bdd56,3df413a14c0ca34b,3e4a59c3b3d09651\n\
+008f2e1c69b627392b2556f7abe1c155 lat=4031400000000000 p99=41 thr=3fd3333333333334 hops=3ffe666666666666 acc=7ff8000000000000 del=1234 drop=5 inj=1240 drained=false power=-\n\
+205c48795420f9956d249161112c8cb7 lat=7ff0000000000000 p99=41 thr=3fd3333333333334 hops=3ffe666666666666 acc=3ff0000000000000 del=9999 drop=0 inj=1240 drained=true power=-\n\
+7e7a36838922ecfc4b7198d699905086 lat=4031400000000000 p99=41 thr=3fd3333333333334 hops=3ffe666666666666 acc=3ff0000000000000 del=1234 drop=0 inj=1240 drained=true power=3ff4000000000000,3fe0000000000000,7ff8000000000000,4008000000000000,41ddcd6500000000,3e012e0be826d695,8000000000000000";
+
+/// The campaign whose points `golden/store_v3.jsonl` holds.
+fn fixture_spec(dir: &Path) -> CampaignSpec {
+    let mut spec = CampaignSpec::new("store-fixture");
+    spec.setups = vec![SetupSpec::new("sn54")];
+    spec.patterns = vec![TrafficPattern::Random];
+    spec.loads = vec![0.02, 0.05];
+    (spec.warmup, spec.measure) = (150, 500);
+    spec.power_tech = Some(TechNode::N45);
+    spec.cache_dir = Some(dir.display().to_string());
+    spec
+}
+
+fn render(key: &str, p: &CachedPoint) -> String {
+    let power = p.power.map_or("-".to_string(), |pp| {
+        [
+            pp.power_w,
+            pp.static_w,
+            pp.dynamic_w,
+            pp.area_mm2,
+            pp.throughput_per_watt,
+            pp.energy_per_flit_j,
+            pp.edp_js,
+        ]
+        .map(|x| format!("{:016x}", x.to_bits()))
+        .join(",")
+    });
+    format!(
+        "{key} lat={:016x} p99={} thr={:016x} hops={:016x} acc={:016x} del={} drop={} inj={} \
+         drained={} power={power}",
+        p.latency.to_bits(),
+        p.p99_latency,
+        p.throughput.to_bits(),
+        p.avg_hops.to_bits(),
+        p.acceptance.to_bits(),
+        p.delivered_packets,
+        p.dropped_packets,
+        p.injected_packets,
+        p.drained
+    )
+}
+
+#[test]
+fn a_store_written_by_the_string_keyed_cache_opens_the_same() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let store = std::fs::read(golden.join("store_v3.jsonl")).expect("fixture");
+    let dir = tmp("store_v3");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    std::fs::write(dir.join("points.jsonl"), &store).expect("copy fixture");
+
+    let cache = PointCache::open(&dir).expect("open");
+    assert_eq!((cache.len(), cache.corrupt_lines()), (5, 1));
+    for want in STORE_V3_GETS.lines() {
+        let key = want.split(' ').next().expect("key");
+        let got = cache.get(key).expect("a stored key hits");
+        assert_eq!(render(key, &got), want);
+    }
+    assert_eq!((cache.hits(), cache.misses()), (5, 0));
+    drop(cache);
+
+    let warm = Campaign::from_spec(&fixture_spec(&dir))
+        .expect("valid spec")
+        .run();
+    assert_eq!((warm.cache_hits, warm.cache_misses), (2, 0));
+    let sweep = std::fs::read_to_string(golden.join("store_v3.sweep.json")).expect("sweep");
+    assert_eq!(warm.to_json(), sweep, "the parent's cold bytes");
+    let after = std::fs::read(dir.join("points.jsonl")).expect("store");
+    assert_eq!(after, store, "a replay appends nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
