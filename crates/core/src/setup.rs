@@ -279,7 +279,7 @@ impl Setup {
             None => {
                 #[cfg(test)]
                 tests::SIMULATORS_BUILT.with(|n| n.set(n.get() + 1));
-                let (cfg, table) = (self.sim.clone().with_seed(seed), self.minimal_table());
+                let (cfg, table) = (self.sim.clone().with_seed(seed), || self.minimal_table());
                 Simulator::build_with_table(&self.topology, Some(&self.layout), &cfg, table)?
             }
         };
@@ -590,6 +590,16 @@ pub(crate) mod tests {
         let thpt = result.peak_throughput("sn54", "RND");
         assert!(thpt > 0.05, "throughput {thpt}");
         assert!(thpt <= 1.0);
+    }
+
+    #[test]
+    fn a_radix_past_a_routing_byte_is_refused_before_any_table() {
+        let topo = Topology::flattened_butterfly(257, 1, 1);
+        let setup = Setup::from_topology("fbf257", topo, 0.5).unwrap();
+        let err = setup.validate().unwrap_err().to_string();
+        assert!(err.contains("network radix 256"), "{err}");
+        assert_eq!(setup.simulator().map(drop).unwrap_err().to_string(), err);
+        assert!(setup.table.get().is_none(), "no table was built");
     }
 
     #[test]

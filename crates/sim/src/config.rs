@@ -246,15 +246,28 @@ impl SimConfig {
         Ok(())
     }
 
-    /// [`SimConfig::validate`] plus what needs the network: XY-adaptive
-    /// routing adapts over a flattened butterfly's grid, so needs one.
+    /// [`SimConfig::validate`] plus what needs the network: the routing
+    /// table stores a port in one byte, so the network radix must be at
+    /// most 255; XY-adaptive routing adapts over a flattened
+    /// butterfly's grid, so needs one.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] as [`SimConfig::validate`]
-    /// does, and for XY-adaptive routing off a flattened butterfly.
+    /// does, for a network radix above 255, and for XY-adaptive routing
+    /// off a flattened butterfly.
     pub fn validate_on(&self, topo: &Topology) -> Result<(), SimError> {
         self.validate()?;
+        let radix = topo.network_radix();
+        if radix > crate::routing::MAX_RADIX {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "{} has network radix {radix}; routing tables hold at most {}",
+                    topo.name(),
+                    crate::routing::MAX_RADIX
+                ),
+            });
+        }
         let fbf = matches!(topo.kind(), TopologyKind::FlattenedButterfly { .. });
         if self.routing == RoutingKind::XyAdaptive && !fbf {
             return Err(SimError::InvalidConfig {
@@ -318,6 +331,18 @@ impl From<LayoutError> for SimError {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_radix_past_a_routing_byte_is_refused() {
+        let cfg = SimConfig::default();
+        assert!(cfg
+            .validate_on(&Topology::flattened_butterfly(256, 1, 1))
+            .is_ok());
+        let err = cfg
+            .validate_on(&Topology::flattened_butterfly(257, 1, 1))
+            .unwrap_err();
+        assert!(err.to_string().contains("network radix 256"), "{err}");
+    }
 
     #[test]
     fn default_matches_paper_section_5_1() {

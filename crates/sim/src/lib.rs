@@ -66,7 +66,8 @@ pub use flit::{Flit, FlitArena, FlitKind, FlitRef, PacketId};
 pub use network::Simulator;
 pub use routing::{RouteDecision, RoutingTable};
 pub use stats::{
-    saturation_heuristic, ActivityCounters, Conformance, SimReport, Snapshot, WorkCounters,
+    saturation_heuristic, ActivityCounters, Conformance, Footprint, SimReport, Snapshot,
+    WorkCounters,
 };
 
 /// Runs the monolithic engine; deleted with `benchmark/`'s shard probes

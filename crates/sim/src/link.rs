@@ -9,25 +9,149 @@
 //! Channels move 4-byte [`FlitRef`] arena indices, not flit payloads —
 //! the flit itself stays in the simulator's [`crate::flit::FlitArena`]
 //! from injection to ejection.
+//!
+//! A credited channel's in-flight flits and returning credits live in
+//! two fixed rings ([`Ring`]) sized at build from the sender's credit
+//! bound ([`Channel::credited`]), so a network's wires cost the same
+//! bytes before, during and after a run.
 
 use crate::flit::FlitRef;
 use crate::router::fast_wrap;
-use std::collections::VecDeque;
+use crate::stats::heap_bytes;
+use std::fmt;
+
+/// The wire latency limit of a credited channel: a [`Stamp`] keeps 24
+/// bits of the due cycle, and a due cycle must lie within half that
+/// range of the current one.
+const MAX_LATENCY: u64 = 1 << 22;
+
+/// A wire entry's stamp: the low 24 bits of its due cycle above its VC
+/// byte. An entry is due at most [`MAX_LATENCY`] cycles after `now`
+/// and is popped on its due cycle, so the wrapped 24-bit difference to
+/// `now` decides "due" exactly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stamp(u32);
+
+impl Stamp {
+    fn new(due: u64, vc: usize) -> Self {
+        debug_assert!(vc <= 0xFF, "VC {vc} does not fit a stamp");
+        Stamp((due as u32) << 8 | vc as u32)
+    }
+
+    fn vc(self) -> usize {
+        (self.0 & 0xFF) as usize
+    }
+
+    /// Whether the entry has arrived by `now`.
+    fn due_by(self, now: u64) -> bool {
+        ((now as u32) << 8).wrapping_sub(self.0 & !0xFF) as i32 >= 0
+    }
+}
+
+/// A FIFO in a slab allocated once: `clear` empties it and a push never
+/// grows it. A push into a full ring means the capacity bound the ring
+/// was built with is broken, and panics.
+#[derive(Clone)]
+pub(crate) struct Ring<T> {
+    slots: Box<[T]>,
+    head: u32,
+    len: u32,
+}
+
+impl<T: Copy> Ring<T> {
+    fn new(capacity: usize, empty: T) -> Self {
+        assert!(capacity > 0, "a ring needs a slot");
+        Ring {
+            slots: vec![empty; capacity].into_boxed_slice(),
+            head: 0,
+            len: 0,
+        }
+    }
+
+    /// Slab index of the `i`-th entry (`i <= len`).
+    fn at(&self, i: usize) -> usize {
+        fast_wrap(self.head as usize + i, self.slots.len())
+    }
+
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn front(&self) -> Option<T> {
+        (self.len > 0).then(|| self.slots[self.head as usize])
+    }
+
+    fn push_back(&mut self, entry: T) {
+        assert!(
+            self.len() < self.slots.len(),
+            "channel ring overflow: more in flight than its bound of {}",
+            self.slots.len()
+        );
+        let i = self.at(self.len());
+        self.slots[i] = entry;
+        self.len += 1;
+    }
+
+    /// Drops the front entry of a non-empty ring.
+    fn pop_front(&mut self) {
+        debug_assert!(self.len > 0, "pop from an empty ring");
+        self.head = self.at(1) as u32;
+        self.len -= 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = T> + '_ {
+        (0..self.len()).map(|i| self.slots[self.at(i)])
+    }
+
+    fn clear(&mut self) {
+        (self.head, self.len) = (0, 0);
+    }
+
+    /// Keeps the entries `keep` accepts, in order, compacted in place.
+    fn retain(&mut self, mut keep: impl FnMut(T) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            let entry = self.slots[self.at(i)];
+            if keep(entry) {
+                let j = self.at(kept);
+                self.slots[j] = entry;
+                kept += 1;
+            }
+        }
+        self.len = kept as u32;
+    }
+
+    /// Bytes of the slab.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.slots)
+    }
+}
+
+/// The live entries, front first, so a reset ring reads as a freshly
+/// built one.
+impl<T: Copy + fmt::Debug> fmt::Debug for Ring<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A unidirectional link channel.
 #[derive(Debug, Clone)]
 pub(crate) enum Channel {
     /// Ideal pipelined wire with credit-based end-to-end flow control:
-    /// any number of flits may be in flight; the sender's credit counter
-    /// bounds them by the downstream buffer size.
+    /// the sender's credit counters bound the flits in flight by the
+    /// downstream buffer size.
     Credited {
         /// Latency in cycles.
-        latency: u64,
-        /// In-flight flits tagged with arrival cycle and VC.
-        in_flight: VecDeque<(u64, usize, FlitRef)>,
-        /// In-flight credits (returning upstream) tagged with arrival
-        /// cycle and VC.
-        credits: VecDeque<(u64, usize)>,
+        latency: u32,
+        /// In-flight flits, each stamped with its arrival cycle and VC.
+        wire: Ring<(Stamp, FlitRef)>,
+        /// In-flight credits (returning upstream), stamped likewise.
+        credits: Ring<Stamp>,
     },
     /// Elastic-buffer link (EL-Links with ElastiStore, §4.2): `latency`
     /// pipeline stages, each with one slave latch per VC; the shared
@@ -54,11 +178,28 @@ pub(crate) enum Channel {
 }
 
 impl Channel {
-    pub(crate) fn credited(latency: u64) -> Self {
+    /// A credited wire of `latency` cycles whose sender holds
+    /// `credit_bound` credits in all (its VCs times the per-VC credits
+    /// of its port).
+    ///
+    /// The flit ring holds `min(latency, credit_bound)`: the sender
+    /// pushes at most one flit per cycle, each spends a credit, and each
+    /// leaves on its due cycle. The credit ring holds `credit_bound`:
+    /// credits in flight never exceed the credits the sender started
+    /// with, while a central-buffer router can free two slots of one
+    /// input port in one cycle (a bypass and a CB write), so the
+    /// per-cycle argument does not bound credits.
+    pub(crate) fn credited(latency: u64, credit_bound: usize) -> Self {
+        let latency = latency.max(1);
+        assert!(latency <= MAX_LATENCY, "wire latency {latency} too long");
+        let stamp = Stamp::new(0, 0);
         Channel::Credited {
-            latency: latency.max(1),
-            in_flight: VecDeque::new(),
-            credits: VecDeque::new(),
+            latency: latency as u32,
+            wire: Ring::new(
+                credit_bound.min(latency as usize),
+                (stamp, FlitRef::INVALID),
+            ),
+            credits: Ring::new(credit_bound, stamp),
         }
     }
 
@@ -78,10 +219,8 @@ impl Channel {
     /// free, the round-robin pointers at 0.
     pub(crate) fn reset(&mut self) {
         match self {
-            Channel::Credited {
-                in_flight, credits, ..
-            } => {
-                in_flight.clear();
+            Channel::Credited { wire, credits, .. } => {
+                wire.clear();
                 credits.clear();
             }
             Channel::Elastic {
@@ -95,6 +234,16 @@ impl Channel {
                 occ.fill(0);
                 rr.fill(0);
                 *live = 0;
+            }
+        }
+    }
+
+    /// Heap bytes the channel holds: its two rings, or its latch slab.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            Channel::Credited { wire, credits, .. } => wire.heap_bytes() + credits.heap_bytes(),
+            Channel::Elastic { slots, occ, rr, .. } => {
+                heap_bytes(slots) + heap_bytes(occ) + heap_bytes(rr)
             }
         }
     }
@@ -116,12 +265,13 @@ impl Channel {
     /// # Panics
     ///
     /// Panics (elastic mode) if stage 0 is occupied — callers must check
-    /// [`Channel::can_accept`].
+    /// [`Channel::can_accept`] — and (credited mode) if the wire already
+    /// holds its bound.
     pub(crate) fn push(&mut self, now: u64, vc: usize, flit: FlitRef) {
         match self {
-            Channel::Credited {
-                latency, in_flight, ..
-            } => in_flight.push_back((now + *latency, vc, flit)),
+            Channel::Credited { latency, wire, .. } => {
+                wire.push_back((Stamp::new(now + u64::from(*latency), vc), flit));
+            }
             Channel::Elastic {
                 slots, occ, live, ..
             } => {
@@ -139,7 +289,7 @@ impl Channel {
             latency, credits, ..
         } = self
         {
-            credits.push_back((now + *latency, vc));
+            credits.push_back(Stamp::new(now + u64::from(*latency), vc));
         }
     }
 
@@ -193,15 +343,11 @@ impl Channel {
         mut accept: impl FnMut(usize) -> bool,
     ) -> Option<(usize, FlitRef)> {
         match self {
-            Channel::Credited { in_flight, .. } => {
-                if let Some(&(when, vc, _)) = in_flight.front() {
-                    if when <= now {
-                        assert!(accept(vc), "credited delivery must have space");
-                        let (_, vc, flit) = in_flight.pop_front().expect("checked");
-                        return Some((vc, flit));
-                    }
-                }
-                None
+            Channel::Credited { wire, .. } => {
+                let (stamp, flit) = wire.front().filter(|(stamp, _)| stamp.due_by(now))?;
+                assert!(accept(stamp.vc()), "credited delivery must have space");
+                wire.pop_front();
+                Some((stamp.vc(), flit))
             }
             Channel::Elastic {
                 vcs,
@@ -235,24 +381,19 @@ impl Channel {
     /// Pops one credit that has arrived by `now` (credited mode). The
     /// cycle loop drains with `while let` — no per-cycle allocation.
     pub(crate) fn pop_credit(&mut self, now: u64) -> Option<usize> {
-        if let Channel::Credited { credits, .. } = self {
-            if let Some(&(when, vc)) = credits.front() {
-                if when <= now {
-                    credits.pop_front();
-                    return Some(vc);
-                }
-            }
-        }
-        None
+        let Channel::Credited { credits, .. } = self else {
+            return None;
+        };
+        let stamp = credits.front().filter(|stamp| stamp.due_by(now))?;
+        credits.pop_front();
+        Some(stamp.vc())
     }
 
     /// Whether the channel holds no flits and no in-flight credits —
     /// idle channels are skipped by the cycle loop entirely.
     pub(crate) fn is_idle(&self) -> bool {
         match self {
-            Channel::Credited {
-                in_flight, credits, ..
-            } => in_flight.is_empty() && credits.is_empty(),
+            Channel::Credited { wire, credits, .. } => wire.is_empty() && credits.is_empty(),
             Channel::Elastic { live, .. } => *live == 0,
         }
     }
@@ -261,7 +402,7 @@ impl Channel {
     /// adaptive routing and drain checks).
     pub(crate) fn occupancy(&self) -> usize {
         match self {
-            Channel::Credited { in_flight, .. } => in_flight.len(),
+            Channel::Credited { wire, .. } => wire.len(),
             Channel::Elastic { live, .. } => *live as usize,
         }
     }
@@ -270,11 +411,7 @@ impl Channel {
     /// visits every in-flight flit, in wire order.
     pub(crate) fn scan_flits<V: FnMut(FlitRef)>(&self, mut visit: V) {
         match self {
-            Channel::Credited { in_flight, .. } => {
-                for &(_, _, fr) in in_flight {
-                    visit(fr);
-                }
-            }
+            Channel::Credited { wire, .. } => wire.iter().for_each(|(_, fr)| visit(fr)),
             Channel::Elastic { .. } => unreachable!("fault scans run on credited links only"),
         }
     }
@@ -291,21 +428,16 @@ impl Channel {
         dead: bool,
         removed: &mut Vec<crate::flit::Flit>,
     ) {
-        let Channel::Credited {
-            in_flight, credits, ..
-        } = self
-        else {
+        let Channel::Credited { wire, credits, .. } = self else {
             unreachable!("fault sweeps run on credited links only")
         };
-        let mut kept = VecDeque::with_capacity(in_flight.len());
-        for (when, vc, fr) in in_flight.drain(..) {
-            if dead || drop_pkt(arena.get(fr).packet.0) {
+        wire.retain(|(_, fr)| {
+            let drop = dead || drop_pkt(arena.get(fr).packet.0);
+            if drop {
                 removed.push(arena.remove(fr));
-            } else {
-                kept.push_back((when, vc, fr));
             }
-        }
-        *in_flight = kept;
+            !drop
+        });
         if dead {
             credits.clear();
         }
@@ -314,9 +446,7 @@ impl Channel {
     /// Flits in flight on one VC (fault-time credit recount).
     pub(crate) fn wire_count(&self, vc: usize) -> usize {
         match self {
-            Channel::Credited { in_flight, .. } => {
-                in_flight.iter().filter(|&&(_, v, _)| v == vc).count()
-            }
+            Channel::Credited { wire, .. } => wire.iter().filter(|(s, _)| s.vc() == vc).count(),
             Channel::Elastic { .. } => unreachable!("fault recounts run on credited links only"),
         }
     }
@@ -325,7 +455,7 @@ impl Channel {
     /// recount).
     pub(crate) fn credit_count(&self, vc: usize) -> usize {
         match self {
-            Channel::Credited { credits, .. } => credits.iter().filter(|&&(_, v)| v == vc).count(),
+            Channel::Credited { credits, .. } => credits.iter().filter(|s| s.vc() == vc).count(),
             Channel::Elastic { .. } => unreachable!("fault recounts run on credited links only"),
         }
     }
@@ -335,35 +465,36 @@ impl Channel {
 mod tests {
     use super::*;
     use crate::flit::{Flit, FlitArena, PacketId};
+    use proptest::prelude::*;
     use snoc_topology::{NodeId, RouterId};
+    use std::collections::VecDeque;
+
+    /// A single-flit packet `id`.
+    fn flit(id: u64) -> Flit {
+        Flit::packet(
+            PacketId(id),
+            NodeId(0),
+            NodeId(1),
+            RouterId(1),
+            1,
+            0,
+            true,
+            false,
+        )[0]
+    }
 
     /// An arena pre-filled with `n` single-flit packets; `refs[i]` is
     /// packet `i`.
     fn arena(n: u64) -> (FlitArena, Vec<FlitRef>) {
         let mut arena = FlitArena::default();
-        let refs = (0..n)
-            .map(|i| {
-                arena.insert(
-                    Flit::packet(
-                        PacketId(i),
-                        NodeId(0),
-                        NodeId(1),
-                        RouterId(1),
-                        1,
-                        0,
-                        true,
-                        false,
-                    )[0],
-                )
-            })
-            .collect();
+        let refs = (0..n).map(|i| arena.insert(flit(i))).collect();
         (arena, refs)
     }
 
     #[test]
     fn credited_delivers_after_latency() {
         let (_a, f) = arena(2);
-        let mut ch = Channel::credited(3);
+        let mut ch = Channel::credited(3, 10);
         ch.push(10, 0, f[1]);
         assert!(ch.pop_deliverable(12, |_| true).is_none());
         let (vc, got) = ch.pop_deliverable(13, |_| true).unwrap();
@@ -375,7 +506,7 @@ mod tests {
     #[test]
     fn credited_preserves_order() {
         let (_a, f) = arena(3);
-        let mut ch = Channel::credited(2);
+        let mut ch = Channel::credited(2, 10);
         ch.push(0, 0, f[1]);
         ch.push(1, 1, f[2]);
         assert_eq!(ch.pop_deliverable(2, |_| true).unwrap().1, f[1]);
@@ -384,13 +515,50 @@ mod tests {
 
     #[test]
     fn credit_return_is_delayed() {
-        let mut ch = Channel::credited(4);
+        let mut ch = Channel::credited(4, 10);
         ch.push_credit(5, 1);
         assert!(!ch.is_idle(), "in-flight credit keeps the channel busy");
         assert!(ch.pop_credit(8).is_none());
         assert_eq!(ch.pop_credit(9), Some(1));
         assert!(ch.pop_credit(10).is_none());
         assert!(ch.is_idle());
+    }
+
+    #[test]
+    fn rings_are_sized_by_the_credit_bound() {
+        let (_a, f) = arena(4);
+        // A 9-cycle wire whose sender holds 2 credits carries 2 flits.
+        let mut ch = Channel::credited(9, 2);
+        assert_eq!(ch.heap_bytes(), 2 * 8 + 2 * 4);
+        ch.push(0, 0, f[1]);
+        ch.push(1, 1, f[2]);
+        assert_eq!(ch.occupancy(), 2);
+        // A 1-cycle wire carries one flit, whatever the credits.
+        assert_eq!(Channel::credited(1, 10).heap_bytes(), 8 + 10 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "channel ring overflow")]
+    fn a_push_past_the_bound_panics() {
+        let (_a, f) = arena(3);
+        let mut ch = Channel::credited(9, 2);
+        for (now, &fr) in f.iter().enumerate() {
+            ch.push(now as u64, 0, fr);
+        }
+    }
+
+    #[test]
+    fn stamps_decide_due_across_the_wrap() {
+        for base in [0u64, (1 << 24) - 3, 5 << 24, u64::from(u32::MAX) - 1] {
+            for latency in [1u64, 7, MAX_LATENCY] {
+                let stamp = Stamp::new(base + latency, 3);
+                assert_eq!(stamp.vc(), 3);
+                assert!(!stamp.due_by(base), "{base} + {latency}");
+                assert!(!stamp.due_by(base + latency - 1), "{base} + {latency}");
+                assert!(stamp.due_by(base + latency), "{base} + {latency}");
+                assert!(stamp.due_by(base + latency + 1), "{base} + {latency}");
+            }
+        }
     }
 
     #[test]
@@ -425,12 +593,24 @@ mod tests {
 
     #[test]
     fn elastic_shared_master_admits_one_advance_per_stage() {
-        let (_a, f) = arena(3);
+        // One push per cycle, in the engine's order (tick, deliver,
+        // push): a refused flit in the final stage holds the next flit
+        // of its VC in stage 0 until a flit of the other VC joins it.
+        let (_a, f) = arena(4);
         let mut ch = Channel::elastic(2, 2);
         ch.push(0, 0, f[1]);
-        ch.push(0, 1, f[2]);
-        ch.tick(); // only one of the two can advance to stage 1
-        let advanced = !ch.can_accept(0) as usize + !ch.can_accept(1) as usize;
+        ch.tick(); // cycle 1: f1 reaches the final stage
+        assert!(ch.pop_deliverable(1, |_| false).is_none());
+        ch.push(1, 0, f[2]);
+        ch.tick(); // cycle 2: f2 is blocked behind f1
+        assert!(ch.pop_deliverable(2, |_| true).is_some());
+        ch.push(2, 1, f[3]);
+        assert!(
+            !ch.can_accept(0) && !ch.can_accept(1),
+            "both VCs in stage 0"
+        );
+        ch.tick(); // cycle 3: only one of the two can advance
+        let advanced = usize::from(ch.can_accept(0)) + usize::from(ch.can_accept(1));
         assert_eq!(advanced, 1, "one VC still occupies stage 0");
     }
 
@@ -439,21 +619,163 @@ mod tests {
         let (_a, f) = arena(3);
         let mut ch = Channel::elastic(1, 2);
         ch.push(0, 0, f[1]);
-        ch.push(0, 1, f[2]);
-        let (vc1, _) = ch.pop_deliverable(1, |_| true).unwrap();
-        let (vc2, _) = ch.pop_deliverable(2, |_| true).unwrap();
+        assert!(ch.pop_deliverable(1, |_| false).is_none());
+        ch.push(1, 1, f[2]);
+        let (vc1, _) = ch.pop_deliverable(2, |_| true).unwrap();
+        let (vc2, _) = ch.pop_deliverable(3, |_| true).unwrap();
         assert_ne!(vc1, vc2, "round-robin serves both VCs");
     }
 
     #[test]
     fn occupancy_counts() {
         let (_a, f) = arena(3);
-        let mut ch = Channel::credited(2);
+        let mut ch = Channel::credited(2, 10);
         assert_eq!(ch.occupancy(), 0);
         ch.push(0, 0, f[1]);
-        ch.push(0, 1, f[2]);
+        ch.push(1, 1, f[2]);
         assert_eq!(ch.occupancy(), 2);
         ch.pop_deliverable(2, |_| true);
         assert_eq!(ch.occupancy(), 1);
+    }
+
+    /// A credited wire as a plain list of `(due, vc, flit)` entries and
+    /// `(due, vc)` credits, plus the sender and receiver around it: the
+    /// sender's credits per VC and the flits the receiver buffers.
+    struct NaiveWire {
+        latency: u64,
+        flits: VecDeque<(u64, usize, FlitRef)>,
+        credits: VecDeque<(u64, usize)>,
+        sender: Vec<usize>,
+        buffered: Vec<VecDeque<FlitRef>>,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The bounded channel matches the naive wire after every cycle
+        /// of a random schedule under the engine's rules: per cycle,
+        /// deliveries and credit returns first, then at most one flit
+        /// pushed (spending a sender credit) and at most two credits
+        /// pushed (each freeing a buffered flit), with the odd fault
+        /// sweep dropping packets or the whole wire.
+        #[test]
+        fn bounded_channel_matches_a_naive_wire(
+            seed in 0u64..=u64::MAX,
+            latency in 1u64..14,
+            vcs in 1usize..5,
+            per_vc in 1usize..7,
+            cycles in 20u64..300,
+        ) {
+            let mut rng = seed | 1;
+            let mut below = move |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut arena = FlitArena::default();
+            let mut ch = Channel::credited(latency, vcs * per_vc);
+            let mut model = NaiveWire {
+                latency,
+                flits: VecDeque::new(),
+                credits: VecDeque::new(),
+                sender: vec![per_vc; vcs],
+                buffered: vec![VecDeque::new(); vcs],
+            };
+            let mut next_pkt = 0u64;
+            for now in 0..cycles {
+                // Deliveries: the receiver always has room, since a
+                // credit backs every flit.
+                let got = ch.pop_deliverable(now, |_| true);
+                let want = match model.flits.front() {
+                    Some(&(due, vc, fr)) if due <= now => {
+                        model.flits.pop_front();
+                        Some((vc, fr))
+                    }
+                    _ => None,
+                };
+                prop_assert_eq!(got, want, "delivery at cycle {}", now);
+                if let Some((vc, fr)) = got {
+                    model.buffered[vc].push_back(fr);
+                }
+                loop {
+                    let got = ch.pop_credit(now);
+                    let want = match model.credits.front() {
+                        Some(&(due, vc)) if due <= now => {
+                            model.credits.pop_front();
+                            Some(vc)
+                        }
+                        _ => None,
+                    };
+                    prop_assert_eq!(got, want, "credit return at cycle {}", now);
+                    let Some(vc) = got else { break };
+                    model.sender[vc] += 1;
+                }
+                let vc = below(vcs as u64) as usize;
+                if below(3) > 0 && model.sender[vc] > 0 {
+                    model.sender[vc] -= 1;
+                    let fr = arena.insert(flit(next_pkt));
+                    next_pkt += 1;
+                    ch.push(now, vc, fr);
+                    model.flits.push_back((now + model.latency, vc, fr));
+                }
+                // Up to two credits: a CBR can free one input port's
+                // slots on two VCs in one cycle (a bypass and a CB write).
+                for _ in 0..2 {
+                    let vc = below(vcs as u64) as usize;
+                    if below(3) > 0 {
+                        if let Some(fr) = model.buffered[vc].pop_front() {
+                            arena.remove(fr);
+                            ch.push_credit(now, vc);
+                            model.credits.push_back((now + model.latency, vc));
+                        }
+                    }
+                }
+                if below(40) == 0 {
+                    let dead = below(4) == 0;
+                    let (modulus, rest) = (2 + below(3), below(2));
+                    let doomed = |p: u64| p % modulus == rest;
+                    let mut want = Vec::new();
+                    model.flits.retain(|&(_, _, fr)| {
+                        let pkt = arena.get(fr).packet.0;
+                        let gone = dead || doomed(pkt);
+                        if gone {
+                            want.push(pkt);
+                        }
+                        !gone
+                    });
+                    let mut removed = Vec::new();
+                    ch.sweep_faults(&mut arena, doomed, dead, &mut removed);
+                    let got: Vec<u64> = removed.iter().map(|f| f.packet.0).collect();
+                    prop_assert_eq!(got, want, "swept flits at cycle {}", now);
+                    if dead {
+                        model.credits.clear();
+                    }
+                    // The network's recount: what the sender started
+                    // with, less what is on the wire, coming back, or
+                    // buffered.
+                    for vc in 0..vcs {
+                        let on_wire = model.flits.iter().filter(|e| e.1 == vc).count();
+                        let back = model.credits.iter().filter(|e| e.1 == vc).count();
+                        model.sender[vc] = per_vc - on_wire - back - model.buffered[vc].len();
+                    }
+                }
+                prop_assert_eq!(ch.occupancy(), model.flits.len());
+                prop_assert_eq!(
+                    ch.is_idle(),
+                    model.flits.is_empty() && model.credits.is_empty()
+                );
+                let mut scanned = Vec::new();
+                ch.scan_flits(|fr| scanned.push(fr));
+                let order: Vec<FlitRef> = model.flits.iter().map(|e| e.2).collect();
+                prop_assert_eq!(scanned, order, "wire order at cycle {}", now);
+                for vc in 0..vcs {
+                    let on_wire = model.flits.iter().filter(|e| e.1 == vc).count();
+                    let back = model.credits.iter().filter(|e| e.1 == vc).count();
+                    prop_assert_eq!(ch.wire_count(vc), on_wire, "wire count of vc {}", vc);
+                    prop_assert_eq!(ch.credit_count(vc), back, "credit count of vc {}", vc);
+                }
+            }
+        }
     }
 }

@@ -13,7 +13,7 @@ use crate::flit::{Flit, FlitArena, FlitRef, PacketId};
 use crate::link::Channel;
 use crate::router::{AllocResult, RouterCore};
 use crate::routing::RoutingTable;
-use crate::stats::{SimReport, WorkCounters};
+use crate::stats::{heap_bytes, nested_heap_bytes, Footprint, SimReport, WorkCounters};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use snoc_layout::{BufferSpec, Layout};
@@ -126,7 +126,7 @@ impl Simulator {
     /// inconsistent (including [`BufferSizing::VariableRtt`], which needs
     /// a layout).
     pub fn build(topo: &Topology, cfg: &SimConfig) -> Result<Self, SimError> {
-        Self::build_with_table(topo, None, cfg, Arc::new(RoutingTable::minimal(topo)))
+        Self::build_with_table(topo, None, cfg, || Arc::new(RoutingTable::minimal(topo)))
     }
 
     /// Builds a simulator whose link latencies come from the layout:
@@ -141,14 +141,17 @@ impl Simulator {
         layout: &Layout,
         cfg: &SimConfig,
     ) -> Result<Self, SimError> {
-        let table = Arc::new(RoutingTable::minimal(topo));
+        let table = || Arc::new(RoutingTable::minimal(topo));
         Self::build_with_table(topo, Some(layout), cfg, table)
     }
 
-    /// Builds a simulator around a pre-built routing table for `topo` —
-    /// the one construction path; [`Simulator::build`] and
+    /// Builds a simulator around the routing table `table` gives for
+    /// `topo` — the one construction path and the one place a
+    /// configuration is validated; [`Simulator::build`] and
     /// [`Simulator::build_with_layout`] are this with a fresh
-    /// [`RoutingTable::minimal`]. The table is a function of the
+    /// [`RoutingTable::minimal`]. `table` is called only once the
+    /// configuration passes, so a network it refuses (a radix past the
+    /// table's byte) never builds one. The table is a function of the
     /// topology alone and is never mutated (fault repair swaps in a
     /// fresh one), so one `Arc` can serve every simulator of a
     /// topology: the simulators of a campaign. Building allocates the
@@ -157,15 +160,16 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimError`] as the other builders do, and
-    /// [`SimError::InvalidConfig`] if `table` was built for another
+    /// [`SimError::InvalidConfig`] if the table was built for another
     /// wiring than `topo`'s.
     pub fn build_with_table(
         topo: &Topology,
         layout: Option<&Layout>,
         cfg: &SimConfig,
-        table: Arc<RoutingTable>,
+        table: impl FnOnce() -> Arc<RoutingTable>,
     ) -> Result<Self, SimError> {
         cfg.validate_on(topo)?;
+        let table = table();
         if !table.is_wired_like(topo) {
             return Err(SimError::InvalidConfig {
                 reason: format!("routing table was not built for {}", topo.name()),
@@ -185,8 +189,7 @@ impl Simulator {
             vcs: cfg.vcs,
             smart_hops: cfg.smart_hops,
         };
-        // Channels, one per directed adjacency.
-        let mut channels = Vec::new();
+        // Channel wiring, one channel per directed adjacency.
         let mut chan_out = vec![Vec::new(); nr];
         let mut chan_dst = Vec::new();
         let mut chan_src = Vec::new();
@@ -196,14 +199,7 @@ impl Simulator {
             for port in 0..ports {
                 let peer = table.peer(r, port);
                 let tiles = layout.map_or(1, |l| l.manhattan(r, peer).max(1));
-                let latency = wires.link_cycles(tiles) as u64;
-                let ch = match cfg.link_mode {
-                    LinkMode::Credited => Channel::credited(latency),
-                    LinkMode::Elastic => Channel::elastic(latency, cfg.vcs),
-                };
-                let id = channels.len();
-                channels.push(ch);
-                chan_out[r.index()].push(id);
+                chan_out[r.index()].push(chan_dst.len());
                 chan_dst.push((peer.index(), table.port_to(peer, r)));
                 chan_src.push((r.index(), port));
                 chan_tiles.push(tiles as u64);
@@ -255,6 +251,21 @@ impl Simulator {
                     .collect()
             })
             .collect();
+        // The channels, sized once: a credited wire holds at most what
+        // its sender's credits allow (`Channel::credited`).
+        let channels: Vec<Channel> = (0..chan_dst.len())
+            .map(|id| {
+                let latency = wires.link_cycles(chan_tiles[id] as usize) as u64;
+                match cfg.link_mode {
+                    LinkMode::Credited => {
+                        let (src, port) = chan_src[id];
+                        Channel::credited(latency, cfg.vcs * init_credits[src][port])
+                    }
+                    LinkMode::Elastic => Channel::elastic(latency, cfg.vcs),
+                }
+            })
+            .collect();
+        let max_ports = routers.iter().map(RouterCore::in_ports).max().unwrap_or(0);
 
         let chan_count = channels.len();
         let mut sim = Simulator {
@@ -290,7 +301,7 @@ impl Simulator {
             chan_enabled: vec![true; chan_count],
             chan_alive: vec![true; chan_count],
             scratch_eject: Vec::new(),
-            scratch_alloc: AllocResult::default(),
+            scratch_alloc: AllocResult::for_ports(max_ports),
             watchdog: None,
             last_progress: 0,
             work: WorkCounters::default(),
@@ -359,6 +370,37 @@ impl Simulator {
     #[must_use]
     pub fn work(&self) -> WorkCounters {
         self.work
+    }
+
+    /// The bytes this simulator's network holds, by part (see
+    /// [`Footprint`]): the same from build through every run and
+    /// [`Simulator::reset`].
+    #[must_use]
+    pub fn footprint(&self) -> Footprint {
+        let routers = heap_bytes(&self.routers)
+            + self
+                .routers
+                .iter()
+                .map(RouterCore::heap_bytes)
+                .sum::<usize>()
+            + nested_heap_bytes(&self.init_credits)
+            + heap_bytes(&self.router_queued)
+            + self.scratch_alloc.heap_bytes();
+        let channels = heap_bytes(&self.channels)
+            + self.channels.iter().map(Channel::heap_bytes).sum::<usize>()
+            + nested_heap_bytes(&self.chan_out)
+            + nested_heap_bytes(&self.chan_in)
+            + heap_bytes(&self.chan_dst)
+            + heap_bytes(&self.chan_src)
+            + heap_bytes(&self.chan_tiles)
+            + heap_bytes(&self.chan_queued)
+            + heap_bytes(&self.chan_enabled)
+            + heap_bytes(&self.chan_alive);
+        Footprint {
+            table: self.minimal.bytes(),
+            routers,
+            channels,
+        }
     }
 
     /// Sets the no-progress watchdog bound in cycles, or disarms it
@@ -478,7 +520,8 @@ impl Simulator {
                 // router; ST heads at the router across the channel they
                 // are committed to (alive: dead ones were caught above).
                 // Liveness of the judging router makes same-router
-                // traffic die with it (`dist[dead][dead]` is 0).
+                // traffic die with it (a dead router still reaches
+                // itself in the table).
                 router.scan_flits(|fr, st_port| {
                     let f = arena.get(fr);
                     if !f.kind.is_head() {
@@ -1346,6 +1389,23 @@ mod tests {
     }
 
     #[test]
+    fn cbr_on_credited_unit_wires_returns_two_credits_a_cycle() {
+        // A CBR can free two staging slots of one input port in a cycle
+        // (a bypass and a CB write), so one-cycle credited wires carry
+        // two credits at once: the credit ring is sized by the credits,
+        // not by the latency.
+        let cfg = SimConfig {
+            link_mode: LinkMode::Credited,
+            ..SimConfig::cbr(20)
+        };
+        let mut sim = Simulator::build(&small_sn(), &cfg).unwrap();
+        let report = sim.run_synthetic(TrafficPattern::Random, 0.3, 300, 1_000);
+        assert!(report.activity.cb_writes > 0, "{report}");
+        assert!(report.drained, "{report}");
+        assert_eq!(sim.in_flight_flits(), 0);
+    }
+
+    #[test]
     fn cbr_never_deadlocks_across_topologies() {
         // Regression test: two packets' flits must never interleave
         // inside one CB virtual queue (each would wait on the other).
@@ -1599,12 +1659,38 @@ mod tests {
         // the neighbour lists tell the two tori apart.
         let (topo, other) = (Topology::torus(6, 6, 1), Topology::torus(4, 9, 1));
         let cfg = SimConfig::default();
-        let table = |t: &Topology| Arc::new(RoutingTable::minimal(t));
+        let table = |t: &Topology| {
+            let table = Arc::new(RoutingTable::minimal(t));
+            move || table
+        };
         assert!(Simulator::build_with_table(&topo, None, &cfg, table(&topo)).is_ok());
         let err = Simulator::build_with_table(&topo, None, &cfg, table(&other)).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
         let small = table(&Topology::torus(3, 3, 1));
         assert!(Simulator::build_with_table(&topo, None, &cfg, small).is_err());
+    }
+
+    #[test]
+    fn a_refused_configuration_builds_no_table() {
+        let wide = Topology::flattened_butterfly(257, 1, 1);
+        let no_table = || -> Arc<RoutingTable> { panic!("a table was built") };
+        let err = Simulator::build_with_table(&wide, None, &SimConfig::default(), no_table);
+        assert!(err.unwrap_err().to_string().contains("network radix 256"));
+        assert!(Simulator::build(&wide, &SimConfig::default()).is_err());
+    }
+
+    #[test]
+    fn a_central_buffer_past_sixteen_bit_slots_runs() {
+        // The central buffer's queues grow with the traffic, so any size
+        // the configuration admits builds and runs, at the bytes of a
+        // small one.
+        let topo = small_sn();
+        let small = Simulator::build(&topo, &SimConfig::cbr(20)).unwrap();
+        let mut sim = Simulator::build(&topo, &SimConfig::cbr(100_000)).unwrap();
+        assert_eq!(sim.footprint(), small.footprint());
+        let report = sim.run_synthetic(TrafficPattern::Random, 0.3, 100, 400);
+        assert!(report.drained, "{report}");
+        assert_eq!(sim.footprint(), small.footprint());
     }
 
     #[test]

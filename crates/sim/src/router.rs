@@ -58,6 +58,7 @@
 use crate::config::{LinkMode, RouterArch};
 use crate::flit::{Flit, FlitArena, FlitRef};
 use crate::routing::{RouteDecision, RoutingTable};
+use crate::stats::heap_bytes;
 use snoc_topology::RouterId;
 use std::collections::VecDeque;
 
@@ -448,9 +449,9 @@ struct OutPort {
     /// Round-robin pointer (input selection).
     rr: u32,
     /// Edge output arbitration: the winning nomination's index and
-    /// priority. Written only together with the port's
-    /// `scratch_touched` bit and reset as that output is granted, so
-    /// between allocation calls both read `u32::MAX`.
+    /// priority. Written only together with the port's bit in
+    /// [`AllocResult`]'s `touched` mask and reset as that output is
+    /// granted, so between allocation calls both read `u32::MAX`.
     winner: u32,
     prio: u32,
 }
@@ -624,18 +625,21 @@ pub(crate) struct RouterCore {
     /// ST registers). `0` means the router is idle and the cycle loop
     /// can skip it entirely.
     live_flits: usize,
-    /// Reusable allocation scratch: input nominations.
-    scratch_noms: Vec<(usize, usize, RouteDecision)>,
-    /// Edge output arbitration: port mask of the outputs nominated in
-    /// this call — the grant pass walks (and clears) its set bits.
-    scratch_touched: Vec<u64>,
 }
 
-/// Resource release information produced by the allocation phase.
-/// Owned by the simulator and reused across routers and cycles; `alloc`
-/// clears it before filling.
-#[derive(Debug, Clone, Default)]
+/// Resource release information produced by the allocation phase, and
+/// the allocator's scratch. The simulator owns one, sized for its
+/// widest router, and reuses it across routers and cycles; `alloc`
+/// clears it before filling, and its vectors never outgrow their
+/// capacity at build.
+#[derive(Debug, Clone)]
 pub(crate) struct AllocResult {
+    /// Input nominations of one call: `(port, vc, route)`.
+    noms: Vec<(usize, usize, RouteDecision)>,
+    /// Edge output arbitration: port mask of the outputs nominated in
+    /// one call — the grant pass walks (and clears) its set bits, so
+    /// between calls every word is 0.
+    touched: Vec<u64>,
     /// Input lanes that freed one slot: `(port, vc)` — for a network
     /// port the network returns one credit upstream.
     pub freed: Vec<(usize, usize)>,
@@ -659,8 +663,32 @@ pub(crate) struct AllocResult {
 }
 
 impl AllocResult {
+    /// A result and scratch for routers of at most `ports` input ports:
+    /// one nomination per input port, and one freed slot per input port
+    /// plus a central-buffer write.
+    pub(crate) fn for_ports(ports: usize) -> Self {
+        AllocResult {
+            noms: Vec::with_capacity(ports),
+            touched: vec![0; ports.div_ceil(64)],
+            freed: Vec::with_capacity(ports + 1),
+            buffer_accesses: 0,
+            cb_writes: 0,
+            cb_reads: 0,
+            bypasses: 0,
+            alloc_grants: 0,
+            ports_examined: 0,
+            lanes_examined: 0,
+        }
+    }
+
+    /// Heap bytes of the result's vectors.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        heap_bytes(&self.noms) + heap_bytes(&self.touched) + heap_bytes(&self.freed)
+    }
+
     /// Resets the result for reuse (keeps the Vec capacities).
     pub(crate) fn clear(&mut self) {
+        self.noms.clear();
         self.freed.clear();
         self.buffer_accesses = 0;
         self.cb_writes = 0;
@@ -708,9 +736,37 @@ impl RouterCore {
             arch,
             out: OutputSide::new(net_ports, local_ports, vcs, link_mode == LinkMode::Credited),
             live_flits: 0,
-            scratch_noms: Vec::with_capacity(in_ports),
-            scratch_touched: vec![0; out_ports.div_ceil(64)],
         }
+    }
+
+    /// Input ports: network ports, then one injection port per node.
+    pub(crate) fn in_ports(&self) -> usize {
+        self.net_ports + self.local_ports
+    }
+
+    /// Heap bytes the router holds: its lane, staging and central-buffer
+    /// records and its output side. A central buffer's queued flits are
+    /// not counted: its queues grow with a run's traffic.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let arch = match &self.arch {
+            ArchState::Edge(lanes) => {
+                heap_bytes(&lanes.slots)
+                    + heap_bytes(&lanes.lane)
+                    + heap_bytes(&lanes.inp)
+                    + heap_bytes(&lanes.port_mask)
+            }
+            ArchState::Cb(cb) => {
+                heap_bytes(&cb.stage)
+                    + heap_bytes(&cb.inp)
+                    + heap_bytes(&cb.stage_ports)
+                    + heap_bytes(&cb.queues)
+                    + heap_bytes(&cb.queue_mask)
+                    + heap_bytes(&cb.queue_ports)
+                    + heap_bytes(&cb.open_pkt)
+            }
+        };
+        let out = &self.out;
+        arch + heap_bytes(&out.ports) + heap_bytes(&out.lanes) + heap_bytes(&out.st_mask)
     }
 
     /// Returns the router to its built state, empty and idle, with
@@ -725,8 +781,6 @@ impl RouterCore {
             self.set_credits(port, per_vc);
         }
         self.live_flits = 0;
-        self.scratch_noms.clear();
-        self.scratch_touched.fill(0);
     }
 
     /// Initializes credit counters for a network output port.
@@ -896,8 +950,13 @@ impl RouterCore {
         arena: &mut FlitArena,
         link_ready: &F,
     ) -> AllocResult {
-        let mut result = AllocResult::default();
+        let mut result = AllocResult::for_ports(self.in_ports());
         self.alloc_into(now, table, concentration, arena, link_ready, &mut result);
+        assert!(
+            result.touched.iter().all(|&w| w == 0),
+            "arbitration scratch not reset at {}",
+            self.id
+        );
         result
     }
 
@@ -914,9 +973,8 @@ impl RouterCore {
         let vcs = self.vcs;
         let in_ports = net_ports + self.local_ports;
         let out_ports = in_ports;
-        let nominations = &mut self.scratch_noms;
-        nominations.clear();
-        let touched = &mut self.scratch_touched;
+        let nominations = &mut result.noms;
+        let touched = &mut result.touched;
         let ArchState::Edge(lanes) = &mut self.arch else {
             unreachable!()
         };
@@ -1030,8 +1088,7 @@ impl RouterCore {
         let vcs = self.vcs;
         let in_ports = net_ports + self.local_ports;
         let out_ports = in_ports;
-        let nominations = &mut self.scratch_noms;
-        nominations.clear();
+        let nominations = &mut result.noms;
         let ArchState::Cb(cb) = &mut self.arch else {
             unreachable!()
         };
@@ -1250,7 +1307,6 @@ impl RouterCore {
             );
             assert!((o.rr as usize) < in_ports, "output rr out of range");
         }
-        assert!(self.scratch_touched.iter().all(|&w| w == 0));
         match &self.arch {
             ArchState::Edge(lanes) => {
                 let occ = assert_in_ports(&lanes.inp, &|l| lanes.lane[l].len > 0, "edge");

@@ -47,6 +47,7 @@
 //! recomputation.
 
 use crate::flit::Flit;
+use crate::stats::{heap_bytes, nested_heap_bytes};
 use snoc_topology::{RouterId, Topology, TopologyKind};
 
 /// The output chosen for a flit at a router.
@@ -58,52 +59,96 @@ pub struct RouteDecision {
     pub vc: usize,
 }
 
+/// The largest network radix a table holds. Ports are stored as one
+/// byte per `(cur, dst)` pair: a radix-255 router's ports are 0..=254,
+/// which leaves the byte's top value for [`UNREACHABLE`].
+/// [`crate::SimConfig::validate_on`] refuses a wider router before any
+/// table is built, and the constructors assert it.
+pub(crate) const MAX_RADIX: usize = 255;
+
+/// `next_port` sentinel: no path from `cur` to `dst` survives.
+const UNREACHABLE: u8 = u8::MAX;
+
 /// Precomputed routing state for one topology.
 ///
-/// `dist` and `next_port` are row-major `nr × nr` matrices flattened
-/// into contiguous arrays (`[cur * nr + dst]`); `route_vc` is the
-/// per-pair dateline VC for tori (`None` means hop-indexed VCs).
+/// `next_port` is a row-major `nr × nr` byte matrix flattened into one
+/// array (`[cur * nr + dst]`), the only per-pair state a table keeps:
+/// distances are walked along it ([`RoutingTable::distance`]).
+/// `route_vc` is the per-pair dateline VC for tori (`None` means
+/// hop-indexed VCs).
 #[derive(Debug, Clone)]
 pub struct RoutingTable {
     nr: usize,
-    /// `dist[a * nr + b]` = hop distance between routers.
-    dist: Vec<u16>,
-    /// `next_port[cur * nr + dst]` = output port of the chosen path.
-    next_port: Vec<u16>,
+    /// `next_port[cur * nr + dst]` = output port of the chosen path,
+    /// [`UNREACHABLE`] where none survives; the diagonal holds 0.
+    next_port: Vec<u8>,
     /// Dateline VC per `(cur, dst)` pair (tori only).
     route_vc: Option<Vec<u8>>,
     /// `neighbors[cur]` is the sorted neighbor list (ports are positions
     /// in it).
     neighbors: Vec<Vec<RouterId>>,
-    /// Largest finite entry of `dist`, computed once at construction
-    /// ([`RoutingTable::max_finite_distance`]).
+    /// Longest path the table walks, taken from the construction's
+    /// distances ([`RoutingTable::max_finite_distance`]).
     max_dist: usize,
 }
 
-/// The largest non-sentinel entry of a distance matrix (0 if none).
-fn max_finite(dist: &[u16]) -> usize {
-    dist.iter()
-        .filter(|&&d| d != u16::MAX)
-        .max()
-        .map_or(0, |&d| d as usize)
+/// The sorted neighbor list of every router, checked against
+/// [`MAX_RADIX`].
+fn neighbor_lists(topo: &Topology) -> Vec<Vec<RouterId>> {
+    let radix = topo.network_radix();
+    assert!(
+        radix <= MAX_RADIX,
+        "network radix {radix} exceeds the routing table's {MAX_RADIX}"
+    );
+    topo.routers().map(|r| topo.neighbors(r).to_vec()).collect()
 }
 
 impl RoutingTable {
     /// Builds the minimal routing table for a topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the topology is disconnected or its network radix
+    /// exceeds 255 ([`crate::SimConfig::validate_on`] refuses both
+    /// before a simulator builds a table).
     #[must_use]
     pub fn minimal(topo: &Topology) -> Self {
         let nr = topo.router_count();
-        let neighbors: Vec<Vec<RouterId>> =
-            topo.routers().map(|r| topo.neighbors(r).to_vec()).collect();
-        let mut dist = vec![0u16; nr * nr];
-        for r in topo.routers() {
-            let d = topo.distances_from(r);
-            for (j, &dj) in d.iter().enumerate() {
-                assert!(dj != usize::MAX, "disconnected topology");
-                dist[r.index() * nr + j] = dj as u16;
+        let neighbors = neighbor_lists(topo);
+        let dor = matches!(
+            topo.kind(),
+            TopologyKind::Mesh { .. } | TopologyKind::Torus { .. }
+        );
+        let mut next_port = vec![0u8; nr * nr];
+        let mut max_dist = 0;
+        // The router graph is undirected, so one BFS from `dst` gives
+        // every router's distance *to* it: one column of distances,
+        // dropped once its next hops are chosen.
+        for dst in 0..nr {
+            let dist = topo.distances_from(RouterId(dst));
+            for (cur, &d) in dist.iter().enumerate() {
+                assert!(d != usize::MAX, "disconnected topology");
+                max_dist = max_dist.max(d);
+                if dor || cur == dst {
+                    continue;
+                }
+                // Minimal next hops; tie broken by a (cur, dst) hash so
+                // different pairs spread over the candidates (two
+                // passes, no allocation).
+                let candidate = |n: &RouterId| dist[n.index()] == d - 1;
+                let count = neighbors[cur].iter().filter(|n| candidate(n)).count();
+                assert!(count > 0, "minimal path must exist");
+                let pick = (cur.wrapping_mul(31).wrapping_add(dst.wrapping_mul(17))) % count;
+                let port = neighbors[cur]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, n)| candidate(n))
+                    .nth(pick)
+                    .map(|(port, _)| port)
+                    .expect("pick < count");
+                next_port[cur * nr + dst] = port as u8;
             }
         }
-        let mut next_port = vec![0u16; nr * nr];
         let mut route_vc = None;
         match topo.kind() {
             TopologyKind::Mesh { x, .. } => {
@@ -114,7 +159,7 @@ impl RoutingTable {
                             continue;
                         }
                         let next = dor_next_mesh(RouterId(cur), RouterId(dst), x_dim);
-                        next_port[cur * nr + dst] = port_of(&neighbors, cur, next) as u16;
+                        next_port[cur * nr + dst] = port_of(&neighbors, cur, next) as u8;
                     }
                 }
             }
@@ -127,48 +172,20 @@ impl RoutingTable {
                             continue;
                         }
                         let (next, vc) = dor_next_torus(RouterId(cur), RouterId(dst), x_dim, y_dim);
-                        next_port[cur * nr + dst] = port_of(&neighbors, cur, next) as u16;
+                        next_port[cur * nr + dst] = port_of(&neighbors, cur, next) as u8;
                         vcs[cur * nr + dst] = vc as u8;
                     }
                 }
                 route_vc = Some(vcs);
             }
-            _ => {
-                for cur in 0..nr {
-                    for dst in 0..nr {
-                        if cur == dst {
-                            continue;
-                        }
-                        // Minimal next hops; tie broken by a (cur, dst)
-                        // hash so different pairs spread over the
-                        // candidates (two passes, no allocation).
-                        let want = dist[cur * nr + dst] - 1;
-                        let count = neighbors[cur]
-                            .iter()
-                            .filter(|n| dist[n.index() * nr + dst] == want)
-                            .count();
-                        assert!(count > 0, "minimal path must exist");
-                        let pick =
-                            (cur.wrapping_mul(31).wrapping_add(dst.wrapping_mul(17))) % count;
-                        let port = neighbors[cur]
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, n)| dist[n.index() * nr + dst] == want)
-                            .nth(pick)
-                            .map(|(port, _)| port)
-                            .expect("pick < count");
-                        next_port[cur * nr + dst] = port as u16;
-                    }
-                }
-            }
+            _ => {}
         }
         RoutingTable {
             nr,
-            max_dist: max_finite(&dist),
-            dist,
             next_port,
             route_vc,
             neighbors,
+            max_dist,
         }
     }
 
@@ -178,10 +195,9 @@ impl RoutingTable {
     ///
     /// Ports keep their original numbering (positions in the full
     /// sorted neighbor list), so the simulator's channel indices stay
-    /// valid — only next-hop choices change. Unreachable pairs get
-    /// `u16::MAX` sentinels in `dist` and `next_port`; callers must
-    /// consult [`RoutingTable::reachable`] before routing toward a
-    /// pair. `reachable` coincides with plain connectivity of the
+    /// valid — only next-hop choices change. Unreachable pairs get the
+    /// `next_port` sentinel; callers must consult
+    /// [`RoutingTable::reachable`] before routing toward a pair. `reachable` coincides with plain connectivity of the
     /// surviving graph, so the doomed-packet rules are unchanged from
     /// the BFS repair this replaced.
     ///
@@ -209,106 +225,53 @@ impl RoutingTable {
     /// next hops keep the documented `(cur·31 + dst·17) mod candidates`
     /// hash over ascending port order.
     ///
-    /// [`RoutingTable::distance`] reports `T` — the exact length of the
-    /// path the table walks, which may exceed the BFS distance of the
+    /// [`RoutingTable::distance`] walks the table, so it reports `T` —
+    /// the exact length of the path the table walks, which may exceed the BFS distance of the
     /// surviving graph (the price of deadlock freedom). `T` is bounded
     /// by the router count: table paths are simple, since revisiting a
     /// router in the descent would contradict its infinite `D` during
     /// the climb.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network radix exceeds 255, as
+    /// [`RoutingTable::minimal`] does.
     #[must_use]
     pub fn degraded<F>(topo: &Topology, router_alive: &[bool], mut link_alive: F) -> Self
     where
         F: FnMut(RouterId, RouterId) -> bool,
     {
         let nr = topo.router_count();
-        let neighbors: Vec<Vec<RouterId>> =
-            topo.routers().map(|r| topo.neighbors(r).to_vec()).collect();
-        // usable[cur][port]: may a flit leave `cur` through `port`?
-        let usable: Vec<Vec<bool>> = (0..nr)
-            .map(|cur| {
-                neighbors[cur]
-                    .iter()
-                    .map(|&n| {
-                        router_alive[cur] && router_alive[n.index()] && link_alive(RouterId(cur), n)
-                    })
-                    .collect()
-            })
-            .collect();
-        let alive_adj: Vec<Vec<RouterId>> = (0..nr)
-            .map(|cur| {
-                neighbors[cur]
-                    .iter()
-                    .zip(&usable[cur])
-                    .filter(|&(_, &ok)| ok)
-                    .map(|(&n, _)| n)
-                    .collect()
-            })
-            .collect();
-        let forest = snoc_topology::bfs_forest(nr, |r| &alive_adj[r.index()][..]);
-        // The up*/down* total order: up endpoint = smaller key.
-        let key = |v: usize| (forest.level[v], v);
-        // Routers in ascending key order, so that when `T[v]` is
-        // computed every up-neighbor's `T` is already final.
-        let mut order: Vec<usize> = (0..nr).collect();
-        order.sort_unstable_by_key(|&v| key(v));
-        let mut dist = vec![u16::MAX; nr * nr];
-        let mut next_port = vec![u16::MAX; nr * nr];
-        // Per-destination scratch: D (all-down distance) and T (table
-        // path length).
-        let mut down = vec![u32::MAX; nr];
-        let mut total = vec![u32::MAX; nr];
-        let mut queue = std::collections::VecDeque::new();
+        let mut ud = UpDown::new(topo, router_alive, &mut link_alive);
+        let mut next_port = vec![UNREACHABLE; nr * nr];
+        let mut max_dist = 0;
         for dst in 0..nr {
-            dist[dst * nr + dst] = 0;
-            // D by BFS from dst: a down hop v → w has key(v) < key(w),
-            // so D propagates from w to its smaller-key neighbors.
-            down.fill(u32::MAX);
-            total.fill(u32::MAX);
-            down[dst] = 0;
-            queue.push_back(dst);
-            while let Some(w) = queue.pop_front() {
-                for (&n, &ok) in neighbors[w].iter().zip(&usable[w]) {
-                    let v = n.index();
-                    if ok && key(v) < key(w) && down[v] == u32::MAX {
-                        down[v] = down[w] + 1;
-                        queue.push_back(v);
-                    }
-                }
-            }
-            // T in ascending key order: commit to the descent where D
-            // is finite, otherwise climb through the best up-neighbor.
-            // Every non-root has its BFS parent as an up-neighbor and
-            // the root's tree path to dst is all-down, so T is finite
-            // exactly on dst's component.
-            for &v in &order {
-                if down[v] != u32::MAX {
-                    total[v] = down[v];
-                    continue;
-                }
-                let mut best = u32::MAX;
-                for (&n, &ok) in neighbors[v].iter().zip(&usable[v]) {
-                    let u = n.index();
-                    if ok && key(u) < key(v) {
-                        best = best.min(total[u]);
-                    }
-                }
-                if best != u32::MAX {
-                    total[v] = best + 1;
-                }
-            }
+            next_port[dst * nr + dst] = 0;
+            ud.lengths(dst);
+            let UpDown {
+                neighbors,
+                usable,
+                down,
+                total,
+                ..
+            } = &ud;
             for cur in 0..nr {
                 if cur == dst || total[cur] == u32::MAX {
                     continue;
                 }
-                dist[cur * nr + dst] = total[cur] as u16;
+                max_dist = max_dist.max(total[cur] as usize);
                 let descending = down[cur] != u32::MAX;
                 let candidate = |port: usize| {
                     let n = neighbors[cur][port].index();
                     usable[cur][port]
                         && if descending {
-                            key(n) > key(cur) && down[n] != u32::MAX && down[n] + 1 == down[cur]
+                            ud.key(n) > ud.key(cur)
+                                && down[n] != u32::MAX
+                                && down[n] + 1 == down[cur]
                         } else {
-                            key(n) < key(cur) && total[n] != u32::MAX && total[n] + 1 == total[cur]
+                            ud.key(n) < ud.key(cur)
+                                && total[n] != u32::MAX
+                                && total[n] + 1 == total[cur]
                         }
                 };
                 let count = (0..neighbors[cur].len()).filter(|&p| candidate(p)).count();
@@ -318,31 +281,52 @@ impl RoutingTable {
                     .filter(|&p| candidate(p))
                     .nth(pick)
                     .expect("pick < count");
-                next_port[cur * nr + dst] = port as u16;
+                next_port[cur * nr + dst] = port as u8;
             }
         }
         RoutingTable {
             nr,
-            max_dist: max_finite(&dist),
-            dist,
             next_port,
             route_vc: None,
-            neighbors,
+            neighbors: ud.neighbors,
+            max_dist,
         }
     }
 
     /// `true` if the table has a path from `a` to `b` (always true for
     /// [`RoutingTable::minimal`] tables; [`RoutingTable::degraded`]
-    /// tables mark severed pairs with a `u16::MAX` distance sentinel).
+    /// tables mark severed pairs with a `next_port` sentinel).
     #[must_use]
     pub fn reachable(&self, a: RouterId, b: RouterId) -> bool {
-        self.dist[a.index() * self.nr + b.index()] != u16::MAX
+        self.next_port[a.index() * self.nr + b.index()] != UNREACHABLE
     }
 
-    /// Hop distance between two routers.
+    /// Hop distance between two routers along the table's path, walked
+    /// one next hop at a time — at most the diameter on a
+    /// [`RoutingTable::minimal`] table — or `usize::MAX` if `b` is not
+    /// [reachable](RoutingTable::reachable) from `a`.
     #[must_use]
     pub fn distance(&self, a: RouterId, b: RouterId) -> usize {
-        self.dist[a.index() * self.nr + b.index()] as usize
+        let (mut cur, dst) = (a.index(), b.index());
+        let mut hops = 0;
+        while cur != dst {
+            let port = self.next_port[cur * self.nr + dst];
+            if port == UNREACHABLE {
+                return usize::MAX;
+            }
+            cur = self.neighbors[cur][port as usize].index();
+            hops += 1;
+        }
+        hops
+    }
+
+    /// Bytes the table holds: the struct, its next-port bytes, dateline
+    /// VCs and neighbor lists.
+    pub(crate) fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + heap_bytes(&self.next_port)
+            + self.route_vc.as_ref().map_or(0, heap_bytes)
+            + nested_heap_bytes(&self.neighbors)
     }
 
     /// Whether the table was built for `topo`'s wiring: same routers,
@@ -405,7 +389,8 @@ impl RoutingTable {
     /// Largest finite distance in the table: the diameter for
     /// [`RoutingTable::minimal`] tables, the longest walked table path
     /// for [`RoutingTable::degraded`] ones. Scales the default
-    /// no-progress watchdog bound; O(1), every simulator build reads it.
+    /// no-progress watchdog bound; O(1) (recorded at construction),
+    /// every simulator build reads it.
     #[must_use]
     pub fn max_finite_distance(&self) -> usize {
         self.max_dist
@@ -423,17 +408,124 @@ impl RoutingTable {
     ) -> RouteDecision {
         assert_ne!(cur, dst, "flit already at target");
         let idx = cur.index() * self.nr + dst.index();
-        let port = self.next_port[idx] as usize;
+        let port = self.next_port[idx];
         debug_assert_ne!(
-            port,
-            u16::MAX as usize,
+            port, UNREACHABLE,
             "routing toward an unreachable destination"
         );
+        let port = usize::from(port);
         let vc = match &self.route_vc {
             Some(table) => (table[idx] as usize).min(vcs - 1),
             None => (hops as usize).min(vcs - 1),
         };
         RouteDecision { port, vc }
+    }
+}
+
+/// The up\*/down\* construction behind [`RoutingTable::degraded`]:
+/// the surviving graph, its key order, and the per-destination path
+/// lengths `D` and `T` that the table's next hops realise.
+struct UpDown {
+    neighbors: Vec<Vec<RouterId>>,
+    /// `usable[cur][port]`: may a flit leave `cur` through `port`?
+    usable: Vec<Vec<bool>>,
+    /// BFS forest level per router, the first half of its key.
+    level: Vec<usize>,
+    /// Routers in ascending key order, so that when `T[v]` is computed
+    /// every up-neighbor's `T` is already final.
+    order: Vec<usize>,
+    /// `D` (all-down distance) toward the last [`UpDown::lengths`]
+    /// destination, `u32::MAX` = none.
+    down: Vec<u32>,
+    /// `T` (table path length) toward it, `u32::MAX` = unreachable.
+    total: Vec<u32>,
+    queue: std::collections::VecDeque<usize>,
+}
+
+impl UpDown {
+    fn new<F>(topo: &Topology, router_alive: &[bool], link_alive: &mut F) -> Self
+    where
+        F: FnMut(RouterId, RouterId) -> bool,
+    {
+        let nr = topo.router_count();
+        let neighbors = neighbor_lists(topo);
+        let usable: Vec<Vec<bool>> = (0..nr)
+            .map(|cur| {
+                neighbors[cur]
+                    .iter()
+                    .map(|&n| {
+                        router_alive[cur] && router_alive[n.index()] && link_alive(RouterId(cur), n)
+                    })
+                    .collect()
+            })
+            .collect();
+        let alive_adj: Vec<Vec<RouterId>> = (0..nr)
+            .map(|cur| {
+                neighbors[cur]
+                    .iter()
+                    .zip(&usable[cur])
+                    .filter(|&(_, &ok)| ok)
+                    .map(|(&n, _)| n)
+                    .collect()
+            })
+            .collect();
+        let level = snoc_topology::bfs_forest(nr, |r| &alive_adj[r.index()][..]).level;
+        let mut order: Vec<usize> = (0..nr).collect();
+        order.sort_unstable_by_key(|&v| (level[v], v));
+        UpDown {
+            neighbors,
+            usable,
+            level,
+            order,
+            down: vec![u32::MAX; nr],
+            total: vec![u32::MAX; nr],
+            queue: std::collections::VecDeque::new(),
+        }
+    }
+
+    /// The up\*/down\* total order: up endpoint = smaller key.
+    fn key(&self, v: usize) -> (usize, usize) {
+        (self.level[v], v)
+    }
+
+    /// Fills `down` and `total` toward `dst`.
+    fn lengths(&mut self, dst: usize) {
+        self.down.fill(u32::MAX);
+        self.total.fill(u32::MAX);
+        // D by BFS from dst: a down hop v → w has key(v) < key(w), so D
+        // propagates from w to its smaller-key neighbors.
+        self.down[dst] = 0;
+        self.queue.push_back(dst);
+        while let Some(w) = self.queue.pop_front() {
+            for (&n, &ok) in self.neighbors[w].iter().zip(&self.usable[w]) {
+                let v = n.index();
+                if ok && self.key(v) < self.key(w) && self.down[v] == u32::MAX {
+                    self.down[v] = self.down[w] + 1;
+                    self.queue.push_back(v);
+                }
+            }
+        }
+        // T in ascending key order: commit to the descent where D is
+        // finite, otherwise climb through the best up-neighbor. Every
+        // non-root has its BFS parent as an up-neighbor and the root's
+        // tree path to dst is all-down, so T is finite exactly on dst's
+        // component.
+        for &v in &self.order {
+            if self.down[v] != u32::MAX {
+                self.total[v] = self.down[v];
+                continue;
+            }
+            let mut best = u32::MAX;
+            for (&n, &ok) in self.neighbors[v].iter().zip(&self.usable[v]) {
+                let u = n.index();
+                if ok && self.key(u) < self.key(v) {
+                    best = best.min(self.total[u]);
+                }
+            }
+            if best != u32::MAX {
+                self.total[v] = best + 1;
+            }
+        }
     }
 }
 
@@ -621,25 +713,35 @@ mod tests {
     }
 
     #[test]
-    fn degraded_walks_match_reported_distances() {
+    fn degraded_walks_match_the_construction_lengths() {
         // Kill a router and a link on a torus; every surviving pair
-        // must still walk to its target in exactly `distance` hops
-        // (the up*/down* T metric), within the simple-path bound.
+        // must walk to its target in exactly the up*/down* length `T`
+        // the construction computed, and `distance` reports that walk.
         let t = Topology::torus(4, 4, 1);
         let mut alive = vec![true; t.router_count()];
         alive[5] = false;
-        let table = RoutingTable::degraded(&t, &alive, |a, b| {
+        let cut = |a: RouterId, b: RouterId| {
             (a.index().min(b.index()), a.index().max(b.index())) != (0, 1)
-        });
-        for src in t.routers() {
-            for dst in t.routers() {
+        };
+        let table = RoutingTable::degraded(&t, &alive, cut);
+        let mut link_alive = cut;
+        let mut ud = UpDown::new(&t, &alive, &mut link_alive);
+        let mut longest = 0;
+        for dst in t.routers() {
+            ud.lengths(dst.index());
+            for src in t.routers() {
                 if src == dst || !alive[src.index()] || !alive[dst.index()] {
                     continue;
                 }
                 assert!(table.reachable(src, dst), "{src} -> {dst}");
-                assert_eq!(walk(&t, &table, src, dst), table.distance(src, dst));
+                let length = ud.total[src.index()] as usize;
+                assert_eq!(walk(&t, &table, src, dst), length, "{src} -> {dst}");
+                assert_eq!(table.distance(src, dst), length, "{src} -> {dst}");
+                longest = longest.max(length);
             }
         }
+        assert_eq!(table.max_finite_distance(), longest);
+        assert!(longest > t.diameter(), "the cut forces a detour");
     }
 
     #[test]
@@ -705,6 +807,68 @@ mod tests {
         alive[5] = false;
         let healed = RoutingTable::degraded(&torus, &alive, |_, _| true);
         assert_eq!(healed.max_finite_distance(), scan(&torus, &healed));
+    }
+
+    #[test]
+    fn walked_distances_are_the_paper_topologies_bfs_distances() {
+        for name in snoc_topology::paper_config_names() {
+            let t = snoc_topology::paper_config(name).unwrap().topology;
+            let table = RoutingTable::minimal(&t);
+            assert_eq!(table.max_finite_distance(), t.diameter(), "{name}");
+            for a in t.routers() {
+                let bfs = t.distances_from(a);
+                for b in t.routers() {
+                    assert_eq!(table.distance(a, b), bfs[b.index()], "{name}: {a} -> {b}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_unreachable_pair_has_no_distance() {
+        let line = Topology::mesh(4, 1, 1);
+        let cut = RoutingTable::degraded(&line, &[true; 4], |a, b| {
+            (a.index().min(b.index()), a.index().max(b.index())) != (1, 2)
+        });
+        assert_eq!(cut.distance(RouterId(0), RouterId(3)), usize::MAX);
+        assert_eq!(cut.distance(RouterId(3), RouterId(3)), 0);
+    }
+
+    #[test]
+    fn a_table_holds_one_byte_per_pair() {
+        let t = Topology::slim_noc(5, 1).unwrap();
+        let table = RoutingTable::minimal(&t);
+        let nr = t.router_count();
+        let lists = nr * std::mem::size_of::<Vec<RouterId>>()
+            + t.routers().map(|r| t.neighbors(r).len()).sum::<usize>()
+                * std::mem::size_of::<RouterId>();
+        let fixed = std::mem::size_of::<RoutingTable>();
+        assert_eq!(table.bytes(), fixed + nr * nr + lists);
+        // Tori add one dateline VC byte per pair.
+        let torus = Topology::torus(4, 4, 1);
+        let dateline = RoutingTable::minimal(&torus);
+        let lists =
+            16 * std::mem::size_of::<Vec<RouterId>>() + 64 * std::mem::size_of::<RouterId>();
+        assert_eq!(dateline.bytes(), fixed + 2 * 16 * 16 + lists);
+    }
+
+    #[test]
+    fn a_radix_of_255_fills_the_byte_below_the_sentinel() {
+        // 256 routers on one row: router 0's port to router 255 is 254.
+        let t = Topology::flattened_butterfly(256, 1, 1);
+        let table = RoutingTable::minimal(&t);
+        let (a, b) = (RouterId(0), RouterId(255));
+        assert!(table.reachable(a, b));
+        assert_eq!(table.next_port[a.index() * 256 + b.index()], 254);
+        assert_eq!(table.port_to(a, b), 254);
+        assert_eq!(table.distance(a, b), 1);
+        assert_eq!(table.max_finite_distance(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "network radix 256 exceeds")]
+    fn a_radix_past_a_byte_is_refused() {
+        let _ = RoutingTable::minimal(&Topology::flattened_butterfly(257, 1, 1));
     }
 
     #[test]

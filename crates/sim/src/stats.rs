@@ -108,6 +108,48 @@ impl WorkCounters {
     }
 }
 
+/// The bytes a [`crate::Simulator`]'s network holds, by part: fixed
+/// when the simulator is built — a run and a reset move none of them.
+/// Read through [`crate::Simulator::footprint`]. Not counted: the flit
+/// arena, the injection queues, the worklists and the flits queued in
+/// a central buffer, which hold a run's traffic rather than the
+/// network.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// The routing table the simulator was built around: its next-port
+    /// bytes, dateline VCs and neighbor lists. A fault repair's
+    /// degraded table, held only while a plan runs, is not counted.
+    pub table: usize,
+    /// The routers: their records, buffers and credits, and the
+    /// allocator's one scratch.
+    pub routers: usize,
+    /// The channels: their rings or latches and the wiring maps.
+    pub channels: usize,
+}
+
+/// Heap bytes of a vector: its capacity, not its length.
+#[allow(clippy::ptr_arg)] // the capacity is the point
+pub(crate) fn heap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
+/// [`heap_bytes`] of a list of vectors, the inner ones included.
+pub(crate) fn nested_heap_bytes<T>(lists: &Vec<Vec<T>>) -> usize {
+    heap_bytes(lists) + lists.iter().map(heap_bytes).sum::<usize>()
+}
+
+impl Footprint {
+    /// Every part with its display name, in declaration order.
+    #[must_use]
+    pub fn rows(&self) -> [(&'static str, usize); 3] {
+        [
+            ("routing table bytes", self.table),
+            ("router bytes", self.routers),
+            ("channel bytes", self.channels),
+        ]
+    }
+}
+
 impl ActivityCounters {
     /// Folds one router's allocation cycle into the window counters.
     ///

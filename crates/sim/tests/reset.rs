@@ -2,7 +2,8 @@
 //! saturated, faulted, or cut short by the watchdog — resetting and
 //! running gives the report and the work counters of a simulator built
 //! anew with `seed`, across every router architecture, link mode,
-//! routing algorithm and traffic source.
+//! routing algorithm and traffic source. And a network costs its bytes
+//! at build: no run and no reset moves its `footprint()`.
 
 use snoc_layout::{Layout, SnLayout};
 use snoc_sim::{FaultPlan, RoutingKind, RoutingTable, SimConfig, SimReport, Simulator};
@@ -116,7 +117,7 @@ fn cases() -> Vec<Case> {
 
 fn build(case: &Case, seed: u64) -> Simulator {
     let cfg = case.cfg.clone().with_seed(seed);
-    let table = Arc::new(RoutingTable::minimal(&case.topo));
+    let table = || Arc::new(RoutingTable::minimal(&case.topo));
     Simulator::build_with_table(&case.topo, case.layout.as_ref(), &cfg, table)
         .unwrap_or_else(|e| panic!("{}: {e}", case.name))
 }
@@ -127,6 +128,7 @@ fn reset_is_a_fresh_build() {
     for case in cases() {
         let name = case.name;
         let mut used = build(&case, 99);
+        let at_build = used.footprint();
         // Dirty it: a different pattern past saturation (under a link
         // storm where faults are supported, so links stay dead and the
         // degraded table stays in force) ...
@@ -140,6 +142,7 @@ fn reset_is_a_fresh_build() {
         let at = used.now();
         used.run_synthetic(TrafficPattern::Random, 0.9, at + 200, 0);
         assert!(used.in_flight_flits() > 0, "{name}: flits left in flight");
+        assert_eq!(used.footprint(), at_build, "{name}: footprint after a run");
         // ... and on top of it a run cut short by a tiny watchdog bound.
         used.set_watchdog(Some(0));
         let at = used.now();
@@ -151,6 +154,8 @@ fn reset_is_a_fresh_build() {
 
         used.reset(SEED);
         let mut fresh = build(&case, SEED);
+        assert_eq!(used.footprint(), at_build, "{name}: footprint after reset");
+        assert_eq!(fresh.footprint(), at_build, "{name}: footprint of a build");
         let states = (format!("{used:?}"), format!("{fresh:?}"));
         let again = (case.run)(&case.topo, &mut used);
         let built = (case.run)(&case.topo, &mut fresh);

@@ -133,7 +133,8 @@ SIM / ANALYZE OPTIONS:
   --smart             enable SMART links (H = 9)
   --tech <node>       45 | 22 | 11 (default 45)
   --seed <n>          RNG seed
-  --work              sim: also print the engine's work counters (stderr)"
+  --work              sim: also print the engine's work counters and the
+                      network's bytes (stderr)"
     );
 }
 
@@ -145,7 +146,8 @@ struct Options {
     warmup: u64,
     measure: u64,
     tech: TechNode,
-    /// `sim --work`: print the engine's work counters on stderr.
+    /// `sim --work`: print the engine's work counters and the
+    /// network's bytes on stderr.
     work: bool,
 }
 
@@ -324,6 +326,9 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         let mut w = TextTable::new("engine work (whole run)", &["counter", "count"]);
         for (name, count) in sim.work().rows() {
             w.push_row(vec![name.to_string(), count.to_string()]);
+        }
+        for (name, bytes) in sim.footprint().rows() {
+            w.push_row(vec![name.to_string(), bytes.to_string()]);
         }
         w.write_to(&mut std::io::stderr().lock(), false)
             .map_err(|e| e.to_string())?;

@@ -102,7 +102,8 @@ fn every_command_reads_inline_flag_values() {
     assert!(inline.status.success(), "{}", stderr(&inline));
     assert!(stdout(&inline).contains("avg latency"));
     assert_eq!(inline.stdout, spaced.stdout);
-    // `--work` adds the engine's counters on stderr and nothing on stdout.
+    // `--work` adds the engine's counters and the network's bytes on
+    // stderr, and nothing on stdout.
     let work = snoc(&[
         "sim",
         "--config=sn54",
@@ -114,7 +115,14 @@ fn every_command_reads_inline_flag_values() {
     assert!(work.status.success(), "{}", stderr(&work));
     assert_eq!(work.stdout, spaced.stdout);
     assert!(stderr(&spaced).is_empty());
-    for counter in ["cycles stepped", "ports examined", "grants"] {
+    for counter in [
+        "cycles stepped",
+        "ports examined",
+        "grants",
+        "routing table bytes",
+        "router bytes",
+        "channel bytes",
+    ] {
         assert!(stderr(&work).contains(counter), "{}", stderr(&work));
     }
     // `run --spec=…` reaches the spec reader (exit 2 names the file,
@@ -182,6 +190,8 @@ fn usage_errors_exit_2() {
         &["sim", "--topology", "mesh", "--x", "0"],
         &["analyze", "--topology", "mesh", "--p", "0"],
         &["sim", "--config", "sn54", "--routing", "xy"],
+        // Radix 299: a routing table stores a port in one byte.
+        &["sim", "--topology", "fbf", "--x", "300", "--y", "1"],
         // A layout is a Slim NoC modifier, never silently dropped.
         &["sim", "--config", "fbf3", "--layout", "subgr"],
         &["sim", "--topology", "mesh", "--layout", "gr"],
