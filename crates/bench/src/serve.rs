@@ -11,7 +11,7 @@
 //! Plain HTTP/1.1, one request per connection (`Connection: close`):
 //!
 //! - `POST /campaign` with a `slim_noc-spec-v1` JSON body starts a job.
-//!   The response body is JSON-lines, flushed per event:
+//!   The response body is JSON-lines (sent as [below](#batching)):
 //!   - `{"event": "point", "point": {…}}` for every finished point
 //!     (the object is exactly a [`SweepPoint`] line of the sweep
 //!     schema), in completion order;
@@ -27,14 +27,26 @@
 //! exactly one job and every later job hits it — without giving up
 //! point-level parallelism.
 //!
+//! # Batching
+//!
+//! A job's response goes out through one `BufWriter` (std's 8 KiB), so
+//! a replayed job leaves in a few writes of whole lines instead of one
+//! per event, under one rule: **no event is held while a simulation is
+//! in flight.** The buffer is flushed when a simulation is about to
+//! start ([`Observer::simulating`]), after every event while one runs,
+//! and after `done`. The response head rides with the first batch,
+//! unless the job has to wait for its turn in the queue: then it goes
+//! out before the wait.
+//!
+//! [`Observer::simulating`]: snoc_core::Observer::simulating
 //! [`PointCache`]: snoc_core::PointCache
 //! [`SweepPoint`]: snoc_core::SweepPoint
 
 use snoc_core::json::{self, Floats, Layout::Inline, Raw, Reader, Value, Writer};
-use snoc_core::{Campaign, CampaignSpec, PointCache, SweepPoint};
+use snoc_core::{Campaign, CampaignSpec, Observer, PointCache, SweepPoint};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
-use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
+use std::io::{self, BufRead as _, BufReader, BufWriter, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -87,9 +99,16 @@ impl JobQueue {
         }
     }
 
-    fn enter(&self) -> JobTicket<'_> {
+    /// Waits for this job's turn; `waiting` runs first when the turn
+    /// has not come yet.
+    fn enter(&self, waiting: impl FnOnce()) -> JobTicket<'_> {
         let ticket = self.next_ticket.fetch_add(1, Ordering::SeqCst);
         let mut serving = self.serving.lock().expect("job queue");
+        if *serving != ticket {
+            drop(serving);
+            waiting();
+            serving = self.serving.lock().expect("job queue");
+        }
         while *serving != ticket {
             serving = self.turn.wait(serving).expect("job queue");
         }
@@ -184,42 +203,63 @@ const MAX_BODY: u64 = 4 << 20;
 /// grow a `String` without bound.
 const MAX_LINE: u64 = 8 << 10;
 
-/// Reads one HTTP line into `buf`. Returns the byte count, or `None`
-/// when the client sent [`MAX_LINE`] bytes without a newline.
+/// An answer that ends a request before it is dispatched.
+struct Refusal {
+    status: u16,
+    reason: &'static str,
+    error: String,
+}
+
+/// Reads one HTTP line (the request line or a header, `what`),
+/// newline included; empty at the end of the stream. A line the server
+/// cannot take is the [`Refusal`] naming it: 431 past [`MAX_LINE`]
+/// bytes without a newline, 400 when it is not UTF-8.
 fn read_line_bounded(
     reader: &mut BufReader<TcpStream>,
-    buf: &mut String,
-) -> io::Result<Option<usize>> {
-    let n = reader.by_ref().take(MAX_LINE).read_line(buf)?;
-    if n as u64 == MAX_LINE && !buf.ends_with('\n') {
-        return Ok(None);
+    what: &str,
+) -> io::Result<Result<String, Refusal>> {
+    let mut line = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE)
+        .read_until(b'\n', &mut line)?;
+    if n as u64 == MAX_LINE && !line.ends_with(b"\n") {
+        return Ok(Err(Refusal {
+            status: 431,
+            reason: "Request Header Fields Too Large",
+            error: "header line too long".to_string(),
+        }));
     }
-    Ok(Some(n))
+    Ok(String::from_utf8(line).map_err(|e| Refusal {
+        status: 400,
+        reason: "Bad Request",
+        error: format!(
+            "{what} is not UTF-8: invalid byte at {at}",
+            at = e.utf8_error().valid_up_to()
+        ),
+    }))
 }
 
 /// Reads one HTTP request, dispatches, writes one response.
 fn handle(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let too_long = |stream: &mut TcpStream| {
-        let reason = "Request Header Fields Too Large";
-        refuse(stream, 431, reason, "header line too long")
+    let refused = |stream: &mut TcpStream, r: Refusal| refuse(stream, r.status, r.reason, &r.error);
+    let request = match read_line_bounded(&mut reader, "request line")? {
+        Ok(line) => line,
+        Err(refusal) => return refused(&mut stream, refusal),
     };
-    let mut request = String::new();
-    if read_line_bounded(&mut reader, &mut request)?.is_none() {
-        return too_long(&mut stream);
-    }
     let mut parts = request.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
     // The raw value when it is not a byte count.
     let mut content_length: Result<u64, String> = Ok(0);
     loop {
-        let mut header = String::new();
-        match read_line_bounded(&mut reader, &mut header)? {
-            None => return too_long(&mut stream),
-            Some(0) => break,
-            Some(_) if header.trim().is_empty() => break,
-            Some(_) => {}
+        let header = match read_line_bounded(&mut reader, "header line")? {
+            Ok(line) => line,
+            Err(refusal) => return refused(&mut stream, refusal),
+        };
+        if header.trim().is_empty() {
+            break;
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -277,37 +317,26 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
     if let Some(cache) = &state.cache {
         campaign = campaign.with_cache(Arc::clone(cache));
     }
-    write_head(stream, 200, "OK")?;
-    // A point is rendered once: its line goes out in one `write` and
-    // is kept, by point seed, for the `done` result. `exact` falls when
-    // two different lines come in under one seed (a bisection landing
-    // on a grid load, a hash collision): the result is then rendered
-    // afresh.
-    let out = Mutex::new((&mut *stream, HashMap::new(), true, Ok(())));
+    let events = Events::new(&mut *stream);
+    events.send(|out| out.write_all(head(200, "OK").as_bytes()));
     let result = {
-        let _turn = state.queue.enter();
-        campaign.run_observed(|point| {
-            let mut out = out.lock().expect("stream lock");
-            let (stream, lines, exact, sent) = &mut *out;
-            if sent.is_err() {
-                return; // the client hung up: the job still fills the cache
-            }
-            let line = point.to_json_line();
-            let mut event = Writer::new(FLOATS);
-            event
-                .object(Inline)
-                .field("event", "point")
-                .field("point", Raw(&line));
-            *sent = stream.write_all((event.finish() + "\n").as_bytes());
-            match lines.entry(point.seed) {
-                Entry::Vacant(slot) => drop(slot.insert(line)),
-                Entry::Occupied(kept) => *exact &= *kept.get() == line,
-            }
-        })
+        let _turn = state.queue.enter(|| events.send(BufWriter::flush));
+        campaign.run_streamed(&events)
     };
     state.jobs_done.fetch_add(1, Ordering::Relaxed);
-    let (stream, lines, exact, sent) = out.into_inner().expect("stream lock");
-    sent?;
+    let Stream {
+        mut out,
+        sent,
+        lines,
+        exact,
+        ..
+    } = events.0.into_inner().expect("stream lock");
+    if let Err(e) = sent {
+        // The client hung up: what is left in the buffer has nowhere
+        // to go.
+        drop(out.into_parts());
+        return Err(e);
+    }
     let kept = |point: &SweepPoint| match lines.get(&point.seed) {
         Some(line) if exact => Cow::Borrowed(&**line),
         _ => Cow::Owned(point.to_json_line()),
@@ -318,7 +347,89 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
         .field("cache_hits", result.cache_hits)
         .field("cache_misses", result.cache_misses)
         .field("result", Raw(json::compact(&result.to_json_with(kept))));
-    stream.write_all((done.finish() + "\n").as_bytes())
+    out.write_all((done.finish() + "\n").as_bytes())?;
+    out.flush()
+}
+
+/// A job's events on their way to its client, batched by the rule of
+/// the [module docs](self#batching).
+struct Events<W: Write>(Mutex<Stream<W>>);
+
+struct Stream<W: Write> {
+    out: BufWriter<W>,
+    /// Simulations announced whose point is not written yet.
+    in_flight: usize,
+    /// The first failed write. The client hung up: nothing more is
+    /// written, and the job still fills the cache.
+    sent: io::Result<()>,
+    /// Each point's line by point seed, for the `done` result: a point
+    /// is rendered once. `exact` falls when two different lines come in
+    /// under one seed (a bisection landing on a grid load, a hash
+    /// collision): the result is then rendered afresh.
+    lines: HashMap<u64, String>,
+    exact: bool,
+}
+
+impl<W: Write> Events<W> {
+    fn new(out: W) -> Self {
+        Events(Mutex::new(Stream {
+            out: BufWriter::new(out),
+            in_flight: 0,
+            sent: Ok(()),
+            lines: HashMap::new(),
+            exact: true,
+        }))
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Stream<W>> {
+        self.0.lock().expect("stream lock")
+    }
+
+    /// Writes through the buffer unless a write already failed.
+    fn send(&self, write: impl FnOnce(&mut BufWriter<W>) -> io::Result<()>) {
+        self.lock().send(write);
+    }
+}
+
+impl<W: Write> Stream<W> {
+    fn send(&mut self, write: impl FnOnce(&mut BufWriter<W>) -> io::Result<()>) {
+        if self.sent.is_ok() {
+            self.sent = write(&mut self.out);
+        }
+    }
+}
+
+impl<W: Write + Send> Observer for Events<W> {
+    fn simulating(&self) {
+        let mut stream = self.lock();
+        stream.in_flight += 1;
+        stream.send(BufWriter::flush);
+    }
+
+    fn point(&self, point: &SweepPoint, simulated: bool) {
+        let line = point.to_json_line();
+        let mut event = Writer::new(FLOATS);
+        event
+            .object(Inline)
+            .field("event", "point")
+            .field("point", Raw(&line));
+        let event = event.finish() + "\n";
+        let mut stream = self.lock();
+        stream.in_flight -= usize::from(simulated);
+        let flush = stream.in_flight > 0;
+        stream.send(|out| {
+            out.write_all(event.as_bytes())?;
+            if flush {
+                out.flush()?;
+            }
+            Ok(())
+        });
+        let Stream { lines, exact, .. } = &mut *stream;
+        match lines.entry(point.seed) {
+            Entry::Vacant(slot) => drop(slot.insert(line)),
+            Entry::Occupied(kept) => *exact &= *kept.get() == line,
+        }
+    }
 }
 
 fn stats_json(state: &ServerState) -> String {
@@ -348,11 +459,6 @@ fn one_field(key: &str, value: impl Value) -> String {
 /// Answers with `status` and an `{"error": …}` body naming the problem.
 fn refuse(stream: &mut TcpStream, status: u16, reason: &str, error: &str) -> io::Result<()> {
     respond(stream, status, reason, &one_field("error", error))
-}
-
-/// The response head, in one `write`: the socket is unbuffered.
-fn write_head(stream: &mut TcpStream, status: u16, reason: &str) -> io::Result<()> {
-    stream.write_all(head(status, reason).as_bytes())
 }
 
 fn head(status: u16, reason: &str) -> String {
@@ -487,4 +593,103 @@ pub fn fetch_stats(addr: &str) -> io::Result<String> {
         .next()
         .transpose()?
         .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "empty stats body"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A client socket that keeps every `write` apart.
+    #[derive(Default)]
+    struct Recording(Vec<Vec<u8>>);
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn point(i: u64) -> SweepPoint {
+        SweepPoint {
+            setup: "sn54".to_string(),
+            pattern: "RND".to_string(),
+            load: 0.01 * (i + 1) as f64,
+            seed: i,
+            latency: 20.0 + i as f64 / 3.0,
+            p99_latency: 40 + i,
+            throughput: 0.01 * i as f64,
+            avg_hops: 1.75,
+            acceptance: 1.0,
+            delivered_packets: 100 * i,
+            dropped_packets: 0,
+            saturated: false,
+            drained: true,
+            refined: false,
+            power: None,
+        }
+    }
+
+    /// One observer call of the script.
+    enum Step {
+        Simulating,
+        /// Point `i`, simulated or replayed.
+        Point(u64, bool),
+    }
+
+    #[test]
+    fn no_event_waits_behind_a_simulation_and_batches_are_whole_lines() {
+        use Step::{Point, Simulating};
+        // Replays before any simulation; two simulations overlapping
+        // with replays between them; then a long run of replays that
+        // spans several buffers.
+        let mut script = vec![
+            Point(0, false),
+            Point(1, false),
+            Simulating,
+            Point(2, false),
+        ];
+        script.extend([Simulating, Point(3, true), Point(4, false), Point(5, true)]);
+        script.extend((6..200).map(|i| Point(i, false)));
+        script.extend([Simulating, Point(200, true), Point(201, false)]);
+        let events = Events::new(Recording::default());
+        let mut in_flight = 0;
+        let mut per_event = Vec::new();
+        for step in &script {
+            match *step {
+                Simulating => {
+                    in_flight += 1;
+                    events.simulating();
+                }
+                Point(i, simulated) => {
+                    in_flight -= usize::from(simulated);
+                    events.point(&point(i), simulated);
+                    let line = point(i).to_json_line();
+                    per_event
+                        .extend(format!("{{\"event\": \"point\", \"point\": {line}}}\n").bytes());
+                }
+            }
+            let held = events.lock().out.buffer().len();
+            let announced = matches!(step, Simulating);
+            assert!(
+                held == 0 || in_flight == 0 && !announced,
+                "{held} bytes held"
+            );
+        }
+        let mut stream = events.0.into_inner().unwrap();
+        stream.sent.unwrap();
+        stream.out.flush().unwrap();
+        let writes = stream.out.into_inner().map_err(drop).unwrap().0;
+        assert!(writes.len() < script.len() / 4, "{} writes", writes.len());
+        for write in &writes {
+            assert!(write.len() <= 8 << 10 && write.ends_with(b"\n"));
+        }
+        assert_eq!(writes.concat(), per_event);
+        assert_eq!(stream.lines.len(), 202);
+        assert!(stream.exact);
+    }
 }

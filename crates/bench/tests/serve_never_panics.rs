@@ -129,10 +129,11 @@ fn the_unmutated_submission_is_served() {
     assert!(text.contains("\"event\": \"done\""), "{text}");
 }
 
-/// A body the server cannot take as sent is refused with a 400 whose
-/// JSON error names the problem: it is neither decoded lossily (a setup
-/// would run, and be cached, under a `U+FFFD` name nobody sent) nor
-/// read as empty.
+/// A request the server cannot take as sent is refused with a 400
+/// whose JSON error names the problem and the part it is in: a body is
+/// neither decoded lossily (a setup would run, and be cached, under a
+/// `U+FFFD` name nobody sent) nor read as empty, and a request line or
+/// header that is not UTF-8 gets an answer, not a closed socket.
 #[test]
 fn undecodable_bodies_and_lengths_are_refused_with_400() {
     let mut spec = CampaignSpec::new("fuzz");
@@ -148,7 +149,14 @@ fn undecodable_bodies_and_lengths_are_refused_with_400() {
     .into_bytes();
     not_utf8.extend(body);
     let bad_length = b"POST /campaign HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}".to_vec();
-    for (request, names) in [(not_utf8, "UTF-8"), (bad_length, "Content-Length `abc`")] {
+    let bad_path = b"GET /st\xffats HTTP/1.1\r\n\r\n".to_vec();
+    let bad_header = b"GET /stats HTTP/1.1\r\nX-A: \xff\xfe\r\n\r\n".to_vec();
+    for (request, names) in [
+        (not_utf8, "body is not UTF-8"),
+        (bad_length, "Content-Length `abc`"),
+        (bad_path, "request line is not UTF-8: invalid byte at 7"),
+        (bad_header, "header line is not UTF-8: invalid byte at 5"),
+    ] {
         let reply = String::from_utf8(exchange(&request).expect("answered")).expect("utf-8");
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
         let (_, body) = reply.split_once("\r\n\r\n").expect("a body");

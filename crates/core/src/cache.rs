@@ -88,8 +88,9 @@ impl PointCoord<'_> {
 
     /// [`PointCoord::canonical`] before and after the load bits — the
     /// one place that knows the form. The points of a curve share both
-    /// halves, so a campaign builds them once per curve and mints each
-    /// key with [`PointCache::key_at`].
+    /// halves, so a campaign builds them once per curve
+    /// ([`PointCache::curve_keys`]) and mints each key with
+    /// [`PointCache::key_at`].
     pub(crate) fn canonical_halves(&self) -> [String; 2] {
         let mut w = Writer::new(Floats::Bits);
         // A NUL marks the load: the writer escapes it out of every
@@ -111,6 +112,16 @@ impl PointCoord<'_> {
         let (head, tail) = text.rsplit_once('\0').expect("the load's mark");
         [head.to_string(), tail.to_string()]
     }
+}
+
+/// What the cache keys of one curve's points share
+/// ([`PointCache::curve_keys`]): the canonical string's halves around
+/// the load bits, and the state of hash `a` after salt ‖ newline ‖ head.
+#[derive(Debug)]
+pub(crate) struct CurveKeys {
+    head: String,
+    tail: String,
+    fnv_head: u64,
 }
 
 /// The measured scalars of one point — exactly what is needed to
@@ -438,15 +449,29 @@ impl PointCache {
     /// hash over the version salt and the canonical coordinate string.
     #[must_use]
     pub fn key(&self, coord: &PointCoord<'_>) -> String {
-        render_key(self.key_at(&coord.canonical_halves(), coord.load))
+        let curve = self.curve_keys(coord.canonical_halves());
+        render_key(self.key_at(&curve, coord.load))
     }
 
-    /// The value of the [`PointCache::key`] of the coordinate with
-    /// these [`PointCoord::canonical_halves`] at `load`.
-    pub(crate) fn key_at(&self, [head, tail]: &[String; 2], load: f64) -> u128 {
+    /// What the keys of the coordinates with these
+    /// [`PointCoord::canonical_halves`] share, for [`PointCache::key_at`].
+    pub(crate) fn curve_keys(&self, [head, tail]: [String; 2]) -> CurveKeys {
+        let fnv_head = fnv(0xcbf2_9ce4_8422_2325, &[&*self.version, "\n", &head]);
+        CurveKeys {
+            head,
+            tail,
+            fnv_head,
+        }
+    }
+
+    /// The value of the [`PointCache::key`] of `curve`'s coordinate at
+    /// `load`: salt ‖ newline ‖ head ‖ load bits ‖ tail, hashed twice.
+    /// Hash `a` continues from the curve's state after the head; hash
+    /// `b`, seeded from `a`, walks the whole text.
+    pub(crate) fn key_at(&self, curve: &CurveKeys, load: f64) -> u128 {
         let bits = load.to_bits().to_string();
-        let text = [&*self.version, "\n", head, &bits, tail];
-        let a = mix64(0xcbf2_9ce4_8422_2325, &text);
+        let a = avalanche(fnv(curve.fnv_head, &[&bits, &curve.tail]));
+        let text = [&*self.version, "\n", &curve.head, &bits, &curve.tail];
         let b = mix64(0x9e37_79b9_7f4a_7c15 ^ a, &text);
         u128::from(a) << 64 | u128::from(b)
     }
@@ -547,11 +572,21 @@ impl PointCache {
 /// finished with the splitmix64 avalanche: the one hash behind cache
 /// keys and per-point seeds.
 pub(crate) fn mix64<P: AsRef<[u8]>>(basis: u64, parts: &[P]) -> u64 {
-    let mut h = basis;
+    avalanche(fnv(basis, parts))
+}
+
+/// [`mix64`]'s FNV-1a state after `parts`, from state `h`: a text's
+/// prefix can be hashed once and its tails continued from the state.
+fn fnv<P: AsRef<[u8]>>(mut h: u64, parts: &[P]) -> u64 {
     for &b in parts.iter().flat_map(AsRef::as_ref) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    h
+}
+
+/// [`mix64`]'s splitmix64 finish of an FNV state.
+fn avalanche(mut h: u64) -> u64 {
     h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^ (h >> 31)
@@ -760,7 +795,8 @@ mod tests {
                             assert_eq!(key, format!("{a:016x}{b:016x}"), "{text}");
                             // Halves built at any load mint it too.
                             let halves = PointCoord { load: 7.5, ..coord }.canonical_halves();
-                            assert_eq!(render_key(cache.key_at(&halves, load)), key, "{text}");
+                            let curve = cache.curve_keys(halves);
+                            assert_eq!(render_key(cache.key_at(&curve, load)), key, "{text}");
                             let here = (s, pattern, tech, shards, load);
                             for &(s, pattern, tech, shards, load, want) in &minted {
                                 if (s, pattern, tech, shards, load) == here {
@@ -922,7 +958,8 @@ mod tests {
         values.extend((0..32).map(|zeros| u128::MAX >> (4 * zeros)));
         values.push(0);
         values.extend((0..1000).map(|i| {
-            let minted = cache.key_at(&coord(f64::from(i)).canonical_halves(), f64::from(i));
+            let curve = cache.curve_keys(coord(f64::from(i)).canonical_halves());
+            let minted = cache.key_at(&curve, f64::from(i));
             assert_eq!(render_key(minted), cache.key(&coord(f64::from(i))));
             minted
         }));

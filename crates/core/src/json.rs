@@ -216,17 +216,29 @@ impl<'a> Reader<'a> {
         b.get(self.pos).copied()
     }
 
-    /// [`Reader::peek`] for a value that starts with one of `first`.
-    fn value_start(&mut self, first: &[u8]) -> Result<(), String> {
+    /// [`Reader::peek`] where a value must start: its first byte, still
+    /// unconsumed.
+    fn next_value(&mut self) -> Result<u8, String> {
         let (next, pos) = (self.peek(), self.pos);
         match next {
             _ if self.depth > MAX_DEPTH => {
                 Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
             }
             None => Err("unexpected end of input".to_string()),
-            Some(c) if first.contains(&c) => Ok(()),
-            Some(c) => Err(format!("unexpected byte {c:#04x} at {pos}")),
+            Some(c) => Ok(c),
         }
+    }
+
+    /// [`Reader::next_value`] for a value that starts with one of `first`.
+    fn value_start(&mut self, first: &[u8]) -> Result<(), String> {
+        match self.next_value()? {
+            c if first.contains(&c) => Ok(()),
+            c => Err(self.unexpected(c)),
+        }
+    }
+
+    fn unexpected(&self, c: u8) -> String {
+        format!("unexpected byte {c:#04x} at {pos}", pos = self.pos)
     }
 
     fn literal<T>(&mut self, lit: &str, value: T) -> Result<T, String> {
@@ -257,18 +269,27 @@ impl<'a> Reader<'a> {
     /// take an `f64` detour): any `[-]?[0-9.eE+-]*` run `f64` parses.
     pub fn number(&mut self) -> Result<&'a str, String> {
         self.value_start(b"0123456789-")?;
+        self.number_token()
+    }
+
+    /// The number whose first byte is at the cursor: checked against
+    /// `f64`'s grammar ([`float_end`]) in the one pass that finds its
+    /// end, never parsed.
+    fn number_token(&mut self) -> Result<&'a str, String> {
         let (b, start) = (self.text.as_bytes(), self.pos);
-        // A run of plain digits is a number without asking `f64`.
-        let mut plain = true;
-        while let Some(&c @ (b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) = b.get(self.pos) {
-            plain &= c.is_ascii_digit();
-            self.pos += 1;
+        let in_run = |c: &u8| matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+        match float_end(b, start) {
+            // The grammar took the whole run.
+            Some(end) if !b.get(end).is_some_and(in_run) => {
+                self.pos = end;
+                Ok(&self.text[start..end])
+            }
+            _ => {
+                let run = b[start..].iter().take_while(|c| in_run(c)).count();
+                let raw = &self.text[start..start + run];
+                Err(format!("bad number `{raw}` at byte {start}"))
+            }
         }
-        let raw = &self.text[start..self.pos];
-        if !plain && raw.parse::<f64>().is_err() {
-            return Err(format!("bad number `{raw}` at byte {start}"));
-        }
-        Ok(raw)
     }
 
     /// Reads a string: a slice of the document when it holds no escape,
@@ -282,6 +303,16 @@ impl<'a> Reader<'a> {
     fn quoted(&mut self) -> Result<Cow<'a, str>, String> {
         self.pos += 1;
         let b = self.text.as_bytes();
+        // Most strings hold no escape: the slice up to the closing
+        // quote (ASCII, so it ends on a character boundary).
+        let rest = &b[self.pos..];
+        if let Some(len) = rest.iter().position(|&c| c == b'"' || c == b'\\') {
+            if rest[len] == b'"' {
+                let run = &self.text[self.pos..self.pos + len];
+                self.pos += len + 1;
+                return Ok(Cow::Borrowed(run));
+            }
+        }
         let mut out = Cow::Borrowed("");
         loop {
             match b.get(self.pos) {
@@ -303,11 +334,13 @@ impl<'a> Reader<'a> {
                             let hex = b
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
+                            // Exactly four hex digits: no sign, no space.
+                            let code = hex
+                                .iter()
+                                .try_fold(0, |code, &c| {
+                                    Some(code << 4 | char::from(c).to_digit(16)?)
+                                })
+                                .ok_or("bad \\u escape: expected four hex digits")?;
                             self.pos += 4;
                             // Surrogate pairs are not produced by our own
                             // serializers; map lone surrogates to U+FFFD.
@@ -340,14 +373,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads `open`, then `each` once per comma-separated member, then
-    /// `close`.
-    fn container(
+    /// Reads the opening bracket at the cursor, then `each` once per
+    /// comma-separated member, then `close`.
+    fn members(
         &mut self,
-        (open, close): (u8, u8),
+        close: u8,
         mut each: impl FnMut(&mut Self) -> Result<(), String>,
     ) -> Result<(), String> {
-        self.value_start(&[open])?;
         self.pos += 1;
         if self.peek() != Some(close) {
             self.depth += 1;
@@ -373,9 +405,18 @@ impl<'a> Reader<'a> {
     /// (through [`Reader::skip`] when it has no use for it).
     pub fn object(
         &mut self,
+        field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.value_start(b"{")?;
+        self.fields(field)
+    }
+
+    /// The fields of the object whose `{` is at the cursor.
+    fn fields(
+        &mut self,
         mut field: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
     ) -> Result<(), String> {
-        self.container((b'{', b'}'), |r| {
+        self.members(b'}', |r| {
             if r.peek() != Some(b'"') {
                 return Err(format!("expected object key at byte {pos}", pos = r.pos));
             }
@@ -394,19 +435,23 @@ impl<'a> Reader<'a> {
         &mut self,
         item: impl FnMut(&mut Self) -> Result<(), String>,
     ) -> Result<(), String> {
-        self.container((b'[', b']'), item)
+        self.value_start(b"[")?;
+        self.members(b']', item)
     }
 
     /// Reads one value of any type and drops it, validated exactly as
-    /// [`parse`] validates it.
+    /// [`parse`] validates it. The byte the value starts with picks the
+    /// reading; nothing is peeked twice.
     pub fn skip(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.object(|r, _| r.skip()),
-            Some(b'[') => self.array(Self::skip),
-            Some(b'"') => self.string().map(drop),
-            Some(b't' | b'f') => self.boolean().map(drop),
-            Some(b'n') => self.null(),
-            _ => self.number().map(drop),
+        match self.next_value()? {
+            b'"' => self.quoted().map(drop),
+            b'0'..=b'9' | b'-' => self.number_token().map(drop),
+            b'{' => self.fields(|r, _| r.skip()),
+            b'[' => self.members(b']', Self::skip),
+            b't' => self.literal("true", ()),
+            b'f' => self.literal("false", ()),
+            b'n' => self.literal("null", ()),
+            c => Err(self.unexpected(c)),
         }
     }
 
@@ -417,6 +462,38 @@ impl<'a> Reader<'a> {
             Some(_) => Err(format!("trailing data at byte {pos}", pos = self.pos)),
         }
     }
+}
+
+/// The end of the number that `f64::from_str`'s grammar reads from
+/// `b[at..]` — a sign, then digits with at most one point and at least
+/// one digit, then optionally `e` or `E`, a sign, and at least one
+/// digit — or `None` when no prefix there is one.
+fn float_end(b: &[u8], mut at: usize) -> Option<usize> {
+    let digits = |at: &mut usize| {
+        let from = *at;
+        while b.get(*at).is_some_and(u8::is_ascii_digit) {
+            *at += 1;
+        }
+        *at - from
+    };
+    let sign = |at: &mut usize| *at += usize::from(matches!(b.get(*at), Some(b'+' | b'-')));
+    sign(&mut at);
+    let mut mantissa = digits(&mut at);
+    if b.get(at) == Some(&b'.') {
+        at += 1;
+        mantissa += digits(&mut at);
+    }
+    if mantissa == 0 {
+        return None;
+    }
+    if matches!(b.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        sign(&mut at);
+        if digits(&mut at) == 0 {
+            return None;
+        }
+    }
+    Some(at)
 }
 
 /// How a document writes its `f64`s, named once by its [`Writer`]. Every
@@ -606,7 +683,7 @@ impl Value for f64 {
             Floats::Bits => Raw(self.to_bits()).write(w),
             _ if !self.is_finite() => w.out.push_str("null"),
             Floats::Shortest => Raw(self).write(w),
-            Floats::Decimals(digits) => Raw(CompactFloat(self, digits)).write(w),
+            Floats::Decimals(digits) => CompactFloat(self, digits).push_to(&mut w.out),
         }
     }
 }
@@ -753,12 +830,15 @@ mod tests {
     }
 
     /// Edge documents with what `parse` said of each at `13bcf53`, the
-    /// last commit whose `parse` scanned for itself.
+    /// last commit whose `parse` scanned for itself — but for the two
+    /// `\u` escapes that are not four hex digits, which it accepted
+    /// (`\u+041`) or refused with `u32::from_str_radix`'s message.
     #[test]
     fn edge_tokens_are_accepted_and_rejected_as_before_the_reader() {
         let nested = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
         let keyed = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
         let deep = "nesting deeper than 64 at byte";
+        const NOT_HEX: &str = "bad \\u escape: expected four hex digits";
         let table: Vec<(String, Result<(), String>)> = [
             ("-", Err("bad number `-` at byte 0")),
             ("--1", Err("bad number `--1` at byte 0")),
@@ -780,13 +860,10 @@ mod tests {
             ("falsey", Err("trailing data at byte 5")),
             ("\"", Err("unterminated string")),
             ("\"\\u12\"", Err("truncated \\u escape")),
-            ("\"\\u+041\"", Ok(())),
+            ("\"\\u+041\"", Err(NOT_HEX)),
             ("\"\\ud800\"", Ok(())),
             ("\"\\x\"", Err("bad escape Some(120)")),
-            (
-                "\"\\u00é\"",
-                Err("bad \\u escape: invalid digit found in string"),
-            ),
+            ("\"\\u00é\"", Err(NOT_HEX)),
             ("\"é\\\"日\"", Ok(())),
             ("é", Err("unexpected byte 0xc3 at 0")),
             ("[1,]", Err("unexpected byte 0x5d at 3")),
@@ -823,6 +900,62 @@ mod tests {
             let mut reader = Reader::new(&doc);
             let skipped = reader.skip().and_then(|()| reader.finish());
             assert_eq!(skipped, want, "skip `{shown}`");
+        }
+    }
+
+    /// Every token of up to seven bytes over the number alphabet that a
+    /// number can start with: the grammar accepts exactly what
+    /// `f64::from_str` parses.
+    #[test]
+    fn the_number_grammar_is_f64_from_str_on_every_short_token() {
+        const ALPHABET: &[u8] = b"01.eE+-";
+        let mut tokens = vec![b"0".to_vec(), b"1".to_vec(), b"-".to_vec()];
+        let mut checked = 0;
+        while let Some(token) = tokens.pop() {
+            let text = std::str::from_utf8(&token).unwrap();
+            let parses = text.parse::<f64>().is_ok();
+            assert_eq!(
+                float_end(&token, 0) == Some(token.len()),
+                parses,
+                "`{text}`"
+            );
+            let mut r = Reader::new(text);
+            assert_eq!(r.number().is_ok() && r.finish().is_ok(), parses, "`{text}`");
+            let mut r = Reader::new(text);
+            assert_eq!(r.skip().is_ok() && r.finish().is_ok(), parses, "`{text}`");
+            checked += 1;
+            if token.len() < 7 {
+                tokens.extend(ALPHABET.iter().map(|&c| [&token[..], &[c]].concat()));
+            }
+        }
+        assert_eq!(checked, 3 * (7usize.pow(7) - 1) / 6);
+    }
+
+    #[test]
+    fn a_u_escape_is_exactly_four_hex_digits() {
+        for (doc, want) in [
+            (r#""\u0041""#, Ok("A")),
+            (r#""\u00e9\u00E9""#, Ok("éé")),
+            (
+                r#""\u+041""#,
+                Err("bad \\u escape: expected four hex digits"),
+            ),
+            (
+                r#""\u 041""#,
+                Err("bad \\u escape: expected four hex digits"),
+            ),
+            (
+                r#""\u04G1""#,
+                Err("bad \\u escape: expected four hex digits"),
+            ),
+            (r#""\u04""#, Err("truncated \\u escape")),
+            (r#""\u04"#, Err("truncated \\u escape")),
+        ] {
+            let want = want.map(str::to_string).map_err(str::to_string);
+            let parsed = parse(doc).map(|v| v.as_str().unwrap().to_string());
+            assert_eq!(parsed, want, "parse {doc}");
+            let read = Reader::new(doc).string().map(Cow::into_owned);
+            assert_eq!(read, want, "read {doc}");
         }
     }
 

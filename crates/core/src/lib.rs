@@ -39,7 +39,7 @@ pub use parallel::parallel_map_with_threads;
 pub use report::{format_float, Series, TextTable};
 pub use setup::{BufferPreset, Setup, SetupError};
 pub use spec::{CampaignSpec, SetupSpec, SpecError};
-pub use sweep::{Campaign, CampaignResult, PowerPoint, SweepPoint};
+pub use sweep::{Campaign, CampaignResult, Observer, PowerPoint, SweepPoint};
 
 /// Convenient glob-import surface.
 pub mod prelude {

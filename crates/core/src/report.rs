@@ -14,16 +14,91 @@ pub fn format_float(x: f64, prec: usize) -> String {
 /// a buffer of their own.
 pub(crate) struct CompactFloat(pub f64, pub usize);
 
+impl CompactFloat {
+    /// Appends the rendering to `out`; the fixed branch without a
+    /// formatter.
+    pub(crate) fn push_to(self, out: &mut String) {
+        match Fixed::new(self.0, self.1) {
+            Some(fixed) => out.push_str(fixed.as_str()),
+            None => {
+                let _ = write!(out, "{self}");
+            }
+        }
+    }
+}
+
 impl fmt::Display for CompactFloat {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let CompactFloat(x, prec) = *self;
         if x == 0.0 {
             f.write_str("0")
+        } else if let Some(fixed) = Fixed::new(x, prec) {
+            f.write_str(fixed.as_str())
         } else if (0.01..1e6).contains(&x.abs()) {
             write!(f, "{x:.prec$}")
         } else {
             write!(f, "{x:.prec$e}")
         }
+    }
+}
+
+/// `format!("{x:.prec$}")` for |x| in [0.01, 1e6) and `prec` in 1..=6,
+/// by integer arithmetic: the 53-bit mantissa times 10^prec, shifted
+/// down to the integer part with the remainder rounded half to even,
+/// exactly as `core::fmt` rounds the exact binary value.
+struct Fixed {
+    /// Sign, digits and point, right-aligned.
+    buf: [u8; 16],
+    start: usize,
+}
+
+impl Fixed {
+    /// The rendering, or `None` outside the covered range.
+    fn new(x: f64, prec: usize) -> Option<Fixed> {
+        if !(0.01..1e6).contains(&x.abs()) || !(1..=6).contains(&prec) {
+            return None;
+        }
+        let bits = x.to_bits();
+        let mantissa = u128::from(bits & ((1 << 52) - 1) | 1 << 52);
+        // x = mantissa · 2^-shift with shift in 33..=59 over the range:
+        // 2^-7 < 0.01 and 1e6 < 2^20.
+        let shift = 1075 - ((bits >> 52) & 0x7ff) as u32;
+        let scaled = mantissa * 10u128.pow(prec as u32);
+        let (mut q, rem) = (scaled >> shift, scaled & ((1 << shift) - 1));
+        let half = 1 << (shift - 1);
+        if rem > half || (rem == half && q & 1 == 1) {
+            q += 1;
+        }
+        // Below 1e6 · 10^6 + 1, so the digits fit a u64 and the buffer.
+        let mut q = q as u64;
+        let mut fixed = Fixed {
+            buf: [0; 16],
+            start: 16,
+        };
+        let mut push = |c: u8| {
+            fixed.start -= 1;
+            fixed.buf[fixed.start] = c;
+        };
+        for _ in 0..prec {
+            push(b'0' + (q % 10) as u8);
+            q /= 10;
+        }
+        push(b'.');
+        loop {
+            push(b'0' + (q % 10) as u8);
+            q /= 10;
+            if q == 0 {
+                break;
+            }
+        }
+        if x < 0.0 {
+            push(b'-');
+        }
+        Some(fixed)
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.buf[self.start..]).expect("ASCII digits")
     }
 }
 
@@ -220,6 +295,7 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn float_formatting() {
@@ -228,6 +304,80 @@ mod tests {
         assert_eq!(format_float(1234.5678, 1), "1234.6");
         assert!(format_float(1.0e-7, 2).contains('e'));
         assert!(format_float(3.0e9, 2).contains('e'));
+    }
+
+    /// What `format_float` rendered through `core::fmt` alone.
+    fn by_fmt(x: f64, prec: usize) -> String {
+        if x == 0.0 {
+            "0".to_string()
+        } else if (0.01..1e6).contains(&x.abs()) {
+            format!("{x:.prec$}")
+        } else {
+            format!("{x:.prec$e}")
+        }
+    }
+
+    /// Checks `x` at every precision the workspace renders, through
+    /// both entry points, against `core::fmt`.
+    fn renders_as_fmt(x: f64) -> Result<(), TestCaseError> {
+        let covered = (0.01..1e6).contains(&x.abs());
+        for prec in 1..=6 {
+            let (want, shown) = (by_fmt(x, prec), format_float(x, prec));
+            let mut pushed = String::new();
+            CompactFloat(x, prec).push_to(&mut pushed);
+            prop_assert!(
+                shown == want && pushed == want,
+                "{x:e} at {prec}: `{shown}`, `{pushed}`, want `{want}`"
+            );
+            prop_assert_eq!(Fixed::new(x, prec).is_some(), covered);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_fixed_renderer_is_fmt_byte_for_byte(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            for _ in 0..256 {
+                // A random mantissa and sign under an exponent that
+                // spans the covered range and a step past each end.
+                let exp = 1023 - 8 + rng.next_u64() % 29;
+                let bits = rng.next_u64() & (1 << 63 | ((1 << 52) - 1)) | exp << 52;
+                renders_as_fmt(f64::from_bits(bits))?;
+            }
+        }
+    }
+
+    #[test]
+    fn exact_ties_round_half_to_even_and_carries_reach_1e6() {
+        // k / 2^(prec+1) for odd k is an exact tie at `prec` decimals:
+        // on the 2^-7 grid, 0.0078125 is the tie `0.007812` (below the
+        // fixed range, so in exponent form here) and 0.0234375 is the
+        // tie `0.023438`.
+        assert_eq!(format_float(0.0078125, 6), "7.812500e-3");
+        assert_eq!(format_float(0.0234375, 6), "0.023438");
+        assert_eq!(format_float(0.015625, 5), "0.01562");
+        assert_eq!(format_float(-0.25, 1), "-0.2");
+        assert_eq!(format_float(0.75, 1), "0.8");
+        assert_eq!(format_float(-0.01, 1), "-0.0");
+        for grid in 2..=7 {
+            let scale = f64::from(1u32 << grid);
+            for k in (1..20_000u32).chain(999_990 << grid..1_000_000 << grid) {
+                renders_as_fmt(f64::from(k) / scale).unwrap();
+                renders_as_fmt(-f64::from(k) / scale).unwrap();
+            }
+        }
+        // Just below each power of ten the digits carry over.
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        assert_eq!(format_float(below(1e6), 6), "1000000.000000");
+        assert_eq!(format_float(below(1e6), 1), "1000000.0");
+        for x in [0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6] {
+            for x in [below(x), -below(x), x, below(x - 0.5e-6), x - 0.5e-6, 0.01] {
+                renders_as_fmt(x).unwrap();
+            }
+        }
     }
 
     #[test]

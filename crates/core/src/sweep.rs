@@ -36,7 +36,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::cache::{mix64, CachedPoint, PointCache, PointCoord};
+use crate::cache::{mix64, CachedPoint, CurveKeys, PointCache, PointCoord};
 use crate::json::Layout::{Inline, Lines};
 use crate::json::{Floats, Raw, Writer};
 use crate::parallel::parallel_map_with_state;
@@ -62,8 +62,8 @@ struct Curve<'a> {
     setup: &'a Setup,
     traffic: Traffic<'a>,
     /// What the cache keys of this curve's points share; `None` when
-    /// its points are not cached ([`Campaign::key_halves`]).
-    key_halves: Option<[String; 2]>,
+    /// its points are not cached ([`Campaign::curve_keys`]).
+    keys: Option<CurveKeys>,
     /// Reference latency for saturation detection, set by the curve's
     /// first point — cached points reproduce it bit-exactly, so warm
     /// and cold curves agree on every derived flag.
@@ -71,6 +71,29 @@ struct Curve<'a> {
     /// Points served from / simulated into the attached cache.
     hits: u64,
     misses: u64,
+}
+
+/// What a running campaign reports of its points as they finish, from
+/// worker threads, in completion order — *not* result order
+/// ([`Campaign::run_streamed`]).
+pub trait Observer: Sync {
+    /// A point finished: `simulated` when it was simulated rather than
+    /// replayed from the cache.
+    fn point(&self, point: &SweepPoint, simulated: bool);
+
+    /// A point is about to be simulated (it missed the cache, or there
+    /// is none); its [`Observer::point`] follows on the same thread once
+    /// the simulation ends. A hit is never announced.
+    fn simulating(&self) {}
+}
+
+/// [`Campaign::run_observed`]'s closure as an [`Observer`].
+struct EachPoint<F>(F);
+
+impl<F: Fn(&SweepPoint) + Sync> Observer for EachPoint<F> {
+    fn point(&self, point: &SweepPoint, _simulated: bool) {
+        (self.0)(point);
+    }
 }
 
 /// A runnable campaign: the [`CampaignSpec`] it was built from, that
@@ -220,18 +243,26 @@ impl Campaign {
     }
 
     /// Runs the campaign, invoking `observe` on every finished point
-    /// (from worker threads, in completion order — *not* result order).
-    /// The campaign server streams progress through this; [`run`] is
-    /// this with a no-op observer.
+    /// (from worker threads, in completion order — *not* result order):
+    /// [`Campaign::run_streamed`] with an observer of points alone.
+    /// [`run`] is this with a no-op observer.
+    ///
+    /// [`run`]: Campaign::run
+    #[must_use]
+    pub fn run_observed<F: Fn(&SweepPoint) + Sync>(&self, observe: F) -> CampaignResult {
+        self.run_streamed(&EachPoint(observe))
+    }
+
+    /// Runs the campaign, telling `observer` of every simulation as it
+    /// starts and of every point as it finishes. The campaign server
+    /// streams progress through this.
     ///
     /// Only points that miss the cache build anything: a setup's
     /// routing table once per process (shared through the setup, see
     /// [`Setup::simulator`]), and per worker one simulator, reset for
     /// each further point of the same setup.
-    ///
-    /// [`run`]: Campaign::run
     #[must_use]
-    pub fn run_observed<F: Fn(&SweepPoint) + Sync>(&self, observe: F) -> CampaignResult {
+    pub fn run_streamed(&self, observer: &impl Observer) -> CampaignResult {
         let spec = &self.spec;
         let patterns = spec.patterns.iter().copied().map(Traffic::Pattern);
         let traffics: Vec<Traffic<'_>> = patterns
@@ -249,12 +280,12 @@ impl Campaign {
                 let curve = Curve {
                     setup,
                     traffic,
-                    key_halves: self.key_halves(setup, traffic),
+                    keys: self.curve_keys(setup, traffic),
                     zero_load: 0.0,
                     hits: 0,
                     misses: 0,
                 };
-                self.run_curve(curve, idle, &observe)
+                self.run_curve(curve, idle, observer)
             },
         );
         let mut points = Vec::new();
@@ -281,11 +312,11 @@ impl Campaign {
     /// Runs one latency–load curve (grid sweep + knee refinement; a
     /// workload's one-point grid has no knee); returns the points plus
     /// this curve's cache hit/miss counts.
-    fn run_curve<'a, F: Fn(&SweepPoint) + Sync>(
+    fn run_curve<'a>(
         &'a self,
         mut curve: Curve<'a>,
         idle: &mut Idle<'a>,
-        observe: &F,
+        observer: &impl Observer,
     ) -> (Vec<SweepPoint>, u64, u64) {
         let mut points = Vec::new();
         let mut last_ok: Option<f64> = None;
@@ -295,8 +326,7 @@ impl Campaign {
             Traffic::Trace(workload) => vec![workload.offered_flit_rate()],
         };
         for load in loads {
-            let point = self.run_point(&mut curve, idle, load, false);
-            observe(&point);
+            let point = self.run_point(&mut curve, idle, load, false, observer);
             let saturated = point.saturated;
             points.push(point);
             if saturated {
@@ -314,8 +344,7 @@ impl Campaign {
         if let (Some(mut lo), Some(mut hi)) = (last_ok, first_sat) {
             for _ in 0..self.spec.refine_rounds {
                 let mid = 0.5 * (lo + hi);
-                let point = self.run_point(&mut curve, idle, mid, true);
-                observe(&point);
+                let point = self.run_point(&mut curve, idle, mid, true, observer);
                 if point.saturated {
                     hi = mid;
                 } else {
@@ -328,11 +357,12 @@ impl Campaign {
         (points, curve.hits, curve.misses)
     }
 
-    /// The load-independent halves of the cache keys of one curve, when
-    /// the campaign has a cache: the recipe of the setup as built is
-    /// serialized once per curve, not once per point.
-    fn key_halves(&self, setup: &Setup, traffic: Traffic<'_>) -> Option<[String; 2]> {
-        self.cache.as_ref()?;
+    /// What the cache keys of one curve share, when the campaign has a
+    /// cache: the recipe of the setup as built is serialized, and the
+    /// key text before the load hashed, once per curve, not once per
+    /// point.
+    fn curve_keys(&self, setup: &Setup, traffic: Traffic<'_>) -> Option<CurveKeys> {
+        let cache = self.cache.as_ref()?;
         let setup_spec = setup.to_spec()?.canonical_json();
         let spec = &self.spec;
         let tech = spec.power_tech.map(|t| t.to_string());
@@ -346,27 +376,31 @@ impl Campaign {
             shards: 1, // every point runs on the monolithic engine
             tech: tech.as_deref(),
         };
-        Some(coord.canonical_halves())
+        Some(cache.curve_keys(coord.canonical_halves()))
     }
 
-    /// Runs (or replays from cache) one point of `curve`. Only a point
-    /// that has to be simulated touches the worker's `idle` simulator.
+    /// Runs (or replays from cache) one point of `curve` and reports it
+    /// to `observer`. Only a point that has to be simulated touches the
+    /// worker's `idle` simulator.
     fn run_point<'a>(
         &self,
         curve: &mut Curve<'a>,
         idle: &mut Idle<'a>,
         load: f64,
         refined: bool,
+        observer: &impl Observer,
     ) -> SweepPoint {
         let (setup, traffic) = (curve.setup, curve.traffic);
         let seed = self.seed_of(&setup.name, traffic.name(), load);
-        let keyed = self.cache.as_deref().zip(curve.key_halves.as_ref());
-        let keyed = keyed.map(|(cache, halves)| (cache, cache.key_at(halves, load)));
+        let keyed = self.cache.as_deref().zip(curve.keys.as_ref());
+        let keyed = keyed.map(|(cache, keys)| (cache, cache.key_at(keys, load)));
         let cached = keyed.and_then(|(cache, key)| cache.get_at(key));
+        let simulated = cached.is_none();
         let point = if let Some(hit) = cached {
             curve.hits += 1;
             hit
         } else {
+            observer.simulating();
             let reuse = match idle.take() {
                 Some((built_by, sim)) if std::ptr::eq(built_by, setup) => Some(sim),
                 _ => None, // another setup's simulator is dropped here
@@ -399,7 +433,7 @@ impl Campaign {
         if curve.zero_load == 0.0 {
             curve.zero_load = point.latency;
         }
-        SweepPoint {
+        let point = SweepPoint {
             setup: setup.name.clone(),
             pattern: traffic.name().to_string(),
             load,
@@ -422,7 +456,9 @@ impl Campaign {
             drained: point.drained,
             refined,
             power: point.power,
-        }
+        };
+        observer.point(&point, simulated);
+        point
     }
 }
 
@@ -801,6 +837,76 @@ mod tests {
         assert_eq!((warm.cache_hits, warm.cache_misses), (8, 0));
         assert_eq!(built() - before, 2);
         assert_eq!(warm.to_json(), cold.to_json());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The worker thread, then `None` for a `simulating()`, or the
+    /// point's load and `simulated` flag for a `point()`.
+    type Event = (std::thread::ThreadId, Option<(f64, bool)>);
+
+    /// Every observer call, in order.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<Event>>);
+
+    impl Observer for Recorder {
+        fn point(&self, point: &SweepPoint, simulated: bool) {
+            let me = std::thread::current().id();
+            self.0
+                .lock()
+                .unwrap()
+                .push((me, Some((point.load, simulated))));
+        }
+
+        fn simulating(&self) {
+            self.0
+                .lock()
+                .unwrap()
+                .push((std::thread::current().id(), None));
+        }
+    }
+
+    #[test]
+    fn simulating_announces_each_miss_just_before_its_point() {
+        let dir = std::env::temp_dir().join(format!("snoc_sweep_observed_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = tiny_spec();
+        spec.patterns.push(TrafficPattern::Adversarial1);
+        spec.threads = 2;
+        let cold = Campaign::from_spec(&spec).expect("valid spec");
+        spec.cache_dir = Some(dir.display().to_string());
+        let filled = Campaign::from_spec(&spec).expect("valid spec").run();
+        assert_eq!(filled.cache_misses, 4);
+        spec.loads = vec![0.02, 0.03, 0.05, 0.07];
+        let widened = Campaign::from_spec(&spec).expect("valid spec");
+        // Cacheless, every point is simulated; partly warm, the two new
+        // loads of each curve are.
+        for (campaign, new) in [(cold, [0.02, 0.05]), (widened, [0.03, 0.07])] {
+            let recorder = Recorder::default();
+            let result = campaign.run_streamed(&recorder);
+            let events = recorder.0.into_inner().unwrap();
+            let points = events.iter().filter(|(_, e)| e.is_some()).count();
+            assert_eq!(points, result.points.len());
+            assert_eq!(events.len() - points, 2 * new.len());
+            let mut threads: Vec<_> = events.iter().map(|&(t, _)| t).collect();
+            threads.dedup();
+            for thread in threads {
+                let mut announced = false;
+                for (_, event) in events.iter().filter(|(t, _)| *t == thread) {
+                    match event {
+                        None => {
+                            assert!(!announced, "two simulations in flight on one worker");
+                            announced = true;
+                        }
+                        Some((load, simulated)) => {
+                            assert_eq!(*simulated, announced, "load {load}");
+                            assert_eq!(*simulated, new.contains(load), "load {load}");
+                            announced = false;
+                        }
+                    }
+                }
+                assert!(!announced, "a simulation without its point");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
