@@ -251,8 +251,12 @@ fn handle(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
     let mut parts = request.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
-    // The raw value when it is not a byte count.
-    let mut content_length: Result<u64, String> = Ok(0);
+    // The raw value when it is not a byte count; `None` until a header
+    // names it.
+    let mut content_length: Option<Result<u64, String>> = None;
+    // Differing `Content-Length` values leave the body's end unknown
+    // (RFC 9112 §6.3): refused before any of the body is read.
+    let mut conflicting = false;
     loop {
         let header = match read_line_bounded(&mut reader, "header line")? {
             Ok(line) => line,
@@ -264,13 +268,19 @@ fn handle(mut stream: TcpStream, state: &ServerState) -> io::Result<()> {
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
                 let value = value.trim();
-                content_length = value.parse().map_err(|_| value.to_string());
+                let length = value.parse().map_err(|_| value.to_string());
+                conflicting |= content_length.as_ref().is_some_and(|seen| *seen != length);
+                content_length = Some(length);
             }
         }
     }
+    if conflicting {
+        let msg = "conflicting Content-Length headers";
+        return refuse(&mut stream, 400, "Bad Request", msg);
+    }
     match (method.as_str(), path.as_str()) {
         ("POST", "/campaign") => {
-            let length = match content_length {
+            let length = match content_length.unwrap_or(Ok(0)) {
                 Ok(length) if length > MAX_BODY => {
                     let limit = "body exceeds the 4 MiB limit";
                     return refuse(&mut stream, 413, "Payload Too Large", limit);

@@ -68,16 +68,20 @@ fn submission(body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// A valid submission small enough that any byte-flipped variant that
-/// still parses simulates in milliseconds (flips cannot add digits).
-fn valid_request() -> Vec<u8> {
+/// A valid spec small enough that any byte-flipped variant that still
+/// parses simulates in milliseconds (flips cannot add digits).
+fn valid_spec() -> String {
     let mut spec = CampaignSpec::new("fuzz");
     spec.setups = vec![SetupSpec::new("sn54")];
     spec.patterns = vec![TrafficPattern::Random];
     spec.loads = vec![0.01];
     spec.warmup = 10;
     spec.measure = 20;
-    submission(&spec.to_json())
+    spec.to_json()
+}
+
+fn valid_request() -> Vec<u8> {
+    submission(&valid_spec())
 }
 
 fn assert_alive_and_calm() -> Result<(), TestCaseError> {
@@ -133,7 +137,9 @@ fn the_unmutated_submission_is_served() {
 /// whose JSON error names the problem and the part it is in: a body is
 /// neither decoded lossily (a setup would run, and be cached, under a
 /// `U+FFFD` name nobody sent) nor read as empty, and a request line or
-/// header that is not UTF-8 gets an answer, not a closed socket.
+/// header that is not UTF-8 gets an answer, not a closed socket. Two
+/// `Content-Length` headers that differ, in either order, leave the
+/// body's end unknown (RFC 9112 §6.3): no body is read by either one.
 #[test]
 fn undecodable_bodies_and_lengths_are_refused_with_400() {
     let mut spec = CampaignSpec::new("fuzz");
@@ -151,11 +157,22 @@ fn undecodable_bodies_and_lengths_are_refused_with_400() {
     let bad_length = b"POST /campaign HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}".to_vec();
     let bad_path = b"GET /st\xffats HTTP/1.1\r\n\r\n".to_vec();
     let bad_header = b"GET /stats HTTP/1.1\r\nX-A: \xff\xfe\r\n\r\n".to_vec();
+    let valid = valid_spec();
+    let lengths = |first: usize, second: usize| {
+        format!(
+            "POST /campaign HTTP/1.1\r\nContent-Length: {first}\r\n\
+             Content-Length: {second}\r\n\r\n{valid}"
+        )
+        .into_bytes()
+    };
+    let conflicting = "conflicting Content-Length headers";
     for (request, names) in [
         (not_utf8, "body is not UTF-8"),
         (bad_length, "Content-Length `abc`"),
         (bad_path, "request line is not UTF-8: invalid byte at 7"),
         (bad_header, "header line is not UTF-8: invalid byte at 5"),
+        (lengths(valid.len(), 3), conflicting),
+        (lengths(3, valid.len()), conflicting),
     ] {
         let reply = String::from_utf8(exchange(&request).expect("answered")).expect("utf-8");
         assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
