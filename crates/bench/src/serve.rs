@@ -314,12 +314,7 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
         Ok(spec) => spec,
         Err(e) => return refuse(stream, 400, "Bad Request", &e.to_string()),
     };
-    // The server's cache, or none, is authoritative: every client
-    // shares it, and no client names a path the server opens.
-    spec.cache_dir = None;
-    if spec.threads == 0 {
-        spec.threads = state.threads;
-    }
+    take_server_fields(&mut spec, state.threads);
     let mut campaign = match Campaign::from_spec(&spec) {
         Ok(c) => c,
         Err(e) => return refuse(stream, 400, "Bad Request", &e.to_string()),
@@ -359,6 +354,16 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
         .field("result", Raw(json::compact(&result.to_json_with(kept))));
     out.write_all((done.finish() + "\n").as_bytes())?;
     out.flush()
+}
+
+/// Overwrites the fields the server owns, whatever the client sent.
+/// The server's cache, or none, is authoritative: every client shares
+/// it, and no client names a path the server opens. So are its worker
+/// threads: a request that named its own count could make the server
+/// spawn one OS thread per curve it lists.
+fn take_server_fields(spec: &mut CampaignSpec, threads: usize) {
+    spec.cache_dir = None;
+    spec.threads = threads;
 }
 
 /// A job's events on their way to its client, batched by the rule of
@@ -649,6 +654,15 @@ mod tests {
         Simulating,
         /// Point `i`, simulated or replayed.
         Point(u64, bool),
+    }
+
+    #[test]
+    fn the_server_owns_the_cache_and_the_worker_threads() {
+        let mut spec = CampaignSpec::new("client");
+        spec.cache_dir = Some("/client/named".to_string());
+        spec.threads = 50_000;
+        take_server_fields(&mut spec, 2);
+        assert_eq!((spec.cache_dir, spec.threads), (None, 2));
     }
 
     #[test]

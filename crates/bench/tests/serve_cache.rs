@@ -308,11 +308,21 @@ fn streamed_bytes_are_the_in_process_bytes() {
     let mut spec = spec("bytes", &[0.05, 0.6]);
     spec.patterns.push(TrafficPattern::Adversarial1);
     spec.refine_rounds = 2;
-    let expected = Campaign::from_spec(&spec).expect("valid spec").run();
+    // Partly warm: one new load on each curve, so the server's two
+    // workers stream replays beside simulations.
+    let mut widened = spec.clone();
+    widened.loads.insert(0, 0.02);
 
-    for pass in ["cold", "warm"] {
-        let (outcome, lines) = run_client(&addr, &spec);
+    for (pass, spec) in [("cold", &spec), ("warm", &spec), ("partly warm", &widened)] {
+        let expected = Campaign::from_spec(spec).expect("valid spec").run();
+        let (outcome, lines) = run_client(&addr, spec);
         assert_eq!(outcome.points as usize, expected.points.len(), "{pass}");
+        if pass == "partly warm" {
+            assert!(
+                outcome.cache_hits >= 1 && outcome.cache_misses >= 1,
+                "{pass}: replays and simulations, got {outcome:?}"
+            );
+        }
         let (done, points) = lines.split_last().expect("a done event");
         let mut streamed: Vec<&str> = points.iter().map(String::as_str).collect();
         let mut want: Vec<String> = expected

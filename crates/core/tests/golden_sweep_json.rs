@@ -170,8 +170,8 @@ fn dropped_packets_column_appears_only_on_degraded_points() {
 
 #[test]
 fn sweep_v2_json_matches_golden_file() {
-    // v2 is pinned byte-for-byte just like v1: the CI energy-figure
-    // artifact and plotting scripts consume it. Bump to
+    // v2 is pinned byte-for-byte just like v1: `snoc repro fig_energy
+    // --json` writes it and plotting scripts consume it. Bump to
     // v3 instead of mutating this schema. To record an intentional
     // schema bump, run with `UPDATE_GOLDEN=1` and commit the diff.
     let got = fixed_result_v2().to_json();

@@ -1,9 +1,14 @@
 //! Drives the real `snoc` executable through the commands that replaced
 //! the per-figure binaries: `repro --list`, `repro <name>`, and
-//! `run --spec`, plus their usage-error exit code.
+//! `run --spec`, plus their usage-error exit code, and through the
+//! campaign server: `serve` started as a child process and `submit`
+//! run against it.
 
 use snoc_bench::figures::REGISTRY;
-use std::process::{Command, Output};
+use snoc_bench::Args;
+use snoc_core::CampaignSpec;
+use std::io::{BufRead as _, BufReader};
+use std::process::{Child, Command, Output, Stdio};
 
 fn snoc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_snoc"))
@@ -50,31 +55,37 @@ fn repro_runs_a_figure_and_prints_csv() {
 fn run_spec_replays_byte_identically_from_a_shared_cache() {
     let dir = std::env::temp_dir().join(format!("snoc_cli_cache_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_quick.json");
-    let args = [
-        "run",
-        "--spec",
-        spec,
-        "--smoke",
-        "--cache-dir",
-        dir.to_str().expect("utf-8"),
-    ];
-    let cold = snoc(&args);
-    assert!(cold.status.success(), "{}", stderr(&cold));
-    assert!(stdout(&cold).contains("\"points\""));
-    assert!(
-        stderr(&cold).contains("snoc-cache-stats: hits=0 "),
-        "cold run simulates every point: {}",
-        stderr(&cold)
-    );
-    let warm = snoc(&args);
-    assert!(warm.status.success(), "{}", stderr(&warm));
-    assert_eq!(warm.stdout, cold.stdout, "warm replay is byte-identical");
-    let stats = stderr(&warm);
-    assert!(
-        stats.contains("snoc-cache-stats: hits=") && stats.contains(" misses=0 "),
-        "warm run replays every point: {stats}"
-    );
+    // A synthetic-pattern spec and a trace-workload spec.
+    for example in ["campaign_quick.json", "campaign_traces.json"] {
+        let spec = format!("{}/examples/{example}", env!("CARGO_MANIFEST_DIR"));
+        let args = [
+            "run",
+            "--spec",
+            &spec,
+            "--smoke",
+            "--cache-dir",
+            dir.to_str().expect("utf-8"),
+        ];
+        let cold = snoc(&args);
+        assert!(cold.status.success(), "{example}: {}", stderr(&cold));
+        assert!(stdout(&cold).contains("\"points\""));
+        assert!(
+            stderr(&cold).contains("snoc-cache-stats: hits=0 "),
+            "{example}: cold run simulates every point: {}",
+            stderr(&cold)
+        );
+        let warm = snoc(&args);
+        assert!(warm.status.success(), "{example}: {}", stderr(&warm));
+        assert_eq!(
+            warm.stdout, cold.stdout,
+            "{example}: warm replay is byte-identical"
+        );
+        let stats = stderr(&warm);
+        assert!(
+            stats.contains("snoc-cache-stats: hits=") && stats.contains(" misses=0 "),
+            "{example}: warm run replays every point: {stats}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -315,4 +326,100 @@ fn an_unopenable_cache_dir_fails_repro_and_run_alike() {
         cause.unwrap_or_else(|| panic!("no cache diagnostic: {err}"))
     };
     assert_eq!(diagnostic(&repro), diagnostic(&run));
+}
+
+/// A child process that is killed and reaped however the test ends, a
+/// failed assertion included.
+struct KillOnDrop(Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_replays_a_resubmitted_spec_from_its_cache() {
+    let dir = std::env::temp_dir().join(format!("snoc_cli_serve_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cache = dir.join("cache");
+    let server = Command::new(env!("CARGO_BIN_EXE_snoc"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--threads",
+            "2",
+            "--cache-dir",
+        ])
+        .arg(&cache)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn snoc serve");
+    let mut server = KillOnDrop(server);
+    // The stderr pipe stays with the child, so the server never writes
+    // to a closed pipe.
+    let addr = BufReader::new(server.0.stderr.as_mut().expect("piped stderr"))
+        .lines()
+        .map(|line| line.expect("server stderr"))
+        .find_map(|line| Some(line.strip_prefix("snoc serve: listening on ")?.to_string()))
+        .expect("snoc serve exited before it listened");
+
+    // The shipped example spec, cut to smoke windows.
+    let example = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/campaign_quick.json");
+    let text = std::fs::read_to_string(example).expect("example spec");
+    let mut spec = CampaignSpec::from_json(&text).expect("example spec parses");
+    let smoke = Args {
+        smoke: true,
+        ..Args::default()
+    };
+    (spec.warmup, spec.measure) = (smoke.warmup(), smoke.measure());
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, spec.to_json()).expect("write spec");
+    let spec_path = spec_path.to_str().expect("utf-8");
+
+    // Each submission: its sorted point lines, its `done` result, and
+    // its stats line's point, hit and miss counts.
+    let submit = || {
+        let out = snoc(&["submit", "--addr", &addr, "--spec", spec_path]);
+        assert!(out.status.success(), "{}", stderr(&out));
+        let text = stdout(&out);
+        let mut points: Vec<String> = text
+            .lines()
+            .filter(|l| l.starts_with("{\"event\": \"point\""))
+            .map(str::to_string)
+            .collect();
+        points.sort_unstable();
+        let done = text.lines().last().expect("a done event");
+        let (_, result) = done.split_once("\"result\": ").expect("a result");
+        let result = result.to_string();
+        let err = stderr(&out);
+        let stats = err
+            .lines()
+            .find_map(|l| l.strip_prefix("snoc-submit-stats: "))
+            .unwrap_or_else(|| panic!("no stats line: {err}"));
+        let count = |key: &str| -> u64 {
+            let field = stats.split(' ').find_map(|f| f.strip_prefix(key));
+            field.and_then(|n| n.parse().ok()).expect(stats)
+        };
+        let counts = [count("points="), count("hits="), count("misses=")];
+        assert_eq!(
+            counts[0],
+            counts[1] + counts[2],
+            "one event per point: {stats}"
+        );
+        (points, result, counts)
+    };
+    let (cold, cold_result, [n, hits, _]) = submit();
+    assert!(n > 0 && hits == 0, "cold submission simulates every point");
+    let (warm, warm_result, [_, _, misses]) = submit();
+    assert_eq!(misses, 0, "warm submission replays every point");
+    assert_eq!(warm, cold, "replayed points are the simulated bytes");
+    assert_eq!(warm_result, cold_result);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
 }
