@@ -29,27 +29,34 @@
 //!
 //! # Batching
 //!
-//! A job's response goes out through one `BufWriter` (std's 8 KiB), so
-//! a replayed job leaves in a few writes of whole lines instead of one
-//! per event, under one rule: **no event is held while a simulation is
-//! in flight.** The buffer is flushed when a simulation is about to
-//! start ([`Observer::simulating`]), after every event while one runs,
-//! and after `done`. The response head rides with the first batch,
-//! unless the job has to wait for its turn in the queue: then it goes
-//! out before the wait.
+//! Two buffers carry a job's response. The server writes it through one
+//! `BufWriter` (std's 8 KiB), so a replayed job leaves in a few writes
+//! of whole lines instead of one per event, under one rule: **no event
+//! is held while a simulation is in flight.** The buffer is flushed
+//! when a simulation is about to start ([`Observer::simulating`]),
+//! after every event while one runs, and after `done`. Each event is
+//! rendered once, into the `String` that is written and then kept for
+//! the `done` result, which is written compact in one pass. The
+//! response head goes into the buffer first and leaves with the first
+//! batch: when the buffer fills, or at the first flush, or before the
+//! wait when the job has to wait for its turn in the queue. The client
+//! ([`submit`]) reads through a 64 KiB buffer, so a batch arrives in
+//! one read, and moves each line into one reused `String` to validate
+//! it there.
 //!
 //! [`Observer::simulating`]: snoc_core::Observer::simulating
 //! [`PointCache`]: snoc_core::PointCache
 //! [`SweepPoint`]: snoc_core::SweepPoint
 
-use snoc_core::json::{self, Floats, Layout::Inline, Raw, Reader, Value, Writer};
-use snoc_core::{Campaign, CampaignSpec, Observer, PointCache, SweepPoint};
+use snoc_core::json::{Floats, Layout::Compact, Layout::Inline, Reader, Value, Writer};
+use snoc_core::{Campaign, CampaignResult, CampaignSpec, Observer, PointCache, SweepPoint};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
-use std::io::{self, BufRead as _, BufReader, BufWriter, Read as _, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read as _, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -176,20 +183,31 @@ impl Server {
     ///
     /// Propagates accept-loop failures.
     pub fn run(self) -> io::Result<()> {
-        for stream in self.listener.incoming() {
-            let stream = stream?;
-            // Best-effort: a socket that rejects timeouts still gets
-            // served, it just keeps the old pin-forever behavior.
-            let _ = stream.set_read_timeout(Some(self.client_timeout));
-            let _ = stream.set_write_timeout(Some(self.client_timeout));
-            let state = Arc::clone(&self.state);
-            thread::spawn(move || {
-                // A dropped (or timed-out) client connection only
-                // cancels that reply.
-                let _ = handle(stream, &state);
+        // Each handler thread is started before its connection arrives
+        // and waits in `accept` itself, so a request wakes the thread
+        // that serves it: no spawn and no hand-off on its path. The
+        // next one starts as soon as this one has its connection.
+        let listener = Arc::new(self.listener);
+        loop {
+            let (accepted, next) = mpsc::channel();
+            let (listener, state) = (Arc::clone(&listener), Arc::clone(&self.state));
+            let timeout = self.client_timeout;
+            thread::spawn(move || match listener.accept() {
+                Err(e) => drop(accepted.send(Err(e))),
+                Ok((stream, _)) => {
+                    let _ = accepted.send(Ok(()));
+                    // Best-effort: a socket that rejects timeouts still
+                    // gets served, it just keeps the old pin-forever
+                    // behavior.
+                    let _ = stream.set_read_timeout(Some(timeout));
+                    let _ = stream.set_write_timeout(Some(timeout));
+                    // A dropped (or timed-out) client connection only
+                    // cancels that reply.
+                    let _ = handle(stream, &state);
+                }
             });
+            next.recv().expect("the acceptor reports")?;
         }
-        Ok(())
     }
 }
 
@@ -329,31 +347,18 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
         campaign.run_streamed(&events)
     };
     state.jobs_done.fetch_add(1, Ordering::Relaxed);
-    let Stream {
-        mut out,
-        sent,
-        lines,
-        exact,
-        ..
-    } = events.0.into_inner().expect("stream lock");
-    if let Err(e) = sent {
+    let mut stream = events.0.into_inner().expect("stream lock");
+    if let Err(e) = stream.sent {
         // The client hung up: what is left in the buffer has nowhere
         // to go.
-        drop(out.into_parts());
+        drop(stream.out.into_parts());
         return Err(e);
     }
-    let kept = |point: &SweepPoint| match lines.get(&point.seed) {
-        Some(line) if exact => Cow::Borrowed(&**line),
-        _ => Cow::Owned(point.to_json_line()),
-    };
-    let mut done = Writer::new(FLOATS);
-    done.object(Inline)
-        .field("event", "done")
-        .field("cache_hits", result.cache_hits)
-        .field("cache_misses", result.cache_misses)
-        .field("result", Raw(json::compact(&result.to_json_with(kept))));
-    out.write_all((done.finish() + "\n").as_bytes())?;
-    out.flush()
+    // The last events go out while `done` is rendered.
+    stream.out.flush()?;
+    let done = stream.done(&result);
+    stream.out.write_all(done.as_bytes())?;
+    stream.out.flush()
 }
 
 /// Overwrites the fields the server owns, whatever the client sent.
@@ -377,11 +382,12 @@ struct Stream<W: Write> {
     /// The first failed write. The client hung up: nothing more is
     /// written, and the job still fills the cache.
     sent: io::Result<()>,
-    /// Each point's line by point seed, for the `done` result: a point
-    /// is rendered once. `exact` falls when two different lines come in
-    /// under one seed (a bisection landing on a grid load, a hash
-    /// collision): the result is then rendered afresh.
-    lines: HashMap<u64, String>,
+    /// Each point's event by point seed, with where its point line
+    /// stands in it, for the `done` result: a point is rendered once.
+    /// `exact` falls when two different lines come in under one seed (a
+    /// bisection landing on a grid load, a hash collision): the result
+    /// is then rendered afresh.
+    lines: HashMap<u64, (String, Range<usize>)>,
     exact: bool,
 }
 
@@ -407,6 +413,33 @@ impl<W: Write> Events<W> {
 }
 
 impl<W: Write> Stream<W> {
+    /// The `done` event, its result compact in one pass and each point's
+    /// line as it was streamed.
+    fn done(&self, result: &CampaignResult) -> String {
+        let kept = |point: &SweepPoint| match self.lines.get(&point.seed) {
+            Some((event, at)) if self.exact => Cow::Borrowed(&event[at.clone()]),
+            _ => Cow::Owned(point.to_json_line()),
+        };
+        let mut done = Writer::new(FLOATS);
+        // The streamed lines and what surrounds them, in one allocation.
+        done.reserve(
+            self.lines
+                .values()
+                .map(|(_, at)| at.len() + 1)
+                .sum::<usize>()
+                + 1024,
+        );
+        done.object(Inline)
+            .field("event", "done")
+            .field("cache_hits", result.cache_hits)
+            .field("cache_misses", result.cache_misses)
+            .key("result");
+        result.write_json_with(&mut done, Compact, kept);
+        let mut done = done.finish();
+        done.push('\n');
+        done
+    }
+
     fn send(&mut self, write: impl FnOnce(&mut BufWriter<W>) -> io::Result<()>) {
         if self.sent.is_ok() {
             self.sent = write(&mut self.out);
@@ -422,13 +455,13 @@ impl<W: Write + Send> Observer for Events<W> {
     }
 
     fn point(&self, point: &SweepPoint, simulated: bool) {
-        let line = point.to_json_line();
         let mut event = Writer::new(FLOATS);
-        event
-            .object(Inline)
-            .field("event", "point")
-            .field("point", Raw(&line));
-        let event = event.finish() + "\n";
+        event.object(Inline).field("event", "point").key("point");
+        let start = event.written();
+        point.write_json(&mut event);
+        let line = start..event.written();
+        let mut event = event.finish();
+        event.push('\n');
         let mut stream = self.lock();
         stream.in_flight -= usize::from(simulated);
         let flush = stream.in_flight > 0;
@@ -441,8 +474,11 @@ impl<W: Write + Send> Observer for Events<W> {
         });
         let Stream { lines, exact, .. } = &mut *stream;
         match lines.entry(point.seed) {
-            Entry::Vacant(slot) => drop(slot.insert(line)),
-            Entry::Occupied(kept) => *exact &= *kept.get() == line,
+            Entry::Vacant(slot) => drop(slot.insert((event, line))),
+            Entry::Occupied(kept) => {
+                let (kept, at) = kept.get();
+                *exact &= kept[at.clone()] == event[line];
+            }
         }
     }
 }
@@ -465,7 +501,7 @@ fn stats_json(state: &ServerState) -> String {
 const FLOATS: Floats = Floats::Shortest;
 
 /// `{"key": value}`: the body of `/health` and of every refusal.
-fn one_field(key: &str, value: impl Value) -> String {
+fn one_field(key: &'static str, value: impl Value) -> String {
     let mut w = Writer::new(FLOATS);
     w.object(Inline).field(key, value);
     w.finish()
@@ -498,6 +534,11 @@ pub struct SubmitOutcome {
     pub cache_misses: u64,
 }
 
+/// The client's read buffer: a batch, or the 55 KB `done` line of a
+/// warm 120-point replay, comes in one read, where std's 8 KiB default
+/// takes seven for that line.
+const READ_BUFFER: usize = 64 << 10;
+
 /// Submits a spec to a running server and streams the response:
 /// `on_line` sees every JSONL event line as it arrives.
 ///
@@ -512,29 +553,26 @@ pub fn submit(
     mut on_line: impl FnMut(&str),
 ) -> io::Result<SubmitOutcome> {
     let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
+    // One write: the head and the body leave together.
+    let request = format!(
         "POST /campaign HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{spec_json}",
         spec_json.len()
-    )?;
-    stream.flush()?;
-    let reader = BufReader::new(stream);
-    let mut lines = reader.lines();
-    let status = lines
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no response"))??;
+    );
+    stream.write_all(request.as_bytes())?;
+    let mut reader = BufReader::with_capacity(READ_BUFFER, stream);
+    // Every line of the response goes through this one buffer.
+    let mut line = String::new();
+    if !next_line(&mut reader, &mut line)? {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "no response"));
+    }
+    let status = line.clone();
     let ok = status.split_whitespace().nth(1) == Some("200");
     // Skip response headers.
-    for line in lines.by_ref() {
-        if line?.is_empty() {
-            break;
-        }
-    }
+    while next_line(&mut reader, &mut line)? && !line.is_empty() {}
     let mut outcome = SubmitOutcome::default();
     let mut done = false;
-    for line in lines {
-        let line = line?;
+    while next_line(&mut reader, &mut line)? {
         if line.is_empty() {
             continue;
         }
@@ -542,26 +580,13 @@ pub fn submit(
             return Err(io::Error::other(format!("server: {status}: {line}")));
         }
         on_line(&line);
-        // Only the event name and the two counters are read (a field's
-        // first occurrence, as `JsonValue::get` had it); the rest of the
-        // line — a 100 KB result — is validated, never built.
-        let (mut event, mut hits, mut misses) = (None, None, None);
-        let count = |r: &mut Reader<'_>| r.number()?.parse::<u64>().map_err(|e| e.to_string());
-        let mut reader = Reader::new(&line);
-        let fields = reader.object(|r, key| match &*key {
-            "event" if event.is_none() => r.string().map(|name| event = Some(name)),
-            "cache_hits" if hits.is_none() => count(r).map(|n| hits = Some(n)),
-            "cache_misses" if misses.is_none() => count(r).map(|n| misses = Some(n)),
-            _ => r.skip(),
-        });
-        fields
-            .and_then(|()| reader.finish())
+        let event = read_event(&line)
             .map_err(|e| io::Error::other(format!("bad stream line: {e}: {line}")))?;
-        match event.as_deref() {
+        match event.name.as_deref() {
             Some("point") => outcome.points += 1,
             Some("done") => {
-                outcome.cache_hits = hits.unwrap_or(0);
-                outcome.cache_misses = misses.unwrap_or(0);
+                outcome.cache_hits = event.hits.unwrap_or(0);
+                outcome.cache_misses = event.misses.unwrap_or(0);
                 done = true;
             }
             _ => {}
@@ -577,6 +602,48 @@ pub fn submit(
         ));
     }
     Ok(outcome)
+}
+
+/// Reads the next line into `line`, as `BufRead::lines` yields it: the
+/// newline and a `\r` before it dropped, and an error for a line that
+/// is not UTF-8. `false` at the end of the stream.
+fn next_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<bool> {
+    line.clear();
+    if reader.read_line(line)? == 0 {
+        return Ok(false);
+    }
+    if line.ends_with('\n') {
+        line.pop();
+        if line.ends_with('\r') {
+            line.pop();
+        }
+    }
+    Ok(true)
+}
+
+/// What [`submit`] reads of a stream line: the event name and the two
+/// counters, each a field's first occurrence (as `JsonValue::get` had
+/// it). The rest of the line — a 100 KB result — is validated, never
+/// built.
+#[derive(Debug, Default, PartialEq)]
+struct Event<'a> {
+    name: Option<Cow<'a, str>>,
+    hits: Option<u64>,
+    misses: Option<u64>,
+}
+
+/// Reads one stream line: a JSON object and nothing after it.
+fn read_event(line: &str) -> Result<Event<'_>, String> {
+    let mut event = Event::default();
+    let count = |r: &mut Reader<'_>| r.number()?.parse::<u64>().map_err(|e| e.to_string());
+    let mut reader = Reader::new(line);
+    reader.object(|r, key| match &*key {
+        "event" if event.name.is_none() => r.string().map(|name| event.name = Some(name)),
+        "cache_hits" if event.hits.is_none() => count(r).map(|n| event.hits = Some(n)),
+        "cache_misses" if event.misses.is_none() => count(r).map(|n| event.misses = Some(n)),
+        _ => r.skip(),
+    })?;
+    reader.finish().map(|()| event)
 }
 
 /// Fetches the server's lifetime `/stats` line.
@@ -613,6 +680,11 @@ pub fn fetch_stats(addr: &str) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use snoc_core::SetupSpec;
+    use snoc_power::TechNode;
+    use snoc_traffic::TrafficPattern;
+    use std::sync::OnceLock;
 
     /// A client socket that keeps every `write` apart.
     #[derive(Default)]
@@ -715,5 +787,330 @@ mod tests {
         assert_eq!(writes.concat(), per_event);
         assert_eq!(stream.lines.len(), 202);
         assert!(stream.exact);
+    }
+    /// The lines a 45 nm campaign streams: its point events in
+    /// completion order, then its `done` event.
+    fn stream_lines() -> &'static [String] {
+        static LINES: OnceLock<Vec<String>> = OnceLock::new();
+        LINES.get_or_init(|| {
+            let mut spec = CampaignSpec::new("stream");
+            spec.setups = vec![SetupSpec::new("sn_s"), SetupSpec::new("t2d3")];
+            spec.patterns = vec![TrafficPattern::Random, TrafficPattern::Adversarial1];
+            spec.loads = vec![0.01, 0.05, 0.3];
+            (spec.warmup, spec.measure) = (20, 60);
+            spec.refine_rounds = 1;
+            spec.power_tech = Some(TechNode::N45);
+            let events = Events::new(Recording::default());
+            let result = Campaign::from_spec(&spec).unwrap().run_streamed(&events);
+            let stream = events.0.into_inner().unwrap();
+            let done = stream.done(&result);
+            let written = stream.out.into_inner().map_err(drop).unwrap().0.concat();
+            let text = String::from_utf8(written).unwrap() + &done;
+            text.lines().map(str::to_string).collect()
+        })
+    }
+
+    /// What [`read_event`] returns, owned.
+    type Verdict = Result<(Option<String>, Option<u64>, Option<u64>), String>;
+
+    fn verdict(line: &str) -> Verdict {
+        read_event(line).map(|e| (e.name.map(Cow::into_owned), e.hits, e.misses))
+    }
+
+    /// The stream-line reader as it stood before the bulk skips: one
+    /// byte at a time, recursing once per container, every string
+    /// unescaped into a copy. Its verdicts and messages are the ones
+    /// [`read_event`] must give.
+    struct ByteReader<'a> {
+        text: &'a str,
+        pos: usize,
+        depth: usize,
+    }
+
+    impl ByteReader<'_> {
+        fn byte(&self, at: usize) -> Option<u8> {
+            self.text.as_bytes().get(at).copied()
+        }
+
+        fn peek(&mut self) -> Option<u8> {
+            while matches!(self.byte(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+                self.pos += 1;
+            }
+            self.byte(self.pos)
+        }
+
+        fn next_value(&mut self) -> Result<u8, String> {
+            let (next, pos) = (self.peek(), self.pos);
+            match next {
+                _ if self.depth > 64 => Err(format!("nesting deeper than 64 at byte {pos}")),
+                None => Err("unexpected end of input".to_string()),
+                Some(c) => Ok(c),
+            }
+        }
+
+        fn unexpected(&self, c: u8) -> String {
+            format!("unexpected byte {c:#04x} at {pos}", pos = self.pos)
+        }
+
+        fn literal(&mut self, lit: &str) -> Result<(), String> {
+            if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+                self.pos += lit.len();
+                Ok(())
+            } else {
+                Err(format!("expected `{lit}` at byte {pos}", pos = self.pos))
+            }
+        }
+
+        fn number(&mut self) -> Result<&str, String> {
+            let start = self.pos;
+            let in_run = |c: u8| matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+            let digits = |r: &Self, at: &mut usize| {
+                let from = *at;
+                while r.byte(*at).is_some_and(|c| c.is_ascii_digit()) {
+                    *at += 1;
+                }
+                *at - from
+            };
+            let mut at = start + usize::from(matches!(self.byte(start), Some(b'+' | b'-')));
+            let mut mantissa = digits(self, &mut at);
+            if self.byte(at) == Some(b'.') {
+                at += 1;
+                mantissa += digits(self, &mut at);
+            }
+            let mut end = (mantissa > 0).then_some(at);
+            if end.is_some() && matches!(self.byte(at), Some(b'e' | b'E')) {
+                at += 1;
+                at += usize::from(matches!(self.byte(at), Some(b'+' | b'-')));
+                end = (digits(self, &mut at) > 0).then_some(at);
+            }
+            match end {
+                Some(end) if !self.byte(end).is_some_and(in_run) => {
+                    self.pos = end;
+                    Ok(&self.text[start..end])
+                }
+                _ => {
+                    let mut run = start;
+                    while self.byte(run).is_some_and(in_run) {
+                        run += 1;
+                    }
+                    let raw = &self.text[start..run];
+                    Err(format!("bad number `{raw}` at byte {start}"))
+                }
+            }
+        }
+
+        fn quoted(&mut self) -> Result<String, String> {
+            self.pos += 1;
+            let mut out = String::new();
+            loop {
+                match self.byte(self.pos) {
+                    None => return Err("unterminated string".to_string()),
+                    Some(b'"') => {
+                        self.pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        self.pos += 1;
+                        out.push(match self.byte(self.pos) {
+                            Some(c @ (b'"' | b'\\' | b'/')) => c as char,
+                            Some(b'n') => '\n',
+                            Some(b't') => '\t',
+                            Some(b'r') => '\r',
+                            Some(b'b') => '\u{8}',
+                            Some(b'f') => '\u{c}',
+                            Some(b'u') => {
+                                let hex = self.text.as_bytes().get(self.pos + 1..self.pos + 5);
+                                let hex = hex.ok_or("truncated \\u escape")?;
+                                let code = hex
+                                    .iter()
+                                    .try_fold(0, |code, &c| {
+                                        Some(code << 4 | char::from(c).to_digit(16)?)
+                                    })
+                                    .ok_or("bad \\u escape: expected four hex digits")?;
+                                self.pos += 4;
+                                char::from_u32(code).unwrap_or('\u{fffd}')
+                            }
+                            other => return Err(format!("bad escape {other:?}")),
+                        });
+                        self.pos += 1;
+                    }
+                    Some(_) => {
+                        let c = self.text[self.pos..].chars().next().expect("a character");
+                        out.push(c);
+                        self.pos += c.len_utf8();
+                    }
+                }
+            }
+        }
+
+        fn members(
+            &mut self,
+            close: u8,
+            mut each: impl FnMut(&mut Self) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.pos += 1;
+            if self.peek() != Some(close) {
+                self.depth += 1;
+                loop {
+                    each(self)?;
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(c) if c == close => break,
+                        _ => {
+                            let (close, pos) = (close as char, self.pos);
+                            return Err(format!("expected `,` or `{close}` at byte {pos}"));
+                        }
+                    }
+                }
+                self.depth -= 1;
+            }
+            self.pos += 1;
+            Ok(())
+        }
+
+        fn fields(
+            &mut self,
+            mut field: impl FnMut(&mut Self, String) -> Result<(), String>,
+        ) -> Result<(), String> {
+            self.members(b'}', |r| {
+                if r.peek() != Some(b'"') {
+                    return Err(format!("expected object key at byte {pos}", pos = r.pos));
+                }
+                let key = r.quoted()?;
+                if r.peek() != Some(b':') {
+                    return Err(format!("expected `:` at byte {pos}", pos = r.pos));
+                }
+                r.pos += 1;
+                field(r, key)
+            })
+        }
+
+        fn skip(&mut self) -> Result<(), String> {
+            match self.next_value()? {
+                b'"' => self.quoted().map(drop),
+                b'0'..=b'9' | b'-' => self.number().map(drop),
+                b'{' => self.fields(|r, _| r.skip()),
+                b'[' => self.members(b']', Self::skip),
+                b't' => self.literal("true"),
+                b'f' => self.literal("false"),
+                b'n' => self.literal("null"),
+                c => Err(self.unexpected(c)),
+            }
+        }
+
+        /// A value that must start with one of `first`.
+        fn start(&mut self, first: &[u8]) -> Result<(), String> {
+            match self.next_value()? {
+                c if first.contains(&c) => Ok(()),
+                c => Err(self.unexpected(c)),
+            }
+        }
+    }
+
+    /// [`read_event`] by the byte-at-a-time reader.
+    fn by_bytes(line: &str) -> Verdict {
+        let mut r = ByteReader {
+            text: line,
+            pos: 0,
+            depth: 0,
+        };
+        let (mut name, mut hits, mut misses) = (None, None, None);
+        let count = |r: &mut ByteReader<'_>| {
+            r.start(b"0123456789-")?;
+            r.number()?.parse::<u64>().map_err(|e| e.to_string())
+        };
+        r.start(b"{")?;
+        r.fields(|r, key| match key.as_str() {
+            "event" if name.is_none() => {
+                r.start(b"\"")?;
+                r.quoted().map(|n| name = Some(n))
+            }
+            "cache_hits" if hits.is_none() => count(r).map(|n| hits = Some(n)),
+            "cache_misses" if misses.is_none() => count(r).map(|n| misses = Some(n)),
+            _ => r.skip(),
+        })?;
+        match r.peek() {
+            None => Ok((name, hits, misses)),
+            Some(_) => Err(format!("trailing data at byte {pos}", pos = r.pos)),
+        }
+    }
+
+    /// One edit of `line` that keeps it UTF-8: a byte flipped to another
+    /// ASCII byte, a cut, a character dropped, or one inserted from the
+    /// bytes a reader must stop at.
+    fn mutate(line: &mut String, rng: &mut TestRng) {
+        const INSERTS: [&str; 16] = [
+            "\"", "\\", "\u{1}", "\u{1f}", "\t", "\n", "é", "日", "🦀", "{", "[", ",", ":", "-",
+            "e", " ",
+        ];
+        let boundaries: Vec<usize> = line.char_indices().map(|(at, _)| at).collect();
+        let pick = |rng: &mut TestRng, n: usize| (rng.next_u64() % n as u64) as usize;
+        let at = match boundaries.len() {
+            0 => 0,
+            n => boundaries[pick(rng, n)],
+        };
+        match rng.next_u64() % 4 {
+            0 if line.as_bytes().get(at).is_some_and(u8::is_ascii) => {
+                let c = char::from((rng.next_u64() % 0x80) as u8);
+                line.replace_range(at..=at, c.encode_utf8(&mut [0; 4]));
+            }
+            1 => line.truncate(at),
+            2 if at < line.len() => drop(line.remove(at)),
+            _ => line.insert_str(at, INSERTS[pick(rng, INSERTS.len())]),
+        }
+    }
+
+    #[test]
+    fn the_stream_lines_read_as_they_did_byte_at_a_time() {
+        let lines = stream_lines();
+        assert!(lines.len() > 10 && lines.last().unwrap().contains("slim_noc-sweep-v2"));
+        for line in lines {
+            assert_eq!(verdict(line), by_bytes(line), "{line}");
+            assert!(verdict(line).is_ok(), "{line}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_line_validator_gives_the_byte_at_a_time_verdicts(seed in 0u64..u64::MAX) {
+            let lines = stream_lines();
+            let mut rng = TestRng::from_name(&seed.to_string());
+            for _ in 0..16 {
+                let mut line = lines[(rng.next_u64() % lines.len() as u64) as usize].clone();
+                for _ in 0..1 + rng.next_u64() % 3 {
+                    mutate(&mut line, &mut rng);
+                }
+                let (fast, slow) = (verdict(&line), by_bytes(&line));
+                prop_assert!(fast == slow, "{fast:?} != {slow:?} on `{line}`");
+            }
+        }
+    }
+
+    #[test]
+    fn next_line_yields_what_lines_yields() {
+        let text = b"a\r\nb\n\nc\r\r\nlast".to_vec();
+        let mut bad = text.clone();
+        bad.extend_from_slice(b"\n\xff\xfe\nafter\n");
+        for bytes in [text, bad] {
+            let mut want = io::Cursor::new(&bytes).lines();
+            let (mut reader, mut line) = (io::Cursor::new(&bytes), String::new());
+            loop {
+                let got = next_line(&mut reader, &mut line);
+                match (got, want.next()) {
+                    (Ok(false), None) => break,
+                    (Ok(true), Some(Ok(expected))) => assert_eq!(line, expected),
+                    (Err(e), Some(Err(expected))) => {
+                        assert_eq!(
+                            (e.kind(), e.to_string()),
+                            (expected.kind(), expected.to_string())
+                        );
+                        break;
+                    }
+                    (got, expected) => panic!("{got:?} against {expected:?}"),
+                }
+            }
+        }
     }
 }

@@ -1,12 +1,15 @@
 //! Pins the committed figure campaigns under `specs/`: every file is
 //! used by exactly one registry row, parses with its `name` equal to its
-//! file stem, and runs under `run_spec` at `--smoke`; the latency
+//! file stem, and runs under `run_spec` at `--smoke`, where its result
+//! rendered compact in one pass (the server's `done` event) is the
+//! pretty one compacted; the latency
 //! figures sweep `load_grid()`, the energy figures `energy_load_grid()`
 //! and the saturation sweeps `saturation_load_grid()`.
 
 use snoc_bench::figures::{Draw, Figure, Render, REGISTRY};
 use snoc_bench::{energy_load_grid, load_grid, run_spec, saturation_load_grid, Args};
-use snoc_core::{parallel_map_with_threads, CampaignSpec};
+use snoc_core::json::{self, Floats, Layout, Writer};
+use snoc_core::{parallel_map_with_threads, CampaignSpec, SweepPoint};
 
 const DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
 
@@ -41,15 +44,32 @@ fn every_committed_spec_belongs_to_one_row_parses_and_runs() {
         let spec = CampaignSpec::from_json(&text).unwrap_or_else(|e| panic!("{stem}: {e}"));
         assert_eq!(&spec.name, stem, "a spec's name is its file stem");
     }
-    let smoke = Args {
-        smoke: true,
-        ..Args::default()
-    };
+    let stores = std::env::temp_dir().join(format!("snoc_specs_{}", std::process::id()));
     let runs = parallel_map_with_threads(stems.clone(), 0, |stem| {
-        run_spec(&format!("{DIR}/{stem}.json"), &smoke, &mut Vec::new())
+        let smoke = Args {
+            smoke: true,
+            cache_dir: Some(stores.join(&stem).to_str().expect("UTF-8").to_string()),
+            ..Args::default()
+        };
+        let path = format!("{DIR}/{stem}.json");
+        let mut pretty = Vec::new();
+        run_spec(&path, &smoke, &mut pretty)?;
+        // The same result, replayed from the store the run filled.
+        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string())?;
+        let spec = CampaignSpec::from_json(&text).map_err(|e| e.to_string())?;
+        let replayed = smoke.campaign(spec).map_err(|e| e.to_string())?.run();
+        let mut w = Writer::new(Floats::Shortest);
+        replayed.write_json_with(&mut w, Layout::Compact, SweepPoint::to_json_line);
+        let pretty = String::from_utf8(pretty).map_err(|e| e.to_string())?;
+        Ok::<_, String>((w.finish(), json::compact(&pretty)))
     });
+    let _ = std::fs::remove_dir_all(&stores);
     for (stem, run) in stems.iter().zip(runs) {
-        assert!(run.is_ok(), "specs/{stem}.json: {run:?}");
+        let (one_pass, compacted) = run.unwrap_or_else(|e| panic!("specs/{stem}.json: {e}"));
+        assert!(
+            one_pass == compacted,
+            "specs/{stem}.json: compact result differs"
+        );
     }
 }
 

@@ -38,9 +38,10 @@
 //! `SimReport::to_json` (the engine fingerprint's input) is written by
 //! `snoc_sim`, which sits below this crate.
 
-use crate::report::CompactFloat;
+use crate::report::{push_u64, CompactFloat};
 use std::borrow::Cow;
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -277,15 +278,14 @@ impl<'a> Reader<'a> {
     /// end, never parsed.
     fn number_token(&mut self) -> Result<&'a str, String> {
         let (b, start) = (self.text.as_bytes(), self.pos);
-        let in_run = |c: &u8| matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
         match float_end(b, start) {
             // The grammar took the whole run.
-            Some(end) if !b.get(end).is_some_and(in_run) => {
+            Some(end) if !b.get(end).is_some_and(in_number) => {
                 self.pos = end;
                 Ok(&self.text[start..end])
             }
             _ => {
-                let run = b[start..].iter().take_while(|c| in_run(c)).count();
+                let run = b[start..].iter().take_while(|c| in_number(c)).count();
                 let raw = &self.text[start..start + run];
                 Err(format!("bad number `{raw}` at byte {start}"))
             }
@@ -306,7 +306,7 @@ impl<'a> Reader<'a> {
         // Most strings hold no escape: the slice up to the closing
         // quote (ASCII, so it ends on a character boundary).
         let rest = &b[self.pos..];
-        if let Some(len) = rest.iter().position(|&c| c == b'"' || c == b'\\') {
+        if let Some(len) = delimiter(rest) {
             if rest[len] == b'"' {
                 let run = &self.text[self.pos..self.pos + len];
                 self.pos += len + 1;
@@ -356,10 +356,7 @@ impl<'a> Reader<'a> {
                     // inside a multi-byte sequence and the run stays on
                     // character boundaries of the document.
                     let rest = &b[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&c| c == b'"' || c == b'\\')
-                        .unwrap_or(rest.len());
+                    let len = delimiter(rest).unwrap_or(rest.len());
                     let run = self.text.get(self.pos..self.pos + len);
                     let run = run.ok_or("invalid UTF-8 in string")?;
                     if out.is_empty() {
@@ -440,14 +437,28 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one value of any type and drops it, validated exactly as
-    /// [`parse`] validates it. The byte the value starts with picks the
-    /// reading; nothing is peeked twice.
+    /// [`parse`] validates it. The `snoc submit` client skips a 100 KB
+    /// result this way, so the common case takes one pass over local
+    /// state; a value that pass does not take (an escape, an error) is
+    /// read again one call per value, which names what it found.
     pub fn skip(&mut self) -> Result<(), String> {
+        match plain_end(self.text.as_bytes(), self.pos, self.depth) {
+            Some(end) => {
+                self.pos = end;
+                Ok(())
+            }
+            None => self.skip_exact(),
+        }
+    }
+
+    /// [`Reader::skip`] one call per value: the byte the value starts
+    /// with picks the reading; nothing is peeked twice.
+    fn skip_exact(&mut self) -> Result<(), String> {
         match self.next_value()? {
             b'"' => self.quoted().map(drop),
             b'0'..=b'9' | b'-' => self.number_token().map(drop),
-            b'{' => self.fields(|r, _| r.skip()),
-            b'[' => self.members(b']', Self::skip),
+            b'{' => self.fields(|r, _| r.skip_exact()),
+            b'[' => self.members(b']', Self::skip_exact),
             b't' => self.literal("true", ()),
             b'f' => self.literal("false", ()),
             b'n' => self.literal("null", ()),
@@ -462,6 +473,141 @@ impl<'a> Reader<'a> {
             Some(_) => Err(format!("trailing data at byte {pos}", pos = self.pos)),
         }
     }
+}
+
+/// The end of the value at `pos` when it holds no escape and nothing
+/// [`Reader::skip_exact`] would refuse, `None` otherwise: the same
+/// grammar and depth cap, with the cursor, the open containers and the
+/// strings' plain runs kept in locals.
+fn plain_end(b: &[u8], mut pos: usize, depth: usize) -> Option<usize> {
+    // The containers open inside the value, innermost in the lowest
+    // bit of `objects`, which is set for an object.
+    let (mut open, mut objects) = (0, 0u128);
+    loop {
+        blank(b, &mut pos);
+        if depth + open > MAX_DEPTH {
+            return None;
+        }
+        match *b.get(pos)? {
+            b'"' => pos = string_end(b, pos)?,
+            b'0'..=b'9' | b'-' => {
+                pos = float_end(b, pos).filter(|&end| !b.get(end).is_some_and(in_number))?;
+            }
+            b't' if b[pos..].starts_with(b"true") => pos += 4,
+            b'f' if b[pos..].starts_with(b"false") => pos += 5,
+            b'n' if b[pos..].starts_with(b"null") => pos += 4,
+            c @ (b'{' | b'[') => {
+                let object = c == b'{';
+                pos += 1;
+                blank(b, &mut pos);
+                if b.get(pos) == Some(&closer(object)) {
+                    pos += 1;
+                } else {
+                    (open, objects) = (open + 1, objects << 1 | u128::from(object));
+                    if object {
+                        pos = key_end(b, pos)?;
+                    }
+                    continue;
+                }
+            }
+            _ => return None,
+        }
+        // A value is read: close the containers it ends, then go on to
+        // the next member.
+        loop {
+            if open == 0 {
+                return Some(pos);
+            }
+            let object = objects & 1 == 1;
+            blank(b, &mut pos);
+            match *b.get(pos)? {
+                b',' => {
+                    pos += 1;
+                    if object {
+                        pos = key_end(b, pos)?;
+                    }
+                    break;
+                }
+                c if c == closer(object) => {
+                    pos += 1;
+                    (open, objects) = (open - 1, objects >> 1);
+                }
+                _ => return None,
+            }
+        }
+    }
+}
+
+/// Moves `pos` past the whitespace [`Reader::peek`] skips.
+fn blank(b: &[u8], pos: &mut usize) {
+    while matches!(b.get(*pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        *pos += 1;
+    }
+}
+
+fn closer(object: bool) -> u8 {
+    if object {
+        b'}'
+    } else {
+        b']'
+    }
+}
+
+/// The end of the string at `pos` when it holds no escape.
+fn string_end(b: &[u8], pos: usize) -> Option<usize> {
+    let rest = &b[pos + 1..];
+    let len = delimiter(rest).filter(|&len| rest[len] == b'"')?;
+    Some(pos + len + 2)
+}
+
+/// Past an object member's key and its colon.
+fn key_end(b: &[u8], mut pos: usize) -> Option<usize> {
+    blank(b, &mut pos);
+    if b.get(pos) != Some(&b'"') {
+        return None;
+    }
+    pos = string_end(b, pos)?;
+    blank(b, &mut pos);
+    (b.get(pos) == Some(&b':')).then_some(pos + 1)
+}
+
+/// A byte of a number token's run: what [`Reader::number_token`] names
+/// in a refusal.
+fn in_number(c: &u8) -> bool {
+    matches!(c, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+}
+
+/// Eight bytes of `b` from `at` as one word, the first in the lowest
+/// byte; `None` within eight bytes of the end.
+fn word(b: &[u8], at: usize) -> Option<u64> {
+    let bytes = b.get(at..at + 8)?;
+    Some(u64::from_le_bytes(bytes.try_into().expect("eight bytes")))
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_le_bytes([1; 8]);
+
+/// The high bit of the first byte of `w` that is zero, and perhaps of
+/// later bytes (a borrow runs upwards only): the lowest set bit is
+/// always the first zero byte.
+fn zero_byte(w: u64) -> u64 {
+    w.wrapping_sub(ONES) & !w & ONES << 7
+}
+
+/// The offset of the first `"` or `\` in `b`: where a string's plain
+/// run ends. Eight bytes at a time, the tail byte by byte.
+fn delimiter(b: &[u8]) -> Option<usize> {
+    let mut at = 0;
+    while let Some(w) = word(b, at) {
+        let hit =
+            zero_byte(w ^ (ONES * u64::from(b'"'))) | zero_byte(w ^ (ONES * u64::from(b'\\')));
+        if hit != 0 {
+            return Some(at + hit.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = b[at..].iter().position(|&c| c == b'"' || c == b'\\');
+    tail.map(|len| at + len)
 }
 
 /// The end of the number that `f64::from_str`'s grammar reads from
@@ -516,6 +662,10 @@ pub enum Layout {
     /// One per line, indented two spaces per open container, and the
     /// closing bracket on a line of its own, an empty container's too.
     Lines,
+    /// `Lines` on one line: its separators without the line breaks and
+    /// the indentation, `{"a": 1,"b": [2, 3]}`, which is what
+    /// [`compact`] makes of a `Lines` container.
+    Compact,
 }
 
 /// A value a [`Writer`] writes: a string (escaped), a `bool`, an
@@ -536,11 +686,13 @@ pub struct Raw<T>(pub T);
 /// [`Writer::end`] closes it.
 #[derive(Debug)]
 pub struct Writer {
-    out: String,
+    /// The document's bytes: UTF-8 throughout, checked once by
+    /// [`Writer::finish`], so that digits go in without a check each.
+    out: Vec<u8>,
     floats: Floats,
     /// The open containers, innermost last: closing bracket, layout,
     /// and whether a member is written.
-    stack: Vec<(char, Layout, bool)>,
+    stack: Vec<(u8, Layout, bool)>,
     /// A key is written and its value comes next.
     keyed: bool,
 }
@@ -550,9 +702,10 @@ impl Writer {
     #[must_use]
     pub fn new(floats: Floats) -> Self {
         Writer {
-            // One allocation holds a point or store line, which would
+            // One allocation holds a store line or a point's event
+            // (a 45 nm point alone is near 500 bytes), which would
             // otherwise grow through a run of small reallocations.
-            out: String::with_capacity(512),
+            out: Vec::with_capacity(1024),
             floats,
             stack: Vec::new(),
             keyed: false,
@@ -561,12 +714,12 @@ impl Writer {
 
     /// Opens an object.
     pub fn object(&mut self, layout: Layout) -> &mut Self {
-        self.begin('{', '}', layout)
+        self.begin(b'{', b'}', layout)
     }
 
     /// Opens a list.
     pub fn list(&mut self, layout: Layout) -> &mut Self {
-        self.begin('[', ']', layout)
+        self.begin(b'[', b']', layout)
     }
 
     /// Writes `items` as one inline list.
@@ -592,16 +745,21 @@ impl Writer {
         self
     }
 
-    /// Writes an object key; the next value written is its value.
-    pub fn key(&mut self, key: &str) -> &mut Self {
-        self.item(key);
-        self.out.push_str(": ");
+    /// Writes an object key; the next value written is its value. Keys
+    /// are names fixed in the code, which never need an escape, so they
+    /// are copied as they are.
+    pub fn key(&mut self, key: &'static str) -> &mut Self {
+        debug_assert!(!key.bytes().any(needs_escape), "key `{key}`");
+        self.member();
+        self.out.push(b'"');
+        self.out.extend_from_slice(key.as_bytes());
+        self.out.extend_from_slice(b"\": ");
         self.keyed = true;
         self
     }
 
     /// Writes the object member `key: value`.
-    pub fn field(&mut self, key: &str, value: impl Value) -> &mut Self {
+    pub fn field(&mut self, key: &'static str, value: impl Value) -> &mut Self {
         self.key(key).item(value)
     }
 
@@ -612,16 +770,35 @@ impl Writer {
         self
     }
 
+    /// Makes room for at least `additional` more bytes at once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.out.reserve(additional);
+    }
+
+    /// Bytes written so far: where the next value starts.
+    #[must_use]
+    pub fn written(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Runs `write` with this writer's floats following `floats`: a
+    /// document written inside another keeps its own rule.
+    pub(crate) fn with_floats(&mut self, floats: Floats, write: impl FnOnce(&mut Self)) {
+        let outer = std::mem::replace(&mut self.floats, floats);
+        write(self);
+        self.floats = outer;
+    }
+
     /// Closes every container still open and returns the document.
     #[must_use]
     pub fn finish(mut self) -> String {
         while !self.stack.is_empty() {
             self.end();
         }
-        self.out
+        String::from_utf8(self.out).expect("the writer writes UTF-8")
     }
 
-    fn begin(&mut self, open: char, close: char, layout: Layout) -> &mut Self {
+    fn begin(&mut self, open: u8, close: u8, layout: Layout) -> &mut Self {
         self.member();
         self.out.push(open);
         self.stack.push((close, layout, false));
@@ -639,7 +816,11 @@ impl Writer {
         };
         let lines = *layout == Layout::Lines;
         if std::mem::replace(any, true) {
-            self.out.push_str(if lines { "," } else { ", " });
+            self.out.extend_from_slice(if *layout == Layout::Inline {
+                b", "
+            } else {
+                b","
+            });
         }
         if lines {
             self.newline();
@@ -647,9 +828,9 @@ impl Writer {
     }
 
     fn newline(&mut self) {
-        self.out.push('\n');
+        self.out.push(b'\n');
         for _ in &self.stack {
-            self.out.push_str("  ");
+            self.out.extend_from_slice(b"  ");
         }
     }
 }
@@ -657,31 +838,35 @@ impl Writer {
 impl<S: AsRef<str> + ?Sized> Value for &S {
     fn write(self, w: &mut Writer) {
         let s = self.as_ref();
-        w.out.push('"');
-        // Copies the runs between escapes whole: every escaped byte is
-        // ASCII, so each run ends on a character boundary.
+        w.out.push(b'"');
+        // Copies the runs between escapes whole.
         let mut run = 0;
         for (i, b) in s.bytes().enumerate() {
-            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            if !needs_escape(b) {
                 continue;
             }
-            w.out.push_str(&s[run..i]);
+            w.out.extend_from_slice(&s.as_bytes()[run..i]);
             let _ = match b {
-                b'"' | b'\\' => write!(w.out, "\\{}", b as char),
+                b'"' | b'\\' => w.out.write_all(&[b'\\', b]),
                 _ => write!(w.out, "\\u{b:04x}"),
             };
             run = i + 1;
         }
-        w.out.push_str(&s[run..]);
-        w.out.push('"');
+        w.out.extend_from_slice(&s.as_bytes()[run..]);
+        w.out.push(b'"');
     }
+}
+
+/// A byte a JSON string cannot hold as it is.
+fn needs_escape(b: u8) -> bool {
+    matches!(b, b'"' | b'\\' | 0..=0x1f)
 }
 
 impl Value for f64 {
     fn write(self, w: &mut Writer) {
         match w.floats {
-            Floats::Bits => Raw(self.to_bits()).write(w),
-            _ if !self.is_finite() => w.out.push_str("null"),
+            Floats::Bits => self.to_bits().write(w),
+            _ if !self.is_finite() => w.out.extend_from_slice(b"null"),
             Floats::Shortest => Raw(self).write(w),
             Floats::Decimals(digits) => CompactFloat(self, digits).push_to(&mut w.out),
         }
@@ -694,20 +879,22 @@ impl<T: fmt::Display> Value for Raw<T> {
     }
 }
 
-macro_rules! display_values {
-    ($($t:ty),*) => {$(
-        impl Value for $t {
-            fn write(self, w: &mut Writer) {
-                Raw(self).write(w);
-            }
-        }
-    )*};
+impl Value for u64 {
+    fn write(self, w: &mut Writer) {
+        push_u64(&mut w.out, self);
+    }
 }
-display_values!(u64, usize);
+
+impl Value for usize {
+    fn write(self, w: &mut Writer) {
+        (self as u64).write(w);
+    }
+}
 
 impl Value for bool {
     fn write(self, w: &mut Writer) {
-        w.out.push_str(if self { "true" } else { "false" });
+        w.out
+            .extend_from_slice(if self { b"true" } else { b"false" });
     }
 }
 
@@ -717,7 +904,8 @@ impl Value for bool {
 pub fn escape(s: &str) -> String {
     let mut w = Writer::new(Floats::Shortest);
     w.item(s);
-    w.out[1..w.out.len() - 1].to_string()
+    let quoted = w.finish();
+    quoted[1..quoted.len() - 1].to_string()
 }
 
 /// Compacts the workspace's line-oriented pretty JSON onto one line by
@@ -1036,6 +1224,29 @@ mod tests {
             written(Floats::Bits, f64::NAN),
             f64::NAN.to_bits().to_string()
         );
+    }
+
+    #[test]
+    fn the_word_search_stops_where_a_byte_search_stops() {
+        // Fill bytes one off each delimiter, with and without the high
+        // bit, and zero (a borrow source), around zero, one or two stops.
+        let fills = [b'a', 0x00, 0x01, b'!', b'#', b'[', b']', 0xa2, 0xdc, 0xff];
+        for len in 0..26 {
+            for fill in fills {
+                for first in 0..=len {
+                    for stops in [[b'"', b'"'], [b'\\', b'"'], [b'"', b'\\']] {
+                        let mut b = vec![fill; len];
+                        for (at, stop) in [first, first + 3].into_iter().zip(stops) {
+                            if at < len {
+                                b[at] = stop;
+                            }
+                        }
+                        let want = b.iter().position(|&c| c == b'"' || c == b'\\');
+                        assert_eq!(delimiter(&b), want, "{b:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

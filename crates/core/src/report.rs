@@ -1,8 +1,10 @@
 //! Result rendering: aligned text tables and CSV for the reproduction
 //! figures (`snoc repro`).
 
+use std::cmp::Ordering;
 use std::fmt::{self, Write as _};
 use std::io;
+use std::ops::Range;
 
 /// Formats a float with `prec` decimals, trimming to a compact form.
 #[must_use]
@@ -15,13 +17,20 @@ pub fn format_float(x: f64, prec: usize) -> String {
 pub(crate) struct CompactFloat(pub f64, pub usize);
 
 impl CompactFloat {
-    /// Appends the rendering to `out`; the fixed branch without a
+    /// The rendering by integer arithmetic, or `None` where only
+    /// `core::fmt` renders it (zero, non-finite, outside the covered
+    /// ranges, a precision outside 1..=6).
+    fn digits(&self) -> Option<Digits> {
+        Digits::fixed(self.0, self.1).or_else(|| Digits::exponent(self.0, self.1))
+    }
+
+    /// Appends the rendering to `out`; the covered ranges without a
     /// formatter.
-    pub(crate) fn push_to(self, out: &mut String) {
-        match Fixed::new(self.0, self.1) {
-            Some(fixed) => out.push_str(fixed.as_str()),
+    pub(crate) fn push_to(self, out: &mut Vec<u8>) {
+        match self.digits() {
+            Some(digits) => out.extend_from_slice(digits.bytes()),
             None => {
-                let _ = write!(out, "{self}");
+                let _ = io::Write::write_fmt(out, format_args!("{self}"));
             }
         }
     }
@@ -32,9 +41,9 @@ impl fmt::Display for CompactFloat {
         let CompactFloat(x, prec) = *self;
         if x == 0.0 {
             f.write_str("0")
-        } else if let Some(fixed) = Fixed::new(x, prec) {
-            f.write_str(fixed.as_str())
-        } else if (0.01..1e6).contains(&x.abs()) {
+        } else if let Some(digits) = self.digits() {
+            f.write_str(digits.as_str())
+        } else if FIXED.contains(&x.abs()) {
             write!(f, "{x:.prec$}")
         } else {
             write!(f, "{x:.prec$e}")
@@ -42,64 +51,213 @@ impl fmt::Display for CompactFloat {
     }
 }
 
-/// `format!("{x:.prec$}")` for |x| in [0.01, 1e6) and `prec` in 1..=6,
-/// by integer arithmetic: the 53-bit mantissa times 10^prec, shifted
-/// down to the integer part with the remainder rounded half to even,
-/// exactly as `core::fmt` rounds the exact binary value.
-struct Fixed {
-    /// Sign, digits and point, right-aligned.
-    buf: [u8; 16],
+/// The |x| that [`format_float`] writes in fixed point; exponent form
+/// elsewhere.
+const FIXED: Range<f64> = 0.01..1e6;
+
+/// The |x| beside [`FIXED`] whose exponent form [`Digits::exponent`]
+/// renders: every column the sweeps write (energies near 1e-10 J, edp
+/// near 1e-7 J·s, flits/J near 1e9) with decades to spare, and narrow
+/// enough that the scaled mantissa fits a `u128`.
+const EXPONENT: [Range<f64>; 2] = [1e-15..0.01, 1e6..1e30];
+
+/// Appends the decimal digits of `n`, as `n.to_string()` has them.
+pub(crate) fn push_u64(out: &mut Vec<u8>, n: u64) {
+    let mut digits = Digits::new();
+    digits.push_int(n);
+    out.extend_from_slice(digits.bytes());
+}
+
+/// `10^k` for every `k` the renderers scale by.
+const POW10: [u128; 30] = {
+    let mut pow = [1; 30];
+    let mut k = 1;
+    while k < 30 {
+        pow[k] = pow[k - 1] * 10;
+        k += 1;
+    }
+    pow
+};
+
+/// The two digits of every number below 100, in order.
+const PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// ASCII built right to left in a fixed buffer: an integer, or a float
+/// rendered as `core::fmt` renders it, by integer arithmetic over the
+/// exact binary value. The 53-bit mantissa is scaled by a power of ten
+/// and rounded half to even, exactly as `core::fmt` rounds.
+struct Digits {
+    /// Sign, digits, point and exponent, right-aligned.
+    buf: [u8; 24],
     start: usize,
 }
 
-impl Fixed {
-    /// The rendering, or `None` outside the covered range.
-    fn new(x: f64, prec: usize) -> Option<Fixed> {
-        if !(0.01..1e6).contains(&x.abs()) || !(1..=6).contains(&prec) {
-            return None;
+impl Digits {
+    fn new() -> Self {
+        Digits {
+            buf: [0; 24],
+            start: 24,
         }
-        let bits = x.to_bits();
-        let mantissa = u128::from(bits & ((1 << 52) - 1) | 1 << 52);
-        // x = mantissa · 2^-shift with shift in 33..=59 over the range:
-        // 2^-7 < 0.01 and 1e6 < 2^20.
-        let shift = 1075 - ((bits >> 52) & 0x7ff) as u32;
-        let scaled = mantissa * 10u128.pow(prec as u32);
-        let (mut q, rem) = (scaled >> shift, scaled & ((1 << shift) - 1));
-        let half = 1 << (shift - 1);
-        if rem > half || (rem == half && q & 1 == 1) {
-            q += 1;
+    }
+
+    fn push(&mut self, c: u8) {
+        self.start -= 1;
+        self.buf[self.start] = c;
+    }
+
+    /// Pushes the decimal digits of `n`, two at a time.
+    fn push_int(&mut self, mut n: u64) {
+        while n >= 100 {
+            self.push_pair((n % 100) as usize);
+            n /= 100;
         }
-        // Below 1e6 · 10^6 + 1, so the digits fit a u64 and the buffer.
-        let mut q = q as u64;
-        let mut fixed = Fixed {
-            buf: [0; 16],
-            start: 16,
-        };
-        let mut push = |c: u8| {
-            fixed.start -= 1;
-            fixed.buf[fixed.start] = c;
-        };
-        for _ in 0..prec {
-            push(b'0' + (q % 10) as u8);
-            q /= 10;
+        if n >= 10 {
+            self.push_pair(n as usize);
+        } else {
+            self.push(b'0' + n as u8);
         }
-        push(b'.');
-        loop {
-            push(b'0' + (q % 10) as u8);
-            q /= 10;
-            if q == 0 {
-                break;
-            }
+    }
+
+    fn push_pair(&mut self, n: usize) {
+        self.start -= 2;
+        self.buf[self.start..self.start + 2].copy_from_slice(&PAIRS[2 * n..2 * n + 2]);
+    }
+
+    /// Pushes the last `count` digits of `n`, zero-padded, two at a
+    /// time, and returns the digits above them.
+    fn push_low(&mut self, mut n: u64, mut count: usize) -> u64 {
+        while count >= 2 {
+            self.push_pair((n % 100) as usize);
+            n /= 100;
+            count -= 2;
         }
-        if x < 0.0 {
-            push(b'-');
+        if count == 1 {
+            self.push(b'0' + (n % 10) as u8);
+            n /= 10;
         }
-        Some(fixed)
+        n
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start..]
     }
 
     fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.buf[self.start..]).expect("ASCII digits")
+        std::str::from_utf8(self.bytes()).expect("ASCII digits")
     }
+
+    /// `format!("{x:.prec$}")` for |x| in [`FIXED`] and `prec` in 1..=6.
+    fn fixed(x: f64, prec: usize) -> Option<Digits> {
+        if !FIXED.contains(&x.abs()) || !(1..=6).contains(&prec) {
+            return None;
+        }
+        // x = m · 2^t with t in -59..=-33 over the range: 2^-7 < 0.01
+        // and 1e6 < 2^20, so the scaled mantissa is below 2^73 and its
+        // quotient, below 1e6 · 10^6 + 1, fits a u64.
+        let (m, t) = parts(x);
+        let shift = t.unsigned_abs();
+        let scaled = u128::from(m) * POW10[prec];
+        let (q, rem, half) = (
+            scaled >> shift,
+            scaled & ((1 << shift) - 1),
+            1 << (shift - 1),
+        );
+        let up = rem > half || rem == half && q & 1 == 1;
+        let q = q as u64;
+        let mut digits = Digits::new();
+        let whole = digits.push_low(q + u64::from(up), prec);
+        digits.push(b'.');
+        digits.push_int(whole);
+        if x < 0.0 {
+            digits.push(b'-');
+        }
+        Some(digits)
+    }
+
+    /// `format!("{x:.prec$e}")` for |x| in [`EXPONENT`] and `prec` in
+    /// 1..=6: `prec + 1` significant digits, rounded once, and a carry
+    /// into the next power of ten (9.9999995e-3 → `1.000000e-2`).
+    fn exponent(x: f64, prec: usize) -> Option<Digits> {
+        if !EXPONENT.iter().any(|r| r.contains(&x.abs())) || !(1..=6).contains(&prec) {
+            return None;
+        }
+        let (m, t) = parts(x);
+        let unit = POW10[prec] as u64;
+        // With 2^e ≤ |x| < 2^(e+1), the decimal exponent is ⌊e·log10 2⌋
+        // or one more; (e · 78913) >> 18 is that floor for |e| < 1650.
+        let below = ((t + 52) * 78_913) >> 18;
+        let (q, rem, exact) = scaled(m, t, prec as i32 - below);
+        let (mut power, mut q) = if q < 10 * unit {
+            (below, q + u64::from(rounds_up(q, rem)))
+        } else {
+            // One digit too many: |x| ≥ 10^(below + 1). Drop it, and
+            // round on it and on whether anything lies below it.
+            let (q, dropped) = (q / 10, q % 10);
+            let tie = if exact {
+                Ordering::Equal
+            } else {
+                Ordering::Greater
+            };
+            (
+                below + 1,
+                q + u64::from(rounds_up(q, dropped.cmp(&5).then(tie))),
+            )
+        };
+        if q == 10 * unit {
+            q = unit;
+            power += 1;
+        }
+        let mut digits = Digits::new();
+        digits.push_int(u64::from(power.unsigned_abs()));
+        if power < 0 {
+            digits.push(b'-');
+        }
+        digits.push(b'e');
+        let lead = digits.push_low(q, prec);
+        digits.push(b'.');
+        digits.push_int(lead);
+        if x < 0.0 {
+            digits.push(b'-');
+        }
+        Some(digits)
+    }
+}
+
+/// The mantissa and binary exponent of a normal `x`: |x| = m · 2^t.
+fn parts(x: f64) -> (u64, i32) {
+    let bits = x.to_bits();
+    let m = bits & ((1 << 52) - 1) | 1 << 52;
+    (m, ((bits >> 52) & 0x7ff) as i32 - 1075)
+}
+
+/// ⌊m · 2^t · 10^d⌋, its remainder against half a unit, and whether the
+/// remainder is zero. The callers' ranges keep the numerator and
+/// denominator below 2^127.
+fn scaled(m: u64, t: i32, d: i32) -> (u64, Ordering, bool) {
+    let mut num = u128::from(m) * POW10[d.max(0).unsigned_abs() as usize];
+    let ten = POW10[(-d).max(0).unsigned_abs() as usize];
+    let shift = (-t).max(0).unsigned_abs();
+    num <<= t.max(0);
+    let den = ten << shift;
+    let (q, rem) = match (u64::try_from(num), u64::try_from(den)) {
+        // A power of two: a shift and a mask.
+        _ if ten == 1 => (num >> shift, num & (den - 1)),
+        // One 64-bit division where 128 bits are not needed.
+        (Ok(num), Ok(den)) => (u128::from(num / den), u128::from(num % den)),
+        _ => (num / den, num % den),
+    };
+    (q as u64, rem.cmp(&(den - rem)), rem == 0)
+}
+
+/// Whether `q` with a remainder `rem` against half a unit rounds half
+/// to even up.
+fn rounds_up(q: u64, rem: Ordering) -> bool {
+    rem == Ordering::Greater || rem == Ordering::Equal && q & 1 == 1
 }
 
 /// An aligned text table with a title, printable to stdout or CSV.
@@ -323,15 +481,25 @@ mod tests {
         let covered = (0.01..1e6).contains(&x.abs());
         for prec in 1..=6 {
             let (want, shown) = (by_fmt(x, prec), format_float(x, prec));
-            let mut pushed = String::new();
+            let mut pushed = Vec::new();
             CompactFloat(x, prec).push_to(&mut pushed);
+            let pushed = String::from_utf8(pushed).expect("ASCII");
             prop_assert!(
                 shown == want && pushed == want,
                 "{x:e} at {prec}: `{shown}`, `{pushed}`, want `{want}`"
             );
-            prop_assert_eq!(Fixed::new(x, prec).is_some(), covered);
+            prop_assert_eq!(Digits::fixed(x, prec).is_some(), covered);
+            let exponent = EXPONENT.iter().any(|r| r.contains(&x.abs()));
+            prop_assert_eq!(Digits::exponent(x, prec).is_some(), exponent);
         }
         Ok(())
+    }
+
+    /// A random sign and mantissa under a biased exponent drawn from
+    /// `exps`.
+    fn random_f64(rng: &mut TestRng, exps: Range<u64>) -> f64 {
+        let exp = exps.start + rng.next_u64() % (exps.end - exps.start);
+        f64::from_bits(rng.next_u64() & (1 << 63 | ((1 << 52) - 1)) | exp << 52)
     }
 
     proptest! {
@@ -343,10 +511,77 @@ mod tests {
             for _ in 0..256 {
                 // A random mantissa and sign under an exponent that
                 // spans the covered range and a step past each end.
-                let exp = 1023 - 8 + rng.next_u64() % 29;
-                let bits = rng.next_u64() & (1 << 63 | ((1 << 52) - 1)) | exp << 52;
-                renders_as_fmt(f64::from_bits(bits))?;
+                renders_as_fmt(random_f64(&mut rng, 1023 - 8..1023 + 21))?;
             }
+        }
+
+        #[test]
+        fn the_exponent_renderer_is_fmt_byte_for_byte(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            for _ in 0..256 {
+                // Both exponent ranges, from three binades below 1e-15
+                // to three above 1e30, the fixed range between them.
+                renders_as_fmt(random_f64(&mut rng, 1023 - 53..1023 + 103))?;
+            }
+        }
+    }
+
+    #[test]
+    fn exponent_ties_round_half_to_even_and_carry_into_the_next_power() {
+        // A small binary fraction has a short exact decimal expansion:
+        // 2^-10 = 9.765625e-4 is a tie at five decimals.
+        assert_eq!(format_float(2f64.powi(-10), 5), "9.76562e-4");
+        assert_eq!(format_float(3.0 * 2f64.powi(-10), 5), "2.92969e-3");
+        for grid in 8..=52 {
+            let scale = 2f64.powi(grid);
+            for k in 1..2_000u32 {
+                renders_as_fmt(f64::from(k) / scale).unwrap();
+                renders_as_fmt(-f64::from(k) / scale).unwrap();
+            }
+        }
+        // Integers are exact: (10q + 5) · 10^k is a tie at the digits
+        // of q, whose last digit alternates with q.
+        assert_eq!(format_float(1_250_000.0, 1), "1.2e6");
+        assert_eq!(format_float(1_350_000.0, 1), "1.4e6");
+        for q in (10..100).chain(123_456..123_476) {
+            let mut n = (10 * q + 5) as f64;
+            while n < 1e30 {
+                renders_as_fmt(n).unwrap();
+                n *= 10.0;
+            }
+        }
+        // Just below a power of ten the mantissa carries into the next.
+        assert_eq!(format_float(9.9999995e-3, 6), "1.000000e-2");
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for power in -16..=31 {
+            let x = 10f64.powi(power);
+            for x in [
+                x,
+                below(x),
+                f64::from_bits(x.to_bits() + 1),
+                x * (1.0 - 4e-8),
+            ] {
+                renders_as_fmt(x).unwrap();
+                renders_as_fmt(-x).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn the_integer_writer_is_to_string() {
+        let mut numbers = vec![0, u64::MAX];
+        let mut power = 1u64;
+        loop {
+            numbers.extend([power - 1, power]);
+            match power.checked_mul(10) {
+                Some(next) => power = next,
+                None => break,
+            }
+        }
+        for n in numbers {
+            let mut written = Vec::new();
+            push_u64(&mut written, n);
+            assert_eq!(written, n.to_string().into_bytes());
         }
     }
 

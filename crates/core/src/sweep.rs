@@ -37,7 +37,7 @@
 //! ```
 
 use crate::cache::{mix64, CachedPoint, CurveKeys, PointCache, PointCoord};
-use crate::json::Layout::{Inline, Lines};
+use crate::json::Layout::{self, Inline, Lines};
 use crate::json::{Floats, Raw, Writer};
 use crate::parallel::parallel_map_with_state;
 use crate::report::Series;
@@ -568,6 +568,17 @@ impl SweepPoint {
     #[must_use]
     pub fn to_json_line(&self) -> String {
         let mut w = Writer::new(SWEEP_FLOATS);
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes [`SweepPoint::to_json_line`] as the value at `w`'s cursor,
+    /// its floats by the sweep's rule whatever `w`'s own.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.with_floats(SWEEP_FLOATS, |w| self.write_fields(w));
+    }
+
+    fn write_fields(&self, w: &mut Writer) {
         w.object(Inline)
             .field("setup", &self.setup)
             .field("pattern", &self.pattern)
@@ -588,7 +599,7 @@ impl SweepPoint {
         for (name, value) in self.power.iter().flat_map(PowerPoint::columns) {
             w.field(name, value);
         }
-        w.finish()
+        w.end();
     }
 }
 
@@ -715,13 +726,27 @@ impl CampaignResult {
     /// [`SweepPoint::to_json_line`] (the server streamed it) hands the
     /// same text back instead of paying for it twice.
     #[must_use]
-    pub fn to_json_with<L: fmt::Display>(&self, mut line: impl FnMut(&SweepPoint) -> L) -> String {
+    pub fn to_json_with<L: fmt::Display>(&self, line: impl FnMut(&SweepPoint) -> L) -> String {
         let mut w = Writer::new(SWEEP_FLOATS);
+        self.write_json_with(&mut w, Lines, line);
+        w.finish() + "\n"
+    }
+
+    /// Writes [`CampaignResult::to_json_with`] as the value at `w`'s
+    /// cursor, its containers laid out by `layout`: `Lines` is the
+    /// document less its final newline, `Compact` is what
+    /// [`json::compact`](crate::json::compact) makes of it, in one pass.
+    pub fn write_json_with<L: fmt::Display>(
+        &self,
+        w: &mut Writer,
+        layout: Layout,
+        mut line: impl FnMut(&SweepPoint) -> L,
+    ) {
         let schema = match self.tech {
             Some(_) => "slim_noc-sweep-v2",
             None => "slim_noc-sweep-v1",
         };
-        w.object(Lines)
+        w.object(layout)
             .field("schema", schema)
             .field("campaign", &self.name)
             .key("setups")
@@ -735,11 +760,11 @@ impl CampaignResult {
             w.field("tech", &tech.to_string());
         }
         // No points: the list still closes on a line of its own.
-        w.key("points").list(Lines);
+        w.key("points").list(layout);
         for p in &self.points {
             w.item(Raw(line(p)));
         }
-        w.finish() + "\n"
+        w.end().end();
     }
 }
 
