@@ -718,23 +718,16 @@ impl CampaignResult {
     /// name parse v2 unchanged.
     #[must_use]
     pub fn to_json(&self) -> String {
-        self.to_json_with(SweepPoint::to_json_line)
-    }
-
-    /// [`CampaignResult::to_json`] with each point's line supplied by
-    /// `line` — a caller that already rendered
-    /// [`SweepPoint::to_json_line`] (the server streamed it) hands the
-    /// same text back instead of paying for it twice.
-    #[must_use]
-    pub fn to_json_with<L: fmt::Display>(&self, line: impl FnMut(&SweepPoint) -> L) -> String {
         let mut w = Writer::new(SWEEP_FLOATS);
-        self.write_json_with(&mut w, Lines, line);
+        self.write_json_with(&mut w, Lines, SweepPoint::to_json_line);
         w.finish() + "\n"
     }
 
-    /// Writes [`CampaignResult::to_json_with`] as the value at `w`'s
-    /// cursor, its containers laid out by `layout`: `Lines` is the
-    /// document less its final newline, `Compact` is what
+    /// Writes [`CampaignResult::to_json`] as the value at `w`'s cursor,
+    /// each point's line supplied by `line` (a caller that already
+    /// rendered [`SweepPoint::to_json_line`] hands the same text back)
+    /// and its containers laid out by `layout`: `Lines` is the document
+    /// less its final newline, `Compact` is what
     /// [`json::compact`](crate::json::compact) makes of it, in one pass.
     pub fn write_json_with<L: fmt::Display>(
         &self,

@@ -55,35 +55,36 @@ fn repro_runs_a_figure_and_prints_csv() {
 fn run_spec_replays_byte_identically_from_a_shared_cache() {
     let dir = std::env::temp_dir().join(format!("snoc_cli_cache_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    // A synthetic-pattern spec and a trace-workload spec.
+    // A synthetic-pattern and a trace-workload spec, each on its own store.
     for example in ["campaign_quick.json", "campaign_traces.json"] {
         let spec = format!("{}/examples/{example}", env!("CARGO_MANIFEST_DIR"));
+        let cache = dir.join(example);
         let args = [
             "run",
             "--spec",
             &spec,
             "--smoke",
             "--cache-dir",
-            dir.to_str().expect("utf-8"),
+            cache.to_str().expect("utf-8"),
         ];
         let cold = snoc(&args);
         assert!(cold.status.success(), "{example}: {}", stderr(&cold));
         assert!(stdout(&cold).contains("\"points\""));
-        assert!(
-            stderr(&cold).contains("snoc-cache-stats: hits=0 "),
-            "{example}: cold run simulates every point: {}",
-            stderr(&cold)
+        assert_eq!(
+            stderr(&cold).trim_end(),
+            "snoc-cache-stats: hits=0 misses=6 entries=6",
+            "{example}: the cold run simulates every point"
         );
         let warm = snoc(&args);
         assert!(warm.status.success(), "{example}: {}", stderr(&warm));
         assert_eq!(
+            stderr(&warm).trim_end(),
+            "snoc-cache-stats: hits=6 misses=0 entries=6",
+            "{example}: the warm run replays every point"
+        );
+        assert_eq!(
             warm.stdout, cold.stdout,
             "{example}: warm replay is byte-identical"
-        );
-        let stats = stderr(&warm);
-        assert!(
-            stats.contains("snoc-cache-stats: hits=") && stats.contains(" misses=0 "),
-            "{example}: warm run replays every point: {stats}"
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
