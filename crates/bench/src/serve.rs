@@ -44,11 +44,25 @@
 //! one read, and moves each line into one reused `String` to validate
 //! it there.
 //!
+//! # A point is validated once
+//!
+//! Every element of the `done` result's `points` is, byte for byte, the
+//! object of one streamed `point` event (the server quotes the line it
+//! streamed; `serve_cache.rs` pins this for cold, warm and widened jobs
+//! on one and two threads). So [`submit`] keeps each point object it has
+//! validated ([`Kept`]), and when it reads `done` it steps over an
+//! element that is byte for byte a kept point followed by `,` or `]`
+//! ([`Reader::skip_kept`]). Anything else — an element that differs in
+//! a byte, a point that was never streamed, junk after a point, a
+//! server that renders `done` another way — is read and validated as
+//! if nothing were kept, so every verdict and every message is the one
+//! the line would get on its own.
+//!
 //! [`Observer::simulating`]: snoc_core::Observer::simulating
 //! [`PointCache`]: snoc_core::PointCache
 //! [`SweepPoint`]: snoc_core::SweepPoint
 
-use snoc_core::json::{Floats, Layout::Compact, Layout::Inline, Reader, Value, Writer};
+use snoc_core::json::{Floats, Kept, Layout::Compact, Layout::Inline, Reader, Value, Writer};
 use snoc_core::{Campaign, CampaignResult, CampaignSpec, Observer, PointCache, SweepPoint};
 use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
@@ -572,6 +586,8 @@ pub fn submit(
     while next_line(&mut reader, &mut line)? && !line.is_empty() {}
     let mut outcome = SubmitOutcome::default();
     let mut done = false;
+    // Every point object read whole, for the `done` result.
+    let mut kept = Kept::default();
     while next_line(&mut reader, &mut line)? {
         if line.is_empty() {
             continue;
@@ -580,7 +596,7 @@ pub fn submit(
             return Err(io::Error::other(format!("server: {status}: {line}")));
         }
         on_line(&line);
-        let event = read_event(&line)
+        let event = read_event(&line, &mut kept)
             .map_err(|e| io::Error::other(format!("bad stream line: {e}: {line}")))?;
         match event.name.as_deref() {
             Some("point") => outcome.points += 1,
@@ -632,8 +648,12 @@ struct Event<'a> {
     misses: Option<u64>,
 }
 
-/// Reads one stream line: a JSON object and nothing after it.
-fn read_event(line: &str) -> Result<Event<'_>, String> {
+/// Reads one stream line: a JSON object and nothing after it. A
+/// `point` value is kept in `kept`, and an element of `result.points`
+/// that is byte for byte a kept point is stepped over
+/// ([`Reader::skip_kept`]); the verdict and the message are those of
+/// reading the line with nothing kept.
+fn read_event<'a>(line: &'a str, kept: &mut Kept) -> Result<Event<'a>, String> {
     let mut event = Event::default();
     let count = |r: &mut Reader<'_>| r.number()?.parse::<u64>().map_err(|e| e.to_string());
     let mut reader = Reader::new(line);
@@ -641,6 +661,11 @@ fn read_event(line: &str) -> Result<Event<'_>, String> {
         "event" if event.name.is_none() => r.string().map(|name| event.name = Some(name)),
         "cache_hits" if event.hits.is_none() => count(r).map(|n| event.hits = Some(n)),
         "cache_misses" if event.misses.is_none() => count(r).map(|n| event.misses = Some(n)),
+        "point" => r.skip_keeping(kept),
+        "result" if !kept.is_empty() && r.peek() == Some(b'{') => r.object(|r, key| match &*key {
+            "points" if r.peek() == Some(b'[') => r.array(|r| r.skip_kept(kept)),
+            _ => r.skip(),
+        }),
         _ => r.skip(),
     })?;
     reader.finish().map(|()| event)
@@ -814,7 +839,12 @@ mod tests {
     type Verdict = Result<(Option<String>, Option<u64>, Option<u64>), String>;
 
     fn verdict(line: &str) -> Verdict {
-        read_event(line).map(|e| (e.name.map(Cow::into_owned), e.hits, e.misses))
+        verdict_keeping(line, &mut Kept::default())
+    }
+
+    /// [`verdict`] with the points in `kept` stepped over.
+    fn verdict_keeping(line: &str, kept: &mut Kept) -> Verdict {
+        read_event(line, kept).map(|e| (e.name.map(Cow::into_owned), e.hits, e.misses))
     }
 
     /// The stream-line reader as it stood before the bulk skips: one
@@ -1060,6 +1090,89 @@ mod tests {
         }
     }
 
+    /// What `submit` keeps of [`stream_lines`] by the time `done` comes:
+    /// every streamed point object.
+    fn kept_points() -> Kept {
+        let (_, events) = stream_lines().split_last().expect("a done line");
+        let mut kept = Kept::default();
+        for line in events {
+            verdict_keeping(line, &mut kept).expect("a valid event");
+        }
+        kept
+    }
+
+    /// The `done` line of [`stream_lines`], edited where kept points
+    /// could be stepped over wrongly: bytes flipped inside each point
+    /// and outside them, two points swapped, junk after a point, a point
+    /// cut short.
+    fn edited_done_lines() -> Vec<String> {
+        let (done, events) = stream_lines().split_last().expect("a done line");
+        let spans: Vec<Range<usize>> = events
+            .iter()
+            .map(|line| {
+                let point = line
+                    .strip_prefix("{\"event\": \"point\", \"point\": ")
+                    .and_then(|line| line.strip_suffix('}'))
+                    .expect("a point event");
+                let at = done.find(point).expect("each streamed point is in `done`");
+                at..at + point.len()
+            })
+            .collect();
+        let mut edited = vec![done.clone()];
+        let flip = |at: usize, c: &str| {
+            let mut line = done.clone();
+            line.replace_range(at..=at, c);
+            line
+        };
+        const BYTES: [&str; 9] = ["x", "\"", "]", "}", ",", " ", "0", "{", "\u{1}"];
+        for span in &spans {
+            for at in [span.start, span.start + span.len() / 2, span.end - 1] {
+                edited.extend(BYTES.map(|c| flip(at, c)));
+            }
+            for junk in ["x", "5", " ", "}", "]", ",", "{}", "\"s\"", "]}}"] {
+                let mut line = done.clone();
+                line.insert_str(span.end, junk);
+                edited.push(line);
+            }
+            for cut in [span.start + 1, span.start + span.len() / 2, span.end - 1] {
+                edited.push(done[..cut].to_string());
+                edited.push(format!("{}]}}}}", &done[..cut]));
+                edited.push(format!("{}{}", &done[..cut], &done[span.end..]));
+            }
+        }
+        let mut sorted = spans.clone();
+        sorted.sort_by_key(|span| span.start);
+        let (a, b) = (sorted[0].clone(), sorted[sorted.len() - 1].clone());
+        for at in [0, 1, 10, a.start - 2, a.start - 1, b.end, done.len() - 1] {
+            edited.extend(BYTES.map(|c| flip(at, c)));
+        }
+        edited.push(format!(
+            "{}{}{}{}{}",
+            &done[..a.start],
+            &done[b.clone()],
+            &done[a.end..b.start],
+            &done[a],
+            &done[b.end..]
+        ));
+        edited
+    }
+
+    #[test]
+    fn kept_points_change_no_verdict_on_an_edited_done_line() {
+        let kept = kept_points();
+        assert!(!kept.is_empty());
+        let lines = edited_done_lines();
+        let mut refused = 0;
+        for line in &lines {
+            let without = verdict(line);
+            assert_eq!(verdict_keeping(line, &mut kept.clone()), without, "{line}");
+            assert_eq!(without, by_bytes(line), "{line}");
+            refused += usize::from(without.is_err());
+        }
+        let read = lines.len() - refused;
+        assert!(read > 10 && refused > 100, "{read} read, {refused} refused");
+    }
+
     #[test]
     fn the_stream_lines_read_as_they_did_byte_at_a_time() {
         let lines = stream_lines();
@@ -1084,6 +1197,8 @@ mod tests {
                 }
                 let (fast, slow) = (verdict(&line), by_bytes(&line));
                 prop_assert!(fast == slow, "{fast:?} != {slow:?} on `{line}`");
+                let kept = verdict_keeping(&line, &mut kept_points());
+                prop_assert!(kept == slow, "{kept:?} != {slow:?} on `{line}`, points kept");
             }
         }
     }

@@ -346,3 +346,57 @@ fn streamed_bytes_are_the_in_process_bytes() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The elements of a `done` line's `result.points`, as they stand in
+/// the line: the server writes them compact, as flat objects joined by
+/// `,`, and the specs here name nothing with a brace.
+fn done_points(done: &str) -> Vec<String> {
+    let (_, list) = done.split_once("\"points\": [{").expect("a points list");
+    let list = list.strip_suffix("}]}}").expect("the list ends the line");
+    list.split("},{")
+        .map(|point| format!("{{{point}}}"))
+        .collect()
+}
+
+/// What `submit` relies on when it steps over a kept point: each element
+/// of the `done` result is byte for byte the object of one streamed
+/// `point` event, on a cold, a warm and a widened job, with one worker
+/// thread per job and with two.
+#[test]
+fn every_done_point_is_a_streamed_point_object() {
+    for threads in [1, 2] {
+        let dir = tmp(&format!("done_points_{threads}"));
+        let server =
+            Server::bind("127.0.0.1:0", Some(dir.to_str().expect("utf-8")), threads).expect("bind");
+        let addr = server.local_addr().expect("bound").to_string();
+        thread::spawn(move || server.run());
+        let mut spec = spec("done-points", &[0.05, 0.6]);
+        spec.patterns.push(TrafficPattern::Adversarial1);
+        spec.refine_rounds = 2;
+        let mut widened = spec.clone();
+        widened.loads.insert(0, 0.02);
+        for (job, spec) in [("cold", &spec), ("warm", &spec), ("widened", &widened)] {
+            let (outcome, lines) = run_client(&addr, spec);
+            let (done, events) = lines.split_last().expect("a done event");
+            let mut streamed: Vec<String> = events
+                .iter()
+                .map(|line| {
+                    line.strip_prefix("{\"event\": \"point\", \"point\": ")
+                        .and_then(|line| line.strip_suffix('}'))
+                        .expect("a point event")
+                        .to_string()
+                })
+                .collect();
+            let mut points = done_points(done);
+            assert_eq!(
+                points.len() as u64,
+                outcome.points,
+                "{threads} threads, {job}"
+            );
+            streamed.sort_unstable();
+            points.sort_unstable();
+            assert_eq!(points, streamed, "{threads} threads, {job}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

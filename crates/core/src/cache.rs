@@ -25,6 +25,17 @@
 //! unreachable (their keys never match), so bumping [`ENGINE_VERSION`]
 //! when simulator behavior changes retires an entire cache without
 //! deleting files.
+//!
+//! A cache remembers the keys it mints for campaigns. Its memo is keyed
+//! by a curve's exact canonical text — the coordinate with the load
+//! left out ([`PointCoord::canonical`] less the load bits, not a hash of
+//! it) — and, within a curve, by the load's bits, so a resubmitted curve
+//! costs one lookup per point instead of a hash over the whole text.
+//! It holds at most as many curves as the store holds points: a new
+//! curve that would exceed that empties it first. It never changes a
+//! key's value: a remembered key is the one [`PointCache::key`] mints
+//! afresh for the same coordinate, and the memo belongs to one cache,
+//! so two salts never share an entry.
 
 use crate::json::{Floats, Layout::Inline, Raw, Reader, Writer};
 use crate::sweep::PowerPoint;
@@ -35,7 +46,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufRead as _, BufReader, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The engine-version salt mixed into every cache key.
 ///
@@ -82,16 +93,16 @@ impl PointCoord<'_> {
     /// The canonical coordinate string that gets hashed into the key.
     #[must_use]
     pub fn canonical(&self) -> String {
-        let [head, tail] = self.canonical_halves();
+        let marked = self.marked();
+        let (head, tail) = marked.rsplit_once('\0').expect("the load's mark");
         format!("{head}{}{tail}", self.load.to_bits())
     }
 
-    /// [`PointCoord::canonical`] before and after the load bits — the
-    /// one place that knows the form. The points of a curve share both
-    /// halves, so a campaign builds them once per curve
-    /// ([`PointCache::curve_keys`]) and mints each key with
-    /// [`PointCache::key_at`].
-    pub(crate) fn canonical_halves(&self) -> [String; 2] {
+    /// [`PointCoord::canonical`] with a NUL where the load bits go — the
+    /// one place that knows the form. The points of a curve share it, so
+    /// a campaign renders it once per curve ([`PointCache::curve`]), and
+    /// the cache remembers the keys it mints under it.
+    pub(crate) fn marked(&self) -> String {
         let mut w = Writer::new(Floats::Bits);
         // A NUL marks the load: the writer escapes it out of every
         // string written after it.
@@ -108,20 +119,28 @@ impl PointCoord<'_> {
         if let Some(tech) = self.tech {
             w.field("tech", tech);
         }
-        let text = w.finish();
-        let (head, tail) = text.rsplit_once('\0').expect("the load's mark");
-        [head.to_string(), tail.to_string()]
+        w.finish()
     }
 }
 
-/// What the cache keys of one curve's points share
-/// ([`PointCache::curve_keys`]): the canonical string's halves around
-/// the load bits, and the state of hash `a` after salt ‖ newline ‖ head.
+/// The cache keys of one curve's points ([`PointCache::curve`]): the
+/// curve's [marked](PointCoord::marked) canonical text, and what the
+/// cache has minted under it.
 #[derive(Debug)]
 pub(crate) struct CurveKeys {
-    head: String,
-    tail: String,
+    text: String,
+    /// Where the load's mark stands in `text`.
+    mark: usize,
+    minted: Arc<Minted>,
+}
+
+/// What a [`PointCache`] remembers of one curve: the state of hash `a`
+/// after salt ‖ newline ‖ head, and the value of every key it minted,
+/// by the load's bits.
+#[derive(Debug)]
+struct Minted {
     fnv_head: u64,
+    keys: Mutex<HashMap<u64, u128>>,
 }
 
 /// The measured scalars of one point — exactly what is needed to
@@ -356,6 +375,9 @@ pub struct PointCache {
     dir: PathBuf,
     version: String,
     inner: Mutex<Inner>,
+    /// Every curve whose keys this cache has minted, by its marked
+    /// canonical text: the memo behind [`PointCache::curve`].
+    curves: Mutex<HashMap<Box<str>, Arc<Minted>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Store lines skipped as unparseable at open time.
@@ -433,6 +455,7 @@ impl PointCache {
             dir,
             version: version.to_string(),
             inner: Mutex::new(Inner { map, store }),
+            curves: Mutex::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             corrupt_lines,
@@ -447,32 +470,71 @@ impl PointCache {
 
     /// The content address of a coordinate: 32 hex chars of a 128-bit
     /// hash over the version salt and the canonical coordinate string.
+    /// Minted afresh, without the memo (module docs).
     #[must_use]
     pub fn key(&self, coord: &PointCoord<'_>) -> String {
-        let curve = self.curve_keys(coord.canonical_halves());
-        render_key(self.key_at(&curve, coord.load))
+        let text = coord.marked();
+        let mark = text.rfind('\0').expect("the load's mark");
+        let fnv_head = self.fnv_head(&text[..mark]);
+        render_key(self.mint(&text, mark, fnv_head, coord.load.to_bits()))
     }
 
-    /// What the keys of the coordinates with these
-    /// [`PointCoord::canonical_halves`] share, for [`PointCache::key_at`].
-    pub(crate) fn curve_keys(&self, [head, tail]: [String; 2]) -> CurveKeys {
-        let fnv_head = fnv(0xcbf2_9ce4_8422_2325, &[&*self.version, "\n", &head]);
-        CurveKeys {
-            head,
-            tail,
-            fnv_head,
-        }
+    /// The keys of the curve whose [marked](PointCoord::marked) text is
+    /// `text`, for [`PointCache::key_at`]. A curve met before, by the
+    /// exact text, is a lookup: it keeps the keys minted under it. The
+    /// memo never holds more curves than the store holds points; a
+    /// curve that would break that empties it first.
+    pub(crate) fn curve(&self, text: String) -> CurveKeys {
+        let mark = text.rfind('\0').expect("the load's mark");
+        let mut curves = self.curves.lock().expect("memo lock");
+        let minted = match curves.get(&*text) {
+            Some(minted) => Arc::clone(minted),
+            None => {
+                let minted = Arc::new(Minted {
+                    fnv_head: self.fnv_head(&text[..mark]),
+                    keys: Mutex::default(),
+                });
+                let points = self.len();
+                if curves.len() >= points {
+                    curves.clear();
+                }
+                if points > 0 {
+                    curves.insert(text.clone().into_boxed_str(), Arc::clone(&minted));
+                }
+                minted
+            }
+        };
+        CurveKeys { text, mark, minted }
     }
 
     /// The value of the [`PointCache::key`] of `curve`'s coordinate at
-    /// `load`: salt ‖ newline ‖ head ‖ load bits ‖ tail, hashed twice.
-    /// Hash `a` continues from the curve's state after the head; hash
-    /// `b`, seeded from `a`, walks the whole text.
+    /// `load`: the one the curve minted at these load bits, or minted
+    /// now and kept.
     pub(crate) fn key_at(&self, curve: &CurveKeys, load: f64) -> u128 {
-        let bits = load.to_bits().to_string();
-        let a = avalanche(fnv(curve.fnv_head, &[&bits, &curve.tail]));
-        let text = [&*self.version, "\n", &curve.head, &bits, &curve.tail];
-        let b = mix64(0x9e37_79b9_7f4a_7c15 ^ a, &text);
+        let bits = load.to_bits();
+        let mut keys = curve.minted.keys.lock().expect("memo lock");
+        *keys
+            .entry(bits)
+            .or_insert_with(|| self.mint(&curve.text, curve.mark, curve.minted.fnv_head, bits))
+    }
+
+    /// The state of hash `a` after salt ‖ newline ‖ `head`.
+    fn fnv_head(&self, head: &str) -> u64 {
+        fnv(0xcbf2_9ce4_8422_2325, &[&*self.version, "\n", head])
+    }
+
+    /// The key of the marked `text` at load `bits`: salt ‖ newline ‖
+    /// head ‖ load bits ‖ tail, hashed twice. Hash `a` continues from
+    /// `fnv_head`, its state after the head; hash `b`, seeded from `a`,
+    /// walks the whole text.
+    fn mint(&self, text: &str, mark: usize, fnv_head: u64, bits: u64) -> u128 {
+        let (head, tail) = (&text[..mark], &text[mark + 1..]);
+        let bits = bits.to_string();
+        let a = avalanche(fnv(fnv_head, &[&bits, tail]));
+        let b = mix64(
+            0x9e37_79b9_7f4a_7c15 ^ a,
+            &[&*self.version, "\n", head, &bits, tail],
+        );
         u128::from(a) << 64 | u128::from(b)
     }
 
@@ -595,6 +657,7 @@ fn avalanche(mut h: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -793,9 +856,9 @@ mod tests {
                             let b = mix64(0x9e37_79b9_7f4a_7c15 ^ a, &[&text]);
                             let key = cache.key(&coord);
                             assert_eq!(key, format!("{a:016x}{b:016x}"), "{text}");
-                            // Halves built at any load mint it too.
-                            let halves = PointCoord { load: 7.5, ..coord }.canonical_halves();
-                            let curve = cache.curve_keys(halves);
+                            // A curve marked at any load mints it too.
+                            let marked = PointCoord { load: 7.5, ..coord }.marked();
+                            let curve = cache.curve(marked);
                             assert_eq!(render_key(cache.key_at(&curve, load)), key, "{text}");
                             let here = (s, pattern, tech, shards, load);
                             for &(s, pattern, tech, shards, load, want) in &minted {
@@ -958,7 +1021,7 @@ mod tests {
         values.extend((0..32).map(|zeros| u128::MAX >> (4 * zeros)));
         values.push(0);
         values.extend((0..1000).map(|i| {
-            let curve = cache.curve_keys(coord(f64::from(i)).canonical_halves());
+            let curve = cache.curve(coord(f64::from(i)).marked());
             let minted = cache.key_at(&curve, f64::from(i));
             assert_eq!(render_key(minted), cache.key(&coord(f64::from(i))));
             minted
@@ -979,6 +1042,171 @@ mod tests {
                 assert_eq!(parse_key(&text).is_some(), digit, "{text:?}");
             }
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A fuzzed curve: a recipe, a pattern, windows, a seed, a shard
+    /// count and a tech, strings with quotes, escapes and a NUL.
+    fn fuzzed_curve(rng: &mut TestRng) -> (String, String, [u64; 3], usize, Option<String>) {
+        use crate::{BufferPreset, FaultsSpec, SetupSpec, StormSpec};
+        use snoc_sim::RoutingKind;
+        let pick = |rng: &mut TestRng, n: usize| (rng.next_u64() % n as u64) as usize;
+        const NAMES: [&str; 6] = ["sn_s", "cm3", "a \"b\"", "x\\y", "nul\0", "日本"];
+        let routing = ["min", "ugal-l", "ugal-g", "val", "xy-adaptive"];
+        let buffers = [
+            BufferPreset::EbSmall,
+            BufferPreset::EbVar,
+            BufferPreset::ElLinks,
+            BufferPreset::Cbr(rng.next_u64() as usize % 64),
+        ];
+        let storm = StormSpec {
+            links: pick(rng, 20),
+            start: rng.next_u64() % 1000,
+            window: rng.next_u64() % 1000,
+            seed: rng.next_u64(),
+        };
+        let recipe = SetupSpec {
+            name: format!("{}{}", NAMES[pick(rng, NAMES.len())], rng.next_u64() % 4),
+            smart: rng.next_u64().is_multiple_of(2),
+            buffers: buffers[pick(rng, buffers.len())],
+            routing: RoutingKind::from_spec_name(routing[pick(rng, routing.len())])
+                .unwrap_or(RoutingKind::Minimal),
+            faults: rng.next_u64().is_multiple_of(3).then(|| FaultsSpec {
+                events: Vec::new(),
+                storm: Some(storm),
+            }),
+            ..SetupSpec::new(["sn_s", "cm3", "fbf3", "t2d9"][pick(rng, 4)])
+        };
+        let pattern = NAMES[pick(rng, NAMES.len())].replace("sn_s", "RND");
+        let windows = [rng.next_u64() % 100_000, rng.next_u64(), rng.next_u64()];
+        let shards = [1, 1, 2, 5][pick(rng, 4)];
+        let tech = [None, Some("45nm"), Some("22nm"), Some("\"7\0nm")][pick(rng, 4)];
+        (
+            recipe.canonical_json(),
+            pattern,
+            windows,
+            shards,
+            tech.map(str::to_string),
+        )
+    }
+
+    /// Loads as a campaign or a hostile spec may name them: signed
+    /// zeros, subnormals, 1e-300 to 1e300, any bit pattern, and each
+    /// one's neighbours one unit in the last place away.
+    fn fuzzed_loads(rng: &mut TestRng) -> Vec<f64> {
+        let mut loads = vec![0.0, -0.0, f64::MIN_POSITIVE, 5e-324, 1e-300, 1e300];
+        for _ in 0..6 {
+            loads.push(f64::from_bits(rng.next_u64() % (1 << 52))); // subnormal
+            let decade = (rng.next_u64() % 601) as i32 - 300;
+            loads.push((1.0 + rng.next_u64() as f64 / u64::MAX as f64) * 10f64.powi(decade));
+            loads.push(f64::from_bits(rng.next_u64()));
+            loads.push(f64::from(rng.next_u64() as u32 % 1000) / 1000.0);
+        }
+        let neighbours: Vec<f64> = loads
+            .iter()
+            .flat_map(|x| [x.to_bits().wrapping_add(1), x.to_bits().wrapping_sub(1)])
+            .map(f64::from_bits)
+            .collect();
+        loads.extend(neighbours);
+        loads
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Memoized keys are the keys [`PointCache::key`] mints afresh,
+        /// on a first and a second sight of a curve, under two salts that
+        /// never share a memo entry, and from two threads at once.
+        #[test]
+        fn memoized_keys_are_the_freshly_minted_keys(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::from_name(&seed.to_string());
+            let dirs = [tmp(&format!("memo_a_{seed}")), tmp(&format!("memo_b_{seed}"))];
+            let caches = [
+                PointCache::open(&dirs[0]).unwrap(),
+                PointCache::open_with_version(&dirs[1], "other-engine").unwrap(),
+            ];
+            for cache in &caches {
+                // A store of one point holds one curve: each new curve
+                // below empties the memo of the one before.
+                cache.put(&cache.key(&coord(0.05)), &sample()).unwrap();
+            }
+            for _ in 0..3 {
+                let (recipe, pattern, [warmup, measure, base_seed], shards, tech) =
+                    fuzzed_curve(&mut rng);
+                let at = |load| PointCoord {
+                    setup_spec: &recipe,
+                    pattern: &pattern,
+                    load,
+                    warmup,
+                    measure,
+                    base_seed,
+                    shards,
+                    tech: tech.as_deref(),
+                };
+                let loads = fuzzed_loads(&mut rng);
+                let fresh = |cache: &PointCache, load| cache.key(&at(load));
+                for sight in 0..2 {
+                    let curves = caches.each_ref().map(|c| c.curve(at(0.0).marked()));
+                    prop_assert!(!Arc::ptr_eq(&curves[0].minted, &curves[1].minted));
+                    for &load in loads.iter().rev().skip(sight) {
+                        let [a, b] = [0, 1].map(|i| caches[i].key_at(&curves[i], load));
+                        prop_assert_eq!(render_key(a), fresh(&caches[0], load));
+                        prop_assert_eq!(render_key(b), fresh(&caches[1], load));
+                        prop_assert!(a != b, "two salts, one key");
+                    }
+                }
+                let [a, b] = caches.each_ref().map(|c| c.curves.lock().unwrap().len());
+                prop_assert!(a <= caches[0].len() && b <= caches[1].len(), "{a} {b}");
+                let minted = std::thread::scope(|scope| {
+                    let order = [loads.clone(), loads.iter().rev().copied().collect()];
+                    let threads = order.map(|loads| {
+                        let (cache, at) = (&caches[0], &at);
+                        scope.spawn(move || {
+                            let curve = cache.curve(at(0.0).marked());
+                            let keys: Vec<u128> =
+                                loads.iter().map(|&load| cache.key_at(&curve, load)).collect();
+                            loads.into_iter().zip(keys).collect::<Vec<_>>()
+                        })
+                    });
+                    threads.map(|t| t.join().unwrap())
+                });
+                for (load, key) in minted.into_iter().flatten() {
+                    prop_assert_eq!(render_key(key), fresh(&caches[0], load));
+                }
+            }
+            for dir in &dirs {
+                let _ = fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_no_more_curves_than_the_store_holds_points() {
+        let dir = tmp("memo_bound");
+        let cache = PointCache::open(&dir).unwrap();
+        let curve = |pattern: &str| {
+            let marked = PointCoord {
+                pattern,
+                ..coord(0.0)
+            }
+            .marked();
+            let curve = cache.curve(marked);
+            assert_eq!(
+                render_key(cache.key_at(&curve, 0.25)),
+                cache.key(&PointCoord {
+                    pattern,
+                    ..coord(0.25)
+                })
+            );
+            cache.curves.lock().unwrap().len()
+        };
+        // An empty store keeps no curve.
+        assert_eq!(curve("A"), 0);
+        cache.put(&cache.key(&coord(0.05)), &sample()).unwrap();
+        cache.put(&cache.key(&coord(0.06)), &sample()).unwrap();
+        // Two points, two curves; a third empties the memo first.
+        assert_eq!([curve("A"), curve("B"), curve("A")], [1, 2, 2]);
+        assert_eq!(curve("C"), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,9 @@
 //! goes straight into its ten scalars, tens of thousands per
 //! [`PointCache::open`](crate::PointCache::open), and the `snoc submit`
 //! client reads an event's name and counters while [`Reader::skip`]
-//! validates the 100 KB result beside them. Everything else calls
-//! [`parse`], a tree builder over the same reader; [`JsonValue`] stays
+//! validates the 100 KB result beside them, stepping over each point
+//! it has already read in a `point` event ([`Kept`]). Everything else
+//! calls [`parse`], a tree builder over the same reader; [`JsonValue`] stays
 //! owned because specs are read field by field in any order and callers
 //! keep values past the text they came from (`snoc-perf` stores one) —
 //! a borrowing tree would put a lifetime on all of them to save
@@ -466,12 +467,83 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// [`Reader::skip`], keeping the value's bytes in `kept` when no `{`
+    /// or `[` follows its first byte, so that it holds no container:
+    /// such a value reads the same at every depth below the cap, and a
+    /// later document may step over a copy of it ([`Reader::skip_kept`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Reader::skip`]'s, and then nothing is kept.
+    pub fn skip_keeping(&mut self, kept: &mut Kept) -> Result<(), String> {
+        self.peek();
+        let start = self.pos;
+        self.skip()?;
+        let value = &self.text[start..self.pos];
+        if first_of(&value.as_bytes()[1..], b'{', b'[').is_none() {
+            kept.insert(value);
+        }
+        Ok(())
+    }
+
+    /// [`Reader::skip`], stepping over a value that is byte for byte one
+    /// of `kept` and ends where a member ends (`,`, `]` or `}` follows it)
+    /// without reading it again. The verdict and the message are
+    /// [`Reader::skip`]'s: a kept value was read whole and holds no
+    /// container, so reading it here could only reach the same end.
+    ///
+    /// # Errors
+    ///
+    /// [`Reader::skip`]'s.
+    pub fn skip_kept(&mut self, kept: &Kept) -> Result<(), String> {
+        self.peek();
+        if self.depth < MAX_DEPTH {
+            if let Some(len) = kept.at(&self.text.as_bytes()[self.pos..]) {
+                self.pos += len;
+                return Ok(());
+            }
+        }
+        self.skip()
+    }
+
     /// Ends the document: only whitespace may remain.
     pub fn finish(mut self) -> Result<(), String> {
         match self.peek() {
             None => Ok(()),
             Some(_) => Err(format!("trailing data at byte {pos}", pos = self.pos)),
         }
+    }
+}
+
+/// Values a [`Reader`] has read whole ([`Reader::skip_keeping`]), by
+/// their exact bytes, for [`Reader::skip_kept`]: sorted, each once.
+#[derive(Debug, Clone, Default)]
+pub struct Kept(Vec<Box<str>>);
+
+impl Kept {
+    /// Whether nothing is kept.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn insert(&mut self, value: &str) {
+        if let Err(at) = self.0.binary_search_by(|kept| (**kept).cmp(value)) {
+            self.0.insert(at, value.into());
+        }
+    }
+
+    /// The length of the kept value `rest` starts with, when a `,`, `]`
+    /// or `}` follows it there. A search over the sorted values finds
+    /// it: only one that is a prefix of another (two numbers, `5` and
+    /// `57`) can hide it, and then `rest` is read as before.
+    fn at(&self, rest: &[u8]) -> Option<usize> {
+        let found = self.0.binary_search_by(|kept| {
+            let kept = kept.as_bytes();
+            kept.cmp(&rest[..kept.len().min(rest.len())])
+        });
+        let len = self.0[found.ok()?].len();
+        matches!(rest.get(len), Some(b',' | b']' | b'}')).then_some(len)
     }
 }
 
@@ -595,18 +667,23 @@ fn zero_byte(w: u64) -> u64 {
 }
 
 /// The offset of the first `"` or `\` in `b`: where a string's plain
-/// run ends. Eight bytes at a time, the tail byte by byte.
+/// run ends.
 fn delimiter(b: &[u8]) -> Option<usize> {
+    first_of(b, b'"', b'\\')
+}
+
+/// The offset of the first `x` or `y` in `b`. Eight bytes at a time,
+/// the tail byte by byte.
+fn first_of(b: &[u8], x: u8, y: u8) -> Option<usize> {
     let mut at = 0;
     while let Some(w) = word(b, at) {
-        let hit =
-            zero_byte(w ^ (ONES * u64::from(b'"'))) | zero_byte(w ^ (ONES * u64::from(b'\\')));
+        let hit = zero_byte(w ^ (ONES * u64::from(x))) | zero_byte(w ^ (ONES * u64::from(y)));
         if hit != 0 {
             return Some(at + hit.trailing_zeros() as usize / 8);
         }
         at += 8;
     }
-    let tail = b[at..].iter().position(|&c| c == b'"' || c == b'\\');
+    let tail = b[at..].iter().position(|&c| c == x || c == y);
     tail.map(|len| at + len)
 }
 
@@ -1224,6 +1301,58 @@ mod tests {
             written(Floats::Bits, f64::NAN),
             f64::NAN.to_bits().to_string()
         );
+    }
+
+    #[test]
+    fn kept_values_are_stepped_over_only_where_reading_them_ends_the_same() {
+        let mut kept = Kept::default();
+        let mut r = Reader::new(r#"[5, "s", {"a": 1}, {"b": [2]}, true, [], 5]"#);
+        r.array(|r| r.skip_keeping(&mut kept)).unwrap();
+        // `{"b": [2]}` holds a container: not kept. `5` is kept once.
+        let values: Vec<&str> = kept.0.iter().map(|v| &**v).collect();
+        assert_eq!(values, ["\"s\"", "5", "[]", "true", "{\"a\": 1}"]);
+        assert_eq!(kept.at(b"5,"), Some(1));
+        assert_eq!(kept.at(b"{\"a\": 1}]"), Some(8));
+        assert_eq!(kept.at(b"[]}"), Some(2));
+        for rest in [
+            "57,",
+            "5",
+            "5 ,",
+            "5.5,",
+            "{\"a\": 1} ,",
+            "{\"a\": 2},",
+            "truex",
+        ] {
+            assert_eq!(kept.at(rest.as_bytes()), None, "{rest}");
+        }
+        /// Reads nested lists down to their elements, each through
+        /// `skip_kept`.
+        fn nested(r: &mut Reader<'_>, kept: &Kept) -> Result<(), String> {
+            match r.peek() {
+                Some(b'[') => r.array(|r| nested(r, kept)),
+                _ => r.skip_kept(kept),
+            }
+        }
+        let deep = |n: usize, inner: &str| format!("{}{inner}{}", "[".repeat(n), "]".repeat(n));
+        let docs = [
+            "[5, 57, 5]".to_string(),
+            "[5x]".to_string(),
+            "[true, truex]".to_string(),
+            "[{\"a\": 1}x, 5]".to_string(),
+            "[{\"a\": 1}, {\"b\": [2]}, \"s\"]".to_string(),
+            deep(MAX_DEPTH - 1, "{\"a\": 1}, 5"),
+            deep(MAX_DEPTH, "{\"a\": 1}"),
+            deep(MAX_DEPTH, "[]"),
+            deep(MAX_DEPTH + 1, "5"),
+        ];
+        for doc in &docs {
+            let read = |kept: &Kept| {
+                let mut r = Reader::new(doc);
+                nested(&mut r, kept)?;
+                r.finish()
+            };
+            assert_eq!(read(&kept), read(&Kept::default()), "{doc}");
+        }
     }
 
     #[test]

@@ -61,8 +61,8 @@ type Idle<'a> = Option<(&'a Setup, Simulator)>;
 struct Curve<'a> {
     setup: &'a Setup,
     traffic: Traffic<'a>,
-    /// What the cache keys of this curve's points share; `None` when
-    /// its points are not cached ([`Campaign::curve_keys`]).
+    /// The cache keys of this curve's points; `None` when its points
+    /// are not cached ([`Campaign::curve_keys`]).
     keys: Option<CurveKeys>,
     /// Reference latency for saturation detection, set by the curve's
     /// first point — cached points reproduce it bit-exactly, so warm
@@ -268,19 +268,36 @@ impl Campaign {
         let traffics: Vec<Traffic<'_>> = patterns
             .chain(spec.workloads.iter().map(Traffic::Trace))
             .collect();
-        let pairs: Vec<(usize, Traffic<'_>)> = (0..self.setups.len())
-            .flat_map(|s| traffics.iter().map(move |&t| (s, t)))
+        // Each setup's recipe is rendered once per run, and each curve's
+        // keys looked up once, before the curves fan out.
+        let recipes: Vec<Option<String>> = match self.cache {
+            Some(_) => self
+                .setups
+                .iter()
+                .map(|s| Some(s.to_spec()?.canonical_json()))
+                .collect(),
+            None => vec![None; self.setups.len()],
+        };
+        let tech = spec.power_tech.map(|t| t.to_string());
+        let pairs: Vec<(usize, Traffic<'_>, Option<CurveKeys>)> = recipes
+            .iter()
+            .enumerate()
+            .flat_map(|(s, recipe)| {
+                let tech = tech.as_deref();
+                traffics
+                    .iter()
+                    .map(move |&t| (s, t, self.curve_keys(recipe.as_deref(), t, tech)))
+            })
             .collect();
         let curves = parallel_map_with_state(
             pairs,
             spec.threads,
             || None,
-            |idle, (s, traffic)| {
-                let setup = &self.setups[s];
+            |idle, (s, traffic, keys)| {
                 let curve = Curve {
-                    setup,
+                    setup: &self.setups[s],
                     traffic,
-                    keys: self.curve_keys(setup, traffic),
+                    keys,
                     zero_load: 0.0,
                     hits: 0,
                     misses: 0,
@@ -357,26 +374,29 @@ impl Campaign {
         (points, curve.hits, curve.misses)
     }
 
-    /// What the cache keys of one curve share, when the campaign has a
-    /// cache: the recipe of the setup as built is serialized, and the
-    /// key text before the load hashed, once per curve, not once per
-    /// point.
-    fn curve_keys(&self, setup: &Setup, traffic: Traffic<'_>) -> Option<CurveKeys> {
+    /// The cache keys of one curve, when the campaign has a cache and
+    /// the setup its recipe (`setup_spec`, rendered once per run): the
+    /// curve's coordinate is rendered once, and its keys minted once
+    /// per cache ([`PointCache::curve`]).
+    fn curve_keys(
+        &self,
+        setup_spec: Option<&str>,
+        traffic: Traffic<'_>,
+        tech: Option<&str>,
+    ) -> Option<CurveKeys> {
         let cache = self.cache.as_ref()?;
-        let setup_spec = setup.to_spec()?.canonical_json();
         let spec = &self.spec;
-        let tech = spec.power_tech.map(|t| t.to_string());
         let coord = PointCoord {
-            setup_spec: &setup_spec,
+            setup_spec: setup_spec?,
             pattern: traffic.name(),
-            load: 0.0, // in neither half
+            load: 0.0, // marked, not written
             warmup: spec.warmup,
             measure: spec.measure,
             base_seed: spec.base_seed,
             shards: 1, // every point runs on the monolithic engine
-            tech: tech.as_deref(),
+            tech,
         };
-        Some(cache.curve_keys(coord.canonical_halves()))
+        Some(cache.curve(coord.marked()))
     }
 
     /// Runs (or replays from cache) one point of `curve` and reports it

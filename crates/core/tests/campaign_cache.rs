@@ -110,6 +110,36 @@ fn widened_sweep_simulates_only_the_new_points() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// One cache across runs, as a server holds it: the second run of a
+/// curve mints its keys from the cache's memo, and a widened run mints
+/// only its new loads. Each run must hit exactly what a fresh handle
+/// would, and the widened bytes must be a cold run's.
+#[test]
+fn one_cache_handle_replays_and_widens_through_its_memo() {
+    let dir = tmp("memo");
+    let cache = Arc::new(PointCache::open(&dir).expect("open cache"));
+    let run = |loads: &[f64]| campaign(loads).with_cache(Arc::clone(&cache)).run();
+    let counts = |r: &CampaignResult| (r.cache_hits, r.cache_misses);
+    let (narrow, wide) = (points_per_run(&NARROW), points_per_run(&WIDE));
+    let cold = run(&NARROW);
+    assert_eq!(counts(&cold), (0, narrow));
+    let warm = run(&NARROW);
+    assert_eq!(counts(&warm), (narrow, 0));
+    assert_eq!(warm.to_json(), cold.to_json());
+    let cold_wide = campaign(&WIDE).run();
+    for pass in ["widened", "widened again"] {
+        let widened = run(&WIDE);
+        let simulated = if pass == "widened" { wide - narrow } else { 0 };
+        assert_eq!(counts(&widened), (wide - simulated, simulated), "{pass}");
+        assert_eq!(widened.to_json(), cold_wide.to_json(), "{pass}");
+    }
+    assert_eq!(
+        (cache.hits(), cache.misses()),
+        (narrow + 2 * wide - narrow, wide)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn engine_version_salt_invalidates_stale_entries() {
     let dir = tmp("salt");
@@ -236,9 +266,10 @@ fn refined_points_are_cached_too() {
 
 #[test]
 fn a_store_filled_under_the_public_key_is_all_hits_for_a_campaign() {
-    // A campaign mints a point's key from its curve's two halves of the
-    // canonical coordinate; every other writer — another tool, an older
-    // binary — from `PointCache::key` over the whole `PointCoord`. Fill
+    // A campaign mints a point's key from its curve's canonical
+    // coordinate with the load marked, and remembers it; every other
+    // writer — another tool, an older binary — from `PointCache::key`
+    // over the whole `PointCoord`. Fill
     // a store the second way, coordinate by coordinate, and a campaign
     // over the same grid has nothing left to simulate.
     let storm = FaultsSpec {
